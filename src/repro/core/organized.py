@@ -117,10 +117,22 @@ class OrganizedInformation:
         self.db = db or Database()
         if "deals" not in self.db.table_names:
             create_schema(self.db)
-        self._contact_id = 0
-        self._strategy_id = 0
-        self._technology_id = 0
-        self._reference_id = 0
+        # A loaded database already holds rows: go on from its ids.
+        self._contact_id = self._max_id("contacts")
+        self._strategy_id = self._max_id("win_strategies")
+        self._technology_id = self._max_id("technologies")
+        self._reference_id = self._max_id("client_references")
+
+    def _max_id(self, table_name: str) -> int:
+        """Highest primary key in ``table_name``, 0 when it is empty.
+
+        Read from the table, not through ``execute``: a SELECT there is
+        the ``db`` fault point, and an armed profile must not fail (or
+        spend a draw on) constructing the system.
+        """
+        table = self.db.table(table_name)
+        position = table.schema.position(table.schema.primary_key[0])
+        return max((row[position] for _, row in table.scan()), default=0)
 
     # -- population (offline pipeline, Fig. 2 left-to-right) --------------
 

@@ -62,6 +62,10 @@ def register_structure_types(type_system: TypeSystem) -> TypeSystem:
     return type_system
 
 
+# (type name, begin, end, features) of a structure annotation.
+_Pending = Tuple[str, int, int, Dict[str, Any]]
+
+
 class _TextBuilder:
     """Accumulates rendered text while tracking spans."""
 
@@ -92,12 +96,14 @@ class DocumentParser:
             type_system or TypeSystem()
         )
 
-    # -- CAS ------------------------------------------------------------
+    # -- the one rendering -----------------------------------------------
 
-    def to_cas(self, document: EnterpriseDocument) -> Cas:
-        """Render ``document`` with structure annotations attached."""
+    def _render(
+        self, document: EnterpriseDocument
+    ) -> Tuple[str, List[_Pending], Dict[str, Any]]:
+        """Flat text, structure annotations still to attach, metadata."""
         builder = _TextBuilder()
-        pending: List[Tuple[str, int, int, Dict[str, Any]]] = []
+        pending: List[_Pending] = []
 
         if isinstance(document, Presentation):
             self._render_presentation(document, builder, pending)
@@ -114,18 +120,22 @@ class DocumentParser:
                 f"unknown document class {type(document).__name__}"
             )
 
-        cas = Cas(
-            builder.text,
-            self.type_system,
-            metadata={
-                "doc_id": document.doc_id,
-                "title": document.title,
-                "deal_id": document.deal_id,
-                "repository": document.repository,
-                "doc_type": document.doc_type,
-                "author": document.author,
-            },
-        )
+        metadata = {
+            "doc_id": document.doc_id,
+            "title": document.title,
+            "deal_id": document.deal_id,
+            "repository": document.repository,
+            "doc_type": document.doc_type,
+            "author": document.author,
+        }
+        return builder.text, pending, metadata
+
+    # -- CAS ------------------------------------------------------------
+
+    def to_cas(self, document: EnterpriseDocument) -> Cas:
+        """Render ``document`` with structure annotations attached."""
+        text, pending, metadata = self._render(document)
+        cas = Cas(text, self.type_system, metadata=metadata)
         for type_name, begin, end, features in pending:
             cas.annotate(type_name, begin, end, **features)
         return cas
@@ -138,12 +148,14 @@ class DocumentParser:
         The body is the same flat rendering the CAS uses — the keyword
         baseline deliberately sees forms "as a blob of text", empty
         schema fields included, reproducing the paper's noise source.
+        The index has no use for the structure annotations, so none is
+        attached or validated here.
         """
-        cas = self.to_cas(document)
+        text, _, metadata = self._render(document)
         return IndexableDocument(
             doc_id=document.doc_id,
-            fields={"title": document.title, "body": cas.text},
-            metadata=dict(cas.metadata),
+            fields={"title": document.title, "body": text},
+            metadata=metadata,
         )
 
     # -- per-genre renderers --------------------------------------------------

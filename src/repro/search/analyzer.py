@@ -12,7 +12,7 @@ from typing import List
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import STOPWORDS
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import _WORD_RE
 
 __all__ = ["AnalyzedTerm", "Analyzer"]
 
@@ -46,20 +46,27 @@ class Analyzer:
     """
 
     def __init__(self, use_stemming: bool = True, use_stopwords: bool = True):
-        self._tokenizer = Tokenizer()
-        self._stemmer = PorterStemmer() if use_stemming else None
+        self._stem = PorterStemmer().stem if use_stemming else None
         self._stopwords = STOPWORDS if use_stopwords else frozenset()
 
     def analyze(self, text: str) -> List[AnalyzedTerm]:
-        """Produce index terms for one field of text."""
+        """Produce index terms for one field of text.
+
+        The words are the default :class:`~repro.text.Tokenizer`'s
+        (same pattern, every length, surface case), taken straight from
+        the matches: no ``Token`` is built per word.
+        """
         terms: List[AnalyzedTerm] = []
-        for position, token in enumerate(self._tokenizer.iter_tokens(text)):
-            lowered = token.text.lower()
-            if lowered in self._stopwords:
+        append = terms.append
+        stopwords = self._stopwords
+        stem = self._stem
+        for position, match in enumerate(_WORD_RE.finditer(text)):
+            term = match.group().lower()
+            if term in stopwords:
                 continue
-            if self._stemmer is not None:
-                lowered = self._stemmer.stem(lowered)
-            terms.append(AnalyzedTerm(lowered, position, token.start, token.end))
+            if stem is not None:
+                term = stem(term)
+            append(AnalyzedTerm(term, position, match.start(), match.end()))
         return terms
 
     def analyze_query_terms(self, text: str) -> List[str]:

@@ -7,17 +7,32 @@ keyword baseline in the paper.
 
 Reference: M.F. Porter, "An algorithm for suffix stripping",
 Program 14(3):130-137, 1980.  Step numbering below follows the paper.
+
+A stem is a pure function of the word, and a corpus repeats a few
+hundred words tens of thousands of times, so every stemmer shares one
+word -> stem memo.
 """
 
 from __future__ import annotations
+
+import threading
+from typing import Dict
 
 __all__ = ["PorterStemmer", "stem"]
 
 _VOWELS = "aeiou"
 
+# The most distinct words the memo holds.  When it is full it is emptied
+# rather than trimmed: no bookkeeping on a hit, and what is in use comes
+# back at one miss per word.
+_MEMO_LIMIT = 1 << 16
+_MEMO: Dict[str, str] = {}
+# Taken on a miss only (check-then-insert); a hit is one ``dict.get``.
+_MEMO_LOCK = threading.Lock()
+
 
 class PorterStemmer:
-    """Stateless Porter stemmer.
+    """Porter stemmer; instances hold no state and share one memo.
 
     Usage::
 
@@ -195,17 +210,24 @@ class PorterStemmer:
 
     def stem(self, word: str) -> str:
         """Return the Porter stem of ``word`` (expects lower case)."""
-        if len(word) <= 2:
-            return word
-        word = self._step1a(word)
-        word = self._step1b(word)
-        word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
-        word = self._step4(word)
-        word = self._step5a(word)
-        word = self._step5b(word)
-        return word
+        stemmed = _MEMO.get(word)
+        if stemmed is not None:
+            return stemmed
+        stemmed = word
+        if len(word) > 2:
+            stemmed = self._step1a(stemmed)
+            stemmed = self._step1b(stemmed)
+            stemmed = self._step1c(stemmed)
+            stemmed = self._step2(stemmed)
+            stemmed = self._step3(stemmed)
+            stemmed = self._step4(stemmed)
+            stemmed = self._step5a(stemmed)
+            stemmed = self._step5b(stemmed)
+        with _MEMO_LOCK:
+            if len(_MEMO) >= _MEMO_LIMIT:
+                _MEMO.clear()
+            _MEMO[word] = stemmed
+        return stemmed
 
 
 _STEMMER = PorterStemmer()

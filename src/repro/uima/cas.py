@@ -90,7 +90,7 @@ class Cas:
         an out-of-bounds span, so annotator bugs surface immediately.
         """
         allowed = self.type_system.all_features(type_name)
-        unknown = set(features) - set(allowed)
+        unknown = features.keys() - allowed
         if unknown:
             raise TypeSystemError(
                 f"type {type_name!r} has no feature(s) {sorted(unknown)}"

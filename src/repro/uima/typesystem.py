@@ -44,6 +44,10 @@ class TypeSystem:
 
     def __init__(self) -> None:
         self._types: Dict[str, AnnotationType] = {}
+        # Closures per type name.  Each is a function of ``_types``
+        # alone, and ``define`` is the only writer, so it drops both.
+        self._features: Dict[str, FrozenSet[str]] = {}
+        self._subtypes: Dict[str, FrozenSet[str]] = {}
 
     def define(
         self,
@@ -60,6 +64,8 @@ class TypeSystem:
             )
         annotation_type = AnnotationType(name, frozenset(features), supertype)
         self._types[name] = annotation_type
+        self._features.clear()
+        self._subtypes.clear()
         return annotation_type
 
     def get(self, name: str) -> AnnotationType:
@@ -79,6 +85,9 @@ class TypeSystem:
 
     def all_features(self, name: str) -> FrozenSet[str]:
         """Feature slots of ``name`` including inherited ones."""
+        cached = self._features.get(name)
+        if cached is not None:
+            return cached
         features: Set[str] = set()
         current: Optional[str] = name
         seen: Set[str] = set()
@@ -89,7 +98,8 @@ class TypeSystem:
             annotation_type = self.get(current)
             features |= annotation_type.features
             current = annotation_type.supertype
-        return frozenset(features)
+        cached = self._features[name] = frozenset(features)
+        return cached
 
     def is_subtype(self, name: str, ancestor: str) -> bool:
         """True if ``name`` is ``ancestor`` or inherits from it."""
@@ -101,8 +111,15 @@ class TypeSystem:
         return False
 
     def subtypes_of(self, ancestor: str) -> Set[str]:
-        """All type names that are ``ancestor`` or inherit from it."""
-        self.get(ancestor)  # raise early on unknown ancestor
-        return {
-            name for name in self._types if self.is_subtype(name, ancestor)
-        }
+        """All type names that are ``ancestor`` or inherit from it.
+
+        The caller gets a set of its own.
+        """
+        cached = self._subtypes.get(ancestor)
+        if cached is None:
+            self.get(ancestor)  # raise early on unknown ancestor
+            cached = self._subtypes[ancestor] = frozenset(
+                name for name in self._types
+                if self.is_subtype(name, ancestor)
+            )
+        return set(cached)

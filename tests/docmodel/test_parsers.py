@@ -5,6 +5,7 @@ import pytest
 from repro.docmodel import (
     DocumentParser,
     EmailMessage,
+    EnterpriseDocument,
     FormDocument,
     Presentation,
     Sheet,
@@ -12,6 +13,7 @@ from repro.docmodel import (
     Spreadsheet,
     TextDocument,
 )
+from repro.errors import CorpusError
 
 
 @pytest.fixture
@@ -130,3 +132,57 @@ class TestIndexableRendering:
         assert indexable.fields["title"] == "Deck"
         assert "Win Strategy" in indexable.fields["body"]
         assert indexable.metadata["deal_id"] == "d"
+
+
+_ONE_OF_EACH_GENRE = [
+    Presentation(
+        doc_id="p", title="Deck", deal_id="d", repository="EWB-d",
+        author="sam", slides=(
+            Slide("Win Strategy", "Pricing", ("Aggressive bid", "")),
+            Slide("Next Steps"),
+        ),
+    ),
+    Spreadsheet(
+        doc_id="s", title="Roster", deal_id="d",
+        sheets=(Sheet("Team", ("Name", "Role"),
+                      (("Sam White", "CSE"), ("Jane Doe", ""))),
+                Sheet("Empty", (), ())),
+    ),
+    EmailMessage(
+        doc_id="e", title="Re: EUS", deal_id="d",
+        sender="sam.white@abc.com", recipients=("a@corp.com", "b@corp.com"),
+        subject="Need EUS references", body="Anyone worked a CSC deal?\n",
+    ),
+    FormDocument(
+        doc_id="f", title="Details", deal_id="d", form_name="Service Details",
+        fields=(("Cross Tower TSA", ""), ("Mainframe TSA", "Jane Doe")),
+    ),
+    TextDocument(
+        doc_id="t", title="Minutes", deal_id="d",
+        sections=(("Overview", "We met the client."), ("", "No heading.")),
+    ),
+]
+
+
+class TestOneRendering:
+    """``to_indexable`` and ``to_cas`` read one rendering: the index and
+    the annotators must see the same text and metadata."""
+
+    @pytest.mark.parametrize(
+        "document", _ONE_OF_EACH_GENRE, ids=lambda d: d.doc_type
+    )
+    def test_same_text_and_metadata(self, parser, document):
+        cas = parser.to_cas(document)
+        indexable = parser.to_indexable(document)
+        assert indexable.fields == {"title": document.title,
+                                    "body": cas.text}
+        assert indexable.metadata == cas.metadata
+        assert indexable.doc_id == document.doc_id
+        assert len(cas) > 0  # and only the CAS carries the structure
+
+    def test_unknown_class_rejected_by_both(self, parser):
+        stranger = EnterpriseDocument(doc_id="x", title="t", deal_id="d")
+        with pytest.raises(CorpusError, match="EnterpriseDocument"):
+            parser.to_cas(stranger)
+        with pytest.raises(CorpusError, match="EnterpriseDocument"):
+            parser.to_indexable(stranger)

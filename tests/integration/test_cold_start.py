@@ -19,8 +19,12 @@ import pytest
 
 from repro.core.eil import EILSystem
 from repro.core.metaqueries import scope_query, service_keyword_query
+from repro.corpus import DealGenerator, WorkbookFactory
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
+from repro.db.persistence import dumps_database
 from repro.errors import StorageError
+from repro.faults import FaultInjector, FaultRule, use_injector
+from repro.eval import run_table2
 from repro.security.access import User
 
 _USER = User("tester", frozenset({"sales"}))
@@ -154,3 +158,44 @@ def test_missing_or_foreign_directory_rejected(corpus, tmp_path):
     (tmp_path / EILSystem.EIL_MANIFEST).write_text('{"format": "other"}')
     with pytest.raises(StorageError, match="manifest"):
         EILSystem.load(str(tmp_path), corpus)
+
+
+def test_cold_start_onboards_unseen_deal(corpus, tmp_path):
+    """``OrganizedInformation`` over a loaded database goes on from the
+    ids it holds: onboarding a deal the saved system never saw used to
+    raise ``IntegrityError: PRIMARY KEY violated in table 'contacts'``.
+    """
+    new_deal = DealGenerator(seed=999, taxonomy=corpus.taxonomy).generate(
+        len(corpus.deals) + 1
+    )[-1]
+    workbook = WorkbookFactory(corpus.taxonomy, seed=999).build_workbook(
+        new_deal, 14
+    )
+    assert new_deal.deal_id not in {d.deal_id for d in corpus.deals}
+
+    warm = EILSystem.build(corpus)
+    warm.save_index(str(tmp_path))
+    # The ids are read off the tables, not through the ``db`` fault
+    # point: a store that fails every SELECT still loads.
+    with use_injector(FaultInjector({"db": FaultRule(error_rate=1.0)})):
+        cold = EILSystem.load(str(tmp_path), corpus)
+
+    def state(eil):
+        return (
+            json.loads(dumps_database(eil.organized.db))["tables"],
+            eil.graph.dumps(),
+            keyword_fingerprint(eil),
+            dataclasses.asdict(run_table2(corpus, eil)),
+        )
+
+    for eil in (warm, cold):
+        eil.add_workbook(workbook)
+    assert new_deal.deal_id in cold.deal_ids()
+    assert state(cold) == state(warm)
+    assert dataclasses.asdict(cold.synopsis(new_deal.deal_id, _USER)) == (
+        dataclasses.asdict(warm.synopsis(new_deal.deal_id, _USER))
+    )
+
+    removed = [eil.remove_deal(new_deal.deal_id) for eil in (warm, cold)]
+    assert removed == [len(workbook), len(workbook)]
+    assert state(cold) == state(warm)

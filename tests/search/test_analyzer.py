@@ -1,6 +1,12 @@
 """Unit tests for the analysis pipeline."""
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.search import Analyzer
+from tests.oracles import analyze_by_composition, field_texts
 
 
 class TestAnalyzer:
@@ -50,3 +56,53 @@ class TestAnalyzer:
 
     def test_empty_text(self):
         assert Analyzer().analyze("") == []
+
+
+@pytest.fixture(scope="module")
+def corpus_fields():
+    """Every field of every document of a small corpus."""
+    return field_texts(CorpusGenerator(
+        CorpusConfig(seed=2008, n_deals=3, docs_per_deal=14)
+    ).generate())
+
+
+_EDGE_INPUTS = [
+    "",
+    "   \n\t ",
+    "İstanbul office — naïve café",   # the pattern is ASCII: "stanbul"
+    "ISTANBUL İ ı",
+    "2008 Q3 10,000 seats 3.5 FTE 24x7",
+    "snake_case_name __init__ _x_",
+    "don't AT&T U.S.A. e.g. O'Neil's",
+    "The THE the of OF a",
+    "services SERVICES Servicing serviced",
+    "a.b.c..d 'quoted' &amp; x&&y",
+]
+
+
+class TestAgainstComposition:
+    """The fused loop is the composition it replaced, term for term."""
+
+    @pytest.mark.parametrize("use_stemming", [True, False])
+    @pytest.mark.parametrize("use_stopwords", [True, False])
+    def test_edge_inputs(self, use_stemming, use_stopwords):
+        analyzer = Analyzer(use_stemming, use_stopwords)
+        for text in _EDGE_INPUTS:
+            assert analyzer.analyze(text) == analyze_by_composition(
+                text, use_stemming, use_stopwords
+            ), text
+
+    @pytest.mark.parametrize("use_stemming", [True, False])
+    @pytest.mark.parametrize("use_stopwords", [True, False])
+    def test_every_field_of_a_corpus(
+            self, corpus_fields, use_stemming, use_stopwords):
+        analyzer = Analyzer(use_stemming, use_stopwords)
+        assert len(corpus_fields) > 80
+        for text in corpus_fields:
+            assert analyzer.analyze(text) == analyze_by_composition(
+                text, use_stemming, use_stopwords
+            )
+
+    @given(st.text(max_size=60))
+    def test_any_text(self, text):
+        assert Analyzer().analyze(text) == analyze_by_composition(text)

@@ -1,5 +1,7 @@
 """Unit tests for the annotation framework: types, CAS, engines, CPE."""
 
+import pickle
+
 import pytest
 
 from repro.errors import AnnotatorError, TypeSystemError
@@ -49,6 +51,72 @@ class TestTypeSystem:
     def test_empty_name_rejected(self):
         with pytest.raises(TypeSystemError):
             TypeSystem().define("")
+
+
+class TestTypeClosureCaches:
+    """``subtypes_of`` and ``all_features`` answer from per-name caches
+    that ``define`` drops."""
+
+    def test_define_after_queries_is_visible(self, ts):
+        assert ts.subtypes_of("eil.Entity") == {
+            "eil.Entity", "eil.Person", "eil.Org"
+        }
+        assert ts.subtypes_of("eil.Person") == {"eil.Person"}
+        assert ts.all_features("eil.Person") == {"normalized", "name", "email"}
+        ts.define("eil.Employee", ["badge"], supertype="eil.Person")
+        assert ts.subtypes_of("eil.Entity") == {
+            "eil.Entity", "eil.Person", "eil.Org", "eil.Employee"
+        }
+        assert ts.subtypes_of("eil.Person") == {"eil.Person", "eil.Employee"}
+        assert ts.all_features("eil.Employee") == {
+            "normalized", "name", "email", "badge"
+        }
+        assert ts.all_features("eil.Person") == {"normalized", "name", "email"}
+
+    def test_define_after_select_and_annotate_is_visible(self, ts):
+        cas = Cas("Sam White of ABC", ts)
+        cas.annotate("eil.Person", 0, 9, name="Sam White")
+        assert len(cas.select("eil.Entity")) == 1
+        ts.define("eil.Employee", ["badge"], supertype="eil.Person")
+        cas.annotate("eil.Employee", 0, 9, name="Sam White", badge="7")
+        assert [a.type_name for a in cas.select("eil.Entity")] == [
+            "eil.Person", "eil.Employee"
+        ]
+        assert [a.type_name for a in cas.select("eil.Person")] == [
+            "eil.Person", "eil.Employee"
+        ]
+        with pytest.raises(TypeSystemError):
+            cas.annotate("eil.Person", 0, 9, badge="7")
+
+    def test_mutating_an_answer_changes_no_later_answer(self, ts):
+        first = ts.subtypes_of("eil.Entity")
+        first.clear()
+        first.add("ghost")
+        assert ts.subtypes_of("eil.Entity") == {
+            "eil.Entity", "eil.Person", "eil.Org"
+        }
+        cas = Cas("Sam White", ts)
+        cas.annotate("eil.Org", 0, 3, name="Sam")
+        assert len(cas.select("eil.Entity")) == 1
+        with pytest.raises(AttributeError):
+            ts.all_features("eil.Person").add("ghost")
+
+    def test_unknown_names_still_raise(self, ts):
+        for _ in range(2):  # a failed lookup caches nothing
+            with pytest.raises(TypeSystemError):
+                ts.subtypes_of("ghost")
+            with pytest.raises(TypeSystemError):
+                ts.all_features("ghost")
+        ts.define("ghost")
+        assert ts.subtypes_of("ghost") == {"ghost"}
+        assert ts.all_features("ghost") == frozenset()
+
+    def test_pickled_type_system_keeps_answering(self, ts):
+        ts.subtypes_of("eil.Entity")
+        clone = pickle.loads(pickle.dumps(ts))
+        clone.define("eil.Employee", supertype="eil.Person")
+        assert "eil.Employee" in clone.subtypes_of("eil.Entity")
+        assert "eil.Employee" not in ts.subtypes_of("eil.Entity")
 
 
 class TestCas:
