@@ -1,24 +1,12 @@
-"""Query-latency baseline + execution ablation: ``BENCH_query_latency.json``.
+"""Query-latency baseline: ``BENCH_query_latency.json``.
 
 Times the online query path (business-activity driven search plus the
 keyword baseline) over a seeded corpus and emits a machine-readable
-perf baseline with p50/p95/p99 per query class — the before/after
-record every optimization PR compares against.  Also measures the
+perf baseline with p50/p95/p99 per query class.  Also measures the
 observability layer's own cost: the same workload runs once with the
 default (enabled) registry and once with recording disabled, and the
 report includes the overhead ratio (acceptance: < 5% on the bench
 corpus).
-
-The second section is the **execution ablation** (EXPERIMENTS.md E16):
-a scaled synthetic corpus (default 100 deals x 80 docs) is indexed
-straight into a :class:`~repro.search.SearchEngine` and a query mix
-(single term, AND, limited OR, limited hybrid, activity-scoped OR) runs
-under each executor configuration — ``exhaustive`` (the pre-optimization
-interpreter), ``bulk`` (bulk posting scoring only), ``planner`` (+
-df-ordered AND and filter pushdown), and ``full`` (+ heap top-k and
-MaxScore pruning).  Per-class p50 speedups versus ``exhaustive`` and the
-``engine.postings_touched`` counter per configuration land in the JSON;
-rankings are asserted identical across configurations while measuring.
 
 Run standalone (CI smoke uses ``--quick``)::
 
@@ -34,9 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import random
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro import CorpusConfig, CorpusGenerator, EILSystem, obs
 from repro.core.metaqueries import (
@@ -45,41 +32,12 @@ from repro.core.metaqueries import (
     service_keyword_query,
     worked_with_query,
 )
-from repro.search import ExecutionOptions, IndexableDocument, SearchEngine
 from repro.security.access import User
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_query_latency.json"
 )
 _USER = User("bench", frozenset({"sales"}))
-
-#: Executor configurations measured by the ablation, cumulative from
-#: the reference interpreter to the fully optimized path.
-ABLATIONS: List[Tuple[str, ExecutionOptions]] = [
-    ("exhaustive", ExecutionOptions.exhaustive()),
-    ("bulk", ExecutionOptions(
-        bulk_scoring=True, df_ordering=False, filter_pushdown=False,
-        maxscore=False, top_k_heap=False,
-    )),
-    ("planner", ExecutionOptions(
-        bulk_scoring=True, df_ordering=True, filter_pushdown=True,
-        maxscore=False, top_k_heap=False,
-    )),
-    ("full", ExecutionOptions()),
-]
-
-# Tiered vocabulary for the scaled corpus: each (word, probability)
-# pair controls the fraction of documents containing the word, giving
-# MaxScore common clauses to prune and rare clauses to keep.
-_TIERS: List[Tuple[str, float]] = [
-    ("omega", 0.60), ("sigma", 0.40), ("gamma", 0.25),
-    ("delta", 0.08), ("kappa", 0.02), ("zeta", 0.005),
-]
-_FILLER = [
-    "network", "storage", "deal", "client", "review", "contract",
-    "server", "pricing", "migration", "delivery", "proposal", "audit",
-    "schedule", "finance", "team", "scope", "risk", "tower",
-]
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -135,143 +93,12 @@ def _time_workload(
     return samples
 
 
-# -- execution ablation (scaled corpus) ------------------------------------
-
-
-def _scaled_engine(
-    deals: int, docs: int, seed: int
-) -> Tuple[SearchEngine, frozenset]:
-    """A scaled synthetic corpus indexed directly into an engine.
-
-    Bypasses the full EIL offline build (this section measures the
-    query executor, not CPE parsing) and returns the engine plus a
-    doc-id scope covering 10% of the deals for the scoped query class.
-    """
-    rng = random.Random(seed)
-    engine = SearchEngine(cache_size=0)
-    scoped_deals = {f"deal{d:03d}" for d in range(max(1, deals // 10))}
-    scope_ids = set()
-    for d in range(deals):
-        deal_id = f"deal{d:03d}"
-        for n in range(docs):
-            doc_id = f"{deal_id}-doc{n:03d}"
-            words = rng.choices(_FILLER, k=rng.randint(25, 55))
-            for word, probability in _TIERS:
-                if rng.random() < probability:
-                    words.insert(rng.randrange(len(words)), word)
-            if rng.random() < 0.03:
-                words.extend(["prime", "mover"])
-            engine.add(IndexableDocument(
-                doc_id,
-                {"title": " ".join(rng.choices(_FILLER, k=4)),
-                 "body": " ".join(words)},
-                {"deal_id": deal_id},
-            ))
-            if deal_id in scoped_deals:
-                scope_ids.add(doc_id)
-    return engine, frozenset(scope_ids)
-
-
-def _scaled_queries(
-    scope_ids: frozenset,
-) -> List[Tuple[str, str, Optional[int], Optional[frozenset]]]:
-    """(class, query, limit, doc_filter) for the ablation mix."""
-    or_query = "zeta OR kappa OR omega OR sigma OR gamma"
-    return [
-        ("term", "gamma", None, None),
-        ("and_query", "gamma delta sigma", None, None),
-        ("or_limited", or_query, 10, None),
-        ("hybrid_limited",
-         '"prime mover" OR delta OR omega OR sigma', 10, None),
-        ("scoped_or", or_query, 10, scope_ids),
-    ]
-
-
-def run_ablation(
-    deals: int = 100,
-    docs: int = 80,
-    rounds: int = 15,
-    seed: int = 2008,
-) -> Dict[str, object]:
-    """Measure every executor configuration on the scaled corpus."""
-    build_started = time.perf_counter()
-    engine, scope_ids = _scaled_engine(deals, docs, seed)
-    build_seconds = time.perf_counter() - build_started
-    queries = _scaled_queries(scope_ids)
-
-    def run(name, query, limit, doc_filter, options):
-        return engine.search(query, limit=limit, doc_filter=doc_filter,
-                             options=options)
-
-    # Warm up once per (query, config): compiles postings and idf
-    # caches outside the timed region, and proves the ranking-
-    # equivalence guarantee on the bench corpus while at it.
-    for class_name, query, limit, doc_filter in queries:
-        reference = None
-        for config_name, options in ABLATIONS:
-            hits = run(class_name, query, limit, doc_filter, options)
-            ranking = [(h.doc_id, h.score) for h in hits]
-            if reference is None:
-                reference = ranking
-            elif ranking != reference:
-                raise AssertionError(
-                    f"ranking diverged: {class_name!r} under "
-                    f"{config_name!r}"
-                )
-
-    per_config: Dict[str, Dict[str, Dict[str, float]]] = {}
-    postings_touched: Dict[str, int] = {}
-    for config_name, options in ABLATIONS:
-        samples: Dict[str, List[float]] = {}
-        for class_name, query, limit, doc_filter in queries:
-            per_class = samples.setdefault(class_name, [])
-            for _ in range(rounds):
-                started = time.perf_counter()
-                run(class_name, query, limit, doc_filter, options)
-                per_class.append(time.perf_counter() - started)
-        per_config[config_name] = {
-            name: _summarize(s) for name, s in samples.items()
-        }
-        with obs.use_registry() as registry:
-            for class_name, query, limit, doc_filter in queries:
-                run(class_name, query, limit, doc_filter, options)
-            postings_touched[config_name] = registry.counter(
-                "engine.postings_touched"
-            ).value
-
-    speedups = {
-        class_name: {
-            config_name: (
-                per_config["exhaustive"][class_name]["p50_ms"]
-                / per_config[config_name][class_name]["p50_ms"]
-                if per_config[config_name][class_name]["p50_ms"]
-                else 1.0
-            )
-            for config_name, _ in ABLATIONS
-        }
-        for class_name, _, _, _ in queries
-    }
-    return {
-        "corpus": {"seed": seed, "deals": deals, "docs_per_deal": docs,
-                   "documents_indexed": len(engine)},
-        "rounds": rounds,
-        "build_seconds": build_seconds,
-        "configurations": [name for name, _ in ABLATIONS],
-        "per_config": per_config,
-        "p50_speedup_vs_exhaustive": speedups,
-        "postings_touched_per_workload": postings_touched,
-    }
-
-
 def run_bench(
     deals: int = 12,
     docs: int = 40,
     rounds: int = 30,
     seed: int = 2008,
     out_path: pathlib.Path = DEFAULT_OUT,
-    scaled_deals: int = 100,
-    scaled_docs: int = 80,
-    scaled_rounds: int = 15,
 ) -> Dict[str, object]:
     """Build, measure, and write the JSON baseline; returns the report."""
     registry = obs.MetricsRegistry()
@@ -303,7 +130,7 @@ def run_bench(
     disabled_mean = sum(all_disabled) / len(all_disabled)
     report: Dict[str, object] = {
         "bench": "query_latency",
-        "schema_version": 2,
+        "schema_version": 3,
         "created_unix": time.time(),
         "corpus": {"seed": seed, "deals": deals, "docs_per_deal": docs,
                    "documents_indexed":
@@ -327,9 +154,6 @@ def run_bench(
             for name, counter in sorted(registry.counters.items())
             if name.startswith(("engine.", "db.", "query."))
         },
-        "execution_ablation": run_ablation(
-            scaled_deals, scaled_docs, scaled_rounds, seed
-        ),
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -337,34 +161,19 @@ def run_bench(
 
 def test_bench_query_latency(report_writer):
     """Pytest entry: run a small bench and sanity-check the JSON."""
-    report = run_bench(deals=6, docs=20, rounds=5,
-                       scaled_deals=15, scaled_docs=10, scaled_rounds=3)
+    report = run_bench(deals=6, docs=20, rounds=5)
     latency = report["latency"]
     assert latency["count"] > 0
     assert 0 < latency["p50_ms"] <= latency["p95_ms"] <= latency["max_ms"]
     assert DEFAULT_OUT.exists()
     parsed = json.loads(DEFAULT_OUT.read_text())
     assert parsed["bench"] == "query_latency"
-    ablation = report["execution_ablation"]
-    assert set(ablation["per_config"]) == {
-        name for name, _ in ABLATIONS
-    }
-    touched = ablation["postings_touched_per_workload"]
-    # MaxScore + pushdown must do strictly less posting work than the
-    # reference interpreter, even on the reduced smoke corpus.
-    assert touched["full"] < touched["exhaustive"]
-    or_speedup = ablation["p50_speedup_vs_exhaustive"]["or_limited"]
     lines = [
         "E13: query latency baseline",
         f"p50 {latency['p50_ms']:.2f}ms  p95 {latency['p95_ms']:.2f}ms  "
         f"p99 {latency['p99_ms']:.2f}ms",
         f"overhead ratio (obs on/off): "
         f"{report['observability_overhead']['overhead_ratio']:.3f}",
-        "E16: execution ablation (smoke corpus)",
-        f"or_limited p50 speedup full vs exhaustive: "
-        f"{or_speedup['full']:.2f}x",
-        f"postings touched exhaustive={touched['exhaustive']} "
-        f"full={touched['full']}",
     ]
     report_writer("E13_query_latency", "\n".join(lines))
 
@@ -375,23 +184,16 @@ def main() -> int:
     parser.add_argument("--docs", type=int, default=40)
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=2008)
-    parser.add_argument("--scaled-deals", type=int, default=100)
-    parser.add_argument("--scaled-docs", type=int, default=80)
-    parser.add_argument("--scaled-rounds", type=int, default=15)
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument("--quick", action="store_true",
                         help="small corpus + few rounds (CI smoke)")
     args = parser.parse_args()
     if args.quick:
         args.deals, args.docs, args.rounds = 5, 15, 5
-        args.scaled_deals, args.scaled_docs, args.scaled_rounds = 20, 10, 3
     report = run_bench(args.deals, args.docs, args.rounds, args.seed,
-                       args.out, args.scaled_deals, args.scaled_docs,
-                       args.scaled_rounds)
+                       args.out)
     latency = report["latency"]
     overhead = report["observability_overhead"]
-    ablation = report["execution_ablation"]
-    touched = ablation["postings_touched_per_workload"]
     print(f"wrote {args.out}")
     print(f"queries timed : {latency['count']}")
     print(f"latency p50   : {latency['p50_ms']:.2f}ms")
@@ -400,25 +202,6 @@ def main() -> int:
     print(f"obs overhead  : {overhead['overhead_ratio']:.3f}x "
           f"(enabled {overhead['enabled_mean_ms']:.3f}ms / "
           f"disabled {overhead['disabled_mean_ms']:.3f}ms)")
-    print(f"ablation corpus: {ablation['corpus']['documents_indexed']} "
-          f"documents")
-    header = "class".ljust(16) + "".join(
-        name.rjust(12) for name, _ in ABLATIONS
-    )
-    print(header + "   (p50 ms / speedup)")
-    for class_name, by_config in ablation["per_config"]["full"].items():
-        row = class_name.ljust(16)
-        for config_name, _ in ABLATIONS:
-            p50 = ablation["per_config"][config_name][class_name][
-                "p50_ms"
-            ]
-            speedup = ablation["p50_speedup_vs_exhaustive"][class_name][
-                config_name
-            ]
-            row += f"{p50:7.2f}/{speedup:4.1f}x"
-        print(row)
-    print(f"postings touched per workload: "
-          + ", ".join(f"{k}={v}" for k, v in touched.items()))
     return 0
 
 

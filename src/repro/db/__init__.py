@@ -37,7 +37,7 @@ from repro.db.persistence import (
     load_database,
     loads_database,
 )
-from repro.db.plan import PlannerOptions, SelectPlan
+from repro.db.plan import SelectPlan
 from repro.db.query import (
     AggregateCall,
     Join,
@@ -82,7 +82,6 @@ __all__ = [
     "Join",
     "OrderItem",
     "ResultSet",
-    "PlannerOptions",
     "SelectPlan",
     "Explain",
     "parse",

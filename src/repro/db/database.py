@@ -43,13 +43,8 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.concurrency import ReadWriteLock
-from repro.db.plan import PlannerOptions, SelectPlan, plan_rowids
-from repro.db.query import (
-    ResultSet,
-    SelectStatement,
-    TableRef,
-    execute_select,
-)
+from repro.db.plan import SelectPlan, plan_rowids
+from repro.db.query import ResultSet, SelectStatement, TableRef
 from repro.db.schema import ForeignKey, TableSchema
 from repro.db.sql import (
     CreateIndex,
@@ -152,31 +147,17 @@ class _StatementCache:
 class Database:
     """An in-memory relational database."""
 
-    def __init__(
-        self,
-        planner_options: Optional[PlannerOptions] = None,
-        plan_cache: Optional[int] = None,
-    ) -> None:
+    def __init__(self, plan_cache: Optional[int] = None) -> None:
         self._tables: Dict[str, Table] = {}
         self._undo_log: Optional[
             List[Tuple[str, str, int, Optional[tuple], Optional[tuple]]]
         ] = None
         self._rw = ReadWriteLock()
-        self._planner_options = (
-            planner_options
-            if planner_options is not None
-            else PlannerOptions.from_env()
-        )
         self._ddl_epoch = 0
         capacity = _plan_cache_capacity(plan_cache)
         self._stmt_cache = (
             _StatementCache(capacity) if capacity > 0 else None
         )
-
-    @property
-    def planner_options(self) -> PlannerOptions:
-        """The option set every SELECT in this database plans with."""
-        return self._planner_options
 
     @property
     def ddl_epoch(self) -> int:
@@ -377,7 +358,7 @@ class Database:
             statement = parse(sql)
             plan = None
             if isinstance(statement, SelectStatement):
-                plan = SelectPlan(self, statement, self._planner_options)
+                plan = SelectPlan(self, statement)
             entry = _CacheEntry(statement, plan, self._ddl_epoch)
             cache.store(sql, entry, metrics)
         if entry.plan is not None:
@@ -396,7 +377,7 @@ class Database:
         """
         if isinstance(statement, SelectStatement):
             with self._rw.read():
-                return execute_select(self, statement, params)
+                return SelectPlan(self, statement).execute(params)
         if isinstance(statement, Insert):
             with self._rw.write():
                 return _rowcount(self._execute_insert(statement, params))
@@ -444,7 +425,7 @@ class Database:
     ) -> ResultSet:
         if isinstance(statement, SelectStatement):
             with self._rw.read():
-                result = execute_select(self, statement, params)
+                result = SelectPlan(self, statement).execute(params)
             lines = list(result.plan)
         elif isinstance(statement, (Update, Delete)):
             table = self.table(statement.table)
@@ -569,7 +550,7 @@ class Database:
     ) -> ResultSet:
         """Run a prebuilt SELECT (skips the SQL parser)."""
         with self._rw.read():
-            return execute_select(self, statement, params)
+            return SelectPlan(self, statement).execute(params)
 
     def query_one(
         self, sql: str, params: Sequence[Any] = ()

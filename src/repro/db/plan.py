@@ -1,51 +1,49 @@
 """Join-aware SELECT planner and compiled executor.
 
-This module is the optimized execution engine behind ``Database.execute``
-and ``Database.select``.  A :class:`SelectPlan` is built **once** per
-statement (and cached by the database's statement cache, keyed on SQL
-text and invalidated by DDL epoch) and executed many times with
-different parameters.  All access-path and strategy decisions that
-depend only on *shape* — which index serves the WHERE, which conjuncts
-push below which join, which expressions compile to closures — happen
-at plan time; decisions that depend on *cardinality* (index nested-loop
-vs hash join, hash-join build side) are made per execution from the
-actual row counts, and probe values (literals or ``?`` parameters) are
-read at execution time so one plan serves every binding.
+This module is the execution engine behind ``Database.execute`` and
+``Database.select``: the only way a SELECT runs.  A :class:`SelectPlan`
+is built **once** per statement (and cached by the database's statement
+cache, keyed on SQL text and invalidated by DDL epoch) and executed many
+times with different parameters.  All access-path and strategy decisions
+that depend only on *shape* — which index serves the WHERE, which
+conjuncts push below which join, which expressions compile to closures —
+happen at plan time; decisions that depend on *cardinality* (index
+nested-loop vs hash join, hash-join build side) are made per execution
+from the actual row counts, and probe values (literals or ``?``
+parameters) are read at execution time so one plan serves every binding.
 
-The contract, inherited from the seed executor and enforced by the
-option-lattice equivalence suite in ``tests/db/test_plan_equivalence.py``:
-**the planner can never change results, only speed.**  Every
-:class:`PlannerOptions` configuration — including ``naive()``, the
-all-off baseline — must return byte-identical rows, columns, and
-ordering to :func:`repro.db.query.naive_execute_select`, the seed
-row-at-a-time reference interpreter kept for exactly this purpose.
+The contract, inherited from the seed executor: **the planner can never
+change results, only speed.**  ``tests/db/test_plan_equivalence.py``
+holds it to the seed's row-at-a-time interpreter, which lives on as the
+test oracle ``tests/reference/select.py`` — byte-identical rows, columns
+and ordering over a query zoo and grammar-generated SELECTs.
 
-Optimizations, each independently toggleable:
+What the plan does:
 
-* ``predicate_pushdown`` — WHERE conjuncts that reference only the base
+* *Predicate pushdown* — WHERE conjuncts that reference only the base
   table filter rows before any join; conjuncts that reference only an
   INNER join's right side filter that input before the join; every
   other conjunct runs at the earliest pipeline point where its sources
   are all joined.  Right-side conjuncts are **never** pushed below a
   LEFT join (they would delete null-extension candidates).
-* ``index_join`` — when the right side of an equi-join has an index on
+* *Index join* — when the right side of an equi-join has an index on
   the join column and the left input is small relative to the right
   table, probe the index per left row instead of scanning and hashing
   the whole right table.
-* ``join_side_selection`` — hash joins build on the smaller input.  A
+* *Join side selection* — hash joins build on the smaller input.  A
   build-on-left join replays matches per left position so output order
   stays left-major, identical to the build-on-right order.
-* ``compiled_expressions`` — every expression site is lowered once per
+* *Compiled expressions* — every expression site is lowered once per
   plan via :func:`repro.db.expr.compile_expression`.
-* ``streaming_aggregation`` — GROUP BY folds incremental aggregate
+* *Streaming aggregation* — GROUP BY folds incremental aggregate
   states (count/sum/avg/min/max, DISTINCT via first-occurrence sets) in
   a single pass instead of materializing per-group row lists.  Fold
-  order is row order, so float sums stay bit-identical to the naive
-  ``sum()`` over the materialized group.
-* ``topk_order`` — ORDER BY + LIMIT keeps a heap of the top
+  order is row order, so float sums stay bit-identical to ``sum()``
+  over the materialized group.
+* *Top-k order* — ORDER BY + LIMIT keeps a heap of the top
   ``offset + limit`` rows instead of sorting everything; LIMIT without
   ORDER BY stops projecting early; DISTINCT + LIMIT stops after enough
-  distinct rows.  All three produce a prefix of the naive output
+  distinct rows.  All three produce a prefix of the full output
   sequence, so the shared slicing tail yields identical rows.
 
 Known (documented) divergence from the reference: pushdown and
@@ -58,8 +56,6 @@ fold.  Result rows are never affected.
 from __future__ import annotations
 
 import heapq
-import os
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -92,7 +88,6 @@ from repro.db.query import (
     _conjuncts,
     _contains_aggregate,
     _equi_join_keys,
-    _execute_grouped,
     _expand_items,
     _null_row,
     _NullsLast,
@@ -102,7 +97,7 @@ from repro.db.query import (
 from repro.db.table import Table
 from repro.obs import get_registry
 
-__all__ = ["PlannerOptions", "SelectPlan", "plan_rowids"]
+__all__ = ["SelectPlan", "plan_rowids"]
 
 # An index nested-loop join pays one index probe + row fetch per left
 # row; scanning the right side pays one fetch per right row.  Probe the
@@ -111,70 +106,23 @@ __all__ = ["PlannerOptions", "SelectPlan", "plan_rowids"]
 _INDEX_JOIN_MAX_LEFT_FRACTION = 4
 
 
-@dataclass(frozen=True)
-class PlannerOptions:
-    """Feature toggles for the SELECT engine, one per optimization."""
-
-    predicate_pushdown: bool = True
-    index_join: bool = True
-    join_side_selection: bool = True
-    compiled_expressions: bool = True
-    streaming_aggregation: bool = True
-    topk_order: bool = True
-
-    @classmethod
-    def naive(cls) -> "PlannerOptions":
-        """Every optimization off: the seed executor's cost profile."""
-        return cls(False, False, False, False, False, False)
-
-    @classmethod
-    def from_env(cls) -> "PlannerOptions":
-        """``REPRO_DB_PLANNER=naive`` turns every optimization off."""
-        mode = os.environ.get("REPRO_DB_PLANNER", "").strip().lower()
-        if mode in ("naive", "off", "0"):
-            return cls.naive()
-        return cls()
-
-    def describe(self) -> str:
-        off = [
-            name
-            for name in (
-                "predicate_pushdown",
-                "index_join",
-                "join_side_selection",
-                "compiled_expressions",
-                "streaming_aggregation",
-                "topk_order",
-            )
-            if not getattr(self, name)
-        ]
-        return "full" if not off else "off: " + ", ".join(off)
-
-
 # ---------------------------------------------------------------------------
 # Expression sites
 # ---------------------------------------------------------------------------
 
 
 class _Site:
-    """One expression at one evaluation site of the pipeline.
+    """One expression at one evaluation site of the pipeline, compiled
+    once at plan time and evaluated with each execution's parameters."""
 
-    Compiled once at plan time when the option is on; otherwise the
-    expression is bound per execution and interpreted, matching the
-    seed executor's cost profile for the ablation baseline.
-    """
+    __slots__ = ("_compiled",)
 
-    __slots__ = ("expr", "_compiled")
-
-    def __init__(self, expr: Expression, compiled: bool) -> None:
-        self.expr = expr
-        self._compiled = compile_expression(expr) if compiled else None
+    def __init__(self, expr: Expression) -> None:
+        self._compiled = compile_expression(expr)
 
     def evaluator(self, params: Sequence[Any]) -> Callable[[Any], Any]:
         compiled = self._compiled
-        if compiled is not None:
-            return lambda row: compiled(row, params)
-        return self.expr.bind(params).evaluate
+        return lambda row: compiled(row, params)
 
     def predicate(
         self, params: Sequence[Any], coerce: bool
@@ -516,11 +464,12 @@ class _JoinStep:
         "context_keys",
     )
 
-    def __init__(self, join: Any, table: Table, seen_names: List[str],
-                 compiled: bool) -> None:
+    def __init__(
+        self, join: Any, table: Table, seen_names: List[str]
+    ) -> None:
         self.join = join
         self.table = table
-        self.on_site = _Site(join.on, compiled)
+        self.on_site = _Site(join.on)
         # Prefixed context keys are static; building them per row would
         # put a string concat per column on the join hot path.
         prefix = join.ref.name + "."
@@ -545,15 +494,8 @@ class _JoinStep:
 class SelectPlan:
     """A prepared SELECT: shape decisions made once, executed many times."""
 
-    def __init__(
-        self,
-        catalog: Any,
-        statement: SelectStatement,
-        options: PlannerOptions,
-    ) -> None:
+    def __init__(self, catalog: Any, statement: SelectStatement) -> None:
         self.statement = statement
-        self.options = options
-        compiled = options.compiled_expressions
 
         self.base_ref = statement.from_ref
         self.base_table = catalog.table(statement.from_ref.table)
@@ -567,9 +509,7 @@ class SelectPlan:
         self.join_steps: List[_JoinStep] = []
         for join in statement.joins:
             table = catalog.table(join.ref.table)
-            self.join_steps.append(
-                _JoinStep(join, table, seen_names, compiled)
-            )
+            self.join_steps.append(_JoinStep(join, table, seen_names))
             seen_names.append(join.ref.name)
 
         # Which sources own which unqualified column names (for
@@ -596,33 +536,29 @@ class SelectPlan:
         self.coerce_conjuncts = len(conjuncts) > 1
         self.base_filters: List[_Site] = []
         self.final_filters: List[_Site] = []
-        self.where_site: Optional[_Site] = None
         pushed_down = 0
-        if statement.where is not None and options.predicate_pushdown:
-            for conjunct in conjuncts:
-                sources = self._conjunct_sources(
-                    conjunct, owners, source_names
-                )
-                site = _Site(conjunct, compiled)
-                if sources is None:
-                    self.final_filters.append(site)
-                    continue
-                if not sources or sources == {self.base_ref.name}:
-                    self.base_filters.append(site)
-                    pushed_down += 1
-                    continue
-                last = max(position_of[name] for name in sources)
-                step = self.join_steps[last - 1]
-                if (
-                    sources == {step.join.ref.name}
-                    and step.join.kind == "inner"
-                ):
-                    step.right_filters.append(site)
-                    pushed_down += 1
-                else:
-                    step.post_filters.append(site)
-        elif statement.where is not None:
-            self.where_site = _Site(statement.where, compiled)
+        for conjunct in conjuncts:
+            sources = self._conjunct_sources(
+                conjunct, owners, source_names
+            )
+            site = _Site(conjunct)
+            if sources is None:
+                self.final_filters.append(site)
+                continue
+            if not sources or sources == {self.base_ref.name}:
+                self.base_filters.append(site)
+                pushed_down += 1
+                continue
+            last = max(position_of[name] for name in sources)
+            step = self.join_steps[last - 1]
+            if (
+                sources == {step.join.ref.name}
+                and step.join.kind == "inner"
+            ):
+                step.right_filters.append(site)
+                pushed_down += 1
+            else:
+                step.post_filters.append(site)
 
         # Projection: stars expand at plan time against the catalog.
         self.items = _expand_items(statement, catalog, seen_names)
@@ -640,15 +576,13 @@ class SelectPlan:
             or statement.having is not None
         )
         self.item_sites = [
-            _Site(item.expr, compiled)
+            _Site(item.expr)
             for item in self.items
             if item.expr is not None
         ]
 
-        if self.has_aggregates and options.streaming_aggregation:
-            self.group_sites = [
-                _Site(expr, compiled) for expr in statement.group_by
-            ]
+        if self.has_aggregates:
+            self.group_sites = [_Site(expr) for expr in statement.group_by]
             layout_exprs: List[Optional[Expression]] = [
                 item.expr for item in self.items
             ]
@@ -657,34 +591,33 @@ class SelectPlan:
             self.item_occurrences = per_expr[:-1]
             self.having_occurrences = per_expr[-1]
             self.agg_arg_sites: List[Optional[_Site]] = [
-                _Site(node.arg, compiled) if node.arg is not None else None
+                _Site(node.arg) if node.arg is not None else None
                 for node in self.agg_nodes
             ]
 
         self.order_sites = [
-            (_Site(order.expr, compiled), order.descending)
+            (_Site(order.expr), order.descending)
             for order in statement.order_by
         ]
 
         # Static notes, appended after the runtime access-path lines.
         notes: List[str] = []
-        if options.predicate_pushdown and pushed_down:
+        if pushed_down:
             notes.append(f"pushdown {pushed_down} predicate(s)")
-        if compiled:
-            sites = (
-                len(self.base_filters)
-                + len(self.final_filters)
-                + len(self.item_sites)
-                + len(self.order_sites)
-            )
-            notes.append(f"compiled expressions ({sites} site(s))")
-        if self.has_aggregates and options.streaming_aggregation:
+        sites = (
+            len(self.base_filters)
+            + len(self.final_filters)
+            + len(self.item_sites)
+            + len(self.order_sites)
+        )
+        notes.append(f"compiled expressions ({sites} site(s))")
+        if self.has_aggregates:
             notes.append(
                 f"streaming aggregation "
                 f"({len(statement.group_by)} key(s), "
                 f"{len(self.agg_nodes)} aggregate(s))"
             )
-        if options.topk_order and statement.limit is not None:
+        if statement.limit is not None:
             bound = statement.limit + statement.offset
             if statement.order_by and not statement.distinct:
                 notes.append(f"top-k order by (heap, k={bound})")
@@ -718,7 +651,6 @@ class SelectPlan:
 
     def execute(self, params: Sequence[Any] = ()) -> ResultSet:
         statement = self.statement
-        options = self.options
         metrics = get_registry()
         metrics.inc("db.selects")
         plan: List[str] = []
@@ -760,14 +692,10 @@ class SelectPlan:
             for predicate in post_predicates:
                 rows = [row for row in rows if predicate(row)]
 
-        # Residual WHERE (whole clause when pushdown is off).
-        if self.where_site is not None:
-            keep = self.where_site.predicate(params, coerce=False)
-            rows = [row for row in rows if keep(row)]
-        elif self.final_filters:
-            for site in self.final_filters:
-                predicate = site.predicate(params, coerce)
-                rows = [row for row in rows if predicate(row)]
+        # Residual WHERE: conjuncts pushdown could not place.
+        for site in self.final_filters:
+            predicate = site.predicate(params, coerce)
+            rows = [row for row in rows if predicate(row)]
 
         # Projection / aggregation / ordering.
         if self.has_aggregates:
@@ -808,7 +736,6 @@ class SelectPlan:
         coerce: bool,
     ) -> Tuple[List[Dict[str, Any]], int, int, int]:
         """Run one join step; returns (rows, scanned, built, probed)."""
-        options = self.options
         name = step.join.ref.name
         right_table = step.table
         right_keys = step.context_keys
@@ -820,7 +747,6 @@ class SelectPlan:
 
         if (
             step.left_key is not None
-            and options.index_join
             and step.right_index is not None
             and len(rows) * _INDEX_JOIN_MAX_LEFT_FRACTION
             <= len(right_table)
@@ -897,7 +823,7 @@ class SelectPlan:
 
         left_key = step.left_key
         right_key = step.right_key
-        if options.join_side_selection and len(rows) < len(right_rows):
+        if len(rows) < len(right_rows):
             # Build on the smaller (left) input; replaying matches per
             # left position keeps output order left-major, identical
             # to probing with left rows.
@@ -959,13 +885,11 @@ class SelectPlan:
         shared tail that DISTINCT was already applied by the
         short-circuiting path."""
         statement = self.statement
-        options = self.options
         evaluators = [site.evaluator(params) for site in self.item_sites]
 
         def project(row: Dict[str, Any]) -> Tuple[Any, ...]:
             return tuple(evaluate(row) for evaluate in evaluators)
 
-        topk = options.topk_order and statement.limit is not None
         bound = (
             statement.limit + statement.offset
             if statement.limit is not None
@@ -977,7 +901,7 @@ class SelectPlan:
                 (site.evaluator(params), descending)
                 for site, descending in self.order_sites
             ]
-            if topk and not statement.distinct:
+            if bound is not None and not statement.distinct:
                 # Heap keeps the top offset+limit source rows; sorting
                 # and projecting only those yields the same prefix the
                 # full sort would.
@@ -996,7 +920,7 @@ class SelectPlan:
                 )
             return [out for _, out in paired], False
 
-        if topk and statement.distinct:
+        if bound is not None and statement.distinct:
             # Stop once offset+limit distinct rows are collected; a
             # prefix of dict.fromkeys() over the full projection.
             seen: Set[Tuple[Any, ...]] = set()
@@ -1010,9 +934,8 @@ class SelectPlan:
                 if len(collected) >= bound:
                     break
             return collected, True
-        if topk:
-            return [project(row) for row in rows[:bound]], False
-        return [project(row) for row in rows], False
+        # ``rows[:None]`` is every row: no LIMIT, nothing to cut short.
+        return [project(row) for row in rows[:bound]], False
 
     # -- aggregation -----------------------------------------------------
 
@@ -1020,25 +943,7 @@ class SelectPlan:
         self, rows: List[Dict[str, Any]], params: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         statement = self.statement
-        options = self.options
-
-        if options.streaming_aggregation:
-            output_rows = self._streaming_groups(rows, params)
-        else:
-            bound_statement = statement.bind(params)
-            bound_items = [
-                SelectItem(
-                    item.expr.bind(params) if item.expr else None,
-                    item.alias,
-                    item.star,
-                    item.star_table,
-                )
-                for item in self.items
-            ]
-            output_rows = _execute_grouped(
-                bound_statement, bound_items, rows
-            )
-
+        output_rows = self._streaming_groups(rows, params)
         if not statement.order_by:
             return output_rows
 
@@ -1062,11 +967,7 @@ class SelectPlan:
             )
             for order in statement.order_by
         ]
-        if (
-            options.topk_order
-            and statement.limit is not None
-            and not statement.distinct
-        ):
+        if statement.limit is not None and not statement.distinct:
             bound = statement.limit + statement.offset
 
             def sort_key(row: Tuple[Any, ...]) -> _CompositeKey:

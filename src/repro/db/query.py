@@ -1,50 +1,32 @@
-"""Logical query model and the naive reference executor for SELECT.
+"""Logical query model for SELECT, and the helpers its executor shares.
 
 This module holds the statement model (:class:`SelectStatement` and
-friends), :class:`ResultSet`, and **two** executors:
+friends), :class:`ResultSet`, and the shape helpers (conjunct splitting,
+equi-join detection, star expansion, output naming, NULLS-LAST ordering)
+that :class:`repro.db.plan.SelectPlan` — the one SELECT executor — is
+built from.  The seed's row-at-a-time interpreter is no longer here: it
+is the test oracle ``tests/reference/select.py``, which imports the same
+helpers.
 
-* :func:`execute_select` — the production path.  It delegates to
-  :class:`repro.db.plan.SelectPlan`, the join-aware planner with plan
-  caching, predicate pushdown, compiled expressions and streaming
-  aggregation.
-* :func:`naive_execute_select` — the seed's transparent row-at-a-time
-  interpreter, kept verbatim as the reference implementation.  The
-  option-lattice equivalence suite proves every planner configuration
-  returns byte-identical rows/columns/ordering to this function; it is
-  also the honest baseline the ``bench_db.py`` ablation measures
-  speedups against.
-
-The founding contract is unchanged: access-path selection (and now
-every planner optimization) can never change results, only speed.  The
-WHERE clause is always fully re-applied — as a whole by the naive
-executor, conjunct-by-conjunct at pushed-down pipeline positions by the
-planner.  ``ResultSet.plan`` reports which paths were chosen; tests
-assert on it.
+The founding contract is unchanged: access-path selection and every
+planner optimization can never change results, only speed.  The WHERE
+clause is always fully re-applied, conjunct-by-conjunct at pushed-down
+pipeline positions.  ``ResultSet.plan`` reports which paths were
+chosen; tests assert on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.db.expr import (
     ColumnRef,
     Comparison,
     Expression,
-    Literal,
     LogicalAnd,
     RowContext,
 )
-from repro.db.index import SortedIndex
 from repro.db.table import Table
 from repro.errors import ProgrammingError
 
@@ -56,8 +38,6 @@ __all__ = [
     "OrderItem",
     "SelectStatement",
     "ResultSet",
-    "execute_select",
-    "naive_execute_select",
 ]
 
 
@@ -98,27 +78,6 @@ class AggregateCall(Expression):
     def bind(self, params: Sequence[Any]) -> Expression:
         arg = self.arg.bind(params) if self.arg is not None else None
         return AggregateCall(self.func, arg, self.distinct)
-
-    def compute(self, rows: Sequence[RowContext]) -> Any:
-        """Evaluate this aggregate over the rows of one group."""
-        func = self.func.lower()
-        if self.arg is None:
-            return len(rows)
-        values = [self.arg.evaluate(row) for row in rows]
-        values = [v for v in values if v is not None]
-        if self.distinct:
-            values = list(dict.fromkeys(values))
-        if func == "count":
-            return len(values)
-        if not values:
-            return None
-        if func == "sum":
-            return sum(values)
-        if func == "avg":
-            return sum(values) / len(values)
-        if func == "min":
-            return min(values)
-        return max(values)
 
 
 @dataclass(frozen=True)
@@ -265,7 +224,7 @@ class ResultSet:
 
 
 # ---------------------------------------------------------------------------
-# Planner
+# Shape helpers shared by the planner and the test oracle
 # ---------------------------------------------------------------------------
 
 
@@ -290,81 +249,6 @@ def _column_of(
     return expression.name.lower()
 
 
-def _plan_base_rowids(
-    table: Table,
-    source: TableRef,
-    where: Optional[Expression],
-    plan: List[str],
-) -> Iterable[int]:
-    """Choose an access path for the driving table.
-
-    Preference: single-column unique/equality index lookup, then sorted-
-    index range scan, then full scan.  Only constant (Literal) right
-    sides qualify — parameters are bound before planning.
-    """
-    equality: List[Tuple[str, Any]] = []
-    ranges: List[Tuple[str, str, Any]] = []
-    for conjunct in _conjuncts(where):
-        if not isinstance(conjunct, Comparison):
-            continue
-        left, right = conjunct.left, conjunct.right
-        op = conjunct.op
-        # Normalize `literal op column` to `column op' literal`.
-        if isinstance(left, Literal) and isinstance(right, ColumnRef):
-            left, right = right, left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if not isinstance(right, Literal) or right.value is None:
-            continue
-        column = _column_of(left, source, table)
-        if column is None:
-            continue
-        if op == "=":
-            equality.append((column, right.value))
-        elif op in ("<", "<=", ">", ">="):
-            ranges.append((column, op, right.value))
-
-    for column, value in equality:
-        index = table.index_on((column,))
-        if index is not None:
-            plan.append(f"index lookup {index.name}({column}={value!r})")
-            return sorted(index.lookup((value,)))
-
-    for column, op, value in ranges:
-        index = table.index_on((column,))
-        if isinstance(index, SortedIndex):
-            plan.append(f"index range {index.name}({column} {op} {value!r})")
-            if op in ("<", "<="):
-                return index.range(None, (value,), include_high=op == "<=")
-            return index.range((value,), None, include_low=op == ">=")
-
-    plan.append(f"full scan {table.schema.name}")
-    return (rowid for rowid, _ in table.scan())
-
-
-# ---------------------------------------------------------------------------
-# Executor
-# ---------------------------------------------------------------------------
-
-
-class _Catalog:
-    """Minimal protocol the executor needs: table lookup by name."""
-
-    def table(self, name: str) -> Table:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-def _contexts_for(
-    table: Table, ref: TableRef, rowids: Iterable[int]
-) -> List[Dict[str, Any]]:
-    prefix = ref.name + "."
-    columns = table.schema.column_names
-    contexts = []
-    for rowid in rowids:
-        row = table.row(rowid)
-        contexts.append({prefix + c: v for c, v in zip(columns, row)})
-    return contexts
-
-
 def _equi_join_keys(
     on: Expression, left_names: List[str], right_name: str
 ) -> Optional[Tuple[ColumnRef, ColumnRef]]:
@@ -380,133 +264,6 @@ def _equi_join_keys(
     if b.table.lower() in left_names and a.table.lower() == right_name:
         return b, a
     return None
-
-
-def execute_select(
-    catalog: Any, statement: SelectStatement, params: Sequence[Any] = ()
-) -> ResultSet:
-    """Execute ``statement`` against ``catalog`` (a Database).
-
-    Production path: plans the statement with the catalog's
-    :class:`~repro.db.plan.PlannerOptions` and executes it.  Callers
-    that execute the same SQL repeatedly should go through
-    ``Database.execute``, which caches the plan by statement text.
-    """
-    from repro.db.plan import PlannerOptions, SelectPlan
-
-    options = getattr(catalog, "planner_options", None)
-    if options is None:
-        options = PlannerOptions.from_env()
-    return SelectPlan(catalog, statement, options).execute(params)
-
-
-def naive_execute_select(
-    catalog: Any, statement: SelectStatement, params: Sequence[Any] = ()
-) -> ResultSet:
-    """The seed row-at-a-time executor, kept as the reference.
-
-    ``params`` replaces ``?`` placeholders positionally before planning,
-    so parameter values participate in index selection.  This function
-    is pure with respect to observability — it records no metrics — so
-    equivalence tests can call it freely.
-    """
-    statement = statement.bind(params)
-    plan: List[str] = []
-
-    # FROM: driving table, index-assisted when WHERE allows.
-    base_table = catalog.table(statement.from_ref.table)
-    # Index pre-filter is only sound when its predicate applies to the
-    # base table before joins; the full WHERE is re-applied after joins,
-    # but a LEFT-joined row must not be lost to a pre-filter on another
-    # table, which cannot happen since we only match base-table columns.
-    rowids = _plan_base_rowids(base_table, statement.from_ref,
-                               statement.where, plan)
-    rows = _contexts_for(base_table, statement.from_ref, rowids)
-    seen_names = [statement.from_ref.name]
-
-    # JOINs.
-    for join in statement.joins:
-        right_table = catalog.table(join.ref.table)
-        right_rows = _contexts_for(
-            right_table, join.ref, (rid for rid, _ in right_table.scan())
-        )
-        keys = _equi_join_keys(join.on, seen_names, join.ref.name)
-        joined: List[Dict[str, Any]] = []
-        if keys is not None:
-            left_key, right_key = keys
-            plan.append(f"hash join {join.ref.name} on {right_key.key}")
-            buckets: Dict[Any, List[Dict[str, Any]]] = {}
-            for right_row in right_rows:
-                key = right_row[right_key.key]
-                if key is not None:
-                    buckets.setdefault(key, []).append(right_row)
-            for left_row in rows:
-                matches = buckets.get(left_row.get(left_key.key), [])
-                for right_row in matches:
-                    merged = dict(left_row)
-                    merged.update(right_row)
-                    joined.append(merged)
-                if not matches and join.kind == "left":
-                    merged = dict(left_row)
-                    merged.update(_null_row(right_table, join.ref))
-                    joined.append(merged)
-        else:
-            plan.append(f"nested loop join {join.ref.name}")
-            for left_row in rows:
-                matched = False
-                for right_row in right_rows:
-                    merged = dict(left_row)
-                    merged.update(right_row)
-                    if join.on.evaluate(merged) is True:
-                        joined.append(merged)
-                        matched = True
-                if not matched and join.kind == "left":
-                    merged = dict(left_row)
-                    merged.update(_null_row(right_table, join.ref))
-                    joined.append(merged)
-        rows = joined
-        seen_names.append(join.ref.name)
-
-    # WHERE.
-    if statement.where is not None:
-        rows = [r for r in rows if statement.where.evaluate(r) is True]
-
-    # Expand stars and name output columns.
-    items = _expand_items(statement, catalog, seen_names)
-    column_names = [_output_name(item, position)
-                    for position, item in enumerate(items)]
-
-    has_aggregates = any(
-        _contains_aggregate(item.expr) for item in items if item.expr
-    ) or statement.group_by or statement.having is not None
-
-    if has_aggregates:
-        output_rows = _execute_grouped(statement, items, rows)
-    else:
-        output_rows = [
-            tuple(item.expr.evaluate(row) for item in items)  # type: ignore[union-attr]
-            for row in rows
-        ]
-        if statement.order_by:
-            output_rows = _order(
-                statement.order_by, rows, output_rows, items
-            )
-
-    if has_aggregates and statement.order_by:
-        # Aggregated rows are ordered by output column only.
-        output_rows = _order_grouped(
-            statement.order_by, output_rows, items, column_names
-        )
-
-    if statement.distinct:
-        output_rows = list(dict.fromkeys(output_rows))
-
-    if statement.offset:
-        output_rows = output_rows[statement.offset:]
-    if statement.limit is not None:
-        output_rows = output_rows[: statement.limit]
-
-    return ResultSet(column_names, output_rows, plan)
 
 
 def _null_row(table: Table, ref: TableRef) -> Dict[str, Any]:
@@ -565,85 +322,6 @@ def _contains_aggregate(expression: Optional[Expression]) -> bool:
     return False
 
 
-def _fold_aggregates(
-    expression: Expression, group: Sequence[RowContext]
-) -> Expression:
-    """Replace every AggregateCall subtree with its computed Literal.
-
-    This lets arbitrary expressions over aggregates (``COUNT(*) > 1``,
-    ``SUM(a) / COUNT(a)``) evaluate with the ordinary machinery.
-    """
-    if isinstance(expression, AggregateCall):
-        return Literal(expression.compute(list(group)))
-    rebuilt: Dict[str, Any] = {}
-    changed = False
-    for name, attr in vars(expression).items():
-        if isinstance(attr, Expression):
-            folded = _fold_aggregates(attr, group)
-            changed = changed or folded is not attr
-            rebuilt[name] = folded
-        elif isinstance(attr, tuple) and any(
-            isinstance(element, Expression) for element in attr
-        ):
-            folded_tuple = tuple(
-                _fold_aggregates(element, group)
-                if isinstance(element, Expression)
-                else element
-                for element in attr
-            )
-            changed = changed or folded_tuple != attr
-            rebuilt[name] = folded_tuple
-        else:
-            rebuilt[name] = attr
-    if not changed:
-        return expression
-    return type(expression)(**rebuilt)
-
-
-def _evaluate_with_groups(
-    expression: Expression, group: List[RowContext], representative: RowContext
-) -> Any:
-    """Evaluate an output expression over a group.
-
-    AggregateCall nodes (anywhere in the tree) compute over the whole
-    group; the remaining structure is evaluated against the group's
-    representative row (valid because GROUP BY keys are constant within
-    a group).
-    """
-    return _fold_aggregates(expression, group).evaluate(representative)
-
-
-def _execute_grouped(
-    statement: SelectStatement,
-    items: List[SelectItem],
-    rows: List[Dict[str, Any]],
-) -> List[Tuple[Any, ...]]:
-    groups: Dict[Tuple, List[Dict[str, Any]]] = {}
-    if statement.group_by:
-        for row in rows:
-            key = tuple(g.evaluate(row) for g in statement.group_by)
-            groups.setdefault(key, []).append(row)
-    else:
-        groups[()] = rows  # global aggregate; empty input => one group
-
-    output: List[Tuple[Any, ...]] = []
-    for key in groups:
-        group = groups[key]
-        representative = group[0] if group else {}
-        if statement.having is not None:
-            if _evaluate_with_groups(
-                statement.having, group, representative
-            ) is not True:
-                continue
-        output.append(
-            tuple(
-                _evaluate_with_groups(item.expr, group, representative)  # type: ignore[arg-type]
-                for item in items
-            )
-        )
-    return output
-
-
 class _NullsLast:
     """Sort key wrapper: None sorts after every value, SQL-style."""
 
@@ -661,22 +339,6 @@ class _NullsLast:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _NullsLast) and self.value == other.value
-
-
-def _order(
-    order_by: Tuple[OrderItem, ...],
-    rows: List[Dict[str, Any]],
-    output_rows: List[Tuple[Any, ...]],
-    items: List[SelectItem],
-) -> List[Tuple[Any, ...]]:
-    """Order non-grouped output by ORDER BY expressions over source rows."""
-    paired = list(zip(rows, output_rows))
-    for order_item in reversed(order_by):
-        paired.sort(
-            key=lambda pair: _NullsLast(order_item.expr.evaluate(pair[0])),
-            reverse=order_item.descending,
-        )
-    return [out for _, out in paired]
 
 
 def grouped_key_position(
@@ -699,20 +361,3 @@ def grouped_key_position(
     raise ProgrammingError(
         "ORDER BY with GROUP BY must reference an output column"
     )
-
-
-def _order_grouped(
-    order_by: Tuple[OrderItem, ...],
-    output_rows: List[Tuple[Any, ...]],
-    items: List[SelectItem],
-    column_names: List[str],
-) -> List[Tuple[Any, ...]]:
-    """Order grouped output; ORDER BY must reference output columns."""
-    ordered = list(output_rows)
-    for order_item in reversed(order_by):
-        position = grouped_key_position(order_item.expr, items, column_names)
-        ordered.sort(
-            key=lambda row: _NullsLast(row[position]),
-            reverse=order_item.descending,
-        )
-    return ordered

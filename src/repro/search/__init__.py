@@ -18,7 +18,7 @@ and a resilient crawler.
 from repro.search.analyzer import AnalyzedTerm, Analyzer
 from repro.search.crawler import Crawler, CrawlReport, DocumentSource
 from repro.search.document import IndexableDocument, SearchHit
-from repro.search.engine import ExecutionOptions, SearchEngine
+from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex, TermPostings
 from repro.search.querylang import (
     AndQuery,
@@ -41,7 +41,6 @@ __all__ = [
     "IndexableDocument",
     "SearchHit",
     "SearchEngine",
-    "ExecutionOptions",
     "InvertedIndex",
     "TermPostings",
     "Query",

@@ -7,8 +7,7 @@ hook the SIAPI facade uses to scope a search to the business activities
 selected by the synopsis query (paper Fig. 1, step 8).
 
 Execution model (docs/ARCHITECTURE.md, "Query execution engine"):
-queries run through a small planner/executor rather than a naive
-interpreter.
+queries run through one small planner/executor.
 
 * **Bulk scoring** — each (term, field) is scored over its compiled
   flat posting array (:class:`~repro.search.inverted_index
@@ -26,15 +25,17 @@ interpreter.
   clauses are skipped once their score upper bound drops below the
   running k-th best score.
 
-Every optimization is individually toggleable through
-:class:`ExecutionOptions`; ``ExecutionOptions.exhaustive()`` reproduces
-the original interpreter and serves as the reference mode.  Pruned and
-exhaustive execution return **identical rankings** (same documents,
-bit-identical scores, same tie-breaks) — the scorers share their
-arithmetic between per-document and bulk paths, AND contributions are
-summed in clause order regardless of evaluation order, and MaxScore
-only skips a clause when its bound is *strictly* below the k-th best
-score.
+None of this is selectable: there is one executor.  The original
+interpreter (per-document scoring, clause-order evaluation, post-hoc
+filtering, full sort) is the test oracle ``tests/reference/search.py``,
+and ``tests/search/test_execution_equivalence.py`` holds the executor
+to it: **identical rankings** (same documents, bit-identical scores,
+same tie-breaks) — the scorers share their arithmetic between
+per-document and bulk paths, AND contributions are summed in clause
+order regardless of evaluation order, and MaxScore only skips a clause
+when its bound is *strictly* below the k-th best score.  A scorer
+without ``score_postings`` is scored one document at a time; that is
+read off the scorer, never chosen by a caller.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import heapq
 import math
 import re
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -76,7 +76,7 @@ from repro.search.querylang import (
 )
 from repro.search.scoring import Bm25Scorer, Scorer
 
-__all__ = ["SearchEngine", "ExecutionOptions"]
+__all__ = ["SearchEngine"]
 
 DocFilter = Union[AbstractSet[str], Callable[[IndexableDocument], bool], None]
 
@@ -86,52 +86,6 @@ _PHRASE_BOOST = 1.25
 # When an id-set filter is much smaller than a posting list, probe the
 # filter against the index instead of scanning the posting array.
 _PROBE_RATIO = 8
-
-
-@dataclass(frozen=True)
-class ExecutionOptions:
-    """Per-optimization toggles for the query executor.
-
-    The defaults enable everything; :meth:`exhaustive` disables
-    everything and reproduces the original interpreter (per-document
-    scoring, clause-order evaluation, post-hoc filtering, full sort) —
-    the reference mode the equivalence suite and the benchmark ablation
-    compare against.
-
-    Attributes:
-        bulk_scoring: Score compiled posting arrays via
-            ``Scorer.score_postings`` instead of one ``Scorer.score``
-            call per (term, document).
-        df_ordering: Evaluate AND clauses in ascending df order and
-            push the running intersection into later clauses (also
-            restricts phrase member-term scoring to phrase documents).
-        filter_pushdown: Intersect id-set ``doc_filter``s during
-            posting traversal instead of after scoring.  Predicate
-            filters always apply post-hoc (they have no id set to push).
-        maxscore: Prune whole OR clauses whose score upper bound falls
-            strictly below the running k-th best score (requires a
-            ``limit``; automatically disabled for predicate filters and
-            for scorers without ``upper_bound``).
-        top_k_heap: Select the top ``limit`` hits with a bounded heap
-            instead of sorting every candidate.
-    """
-
-    bulk_scoring: bool = True
-    df_ordering: bool = True
-    filter_pushdown: bool = True
-    maxscore: bool = True
-    top_k_heap: bool = True
-
-    @classmethod
-    def exhaustive(cls) -> "ExecutionOptions":
-        """The reference mode: every optimization off."""
-        return cls(
-            bulk_scoring=False,
-            df_ordering=False,
-            filter_pushdown=False,
-            maxscore=False,
-            top_k_heap=False,
-        )
 
 
 class _CachedRanking:
@@ -163,24 +117,18 @@ class _CachedRanking:
 
 
 class _Execution:
-    """One query evaluation: options, normalized filter, scratch state.
+    """One query evaluation: normalized filter and scratch state.
 
     The executor keeps per-search state (memoized query-term analysis,
     candidate counts for metrics) out of the engine so concurrent
     searches never share mutables.
     """
 
-    def __init__(
-        self,
-        engine: "SearchEngine",
-        options: ExecutionOptions,
-        doc_filter: DocFilter,
-    ) -> None:
+    def __init__(self, engine: "SearchEngine", doc_filter: DocFilter) -> None:
         self.engine = engine
         self.index = engine.index
         self.scorer = engine.scorer
         self.boosts = engine.field_boosts
-        self.options = options
         self.metrics = get_registry()
         self.filter_ids: Optional[frozenset] = None
         self.predicate: Optional[Callable[[IndexableDocument], bool]] = None
@@ -195,11 +143,6 @@ class _Execution:
                 f"doc_filter must be a set of ids or a predicate, "
                 f"got {type(doc_filter).__name__}"
             )
-        # Id sets push into traversal only when the option is on; the
-        # post-filter picks up whatever was not pushed.
-        self.push_ids = (
-            self.filter_ids if options.filter_pushdown else None
-        )
         self._terms_cache: Dict[str, List[str]] = {}
         self.n_candidates = 0
         self.n_after_filter = 0
@@ -235,30 +178,23 @@ class _Execution:
     def _prunable(self, query: Query, limit: Optional[int]) -> bool:
         """MaxScore applies to root OR queries under safe conditions.
 
-        A predicate filter (or an un-pushed id filter) would thin the
-        candidate set *after* pruning decisions, making the running
-        threshold unsound — those searches fall back to full
-        evaluation.
+        A predicate filter would thin the candidate set *after*
+        pruning decisions, making the running threshold unsound — those
+        searches fall back to full evaluation.  (An id-set filter is
+        intersected during traversal, before any threshold is taken.)
         """
         return (
             limit is not None
             and limit > 0
-            and self.options.maxscore
             and isinstance(query, OrQuery)
             and self.predicate is None
-            and (self.filter_ids is None or self.push_ids is not None)
             and hasattr(self.scorer, "upper_bound")
         )
 
     def _post_filter(
         self, scores: Dict[str, float]
     ) -> Dict[str, float]:
-        if self.filter_ids is not None and self.push_ids is None:
-            scores = {
-                doc_id: score
-                for doc_id, score in scores.items()
-                if doc_id in self.filter_ids
-            }
+        """Apply the predicate filter; id sets were applied in traversal."""
         if self.predicate is not None:
             scores = {
                 doc_id: score
@@ -273,11 +209,7 @@ class _Execution:
         def sort_key(item: Tuple[str, float]) -> Tuple[float, str]:
             return (-item[1], item[0])
 
-        if (
-            limit is not None
-            and self.options.top_k_heap
-            and limit < len(scores)
-        ):
+        if limit is not None and limit < len(scores):
             return heapq.nsmallest(limit, scores.items(), key=sort_key)
         ranked = sorted(scores.items(), key=sort_key)
         return ranked[:limit] if limit is not None else ranked
@@ -337,9 +269,7 @@ class _Execution:
         allowed = self._combine_restrict(restrict)
         for field_name in fields:
             boost = self.boosts.get(field_name, 1.0)
-            if self.options.bulk_scoring and hasattr(
-                self.scorer, "score_postings"
-            ):
+            if hasattr(self.scorer, "score_postings"):
                 self._score_field_bulk(
                     term, field_name, boost, allowed, scores
                 )
@@ -435,14 +365,10 @@ class _Execution:
             docs &= allowed
         if not docs:
             return {}
-        # Score each member term, then sum per phrase document
-        # (per-document rescoring is quadratic).  The planner restricts
-        # member scoring to the phrase documents themselves; the
-        # reference mode scores each member over its full matching set.
-        member_restrict = docs if self.options.df_ordering else None
+        # Score each member term over the phrase documents only, then
+        # sum per phrase document (per-document rescoring is quadratic).
         contributions = [
-            self.score_term(term, query.field, member_restrict)
-            for term in terms
+            self.score_term(term, query.field, docs) for term in terms
         ]
         scores: Dict[str, float] = {}
         for doc_id in docs:
@@ -464,25 +390,17 @@ class _Execution:
                 excluded |= self.match_docs(clause)
             universe = self._universe(restrict)
             return {doc_id: 0.0 for doc_id in universe - excluded}
-        if self.options.df_ordering:
-            order = sorted(
-                range(len(positive)),
-                key=lambda i: (self.estimate_df(positive[i]), i),
-            )
-        else:
-            order = list(range(len(positive)))
+        order = sorted(
+            range(len(positive)),
+            key=lambda i: (self.estimate_df(positive[i]), i),
+        )
         parts: List[Optional[Dict[str, float]]] = [None] * len(positive)
         candidates: Optional[Set[str]] = (
             set(restrict) if restrict is not None else None
         )
         for i in order:
-            # The running intersection narrows every later clause, but
-            # only when the planner is on — the reference mode
-            # evaluates each clause over its full matching set.
-            clause_restrict = (
-                candidates if self.options.df_ordering else restrict
-            )
-            part = self.match(positive[i], clause_restrict)
+            # The running intersection narrows every later clause.
+            part = self.match(positive[i], candidates)
             parts[i] = part
             matched = set(part)
             candidates = (
@@ -495,8 +413,8 @@ class _Execution:
             if not candidates:
                 return {}
         # Sum contributions in original clause order regardless of the
-        # evaluation order, so planned and reference execution produce
-        # bit-identical scores (float addition is not associative).
+        # evaluation order, so scores are bit-identical to clause-order
+        # evaluation (float addition is not associative).
         scores: Dict[str, float] = {}
         for doc_id in candidates:
             total = parts[0][doc_id]  # type: ignore[index]
@@ -694,10 +612,10 @@ class _Execution:
         self, restrict: Optional[Set[str]]
     ) -> Optional[Set[str]]:
         if restrict is None:
-            return self.push_ids
-        if self.push_ids is None:
+            return self.filter_ids
+        if self.filter_ids is None:
             return restrict
-        return restrict & self.push_ids
+        return restrict & self.filter_ids
 
     def _universe(self, restrict: Optional[Set[str]]) -> Set[str]:
         universe = self.index.doc_ids
@@ -722,8 +640,6 @@ class SearchEngine:
             they were computed against.  ``limit`` is *not* part of the
             key: one cached ranking serves every limit it covers, sliced
             per request.
-        options: Default :class:`ExecutionOptions`; individual searches
-            may override via the ``options`` argument.
         index: A prebuilt index to serve instead of a fresh in-memory
             one — typically a :class:`~repro.storage.store
             .SegmentBackedIndex` (loaded from disk or configured with a
@@ -739,7 +655,6 @@ class SearchEngine:
         scorer: Optional[Scorer] = None,
         field_boosts: Optional[Mapping[str, float]] = None,
         cache_size: int = 256,
-        options: Optional[ExecutionOptions] = None,
         index=None,
     ) -> None:
         if analyzer is None and index is not None:
@@ -750,7 +665,6 @@ class SearchEngine:
         self.index = (
             index if index is not None else InvertedIndex(self.analyzer)
         )
-        self.options = options or ExecutionOptions()
         self.epoch = 0
         self._cache = LruCache("engine.cache", cache_size)
         # Searches run under the read side, index mutations + their
@@ -850,7 +764,6 @@ class SearchEngine:
         query: Union[str, Query],
         limit: Optional[int] = None,
         doc_filter: DocFilter = None,
-        options: Optional[ExecutionOptions] = None,
     ) -> List[SearchHit]:
         """Run ``query`` and return ranked hits.
 
@@ -864,9 +777,6 @@ class SearchEngine:
                 doc ids (pushed down into posting traversal) or a
                 predicate over stored documents (applied to matched
                 candidates only).
-            options: Per-call :class:`ExecutionOptions` override;
-                ``ExecutionOptions.exhaustive()`` forces the reference
-                interpreter.
 
         Returns:
             Hits sorted by descending score; ties broken by doc id for
@@ -880,7 +790,6 @@ class SearchEngine:
         get_injector().check("index")
         if isinstance(query, str):
             query = parse_query(query)
-        opts = options if options is not None else self.options
         metrics = get_registry()
         metrics.inc("engine.searches")
         # The whole evaluation — epoch read, cache probe, posting
@@ -889,53 +798,63 @@ class SearchEngine:
         # neither tear the traversal nor let a post-mutation epoch key
         # a pre-mutation ranking.
         with self._rw.read():
-            execution = _Execution(self, opts, doc_filter)
-            cache_key = self._cache_key(query, doc_filter, opts)
+            cache_key = self._cache_key(query, doc_filter)
             if cache_key is not None:
                 cached = self._cache.get(cache_key)
                 if cached is not None and cached.covers(limit):
                     if cached.limit is None or limit != cached.limit:
                         metrics.inc("engine.cache.sliced")
                     return cached.slice(limit)
-            ranked = execution.ranked(query, limit)
-            metrics.observe("engine.candidates", execution.n_candidates)
-            metrics.observe(
-                "engine.candidates_after_filter", execution.n_after_filter
-            )
-            surfaces = _query_surfaces(query)
-            highlight_terms: Set[str] = set()
-            for surface in surfaces:
-                highlight_terms.update(
-                    self.analyzer.analyze_query_terms(surface)
-                )
-            hits = []
-            for doc_id, score in ranked:
-                document = self.index.document(doc_id)
-                hits.append(
-                    SearchHit(
-                        doc_id=doc_id,
-                        score=score,
-                        document=document,
-                        snippet=_make_snippet(
-                            document.text,
-                            surfaces,
-                            highlight_terms,
-                            self.analyzer,
-                        ),
-                    )
-                )
+            hits = self._evaluate(query, limit, doc_filter)
             if cache_key is not None:
                 self._cache.put(
                     cache_key, _CachedRanking(tuple(hits), limit)
                 )
-            return list(hits)
+            return hits
 
-    def _cache_key(
-        self,
-        query: Query,
-        doc_filter: DocFilter,
-        options: ExecutionOptions,
-    ):
+    def _evaluate(
+        self, query: Query, limit: Optional[int], doc_filter: DocFilter
+    ) -> List[SearchHit]:
+        """Rank ``query`` and build its hits: one evaluation, nothing else.
+
+        No fault point, no ``engine.searches``, no result cache — those
+        belong to one *logical* query and live in :meth:`search`.  The
+        sharded engine calls this on each child for that reason.  The
+        caller holds the read side of the lock that excludes mutation
+        of ``self.index`` (this engine's, or the sharded parent's).
+        """
+        metrics = get_registry()
+        execution = _Execution(self, doc_filter)
+        ranked = execution.ranked(query, limit)
+        metrics.observe("engine.candidates", execution.n_candidates)
+        metrics.observe(
+            "engine.candidates_after_filter", execution.n_after_filter
+        )
+        surfaces = _query_surfaces(query)
+        highlight_terms: Set[str] = set()
+        for surface in surfaces:
+            highlight_terms.update(
+                self.analyzer.analyze_query_terms(surface)
+            )
+        hits = []
+        for doc_id, score in ranked:
+            document = self.index.document(doc_id)
+            hits.append(
+                SearchHit(
+                    doc_id=doc_id,
+                    score=score,
+                    document=document,
+                    snippet=_make_snippet(
+                        document.text,
+                        surfaces,
+                        highlight_terms,
+                        self.analyzer,
+                    ),
+                )
+            )
+        return hits
+
+    def _cache_key(self, query: Query, doc_filter: DocFilter):
         """Hashable cache key, or None when the search is uncacheable.
 
         Predicate filters are opaque (no stable identity), so those
@@ -957,7 +876,7 @@ class SearchEngine:
             hash(query)
         except TypeError:  # pragma: no cover - unhashable custom node
             return None
-        return (self.epoch, query, filter_key, options)
+        return (self.epoch, query, filter_key)
 
     def count(self, query: Union[str, Query], doc_filter: DocFilter = None) -> int:
         """Number of documents matching ``query`` (no ranking work).
@@ -972,14 +891,18 @@ class SearchEngine:
         metrics = get_registry()
         metrics.inc("engine.counts")
         with self._rw.read():
-            cache_key = self._cache_key(query, doc_filter, self.options)
+            cache_key = self._cache_key(query, doc_filter)
             if cache_key is not None:
                 cached = self._cache.get(cache_key)
                 if cached is not None and cached.limit is None:
                     metrics.inc("engine.counts_from_cache")
                     return len(cached.hits)
-            execution = _Execution(self, self.options, doc_filter)
-            return execution.count_docs(query)
+            return self._count(query, doc_filter)
+
+    def _count(self, query: Query, doc_filter: DocFilter) -> int:
+        """Membership-only count: :meth:`_evaluate`'s counterpart, under
+        the same caller-holds-the-read-side rule."""
+        return _Execution(self, doc_filter).count_docs(query)
 
 
 def _query_surfaces(query: Query) -> List[str]:

@@ -60,12 +60,7 @@ from repro.faults import get_injector
 from repro.obs import get_registry
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument, SearchHit
-from repro.search.engine import (
-    DocFilter,
-    ExecutionOptions,
-    SearchEngine,
-    _CachedRanking,
-)
+from repro.search.engine import DocFilter, SearchEngine, _CachedRanking
 from repro.search.querylang import Query, parse_query
 from repro.search.scoring import Bm25Scorer, Scorer
 
@@ -345,7 +340,7 @@ class ShardedSearchEngine:
 
     Args:
         shards: Number of index partitions (>= 1).
-        analyzer, scorer, field_boosts, cache_size, options: As for
+        analyzer, scorer, field_boosts, cache_size: As for
             :class:`~repro.search.engine.SearchEngine`; every child
             shares the analyzer and (via the global-stats wrapper) the
             scorer, so idf caches warm once for the whole corpus.
@@ -363,7 +358,6 @@ class ShardedSearchEngine:
         scorer: Optional[Scorer] = None,
         field_boosts: Optional[Mapping[str, float]] = None,
         cache_size: int = 256,
-        options: Optional[ExecutionOptions] = None,
         shard_key: str = "deal_id",
         fanout_workers: int = 0,
     ) -> None:
@@ -372,22 +366,20 @@ class ShardedSearchEngine:
         self.analyzer = analyzer or Analyzer()
         self.scorer: Scorer = scorer or Bm25Scorer()
         self.field_boosts = dict(field_boosts or {})
-        self.options = options or ExecutionOptions()
         self.shard_key = shard_key
         self._rw = ReadWriteLock()
         self._epoch = AtomicCounter()
         self.index = _ShardedIndexView(self)
         wrapped = _GlobalStatsScorer(self.scorer, self.index)
-        # Result caching happens at the parent (one logical query, one
-        # hit/miss, no fan-out on a hit); the children run uncached so
-        # cache metrics keep their unsharded per-query semantics.
+        # One logical query is one fault draw, one ``engine.searches``
+        # and one cache hit/miss, all at the parent; the fan-out calls
+        # the children's evaluation step, which has none of the three.
         self.shards: List[SearchEngine] = [
             SearchEngine(
                 analyzer=self.analyzer,
                 scorer=wrapped,
                 field_boosts=self.field_boosts,
                 cache_size=0,
-                options=self.options,
             )
             for _ in range(shards)
         ]
@@ -471,7 +463,6 @@ class ShardedSearchEngine:
         query: Union[str, Query],
         limit: Optional[int] = None,
         doc_filter: DocFilter = None,
-        options: Optional[ExecutionOptions] = None,
     ) -> List[SearchHit]:
         """Fan the query out to every shard and rank-merge.
 
@@ -483,10 +474,10 @@ class ShardedSearchEngine:
         get_injector().check("index")
         if isinstance(query, str):
             query = parse_query(query)
-        opts = options if options is not None else self.options
         metrics = get_registry()
+        metrics.inc("engine.searches")
         with self._rw.read():
-            cache_key = self._cache_key(query, doc_filter, opts)
+            cache_key = self._cache_key(query, doc_filter)
             if cache_key is not None:
                 cached = self._cache.get(cache_key)
                 if cached is not None and cached.covers(limit):
@@ -494,9 +485,7 @@ class ShardedSearchEngine:
                         metrics.inc("engine.cache.sliced")
                     return cached.slice(limit)
             per_shard = self._map_shards(
-                lambda shard: shard.search(
-                    query, limit, doc_filter, options
-                )
+                lambda shard: shard._evaluate(query, limit, doc_filter)
             )
             merged: List[SearchHit] = []
             for hits in per_shard:
@@ -510,12 +499,7 @@ class ShardedSearchEngine:
                 )
             return list(merged)
 
-    def _cache_key(
-        self,
-        query: Query,
-        doc_filter: DocFilter,
-        options: ExecutionOptions,
-    ):
+    def _cache_key(self, query: Query, doc_filter: DocFilter):
         """Parent-level cache key, mirroring the unsharded engine's.
 
         The parent epoch stands in for the index epoch — every
@@ -534,7 +518,7 @@ class ShardedSearchEngine:
             hash(query)
         except TypeError:  # pragma: no cover - unhashable custom node
             return None
-        return (self.epoch, query, filter_key, options)
+        return (self.epoch, query, filter_key)
 
     def count(
         self, query: Union[str, Query], doc_filter: DocFilter = None
@@ -544,8 +528,9 @@ class ShardedSearchEngine:
         if isinstance(query, str):
             query = parse_query(query)
         metrics = get_registry()
+        metrics.inc("engine.counts")
         with self._rw.read():
-            cache_key = self._cache_key(query, doc_filter, self.options)
+            cache_key = self._cache_key(query, doc_filter)
             if cache_key is not None:
                 cached = self._cache.get(cache_key)
                 if cached is not None and cached.limit is None:
@@ -553,7 +538,7 @@ class ShardedSearchEngine:
                     return len(cached.hits)
             return sum(
                 self._map_shards(
-                    lambda shard: shard.count(query, doc_filter)
+                    lambda shard: shard._count(query, doc_filter)
                 )
             )
 

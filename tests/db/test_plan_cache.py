@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.db import Database, PlannerOptions
+from repro.db import Database
 from repro.db.database import _plan_cache_capacity
 
 
@@ -135,13 +135,3 @@ class TestEvictionAndDisable:
         database.execute("SELECT k FROM t")
         database.execute("SELECT k FROM t")
         assert "db.stmt_cache.hits" not in registry.snapshot()
-
-    def test_naive_planner_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DB_PLANNER", "naive")
-        monkeypatch.delenv("REPRO_DB_PLAN_CACHE", raising=False)
-        database = Database()
-        database.execute("CREATE TABLE t (k INTEGER, v TEXT, PRIMARY KEY (k))")
-        database.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
-        result = database.execute("SELECT v FROM t WHERE k = 1")
-        assert result.rows == [("a",)]
-        assert database.planner_options == PlannerOptions.naive()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.db import Database, PlannerOptions
+from repro.db import Database
 
 
 @pytest.fixture
@@ -14,9 +14,9 @@ def registry():
 
 @pytest.fixture
 def db():
-    # Options pinned by argument so the assertions on optimized plan
-    # lines hold even when the environment selects the naive planner.
-    database = Database(planner_options=PlannerOptions(), plan_cache=128)
+    # Cache pinned on so EXPLAIN and execution go through a cached plan
+    # even when CI exports REPRO_DB_PLAN_CACHE=0.
+    database = Database(plan_cache=128)
     database.execute(
         "CREATE TABLE deals (deal_id TEXT, industry TEXT, "
         "PRIMARY KEY (deal_id))"

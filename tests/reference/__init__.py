@@ -1,0 +1,10 @@
+"""Reference implementations the equivalence suites compare against.
+
+Each module is the path the program took before it was optimized, kept
+out of ``src/`` because tests are its only callers:
+
+* ``text`` — the eight Porter steps and the analyzer as a composition.
+* ``select`` — the seed's row-at-a-time SELECT interpreter.
+* ``search`` — the exhaustive query interpreter (per-document scoring,
+  clause-order evaluation, post-hoc filtering, full sort).
+"""

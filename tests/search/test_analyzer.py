@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.search import Analyzer
-from tests.oracles import analyze_by_composition, field_texts
+from tests.reference.text import analyze_by_composition, field_texts
 
 
 class TestAnalyzer:

@@ -1,28 +1,36 @@
-"""Ranking-equivalence suite: planned/pruned execution vs the reference.
+"""Ranking-equivalence suite: the engine against the exhaustive oracle.
 
-The execution engine promises that every optimization —
+The execution engine promises that everything it does to go fast —
 bulk scoring, df-ordered AND, filter pushdown, heap top-k, MaxScore
 pruning — is invisible in the results: same documents, bit-identical
-scores, same tie-breaks as ``ExecutionOptions.exhaustive()``.  This
-suite drives both modes over seeded random corpora and a query zoo
-covering term/phrase/AND/OR/NOT, field restrictions, field boosts,
-id-set and predicate doc filters, and post-``remove`` epochs, and
-asserts exact equality.
+scores, same tie-breaks as the exhaustive interpreter kept as the
+oracle in :mod:`tests.reference.search`.  This suite drives both over
+seeded random corpora, a query zoo covering term/phrase/AND/OR/NOT,
+field restrictions, field boosts, id-set and predicate doc filters and
+post-``remove`` epochs, generated query trees, every segment layout the
+store can be in, and 1, 2 and 4 shards, and asserts exact equality.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import use_registry
 from repro.search import (
-    Bm25Scorer,
-    ExecutionOptions,
+    AndQuery,
     IndexableDocument,
+    NotQuery,
+    OrQuery,
+    PhraseQuery,
     SearchEngine,
+    TermQuery,
     TfidfScorer,
     parse_query,
 )
+from repro.serving.sharding import ShardedSearchEngine
+from tests.reference.search import exhaustive_ranking, exhaustive_search
 
 # Realistic-ish vocabulary with skewed frequencies so MaxScore has
 # common terms to prune and rare terms to keep: the first words appear
@@ -50,21 +58,6 @@ QUERIES = [
 ]
 
 LIMITS = [None, 1, 3, 10]
-
-VARIANTS = [
-    ExecutionOptions(),  # everything on
-    ExecutionOptions(bulk_scoring=False),
-    ExecutionOptions(df_ordering=False),
-    ExecutionOptions(filter_pushdown=False),
-    ExecutionOptions(maxscore=False),
-    ExecutionOptions(top_k_heap=False),
-    ExecutionOptions(bulk_scoring=True, df_ordering=False,
-                     filter_pushdown=False, maxscore=False,
-                     top_k_heap=False),
-    ExecutionOptions(bulk_scoring=False, df_ordering=False,
-                     filter_pushdown=False, maxscore=True,
-                     top_k_heap=True),
-]
 
 
 def make_corpus(seed, docs=80, deals=8):
@@ -96,29 +89,27 @@ def make_engine(corpus, **kwargs):
     return engine
 
 
-def ranking(engine, query, limit, doc_filter, options):
-    hits = engine.search(
-        query, limit=limit, doc_filter=doc_filter, options=options
-    )
+def make_sharded_engine(corpus, shards, **kwargs):
+    kwargs.setdefault("cache_size", 0)
+    engine = ShardedSearchEngine(shards=shards, **kwargs)
+    engine.add_all(corpus)
+    return engine
+
+
+def ranking(engine, query, limit=None, doc_filter=None):
+    hits = engine.search(query, limit=limit, doc_filter=doc_filter)
     return [(hit.doc_id, hit.score) for hit in hits]
 
 
-def assert_equivalent(engine, query, limit=None, doc_filter=None,
-                      variants=VARIANTS):
+def assert_equivalent(engine, query, limit=None, doc_filter=None):
     parsed = parse_query(query) if isinstance(query, str) else query
-    reference = ranking(
-        engine, parsed, limit, doc_filter, ExecutionOptions.exhaustive()
+    reference = exhaustive_ranking(engine, parsed, limit, doc_filter)
+    planned = ranking(engine, parsed, limit, doc_filter)
+    assert planned == reference, (
+        f"ranking diverged for query={query!r} limit={limit}"
     )
-    for options in variants:
-        planned = ranking(engine, parsed, limit, doc_filter, options)
-        assert planned == reference, (
-            f"ranking diverged for query={query!r} limit={limit} "
-            f"options={options}"
-        )
     if limit is not None:
-        unlimited = ranking(
-            engine, parsed, None, doc_filter, ExecutionOptions()
-        )
+        unlimited = ranking(engine, parsed, None, doc_filter)
         assert reference == unlimited[:limit], (
             f"top-{limit} is not the head of the full ranking "
             f"for query={query!r}"
@@ -210,8 +201,7 @@ def test_equivalence_property_random_corpora_and_queries():
             if rng.random() < 0.3:
                 query += f" -{rng.choice(MID)}"
             assert_equivalent(
-                engine, query, limit=rng.choice([None, 1, 3, 7]),
-                variants=[ExecutionOptions()],
+                engine, query, limit=rng.choice([None, 1, 3, 7])
             )
 
 
@@ -234,26 +224,101 @@ def test_maxscore_touches_strictly_fewer_postings(engine):
     query = parse_query(
         "escrow OR turbine OR services OR deal OR client OR review"
     )
-
-    def touched(options):
-        with use_registry() as registry:
-            engine.search(query, limit=3, options=options)
-            return registry.counter("engine.postings_touched").value
-
-    exhaustive = touched(ExecutionOptions.exhaustive())
-    pruned = touched(ExecutionOptions())
-    assert pruned < exhaustive
+    _, exhaustive = exhaustive_search(engine, query, limit=3)
     with use_registry() as registry:
         engine.search(query, limit=3)
+        pruned = registry.counter("engine.postings_touched").value
         assert registry.counter("engine.maxscore.clauses_pruned").value > 0
+    assert pruned < exhaustive
 
 
-def test_exhaustive_options_all_disabled():
-    options = ExecutionOptions.exhaustive()
-    assert not any(
-        (options.bulk_scoring, options.df_ordering,
-         options.filter_pushdown, options.maxscore, options.top_k_heap)
+# -- shards -------------------------------------------------------------------
+#
+# The oracle reads a sharded engine through its corpus-global index
+# view, so "sharded == oracle" is the same assertion as above, not a
+# comparison of two production engines.
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_sharded_engine_matches_oracle(corpus, shards):
+    engine = make_sharded_engine(corpus, shards)
+    rng = random.Random(99)
+    scope = frozenset(doc.doc_id for doc in corpus if rng.random() < 0.4)
+
+    def predicate(document):
+        return document.metadata.get("deal_id") in {"deal1", "deal3"}
+
+    for query in QUERIES:
+        for limit in (None, 3):
+            assert_equivalent(engine, query, limit)
+        assert_equivalent(engine, query, 4, doc_filter=scope)
+        assert_equivalent(engine, query, None, doc_filter=predicate)
+    engine.remove("doc004")
+    engine.remove("doc017")
+    for query in QUERIES:
+        assert_equivalent(engine, query, 5)
+
+
+# -- generated query trees ----------------------------------------------------
+
+WORDS = COMMON + MID + RARE + ["financing", "management", "unindexed"]
+FIELDS = [None, None, "title", "body"]
+
+_leaves = st.one_of(
+    st.builds(TermQuery, st.sampled_from(WORDS), st.sampled_from(FIELDS)),
+    st.builds(
+        PhraseQuery,
+        st.sampled_from(
+            ["storage management", "network migration", "deal client",
+             "services services", "audit escrow"]
+        ),
+        st.sampled_from(FIELDS),
+    ),
+)
+
+
+def _branches(children):
+    clauses = st.lists(children, min_size=1, max_size=4).map(tuple)
+    negatable = st.one_of(children, st.builds(NotQuery, children))
+    return st.one_of(
+        st.builds(OrQuery, clauses),
+        st.builds(
+            AndQuery,
+            st.lists(negatable, min_size=1, max_size=3).map(tuple),
+        ),
+        st.builds(NotQuery, children),
     )
+
+
+query_trees = st.recursive(_leaves, _branches, max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def engines(corpus):
+    """One engine per shape the index can be served in."""
+    return {
+        "memory": make_engine(corpus),
+        "tiered": make_segmented_engine(corpus, "tiered"),
+        "shards2": make_sharded_engine(corpus, 2),
+        "shards4": make_sharded_engine(corpus, 4),
+    }
+
+
+@given(
+    shape=st.sampled_from(["memory", "tiered", "shards2", "shards4"]),
+    query=query_trees,
+    limit=st.sampled_from(LIMITS),
+    scope=st.one_of(
+        st.none(),
+        st.frozensets(
+            st.sampled_from([f"doc{i:03d}" for i in range(80)]),
+            max_size=40,
+        ),
+    ),
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_generated_queries_match_oracle(engines, shape, query, limit, scope):
+    assert_equivalent(engines[shape], query, limit, doc_filter=scope)
 
 
 # -- segment-backed layouts ---------------------------------------------------
@@ -308,11 +373,10 @@ def test_segment_layouts_match_in_memory_rankings(corpus, layout):
     for query in QUERIES:
         parsed = parse_query(query)
         for limit in (None, 1, 5):
-            for options in (ExecutionOptions(),
-                            ExecutionOptions.exhaustive()):
-                assert ranking(segmented, parsed, limit, None, options) == (
-                    ranking(reference, parsed, limit, None, options)
-                ), f"layout={layout} query={query!r} limit={limit}"
+            assert_equivalent(segmented, parsed, limit)
+            assert ranking(segmented, parsed, limit) == (
+                ranking(reference, parsed, limit)
+            ), f"layout={layout} query={query!r} limit={limit}"
 
 
 def test_segment_layout_matches_after_readds(corpus):
@@ -330,13 +394,10 @@ def test_segment_layout_matches_after_readds(corpus):
         segmented.add(replacement)
     for query in QUERIES:
         for limit in (None, 4):
-            assert_equivalent(segmented, query, limit,
-                              variants=[ExecutionOptions()])
+            assert_equivalent(segmented, query, limit)
             parsed = parse_query(query)
-            assert ranking(
-                segmented, parsed, limit, None, ExecutionOptions()
-            ) == ranking(
-                reference, parsed, limit, None, ExecutionOptions()
+            assert ranking(segmented, parsed, limit) == ranking(
+                reference, parsed, limit
             )
 
 
@@ -349,16 +410,15 @@ def test_cold_started_engine_matches_in_memory_rankings(corpus, tmp_path):
     for query in QUERIES:
         parsed = parse_query(query)
         for limit in (None, 3):
-            assert ranking(
-                cold, parsed, limit, None, ExecutionOptions()
-            ) == ranking(
-                reference, parsed, limit, None, ExecutionOptions()
+            assert_equivalent(cold, parsed, limit)
+            assert ranking(cold, parsed, limit) == ranking(
+                reference, parsed, limit
             ), f"query={query!r} limit={limit}"
 
 
 @pytest.mark.parametrize("layout", ["tiered", "tombstoned"])
 def test_segment_layouts_full_variant_zoo(corpus, layout):
-    """Every execution variant stays equivalent over segment layouts."""
+    """The whole zoo stays equivalent to the oracle over segment layouts."""
     removed = ("doc004", "doc017", "doc033") if layout == "tombstoned" else ()
     segmented = make_segmented_engine(corpus, layout, removed)
     for query in QUERIES:

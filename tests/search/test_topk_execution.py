@@ -15,12 +15,12 @@ from repro.obs import use_registry
 from repro.search import (
     Analyzer,
     Bm25Scorer,
-    ExecutionOptions,
     IndexableDocument,
     InvertedIndex,
     SearchEngine,
     TfidfScorer,
 )
+from tests.reference.search import exhaustive_ranking
 
 
 def doc(doc_id, body, title=None, **metadata):
@@ -181,6 +181,11 @@ class TestEngineCacheSatellites:
             assert registry.counter("engine.cache.hits").value == 2
         assert [h.doc_id for h in top2] == [h.doc_id for h in full][:2]
         assert [h.doc_id for h in top1] == [h.doc_id for h in full][:1]
+        # What the cache slices out is what the oracle ranks.
+        for limit, served in ((None, full), (2, top2), (1, top1)):
+            assert [(h.doc_id, h.score) for h in served] == (
+                exhaustive_ranking(engine, "wan OR network", limit)
+            )
 
     def test_partial_ranking_serves_smaller_limits_only(self, engine):
         scored = "engine.terms_scored"
@@ -231,15 +236,6 @@ class TestEngineCacheSatellites:
         with use_registry() as registry:
             assert engine.count("wan OR network") == 4
             assert registry.counter("engine.terms_scored").value == 0
-
-    def test_options_are_cached_separately(self, engine):
-        with use_registry() as registry:
-            engine.search("wan OR network", limit=2)
-            engine.search(
-                "wan OR network", limit=2,
-                options=ExecutionOptions.exhaustive(),
-            )
-            assert registry.counter("engine.cache.misses").value == 2
 
 
 class TestStemmedSnippets:

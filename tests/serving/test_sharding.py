@@ -17,7 +17,9 @@ from repro.core.metaqueries import (
     service_keyword_query,
     worked_with_query,
 )
-from repro.errors import SearchError
+from repro.errors import InjectedFaultError, SearchError
+from repro.faults import FaultInjector, FaultProfile, use_injector
+from repro.obs import use_registry
 from repro.search import IndexableDocument, SearchEngine
 from repro.serving import ShardedSearchEngine, shard_for
 
@@ -147,6 +149,64 @@ class TestEngineEquivalence:
         sharded = ShardedSearchEngine(shards=2)
         with pytest.raises(SearchError):
             sharded.remove("ghost")
+
+
+class TestOneLogicalQuery:
+    """A query is one fault draw and one set of engine metrics, however
+    many shards evaluate it."""
+
+    @staticmethod
+    def _engine(shards):
+        engine = (
+            SearchEngine() if shards is None
+            else ShardedSearchEngine(shards=shards)
+        )
+        engine.add_all(_make_docs(n=20))
+        return engine
+
+    def test_index_faults_hit_the_same_queries_at_any_shard_count(self):
+        def failing_positions(engine):
+            injector = FaultInjector(FaultProfile.parse("index:0.2"), seed=7)
+            failed = []
+            with use_injector(injector):
+                for position in range(200):
+                    call = engine.count if position % 5 == 4 else engine.search
+                    try:
+                        call(QUERIES[position % len(QUERIES)])
+                    except InjectedFaultError:
+                        failed.append(position)
+            return failed
+
+        expected = failing_positions(self._engine(None))
+        assert 20 <= len(expected) <= 60  # about a fifth of 200
+        for shards in (1, 2, 4):
+            assert failing_positions(self._engine(shards)) == expected
+
+    def test_engine_metrics_match_the_unsharded_engine(self):
+        def counters(engine):
+            with use_registry() as registry:
+                engine.search("storage OR backup", limit=3)  # miss
+                engine.search("storage OR backup", limit=2)  # hit, sliced
+                engine.count("storage OR backup")  # partial ranking: miss
+                engine.search("storage network")  # miss
+                engine.count("storage network")  # from the cached ranking
+                return {
+                    name: registry.counter(name).value
+                    for name in (
+                        "engine.searches",
+                        "engine.counts",
+                        "engine.cache.hits",
+                        "engine.cache.misses",
+                        "engine.cache.sliced",
+                        "engine.counts_from_cache",
+                    )
+                }
+
+        expected = counters(self._engine(None))
+        assert expected["engine.searches"] == 3
+        assert expected["engine.counts"] == 2
+        for shards in (1, 2, 4):
+            assert counters(self._engine(shards)) == expected, shards
 
 
 class TestIndexView:

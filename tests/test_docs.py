@@ -1,6 +1,6 @@
 """Documentation quality gates.
 
-Four checks keep the docs from rotting:
+Five checks keep the docs from rotting:
 
 * every module under ``src/repro`` and ``benchmarks/`` carries a module
   docstring (empty ``__init__.py`` re-export stubs are exempt only if
@@ -13,7 +13,10 @@ Four checks keep the docs from rotting:
   runbook fails here;
 * every ``--flag`` the query cookbook (``docs/QUERIES.md``) shows is
   actually accepted by the CLI parser, so the cookbook cannot drift
-  from ``repro.cli``.
+  from ``repro.cli``;
+* the ``REPRO_*`` environment variables ``src/`` reads are exactly the
+  ones ``docs/OPERATIONS.md`` names, so a knob can neither arrive
+  undocumented nor linger in the runbook after it is removed.
 """
 
 import ast
@@ -182,15 +185,29 @@ class TestOperationsDocs:
             "db.stmt_cache.invalidations",
             "db.stmt_cache.evictions",
             "REPRO_DB_PLAN_CACHE",
-            "REPRO_DB_PLANNER",
         ):
             assert metric in operations, (
                 f"docs/OPERATIONS.md no longer documents {metric!r}"
             )
 
+    def test_operations_documents_exactly_the_env_knobs_src_reads(
+        self, operations
+    ):
+        read = set()
+        for path in SRC.rglob("*.py"):
+            read.update(_ENV_READ_RE.findall(path.read_text()))
+        assert read, "src/ reads no REPRO_* variable at all?"
+        documented = set(re.findall(r"REPRO_[A-Z0-9_]+", operations))
+        assert read == documented, (
+            f"read but undocumented: {sorted(read - documented)}; "
+            f"documented but never read: {sorted(documented - read)}"
+        )
+
     def test_architecture_covers_the_db_engine(self, architecture):
         for needle in (
             "naive_execute_select",
+            "tests/reference/select.py",
+            "tests/reference/search.py",
             "index nested-loop",
             "build-side selection",
             "DDL epoch",
@@ -217,6 +234,10 @@ class TestOperationsDocs:
         assert len(architecture) > 2000
         assert len(operations) > 2000
 
+
+_ENV_READ_RE = re.compile(
+    r"""os\.environ(?:\.get\(|\[)\s*["'](REPRO_[A-Z0-9_]+)["']"""
+)
 
 _FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z-]+)")
 

@@ -11,7 +11,7 @@ import repro.text.stemmer as stemmer_module
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.search import Analyzer
 from repro.text import PorterStemmer, Tokenizer, stem
-from tests.oracles import field_texts, porter_steps
+from tests.reference.text import field_texts, porter_steps
 
 # Representative vocabulary -> expected stems, taken from the Porter
 # paper's worked examples plus domain terms used heavily in the corpus.
