@@ -121,7 +121,7 @@ def _json_baseline_bytes(index: SegmentBackedIndex) -> int:
         }
     postings = {
         field: {
-            term: index.postings(term, field)
+            term: index.positions(term, field)
             for term in sorted(index.vocabulary(field))
         }
         for field in index.fields

@@ -19,7 +19,8 @@ from repro.search.analyzer import AnalyzedTerm, Analyzer
 from repro.search.crawler import Crawler, CrawlReport, DocumentSource
 from repro.search.document import IndexableDocument, SearchHit
 from repro.search.engine import SearchEngine
-from repro.search.inverted_index import InvertedIndex, TermPostings
+from repro.search.index_reader import IndexReader, TermPostings
+from repro.search.inverted_index import InvertedIndex
 from repro.search.querylang import (
     AndQuery,
     NotQuery,
@@ -41,6 +42,7 @@ __all__ = [
     "IndexableDocument",
     "SearchHit",
     "SearchEngine",
+    "IndexReader",
     "InvertedIndex",
     "TermPostings",
     "Query",

@@ -10,7 +10,7 @@ Execution model (docs/ARCHITECTURE.md, "Query execution engine"):
 queries run through one small planner/executor.
 
 * **Bulk scoring** — each (term, field) is scored over its compiled
-  flat posting array (:class:`~repro.search.inverted_index
+  flat posting array (:class:`~repro.search.index_reader
   .TermPostings`) in one ``score_postings`` call: idf and the length
   norm constants are computed once, each hit costs a multiply-add.
 * **df-ordered AND** — conjunction clauses evaluate in ascending
@@ -44,10 +44,12 @@ import heapq
 import math
 import re
 from collections.abc import Set as AbstractSet
+from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -111,9 +113,68 @@ class _CachedRanking:
         return requested is not None and requested <= self.limit
 
     def slice(self, requested: Optional[int]) -> List[SearchHit]:
+        """A fresh list for one request; counts the hits it serves from a
+        ranking that was not computed for exactly this limit."""
+        if self.limit is None or requested != self.limit:
+            get_registry().inc("engine.cache.sliced")
         if requested is None:
             return list(self.hits)
         return list(self.hits[:requested])
+
+
+def _cache_key(epoch: int, query: Query, doc_filter: DocFilter):
+    """Hashable result-cache key, or None when the search is uncacheable.
+
+    Predicate filters are opaque (no stable identity), so those
+    searches always recompute; id-set filters are folded into the key
+    as frozensets.  The owning engine's epoch is part of every key,
+    which is how ``add``/``remove`` invalidate without touching the
+    cache.  ``limit`` is deliberately absent: the cached value records
+    its own coverage and serves any covered limit by slicing (see
+    :class:`_CachedRanking`).
+    """
+    if doc_filter is None:
+        filter_key = None
+    elif isinstance(doc_filter, AbstractSet):
+        filter_key = frozenset(doc_filter)
+    else:
+        return None
+    try:
+        hash(query)
+    except TypeError:  # pragma: no cover - unhashable custom node
+        return None
+    return (epoch, query, filter_key)
+
+
+@contextmanager
+def _logical_query(
+    engine, counter: str, query: Union[str, Query], limit, doc_filter
+) -> Iterator[Tuple[Query, object, Optional[_CachedRanking]]]:
+    """What one logical search or count does before it evaluates,
+    whether ``engine`` is sharded or not.
+
+    The ``index`` fault point (the engine stands in for the OmniFind
+    service, which can be down as a whole: an installed injector checks
+    *before* the result cache, modelling an unreachable service rather
+    than a slow query) and the ``counter`` metric, once.  Then the body
+    runs under the read side of the engine lock with the parsed query,
+    its cache key and the cached ranking that covers ``limit``, if any:
+    epoch read, cache probe, posting traversal and cache store see one
+    snapshot, so concurrent mutations can neither tear a traversal nor
+    let a post-mutation epoch key a pre-mutation ranking.
+    """
+    get_injector().check("index")
+    if isinstance(query, str):
+        query = parse_query(query)
+    get_registry().inc(counter)
+    with engine._rw.read():
+        cache_key = _cache_key(engine.epoch, query, doc_filter)
+        cached = None
+        if cache_key is not None:
+            cached = engine._cache.get(cache_key)
+            if cached is not None and not cached.covers(limit):
+                cached = None
+        yield query, cache_key, cached
 
 
 class _Execution:
@@ -489,16 +550,11 @@ class _Execution:
 
     def estimate_df(self, query: Query) -> int:
         """Cheap candidate-count estimate for AND clause ordering."""
-        if isinstance(query, TermQuery):
+        if isinstance(query, (TermQuery, PhraseQuery)):
             terms = self._analyze(query.text)
             if not terms:
                 return 0
-            return min(self._term_df(t, query.field) for t in terms)
-        if isinstance(query, PhraseQuery):
-            terms = self._analyze(query.text)
-            if not terms:
-                return 0
-            return min(self._term_df(t, query.field) for t in terms)
+            return min(self.index.df(t, query.field) for t in terms)
         if isinstance(query, AndQuery):
             positive = [
                 c for c in query.clauses if not isinstance(c, NotQuery)
@@ -509,11 +565,6 @@ class _Execution:
         if isinstance(query, OrQuery):
             return sum(self.estimate_df(c) for c in query.clauses)
         return len(self.index)  # NotQuery: evaluate late
-
-    def _term_df(self, term: str, field: Optional[str]) -> int:
-        if field is not None:
-            return self.index.df(term, field)
-        return sum(self.index.df(term, f) for f in self.index.fields)
 
     def upper_bound(self, query: Query) -> float:
         """Upper bound on any document's score for ``query``.
@@ -645,8 +696,8 @@ class SearchEngine:
             .SegmentBackedIndex` (loaded from disk or configured with a
             flush threshold).  Must share the engine's analyzer; when
             ``analyzer`` is omitted the index's own analyzer is
-            adopted.  Any object implementing the ``InvertedIndex``
-            API works.
+            adopted.  Any writable
+            :class:`~repro.search.index_reader.IndexReader` works.
     """
 
     def __init__(
@@ -693,17 +744,6 @@ class SearchEngine:
         """Remove a document from the index."""
         with self._rw.write():
             self.index.remove(doc_id)
-            self.epoch += 1
-
-    def bump_epoch(self) -> None:
-        """Advance the epoch without touching the index.
-
-        The sharded engine calls this on its children after a
-        corpus-global statistics change (any shard's mutation moves N
-        and avgdl for every shard), so per-child cached rankings keyed
-        on the child epoch can never survive a cross-shard mutation.
-        """
-        with self._rw.write():
             self.epoch += 1
 
     # -- persistence ---------------------------------------------------------
@@ -782,29 +822,13 @@ class SearchEngine:
             Hits sorted by descending score; ties broken by doc id for
             determinism.
 
-        This is the ``index`` fault point (the engine stands in for the
-        OmniFind service, which can be down as a whole): an installed
-        injector checks *before* the result cache, modelling an
-        unreachable service rather than a slow query.
+        This is the ``index`` fault point (see :func:`_logical_query`).
         """
-        get_injector().check("index")
-        if isinstance(query, str):
-            query = parse_query(query)
-        metrics = get_registry()
-        metrics.inc("engine.searches")
-        # The whole evaluation — epoch read, cache probe, posting
-        # traversal, snippet building, cache store — runs under the
-        # read side of the engine lock, so concurrent mutations can
-        # neither tear the traversal nor let a post-mutation epoch key
-        # a pre-mutation ranking.
-        with self._rw.read():
-            cache_key = self._cache_key(query, doc_filter)
-            if cache_key is not None:
-                cached = self._cache.get(cache_key)
-                if cached is not None and cached.covers(limit):
-                    if cached.limit is None or limit != cached.limit:
-                        metrics.inc("engine.cache.sliced")
-                    return cached.slice(limit)
+        with _logical_query(
+            self, "engine.searches", query, limit, doc_filter
+        ) as (query, cache_key, cached):
+            if cached is not None:
+                return cached.slice(limit)
             hits = self._evaluate(query, limit, doc_filter)
             if cache_key is not None:
                 self._cache.put(
@@ -854,30 +878,6 @@ class SearchEngine:
             )
         return hits
 
-    def _cache_key(self, query: Query, doc_filter: DocFilter):
-        """Hashable cache key, or None when the search is uncacheable.
-
-        Predicate filters are opaque (no stable identity), so those
-        searches always recompute; id-set filters are folded into the
-        key as frozensets.  The index epoch is part of every key, which
-        is how ``add``/``remove`` invalidate without touching the
-        cache.  ``limit`` is deliberately absent: the cached value
-        records its own coverage and serves any covered limit by
-        slicing (see :class:`_CachedRanking`).
-        """
-        if doc_filter is None:
-            filter_key = None
-        elif isinstance(doc_filter, AbstractSet):
-            filter_key = frozenset(doc_filter)
-        else:
-            # Predicates have no stable identity.
-            return None
-        try:
-            hash(query)
-        except TypeError:  # pragma: no cover - unhashable custom node
-            return None
-        return (self.epoch, query, filter_key)
-
     def count(self, query: Union[str, Query], doc_filter: DocFilter = None) -> int:
         """Number of documents matching ``query`` (no ranking work).
 
@@ -885,18 +885,12 @@ class SearchEngine:
         exists; otherwise evaluated membership-only (no scores are ever
         computed for a count).
         """
-        get_injector().check("index")
-        if isinstance(query, str):
-            query = parse_query(query)
-        metrics = get_registry()
-        metrics.inc("engine.counts")
-        with self._rw.read():
-            cache_key = self._cache_key(query, doc_filter)
-            if cache_key is not None:
-                cached = self._cache.get(cache_key)
-                if cached is not None and cached.limit is None:
-                    metrics.inc("engine.counts_from_cache")
-                    return len(cached.hits)
+        with _logical_query(
+            self, "engine.counts", query, None, doc_filter
+        ) as (query, _, cached):
+            if cached is not None:
+                get_registry().inc("engine.counts_from_cache")
+                return len(cached.hits)
             return self._count(query, doc_filter)
 
     def _count(self, query: Query, doc_filter: DocFilter) -> int:

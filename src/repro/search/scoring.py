@@ -10,7 +10,7 @@ Both scorers expose three entry points:
 * :meth:`score` — one (term, document) contribution, the historic API;
 * :meth:`score_postings` — the bulk API over a compiled posting array
   (parallel ``tfs`` / ``lengths`` lists from
-  :class:`~repro.search.inverted_index.TermPostings`): idf and the
+  :class:`~repro.search.index_reader.TermPostings`): idf and the
   length-normalization constants are computed **once per (term,
   field)**, so each hit costs one multiply-add instead of four index
   lookups;
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.search.inverted_index import InvertedIndex
+from repro.search.index_reader import IndexReader
 
 __all__ = ["Scorer", "Bm25Scorer", "TfidfScorer"]
 
@@ -54,7 +54,7 @@ class Scorer(Protocol):
 
     def score(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         doc_id: str,
         field: Optional[str] = None,
@@ -70,7 +70,7 @@ class Scorer(Protocol):
 
     def score_postings(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         field: Optional[str],
         tfs: Sequence[int],
@@ -88,7 +88,7 @@ class Scorer(Protocol):
 
     def upper_bound(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         field: Optional[str],
         df: int,
@@ -155,7 +155,7 @@ class Bm25Scorer:
         self._idf_cache = _IdfCache()
 
     def _idf(
-        self, index: InvertedIndex, term: str, field: Optional[str], df: int
+        self, index: IndexReader, term: str, field: Optional[str], df: int
     ) -> float:
         total = len(index)
         cached = self._idf_cache.get(field, term, total, df)
@@ -167,7 +167,7 @@ class Bm25Scorer:
 
     def score(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         doc_id: str,
         field: Optional[str] = None,
@@ -194,7 +194,7 @@ class Bm25Scorer:
 
     def score_postings(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         field: Optional[str],
         tfs: Sequence[int],
@@ -220,7 +220,7 @@ class Bm25Scorer:
 
     def upper_bound(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         field: Optional[str],
         df: int,
@@ -237,10 +237,6 @@ class Bm25Scorer:
                 return mult * max_tf / (max_tf + base)
         return mult
 
-    def clear_caches(self) -> None:
-        """Drop the idf cache (tests and long-lived multi-index use)."""
-        self._idf_cache = _IdfCache()
-
 
 class TfidfScorer:
     """log-scaled TF x smoothed IDF, the classic vector-space weight."""
@@ -249,7 +245,7 @@ class TfidfScorer:
         self._idf_cache = _IdfCache()
 
     def _idf(
-        self, index: InvertedIndex, term: str, field: Optional[str], df: int
+        self, index: IndexReader, term: str, field: Optional[str], df: int
     ) -> float:
         total = len(index)
         cached = self._idf_cache.get(field, term, total, df)
@@ -261,7 +257,7 @@ class TfidfScorer:
 
     def score(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         doc_id: str,
         field: Optional[str] = None,
@@ -277,7 +273,7 @@ class TfidfScorer:
 
     def score_postings(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         field: Optional[str],
         tfs: Sequence[int],
@@ -291,7 +287,7 @@ class TfidfScorer:
 
     def upper_bound(
         self,
-        index: InvertedIndex,
+        index: IndexReader,
         term: str,
         field: Optional[str],
         df: int,
@@ -304,7 +300,3 @@ class TfidfScorer:
             # tf is unbounded a priori; never prune on this clause.
             return math.inf
         return (1.0 + math.log(max_tf)) * idf
-
-    def clear_caches(self) -> None:
-        """Drop the idf cache (tests and long-lived multi-index use)."""
-        self._idf_cache = _IdfCache()

@@ -29,9 +29,10 @@ shards).
 
 Concurrency: the sharded engine has a parent-level writer-preferring
 :class:`~repro.concurrency.ReadWriteLock`.  Queries fan out under the
-read side; mutations run under the write side and bump **every**
-child's epoch (any shard's mutation moves N/avgdl/df for all shards,
-so all per-shard cached rankings must go stale together).
+read side; mutations run under the write side and bump the parent
+epoch, which keys the one result cache (the children run uncached: any
+shard's mutation moves N/avgdl/df for all shards, so a per-shard
+ranking could never be kept anyway).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     TypeVar,
     Union,
 )
@@ -56,12 +56,17 @@ from repro.cache import LruCache
 from repro.concurrency import AtomicCounter, ReadWriteLock
 from repro.core.organized import OrganizedInformation
 from repro.errors import SearchError
-from repro.faults import get_injector
 from repro.obs import get_registry
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument, SearchHit
-from repro.search.engine import DocFilter, SearchEngine, _CachedRanking
-from repro.search.querylang import Query, parse_query
+from repro.search.engine import (
+    DocFilter,
+    SearchEngine,
+    _CachedRanking,
+    _logical_query,
+)
+from repro.search.index_reader import CompositeIndexReader, IndexReader
+from repro.search.querylang import Query
 from repro.search.scoring import Bm25Scorer, Scorer
 
 __all__ = ["shard_for", "ShardedSearchEngine", "ShardedOrganized"]
@@ -81,176 +86,59 @@ def shard_for(key: Any, shards: int) -> int:
     return zlib.crc32(str(key).encode("utf-8")) % shards
 
 
-class _ShardedIndexView:
-    """Corpus-global view over the shard indexes.
+class _ShardedIndexView(CompositeIndexReader):
+    """Corpus-global view over the shard indexes: the composite whose
+    parts are the shards' own indexes.
 
-    Plays two roles:
-
-    * the *statistics provider* for :class:`_GlobalStatsScorer` — N,
-      df, avgdl and per-document lookups computed over all shards, so
-      per-shard scoring uses corpus-global numbers;
-    * the engine-compatible ``.index`` attribute of
-      :class:`ShardedSearchEngine` — callers that walk
-      ``engine.index`` (the SIAPI scope filter, incremental
-      offboarding) keep working unmodified.
-
-    The statistics methods take no lock: they are called from inside a
-    fan-out query, which already holds the parent read lock (the lock
-    is not reentrant, so taking it again would deadlock against a
-    waiting writer).  The structure-walking methods (``doc_ids``,
-    ``docs_with_metadata``, ``document`` ...) are external entry points
-    and *do* take the read lock, so iterating them can never race a
-    mutation.
+    It is the *statistics provider* for :class:`_GlobalStatsScorer` —
+    N, df, avgdl and per-document lookups computed over all shards, so
+    per-shard scoring uses corpus-global numbers.  It takes no lock:
+    the scorer calls it from inside a fan-out query, which already
+    holds the parent read lock (the lock is not reentrant, so taking it
+    again would deadlock against a waiting writer).  Everyone else
+    reads it through :class:`_ReadLockedIndex`.
     """
 
     def __init__(self, parent: "ShardedSearchEngine") -> None:
         self._parent = parent
 
     @property
-    def _indexes(self):
+    def parts(self) -> List[IndexReader]:
         return [shard.index for shard in self._parent.shards]
 
-    # -- corpus-global statistics (lock-free; see class docstring) --------
+    def _owner(self, doc_id: str) -> Optional[IndexReader]:
+        shard = self._parent._doc_shard.get(doc_id)
+        return shard.index if shard is not None else None
+
+
+class _ReadLockedIndex:
+    """The engine-compatible ``.index`` of :class:`ShardedSearchEngine`.
+
+    Callers that walk ``engine.index`` (the SIAPI scope filter,
+    incremental offboarding, the test oracle) are external entry
+    points: each attribute read and method call on the view runs under
+    the parent's read lock, so it can never race a mutation.
+    """
+
+    def __init__(self, view: _ShardedIndexView, rw: ReadWriteLock) -> None:
+        self._view = view
+        self._rw = rw
 
     def __len__(self) -> int:
-        return sum(len(index) for index in self._indexes)
+        with self._rw.read():
+            return len(self._view)
 
-    def df(self, term: str, field: Optional[str] = None) -> int:
-        """Global document frequency (sum of disjoint per-shard dfs)."""
-        return sum(index.df(term, field) for index in self._indexes)
+    def __getattr__(self, name: str):
+        member = getattr(type(self._view), name)
+        if isinstance(member, property):
+            with self._rw.read():
+                return member.fget(self._view)
 
-    def document_frequency(
-        self, term: str, field: Optional[str] = None
-    ) -> int:
-        """Exact global document frequency."""
-        return sum(
-            index.document_frequency(term, field)
-            for index in self._indexes
-        )
+        def locked(*args, **kwargs):
+            with self._rw.read():
+                return member(self._view, *args, **kwargs)
 
-    def average_length(self, field: Optional[str] = None) -> float:
-        """Global average field length, bit-identical to unsharded.
-
-        Integer token totals and document counts are summed across
-        shards first and divided once, so the result is the exact float
-        the unsharded index would compute.
-        """
-        if field is not None:
-            docs = sum(
-                index.field_document_count(field)
-                for index in self._indexes
-            )
-            if docs == 0:
-                return 0.0
-            total = sum(
-                index.field_token_total(field) for index in self._indexes
-            )
-            return total / docs
-        docs = len(self)
-        if docs == 0:
-            return 0.0
-        return sum(index.token_total() for index in self._indexes) / docs
-
-    def field_document_count(self, field: str) -> int:
-        """Global number of documents carrying ``field``."""
-        return sum(
-            index.field_document_count(field) for index in self._indexes
-        )
-
-    def field_token_total(self, field: str) -> int:
-        """Global token total of ``field`` (exact integer)."""
-        return sum(
-            index.field_token_total(field) for index in self._indexes
-        )
-
-    def token_total(self) -> int:
-        """Global token total across all fields (exact integer)."""
-        return sum(index.token_total() for index in self._indexes)
-
-    def term_frequency(
-        self, term: str, doc_id: str, field: Optional[str] = None
-    ) -> int:
-        """tf of ``term`` in ``doc_id`` — routed to the owning shard."""
-        shard = self._parent._shard_of_doc(doc_id)
-        if shard is None:
-            return 0
-        return shard.index.term_frequency(term, doc_id, field)
-
-    def field_length(self, field: str, doc_id: str) -> int:
-        """Field length of ``doc_id`` — routed to the owning shard."""
-        shard = self._parent._shard_of_doc(doc_id)
-        if shard is None:
-            return 0
-        return shard.index.field_length(field, doc_id)
-
-    def total_length(self, doc_id: str) -> int:
-        """Total length of ``doc_id`` — routed to the owning shard."""
-        shard = self._parent._shard_of_doc(doc_id)
-        if shard is None:
-            return 0
-        return shard.index.total_length(doc_id)
-
-    # -- structure-walking entry points (read-locked) ----------------------
-
-    @property
-    def doc_ids(self) -> Set[str]:
-        """Ids of all indexed documents (consistent snapshot)."""
-        with self._parent._rw.read():
-            ids: Set[str] = set()
-            for index in self._indexes:
-                ids |= index.doc_ids
-            return ids
-
-    @property
-    def fields(self) -> List[str]:
-        """All field names seen by any shard."""
-        with self._parent._rw.read():
-            names: Set[str] = set()
-            for index in self._indexes:
-                names.update(index.fields)
-            return sorted(names)
-
-    def document(self, doc_id: str) -> IndexableDocument:
-        """Fetch a stored document from its owning shard."""
-        with self._parent._rw.read():
-            shard = self._parent._shard_of_doc(doc_id)
-            if shard is None:
-                raise SearchError(f"document {doc_id!r} not indexed")
-            return shard.index.document(doc_id)
-
-    def has_document(self, doc_id: str) -> bool:
-        """True if any shard holds ``doc_id``."""
-        with self._parent._rw.read():
-            return self._parent._shard_of_doc(doc_id) is not None
-
-    def docs_with_metadata(
-        self, key: str, values: Iterable[Any]
-    ) -> Set[str]:
-        """Union of the per-shard metadata matches (shards disjoint)."""
-        values = list(values)
-        with self._parent._rw.read():
-            matches: Set[str] = set()
-            for index in self._indexes:
-                matches |= index.docs_with_metadata(key, values)
-            return matches
-
-    def matching_docs(
-        self, term: str, field: Optional[str] = None
-    ) -> Set[str]:
-        """Union of the per-shard term matches."""
-        with self._parent._rw.read():
-            matches: Set[str] = set()
-            for index in self._indexes:
-                matches |= index.matching_docs(term, field)
-            return matches
-
-    def vocabulary(self, field: Optional[str] = None) -> Set[str]:
-        """Union of the per-shard vocabularies."""
-        with self._parent._rw.read():
-            terms: Set[str] = set()
-            for index in self._indexes:
-                terms |= index.vocabulary(field)
-            return terms
+        return locked
 
 
 class _GlobalStatsScorer:
@@ -322,12 +210,6 @@ class _GlobalStatsScorer:
             max_tf=max_tf,
         )
 
-    def clear_caches(self) -> None:
-        """Passthrough to the base scorer's cache reset, if any."""
-        clear = getattr(self._base, "clear_caches", None)
-        if clear is not None:
-            clear()
-
 
 class ShardedSearchEngine:
     """A drop-in :class:`~repro.search.engine.SearchEngine` over shards.
@@ -369,8 +251,9 @@ class ShardedSearchEngine:
         self.shard_key = shard_key
         self._rw = ReadWriteLock()
         self._epoch = AtomicCounter()
-        self.index = _ShardedIndexView(self)
-        wrapped = _GlobalStatsScorer(self.scorer, self.index)
+        self._view = _ShardedIndexView(self)
+        self.index = _ReadLockedIndex(self._view, self._rw)
+        wrapped = _GlobalStatsScorer(self.scorer, self._view)
         # One logical query is one fault draw, one ``engine.searches``
         # and one cache hit/miss, all at the parent; the fan-out calls
         # the children's evaluation step, which has none of the three.
@@ -399,20 +282,9 @@ class ShardedSearchEngine:
         """Parent mutation epoch; bumped by every ``add``/``remove``."""
         return self._epoch.value
 
-    def _shard_of_doc(self, doc_id: str) -> Optional[SearchEngine]:
-        return self._doc_shard.get(doc_id)
-
     def _route(self, document: IndexableDocument) -> SearchEngine:
         key = document.metadata.get(self.shard_key, document.doc_id)
         return self.shards[shard_for(key, len(self.shards))]
-
-    def _bump_children(self) -> None:
-        # Any mutation moves N/avgdl/df for EVERY shard, so every
-        # child's cached rankings must go stale, not just the mutated
-        # shard's.  Caller holds the parent write lock.
-        for shard in self.shards:
-            shard.bump_epoch()
-        self._epoch.increment()
 
     # -- indexing -----------------------------------------------------------
 
@@ -422,7 +294,7 @@ class ShardedSearchEngine:
             shard = self._route(document)
             shard.index.add(document)
             self._doc_shard[document.doc_id] = shard
-            self._bump_children()
+            self._epoch.increment()
 
     def add_all(self, documents: Iterable[IndexableDocument]) -> int:
         """Index many documents; returns the count."""
@@ -439,15 +311,10 @@ class ShardedSearchEngine:
             if shard is None:
                 raise SearchError(f"document {doc_id!r} not indexed")
             shard.index.remove(doc_id)
-            self._bump_children()
-
-    def bump_epoch(self) -> None:
-        """Advance every epoch without touching any index."""
-        with self._rw.write():
-            self._bump_children()
+            self._epoch.increment()
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self._view)
 
     # -- search --------------------------------------------------------------
 
@@ -471,19 +338,11 @@ class ShardedSearchEngine:
         ``(-score, doc_id)`` order sliced to ``limit`` is exactly the
         unsharded ranking.
         """
-        get_injector().check("index")
-        if isinstance(query, str):
-            query = parse_query(query)
-        metrics = get_registry()
-        metrics.inc("engine.searches")
-        with self._rw.read():
-            cache_key = self._cache_key(query, doc_filter)
-            if cache_key is not None:
-                cached = self._cache.get(cache_key)
-                if cached is not None and cached.covers(limit):
-                    if cached.limit is None or limit != cached.limit:
-                        metrics.inc("engine.cache.sliced")
-                    return cached.slice(limit)
+        with _logical_query(
+            self, "engine.searches", query, limit, doc_filter
+        ) as (query, cache_key, cached):
+            if cached is not None:
+                return cached.slice(limit)
             per_shard = self._map_shards(
                 lambda shard: shard._evaluate(query, limit, doc_filter)
             )
@@ -499,43 +358,16 @@ class ShardedSearchEngine:
                 )
             return list(merged)
 
-    def _cache_key(self, query: Query, doc_filter: DocFilter):
-        """Parent-level cache key, mirroring the unsharded engine's.
-
-        The parent epoch stands in for the index epoch — every
-        mutation on any shard bumps it, so a cached merged ranking can
-        never outlive the corpus state it was computed against.
-        """
-        from collections.abc import Set as AbstractSet
-
-        if doc_filter is None:
-            filter_key = None
-        elif isinstance(doc_filter, AbstractSet):
-            filter_key = frozenset(doc_filter)
-        else:
-            return None  # predicates have no stable identity
-        try:
-            hash(query)
-        except TypeError:  # pragma: no cover - unhashable custom node
-            return None
-        return (self.epoch, query, filter_key)
-
     def count(
         self, query: Union[str, Query], doc_filter: DocFilter = None
     ) -> int:
         """Total matching documents (per-shard counts are disjoint)."""
-        get_injector().check("index")
-        if isinstance(query, str):
-            query = parse_query(query)
-        metrics = get_registry()
-        metrics.inc("engine.counts")
-        with self._rw.read():
-            cache_key = self._cache_key(query, doc_filter)
-            if cache_key is not None:
-                cached = self._cache.get(cache_key)
-                if cached is not None and cached.limit is None:
-                    metrics.inc("engine.counts_from_cache")
-                    return len(cached.hits)
+        with _logical_query(
+            self, "engine.counts", query, None, doc_filter
+        ) as (query, _, cached):
+            if cached is not None:
+                get_registry().inc("engine.counts_from_cache")
+                return len(cached.hits)
             return sum(
                 self._map_shards(
                     lambda shard: shard._count(query, doc_filter)
@@ -650,7 +482,7 @@ class ShardedSearchEngine:
                 for shard in self.shards
                 for doc_id in shard.index.doc_ids
             }
-            self._bump_children()
+            self._epoch.increment()
 
 
 class _FanoutResult:

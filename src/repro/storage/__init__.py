@@ -2,12 +2,13 @@
 
 Public surface:
 
-* :class:`~repro.storage.store.SegmentBackedIndex` — the drop-in
-  ``InvertedIndex`` replacement layering a memtable over immutable
+* :class:`~repro.storage.store.SegmentBackedIndex` — the writable
+  composite ``IndexReader`` layering a memtable over immutable
   delta-varint segments with tombstones and tiered merge, plus
   ``save``/``load`` for cold-start-from-disk.
-* :class:`~repro.storage.segment.Segment` and the codec helpers in
-  :mod:`repro.storage.varint` for direct format access.
+* :class:`~repro.storage.segment.Segment` (an ``IndexReader`` leaf)
+  and the codec helpers in :mod:`repro.storage.varint` for direct
+  format access.
 * :func:`~repro.storage.atomic.atomic_write_bytes` /
   ``atomic_write_text`` — the crash-safe write primitive shared with
   :mod:`repro.db.persistence`.

@@ -46,8 +46,9 @@ import os
 from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import StorageError
+from repro.errors import SearchError, StorageError
 from repro.search.document import IndexableDocument
+from repro.search.index_reader import IndexReader, TermPostings
 from repro.storage.varint import (
     read_str,
     read_uint,
@@ -63,8 +64,12 @@ MAGIC = b"RSG1"
 FORMAT_VERSION = 1
 
 
-class Segment:
-    """One decoded segment: parsed head + lazily-read docstore."""
+class Segment(IndexReader):
+    """One decoded segment: parsed head + lazily-read docstore.
+
+    The varint-backed :class:`~repro.search.index_reader.IndexReader`
+    leaf: every read answers for the live (non-tombstoned) documents.
+    """
 
     __slots__ = (
         "path",
@@ -75,7 +80,7 @@ class Segment:
         "size_bytes",
         "postings_bytes",
         "docstore_bytes",
-        "doc_ids",
+        "_ids",
         "_ord",
         "_doc_offs",
         "_doc_lens",
@@ -99,7 +104,8 @@ class Segment:
         self.size_bytes = 0
         self.postings_bytes = 0
         self.docstore_bytes = 0
-        self.doc_ids: List[str] = []
+        # ordinal -> doc id, tombstoned ones included.
+        self._ids: List[str] = []
         self._ord: Dict[str, int] = {}
         self._doc_offs: List[int] = []
         self._doc_lens: List[int] = []
@@ -223,7 +229,7 @@ class Segment:
             doc_ids.append(doc_id)
             doc_offs.append(doc_off)
             doc_lens.append(doc_len)
-        self.doc_ids = doc_ids
+        self._ids = doc_ids
         self._ord = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         if len(self._ord) != n_docs:
             raise StorageError("duplicate doc_id in segment")
@@ -304,11 +310,11 @@ class Segment:
             raise StorageError(f"truncated docstore read in {self.path}")
         return data
 
-    def document(self, doc_id: str) -> Optional[IndexableDocument]:
-        """Decode a live document from the docstore (None if absent)."""
+    def document(self, doc_id: str) -> IndexableDocument:
+        """Decode a live document from the docstore."""
         ordinal = self._ord.get(doc_id)
         if ordinal is None or ordinal in self.tombstones:
-            return None
+            raise SearchError(f"document {doc_id!r} not indexed")
         record = self._read_docstore(
             self._doc_offs[ordinal], self._doc_lens[ordinal]
         )
@@ -329,27 +335,29 @@ class Segment:
             doc_id=doc_id, fields=fields, metadata=metadata
         )
 
-    def has_doc(self, doc_id: str) -> bool:
+    def has_document(self, doc_id: str) -> bool:
         """True if ``doc_id`` is stored here and not tombstoned."""
         ordinal = self._ord.get(doc_id)
         return ordinal is not None and ordinal not in self.tombstones
 
-    def live_doc_ids(self) -> Iterator[str]:
-        """Yield live (non-tombstoned) doc ids in ordinal order."""
-        tombstones = self.tombstones
-        for ordinal, doc_id in enumerate(self.doc_ids):
-            if ordinal not in tombstones:
-                yield doc_id
+    @property
+    def doc_ids(self) -> Set[str]:
+        """Ids of the live documents."""
+        ids = self._ids
+        return set(ids).difference(ids[o] for o in self.tombstones)
+
+    def tombstoned_ids(self) -> List[str]:
+        """Ids of the stored documents marked dead, sorted."""
+        return sorted(self._ids[ordinal] for ordinal in self.tombstones)
 
     @property
     def doc_count(self) -> int:
         """Total stored documents (including tombstoned)."""
-        return len(self.doc_ids)
+        return len(self._ids)
 
-    @property
-    def live_count(self) -> int:
+    def __len__(self) -> int:
         """Stored documents minus tombstones."""
-        return len(self.doc_ids) - len(self.tombstones)
+        return len(self._ids) - len(self.tombstones)
 
     # -- mutation (tombstones only) -----------------------------------------
 
@@ -371,17 +379,16 @@ class Segment:
 
     @property
     def fields(self) -> List[str]:
-        """Stored field names (postings and/or lengths)."""
-        names = set(self._terms)
-        names.update(self._length_arrays)
-        return sorted(names)
-
-    def posting_fields(self) -> List[str]:
-        """Fields that carry at least one stored posting list."""
-        return list(self._terms)
+        """Posting fields with at least one live posting, sorted."""
+        if not self.tombstones:
+            return sorted(self._terms)
+        return sorted(
+            field
+            for field, terms in self._terms.items()
+            if any(self.df(term, field) > 0 for term in terms)
+        )
 
     def field_length(self, field: str, doc_id: str) -> int:
-        """Token count of ``field`` in a live ``doc_id`` (0 if absent)."""
         ordinal = self._ord.get(doc_id)
         if ordinal is None or ordinal in self.tombstones:
             return 0
@@ -392,7 +399,6 @@ class Segment:
         return length if length >= 0 else 0
 
     def total_length(self, doc_id: str) -> int:
-        """Token count across all fields of a live ``doc_id``."""
         ordinal = self._ord.get(doc_id)
         if ordinal is None or ordinal in self.tombstones:
             return 0
@@ -403,19 +409,16 @@ class Segment:
                 total += length
         return total
 
-    def live_field_docs(self, field: str) -> int:
-        """Live documents having ``field``."""
+    def field_document_count(self, field: str) -> int:
         return self._live_field_docs.get(field, 0)
 
-    def live_field_tokens(self, field: str) -> int:
-        """Live token total of ``field``."""
+    def field_token_total(self, field: str) -> int:
         return self._live_field_tokens.get(field, 0)
 
-    def live_token_total(self) -> int:
-        """Live token total across all fields."""
+    def token_total(self) -> int:
         return sum(self._live_field_tokens.values())
 
-    def df(self, field: str, term: str) -> int:
+    def df(self, term: str, field: Optional[str] = None) -> int:
         """Exact *live* document frequency of ``(field, term)``.
 
         Tombstone-free segments answer from the stored df in O(1); with
@@ -423,6 +426,8 @@ class Segment:
         cached until the next tombstone (MaxScore's bounds need df to
         never exceed the true value, so a stale stored df is unsound).
         """
+        if field is None:
+            return super().df(term)
         entry = self._terms.get(field, {}).get(term)
         if entry is None:
             return 0
@@ -431,22 +436,27 @@ class Segment:
         key = (field, term)
         cached = self._live_df.get(key)
         if cached is None:
-            cached = sum(1 for _ in self.iter_term(field, term))
+            cached = sum(1 for _ in self.iter_term(term, field))
             self._live_df[key] = cached
         return cached
 
-    def stored_max_tf(self, field: str, term: str) -> Optional[int]:
+    def max_tf(self, term: str, field: str) -> Optional[int]:
         """Encode-time max tf — an upper bound on the live max tf."""
         entry = self._terms.get(field, {}).get(term)
         return entry[1] if entry is not None else None
 
-    def terms(self, field: str) -> Iterable[str]:
-        """Stored terms of one posting field (may include dead terms)."""
-        return self._terms.get(field, {})
+    def vocabulary(self, field: Optional[str] = None) -> Set[str]:
+        """Terms with at least one live posting."""
+        if field is None:
+            return super().vocabulary()
+        terms = self._terms.get(field, {})
+        if not self.tombstones:
+            return set(terms)
+        return {term for term in terms if self.df(term, field) > 0}
 
     # -- posting decode -----------------------------------------------------
 
-    def iter_term(self, field: str, term: str) -> Iterator[Tuple[str, int, int]]:
+    def iter_term(self, term: str, field: str) -> Iterator[Tuple[str, int, int]]:
         """Yield ``(doc_id, tf, field_length)`` for live postings.
 
         Positions are skipped via the ``rest`` length prefix — this is
@@ -460,7 +470,7 @@ class Segment:
         end = off + entry[3]
         lengths = self._length_arrays.get(field)
         tombstones = self.tombstones
-        doc_ids = self.doc_ids
+        doc_ids = self._ids
         ordinal = -1
         while off < end:
             gap, off = read_uint(head, off)
@@ -474,7 +484,7 @@ class Segment:
             off = rest_end
 
     def iter_term_raw(
-        self, field: str, term: str
+        self, term: str, field: str
     ) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(ordinal, rest_bytes)`` for live postings (merge path)."""
         entry = self._terms.get(field, {}).get(term)
@@ -494,7 +504,16 @@ class Segment:
                 yield ordinal, head[off:rest_end]
             off = rest_end
 
-    def positions(self, field: str, term: str) -> Dict[str, List[int]]:
+    def term_postings(
+        self, term: str, field: str
+    ) -> Optional[TermPostings]:
+        """The live postings decoded into a flat array (never cached)."""
+        postings = TermPostings()
+        for doc_id, tf, length in self.iter_term(term, field):
+            postings.append(doc_id, tf, length)
+        return postings if len(postings) else None
+
+    def positions(self, term: str, field: str) -> Dict[str, List[int]]:
         """doc_id -> positions for live postings (phrase matching)."""
         entry = self._terms.get(field, {}).get(term)
         if entry is None:
@@ -503,7 +522,7 @@ class Segment:
         off = entry[2]
         end = off + entry[3]
         tombstones = self.tombstones
-        doc_ids = self.doc_ids
+        doc_ids = self._ids
         result: Dict[str, List[int]] = {}
         ordinal = -1
         while off < end:
@@ -523,8 +542,12 @@ class Segment:
             off = rest_end
         return result
 
-    def term_frequency(self, field: str, term: str, doc_id: str) -> int:
+    def term_frequency(
+        self, term: str, doc_id: str, field: Optional[str] = None
+    ) -> int:
         """tf of ``term`` in one live document's ``field`` (0 if absent)."""
+        if field is None:
+            return super().term_frequency(term, doc_id)
         ordinal = self._ord.get(doc_id)
         if ordinal is None or ordinal in self.tombstones:
             return 0
@@ -549,28 +572,24 @@ class Segment:
 
     # -- metadata index -----------------------------------------------------
 
-    def meta_docs(self, key: str, value: Any) -> Set[str]:
-        """Live doc ids whose metadata ``key`` equals ``value``."""
+    def docs_with_metadata(
+        self, key: str, values: Iterable[Any]
+    ) -> Set[str]:
+        """Live doc ids whose metadata ``key`` is one of ``values``."""
+        matches: Set[str] = set()
         by_value = self._meta.get(key)
         if not by_value:
-            return set()
-        value_json = _meta_value_json(value)
-        if value_json is None:
-            return set()
-        ords = by_value.get(value_json)
-        if not ords:
-            return set()
+            return matches
         tombstones = self.tombstones
-        doc_ids = self.doc_ids
-        return {
-            doc_ids[ordinal]
-            for ordinal in ords
-            if ordinal not in tombstones
-        }
-
-    def meta_items(self) -> Dict[str, Dict[str, Tuple[int, ...]]]:
-        """Raw metadata value index (merge path)."""
-        return self._meta
+        doc_ids = self._ids
+        for value in values:
+            value_json = _meta_value_json(value)
+            if value_json is None:
+                continue
+            for ordinal in by_value.get(value_json, ()):
+                if ordinal not in tombstones:
+                    matches.add(doc_ids[ordinal])
+        return matches
 
 
 def _meta_value_json(value: Any) -> Optional[str]:
@@ -621,7 +640,7 @@ def encode_from_index(index) -> bytes:
 
     Documents are assigned ordinals in sorted-doc_id order; uses only
     the index's public API (``doc_ids``, ``document``, ``field_lengths``,
-    ``vocabulary``, ``postings``).
+    ``vocabulary``, ``positions``).
     """
     doc_ids = sorted(index.doc_ids)
     ords = {doc_id: i for i, doc_id in enumerate(doc_ids)}
@@ -697,7 +716,7 @@ def encode_from_index(index) -> bytes:
         write_str(head, field)
         write_uint(head, len(terms))
         for term in terms:
-            docs = index.postings(term, field)
+            docs = index.positions(term, field)
             entries = sorted(
                 (ords[doc_id], positions)
                 for doc_id, positions in docs.items()
@@ -741,7 +760,7 @@ def merge_segments(segments: List[Segment]) -> bytes:
     next_ordinal = 0
     for segment in segments:
         remap: Dict[int, int] = {}
-        for ordinal, doc_id in enumerate(segment.doc_ids):
+        for ordinal, doc_id in enumerate(segment._ids):
             if ordinal in segment.tombstones:
                 continue
             remap[ordinal] = next_ordinal
@@ -762,7 +781,7 @@ def merge_segments(segments: List[Segment]) -> bytes:
             )
             start = len(docstore)
             docstore.extend(record)
-            write_str(head, segment.doc_ids[ordinal])
+            write_str(head, segment._ids[ordinal])
             write_uint(head, start)
             write_uint(head, len(record))
 
@@ -804,7 +823,7 @@ def merge_segments(segments: List[Segment]) -> bytes:
     meta_index: Dict[str, Dict[str, List[int]]] = {}
     for seg_index, segment in enumerate(segments):
         remap = remaps[seg_index]
-        for key, by_value in segment.meta_items().items():
+        for key, by_value in segment._meta.items():
             for value_json, ordinals in by_value.items():
                 live = [
                     remap[ordinal]
@@ -833,7 +852,7 @@ def merge_segments(segments: List[Segment]) -> bytes:
         {
             field
             for segment in segments
-            for field in segment.posting_fields()
+            for field in segment._terms
         }
     )
     posting_sections = []
@@ -842,7 +861,7 @@ def merge_segments(segments: List[Segment]) -> bytes:
             {
                 term
                 for segment in segments
-                for term in segment.terms(field)
+                for term in segment._terms.get(field, ())
             }
         )
         term_entries = []
@@ -853,7 +872,7 @@ def merge_segments(segments: List[Segment]) -> bytes:
             max_tf = 0
             for seg_index, segment in enumerate(segments):
                 remap = remaps[seg_index]
-                for ordinal, rest in segment.iter_term_raw(field, term):
+                for ordinal, rest in segment.iter_term_raw(term, field):
                     new_ordinal = remap[ordinal]
                     write_uint(blob, new_ordinal - previous)
                     previous = new_ordinal

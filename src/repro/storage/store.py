@@ -1,8 +1,12 @@
-"""LSM-style segmented index store, drop-in for ``InvertedIndex``.
+"""LSM-style segmented index store.
 
 :class:`SegmentBackedIndex` layers a mutable in-memory *memtable* (a
 plain :class:`~repro.search.inverted_index.InvertedIndex`) over a list
-of immutable :class:`~repro.storage.segment.Segment` files:
+of immutable :class:`~repro.storage.segment.Segment` files, and reads
+them as one :class:`~repro.search.index_reader.CompositeIndexReader`
+(parts = segments oldest-first, then the memtable); what it adds to the
+composite is caching — merged posting arrays and positions per (field,
+term), an LRU of decoded documents:
 
 * ``add`` writes to the memtable; when it reaches ``memtable_limit``
   documents it *flushes* — the memtable is encoded into one compact
@@ -18,8 +22,8 @@ of immutable :class:`~repro.storage.segment.Segment` files:
 
 Query-path equivalence is exact: every statistic BM25 and the MaxScore
 planner consume (N, df, tf, field lengths, integer token totals
-divided once for avgdl) is computed live across memtable + segments,
-so a segment-backed engine returns **bit-identical rankings** to the
+divided once for avgdl) is summed live across the parts, so a
+segment-backed engine returns **bit-identical rankings** to the
 all-in-memory engine (enforced by the execution-equivalence suite).
 Two bound-side details make MaxScore stay sound: ``df`` is always the
 exact live count (a tombstoned segment decode-counts once and caches),
@@ -49,13 +53,18 @@ import json
 import os
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import SearchError, StorageError
 from repro.obs import get_registry
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument
-from repro.search.inverted_index import InvertedIndex, TermPostings
+from repro.search.index_reader import (
+    CompositeIndexReader,
+    IndexReader,
+    TermPostings,
+)
+from repro.search.inverted_index import InvertedIndex
 from repro.storage.atomic import atomic_write_bytes, atomic_write_text
 from repro.storage.segment import (
     Segment,
@@ -89,8 +98,8 @@ def _manifest_checksum(body: Dict[str, Any]) -> str:
     return _checksum(canonical.encode("utf-8"))
 
 
-class SegmentBackedIndex:
-    """Memtable + immutable segments behind the ``InvertedIndex`` API."""
+class SegmentBackedIndex(CompositeIndexReader):
+    """Memtable + immutable segments, read as one composite index."""
 
     def __init__(
         self,
@@ -112,9 +121,6 @@ class SegmentBackedIndex:
         self.memtable_limit = memtable_limit
         self.merge_fanout = merge_fanout
         self.directory: Optional[str] = None
-        #: Mutation counter, mirroring ``InvertedIndex.epoch`` — flushes
-        #: and merges do NOT bump it (they are content-preserving).
-        self.epoch = 0
         # Merged (segments + memtable) posting arrays; content-stable
         # across flush/merge, invalidated per touched (field, term) on
         # add and remove.
@@ -129,24 +135,14 @@ class SegmentBackedIndex:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def from_inverted(
-        cls,
-        index: InvertedIndex,
-        memtable_limit: int = DEFAULT_MEMTABLE_LIMIT,
-        merge_fanout: int = DEFAULT_MERGE_FANOUT,
-    ) -> "SegmentBackedIndex":
+    def from_inverted(cls, index: InvertedIndex) -> "SegmentBackedIndex":
         """Adopt an existing in-memory index as the initial memtable.
 
         The index is taken over, not copied — the caller must stop
         using it directly.
         """
-        store = cls(
-            analyzer=index.analyzer,
-            memtable_limit=memtable_limit,
-            merge_fanout=merge_fanout,
-        )
+        store = cls(analyzer=index.analyzer)
         store.memtable = index
-        store.epoch = index.epoch
         store._refresh_gauges()
         return store
 
@@ -159,13 +155,7 @@ class SegmentBackedIndex:
                 f"document {document.doc_id!r} already indexed"
             )
         self.memtable.add(document)
-        for field, terms in self.memtable.terms_of(
-            document.doc_id
-        ).items():
-            for term in terms:
-                self._compiled.pop((field, term), None)
-                self._positional.pop((field, term), None)
-        self.epoch += 1
+        self._invalidate(self.memtable.terms_of(document.doc_id))
         if len(self.memtable) >= self.memtable_limit:
             self.flush()
             self.maybe_merge()
@@ -179,41 +169,43 @@ class SegmentBackedIndex:
         if self.memtable.has_document(doc_id):
             touched = self.memtable.terms_of(doc_id)
             document = self.memtable.remove(doc_id)
-            for field, terms in touched.items():
-                for term in terms:
-                    self._compiled.pop((field, term), None)
-                    self._positional.pop((field, term), None)
+            self._invalidate(touched)
             self._doc_cache.pop(doc_id, None)
-            self.epoch += 1
             get_registry().set_gauge(
                 "storage.memtable_docs", len(self.memtable)
             )
             return document
         for segment in self.segments:
-            if not segment.has_doc(doc_id):
+            if not segment.has_document(doc_id):
                 continue
             document = segment.document(doc_id)
             segment.tombstone(doc_id)
             # The segment has no reverse term map; re-analyzing this one
             # document recovers exactly the touched (field, term) pairs
             # so cache invalidation stays per-term, like the memtable's.
-            terms_touched = 0
-            for field, text in document.fields.items():
-                for term in {
-                    analyzed.term
-                    for analyzed in self.analyzer.analyze(text)
-                }:
-                    terms_touched += 1
-                    self._compiled.pop((field, term), None)
-                    self._positional.pop((field, term), None)
+            terms_touched = self._invalidate(
+                {
+                    field: {a.term for a in self.analyzer.analyze(text)}
+                    for field, text in document.fields.items()
+                }
+            )
             self._doc_cache.pop(doc_id, None)
-            self.epoch += 1
             metrics = get_registry()
             metrics.inc("index.removals")
             metrics.observe("index.remove_terms_touched", terms_touched)
             metrics.set_gauge("storage.tombstones", self._tombstone_count())
             return document
         raise SearchError(f"document {doc_id!r} not indexed")
+
+    def _invalidate(self, touched: Mapping[str, Iterable[str]]) -> int:
+        """Drop the merged caches of each (field, term); returns how many."""
+        count = 0
+        for field, terms in touched.items():
+            for term in terms:
+                self._compiled.pop((field, term), None)
+                self._positional.pop((field, term), None)
+                count += 1
+        return count
 
     # -- segment lifecycle --------------------------------------------------
 
@@ -261,7 +253,7 @@ class SegmentBackedIndex:
         oldest member's position so segment order stays oldest-first.
         """
         merges = 0
-        for segment in [s for s in self.segments if s.live_count == 0]:
+        for segment in [s for s in self.segments if len(s) == 0]:
             self.segments.remove(segment)
             segment.close()
         while True:
@@ -286,7 +278,7 @@ class SegmentBackedIndex:
 
     def _tier(self, segment: Segment) -> int:
         tier = 0
-        size = max(1, segment.live_count)
+        size = max(1, len(segment))
         while size >= self.merge_fanout:
             size //= self.merge_fanout
             tier += 1
@@ -369,10 +361,7 @@ class SegmentBackedIndex:
                     "checksum": checksum,
                     "bytes": segment.size_bytes,
                     "docs": segment.doc_count,
-                    "tombstones": sorted(
-                        segment.doc_ids[ordinal]
-                        for ordinal in segment.tombstones
-                    ),
+                    "tombstones": segment.tombstoned_ids(),
                 }
             )
         body: Dict[str, Any] = {
@@ -509,332 +498,60 @@ class SegmentBackedIndex:
         for segment in self.segments:
             segment.close()
 
-    # -- lookup (InvertedIndex-compatible) ----------------------------------
+    # -- reads: the composite, plus what the store caches -------------------
+
+    @property
+    def parts(self) -> List[IndexReader]:
+        """Segments oldest-first, then the memtable (posting order)."""
+        return [*self.segments, self.memtable]
 
     def document(self, doc_id: str) -> IndexableDocument:
-        """Fetch a stored document by id (memtable, then segments)."""
+        """Fetch a stored document (memtable, LRU, then the docstores)."""
         if self.memtable.has_document(doc_id):
             return self.memtable.document(doc_id)
         cached = self._doc_cache.get(doc_id)
         if cached is not None:
             self._doc_cache.move_to_end(doc_id)
             return cached
-        for segment in self.segments:
-            document = segment.document(doc_id)
-            if document is not None:
-                self._doc_cache[doc_id] = document
-                if len(self._doc_cache) > _DOC_CACHE_SIZE:
-                    self._doc_cache.popitem(last=False)
-                return document
-        raise SearchError(f"document {doc_id!r} not indexed")
+        document = super().document(doc_id)
+        self._doc_cache[doc_id] = document
+        if len(self._doc_cache) > _DOC_CACHE_SIZE:
+            self._doc_cache.popitem(last=False)
+        return document
 
-    def has_document(self, doc_id: str) -> bool:
-        """True if ``doc_id`` is live anywhere in the store."""
-        if self.memtable.has_document(doc_id):
-            return True
-        return any(segment.has_doc(doc_id) for segment in self.segments)
-
-    def __len__(self) -> int:
-        return len(self.memtable) + sum(
-            segment.live_count for segment in self.segments
-        )
-
-    @property
-    def doc_ids(self) -> Set[str]:
-        """Ids of all live documents."""
-        ids = self.memtable.doc_ids
-        for segment in self.segments:
-            ids.update(segment.live_doc_ids())
-        return ids
-
-    @property
-    def fields(self) -> List[str]:
-        """Field names with live content, sorted."""
-        names = set(self.memtable.fields)
-        for segment in self.segments:
-            for field in segment.posting_fields():
-                if segment.live_field_docs(field) > 0:
-                    names.add(field)
-        return sorted(names)
-
-    def postings(
-        self, term: str, field: Optional[str] = None
-    ) -> Dict[str, List[int]]:
-        """doc_id -> positions (merged across fields when field=None)."""
-        if field is not None:
-            return dict(self._merged_positions(field, term))
-        merged: Dict[str, List[int]] = {}
-        for field_name in self.fields:
-            for doc_id, positions in self._merged_positions(
-                field_name, term
-            ).items():
-                merged.setdefault(doc_id, []).extend(positions)
-        return merged
-
-    def _merged_positions(
-        self, field: str, term: str
-    ) -> Dict[str, List[int]]:
+    def positions(self, term: str, field: str) -> Dict[str, List[int]]:
+        """Merged positional postings, cached per (field, term)."""
         key = (field, term)
-        cached = self._positional.get(key)
-        if cached is not None:
-            return cached
-        merged: Dict[str, List[int]] = {}
-        for segment in self.segments:
-            merged.update(segment.positions(field, term))
-        merged.update(self.memtable.postings(term, field))
-        self._positional[key] = merged
+        merged = self._positional.get(key)
+        if merged is None:
+            merged = self._positional[key] = super().positions(term, field)
         return merged
 
     def term_postings(
         self, term: str, field: str
     ) -> Optional[TermPostings]:
-        """Merged compiled postings (segments oldest-first, then
-        memtable), or None when no live document matches."""
+        """Merged compiled postings, cached per (field, term)."""
         key = (field, term)
         compiled = self._compiled.get(key)
         if compiled is None:
-            compiled = TermPostings()
-            for segment in self.segments:
-                for doc_id, tf, length in segment.iter_term(field, term):
-                    compiled.append(doc_id, tf, length)
-            memtable = self.memtable.term_postings(term, field)
-            if memtable is not None:
-                for i, doc_id in enumerate(memtable.doc_ids):
-                    compiled.append(
-                        doc_id, memtable.tfs[i], memtable.lengths[i]
-                    )
-            if len(compiled) == 0:
-                return None
-            self._compiled[key] = compiled
-            get_registry().inc("index.postings_compiled")
+            compiled = super().term_postings(term, field)
+            if compiled is not None:
+                self._compiled[key] = compiled
+                get_registry().inc("index.postings_compiled")
         return compiled
 
     def max_tf(self, term: str, field: str) -> Optional[int]:
         """O(1) upper bound on the live max tf, or None if unknown.
 
         Soundness rule for MaxScore: the returned value must never be
-        *below* the true live maximum.  Stored segment maxima only ever
-        over-estimate (tombstones can't raise a max); the memtable's
-        contribution is exact when compiled and unknown otherwise — in
-        the unknown case the whole answer is None and the planner falls
-        back to its loose bound.
+        *below* the true live maximum.  A cached merged array is exact.
+        Otherwise stored segment maxima only ever over-estimate
+        (tombstones can't raise a max) and the memtable's contribution
+        is exact when compiled and unknown otherwise — in the unknown
+        case the whole answer is None and the planner falls back to its
+        loose bound.
         """
         compiled = self._compiled.get((field, term))
         if compiled is not None:
             return compiled.max_tf
-        best: Optional[int] = None
-        for segment in self.segments:
-            stored = segment.stored_max_tf(field, term)
-            if stored is not None and (best is None or stored > best):
-                best = stored
-        if self.memtable.df(term, field) > 0:
-            memtable_max = self.memtable.max_tf(term, field)
-            if memtable_max is None:
-                return None
-            if best is None or memtable_max > best:
-                best = memtable_max
-        return best
-
-    def matching_docs(
-        self, term: str, field: Optional[str] = None
-    ) -> Set[str]:
-        """Ids of live documents containing ``term``."""
-        matches = self.memtable.matching_docs(term, field)
-        for segment in self.segments:
-            fields = (
-                [field] if field is not None else segment.posting_fields()
-            )
-            for field_name in fields:
-                for doc_id, _, _ in segment.iter_term(field_name, term):
-                    matches.add(doc_id)
-        return matches
-
-    def docs_with_metadata(
-        self, key: str, values: Iterable[Any]
-    ) -> Set[str]:
-        """Ids of live documents whose metadata ``key`` is in ``values``."""
-        values = list(values)
-        matches = self.memtable.docs_with_metadata(key, values)
-        for segment in self.segments:
-            for value in values:
-                matches |= segment.meta_docs(key, value)
-        return matches
-
-    def phrase_docs(
-        self, terms: List[str], field: Optional[str] = None
-    ) -> Set[str]:
-        """Live documents containing ``terms`` consecutively in a field."""
-        if not terms:
-            return set()
-        fields = [field] if field is not None else self.fields
-        matches: Set[str] = set()
-        for field_name in fields:
-            maps = []
-            empty = False
-            candidate_docs: Optional[Set[str]] = None
-            for term in terms:
-                positions = self._merged_positions(field_name, term)
-                maps.append(positions)
-                docs = set(positions)
-                candidate_docs = (
-                    docs
-                    if candidate_docs is None
-                    else candidate_docs & docs
-                )
-                if not candidate_docs:
-                    empty = True
-                    break
-            if empty or not candidate_docs:
-                continue
-            for doc_id in candidate_docs:
-                starts = set(maps[0][doc_id])
-                for offset in range(1, len(terms)):
-                    positions = maps[offset][doc_id]
-                    starts &= {p - offset for p in positions}
-                    if not starts:
-                        break
-                if starts:
-                    matches.add(doc_id)
-        return matches
-
-    # -- statistics (live-exact) --------------------------------------------
-
-    def document_frequency(
-        self, term: str, field: Optional[str] = None
-    ) -> int:
-        """Exact number of live documents containing ``term``."""
-        return len(self.matching_docs(term, field))
-
-    def df(self, term: str, field: Optional[str] = None) -> int:
-        """Live document frequency; per-field exact, summed otherwise.
-
-        Matches ``InvertedIndex.df`` semantics: with ``field=None`` the
-        per-field counts are summed (an upper bound used only for AND
-        ordering).  The per-field value is exact even under tombstones
-        — MaxScore bound soundness requires it (see module docstring).
-        """
-        if field is not None:
-            total = self.memtable.df(term, field)
-            for segment in self.segments:
-                total += segment.df(field, term)
-            return total
-        total = self.memtable.df(term, None)
-        for segment in self.segments:
-            for field_name in segment.posting_fields():
-                total += segment.df(field_name, term)
-        return total
-
-    def term_frequency(
-        self, term: str, doc_id: str, field: Optional[str] = None
-    ) -> int:
-        """Occurrences of ``term`` in a live ``doc_id``."""
-        if self.memtable.has_document(doc_id):
-            return self.memtable.term_frequency(term, doc_id, field)
-        for segment in self.segments:
-            if not segment.has_doc(doc_id):
-                continue
-            if field is not None:
-                return segment.term_frequency(field, term, doc_id)
-            return sum(
-                segment.term_frequency(field_name, term, doc_id)
-                for field_name in segment.posting_fields()
-            )
-        return 0
-
-    def field_length(self, field: str, doc_id: str) -> int:
-        """Token count of ``field`` in ``doc_id`` (0 if absent)."""
-        if self.memtable.has_document(doc_id):
-            return self.memtable.field_length(field, doc_id)
-        for segment in self.segments:
-            if segment.has_doc(doc_id):
-                return segment.field_length(field, doc_id)
-        return 0
-
-    def field_lengths(self, field: str) -> Dict[str, int]:
-        """doc_id -> token count for live documents having ``field``."""
-        lengths = self.memtable.field_lengths(field)
-        for segment in self.segments:
-            for doc_id in segment.live_doc_ids():
-                ordinal = segment._ord[doc_id]
-                array_ = segment._length_arrays.get(field)
-                if array_ is None:
-                    continue
-                value = array_[ordinal]
-                if value >= 0:
-                    lengths[doc_id] = value
-        return lengths
-
-    def terms_of(self, doc_id: str) -> Dict[str, Set[str]]:
-        """field -> distinct terms of one live document."""
-        if self.memtable.has_document(doc_id):
-            return self.memtable.terms_of(doc_id)
-        document = self.document(doc_id)
-        return {
-            field: {
-                analyzed.term
-                for analyzed in self.analyzer.analyze(text)
-            }
-            for field, text in document.fields.items()
-        }
-
-    def total_length(self, doc_id: str) -> int:
-        """Token count across all fields of ``doc_id``."""
-        if self.memtable.has_document(doc_id):
-            return self.memtable.total_length(doc_id)
-        for segment in self.segments:
-            if segment.has_doc(doc_id):
-                return segment.total_length(doc_id)
-        return 0
-
-    def average_length(self, field: Optional[str] = None) -> float:
-        """Average field length over live documents.
-
-        Integer token totals and document counts are summed across the
-        memtable and every segment first, then divided once — the same
-        float the all-in-memory index computes (bit-identical BM25
-        avgdl), exactly like the sharded view's global statistics.
-        """
-        if len(self) == 0:
-            return 0.0
-        if field is not None:
-            docs = self.field_document_count(field)
-            if docs == 0:
-                return 0.0
-            return self.field_token_total(field) / docs
-        return self.token_total() / len(self)
-
-    def field_document_count(self, field: str) -> int:
-        """Live documents having ``field``."""
-        return self.memtable.field_document_count(field) + sum(
-            segment.live_field_docs(field) for segment in self.segments
-        )
-
-    def field_token_total(self, field: str) -> int:
-        """Exact live token total of ``field`` (integer)."""
-        return self.memtable.field_token_total(field) + sum(
-            segment.live_field_tokens(field) for segment in self.segments
-        )
-
-    def token_total(self) -> int:
-        """Exact live token total across all fields (integer)."""
-        return self.memtable.token_total() + sum(
-            segment.live_token_total() for segment in self.segments
-        )
-
-    def vocabulary(self, field: Optional[str] = None) -> Set[str]:
-        """Distinct terms with at least one live posting."""
-        terms = self.memtable.vocabulary(field)
-        for segment in self.segments:
-            fields = (
-                [field] if field is not None else segment.posting_fields()
-            )
-            for field_name in fields:
-                if segment.tombstones:
-                    terms.update(
-                        term
-                        for term in segment.terms(field_name)
-                        if segment.df(field_name, term) > 0
-                    )
-                else:
-                    terms.update(segment.terms(field_name))
-        return terms
+        return super().max_tf(term, field)

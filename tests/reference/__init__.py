@@ -7,4 +7,8 @@ out of ``src/`` because tests are its only callers:
 * ``select`` — the seed's row-at-a-time SELECT interpreter.
 * ``search`` — the exhaustive query interpreter (per-document scoring,
   clause-order evaluation, post-hoc filtering, full sort).
+
+``index`` is the one model that was never a program path: a dict of
+documents that answers the whole ``IndexReader`` protocol by analysing
+the stored text again, and the ``assert_conforms`` check built on it.
 """

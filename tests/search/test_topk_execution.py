@@ -93,11 +93,19 @@ class TestCompiledPostings:
                 index.document_frequency(term, "body")
             )
 
-    def test_epoch_bumps_on_mutation(self, index):
-        before = index.epoch
-        index.add(doc("d", "wan"))
+    def test_every_mutation_updates_or_invalidates_the_array(self, index):
+        compiled = index.term_postings("wan", "body")
+        index.add(doc("d", "wan wan wan"))
+        assert index.term_postings("wan", "body") is compiled
+        assert compiled.doc_ids == ["a", "b", "d"]
+        assert index.max_tf("wan", "body") == 3
         index.remove("d")
-        assert index.epoch == before + 2
+        assert index.max_tf("wan", "body") is None  # dropped, not stale
+        rebuilt = index.term_postings("wan", "body")
+        assert rebuilt is not compiled
+        assert (rebuilt.doc_ids, rebuilt.tfs, rebuilt.max_tf) == (
+            ["a", "b"], [2, 1], 2
+        )
 
 
 class TestMetadataValueIndex:

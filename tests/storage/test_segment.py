@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import SearchError, StorageError
 from repro.search import IndexableDocument
 from repro.search.inverted_index import InvertedIndex
 from repro.storage.segment import (
@@ -63,19 +63,19 @@ def test_doc_round_trip(index, segment):
 
 
 def test_statistics_match_index(index, segment):
-    assert sorted(segment.posting_fields()) == sorted(index.fields)
+    assert segment.fields == index.fields
     for field in index.fields:
-        assert segment.live_field_docs(field) == (
+        assert segment.field_document_count(field) == (
             index.field_document_count(field)
         )
-        assert segment.live_field_tokens(field) == (
+        assert segment.field_token_total(field) == (
             index.field_token_total(field)
         )
         for term in index.vocabulary(field):
-            assert segment.df(field, term) == index.df(term, field)
-            stored = segment.stored_max_tf(field, term)
+            assert segment.df(term, field) == index.df(term, field)
+            stored = segment.max_tf(term, field)
             assert stored == index.max_tf(term, field) or stored >= max(
-                tf for _, tf, _ in segment.iter_term(field, term)
+                tf for _, tf, _ in segment.iter_term(term, field)
             )
     for doc_id in index.doc_ids:
         for field in ("title", "body"):
@@ -89,25 +89,25 @@ def test_postings_and_positions_match(index, segment):
     for field in index.fields:
         for term in index.vocabulary(field):
             decoded = {
-                doc_id: tf for doc_id, tf, _ in segment.iter_term(field, term)
+                doc_id: tf for doc_id, tf, _ in segment.iter_term(term, field)
             }
             expected = {
                 doc_id: index.term_frequency(term, doc_id, field)
                 for doc_id in index.matching_docs(term, field)
             }
             assert decoded == expected
-            assert segment.positions(field, term) == (
-                index.postings(term, field)
+            assert segment.positions(term, field) == (
+                index.positions(term, field)
             )
 
 
 def test_metadata_lookup(index, segment):
     for value in ("deal0", "deal3"):
-        assert segment.meta_docs("deal_id", value) == (
+        assert segment.docs_with_metadata("deal_id", [value]) == (
             index.docs_with_metadata("deal_id", [value])
         )
-    assert segment.meta_docs("deal_id", "nope") == set()
-    assert segment.meta_docs("rank", 1) == (
+    assert segment.docs_with_metadata("deal_id", ["nope"]) == set()
+    assert segment.docs_with_metadata("rank", [1]) == (
         index.docs_with_metadata("rank", [1])
     )
 
@@ -116,21 +116,23 @@ def test_tombstone_adjusts_live_statistics(index):
     segment = Segment.from_bytes(encode_from_index(index))
     victim = "doc001"
     body_len = segment.field_length("body", victim)
-    live_docs = segment.live_field_docs("body")
-    live_tokens = segment.live_field_tokens("body")
+    live_docs = segment.field_document_count("body")
+    live_tokens = segment.field_token_total("body")
     assert segment.tombstone(victim)
     assert not segment.tombstone(victim)  # second call is a no-op
-    assert segment.document(victim) is None
-    assert not segment.has_doc(victim)
-    assert segment.live_count == segment.doc_count - 1
-    assert segment.live_field_docs("body") == live_docs - 1
-    assert segment.live_field_tokens("body") == live_tokens - body_len
-    # df over a tombstoned segment must count live docs only.
-    for field in segment.posting_fields():
-        for term in segment.terms(field):
-            live = sum(1 for _ in segment.iter_term(field, term))
-            assert segment.df(field, term) == live
-    assert victim not in segment.meta_docs("deal_id", "deal1")
+    with pytest.raises(SearchError):
+        segment.document(victim)
+    assert not segment.has_document(victim)
+    assert len(segment) == segment.doc_count - 1
+    assert segment.field_document_count("body") == live_docs - 1
+    assert segment.field_token_total("body") == live_tokens - body_len
+    # df over a tombstoned segment must count live docs only — for
+    # every term the segment stores, the now-dead ones included.
+    for field in index.fields:
+        for term in index.vocabulary(field):
+            live = sum(1 for _ in segment.iter_term(term, field))
+            assert segment.df(term, field) == live
+    assert victim not in segment.docs_with_metadata("deal_id", ["deal1"])
 
 
 def test_merge_equals_single_segment_encode():
@@ -164,11 +166,13 @@ def test_merge_drops_tombstoned_docs():
     segment.tombstone("doc007")
     merged = Segment.from_bytes(merge_segments([segment]))
     assert merged.doc_count == 8
-    assert not merged.has_doc("doc002")
+    assert not merged.has_document("doc002")
     assert not merged.tombstones
-    for field in merged.posting_fields():
-        for term in merged.terms(field):
-            assert merged.df(field, term) > 0
+    # Nothing dead is carried along, not even a term: the bytes are what
+    # encoding the surviving documents alone gives.
+    index.remove("doc002")
+    index.remove("doc007")
+    assert merged.raw_bytes() == encode_from_index(index)
 
 
 def test_merge_rejects_duplicate_live_doc():
@@ -191,7 +195,7 @@ def test_file_backed_segment_reads_docs_lazily(tmp_path, index):
                 index.document(doc_id).fields
             )
         # Statistics never touch the docstore file.
-        assert segment.df("body", "network") == index.df("network", "body")
+        assert segment.df("network", "body") == index.df("network", "body")
     finally:
         segment.close()
 

@@ -2,10 +2,10 @@
 
 Two contracts:
 
-* the store is a drop-in ``InvertedIndex``: every statistic it reports
-  (df, tf, lengths, averages, metadata lookups) must equal the plain
-  index over the same documents, through any sequence of adds, flushes,
-  removals and merges;
+* the store is a conforming ``IndexReader``: everything it answers
+  (df, tf, lengths, averages, phrases, metadata lookups) must equal the
+  dict-of-docs model over the same documents, through any sequence of
+  adds, flushes, removals and merges;
 * ``save``/``load`` round-trips the exact same state, and every
   corruption mode — foreign files, flipped bytes, version skew,
   truncation — is rejected with a typed :class:`StorageError`.
@@ -21,6 +21,7 @@ from repro.obs import use_registry
 from repro.search import IndexableDocument
 from repro.search.inverted_index import InvertedIndex
 from repro.storage import MANIFEST_NAME, SegmentBackedIndex
+from tests.reference.index import DictOfDocs, assert_conforms
 
 WORDS = ["network", "storage", "deal", "services", "migration",
          "finance", "audit", "client", "review", "escrow", "latency"]
@@ -42,38 +43,21 @@ def make_docs(seed=21, docs=60):
 
 
 def assert_index_equivalent(store, reference):
-    assert len(store) == len(reference)
-    assert set(store.doc_ids) == set(reference.doc_ids)
-    assert sorted(store.fields) == sorted(reference.fields)
+    """The protocol conformance check (``tests/reference/index.py``) with
+    this file's layouts as its input; on top of it, the merged posting
+    arrays list documents in the plain index's order (segments
+    oldest-first, then the memtable)."""
+    assert_conforms(
+        store,
+        DictOfDocs(
+            reference.document(doc_id) for doc_id in reference.doc_ids
+        ),
+    )
     for field in reference.fields:
-        assert store.field_document_count(field) == (
-            reference.field_document_count(field)
-        )
-        assert store.field_token_total(field) == (
-            reference.field_token_total(field)
-        )
-        assert store.average_length(field) == reference.average_length(field)
-        assert store.vocabulary(field) == reference.vocabulary(field)
         for term in reference.vocabulary(field):
-            assert store.df(term, field) == reference.df(term, field)
-            assert store.matching_docs(term, field) == (
-                reference.matching_docs(term, field)
+            assert store.term_postings(term, field).doc_ids == (
+                reference.term_postings(term, field).doc_ids
             )
-            mine = store.term_postings(term, field)
-            theirs = reference.term_postings(term, field)
-            assert mine.doc_ids == theirs.doc_ids
-            assert mine.tfs == theirs.tfs
-            assert mine.lengths == theirs.lengths
-    assert store.token_total() == reference.token_total()
-    for doc_id in reference.doc_ids:
-        assert store.total_length(doc_id) == reference.total_length(doc_id)
-        assert dict(store.document(doc_id).fields) == (
-            dict(reference.document(doc_id).fields)
-        )
-    for value in ("deal0", "deal4"):
-        assert store.docs_with_metadata("deal_id", [value]) == (
-            reference.docs_with_metadata("deal_id", [value])
-        )
 
 
 def build_pair(docs, memtable_limit=16, merge_fanout=3):

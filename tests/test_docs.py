@@ -203,6 +203,20 @@ class TestOperationsDocs:
             f"documented but never read: {sorted(documented - read)}"
         )
 
+    def test_architecture_names_exactly_the_index_reader_primitives(
+        self, architecture
+    ):
+        from repro.search import IndexReader
+
+        section = architecture.split("## Index reader protocol", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+        declared = set(IndexReader.__abstractmethods__)
+        assert documented == declared, (
+            f"declared but undocumented: {sorted(declared - documented)}; "
+            f"documented but not declared: {sorted(documented - declared)}"
+        )
+
     def test_architecture_covers_the_db_engine(self, architecture):
         for needle in (
             "naive_execute_select",
