@@ -100,6 +100,9 @@ _SCHEMA_STATEMENTS = (
     "CREATE INDEX ix_contacts_role ON contacts (role)",
     "CREATE INDEX ix_tech_deal ON technologies (deal_id)",
     "CREATE INDEX ix_tech_term ON technologies (term)",
+    # Every synopsis view reads these two per deal as well.
+    "CREATE INDEX ix_strategies_deal ON win_strategies (deal_id)",
+    "CREATE INDEX ix_references_deal ON client_references (deal_id)",
 )
 
 

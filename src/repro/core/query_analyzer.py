@@ -17,12 +17,23 @@ from typing import Dict, List, Optional
 
 from repro.core.organized import OrganizedInformation
 from repro.corpus.taxonomy import ServiceTaxonomy
+from repro.db import escape_like
 from repro.errors import QuerySyntaxError
 from repro.obs import get_registry, get_tracer
 from repro.search.siapi import SiapiQuery
 from repro.text.normalize import normalize_role
 
 __all__ = ["FormQuery", "SynopsisMatch", "SynopsisSearch"]
+
+# Form criteria are substrings (paper Fig. 8): a ``%`` or ``_`` the user
+# typed is text to find, not a wildcard.
+_CONTAINS = "LIKE ? ESCAPE '\\'"
+
+
+def _containing(needle: str) -> str:
+    """The LIKE pattern for "contains ``needle``", to go with
+    ``_CONTAINS``."""
+    return f"%{escape_like(needle.strip().lower())}%"
 
 
 @dataclass(frozen=True)
@@ -258,8 +269,8 @@ class SynopsisSearch:
 
     def _field_scores(self, column: str, needle: str) -> Dict[str, float]:
         rows = self.organized.db.execute(
-            f"SELECT deal_id FROM deals WHERE LOWER({column}) LIKE ?",
-            [f"%{needle.strip().lower()}%"],
+            f"SELECT deal_id FROM deals WHERE LOWER({column}) {_CONTAINS}",
+            [_containing(needle)],
         ).to_dicts()
         return {row["deal_id"]: 1.0 for row in rows}
 
@@ -267,11 +278,11 @@ class SynopsisSearch:
         conditions = []
         params: List[str] = []
         if form.person_name.strip():
-            conditions.append("LOWER(name) LIKE ?")
-            params.append(f"%{form.person_name.strip().lower()}%")
+            conditions.append(f"LOWER(name) {_CONTAINS}")
+            params.append(_containing(form.person_name))
         if form.organization.strip():
-            conditions.append("LOWER(organization) LIKE ?")
-            params.append(f"%{form.organization.strip().lower()}%")
+            conditions.append(f"LOWER(organization) {_CONTAINS}")
+            params.append(_containing(form.organization))
         if form.role.strip():
             conditions.append("role = ?")
             params.append(normalize_role(form.role))
@@ -300,13 +311,14 @@ class SynopsisSearch:
         matched: Optional[set] = None
         for needle in needles:
             rows = self.organized.db.execute(
-                "SELECT deal_id FROM technologies WHERE LOWER(term) LIKE ?",
-                [f"%{needle}%"],
+                "SELECT deal_id FROM technologies "
+                f"WHERE LOWER(term) {_CONTAINS}",
+                [_containing(needle)],
             ).to_dicts()
             rows += self.organized.db.execute(
-                "SELECT deal_id FROM win_strategies WHERE LOWER(text) "
-                "LIKE ?",
-                [f"%{needle}%"],
+                "SELECT deal_id FROM win_strategies "
+                f"WHERE LOWER(text) {_CONTAINS}",
+                [_containing(needle)],
             ).to_dicts()
             deal_ids = {row["deal_id"] for row in rows}
             matched = deal_ids if matched is None else matched & deal_ids

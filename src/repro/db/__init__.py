@@ -29,6 +29,7 @@ from repro.db.expr import (
     LogicalNot,
     LogicalOr,
     Parameter,
+    escape_like,
 )
 from repro.db.index import HashIndex, Index, SortedIndex
 from repro.db.persistence import (
@@ -85,6 +86,7 @@ __all__ = [
     "SelectPlan",
     "Explain",
     "parse",
+    "escape_like",
     "dump_database",
     "load_database",
     "dumps_database",

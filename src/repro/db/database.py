@@ -557,8 +557,8 @@ class Database:
     ) -> Optional[Dict[str, Any]]:
         """Execute a SELECT and return the first row as a dict, or None."""
         result = self.execute(sql, params)
-        dicts = result.to_dicts()
-        return dicts[0] if dicts else None
+        first = result.first()
+        return dict(zip(result.columns, first)) if first is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database(tables={self.table_names})"

@@ -1,18 +1,36 @@
 """Expression AST evaluated against rows (WHERE / SELECT / ORDER BY).
 
-Expressions evaluate against a *row context*: a mapping from column
-reference (possibly qualified, ``deals.deal_id``) to value.  NULL
-handling follows SQL three-valued logic: comparisons with NULL yield
-NULL (represented as None), AND/OR propagate it per the usual truth
-tables, and the executor treats a non-True WHERE result as "row
+There are two evaluators with one semantics.  :meth:`Expression.evaluate`
+interprets a tree against a *row context*: a mapping from column
+reference (possibly qualified, ``deals.deal_id``) to value; UPDATE,
+DELETE and INSERT use it, and so does the SELECT test oracle.
+:func:`compile_expression` lowers a tree to a closure over a *stored row
+tuple* whose column slots were resolved once, when the statement was
+planned; that is the only way a SELECT evaluates anything.
+
+NULL handling follows SQL three-valued logic: comparisons with NULL
+yield NULL (represented as None), AND/OR propagate it per the usual
+truth tables, and the executor treats a non-True WHERE result as "row
 filtered out".
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ProgrammingError
 
@@ -32,12 +50,15 @@ __all__ = [
     "FunctionCall",
     "RowContext",
     "compile_expression",
+    "escape_like",
 ]
 
 RowContext = Mapping[str, Any]
 
-# A compiled evaluator: (row context, statement params) -> value.
-CompiledExpr = Callable[[RowContext, Sequence[Any]], Any]
+# A compiled expression, bound to one execution's parameters, reads a
+# stored row tuple; a Binder makes one from those parameters.
+RowFunction = Callable[[Tuple[Any, ...]], Any]
+Binder = Callable[[Sequence[Any]], RowFunction]
 
 
 class Expression:
@@ -47,13 +68,36 @@ class Expression:
         """Evaluate against ``row``; None encodes SQL NULL/UNKNOWN."""
         raise NotImplementedError
 
+    def children(self) -> Iterator["Expression"]:
+        """The operand expressions, in the order they evaluate."""
+        for attr in vars(self).values():
+            if isinstance(attr, Expression):
+                yield attr
+            elif isinstance(attr, tuple):
+                for element in attr:
+                    if isinstance(element, Expression):
+                        yield element
+
     def references(self) -> Iterator[str]:
         """Yield column references appearing in this subtree."""
-        return iter(())
+        for child in self.children():
+            yield from child.references()
 
     def bind(self, params: Sequence[Any]) -> "Expression":
         """Return a copy with :class:`Parameter` placeholders substituted."""
-        return self
+        if next(self.children(), None) is None:
+            return self
+
+        def bound(attr: Any) -> Any:
+            if isinstance(attr, Expression):
+                return attr.bind(params)
+            if isinstance(attr, tuple):
+                return tuple(bound(element) for element in attr)
+            return attr
+
+        return type(self)(
+            **{name: bound(attr) for name, attr in vars(self).items()}
+        )
 
 
 @dataclass(frozen=True)
@@ -101,31 +145,35 @@ class ColumnRef(Expression):
             return f"{self.table.lower()}.{self.name.lower()}"
         return self.name.lower()
 
-    def evaluate(self, row: RowContext) -> Any:
+    def resolve(self, keys: Mapping[str, Any]) -> str:
+        """Which of a row context's ``keys`` this reference names: its
+        own key, else — unqualified — the one key it is a suffix of."""
         key = self.key
-        if key in row:
-            return row[key]
-        # Unqualified name: resolve against qualified keys if unambiguous.
+        if key in keys:
+            return key
         if self.table is None:
-            suffix = "." + self.name.lower()
-            matches = [k for k in row if k.endswith(suffix)]
+            suffix = "." + key
+            matches = [k for k in keys if k.endswith(suffix)]
             if len(matches) == 1:
-                return row[matches[0]]
+                return matches[0]
             if len(matches) > 1:
                 raise ProgrammingError(f"ambiguous column {self.name!r}")
-        raise ProgrammingError(f"unknown column {self.key!r}")
+        raise ProgrammingError(f"unknown column {key!r}")
+
+    def evaluate(self, row: RowContext) -> Any:
+        return row[self.resolve(row)]
 
     def references(self) -> Iterator[str]:
         yield self.key
 
 
 _COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -154,13 +202,6 @@ class Comparison(Expression):
                 f"{type(right).__name__}"
             ) from exc
 
-    def references(self) -> Iterator[str]:
-        yield from self.left.references()
-        yield from self.right.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return Comparison(self.op, self.left.bind(params), self.right.bind(params))
-
 
 @dataclass(frozen=True)
 class LogicalAnd(Expression):
@@ -179,13 +220,6 @@ class LogicalAnd(Expression):
         if left is None or right is None:
             return None
         return True
-
-    def references(self) -> Iterator[str]:
-        yield from self.left.references()
-        yield from self.right.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return LogicalAnd(self.left.bind(params), self.right.bind(params))
 
 
 @dataclass(frozen=True)
@@ -206,13 +240,6 @@ class LogicalOr(Expression):
             return None
         return False
 
-    def references(self) -> Iterator[str]:
-        yield from self.left.references()
-        yield from self.right.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return LogicalOr(self.left.bind(params), self.right.bind(params))
-
 
 @dataclass(frozen=True)
 class LogicalNot(Expression):
@@ -226,12 +253,6 @@ class LogicalNot(Expression):
             return None
         return not value
 
-    def references(self) -> Iterator[str]:
-        yield from self.operand.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return LogicalNot(self.operand.bind(params))
-
 
 @dataclass(frozen=True)
 class IsNull(Expression):
@@ -243,12 +264,6 @@ class IsNull(Expression):
     def evaluate(self, row: RowContext) -> bool:
         is_null = self.operand.evaluate(row) is None
         return not is_null if self.negated else is_null
-
-    def references(self) -> Iterator[str]:
-        yield from self.operand.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return IsNull(self.operand.bind(params), self.negated)
 
 
 @dataclass(frozen=True)
@@ -278,18 +293,6 @@ class InList(Expression):
             return None
         return self.negated
 
-    def references(self) -> Iterator[str]:
-        yield from self.operand.references()
-        for choice in self.choices:
-            yield from choice.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return InList(
-            self.operand.bind(params),
-            tuple(c.bind(params) for c in self.choices),
-            self.negated,
-        )
-
 
 @dataclass(frozen=True)
 class Like(Expression):
@@ -297,12 +300,16 @@ class Like(Expression):
 
     Case-insensitivity matches DB2's typical configuration for the
     synopsis tables and is what the paper's form-based queries need
-    ("End User Services" vs "end user services").
+    ("End User Services" vs "end user services").  With ``escape`` (the
+    one character of ``LIKE ... ESCAPE 'c'``) the character after each
+    ``c`` in the pattern stands for itself, so a ``%`` or ``_`` in user
+    text can be matched literally — see :func:`escape_like`.
     """
 
     operand: Expression
     pattern: Expression
     negated: bool = False
+    escape: Optional[str] = None
 
     def evaluate(self, row: RowContext) -> Optional[bool]:
         value = self.operand.evaluate(row)
@@ -311,40 +318,94 @@ class Like(Expression):
             return None
         if not isinstance(value, str) or not isinstance(pattern, str):
             raise ProgrammingError("LIKE requires text operands")
-        result = bool(_like_regex(pattern).match(value))
+        result = _like_regex(pattern, self.escape).fullmatch(value) is not None
         return not result if self.negated else result
 
-    def references(self) -> Iterator[str]:
-        yield from self.operand.references()
-        yield from self.pattern.references()
 
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return Like(
-            self.operand.bind(params), self.pattern.bind(params), self.negated
+def escape_like(text: str, escape: str = "\\") -> str:
+    """``text`` with ``%``, ``_`` and ``escape`` made literal for
+    ``LIKE ... ESCAPE escape``."""
+    for special in (escape, "%", "_"):
+        text = text.replace(special, escape + special)
+    return text
+
+
+_ANY, _ONE = object(), object()  # the ``%`` and ``_`` of a parsed pattern
+
+
+def _like_tokens(pattern: str, escape: Optional[str]) -> List[Any]:
+    """``pattern`` as literal characters, ``_ANY`` and ``_ONE``.  A
+    trailing escape character stands for itself."""
+    tokens: List[Any] = []
+    chars = iter(pattern)
+    for ch in chars:
+        if ch == escape:
+            tokens.append(next(chars, ch))
+        elif ch == "%":
+            tokens.append(_ANY)
+        elif ch == "_":
+            tokens.append(_ONE)
+        else:
+            tokens.append(ch)
+    return tokens
+
+
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str, escape: Optional[str] = None) -> "re.Pattern[str]":
+    """The pattern as a regex to ``fullmatch`` a value with.  The
+    definition of LIKE here: every other way to match must agree with
+    it, Unicode case folding included."""
+    regex = "".join(
+        ".*" if token is _ANY else "." if token is _ONE else re.escape(token)
+        for token in _like_tokens(pattern, escape)
+    )
+    return re.compile(regex, re.IGNORECASE | re.DOTALL)
+
+
+def _like_matcher(
+    pattern: str, escape: Optional[str]
+) -> Callable[[str], bool]:
+    """A ``value -> bool`` for one constant pattern, classified once.
+
+    ``%x%``, ``x%``, ``%x`` and ``x`` with no other wildcard are a
+    substring, prefix, suffix or equality test on the lowered value —
+    when both ``x`` and the value are ASCII, where ``str.lower`` and the
+    regex's case folding cannot disagree.  Anything else (an inner
+    wildcard, a non-ASCII pattern, a non-ASCII value) goes to the regex,
+    compiled on first use."""
+
+    def by_regex(value: str) -> bool:
+        return _like_regex(pattern, escape).fullmatch(value) is not None
+
+    tokens = _like_tokens(pattern, escape)
+    start, end = 0, len(tokens)
+    while start < end and tokens[start] is _ANY:
+        start += 1
+    while end > start and tokens[end - 1] is _ANY:
+        end -= 1
+    core = tokens[start:end]
+    if _ANY in core or _ONE in core or not "".join(core).isascii():
+        return by_regex
+    needle = "".join(core).lower()
+    lead, trail = start > 0, end < len(tokens)
+    if lead and trail:
+        return lambda v: needle in v.lower() if v.isascii() else by_regex(v)
+    if trail:
+        return lambda v: (
+            v.lower().startswith(needle) if v.isascii() else by_regex(v)
         )
-
-
-_LIKE_CACHE: dict = {}
-
-
-def _like_regex(pattern: str) -> "re.Pattern[str]":
-    compiled = _LIKE_CACHE.get(pattern)
-    if compiled is None:
-        regex = "".join(
-            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-            for ch in pattern
+    if lead:
+        return lambda v: (
+            v.lower().endswith(needle) if v.isascii() else by_regex(v)
         )
-        compiled = re.compile(f"^{regex}$", re.IGNORECASE | re.DOTALL)
-        if len(_LIKE_CACHE) < 4096:
-            _LIKE_CACHE[pattern] = compiled
-    return compiled
+    return lambda v: v.lower() == needle if v.isascii() else by_regex(v)
 
 
 _ARITHMETIC = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
 }
 
 
@@ -374,13 +435,6 @@ class Arithmetic(Expression):
                 f"invalid operands for {self.op!r}: "
                 f"{type(left).__name__}, {type(right).__name__}"
             ) from exc
-
-    def references(self) -> Iterator[str]:
-        yield from self.left.references()
-        yield from self.right.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return Arithmetic(self.op, self.left.bind(params), self.right.bind(params))
 
 
 _FUNCTIONS = {
@@ -413,13 +467,6 @@ class FunctionCall(Expression):
             return None
         return _FUNCTIONS[self.name.lower()](value)
 
-    def references(self) -> Iterator[str]:
-        for arg in self.args:
-            yield from arg.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        return FunctionCall(self.name, tuple(a.bind(params) for a in self.args))
-
 
 def _as_bool(value: Any) -> Optional[bool]:
     if value is None:
@@ -428,223 +475,297 @@ def _as_bool(value: Any) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: lower an Expression tree to one Python closure
+# Compilation: lower an Expression tree to closures over stored row tuples
 # ---------------------------------------------------------------------------
 
 
-def compile_expression(expression: Expression) -> CompiledExpr:
-    """Lower ``expression`` to a closure ``(row, params) -> value``.
+class _Const:
+    """A row function that is one value: a literal, or a ``?`` bound.
+    LIKE and IN test for it to specialise on constant operands."""
 
-    The returned closure evaluates the same three-valued-logic semantics
-    as :meth:`Expression.evaluate` but without per-row dataclass
-    dispatch, and it reads ``?`` placeholders from ``params`` at call
-    time — so one compiled tree serves every execution of a cached
-    plan, whatever the bound parameters.
+    __slots__ = ("value",)
 
-    Each call returns *fresh* closures: a :class:`ColumnRef` closure
-    caches its resolved row-context key after the first row, which is
-    only sound while the closure stays at one evaluation site (row
-    contexts at a given pipeline position share their key set).
-    Compile an expression once per site, never share the result across
-    sites.
+    def __init__(self, value: Any) -> None:
+        self.value = value
 
-    Unknown :class:`Expression` subclasses (e.g. aggregate calls, which
-    the executor handles in its grouping stage) fall back to
-    :meth:`~Expression.evaluate`, preserving their error behavior.
+    def __call__(self, row: Tuple[Any, ...]) -> Any:
+        return self.value
+
+
+class _Static:
+    """A binder for a subtree holding no ``?``: bound once, at plan time."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function: RowFunction) -> None:
+        self.function = function
+
+    def __call__(self, params: Sequence[Any]) -> RowFunction:
+        return self.function
+
+
+def _raiser(message: str) -> RowFunction:
+    """What an expression that cannot be evaluated compiles to: the
+    error waits until a row reaches it, as the interpreter's does."""
+
+    def _raise(row: Tuple[Any, ...]) -> Any:
+        raise ProgrammingError(message)
+
+    return _raise
+
+
+def compile_expression(
+    expression: Expression,
+    slots: Mapping[str, int],
+    computed: Optional[Mapping[Expression, int]] = None,
+) -> Binder:
+    """Lower ``expression`` to a binder ``params -> (row -> value)``.
+
+    The row function evaluates the three-valued-logic semantics of
+    :meth:`Expression.evaluate` on a stored row tuple.  Work is split
+    over three moments:
+
+    * *now* (plan time): every :class:`ColumnRef` resolves to a slot of
+      ``slots`` (context key -> tuple position), and every subtree
+      without a ``?`` is bound for good;
+    * *per execution* (calling the binder): each ``?`` becomes a
+      constant, a constant LIKE pattern is classified
+      (:func:`_like_matcher`) and a constant IN list becomes one
+      containment test;
+    * *per row*: ``row[slot]`` reads and the operators, nothing else.
+
+    ``computed`` maps subtrees the executor evaluates itself (aggregate
+    calls) to the slots it appends their values at.
+
+    Nothing raises before a row arrives: an unknown or ambiguous column
+    and a missing parameter compile to a function that raises the
+    interpreter's :class:`ProgrammingError` when called.  Binders and
+    row functions hold no per-execution state, so one compiled plan
+    serves concurrent executions.
     """
-    if isinstance(expression, Literal):
-        value = expression.value
-        return lambda row, params: value
-
-    if isinstance(expression, Parameter):
-        position = expression.position
-
-        def _param(row: RowContext, params: Sequence[Any]) -> Any:
-            if position >= len(params):
-                raise ProgrammingError(
-                    f"query expects at least {position + 1} parameter(s), "
-                    f"got {len(params)}"
-                )
-            return params[position]
-
-        return _param
+    if computed and expression in computed:
+        return _Static(operator.itemgetter(computed[expression]))
 
     if isinstance(expression, ColumnRef):
-        return _compile_column(expression)
-
-    if isinstance(expression, Comparison):
-        comparator = _COMPARATORS[expression.op]
-        op = expression.op
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
-
-        def _compare(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
-            a = left(row, params)
-            b = right(row, params)
-            if a is None or b is None:
-                return None
-            try:
-                return comparator(a, b)
-            except TypeError as exc:
-                raise ProgrammingError(
-                    f"cannot compare {type(a).__name__} with "
-                    f"{type(b).__name__}"
-                ) from exc
-
-        return _compare
-
-    if isinstance(expression, LogicalAnd):
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
-
-        def _and(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
-            a = _as_bool(left(row, params))
-            if a is False:
-                return False
-            b = _as_bool(right(row, params))
-            if b is False:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-
-        return _and
-
-    if isinstance(expression, LogicalOr):
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
-
-        def _or(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
-            a = _as_bool(left(row, params))
-            if a is True:
-                return True
-            b = _as_bool(right(row, params))
-            if b is True:
-                return True
-            if a is None or b is None:
-                return None
-            return False
-
-        return _or
-
-    if isinstance(expression, LogicalNot):
-        operand = compile_expression(expression.operand)
-
-        def _not(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
-            value = _as_bool(operand(row, params))
-            if value is None:
-                return None
-            return not value
-
-        return _not
-
-    if isinstance(expression, IsNull):
-        operand = compile_expression(expression.operand)
-        negated = expression.negated
-
-        def _is_null(row: RowContext, params: Sequence[Any]) -> bool:
-            is_null = operand(row, params) is None
-            return not is_null if negated else is_null
-
-        return _is_null
-
-    if isinstance(expression, InList):
-        operand = compile_expression(expression.operand)
-        choices = tuple(compile_expression(c) for c in expression.choices)
-        negated = expression.negated
-
-        def _in(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
-            value = operand(row, params)
-            if value is None:
-                return None
-            saw_null = False
-            for choice in choices:
-                candidate = choice(row, params)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-
-        return _in
-
-    if isinstance(expression, Like):
-        operand = compile_expression(expression.operand)
-        pattern = compile_expression(expression.pattern)
-        negated = expression.negated
-
-        def _like(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
-            value = operand(row, params)
-            pat = pattern(row, params)
-            if value is None or pat is None:
-                return None
-            if not isinstance(value, str) or not isinstance(pat, str):
-                raise ProgrammingError("LIKE requires text operands")
-            result = bool(_like_regex(pat).match(value))
-            return not result if negated else result
-
-        return _like
-
-    if isinstance(expression, Arithmetic):
-        operator = _ARITHMETIC[expression.op]
-        op = expression.op
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
-
-        def _arith(row: RowContext, params: Sequence[Any]) -> Any:
-            a = left(row, params)
-            b = right(row, params)
-            if a is None or b is None:
-                return None
-            if op == "/" and b == 0:
-                return None
-            try:
-                return operator(a, b)
-            except TypeError as exc:
-                raise ProgrammingError(
-                    f"invalid operands for {op!r}: "
-                    f"{type(a).__name__}, {type(b).__name__}"
-                ) from exc
-
-        return _arith
-
-    if isinstance(expression, FunctionCall):
-        fn = _FUNCTIONS[expression.name.lower()]
-        arg = compile_expression(expression.args[0])
-
-        def _call(row: RowContext, params: Sequence[Any]) -> Any:
-            value = arg(row, params)
-            if value is None:
-                return None
-            return fn(value)
-
-        return _call
-
-    # Unknown subclass (AggregateCall and future nodes): interpret.
-    return lambda row, params: expression.evaluate(row)
-
-
-def _compile_column(ref: ColumnRef) -> CompiledExpr:
-    key = ref.key
-    unqualified = ref.table is None
-    name = ref.name.lower()
-    resolved = [key]  # single-site cache of the matching context key
-
-    def _column(row: RowContext, params: Sequence[Any]) -> Any:
         try:
-            return row[resolved[0]]
-        except KeyError:
-            pass
-        if unqualified:
-            suffix = "." + name
-            matches = [k for k in row if k.endswith(suffix)]
-            if len(matches) == 1:
-                resolved[0] = matches[0]
-                return row[matches[0]]
-            if len(matches) > 1:
-                raise ProgrammingError(f"ambiguous column {name!r}")
-        raise ProgrammingError(f"unknown column {key!r}")
+            slot = slots[expression.resolve(slots)]
+        except ProgrammingError as exc:
+            return _Static(_raiser(str(exc)))
+        return _Static(operator.itemgetter(slot))
 
-    return _column
+    if isinstance(expression, Parameter):
+
+        def bind_parameter(params: Sequence[Any]) -> RowFunction:
+            try:
+                return _Const(expression.bind(params).value)
+            except ProgrammingError as exc:
+                return _raiser(str(exc))
+
+        return bind_parameter
+
+    build = _BUILDERS.get(type(expression))
+    if build is None:
+        # Only an AggregateCall outside ``computed`` gets here; its
+        # evaluate() raises whatever the context.
+        return _Static(lambda row: expression.evaluate({}))
+
+    operands = [
+        compile_expression(child, slots, computed)
+        for child in expression.children()
+    ]
+    if all(isinstance(operand, _Static) for operand in operands):
+        return _Static(build(expression, [o.function for o in operands]))
+    return lambda params: build(expression, [o(params) for o in operands])
+
+
+# Builders: (node, its operands' row functions) -> the node's row function.
+
+
+def _build_comparison(node: Comparison, operands: List[Any]) -> RowFunction:
+    comparator = _COMPARATORS[node.op]
+    left, right = operands
+
+    def _compare(row: Tuple[Any, ...]) -> Optional[bool]:
+        a = left(row)
+        b = right(row)
+        if a is None or b is None:
+            return None
+        try:
+            return comparator(a, b)
+        except TypeError as exc:
+            raise ProgrammingError(
+                f"cannot compare {type(a).__name__} with "
+                f"{type(b).__name__}"
+            ) from exc
+
+    return _compare
+
+
+def _build_and(node: LogicalAnd, operands: List[Any]) -> RowFunction:
+    left, right = operands
+
+    def _and(row: Tuple[Any, ...]) -> Optional[bool]:
+        a = _as_bool(left(row))
+        if a is False:
+            return False
+        b = _as_bool(right(row))
+        if b is False:
+            return False
+        if a is None or b is None:
+            return None
+        return True
+
+    return _and
+
+
+def _build_or(node: LogicalOr, operands: List[Any]) -> RowFunction:
+    left, right = operands
+
+    def _or(row: Tuple[Any, ...]) -> Optional[bool]:
+        a = _as_bool(left(row))
+        if a is True:
+            return True
+        b = _as_bool(right(row))
+        if b is True:
+            return True
+        if a is None or b is None:
+            return None
+        return False
+
+    return _or
+
+
+def _build_not(node: LogicalNot, operands: List[Any]) -> RowFunction:
+    (operand,) = operands
+
+    def _not(row: Tuple[Any, ...]) -> Optional[bool]:
+        value = _as_bool(operand(row))
+        if value is None:
+            return None
+        return not value
+
+    return _not
+
+
+def _build_is_null(node: IsNull, operands: List[Any]) -> RowFunction:
+    (operand,) = operands
+    if node.negated:
+        return lambda row: operand(row) is not None
+    return lambda row: operand(row) is None
+
+
+def _build_in(node: InList, operands: List[Any]) -> RowFunction:
+    operand, *choices = operands
+    negated = node.negated
+
+    if all(isinstance(choice, _Const) for choice in choices):
+        values = tuple(c.value for c in choices if c.value is not None)
+        # ``in`` tries identity before ``==``; only a NaN could tell.
+        if all(value == value for value in values):
+            hit = not negated
+            miss = None if len(values) < len(choices) else negated
+
+            def _in_constants(row: Tuple[Any, ...]) -> Optional[bool]:
+                value = operand(row)
+                if value is None:
+                    return None
+                return hit if value in values else miss
+
+            return _in_constants
+
+    def _in(row: Tuple[Any, ...]) -> Optional[bool]:
+        value = operand(row)
+        if value is None:
+            return None
+        saw_null = False
+        for choice in choices:
+            candidate = choice(row)
+            if candidate is None:
+                saw_null = True
+            elif candidate == value:
+                return not negated
+        if saw_null:
+            return None
+        return negated
+
+    return _in
+
+
+def _build_like(node: Like, operands: List[Any]) -> RowFunction:
+    operand, pattern = operands
+    negated, escape = node.negated, node.escape
+
+    if isinstance(pattern, _Const) and isinstance(pattern.value, str):
+        matches = _like_matcher(pattern.value, escape)
+
+        def _like_constant(row: Tuple[Any, ...]) -> Optional[bool]:
+            value = operand(row)
+            if value is None:
+                return None
+            if not isinstance(value, str):
+                raise ProgrammingError("LIKE requires text operands")
+            return matches(value) is not negated
+
+        return _like_constant
+
+    def _like(row: Tuple[Any, ...]) -> Optional[bool]:
+        value = operand(row)
+        text = pattern(row)
+        if value is None or text is None:
+            return None
+        if not isinstance(value, str) or not isinstance(text, str):
+            raise ProgrammingError("LIKE requires text operands")
+        result = _like_regex(text, escape).fullmatch(value) is not None
+        return result is not negated
+
+    return _like
+
+
+def _build_arithmetic(node: Arithmetic, operands: List[Any]) -> RowFunction:
+    operate = _ARITHMETIC[node.op]
+    op = node.op
+    left, right = operands
+
+    def _arithmetic(row: Tuple[Any, ...]) -> Any:
+        a = left(row)
+        b = right(row)
+        if a is None or b is None:
+            return None
+        if op == "/" and b == 0:
+            return None
+        try:
+            return operate(a, b)
+        except TypeError as exc:
+            raise ProgrammingError(
+                f"invalid operands for {op!r}: "
+                f"{type(a).__name__}, {type(b).__name__}"
+            ) from exc
+
+    return _arithmetic
+
+
+def _build_call(node: FunctionCall, operands: List[Any]) -> RowFunction:
+    function = _FUNCTIONS[node.name.lower()]
+    (argument,) = operands
+
+    def _call(row: Tuple[Any, ...]) -> Any:
+        value = argument(row)
+        if value is None:
+            return None
+        return function(value)
+
+    return _call
+
+
+_BUILDERS: Dict[type, Callable[[Any, List[Any]], RowFunction]] = {
+    Literal: lambda node, operands: _Const(node.value),
+    Comparison: _build_comparison,
+    LogicalAnd: _build_and,
+    LogicalOr: _build_or,
+    LogicalNot: _build_not,
+    IsNull: _build_is_null,
+    InList: _build_in,
+    Like: _build_like,
+    Arithmetic: _build_arithmetic,
+    FunctionCall: _build_call,
+}

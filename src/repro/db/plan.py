@@ -6,11 +6,18 @@ is built **once** per statement (and cached by the database's statement
 cache, keyed on SQL text and invalidated by DDL epoch) and executed many
 times with different parameters.  All access-path and strategy decisions
 that depend only on *shape* — which index serves the WHERE, which
-conjuncts push below which join, which expressions compile to closures —
-happen at plan time; decisions that depend on *cardinality* (index
-nested-loop vs hash join, hash-join build side) are made per execution
-from the actual row counts, and probe values (literals or ``?``
-parameters) are read at execution time so one plan serves every binding.
+conjuncts push below which join, which tuple slot every column reference
+reads — happen at plan time; decisions that depend on *cardinality*
+(index nested-loop vs hash join, hash-join build side) are made per
+execution from the actual row counts, and ``?`` parameters are bound
+once per execution so one plan serves every binding.
+
+One row representation runs through the whole pipeline: the stored row
+tuple.  A base row is the table's tuple as stored, a joined row is
+``left + right``, a LEFT join's null extension is a tuple of ``None``s
+and a group is its first row plus its aggregate results; every
+expression site is compiled against the static layout of the rows that
+reach it.  No per-row mapping is built anywhere.
 
 The contract, inherited from the seed executor: **the planner can never
 change results, only speed.**  ``tests/db/test_plan_equivalence.py``
@@ -34,7 +41,14 @@ What the plan does:
   build-on-left join replays matches per left position so output order
   stays left-major, identical to the build-on-right order.
 * *Compiled expressions* — every expression site is lowered once per
-  plan via :func:`repro.db.expr.compile_expression`.
+  plan via :func:`repro.db.expr.compile_expression` against its
+  site's row layout and bound once per execution: ``?`` becomes a
+  constant, a constant LIKE pattern is classified once, a constant IN
+  list becomes one containment test.
+* *IN probes* — a non-negated ``col IN (constants)`` over an indexed
+  column, when no equality or range conjunct already chose an index, is
+  the ascending union of one index probe per distinct non-NULL value:
+  the rows a full scan would deliver, in the order it would.
 * *Streaming aggregation* — GROUP BY folds incremental aggregate
   states (count/sum/avg/min/max, DISTINCT via first-occurrence sets) in
   a single pass instead of materializing per-group row lists.  Fold
@@ -56,12 +70,14 @@ fold.  Result rows are never affected.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -69,15 +85,17 @@ from typing import (
 )
 
 from repro.db.expr import (
+    Binder,
     ColumnRef,
     Comparison,
     Expression,
+    InList,
     Literal,
     Parameter,
-    _as_bool,
+    RowFunction,
     compile_expression,
 )
-from repro.db.index import SortedIndex
+from repro.db.index import Index, SortedIndex
 from repro.db.query import (
     AggregateCall,
     ResultSet,
@@ -89,12 +107,12 @@ from repro.db.query import (
     _contains_aggregate,
     _equi_join_keys,
     _expand_items,
-    _null_row,
     _NullsLast,
     _output_name,
     grouped_key_position,
 )
 from repro.db.table import Table
+from repro.errors import ProgrammingError
 from repro.obs import get_registry
 
 __all__ = ["SelectPlan", "plan_rowids"]
@@ -107,34 +125,62 @@ _INDEX_JOIN_MAX_LEFT_FRACTION = 4
 
 
 # ---------------------------------------------------------------------------
-# Expression sites
+# Row layouts and filters
 # ---------------------------------------------------------------------------
 
+Row = Tuple[Any, ...]
 
-class _Site:
-    """One expression at one evaluation site of the pipeline, compiled
-    once at plan time and evaluated with each execution's parameters."""
 
-    __slots__ = ("_compiled",)
+def _context_keys(table: Table, ref: TableRef) -> Tuple[str, ...]:
+    """The qualified name of each slot of ``table``'s stored tuple."""
+    prefix = ref.name + "."
+    return tuple(prefix + column for column in table.schema.column_names)
 
-    def __init__(self, expr: Expression) -> None:
-        self._compiled = compile_expression(expr)
 
-    def evaluator(self, params: Sequence[Any]) -> Callable[[Any], Any]:
-        compiled = self._compiled
-        return lambda row: compiled(row, params)
+def _slots(keys: Sequence[str]) -> Dict[str, int]:
+    """Context key -> tuple slot.  When a self-join repeats an alias the
+    later source owns the key, as the later ``dict.update`` did."""
+    return {key: slot for slot, key in enumerate(keys)}
 
-    def predicate(
-        self, params: Sequence[Any], coerce: bool
-    ) -> Callable[[Any], bool]:
-        """Row filter.  ``coerce`` replicates how the seed treats this
-        conjunct: a lone WHERE is checked ``is True`` on its raw value,
-        while conjuncts under AND pass through three-valued
-        ``_as_bool`` first (so a truthy non-bool keeps the row)."""
-        evaluate = self.evaluator(params)
-        if coerce:
-            return lambda row: _as_bool(evaluate(row)) is True
-        return lambda row: evaluate(row) is True
+
+def _column_projection(
+    expressions: Sequence[Expression], slots: Mapping[str, int], width: int
+) -> Optional[Callable[[Row], Row]]:
+    """``source row -> output row`` when every select item is a plain
+    column that resolves; None leaves the items to their compiled
+    forms (which is also where an unknown column raises)."""
+    if not all(isinstance(expr, ColumnRef) for expr in expressions):
+        return None
+    try:
+        chosen = [slots[expr.resolve(slots)] for expr in expressions]
+    except ProgrammingError:
+        return None
+    if chosen == list(range(width)):
+        return lambda row: row  # ``SELECT *`` of the whole layout
+    if len(chosen) == 1:
+        (slot,) = chosen
+        return lambda row: (row[slot],)
+    return itemgetter(*chosen)
+
+
+def _passes(row: Row, tests: Sequence[RowFunction], coerce: bool) -> bool:
+    """Whether one row passes every conjunct of ``tests`` (``coerce`` as
+    in :func:`_keep`)."""
+    for test in tests:
+        value = test(row)
+        if value is not True and not (coerce and value):
+            return False
+    return True
+
+
+def _keep(rows: List[Row], test: RowFunction, coerce: bool) -> List[Row]:
+    """The rows one WHERE conjunct keeps.  ``coerce`` replicates how the
+    seed treats it: a lone WHERE is checked ``is True`` on its raw
+    value, while conjuncts under AND pass through three-valued
+    ``_as_bool`` first — so any truthy value keeps the row."""
+    if coerce:
+        return [row for row in rows if test(row)]
+    return [row for row in rows if test(row) is True]
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +198,17 @@ def _probe_value(expression: Expression, params: Sequence[Any]) -> Any:
 class _BaseAccess:
     """Access path for one table's rows, chosen by shape at plan time.
 
-    Preference order matches the seed planner: single-column equality
-    index, then sorted-index range, then full scan.  Probe values may
-    be ``?`` parameters — they are read per execution, and a NULL probe
-    short-circuits to an empty scan (``col = NULL`` is never true, and
-    the conjunct that produced the probe is re-applied anyway)."""
+    Preference order matches the seed planner — single-column equality
+    index, then sorted-index range — then, where the seed would scan,
+    an indexed ``col IN (constants)``, then the full scan.  (The IN
+    probes come last because a range delivers key order: taking them
+    over a range would reorder rows the seed leaves in key order.)
+    Probe values may be ``?`` parameters — they are read per execution,
+    and a NULL probe short-circuits to an empty scan (``col = NULL`` is
+    never true, and the conjunct that produced the probe is re-applied
+    anyway)."""
 
-    __slots__ = ("table", "kind", "index", "column", "op", "value_expr")
+    __slots__ = ("table", "kind", "index", "column", "op", "probe")
 
     def __init__(
         self, table: Table, ref: TableRef, conjuncts: Sequence[Expression]
@@ -168,11 +218,26 @@ class _BaseAccess:
         self.index = None
         self.column: Optional[str] = None
         self.op: Optional[str] = None
-        self.value_expr: Optional[Expression] = None
+        # One Literal/Parameter, or the tuple of them of an IN list.
+        self.probe: Any = None
 
-        equality: List[Tuple[str, Expression]] = []
-        ranges: List[Tuple[str, str, Expression]] = []
+        # Candidate (kind, column, op, probe) paths, by kind.
+        equality: List[Tuple[str, str, Optional[str], Any]] = []
+        ranges: List[Tuple[str, str, Optional[str], Any]] = []
+        in_lists: List[Tuple[str, str, Optional[str], Any]] = []
         for conjunct in conjuncts:
+            if isinstance(conjunct, InList):
+                column = _column_of(conjunct.operand, ref, table)
+                if (
+                    column is not None
+                    and not conjunct.negated
+                    and all(
+                        isinstance(choice, (Literal, Parameter))
+                        for choice in conjunct.choices
+                    )
+                ):
+                    in_lists.append(("in", column, None, conjunct.choices))
+                continue
             if not isinstance(conjunct, Comparison):
                 continue
             left, right = conjunct.left, conjunct.right
@@ -190,66 +255,70 @@ class _BaseAccess:
             if column is None:
                 continue
             if op == "=":
-                equality.append((column, right))
+                equality.append(("eq", column, None, right))
             elif op in ("<", "<=", ">", ">="):
-                ranges.append((column, op, right))
+                ranges.append(("range", column, op, right))
 
-        for column, value_expr in equality:
+        for kind, column, op, probe in equality + ranges + in_lists:
             index = table.index_on((column,))
-            if index is not None:
-                self.kind = "eq"
-                self.index = index
-                self.column = column
-                self.value_expr = value_expr
+            if isinstance(
+                index, SortedIndex if kind == "range" else Index
+            ):
+                self.kind, self.index = kind, index
+                self.column, self.op, self.probe = column, op, probe
                 return
-        for column, op, value_expr in ranges:
-            index = table.index_on((column,))
-            if isinstance(index, SortedIndex):
-                self.kind = "range"
-                self.index = index
-                self.column = column
-                self.op = op
-                self.value_expr = value_expr
-                return
+
+    def rows(self, params: Sequence[Any], plan: List[str]) -> List[Row]:
+        """The candidate rows, in :meth:`rowids` order."""
+        if self.kind == "scan":
+            plan.append(f"full scan {self.table.schema.name}")
+            return [row for _, row in self.table.scan()]
+        return list(map(self.table.row, self.rowids(params, plan)))
 
     def rowids(
         self, params: Sequence[Any], plan: List[str]
     ) -> Iterable[int]:
-        """Candidate row ids in ascending-rowid order (scan/eq) or key
-        order (range), appending the chosen path to ``plan``."""
+        """Candidate row ids in ascending-rowid order (scan/eq/in) or
+        key order (range), appending the chosen path to ``plan``."""
+        if self.kind == "scan":
+            plan.append(f"full scan {self.table.schema.name}")
+            return (rowid for rowid, _ in self.table.scan())
+        if self.kind == "in":
+            values = dict.fromkeys(
+                value
+                for value in (_probe_value(c, params) for c in self.probe)
+                if value is not None
+            )
+            plan.append(
+                f"index lookup {self.index.name}"
+                f"({self.column} in {len(values)} value(s))"
+            )
+            if len(values) == 1:
+                return self.index.lookup_sorted(tuple(values))
+            return sorted(
+                set().union(*(self.index.lookup((v,)) for v in values))
+            )
+        value = _probe_value(self.probe, params)
+        if value is None:
+            plan.append(
+                f"empty scan {self.table.schema.name} "
+                f"({self.column} {self.op or '='} NULL)"
+            )
+            return ()
         if self.kind == "eq":
-            value = _probe_value(self.value_expr, params)
-            if value is None:
-                plan.append(
-                    f"empty scan {self.table.schema.name} "
-                    f"({self.column} = NULL)"
-                )
-                return ()
             plan.append(
                 f"index lookup {self.index.name}({self.column}={value!r})"
             )
             return self.index.lookup_sorted((value,))
-        if self.kind == "range":
-            value = _probe_value(self.value_expr, params)
-            if value is None:
-                plan.append(
-                    f"empty scan {self.table.schema.name} "
-                    f"({self.column} {self.op} NULL)"
-                )
-                return ()
-            plan.append(
-                f"index range {self.index.name}"
-                f"({self.column} {self.op} {value!r})"
-            )
-            if self.op in ("<", "<="):
-                return self.index.range(
-                    None, (value,), include_high=self.op == "<="
-                )
+        plan.append(
+            f"index range {self.index.name}"
+            f"({self.column} {self.op} {value!r})"
+        )
+        if self.op in ("<", "<="):
             return self.index.range(
-                (value,), None, include_low=self.op == ">="
+                None, (value,), include_high=self.op == "<="
             )
-        plan.append(f"full scan {self.table.schema.name}")
-        return (rowid for rowid, _ in self.table.scan())
+        return self.index.range((value,), None, include_low=self.op == ">=")
 
 
 def plan_rowids(
@@ -326,82 +395,24 @@ class _AggregateState:
         return self.best
 
 
-def _aggregate_layout(
-    expressions: Sequence[Optional[Expression]],
-) -> Tuple[List[AggregateCall], List[List[int]]]:
-    """Collect AggregateCall nodes from ``expressions``.
+def _aggregate_calls(
+    expressions: Iterable[Optional[Expression]],
+) -> List[AggregateCall]:
+    """The distinct AggregateCall nodes of ``expressions``, in order of
+    first appearance (an aggregate's own argument is not searched)."""
+    found: Dict[AggregateCall, None] = {}
 
-    Returns the deduplicated nodes plus, per input expression, the
-    dedup indexes of its aggregate occurrences in traversal order —
-    the same ``vars()`` order :func:`_fold_values` walks, so folding
-    consumes occurrences positionally."""
-    deduped: List[AggregateCall] = []
-    per_expr: List[List[int]] = []
-
-    def walk(expression: Expression, occurrences: List[int]) -> None:
+    def walk(expression: Expression) -> None:
         if isinstance(expression, AggregateCall):
-            for position, existing in enumerate(deduped):
-                if existing == expression:
-                    occurrences.append(position)
-                    return
-            deduped.append(expression)
-            occurrences.append(len(deduped) - 1)
+            found.setdefault(expression)
             return
-        for attr in vars(expression).values():
-            if isinstance(attr, Expression):
-                walk(attr, occurrences)
-            elif isinstance(attr, tuple):
-                for element in attr:
-                    if isinstance(element, Expression):
-                        walk(element, occurrences)
+        for child in expression.children():
+            walk(child)
 
     for expression in expressions:
-        occurrences: List[int] = []
         if expression is not None:
-            walk(expression, occurrences)
-        per_expr.append(occurrences)
-    return deduped, per_expr
-
-
-def _fold_values(
-    expression: Expression,
-    occurrences: Sequence[int],
-    values: Sequence[Any],
-) -> Expression:
-    """Replace each AggregateCall occurrence with its computed Literal,
-    consuming ``occurrences`` positionally in traversal order."""
-    cursor = [0]
-
-    def fold(node: Expression) -> Expression:
-        if isinstance(node, AggregateCall):
-            value = values[occurrences[cursor[0]]]
-            cursor[0] += 1
-            return Literal(value)
-        rebuilt: Dict[str, Any] = {}
-        changed = False
-        for name, attr in vars(node).items():
-            if isinstance(attr, Expression):
-                folded = fold(attr)
-                changed = changed or folded is not attr
-                rebuilt[name] = folded
-            elif isinstance(attr, tuple) and any(
-                isinstance(element, Expression) for element in attr
-            ):
-                folded_tuple = tuple(
-                    fold(element)
-                    if isinstance(element, Expression)
-                    else element
-                    for element in attr
-                )
-                changed = changed or folded_tuple != attr
-                rebuilt[name] = folded_tuple
-            else:
-                rebuilt[name] = attr
-        if not changed:
-            return node
-        return type(node)(**rebuilt)
-
-    return fold(expression)
+            walk(expression)
+    return list(found)
 
 
 # ---------------------------------------------------------------------------
@@ -453,42 +464,49 @@ class _JoinStep:
     __slots__ = (
         "join",
         "table",
-        "left_key",
+        "left_slot",
+        "right_slot",
         "right_key",
         "right_column",
         "right_index",
-        "on_site",
+        "on",
+        "right_slots",
         "right_filters",
         "post_filters",
-        "null_template",
-        "context_keys",
+        "null_row",
     )
 
     def __init__(
-        self, join: Any, table: Table, seen_names: List[str]
+        self,
+        join: Any,
+        table: Table,
+        seen_names: List[str],
+        left_slots: Mapping[str, int],
+        joined_slots: Mapping[str, int],
     ) -> None:
         self.join = join
         self.table = table
-        self.on_site = _Site(join.on)
-        # Prefixed context keys are static; building them per row would
-        # put a string concat per column on the join hot path.
-        prefix = join.ref.name + "."
-        self.context_keys = tuple(
-            prefix + c for c in table.schema.column_names
-        )
+        # ON reads the joined row; pushed-down right-side filters read
+        # the right table's tuple before it is joined.
+        self.on = compile_expression(join.on, joined_slots)
+        self.right_slots = _slots(_context_keys(table, join.ref))
+        self.left_slot: Optional[int] = None
+        self.right_slot: Optional[int] = None
+        self.right_key = self.right_column = self.right_index = None
         keys = _equi_join_keys(join.on, seen_names, join.ref.name)
-        if keys is not None:
+        # An equi-join on a column the right table lacks is left to the
+        # nested loop, whose ON raises once a pair reaches it.
+        if keys is not None and keys[1].key in self.right_slots:
             left_ref, right_ref = keys
-            self.left_key = left_ref.key
+            # A left column no source has reads as NULL: it never joins.
+            self.left_slot = left_slots.get(left_ref.key)
+            self.right_slot = self.right_slots[right_ref.key]
             self.right_key = right_ref.key
             self.right_column = right_ref.name.lower()
             self.right_index = table.index_on((self.right_column,))
-        else:
-            self.left_key = self.right_key = self.right_column = None
-            self.right_index = None
-        self.right_filters: List[_Site] = []
-        self.post_filters: List[_Site] = []
-        self.null_template = _null_row(table, join.ref)
+        self.right_filters: List[Binder] = []
+        self.post_filters: List[Binder] = []
+        self.null_row: Row = (None,) * len(self.right_slots)
 
 
 class SelectPlan:
@@ -499,18 +517,26 @@ class SelectPlan:
 
         self.base_ref = statement.from_ref
         self.base_table = catalog.table(statement.from_ref.table)
-        self.base_prefix = self.base_ref.name + "."
-        self.base_context_keys = tuple(
-            self.base_prefix + c
-            for c in self.base_table.schema.column_names
-        )
 
+        # The row layout after each pipeline stage: base keys, then each
+        # joined table's keys appended.
+        keys = _context_keys(self.base_table, self.base_ref)
+        base_slots = _slots(keys)
         seen_names = [self.base_ref.name]
         self.join_steps: List[_JoinStep] = []
+        stage_slots = [base_slots]
         for join in statement.joins:
             table = catalog.table(join.ref.table)
-            self.join_steps.append(_JoinStep(join, table, seen_names))
+            keys += _context_keys(table, join.ref)
+            stage_slots.append(_slots(keys))
+            self.join_steps.append(
+                _JoinStep(
+                    join, table, seen_names, stage_slots[-2], stage_slots[-1]
+                )
+            )
             seen_names.append(join.ref.name)
+        slots = stage_slots[-1]
+        width = len(keys)
 
         # Which sources own which unqualified column names (for
         # pushdown classification; ambiguous names stay residual).
@@ -530,23 +556,27 @@ class SelectPlan:
             self.base_table, self.base_ref, conjuncts
         )
 
-        # Classify conjuncts for pushdown.  ``coerce`` records whether
-        # the seed would have AND-combined this conjunct (see
-        # _Site.predicate); a lone WHERE keeps raw ``is True``.
+        # Classify conjuncts for pushdown, compiling each against the
+        # layout of the rows it will see.  ``coerce`` records whether
+        # the seed would have AND-combined the conjuncts (see _keep); a
+        # lone WHERE keeps raw ``is True``.
         self.coerce_conjuncts = len(conjuncts) > 1
-        self.base_filters: List[_Site] = []
-        self.final_filters: List[_Site] = []
+        self.base_filters: List[Binder] = []
+        self.final_filters: List[Binder] = []
         pushed_down = 0
         for conjunct in conjuncts:
             sources = self._conjunct_sources(
                 conjunct, owners, source_names
             )
-            site = _Site(conjunct)
             if sources is None:
-                self.final_filters.append(site)
+                self.final_filters.append(
+                    compile_expression(conjunct, slots)
+                )
                 continue
             if not sources or sources == {self.base_ref.name}:
-                self.base_filters.append(site)
+                self.base_filters.append(
+                    compile_expression(conjunct, base_slots)
+                )
                 pushed_down += 1
                 continue
             last = max(position_of[name] for name in sources)
@@ -555,10 +585,14 @@ class SelectPlan:
                 sources == {step.join.ref.name}
                 and step.join.kind == "inner"
             ):
-                step.right_filters.append(site)
+                step.right_filters.append(
+                    compile_expression(conjunct, step.right_slots)
+                )
                 pushed_down += 1
             else:
-                step.post_filters.append(site)
+                step.post_filters.append(
+                    compile_expression(conjunct, stage_slots[last])
+                )
 
         # Projection: stars expand at plan time against the catalog.
         self.items = _expand_items(statement, catalog, seen_names)
@@ -566,39 +600,42 @@ class SelectPlan:
             _output_name(item, position)
             for position, item in enumerate(self.items)
         ]
+        item_exprs = [item.expr for item in self.items]
         self.has_aggregates = bool(
-            any(
-                _contains_aggregate(item.expr)
-                for item in self.items
-                if item.expr
-            )
+            any(_contains_aggregate(expr) for expr in item_exprs)
             or statement.group_by
             or statement.having is not None
         )
-        self.item_sites = [
-            _Site(item.expr)
-            for item in self.items
-            if item.expr is not None
-        ]
 
         if self.has_aggregates:
-            self.group_sites = [_Site(expr) for expr in statement.group_by]
-            layout_exprs: List[Optional[Expression]] = [
-                item.expr for item in self.items
+            self.group_keys = [
+                compile_expression(expr, slots)
+                for expr in statement.group_by
             ]
-            layout_exprs.append(statement.having)
-            self.agg_nodes, per_expr = _aggregate_layout(layout_exprs)
-            self.item_occurrences = per_expr[:-1]
-            self.having_occurrences = per_expr[-1]
-            self.agg_arg_sites: List[Optional[_Site]] = [
-                _Site(node.arg) if node.arg is not None else None
+            self.agg_nodes = _aggregate_calls(
+                item_exprs + [statement.having]
+            )
+            self.agg_args: List[Optional[Binder]] = [
+                compile_expression(node.arg, slots)
+                if node.arg is not None
+                else None
                 for node in self.agg_nodes
             ]
-
-        self.order_sites = [
-            (_Site(order.expr), order.descending)
-            for order in statement.order_by
-        ]
+            # A group's row is its first source row plus its aggregate
+            # results.  The global group of an empty input has no first
+            # row, so there every column is unknown.
+            self.group_outputs = self._compile_group_outputs(slots, width)
+        else:
+            self.item_binders = [
+                compile_expression(expr, slots) for expr in item_exprs
+            ]
+            self.column_projection = _column_projection(
+                item_exprs, slots, width
+            )
+            self.order_keys = [
+                (compile_expression(order.expr, slots), order.descending)
+                for order in statement.order_by
+            ]
 
         # Static notes, appended after the runtime access-path lines.
         notes: List[str] = []
@@ -607,8 +644,8 @@ class SelectPlan:
         sites = (
             len(self.base_filters)
             + len(self.final_filters)
-            + len(self.item_sites)
-            + len(self.order_sites)
+            + len(self.items)
+            + len(statement.order_by)
         )
         notes.append(f"compiled expressions ({sites} site(s))")
         if self.has_aggregates:
@@ -624,6 +661,26 @@ class SelectPlan:
             elif not statement.order_by:
                 notes.append(f"limit short-circuit (k={bound})")
         self.static_notes = notes
+
+    def _compile_group_outputs(
+        self, slots: Mapping[str, int], width: int
+    ) -> Tuple[Optional[Binder], List[Binder]]:
+        """(HAVING, select items) over rows of ``width`` source slots
+        followed by one slot per aggregate."""
+        computed = {
+            node: width + position
+            for position, node in enumerate(self.agg_nodes)
+        }
+        having = self.statement.having
+        return (
+            compile_expression(having, slots, computed)
+            if having is not None
+            else None,
+            [
+                compile_expression(item.expr, slots, computed)
+                for item in self.items
+            ],
+        )
 
     @staticmethod
     def _conjunct_sources(
@@ -656,24 +713,11 @@ class SelectPlan:
         plan: List[str] = []
         coerce = self.coerce_conjuncts
 
-        # Base scan with pushed-down filters.
-        rowids = self.base_access.rowids(params, plan)
-        keys = self.base_context_keys
-        fetch = self.base_table.row
-        base_predicates = [
-            site.predicate(params, coerce) for site in self.base_filters
-        ]
-        rows: List[Dict[str, Any]] = []
-        rows_scanned = 0
-        for rowid in rowids:
-            row = fetch(rowid)
-            rows_scanned += 1
-            context = dict(zip(keys, row))
-            for predicate in base_predicates:
-                if not predicate(context):
-                    break
-            else:
-                rows.append(context)
+        # Base access with pushed-down filters.
+        rows = self.base_access.rows(params, plan)
+        rows_scanned = len(rows)
+        for binder in self.base_filters:
+            rows = _keep(rows, binder(params), coerce)
 
         # Joins.
         build_rows = 0
@@ -685,17 +729,12 @@ class SelectPlan:
             rows_scanned += scanned
             build_rows += built
             probe_rows += probed
-            post_predicates = [
-                site.predicate(params, coerce)
-                for site in step.post_filters
-            ]
-            for predicate in post_predicates:
-                rows = [row for row in rows if predicate(row)]
+            for binder in step.post_filters:
+                rows = _keep(rows, binder(params), coerce)
 
         # Residual WHERE: conjuncts pushdown could not place.
-        for site in self.final_filters:
-            predicate = site.predicate(params, coerce)
-            rows = [row for row in rows if predicate(row)]
+        for binder in self.final_filters:
+            rows = _keep(rows, binder(params), coerce)
 
         # Projection / aggregation / ordering.
         if self.has_aggregates:
@@ -730,23 +769,27 @@ class SelectPlan:
     def _execute_join(
         self,
         step: _JoinStep,
-        rows: List[Dict[str, Any]],
+        rows: List[Row],
         params: Sequence[Any],
         plan: List[str],
         coerce: bool,
-    ) -> Tuple[List[Dict[str, Any]], int, int, int]:
+    ) -> Tuple[List[Row], int, int, int]:
         """Run one join step; returns (rows, scanned, built, probed)."""
         name = step.join.ref.name
         right_table = step.table
-        right_keys = step.context_keys
-        right_predicates = [
-            site.predicate(params, coerce) for site in step.right_filters
-        ]
-        joined: List[Dict[str, Any]] = []
+        right_tests = [binder(params) for binder in step.right_filters]
+        joined: List[Row] = []
         is_left = step.join.kind == "left"
+        null_row = step.null_row
+        right_slot = step.right_slot
+        left_keys: Sequence[Any] = (
+            list(map(itemgetter(step.left_slot), rows))
+            if step.left_slot is not None
+            else (None,) * len(rows)
+        )
 
         if (
-            step.left_key is not None
+            right_slot is not None
             and step.right_index is not None
             and len(rows) * _INDEX_JOIN_MAX_LEFT_FRACTION
             <= len(right_table)
@@ -764,64 +807,46 @@ class SelectPlan:
                 f"{step.right_index.name}({step.right_column})"
             )
             index = step.right_index
-            left_key = step.left_key
             fetch = right_table.row
-            fetched: Dict[int, Optional[Dict[str, Any]]] = {}
-            for left_row in rows:
-                key = left_row.get(left_key)
+            fetched: Dict[int, Optional[Row]] = {}
+            for left_row, key in zip(rows, left_keys):
                 matched = False
                 if key is not None:
                     for rowid in index.lookup_sorted((key,)):
-                        context = fetched.get(rowid, _UNSET)
-                        if context is _UNSET:
-                            context = dict(zip(right_keys, fetch(rowid)))
-                            for predicate in right_predicates:
-                                if not predicate(context):
-                                    context = None
-                                    break
-                            fetched[rowid] = context
-                        if context is None:
+                        right_row = fetched.get(rowid, _UNSET)
+                        if right_row is _UNSET:
+                            right_row = fetch(rowid)
+                            if not _passes(right_row, right_tests, coerce):
+                                right_row = None
+                            fetched[rowid] = right_row
+                        if right_row is None:
                             continue
-                        merged = dict(left_row)
-                        merged.update(context)
-                        joined.append(merged)
+                        joined.append(left_row + right_row)
                         matched = True
                 if not matched and is_left:
-                    merged = dict(left_row)
-                    merged.update(step.null_template)
-                    joined.append(merged)
+                    joined.append(left_row + null_row)
             return joined, len(fetched), len(fetched), len(rows)
 
         # Materialize the right side (with pushed-down filters).
-        right_rows: List[Dict[str, Any]] = []
-        scanned = 0
-        for _rowid, right_row in right_table.scan():
-            scanned += 1
-            context = dict(zip(right_keys, right_row))
-            for predicate in right_predicates:
-                if not predicate(context):
-                    break
-            else:
-                right_rows.append(context)
+        right_rows = [row for _, row in right_table.scan()]
+        scanned = len(right_rows)
+        for test in right_tests:
+            right_rows = _keep(right_rows, test, coerce)
 
-        if step.left_key is None:
+        if right_slot is None:
             plan.append(f"nested loop join {name}")
-            on_matches = step.on_site.evaluator(params)
+            on_matches = step.on(params)
             for left_row in rows:
                 matched = False
                 for right_row in right_rows:
-                    merged = dict(left_row)
-                    merged.update(right_row)
+                    merged = left_row + right_row
                     if on_matches(merged) is True:
                         joined.append(merged)
                         matched = True
                 if not matched and is_left:
-                    merged = dict(left_row)
-                    merged.update(step.null_template)
-                    joined.append(merged)
+                    joined.append(left_row + null_row)
             return joined, scanned, len(right_rows), len(rows)
 
-        left_key = step.left_key
         right_key = step.right_key
         if len(rows) < len(right_rows):
             # Build on the smaller (left) input; replaying matches per
@@ -832,63 +857,51 @@ class SelectPlan:
                 f"(build=left, {len(rows)} rows)"
             )
             positions: Dict[Any, List[int]] = {}
-            for position, left_row in enumerate(rows):
-                key = left_row.get(left_key)
+            for position, key in enumerate(left_keys):
                 if key is not None:
                     positions.setdefault(key, []).append(position)
-            matches: Dict[int, List[Dict[str, Any]]] = {}
+            matches: Dict[int, List[Row]] = {}
             for right_row in right_rows:
-                key = right_row[right_key]
+                key = right_row[right_slot]
                 if key is None:
                     continue
                 for position in positions.get(key, ()):
                     matches.setdefault(position, []).append(right_row)
             for position, left_row in enumerate(rows):
-                matched = matches.get(position)
-                if matched:
-                    for right_row in matched:
-                        merged = dict(left_row)
-                        merged.update(right_row)
-                        joined.append(merged)
+                matched_rows = matches.get(position)
+                if matched_rows:
+                    for right_row in matched_rows:
+                        joined.append(left_row + right_row)
                 elif is_left:
-                    merged = dict(left_row)
-                    merged.update(step.null_template)
-                    joined.append(merged)
+                    joined.append(left_row + null_row)
             return joined, scanned, len(rows), len(right_rows)
 
         plan.append(f"hash join {name} on {right_key}")
-        buckets: Dict[Any, List[Dict[str, Any]]] = {}
+        buckets: Dict[Any, List[Row]] = {}
         for right_row in right_rows:
-            key = right_row[right_key]
+            key = right_row[right_slot]
             if key is not None:
                 buckets.setdefault(key, []).append(right_row)
-        for left_row in rows:
-            matched_rows = buckets.get(left_row.get(left_key), [])
+        for left_row, key in zip(rows, left_keys):
+            matched_rows = buckets.get(key, ())
             for right_row in matched_rows:
-                merged = dict(left_row)
-                merged.update(right_row)
-                joined.append(merged)
+                joined.append(left_row + right_row)
             if not matched_rows and is_left:
-                merged = dict(left_row)
-                merged.update(step.null_template)
-                joined.append(merged)
+                joined.append(left_row + null_row)
         return joined, scanned, len(right_rows), len(rows)
 
     # -- projection (no aggregates) -------------------------------------
 
     def _execute_projected(
-        self, rows: List[Dict[str, Any]], params: Sequence[Any]
-    ) -> Tuple[List[Tuple[Any, ...]], bool]:
+        self, rows: List[Row], params: Sequence[Any]
+    ) -> Tuple[List[Row], bool]:
         """Project (and order) non-aggregated rows.
 
         Returns ``(output_rows, distinct_done)`` — the flag tells the
         shared tail that DISTINCT was already applied by the
         short-circuiting path."""
         statement = self.statement
-        evaluators = [site.evaluator(params) for site in self.item_sites]
-
-        def project(row: Dict[str, Any]) -> Tuple[Any, ...]:
-            return tuple(evaluate(row) for evaluate in evaluators)
+        project = self._projection(params)
 
         bound = (
             statement.limit + statement.offset
@@ -897,34 +910,34 @@ class SelectPlan:
         )
 
         if statement.order_by:
-            order_evaluators = [
-                (site.evaluator(params), descending)
-                for site, descending in self.order_sites
+            order_keys = [
+                (binder(params), descending)
+                for binder, descending in self.order_keys
             ]
             if bound is not None and not statement.distinct:
                 # Heap keeps the top offset+limit source rows; sorting
                 # and projecting only those yields the same prefix the
                 # full sort would.
-                def sort_key(row: Dict[str, Any]) -> _CompositeKey:
+                def sort_key(row: Row) -> _CompositeKey:
                     return _CompositeKey(
-                        [(ev(row), desc) for ev, desc in order_evaluators]
+                        [(key(row), desc) for key, desc in order_keys]
                     )
 
                 top = heapq.nsmallest(bound, rows, key=sort_key)
-                return [project(row) for row in top], False
-            paired = [(row, project(row)) for row in rows]
-            for evaluate, descending in reversed(order_evaluators):
-                paired.sort(
-                    key=lambda pair: _NullsLast(evaluate(pair[0])),
+                return list(map(project, top)), False
+            ordered = list(rows)
+            for key, descending in reversed(order_keys):
+                ordered.sort(
+                    key=lambda row: _NullsLast(key(row)),
                     reverse=descending,
                 )
-            return [out for _, out in paired], False
+            return list(map(project, ordered)), False
 
         if bound is not None and statement.distinct:
             # Stop once offset+limit distinct rows are collected; a
             # prefix of dict.fromkeys() over the full projection.
-            seen: Set[Tuple[Any, ...]] = set()
-            collected: List[Tuple[Any, ...]] = []
+            seen: Set[Row] = set()
+            collected: List[Row] = []
             for row in rows:
                 out = project(row)
                 if out in seen:
@@ -935,13 +948,20 @@ class SelectPlan:
                     break
             return collected, True
         # ``rows[:None]`` is every row: no LIMIT, nothing to cut short.
-        return [project(row) for row in rows[:bound]], False
+        return list(map(project, rows[:bound])), False
+
+    def _projection(self, params: Sequence[Any]) -> Callable[[Row], Row]:
+        """``source row -> output row`` for this execution."""
+        if self.column_projection is not None:
+            return self.column_projection
+        evaluators = [binder(params) for binder in self.item_binders]
+        return lambda row: tuple([evaluate(row) for evaluate in evaluators])
 
     # -- aggregation -----------------------------------------------------
 
     def _execute_aggregated(
-        self, rows: List[Dict[str, Any]], params: Sequence[Any]
-    ) -> List[Tuple[Any, ...]]:
+        self, rows: List[Row], params: Sequence[Any]
+    ) -> List[Row]:
         statement = self.statement
         output_rows = self._streaming_groups(rows, params)
         if not statement.order_by:
@@ -970,7 +990,7 @@ class SelectPlan:
         if statement.limit is not None and not statement.distinct:
             bound = statement.limit + statement.offset
 
-            def sort_key(row: Tuple[Any, ...]) -> _CompositeKey:
+            def sort_key(row: Row) -> _CompositeKey:
                 return _CompositeKey(
                     [(row[position], desc) for position, desc in keys]
                 )
@@ -985,27 +1005,21 @@ class SelectPlan:
         return ordered
 
     def _streaming_groups(
-        self, rows: List[Dict[str, Any]], params: Sequence[Any]
-    ) -> List[Tuple[Any, ...]]:
-        statement = self.statement
-        key_evaluators = [
-            site.evaluator(params) for site in self.group_sites
-        ]
+        self, rows: List[Row], params: Sequence[Any]
+    ) -> List[Row]:
+        key_evaluators = [binder(params) for binder in self.group_keys]
         arg_evaluators = [
-            site.evaluator(params) if site is not None else None
-            for site in self.agg_arg_sites
+            binder(params) if binder is not None else None
+            for binder in self.agg_args
         ]
         agg_nodes = self.agg_nodes
 
         # One pass: group key -> (representative row, aggregate states).
         # Dict insertion order preserves first-appearance group order,
         # matching the naive setdefault-driven grouping.
-        groups: Dict[
-            Tuple[Any, ...],
-            Tuple[Dict[str, Any], List[_AggregateState]],
-        ] = {}
+        groups: Dict[Row, Tuple[Row, List[_AggregateState]]] = {}
         for row in rows:
-            key = tuple(evaluate(row) for evaluate in key_evaluators)
+            key = tuple([evaluate(row) for evaluate in key_evaluators])
             entry = groups.get(key)
             if entry is None:
                 entry = (
@@ -1015,41 +1029,22 @@ class SelectPlan:
                 groups[key] = entry
             for state, evaluate in zip(entry[1], arg_evaluators):
                 state.add(evaluate(row) if evaluate is not None else None)
-        if not statement.group_by and not groups:
+        outputs = self.group_outputs
+        if not self.statement.group_by and not groups:
             # Global aggregate over an empty input still yields one row.
-            groups[()] = (
-                {},
-                [_AggregateState(node) for node in agg_nodes],
-            )
+            groups[()] = ((), [_AggregateState(node) for node in agg_nodes])
+            outputs = self._compile_group_outputs({}, 0)
 
-        item_evaluators = [
-            site.evaluator(params) for site in self.item_sites
-        ]
-        having = statement.having
-        output: List[Tuple[Any, ...]] = []
+        having = outputs[0](params) if outputs[0] is not None else None
+        item_evaluators = [binder(params) for binder in outputs[1]]
+        output: List[Row] = []
         for representative, states in groups.values():
-            values = [state.result() for state in states]
-            if having is not None:
-                folded = _fold_values(
-                    having, self.having_occurrences, values
-                )
-                if folded.bind(params).evaluate(representative) is not True:
-                    continue
-            out_row: List[Any] = []
-            for item, occurrences, evaluate in zip(
-                self.items, self.item_occurrences, item_evaluators
-            ):
-                expression = item.expr
-                if not occurrences:
-                    # No aggregates: evaluate on the representative row
-                    # (group keys are constant within a group).
-                    out_row.append(evaluate(representative))
-                elif isinstance(expression, AggregateCall):
-                    out_row.append(values[occurrences[0]])
-                else:
-                    folded = _fold_values(expression, occurrences, values)
-                    out_row.append(
-                        folded.bind(params).evaluate(representative)
-                    )
-            output.append(tuple(out_row))
+            row = representative + tuple(
+                [state.result() for state in states]
+            )
+            if having is not None and having(row) is not True:
+                continue
+            output.append(
+                tuple([evaluate(row) for evaluate in item_evaluators])
+            )
         return output

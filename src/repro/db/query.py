@@ -71,14 +71,6 @@ class AggregateCall(Expression):
             "aggregate evaluated outside GROUP BY context"
         )
 
-    def references(self) -> Iterator[str]:
-        if self.arg is not None:
-            yield from self.arg.references()
-
-    def bind(self, params: Sequence[Any]) -> Expression:
-        arg = self.arg.bind(params) if self.arg is not None else None
-        return AggregateCall(self.func, arg, self.distinct)
-
 
 @dataclass(frozen=True)
 class SelectItem:
@@ -266,11 +258,6 @@ def _equi_join_keys(
     return None
 
 
-def _null_row(table: Table, ref: TableRef) -> Dict[str, Any]:
-    prefix = ref.name + "."
-    return {prefix + c: None for c in table.schema.column_names}
-
-
 def _expand_items(
     statement: SelectStatement, catalog: Any, seen_names: List[str]
 ) -> List[SelectItem]:
@@ -311,15 +298,7 @@ def _contains_aggregate(expression: Optional[Expression]) -> bool:
         return False
     if isinstance(expression, AggregateCall):
         return True
-    # Walk dataclass fields that hold expressions.
-    for attr in vars(expression).values():
-        if isinstance(attr, Expression) and _contains_aggregate(attr):
-            return True
-        if isinstance(attr, tuple) and any(
-            isinstance(e, Expression) and _contains_aggregate(e) for e in attr
-        ):
-            return True
-    return False
+    return any(_contains_aggregate(c) for c in expression.children())
 
 
 class _NullsLast:

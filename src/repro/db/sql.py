@@ -17,9 +17,10 @@ the synopsis queries use):
 * ``EXPLAIN <statement>`` — report the planner's access-path choices
   without mutating anything
 
-Expressions support AND/OR/NOT, comparisons, LIKE, IN, IS [NOT] NULL,
-``+ - * /``, scalar functions, the aggregates, ``?`` placeholders,
-string/number/NULL/TRUE/FALSE literals, and parenthesized nesting.
+Expressions support AND/OR/NOT, comparisons, LIKE [ESCAPE 'c'], IN,
+IS [NOT] NULL, ``+ - * /``, scalar functions, the aggregates, ``?``
+placeholders, string/number/NULL/TRUE/FALSE literals, and parenthesized
+nesting.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ _KEYWORDS = {
     "or", "not", "in", "is", "null", "like", "true", "false", "as", "create",
     "table", "index", "unique", "primary", "key", "foreign", "references",
     "drop", "insert", "into", "values", "update", "set", "delete", "default",
-    "count", "sum", "avg", "min", "max", "explain",
+    "count", "sum", "avg", "min", "max", "explain", "escape",
 }
 
 
@@ -569,7 +570,15 @@ class _Parser:
                 self._advance()
                 negated = True
         if self._accept_keyword("like"):
-            return Like(left, self._parse_additive(), negated)
+            pattern = self._parse_additive()
+            escape = None
+            if self._accept_keyword("escape"):
+                token = self._peek()
+                if token.kind != "string" or len(token.text) != 3:
+                    self._fail("ESCAPE expects a one-character string")
+                self._advance()
+                escape = token.text[1]
+            return Like(left, pattern, negated, escape)
         if self._accept_keyword("in"):
             self._expect_op("(")
             choices = [self._parse_expression()]

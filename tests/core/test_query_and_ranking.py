@@ -124,6 +124,43 @@ class TestSynopsisSearch:
             FormQuery(tower="Quantum Services")
         ) == {}
 
+    def test_wildcards_in_form_text_are_literal(self, organized,
+                                                synopsis_search):
+        # Form criteria are substrings (paper Fig. 8): "%" used to match
+        # every deal and "_" any character.
+        organized.store_deal_context("d4", {
+            "Deal Name": "DEAL D", "Industry": "Retail 50%_off",
+            "Out Sourcing Consultant": "A\\B", "Geography": "EMEA",
+        })
+        organized.store_contacts("d4", [
+            ContactRecord("d4", "Al_Ba 100%", "", "", "C\\D Corp",
+                          "Client Solution Executive", "core deal team",
+                          mention_count=2),
+        ])
+        organized.store_technologies("d4", [("raid_5 100%", "")])
+        organized.store_win_strategies("d4", ["beat them by 10%\\year"])
+        only_d4 = [
+            FormQuery(industry="%"), FormQuery(industry="_"),
+            FormQuery(industry="50%_off"), FormQuery(industry="0%_O"),
+            FormQuery(consultant="\\"), FormQuery(consultant="a\\b"),
+            FormQuery(person_name="%"), FormQuery(person_name="l_b"),
+            FormQuery(organization="\\"), FormQuery(organization="c\\d"),
+            FormQuery(exact_phrase="d_5 100%", search_in="synopsis"),
+            FormQuery(all_words="10%\\YEAR", search_in="synopsis"),
+            FormQuery(all_words="% _", search_in="synopsis"),
+        ]
+        for form in only_d4:
+            assert set(synopsis_search.execute(form)) == {"d4"}, form
+        nothing = [
+            FormQuery(industry="50%xoff"), FormQuery(industry="5_%"),
+            FormQuery(person_name="a_a"), FormQuery(person_name="S_m"),
+            FormQuery(organization="A_C"), FormQuery(geography="%%"),
+            FormQuery(exact_phrase="data_replication",
+                      search_in="synopsis"),
+        ]
+        for form in nothing:
+            assert synopsis_search.execute(form) == {}, form
+
     def test_reasons_recorded(self, synopsis_search):
         matches = synopsis_search.execute(FormQuery(tower="WAN"))
         assert any("tower" in r for r in matches["d2"].reasons)

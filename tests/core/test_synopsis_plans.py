@@ -1,0 +1,122 @@
+"""Access paths of the synopsis statements.
+
+Every form query starts with a synopsis query and every presented hit
+reads its deal back, so a statement that silently falls back to
+scanning costs every request.  These tests pin the access path —
+``ResultSet.plan``'s first line — of each statement
+:class:`SynopsisSearch` and :class:`OrganizedInformation`'s readers
+issue: index probes everywhere, a full scan only where the predicate is
+a leading-wildcard ``LIKE`` (a substring search no index serves) or
+there is no predicate at all.
+"""
+
+import pytest
+
+from repro import CorpusConfig, CorpusGenerator, EILSystem
+from repro.core.query_analyzer import FormQuery, SynopsisSearch
+
+
+@pytest.fixture(scope="module")
+def system():
+    return EILSystem.build(
+        CorpusGenerator(CorpusConfig(n_deals=4, docs_per_deal=14)).generate()
+    )
+
+
+@pytest.fixture
+def accesses(system, monkeypatch):
+    """{statement text: access path} of what runs while the test does."""
+    seen = {}
+    db = system.organized.db
+    execute = db.execute
+
+    def recording(sql, params=()):
+        result = execute(sql, params)
+        # "index lookup ix(col='v')" -> "index lookup ix(col"
+        path = result.plan[0].split("=")[0].split(" in ")[0]
+        seen.setdefault(" ".join(sql.split()), set()).add(path)
+        return result
+
+    monkeypatch.setattr(db, "execute", recording)
+    return seen
+
+
+def test_synopsis_search_probes_where_an_index_can_serve(system, accesses):
+    search = SynopsisSearch(system.organized, system.taxonomy)
+    for form in (
+        FormQuery(tower="End User Services"),
+        FormQuery(tower="no such service"),
+        FormQuery(industry="bank", consultant="tpi", geography="united"),
+        FormQuery(person_name="smith"),
+        FormQuery(organization="corp"),
+        FormQuery(role="CSE"),
+        FormQuery(person_name="a", organization="b", role="CSE"),
+        FormQuery(exact_phrase="data replication", all_words="storage san",
+                  search_in="synopsis"),
+    ):
+        search.execute(form)
+
+    contains = "LIKE ? ESCAPE '\\'"
+    contacts = ("SELECT deal_id, MAX(mention_count) AS mentions "
+                "FROM contacts WHERE {} GROUP BY deal_id")
+    probes = {
+        sql: paths for sql, paths in accesses.items()
+        if "canonical IN" in sql
+    }
+    assert probes and all(
+        paths == {"index lookup ix_scopes_canonical(canonical"}
+        for paths in probes.values()
+    )
+    assert {
+        sql: paths for sql, paths in accesses.items() if sql not in probes
+    } == {
+        f"SELECT deal_id FROM deals WHERE LOWER({column}) {contains}":
+            {"full scan deals"}
+        for column in ("industry", "consultant", "geography")
+    } | {
+        contacts.format(f"LOWER(name) {contains}"): {"full scan contacts"},
+        contacts.format(f"LOWER(organization) {contains}"):
+            {"full scan contacts"},
+        contacts.format("role = ?"):
+            {"index lookup ix_contacts_role(role"},
+        contacts.format(
+            f"LOWER(name) {contains} AND LOWER(organization) {contains} "
+            "AND role = ?"
+        ): {"index lookup ix_contacts_role(role"},
+        f"SELECT deal_id FROM technologies WHERE LOWER(term) {contains}":
+            {"full scan technologies"},
+        f"SELECT deal_id FROM win_strategies WHERE LOWER(text) {contains}":
+            {"full scan win_strategies"},
+    }
+
+
+def test_per_deal_readers_are_point_reads(system, accesses):
+    organized = system.organized
+    for deal_id in organized.deal_ids():
+        organized.deal_row(deal_id)
+        organized.scopes_of(deal_id)
+        organized.contacts_of(deal_id)
+        organized.strategies_of(deal_id)
+        organized.technologies_of(deal_id)
+        organized.references_of(deal_id)
+        system.synopsis(deal_id)
+    # Listing the deals reads them all; nothing else scans.
+    assert accesses.pop("SELECT deal_id FROM deals ORDER BY deal_id") == {
+        "full scan deals"
+    }
+    assert {
+        sql.split(" FROM ")[1].split(" ORDER BY ")[0]: paths
+        for sql, paths in accesses.items()
+    } == {
+        "deals WHERE deal_id = ?": {"index lookup pk_deals(deal_id"},
+        "deal_scopes WHERE deal_id = ?":
+            {"index lookup ix_scopes_deal(deal_id"},
+        "contacts WHERE deal_id = ?":
+            {"index lookup ix_contacts_deal(deal_id"},
+        "win_strategies WHERE deal_id = ?":
+            {"index lookup ix_strategies_deal(deal_id"},
+        "technologies WHERE deal_id = ?":
+            {"index lookup ix_tech_deal(deal_id"},
+        "client_references WHERE deal_id = ?":
+            {"index lookup ix_references_deal(deal_id"},
+    }

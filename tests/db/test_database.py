@@ -218,6 +218,20 @@ class TestSelect:
         )
         assert sorted(result.column("deal_id")) == ["d2", "d3"]
 
+    def test_like_escape(self, db):
+        db.execute("UPDATE deals SET industry = '50%_off' WHERE deal_id = 'd3'")
+        for sql in (
+            "SELECT deal_id FROM deals WHERE industry LIKE '%!%!_%' ESCAPE '!'",
+            "SELECT deal_id FROM deals WHERE industry LIKE ? ESCAPE '\\'",
+        ):
+            assert db.execute(sql, ["%\\%\\_%"][: sql.count("?")]).rows == [
+                ("d3",)
+            ]
+        # DML evaluates the same clause through the interpreter.
+        assert db.execute(
+            "DELETE FROM deals WHERE industry LIKE '%!_off' ESCAPE '!'"
+        ).scalar() == 1
+
     def test_in(self, db):
         result = db.execute(
             "SELECT COUNT(*) FROM deals WHERE deal_id IN ('d1', 'd3')"
@@ -227,6 +241,14 @@ class TestSelect:
     def test_scalar_shape_check(self, db):
         with pytest.raises(ProgrammingError):
             db.execute("SELECT * FROM deals").scalar()
+
+    def test_query_one_builds_only_the_first_row(self, db, monkeypatch):
+        from repro.db import ResultSet
+
+        monkeypatch.setattr(ResultSet, "to_dicts", None)
+        assert db.query_one(
+            "SELECT deal_id, value FROM deals ORDER BY deal_id DESC"
+        ) == {"deal_id": "d3", "value": 80.0}
 
     def test_query_one_none_when_empty(self, db):
         assert db.query_one("SELECT * FROM deals WHERE deal_id='x'") is None

@@ -1,11 +1,14 @@
 """Unit tests for expression evaluation and SQL NULL semantics."""
 
+import re
+
 import pytest
 
 from repro.db import (
     Arithmetic,
     ColumnRef,
     Comparison,
+    Database,
     FunctionCall,
     InList,
     IsNull,
@@ -15,7 +18,9 @@ from repro.db import (
     LogicalNot,
     LogicalOr,
     Parameter,
+    escape_like,
 )
+from repro.db import expr as expr_module
 from repro.errors import ProgrammingError
 
 ROW = {"t.a": 5, "t.b": "hello", "t.c": None}
@@ -139,6 +144,71 @@ class TestPredicates:
     def test_like_requires_text(self):
         with pytest.raises(ProgrammingError):
             Like(lit(5), lit("%")).evaluate({})
+
+    def test_like_matches_the_whole_value(self):
+        # ``$`` also matches before a trailing newline; LIKE must not.
+        assert Like(lit("ab\n"), lit("ab")).evaluate({}) is False
+        assert Like(lit("ab\n"), lit("%b")).evaluate({}) is False
+        assert Like(lit("ab\n"), lit("ab_")).evaluate({}) is True
+        assert Like(lit("a\nb"), lit("a%b")).evaluate({}) is True
+
+    def test_like_escape_makes_wildcards_literal(self):
+        def like(value, pattern, escape="\\"):
+            return Like(lit(value), lit(pattern), escape=escape).evaluate({})
+
+        assert like("50%_off", "50\\%\\_off") is True
+        assert like("5000 off", "50\\%\\_off") is False
+        assert like("a\\b", "a\\\\b") is True
+        assert like("100%", "%!%", escape="!") is True
+        assert like("100", "%!%", escape="!") is False
+        # A trailing escape character stands for itself.
+        assert like("a\\", "a\\") is True
+        # Without ESCAPE the backslash is an ordinary character.
+        assert Like(lit("a\\%"), lit("a\\%")).evaluate({}) is True
+        assert Like(lit("ab"), lit("a\\%")).evaluate({}) is False
+
+    def test_escape_like_round_trips_any_text(self):
+        for text in ("%", "_", "\\", "50%_off", "a\\%b", "plain", ""):
+            pattern = escape_like(text)
+            assert Like(lit(text), lit(pattern), escape="\\").evaluate({})
+            if text:
+                assert not Like(
+                    lit("x" * len(text)), lit(pattern), escape="\\"
+                ).evaluate({})
+        assert escape_like("a!b%", "!") == "a!!b!%"
+
+    def test_like_pattern_compiles_once_per_execution(self, monkeypatch):
+        # The pattern cache used to stop admitting at 4,096 entries and
+        # was consulted per row, so a long-lived process re-translated
+        # and recompiled every later pattern for each row it met.
+        db = Database(plan_cache=8)
+        db.execute("CREATE TABLE t (k INTEGER, v TEXT, PRIMARY KEY (k))")
+        rows = 25
+        for k in range(rows):
+            db.execute("INSERT INTO t VALUES (?, ?)", [k, f"v{k}x"])
+        compiled = []
+        compile_ = re.compile
+        monkeypatch.setattr(
+            re, "compile",
+            lambda *args, **kwargs: (
+                compiled.append(args[0]), compile_(*args, **kwargs)
+            )[1],
+        )
+        expr_module._like_regex.cache_clear()
+        patterns = 4100
+        # ``_``: the wildcard no string method stands in for.
+        for n in range(patterns):
+            result = db.execute(
+                "SELECT k FROM t WHERE LOWER(v) LIKE ?", [f"_{n}x"]
+            )
+            assert len(result.rows) == (1 if n < rows else 0)
+        assert len(compiled) == patterns
+        # ... and a pattern the executor classifies needs no regex.
+        before = len(compiled)
+        assert len(db.execute(
+            "SELECT k FROM t WHERE v LIKE ?", ["%9X%"]
+        ).rows) == 2
+        assert len(compiled) == before
 
 
 class TestArithmeticAndFunctions:

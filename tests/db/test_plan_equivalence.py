@@ -13,8 +13,12 @@ planner options; there is one configuration now.)
 
 The fixture data is deliberately adversarial: NULL join keys on both
 sides, duplicate keys, ties in sort columns, floats whose sum depends
-on fold order, and an empty table.
+on fold order, an empty table, and a table of strings made of LIKE
+wildcards, regex metacharacters and the characters whose case folding
+``str.lower`` and the regex engine do not agree on.
 """
+
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,21 @@ from hypothesis import strategies as st
 
 from repro.db import Database, parse
 from repro.db.plan import SelectPlan
+from repro.errors import ProgrammingError
 from tests.reference.select import naive_execute_select
+
+# What LIKE patterns and the ``notes`` rows are made of: both wildcards,
+# the usual escape character, regex metacharacters, mixed case, a
+# newline, and the case-fold traps (dotted/dotless i, long s, the
+# Kelvin sign, sharp s) next to the ASCII letters they fold to.
+LIKE_ALPHABET = "%_\\.*+[(aAbiIkKsS \n\u0130\u0131\u017f\u212a\u00df"
+
+NOTES = [
+    "50%_off", "50% off", "5000 off", "a_b", "a.b", "axb", "A+B", "(a)",
+    "[b]", "a\\b", "ab", "AB", "aB\n", "\nab", "", "%", "_", "\\",
+    "\u0130stanbul", "istanbul", "\u0131i", "SI", "\u017fi", "si",
+    "\u212a", "k", "K", "stra\u00dfe", "STRASSE", "b a", None,
+]
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +59,13 @@ def db():
         "hours REAL, PRIMARY KEY (sid))"
     )
     database.execute("CREATE TABLE empty (k INTEGER, PRIMARY KEY (k))")
+    database.execute("CREATE TABLE one (k INTEGER, PRIMARY KEY (k))")
+    database.execute("INSERT INTO one VALUES (1)")
+    database.execute(
+        "CREATE TABLE notes (nid INTEGER, body TEXT, PRIMARY KEY (nid))"
+    )
+    for nid, body in enumerate(NOTES):
+        database.execute("INSERT INTO notes VALUES (?, ?)", [nid, body])
     database.execute("CREATE INDEX ix_contacts_deal ON contacts (deal_id)")
     database.execute("CREATE INDEX ix_deals_industry ON deals (industry)")
     database.execute("CREATE INDEX ix_scopes_deal ON scopes (deal_id)")
@@ -199,6 +224,10 @@ SOURCES = {
         "tower": (TEXT, ["WAN", "LAN"]),
         "hours": (NUM, [0.1, 0.3, 100.0]),
     },
+    "n": {  # notes
+        "nid": (NUM, [0, 7, 30]),
+        "body": (TEXT, ["ab", "a_b", "50%_off", "si", "k", "\\"]),
+    },
 }
 
 # FROM shapes: (aliases in join order, template).  ``{j1}``/``{j2}``
@@ -207,6 +236,7 @@ FROM_SHAPES = [
     (("d",), "deals d"),
     (("c",), "contacts c"),
     (("s",), "scopes s"),
+    (("n",), "notes n"),
     (("d", "c"), "deals d {j1} contacts c ON c.deal_id = d.deal_id"),
     (("c", "d"), "contacts c {j1} deals d ON d.deal_id = c.deal_id"),
     (("d", "s"), "deals d {j1} scopes s ON s.hours > d.value"),
@@ -224,7 +254,44 @@ AGGREGATES = [
 
 
 def _sql_literal(value):
-    return repr(value) if isinstance(value, str) else str(value)
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return str(value)
+
+
+@st.composite
+def _likes(draw, name, params):
+    """``name [NOT] LIKE pattern [ESCAPE c]``: the pattern a literal or
+    a ``?``, LOWER()/UPPER() on either side or neither."""
+    pattern = draw(st.text(LIKE_ALPHABET, max_size=4))
+    wrap = st.sampled_from(["{}", "{}", "LOWER({})", "UPPER({})"])
+    left = draw(wrap).format(name)
+    if draw(st.booleans()):
+        params.append(pattern)
+        right = draw(wrap).format("?")
+    else:
+        right = draw(wrap).format(_sql_literal(pattern))
+    escape = draw(st.sampled_from(["", "", " ESCAPE '\\'", " ESCAPE 'a'"]))
+    negated = draw(st.sampled_from(["", "NOT "]))
+    return f"{left} {negated}LIKE {right}{escape}"
+
+
+@st.composite
+def _in_lists(draw, name, pool, params):
+    """``name [NOT] IN (...)`` with literal, ``?``, NULL and repeated
+    choices."""
+    choices = []
+    for _ in range(draw(st.integers(1, 4))):
+        value = draw(st.sampled_from(pool + [None]))
+        if draw(st.booleans()):
+            params.append(value)
+            choices.append("?")
+        else:
+            choices.append(_sql_literal(value))
+    negated = draw(st.sampled_from(["", "NOT "]))
+    return f"{name} {negated}IN ({', '.join(choices)})"
 
 
 @st.composite
@@ -235,8 +302,8 @@ def _atoms(draw, columns, params):
     probe = draw(st.sampled_from(pool))
     form = draw(st.sampled_from(
         ["lit", "param", "null_param", "is_null", "not_null", "flipped",
-         "ne", "in" if kind == TEXT else "range",
-         "like" if kind == TEXT else "arith", "or"]
+         "ne", "in", "like" if kind == TEXT else "range",
+         "prefix" if kind == TEXT else "arith", "or"]
     ))
     if form == "lit":
         return f"{name} = {_sql_literal(probe)}"
@@ -256,13 +323,14 @@ def _atoms(draw, columns, params):
     if form == "ne":
         return f"{name} != {_sql_literal(probe)}"
     if form == "in":
-        other = draw(st.sampled_from(pool))
-        return f"{name} IN ({_sql_literal(probe)}, {_sql_literal(other)})"
+        return draw(_in_lists(name, pool, params))
     if form == "range":
         op = draw(st.sampled_from(["<", "<=", ">", ">="]))
         return f"{name} {op} {_sql_literal(probe)}"
     if form == "like":
-        return f"{name} LIKE '{probe[0]}%'"
+        return draw(_likes(name, params))
+    if form == "prefix":
+        return f"{name} LIKE {_sql_literal(probe[:1] + '%')}"
     if form == "arith":
         return f"{name} + 1 > {_sql_literal(probe)}"
     other_name, (_, other_pool) = draw(st.sampled_from(columns))
@@ -308,9 +376,12 @@ def selects(draw):
             items.append(f"{call} a{position}")
             outputs.append(f"a{position}")
         group_by = " GROUP BY " + ", ".join(n for n, _ in keys) if keys else ""
+        # The last two are about LEFT JOIN's null-extended rows: a
+        # group of them counts no right-side value and has no maximum.
         having = draw(st.sampled_from(
-            ["", " HAVING count(*) > 1", " HAVING count(*) >= ?"]
-        ))
+            ["", " HAVING count(*) > 1", " HAVING count(*) >= ?",
+             " HAVING count({a}) = 0", " HAVING max({a}) IS NULL"]
+        )).format(a=draw(st.sampled_from(columns))[0])
         if having.endswith("?"):
             params.append(draw(st.integers(0, 3)))
         tail = group_by + having
@@ -365,3 +436,128 @@ def test_generated_selects_match_naive(db, generated):
     result = db.execute(sql, params)
     assert result.columns == expected.columns, sql
     assert result.rows == expected.rows, (sql, params)
+
+
+# -- LIKE, exhaustively ---------------------------------------------------------
+#
+# The grammar above reaches a case-fold trap only now and then; this
+# sweeps them: every one- and two-character core over the alphabet, in
+# each shape the executor classifies (equality, prefix, suffix,
+# substring) and two it leaves to the regex, against every ``notes`` row.
+
+LIKE_SHAPES = ["{}", "{}%", "%{}", "%{}%", "_{}", "%{}_%"]
+
+
+@pytest.mark.parametrize("shape", LIKE_SHAPES)
+def test_like_shapes_match_naive(db, shape):
+    cores = list(LIKE_ALPHABET) + [
+        a + b for a in LIKE_ALPHABET for b in LIKE_ALPHABET
+    ]
+    statements = [
+        "SELECT nid FROM notes WHERE body LIKE ?",
+        "SELECT nid FROM notes WHERE LOWER(body) NOT LIKE ? ESCAPE '\\'",
+        "SELECT nid FROM notes WHERE UPPER(body) LIKE LOWER(?) ESCAPE 'a'",
+    ]
+    plans = [SelectPlan(db, parse(sql)) for sql in statements]
+    for core in cores:
+        params = (shape.format(core),)
+        for sql, plan in zip(statements, plans):
+            expected = _reference(db, sql, params)
+            assert plan.execute(params).rows == expected.rows, (sql, params)
+
+
+# -- laziness --------------------------------------------------------------------
+#
+# An expression that cannot be evaluated — unknown or ambiguous column,
+# a ``?`` nobody supplied, LIKE over a number — is an error of the row
+# that reaches it, not of the statement: nothing raises while no row
+# does, and the first row raises what the interpreter would.
+
+LAZY = [
+    ("SELECT nope FROM {t}", ()),
+    ("SELECT k FROM {t} WHERE nope = 1", ()),
+    ("SELECT k FROM {t} WHERE k > 0 AND x.k = 1", ()),
+    ("SELECT k FROM {t} a JOIN {t} b ON a.k = b.k", ()),
+    ("SELECT a.k FROM {t} a JOIN {t} b ON a.k = b.k WHERE k = 1", ()),
+    ("SELECT a.k FROM {t} a JOIN {t} b ON a.k + 0 = b.nope", ()),
+    ("SELECT k FROM {t} WHERE k + 0 = ?", ()),
+    ("SELECT k + ? FROM {t} WHERE k + 0 = ?", (1,)),
+    ("SELECT k FROM {t} WHERE k LIKE '1%'", ()),
+    ("SELECT k FROM {t} WHERE k + 0 LIKE ?", ("%",)),
+    ("SELECT k FROM {t} ORDER BY nope", ()),
+    ("SELECT count(*) FROM {t} GROUP BY nope", ()),
+    ("SELECT sum(nope) FROM {t}", ()),
+]
+
+
+@pytest.mark.parametrize("template,params", LAZY,
+                         ids=[case[0] for case in LAZY])
+def test_errors_wait_for_a_row(db, template, params):
+    assert len(db.execute(template.format(t="empty"), params).rows) <= 1
+    sql = template.format(t="one")
+    with pytest.raises(ProgrammingError) as expected:
+        _reference(db, sql, params)
+    with pytest.raises(ProgrammingError) as raised:
+        db.execute(sql, params)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_unknown_left_join_key_never_matches(db):
+    # The seed read the left key with ``dict.get``: a column no source
+    # has is NULL to an equi-join, not an error.
+    for kind in ("JOIN", "LEFT JOIN"):
+        sql = (f"SELECT d.deal_id, c.nm FROM deals d {kind} contacts c "
+               "ON c.deal_id = d.nope")
+        assert db.execute(sql).rows == _reference(db, sql, ()).rows
+
+
+def test_empty_global_group_knows_no_column(db):
+    # The one group of an aggregate over no rows has no first row to
+    # read ``k`` from; both executors say so, in the same words.
+    sql = "SELECT k, count(*) FROM empty"
+    with pytest.raises(ProgrammingError) as expected:
+        _reference(db, sql, ())
+    with pytest.raises(ProgrammingError) as raised:
+        db.execute(sql, ())
+    assert str(raised.value) == str(expected.value)
+    assert db.execute("SELECT count(*), max(k) FROM empty").rows == [(0, None)]
+
+
+# -- concurrency -------------------------------------------------------------------
+
+
+def test_one_plan_serves_concurrent_executions(db):
+    # Parameters are bound per execution into closures the execution
+    # owns; the plan itself keeps nothing between calls.
+    plan = SelectPlan(db, parse(
+        "SELECT d.deal_id, count(c.cid) n FROM deals d "
+        "LEFT JOIN contacts c ON c.deal_id = d.deal_id "
+        "WHERE d.industry IN (?, ?) AND LOWER(d.lead) LIKE ? "
+        "GROUP BY d.deal_id HAVING count(*) >= ? ORDER BY d.deal_id"
+    ))
+    bindings = [
+        ("bank", "auto", "%a%", 1),
+        ("retail", None, "%", 0),
+        ("bank", "bank", "jane", 1),
+        ("nope", "auto", "s_m", 2),
+    ]
+    expected = [plan.execute(params).rows for params in bindings]
+    assert len({tuple(rows) for rows in expected}) == len(bindings)
+    start = threading.Barrier(len(bindings))
+    wrong = []
+
+    def work(params, rows):
+        start.wait()
+        for _ in range(200):
+            if plan.execute(params).rows != rows:
+                wrong.append(params)
+
+    threads = [
+        threading.Thread(target=work, args=pair)
+        for pair in zip(bindings, expected)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not wrong

@@ -112,6 +112,63 @@ class TestPushdown:
         assert any("empty scan" in line for line in result.plan)
 
 
+class TestInListAccess:
+    def test_in_list_probes_the_index(self, db, registry):
+        result = db.execute(
+            "SELECT nm FROM contacts "
+            "WHERE deal_id IN ('d1', ?, NULL, 'd1', ?)",
+            ["d3", None],
+        )
+        assert result.plan[0] == (
+            "index lookup ix_contacts_deal(deal_id in 2 value(s))"
+        )
+        # Ascending row ids: the rows a full scan would give, in its order.
+        assert result.column("nm") == [
+            f"p{i}.{j}" for i in (1, 3) for j in range(8)
+        ]
+        assert registry.counter("db.rows_scanned").value == 16
+
+    def test_in_list_of_nulls_reads_nothing(self, db, registry):
+        result = db.execute(
+            "SELECT nm FROM contacts WHERE deal_id IN (NULL, ?)", [None]
+        )
+        assert result.rows == []
+        assert "in 0 value(s)" in result.plan[0]
+        assert registry.counter("db.rows_scanned").value == 0
+
+    def test_equality_and_range_come_first(self, db):
+        # An equality probe is narrower; a range delivers key order,
+        # which the IN probes must not take away.
+        eq = db.execute(
+            "SELECT nm FROM contacts "
+            "WHERE deal_id IN ('d1', 'd2') AND cid = 11"
+        )
+        assert eq.plan[0].startswith("index lookup pk_contacts(cid=11")
+        ranged = db.execute(
+            "SELECT nm FROM contacts "
+            "WHERE deal_id IN ('d1', 'd2') AND cid >= 27"
+        )
+        assert ranged.plan[0].startswith("index range pk_contacts")
+        assert ranged.rows == [("p2.7",)]
+
+    @pytest.mark.parametrize("where", [
+        "deal_id NOT IN ('d1', 'd2')",
+        "deal_id IN ('d1', nm)",
+        "nm IN ('p1.1', 'p2.2')",
+        "deal_id IN ('d1') OR cid = 1",
+    ])
+    def test_what_still_scans(self, db, where):
+        result = db.execute(f"SELECT nm FROM contacts WHERE {where}")
+        assert result.plan[0] == "full scan contacts"
+
+    def test_delete_locates_rows_through_in_list(self, db):
+        result = db.execute("DELETE FROM contacts WHERE cid IN (10, 11, 99)")
+        assert result.scalar() == 2
+        assert result.plan == [
+            "index lookup pk_contacts(cid in 3 value(s))"
+        ]
+
+
 class TestScanMetrics:
     def test_join_rows_split_from_base_scan(self, db, registry):
         db.execute(

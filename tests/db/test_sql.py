@@ -145,6 +145,13 @@ class TestSelect:
         assert isinstance(statement.where, Like)
         statement = parse("SELECT * FROM t WHERE a NOT LIKE '%x%'")
         assert statement.where.negated is True
+        assert statement.where.escape is None
+
+    def test_like_escape(self):
+        statement = parse("SELECT * FROM t WHERE a LIKE ? ESCAPE '\\' AND b")
+        assert statement.where.left.escape == "\\"
+        statement = parse("SELECT * FROM t WHERE a NOT LIKE '5!%' ESCAPE '!'")
+        assert statement.where.negated and statement.where.escape == "!"
 
     def test_in_and_is_null(self):
         statement = parse(
@@ -236,6 +243,10 @@ class TestErrors:
             "CREATE TABLE t ()",
             "SELECT * FROM t LIMIT x",
             "SELECT * FROM t WHERE a LIKE",
+            "SELECT * FROM t WHERE a LIKE 'x' ESCAPE",
+            "SELECT * FROM t WHERE a LIKE 'x' ESCAPE ''",
+            "SELECT * FROM t WHERE a LIKE 'x' ESCAPE 'ab'",
+            "SELECT * FROM t WHERE a LIKE 'x' ESCAPE ?",
             "SELECT * FROM t; SELECT * FROM u",
         ],
     )

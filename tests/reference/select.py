@@ -40,7 +40,6 @@ from repro.db.query import (
     _contains_aggregate,
     _equi_join_keys,
     _expand_items,
-    _null_row,
     _NullsLast,
     _output_name,
     grouped_key_position,
@@ -99,6 +98,11 @@ def _plan_base_rowids(
 
     plan.append(f"full scan {table.schema.name}")
     return (rowid for rowid, _ in table.scan())
+
+
+def _null_row(table: Table, ref: TableRef) -> Dict[str, Any]:
+    prefix = ref.name + "."
+    return {prefix + c: None for c in table.schema.column_names}
 
 
 def _contexts_for(

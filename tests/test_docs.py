@@ -231,6 +231,28 @@ class TestOperationsDocs:
                 f"docs/ARCHITECTURE.md no longer mentions {needle!r}"
             )
 
+    def test_operations_names_every_plan_line_the_planner_can_emit(
+        self, operations
+    ):
+        # The first words of every access-path / join-strategy line
+        # db/plan.py appends to a plan, read off its source.
+        source = (SRC / "db" / "plan.py").read_text()
+        prefixes = {
+            prefix.strip()
+            for prefix in re.findall(
+                r'plan\.append\(\s*f?"([a-z ]+) ', source
+            )
+        }
+        assert prefixes == {
+            "full scan", "empty scan", "index lookup", "index range",
+            "index join", "hash join", "nested loop join",
+        }, "a new plan line: document it, then add it here"
+        for prefix in sorted(prefixes):
+            assert f"`{prefix} " in operations, (
+                f"docs/OPERATIONS.md does not explain the {prefix!r} "
+                "plan line"
+            )
+
     def test_operations_documents_the_flags_and_knobs(self, operations):
         for needle in (
             "no-synopsis",
