@@ -356,7 +356,26 @@ def _render_people(people, header: str) -> None:
         print(f"    cites: {', '.join(person.provenance)}")
 
 
+def _graph_query(args: argparse.Namespace) -> GraphQuery:
+    if args.worked_with is not None:
+        return GraphQuery("worked-with", args.worked_with, args.limit)
+    if args.role is not None:
+        return GraphQuery("role-capacity", args.role, args.limit)
+    if args.expertise is not None:
+        return GraphQuery("expertise", args.expertise, args.limit)
+    return GraphQuery("team-overlap", args.overlap, args.limit)
+
+
 def _cmd_graph(args: argparse.Namespace) -> int:
+    query = None
+    if not args.graph_stats:
+        # Validated before the system is built: a bad --limit should
+        # not cost an offline pipeline run.
+        try:
+            query = _graph_query(args)
+        except ValueError as exc:
+            print(f"repro graph: {exc}", file=sys.stderr)
+            return 2
     _, eil = _make_system(args)
     if args.graph_stats:
         stats = eil.graph.stats()
@@ -370,14 +389,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             for kind, count in stats["edges_by_kind"].items():
                 print(f"  edge {kind}: {count}")
         return 0
-    if args.worked_with is not None:
-        query = GraphQuery("worked-with", args.worked_with, args.limit)
-    elif args.role is not None:
-        query = GraphQuery("role-capacity", args.role, args.limit)
-    elif args.expertise is not None:
-        query = GraphQuery("expertise", args.expertise, args.limit)
-    else:
-        query = GraphQuery("team-overlap", args.overlap, args.limit)
     answer = eil.graph_query(query)
     if args.as_json:
         print(json.dumps(dataclasses.asdict(answer), indent=2,

@@ -102,7 +102,8 @@ class GraphQuery:
         kind: One of :data:`GRAPH_QUERY_KINDS`.
         subject: The person name/email, canonical role, or
             technology/tower term the traversal starts from.
-        limit: Optional cap on returned people/colleagues.
+        limit: Optional cap on returned people/colleagues (None
+            returns everyone, 0 nobody; negative is rejected).
     """
 
     kind: str
@@ -114,6 +115,10 @@ class GraphQuery:
             raise ValueError(
                 f"unknown graph query kind {self.kind!r}; expected one "
                 f"of {', '.join(GRAPH_QUERY_KINDS)}"
+            )
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(
+                f"limit must be None or >= 0, got {self.limit!r}"
             )
 
     def describe(self) -> str:

@@ -34,7 +34,8 @@ stats``.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.cache import LruCache
@@ -137,15 +138,21 @@ class EilResults:
         return [a.deal_id for a in self.activities]
 
 
+#: The form's field values in declaration order, read without copying
+#: the form (``dataclasses.astuple`` deep-copies it on every call).
+_form_values = attrgetter(*(f.name for f in fields(FormQuery)))
+
+
 def _copy_results(results: EilResults) -> EilResults:
     """A caller-mutable copy of a cached result (lists are not shared)."""
     return EilResults(
         activities=[
-            replace(activity,
-                    reasons=list(activity.reasons),
-                    documents=list(activity.documents),
-                    contacts=list(activity.contacts))
-            for activity in results.activities
+            ActivityResult(
+                a.deal_id, a.name, a.score, a.synopsis_score,
+                a.siapi_score, list(a.reasons), list(a.documents),
+                a.documents_withheld, list(a.contacts),
+            )
+            for a in results.activities
         ],
         scoped=results.scoped,
         plan=list(results.plan),
@@ -259,7 +266,7 @@ class BusinessActivityDrivenSearch:
     ) -> tuple:
         normalized = tuple(
             value.strip() if isinstance(value, str) else value
-            for value in astuple(form)
+            for value in _form_values(form)
         )
         access_signature = (
             user.user_id,

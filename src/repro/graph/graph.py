@@ -38,6 +38,7 @@ Metrics (``repro stats`` vocabulary): ``graph.nodes`` /
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -158,22 +159,92 @@ class TeamOverlapAnswer:
     colleagues: List[Colleague]
 
 
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(
+            f"limit must be None or >= 0, got {limit!r}"
+        )
+
+
+def _top(limit: Optional[int], keys: List[tuple]) -> List[tuple]:
+    """The ``limit`` smallest rank keys in order (all of them if None).
+
+    Every rank key ends in the person key, which is unique among the
+    candidates, so the keys are totally ordered and selecting the
+    smallest ``limit`` is exactly sorting and slicing.
+    """
+    if limit is None:
+        return sorted(keys)
+    return heapq.nsmallest(limit, keys)
+
+
+def _role_of(edge: Edge) -> str:
+    return str(edge.attrs.get("role") or "")
+
+
+def _roles_held(edges: List[Edge]) -> Set[str]:
+    """The filled roles on ``edges``, lowered (how roles are matched)."""
+    return {_role_of(edge).lower() for edge in edges} - {""}
+
+
+def _summarise(
+    by_deal: Mapping[str, List[Edge]]
+) -> Tuple[List[str], List[str], List[str]]:
+    """Sorted deals, distinct roles and citations of membership edges."""
+    roles: Set[str] = set()
+    cites: Set[str] = set()
+    for edges in by_deal.values():
+        for edge in edges:
+            role = _role_of(edge)
+            if role:
+                roles.add(role)
+            cites.add(edge.provenance.cite())
+    return sorted(by_deal), sorted(roles), sorted(cites)
+
+
+def _bump(
+    index: Dict[str, Dict[str, int]], key: str, person: str, delta: int
+) -> None:
+    """Move ``person``'s reference count under ``index[key]``."""
+    holders = index.setdefault(key, {})
+    count = holders.get(person, 0) + delta
+    if count > 0:
+        holders[person] = count
+    else:
+        holders.pop(person, None)
+        if not holders:
+            del index[key]
+
+
 class EntityGraph:
     """The typed entity graph (see the module docstring)."""
 
     def __init__(self) -> None:
         self._lock = ReadWriteLock()
         self._epoch = AtomicCounter()
-        # Every edge is owned by exactly one deal; the incident maps
-        # are keyed by id(edge) so removal is O(edges of the deal)
-        # rather than O(degree) list scans on popular tower nodes.
+        # Every edge is owned by exactly one deal, so everything below
+        # is moved by _attach / _detach in O(edges of the deal).  Person
+        # nodes are held by key (the NodeRef kind is implied).
         self._deal_edges: Dict[str, List[Edge]] = {}
         self._deal_attrs: Dict[str, Dict[str, object]] = {}
-        self._incident: Dict[NodeRef, Dict[int, Edge]] = {}
-        # Secondary index: name_key -> person nodes whose membership
-        # edges carry that display name (resolves "Sam White" to an
-        # email-keyed node).  Values are reference counts for removal.
-        self._name_index: Dict[str, Dict[NodeRef, int]] = {}
+        self._edge_count = 0
+        # One (person, deal) -> member_of edges relation, reachable
+        # from either side; both maps share the edge lists.
+        self._memberships: Dict[str, Dict[str, List[Edge]]] = {}
+        self._deal_members: Dict[str, Dict[str, List[Edge]]] = {}
+        # lowered role -> person -> number of deals they held it on.
+        self._role_holders: Dict[str, Dict[str, int]] = {}
+        # tower / technology node -> deals with an edge into it.
+        self._topic_deals: Dict[NodeRef, Set[str]] = {}
+        # name_key -> person -> number of membership edges carrying
+        # that display name (resolves "Sam White" to an email-keyed
+        # node); _deal_name_keys remembers each deal's normalised
+        # (name_key, person) pairs for removal.
+        self._name_index: Dict[str, Dict[str, int]] = {}
+        self._deal_name_keys: Dict[str, List[Tuple[str, str]]] = {}
+        # person -> display name, rewritten by the mutation that
+        # changes the person's memberships.
+        self._names: Dict[str, str] = {}
 
     # -- epoch / introspection ----------------------------------------------
 
@@ -190,8 +261,11 @@ class EntityGraph:
     def stats(self) -> Dict[str, object]:
         """Node/edge counts by kind (one consistent snapshot)."""
         with self._lock.read():
-            nodes: Dict[str, int] = {}
-            for ref in self._node_refs():
+            nodes = {
+                DEAL: len(self._deal_attrs),
+                PERSON: len(self._memberships),
+            }
+            for ref in self._topic_deals:
                 nodes[ref.kind] = nodes.get(ref.kind, 0) + 1
             edges: Dict[str, int] = {}
             for deal_edges in self._deal_edges.values():
@@ -201,15 +275,12 @@ class EntityGraph:
                 "deals": len(self._deal_attrs),
                 "nodes": sum(nodes.values()),
                 "edges": sum(edges.values()),
-                "nodes_by_kind": {k: nodes[k] for k in sorted(nodes)},
+                "nodes_by_kind": {
+                    k: nodes[k] for k in sorted(nodes) if nodes[k]
+                },
                 "edges_by_kind": {k: edges[k] for k in sorted(edges)},
                 "epoch": self.epoch,
             }
-
-    def _node_refs(self) -> Set[NodeRef]:
-        refs = {NodeRef(DEAL, deal_id) for deal_id in self._deal_attrs}
-        refs.update(self._incident)
-        return refs
 
     # -- materialization ----------------------------------------------------
 
@@ -294,14 +365,9 @@ class EntityGraph:
             "industry": (deal_row or {}).get("industry"),
         }
         with self._lock.write():
-            self._remove_deal_locked(deal_id)
-            self._deal_attrs[deal_id] = attrs
-            self._deal_edges[deal_id] = edges
-            for edge in edges:
-                self._incident.setdefault(edge.source, {})[id(edge)] = edge
-                self._incident.setdefault(edge.target, {})[id(edge)] = edge
-                if edge.kind == MEMBER_OF:
-                    self._index_name(edge)
+            touched = self._detach(deal_id)
+            touched.update(self._attach(deal_id, attrs, edges))
+            self._rename(touched)
             self._epoch.increment()
             self._set_gauges_locked()
         get_registry().inc("graph.deals_indexed")
@@ -313,125 +379,169 @@ class EntityGraph:
         Returns the number of edges removed.
         """
         with self._lock.write():
-            removed = self._remove_deal_locked(deal_id)
-            if removed:
+            edges = self._deal_edges.get(deal_id)
+            if edges is not None:
+                self._rename(self._detach(deal_id))
                 self._epoch.increment()
                 self._set_gauges_locked()
-        if removed:
-            get_registry().inc("graph.deals_removed")
-        return removed
-
-    def _remove_deal_locked(self, deal_id: str) -> int:
-        edges = self._deal_edges.pop(deal_id, [])
-        self._deal_attrs.pop(deal_id, None)
-        for edge in edges:
-            for endpoint in (edge.source, edge.target):
-                incident = self._incident.get(endpoint)
-                if incident is not None:
-                    incident.pop(id(edge), None)
-                    if not incident:
-                        del self._incident[endpoint]
-            if edge.kind == MEMBER_OF:
-                self._unindex_name(edge)
+        if edges is None:
+            return 0
+        get_registry().inc("graph.deals_removed")
         return len(edges)
 
-    def _index_name(self, edge: Edge) -> None:
-        key = name_key(str(edge.attrs.get("name") or ""))
-        if not key:
-            return
-        holders = self._name_index.setdefault(key, {})
-        holders[edge.source] = holders.get(edge.source, 0) + 1
+    # _attach and _detach are the only code that moves the maintained
+    # structures; the caller holds the write lock and passes the people
+    # they return to _rename.
 
-    def _unindex_name(self, edge: Edge) -> None:
-        key = name_key(str(edge.attrs.get("name") or ""))
-        holders = self._name_index.get(key)
-        if not holders:
-            return
-        count = holders.get(edge.source, 0) - 1
-        if count > 0:
-            holders[edge.source] = count
-        else:
-            holders.pop(edge.source, None)
-            if not holders:
-                del self._name_index[key]
+    def _attach(
+        self, deal_id: str, attrs: Dict[str, object], edges: List[Edge]
+    ) -> Iterable[str]:
+        """Add one deal's subgraph; returns the people it touches."""
+        self._deal_attrs[deal_id] = attrs
+        self._deal_edges[deal_id] = edges
+        self._edge_count += len(edges)
+        members = self._deal_members[deal_id] = {}
+        name_keys = self._deal_name_keys[deal_id] = []
+        for edge in edges:
+            if edge.kind != MEMBER_OF:
+                self._topic_deals.setdefault(
+                    edge.target, set()
+                ).add(deal_id)
+                continue
+            person = edge.source.key
+            mine = members.get(person)
+            if mine is None:
+                mine = members[person] = []
+                self._memberships.setdefault(person, {})[deal_id] = mine
+            mine.append(edge)
+            key = name_key(str(edge.attrs.get("name") or ""))
+            if key:
+                _bump(self._name_index, key, person, 1)
+                name_keys.append((key, person))
+        for person, mine in members.items():
+            for role in _roles_held(mine):
+                _bump(self._role_holders, role, person, 1)
+        return members
+
+    def _detach(self, deal_id: str) -> Set[str]:
+        """Drop one deal's subgraph; returns the people it touched."""
+        self._deal_attrs.pop(deal_id, None)
+        edges = self._deal_edges.pop(deal_id, ())
+        self._edge_count -= len(edges)
+        for edge in edges:
+            if edge.kind == MEMBER_OF:
+                continue
+            # None once an earlier edge of the deal emptied the topic.
+            deals = self._topic_deals.get(edge.target)
+            if deals is not None:
+                deals.discard(deal_id)
+                if not deals:
+                    del self._topic_deals[edge.target]
+        members = self._deal_members.pop(deal_id, {})
+        for person, mine in members.items():
+            by_deal = self._memberships[person]
+            del by_deal[deal_id]
+            if not by_deal:
+                del self._memberships[person]
+            for role in _roles_held(mine):
+                _bump(self._role_holders, role, person, -1)
+        for key, person in self._deal_name_keys.pop(deal_id, ()):
+            _bump(self._name_index, key, person, -1)
+        return set(members)
+
+    def _rename(self, people: Iterable[str]) -> None:
+        """Recompute the display name of each of ``people``.
+
+        Most mentions, ties lexicographically smallest — a function of
+        the person's membership edges alone, so the result is
+        independent of indexing order (incremental ``add_workbook`` and
+        a full rebuild agree).
+        """
+        for person in people:
+            by_deal = self._memberships.get(person)
+            if by_deal is None:
+                self._names.pop(person, None)
+                continue
+            counts: Dict[str, int] = {}
+            for edges in by_deal.values():
+                for edge in edges:
+                    name = str(edge.attrs.get("name") or "")
+                    if name:
+                        counts[name] = counts.get(name, 0) + 1
+            self._names[person] = (
+                min(counts, key=lambda name: (-counts[name], name))
+                if counts else person.partition(":")[2]
+            )
 
     def _set_gauges_locked(self) -> None:
         registry = get_registry()
         registry.set_gauge("graph.deals", len(self._deal_attrs))
-        registry.set_gauge("graph.nodes", len(self._node_refs()))
         registry.set_gauge(
-            "graph.edges",
-            sum(len(edges) for edges in self._deal_edges.values()),
+            "graph.nodes",
+            len(self._deal_attrs) + len(self._memberships)
+            + len(self._topic_deals),
         )
+        registry.set_gauge("graph.edges", self._edge_count)
 
     # -- shared traversal helpers (caller holds the read lock) --------------
 
-    def _resolve_persons_locked(self, text: str) -> List[NodeRef]:
-        """Person nodes matching ``text`` (email, key, or display name)."""
+    def _resolve_persons_locked(self, text: str) -> List[str]:
+        """Person keys matching ``text`` (email, key, or display name)."""
         text = (text or "").strip()
         if not text:
             return []
-        matches: Set[NodeRef] = set()
         if "@" in text:
-            ref = NodeRef(PERSON, f"email:{normalize_email(text)}")
-            if ref in self._incident:
-                matches.add(ref)
-        else:
-            key = name_key(text)
-            ref = NodeRef(PERSON, f"name:{key}")
-            if ref in self._incident:
-                matches.add(ref)
-            matches.update(self._name_index.get(key, ()))
+            person = f"email:{normalize_email(text)}"
+            return [person] if person in self._memberships else []
+        key = name_key(text)
+        matches = set(self._name_index.get(key, ()))
+        if f"name:{key}" in self._memberships:
+            matches.add(f"name:{key}")
         return sorted(matches)
 
-    def _memberships_locked(self, ref: NodeRef) -> List[Edge]:
-        return [
-            edge for edge in self._incident.get(ref, {}).values()
-            if edge.kind == MEMBER_OF and edge.source == ref
-        ]
+    def _colleagues_locked(
+        self, persons: List[str]
+    ) -> Tuple[Set[str], Dict[str, int]]:
+        """``persons``' deals, and per co-member how many they share."""
+        deals: Set[str] = set()
+        for person in persons:
+            deals.update(self._memberships[person])
+        shared: Dict[str, int] = {}
+        for deal_id in deals:
+            for person in self._deal_members[deal_id]:
+                shared[person] = shared.get(person, 0) + 1
+        for person in persons:
+            del shared[person]
+        return deals, shared
 
-    def _deal_members_locked(self, deal_id: str) -> List[Edge]:
-        return [
-            edge for edge in self._deal_edges.get(deal_id, [])
-            if edge.kind == MEMBER_OF
-        ]
+    def _ranked_locked(
+        self, counts: Mapping[str, int], limit: Optional[int]
+    ) -> List[Tuple[int, str, str]]:
+        """The top ``limit`` of ``counts``: most supporting deals first,
+        then display name, then key."""
+        names = self._names
+        return _top(limit, [
+            (-count, names[person], person)
+            for person, count in counts.items()
+        ])
 
-    def _person_name_locked(self, ref: NodeRef) -> str:
-        """Display name: most mentions, ties lexicographically smallest.
-
-        Derived from the membership edges rather than stored, so the
-        result is independent of indexing order (incremental
-        ``add_workbook`` and a full rebuild agree).
-        """
-        counts: Dict[str, int] = {}
-        for edge in self._memberships_locked(ref):
-            name = str(edge.attrs.get("name") or "")
-            if name:
-                counts[name] = counts.get(name, 0) + 1
-        if not counts:
-            return ref.key.partition(":")[2]
-        return min(counts, key=lambda name: (-counts[name], name))
-
-    @staticmethod
-    def _collect(
-        per_person: Dict[NodeRef, Dict[str, set]],
-        edge: Edge,
-        extra: Optional[str] = None,
-    ) -> None:
-        slot = per_person.setdefault(
-            edge.source,
-            {"deals": set(), "roles": set(), "provenance": set(),
-             "evidence": set()},
+    def _colleague_locked(
+        self, person: str, deals: Set[str], overlap: float = 0.0
+    ) -> Colleague:
+        mine = self._memberships[person]
+        shared_deals, roles, provenance = _summarise(
+            {deal_id: mine[deal_id] for deal_id in mine.keys() & deals}
         )
-        slot["deals"].add(edge.deal_id)
-        role = str(edge.attrs.get("role") or "")
-        if role:
-            slot["roles"].add(role)
-        slot["provenance"].add(edge.provenance.cite())
-        if extra:
-            slot["evidence"].add(extra)
+        return Colleague(
+            person, self._names[person], shared_deals, roles,
+            provenance, overlap,
+        )
 
     # -- queries -------------------------------------------------------------
+    #
+    # Each traversal ranks first — accumulating per candidate only the
+    # count its rank key needs — and builds answer objects (sorted
+    # deals, roles, citations) for the ``limit`` survivors alone.
 
     def worked_with(
         self, person: str, limit: Optional[int] = None
@@ -442,37 +552,18 @@ class EntityGraph:
         person → deals → co-members, each colleague carrying the roles
         they held and the contact rows that prove the membership.
         """
+        _check_limit(limit)
         with self._query("worked_with"), self._lock.read():
-            refs = self._resolve_persons_locked(person)
-            deals: Set[str] = set()
-            for ref in refs:
-                deals.update(
-                    edge.deal_id for edge in self._memberships_locked(ref)
-                )
-            per_person: Dict[NodeRef, Dict[str, set]] = {}
-            for deal_id in deals:
-                for edge in self._deal_members_locked(deal_id):
-                    if edge.source in refs:
-                        continue
-                    self._collect(per_person, edge)
-            colleagues = [
-                Colleague(
-                    key=ref.key,
-                    name=self._person_name_locked(ref),
-                    shared_deals=sorted(slot["deals"]),
-                    roles=sorted(slot["roles"]),
-                    provenance=sorted(slot["provenance"]),
-                )
-                for ref, slot in per_person.items()
-            ]
-            colleagues.sort(
-                key=lambda c: (-len(c.shared_deals), c.name, c.key)
-            )
+            persons = self._resolve_persons_locked(person)
+            deals, shared = self._colleagues_locked(persons)
             return WorkedWithAnswer(
                 query=person,
-                persons=[ref.key for ref in refs],
+                persons=persons,
                 deals=sorted(deals),
-                colleagues=colleagues[:limit],
+                colleagues=[
+                    self._colleague_locked(key, deals)
+                    for _, _, key in self._ranked_locked(shared, limit)
+                ],
             )
 
     def role_capacity(
@@ -486,20 +577,26 @@ class EntityGraph:
         identically — and, unlike the paper's keyword baseline, only
         *filled* roles match (no 149-empty-form-field trap).
         """
+        _check_limit(limit)
         canonical = normalize_role(role or "")
         wanted = canonical.lower()
         with self._query("role_capacity"), self._lock.read():
-            per_person: Dict[NodeRef, Dict[str, set]] = {}
-            for edges in self._deal_edges.values():
-                for edge in edges:
-                    if edge.kind != MEMBER_OF:
-                        continue
-                    held = str(edge.attrs.get("role") or "").lower()
-                    if held == wanted and wanted:
-                        self._collect(per_person, edge)
-            people = self._evidence_list(per_person)
+            ranked = self._ranked_locked(
+                self._role_holders.get(wanted, {}), limit
+            )
+            people = []
+            for _, name, key in ranked:
+                by_deal = {}
+                for deal_id, edges in self._memberships[key].items():
+                    held = [
+                        edge for edge in edges
+                        if _role_of(edge).lower() == wanted
+                    ]
+                    if held:
+                        by_deal[deal_id] = held
+                people.append(PersonEvidence(key, name, *_summarise(by_deal)))
             return RoleCapacityAnswer(
-                query=role, role=canonical, people=people[:limit]
+                query=role, role=canonical, people=people
             )
 
     def expertise(
@@ -512,30 +609,38 @@ class EntityGraph:
         technology/tower → deals → people; each person's evidence
         names the matched nodes their deals reached.
         """
+        _check_limit(limit)
         needle = (topic or "").strip().lower()
         with self._query("expertise"), self._lock.read():
             matched = sorted(
-                ref for ref in self._incident
-                if ref.kind in (TECHNOLOGY, TOWER)
-                and needle and needle in ref.key
-            )
+                ref for ref in self._topic_deals if needle in ref.key
+            ) if needle else []
             deal_evidence: Dict[str, Set[str]] = {}
             for ref in matched:
-                for edge in self._incident.get(ref, {}).values():
-                    if edge.kind in (USES, IN_SCOPE):
-                        deal_evidence.setdefault(
-                            edge.deal_id, set()
-                        ).add(f"{ref.kind}:{ref.key}")
-            per_person: Dict[NodeRef, Dict[str, set]] = {}
-            for deal_id, evidence in deal_evidence.items():
-                for edge in self._deal_members_locked(deal_id):
-                    for item in evidence:
-                        self._collect(per_person, edge, extra=item)
-            people = self._evidence_list(per_person)
+                item = f"{ref.kind}:{ref.key}"
+                for deal_id in self._topic_deals[ref]:
+                    deal_evidence.setdefault(deal_id, set()).add(item)
+            supporting: Dict[str, int] = {}
+            for deal_id in deal_evidence:
+                for person in self._deal_members[deal_id]:
+                    supporting[person] = supporting.get(person, 0) + 1
+            people = []
+            for _, name, key in self._ranked_locked(supporting, limit):
+                mine = self._memberships[key]
+                by_deal = {
+                    deal_id: mine[deal_id]
+                    for deal_id in mine.keys() & deal_evidence.keys()
+                }
+                evidence: Set[str] = set()
+                for deal_id in by_deal:
+                    evidence |= deal_evidence[deal_id]
+                people.append(PersonEvidence(
+                    key, name, *_summarise(by_deal), sorted(evidence)
+                ))
             return ExpertiseAnswer(
                 query=topic,
                 matched=[f"{ref.kind}:{ref.key}" for ref in matched],
-                people=people[:limit],
+                people=people,
             )
 
     def team_overlap(
@@ -546,62 +651,25 @@ class EntityGraph:
         Distinguishes "worked every deal together" from "crossed paths
         once" — the ranking the flat contact lists cannot express.
         """
+        _check_limit(limit)
         with self._query("team_overlap"), self._lock.read():
-            refs = self._resolve_persons_locked(person)
-            my_deals: Set[str] = set()
-            for ref in refs:
-                my_deals.update(
-                    edge.deal_id for edge in self._memberships_locked(ref)
-                )
-            per_person: Dict[NodeRef, Dict[str, set]] = {}
-            for deal_id in my_deals:
-                for edge in self._deal_members_locked(deal_id):
-                    if edge.source in refs:
-                        continue
-                    self._collect(per_person, edge)
-            colleagues = []
-            for ref, slot in per_person.items():
-                their_deals = {
-                    edge.deal_id
-                    for edge in self._memberships_locked(ref)
-                }
-                union = my_deals | their_deals
-                shared = slot["deals"]
-                colleagues.append(Colleague(
-                    key=ref.key,
-                    name=self._person_name_locked(ref),
-                    shared_deals=sorted(shared),
-                    roles=sorted(slot["roles"]),
-                    provenance=sorted(slot["provenance"]),
-                    overlap=len(shared) / len(union) if union else 0.0,
-                ))
-            colleagues.sort(
-                key=lambda c: (
-                    -c.overlap, -len(c.shared_deals), c.name, c.key
-                )
-            )
+            persons = self._resolve_persons_locked(person)
+            deals, shared = self._colleagues_locked(persons)
+            mine, theirs, names = len(deals), self._memberships, self._names
+            ranked = _top(limit, [
+                # Jaccard on distinct deals: |A ∪ B| = |A| + |B| - |A ∩ B|.
+                (-(count / (mine + len(theirs[key]) - count)), -count,
+                 names[key], key)
+                for key, count in shared.items()
+            ])
             return TeamOverlapAnswer(
                 query=person,
-                persons=[ref.key for ref in refs],
-                colleagues=colleagues[:limit],
+                persons=persons,
+                colleagues=[
+                    self._colleague_locked(key, deals, -negated)
+                    for negated, _, _, key in ranked
+                ],
             )
-
-    def _evidence_list(
-        self, per_person: Dict[NodeRef, Dict[str, set]]
-    ) -> List[PersonEvidence]:
-        people = [
-            PersonEvidence(
-                key=ref.key,
-                name=self._person_name_locked(ref),
-                deals=sorted(slot["deals"]),
-                roles=sorted(slot["roles"]),
-                provenance=sorted(slot["provenance"]),
-                evidence=sorted(slot["evidence"]),
-            )
-            for ref, slot in per_person.items()
-        ]
-        people.sort(key=lambda p: (-len(p.deals), p.name, p.key))
-        return people
 
     def _query(self, kind: str):
         registry = get_registry()
@@ -695,20 +763,13 @@ class EntityGraph:
             edge = Edge.from_dict(raw)
             by_deal.setdefault(edge.deal_id, []).append(edge)
         with graph._lock.write():
+            touched: Set[str] = set()
             for deal_id in sorted(by_deal):
                 attrs = deals.get(deal_id) or {"name": deal_id}
-                graph._deal_attrs[deal_id] = dict(attrs)
-                edges = by_deal[deal_id]
-                graph._deal_edges[deal_id] = edges
-                for edge in edges:
-                    graph._incident.setdefault(
-                        edge.source, {}
-                    )[id(edge)] = edge
-                    graph._incident.setdefault(
-                        edge.target, {}
-                    )[id(edge)] = edge
-                    if edge.kind == MEMBER_OF:
-                        graph._index_name(edge)
+                touched.update(
+                    graph._attach(deal_id, dict(attrs), by_deal[deal_id])
+                )
+            graph._rename(touched)
             graph._epoch.increment()
             graph._set_gauges_locked()
         return graph

@@ -125,6 +125,12 @@ class TestGraphCommand:
         assert code == 1
         assert "no person matching" in capsys.readouterr().out
 
+    def test_negative_limit_exits_nonzero(self, capsys):
+        code = main(FAST + ["graph", "--worked-with", "Sam White",
+                            "--limit", "-1"])
+        assert code == 2
+        assert "limit must be" in capsys.readouterr().err
+
     def test_json_answer_is_parseable(self, capsys):
         import json
 

@@ -1,10 +1,16 @@
 """Online query-result cache: hits, invalidation, access isolation."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import CorpusConfig, CorpusGenerator, EILSystem, User, obs
 from repro.core import scope_query
 from repro.core.metaqueries import service_keyword_query
+from repro.core.query_analyzer import FormQuery
+from repro.core.search import ActivityResult, EilResults, _copy_results
 from repro.corpus import DealGenerator, WorkbookFactory
 
 SALES = User("u", frozenset({"sales"}))
@@ -71,6 +77,67 @@ class TestQueryCacheHits:
         second = eil.search(form, SALES)
         assert second.activities
         assert "tampered" not in second.plan
+
+
+_FIELD_VALUES = st.one_of(
+    st.text(alphabet=" \tab", max_size=6),
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False),
+    st.tuples(st.text(alphabet=" a", max_size=3)),
+    st.lists(st.integers(), max_size=2),
+)
+_FORMS = st.builds(
+    FormQuery,
+    search_in=st.sampled_from(["ewb", "synopsis"]),
+    **{
+        f.name: _FIELD_VALUES
+        for f in dataclasses.fields(FormQuery) if f.name != "search_in"
+    },
+)
+
+
+class TestCacheKey:
+    @pytest.fixture(scope="class")
+    def search(self, corpus):
+        return EILSystem.build(corpus)._search
+
+    @given(form=_FORMS, limit=st.none() | st.integers(0, 20))
+    def test_key_equals_the_astuple_expression(self, search, form, limit):
+        """The key is built from the form's fields without copying the
+        form, and is the key ``dataclasses.astuple`` used to give."""
+        normalized = tuple(
+            value.strip() if isinstance(value, str) else value
+            for value in dataclasses.astuple(form)
+        )
+        assert search._cache_key(form, SALES, limit, 5) == (
+            normalized,
+            (SALES.user_id, frozenset(SALES.roles),
+             search.access.policy_version),
+            (search.epoch, search.siapi.engine.epoch),
+            limit, 5,
+        )
+
+    def test_copy_is_equal_and_shares_no_list(self):
+        # Every field non-default, so a field the copy forgot shows.
+        activity = ActivityResult(
+            "d1", "DEAL A", 3.0, 2.0, 1.0, ["tower"], ["doc"], True,
+            ["Sam White"],
+        )
+        blank = ActivityResult("", "", 0.0, 0.0, 0.0)
+        assert all(
+            getattr(activity, f.name) != getattr(blank, f.name)
+            for f in dataclasses.fields(ActivityResult)
+        )
+        cached = EilResults([activity], True, ["step 8"], None)
+        copy = _copy_results(cached)
+        assert copy == cached
+        assert copy.activities is not cached.activities
+        assert copy.plan is not cached.plan
+        assert copy.activities[0] is not activity
+        for name in ("reasons", "documents", "contacts"):
+            assert getattr(copy.activities[0], name) is not getattr(
+                activity, name
+            )
 
 
 class TestQueryCacheInvalidation:

@@ -247,6 +247,31 @@ class TestTeamOverlap:
         assert answer.colleagues[0].overlap == pytest.approx(2 / 3)
 
 
+class TestLimit:
+    QUERIES = [
+        ("worked_with", "Sam White", "colleagues"),
+        ("role_capacity", "Pricer", "people"),
+        ("expertise", "network", "people"),
+        ("team_overlap", "Sam White", "colleagues"),
+    ]
+
+    @pytest.mark.parametrize("method,subject,field", QUERIES)
+    def test_limit_truncates_or_is_rejected(self, graph, method, subject,
+                                            field):
+        def people(*limit):
+            return getattr(getattr(graph, method)(subject, *limit), field)
+
+        everyone = people()
+        assert len(everyone) >= 2
+        assert people(None) == everyone
+        assert people(0) == []
+        assert people(1) == everyone[:1]
+        assert people(99) == everyone
+        # people[:-1] would silently drop the last person instead.
+        with pytest.raises(ValueError, match="limit must be"):
+            people(-1)
+
+
 class TestDisplayNames:
     def test_most_mentions_wins(self):
         g = EntityGraph()

@@ -101,6 +101,14 @@ class TestGraphQuery:
         with pytest.raises(ValueError, match="unknown graph query"):
             GraphQuery("pagerank", "x")
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be"):
+            GraphQuery("worked-with", "x", limit=-1)
+
+    def test_zero_and_none_limits_are_valid(self):
+        assert GraphQuery("worked-with", "x", limit=0).limit == 0
+        assert GraphQuery("worked-with", "x").limit is None
+
     def test_builders_map_to_kinds(self):
         assert graph_worked_with_query("p").kind == "worked-with"
         assert graph_role_capacity_query("r").kind == "role-capacity"

@@ -7,6 +7,8 @@ out of ``src/`` because tests are its only callers:
 * ``select`` — the seed's row-at-a-time SELECT interpreter.
 * ``search`` — the exhaustive query interpreter (per-document scoring,
   clause-order evaluation, post-hoc filtering, full sort).
+* ``graph`` — the scan-based entity-graph traversals (rebuild the
+  adjacency per call, materialise every candidate, sort, slice).
 
 ``index`` is the one model that was never a program path: a dict of
 documents that answers the whole ``IndexReader`` protocol by analysing

@@ -12,7 +12,11 @@ readers against a writer replaying the same script and assert every
 observed ranking is in the recorded set.
 """
 
+import copy
+import dataclasses
+import json
 import random
+import sys
 import threading
 
 import pytest
@@ -21,8 +25,13 @@ from repro import CorpusConfig, CorpusGenerator, EILSystem, User
 from repro.core.metaqueries import scope_query
 from repro.docmodel.repository import EngagementWorkbook
 from repro.corpus import DealGenerator, WorkbookFactory
+from repro.graph import EntityGraph
 from repro.search import IndexableDocument, SearchEngine
 from repro.serving import ShardedSearchEngine
+from tests.graph.test_traversal_equivalence import (
+    assert_indexes_match_rescan,
+)
+from tests.reference import graph as oracle
 
 SALES = User("u", frozenset({"sales"}))
 
@@ -245,3 +254,182 @@ class TestSystemSnapshotIsolation:
         for thread in threads:
             thread.join()
         assert not failures
+
+
+def _contact(contact_id, name, email, role):
+    return {"contact_id": contact_id, "name": name, "email": email,
+            "role": role, "category": "people", "validated": False}
+
+
+SAM = "sam.white@abc.com"
+_GRAPH_BASE = {
+    "d1": [_contact(1, "Sam White", SAM, "Client Solution Executive"),
+           _contact(2, "Ann Gray", "ann.gray@abc.com", "Pricer")],
+    "d2": [_contact(3, "Sam White", SAM, "Client Solution Executive"),
+           _contact(4, "Bea Stone", "bea.stone@abc.com", "Pricer")],
+    "d3": [_contact(5, "Ann Gray", "ann.gray@abc.com", "Pricer"),
+           _contact(6, "Bea Stone", "bea.stone@abc.com", "Pricer")],
+}
+# Each step is one whole mutation.  Between them Sam's display name
+# goes Sam White -> (tie) -> Samuel White and back, his role on d1
+# moves from CSE to Pricer, and d2's citations come and go.
+_GRAPH_SCRIPT = [
+    ("index", "d4", [_contact(7, "Samuel White", SAM, "Pricer"),
+                     _contact(8, "Ann Gray", "ann.gray@abc.com", "")]),
+    ("index", "d1", [_contact(9, "Samuel White", SAM, "Pricer"),
+                     _contact(2, "Ann Gray", "ann.gray@abc.com",
+                              "Pricer")]),
+    ("remove", "d2", None),
+    ("index", "d2", _GRAPH_BASE["d2"]),
+    ("index", "d1", _GRAPH_BASE["d1"]),
+    ("remove", "d4", None),
+]
+_GRAPH_QUESTIONS = [
+    ("worked_with", "Ann Gray", None),
+    ("worked_with", "bea.stone@abc.com", 1),
+    ("team_overlap", "Ann Gray", None),
+    ("team_overlap", SAM, 2),
+    ("role_capacity", "Pricer", None),
+    ("role_capacity", "CSE", 1),
+    ("expertise", "network", None),
+    ("expertise", "vpn", 1),
+]
+
+
+def _graph_at_rest():
+    graph = EntityGraph()
+    for deal_id, contacts in _GRAPH_BASE.items():
+        _graph_step(graph, ("index", deal_id, contacts))
+    return graph
+
+
+def _graph_step(graph, step):
+    verb, deal_id, contacts = step
+    if verb == "remove":
+        graph.remove_deal(deal_id)
+        return
+    graph.index_deal(
+        deal_id, {"name": deal_id.upper()}, contacts,
+        scope_rows=[{"tower": "Network Services", "rank": 0}],
+        technology_rows=[{"technology_id": f"{deal_id}-t",
+                          "term": "VPN" if deal_id != "d3" else "VoIP"}],
+    )
+
+
+def _frozen(answer):
+    return json.dumps(answer, sort_keys=True)
+
+
+class TestGraphSnapshotIsolation:
+    """The four traversals racing ``index_deal`` / ``remove_deal``.
+
+    The graph keeps its adjacency and every person's display name up
+    to date inside the mutation; a reader that saw a name, a role or a
+    citation from a half-applied mutation would produce an answer no
+    quiesced graph gives.  The allowed answers come from the scan-based
+    oracle (``tests/reference/graph.py``), not from the graph itself.
+    """
+
+    def test_answers_match_the_oracle_at_a_quiesced_epoch(self):
+        replay = _graph_at_rest()
+        allowed = {question: set() for question in _GRAPH_QUESTIONS}
+
+        def record():
+            scan = oracle.Scan(replay.to_payload())
+            for kind, subject, limit in _GRAPH_QUESTIONS:
+                allowed[kind, subject, limit].add(_frozen(
+                    oracle.ANSWERS[kind](scan, subject, limit)
+                ))
+
+        record()
+        for step in _GRAPH_SCRIPT:
+            _graph_step(replay, step)
+            record()
+        names = {
+            colleague["name"]
+            for answer in allowed["team_overlap", "Ann Gray", None]
+            for colleague in json.loads(answer)["colleagues"]
+            if colleague["key"] == f"email:{SAM}"
+        }
+        assert names == {"Sam White", "Samuel White"}  # the name moves
+
+        graph = _graph_at_rest()
+        at_rest = graph.dumps()
+        stop = threading.Event()
+        observed = {question: set() for question in _GRAPH_QUESTIONS}
+        observed_lock = threading.Lock()
+        failures = []
+
+        def reader():
+            local = {question: set() for question in _GRAPH_QUESTIONS}
+            try:
+                while not stop.is_set():
+                    for question in _GRAPH_QUESTIONS:
+                        kind, subject, limit = question
+                        answer = getattr(graph, kind)(subject, limit)
+                        local[question].add(
+                            _frozen(dataclasses.asdict(answer))
+                        )
+            except BaseException as exc:  # pragma: no cover - fail loud
+                failures.append(exc)
+            with observed_lock:
+                for question, answers in local.items():
+                    observed[question] |= answers
+
+        def writer():
+            try:
+                for _ in range(80):
+                    for step in _GRAPH_SCRIPT:
+                        _graph_step(graph, step)
+            except BaseException as exc:  # pragma: no cover
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=writer))
+        # A mutation is tens of microseconds; at the default 5 ms the
+        # interpreter would almost never switch threads inside one.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), (
+            "deadlock: a reader or the writer never finished"
+        )
+
+        assert not failures
+        for question in _GRAPH_QUESTIONS:
+            assert observed[question]  # the race exercised readers
+            torn = observed[question] - allowed[question]
+            assert not torn, (
+                f"{question}: {len(torn)} answers no quiesced graph "
+                f"gives, e.g. {sorted(torn)[0]}"
+            )
+        assert graph.dumps() == at_rest  # the script is restorative
+        assert_indexes_match_rescan(graph)
+
+    def test_readers_never_write_graph_state(self):
+        graph = _graph_at_rest()
+        for step in _GRAPH_SCRIPT[:3]:
+            _graph_step(graph, step)
+
+        def state():
+            return {
+                name: value for name, value in vars(graph).items()
+                if name not in ("_lock", "_epoch")
+            }
+
+        before = copy.deepcopy(state())
+        epoch = graph.epoch
+        for kind, subject, _ in _GRAPH_QUESTIONS:
+            for limit in (None, 0, 1):
+                getattr(graph, kind)(subject, limit)
+            getattr(graph, kind)("nobody and nothing", None)
+        assert state() == before
+        assert graph.epoch == epoch

@@ -217,6 +217,24 @@ class TestOperationsDocs:
             f"documented but not declared: {sorted(documented - declared)}"
         )
 
+    def test_architecture_names_exactly_what_the_graph_maintains(
+        self, architecture
+    ):
+        import inspect
+
+        from repro.graph import EntityGraph
+
+        section = architecture.split("### What the graph maintains", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(_\w+)` \|", section, re.M))
+        created = set(re.findall(
+            r"self\.(_\w+)\b[^=\n]*=", inspect.getsource(EntityGraph.__init__)
+        )) - {"_lock", "_epoch"}
+        assert documented == created, (
+            f"created but undocumented: {sorted(created - documented)}; "
+            f"documented but not created: {sorted(documented - created)}"
+        )
+
     def test_architecture_covers_the_db_engine(self, architecture):
         for needle in (
             "naive_execute_select",
