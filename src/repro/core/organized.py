@@ -255,6 +255,18 @@ class OrganizedInformation:
             "SELECT * FROM deals WHERE deal_id = ?", [deal_id]
         )
 
+    def deal_names(self, deal_ids: Sequence[str]) -> Dict[str, object]:
+        """deal id -> display name of those ``deal_ids`` that have an
+        overview row, read in one statement."""
+        placeholders = ", ".join("?" for _ in deal_ids)
+        return dict(
+            self.db.execute(
+                f"SELECT deal_id, name FROM deals "
+                f"WHERE deal_id IN ({placeholders})",
+                list(deal_ids),
+            ).rows
+        )
+
     def scopes_of(self, deal_id: str) -> List[Dict[str, object]]:
         """Ordered scope rows of one deal."""
         return self.db.execute(

@@ -435,14 +435,12 @@ class BusinessActivityDrivenSearch:
                         # Activities with no keyword hits drop out:
                         # both parts of the conjunctive query must
                         # hold (step 9).
+                        matched = {g.activity_id for g in siapi_groups}
                         synopsis_matches = {
                             deal_id: match
                             for deal_id, match in
                             synopsis_matches.items()
-                            if any(
-                                g.activity_id == deal_id
-                                for g in siapi_groups
-                            )
+                            if deal_id in matched
                         }
                 else:
                     plan.append("no SIAPI query; synopsis results stand")
@@ -489,9 +487,10 @@ class BusinessActivityDrivenSearch:
 
             # Step 19: present under access control.
             with tracer.span("query.present"):
+                names = self._deal_names([a.deal_id for a in ranked])
                 results = [
                     self._present(
-                        activity, user,
+                        activity, user, names.get(activity.deal_id),
                         include_contacts=degraded == DEGRADED_NO_INDEX,
                     )
                     for activity in ranked
@@ -503,17 +502,18 @@ class BusinessActivityDrivenSearch:
             degraded=degraded,
         )
 
-    def _deal_row(self, deal_id: str) -> Dict[str, object]:
-        """The deal's overview row, tolerating a flaky synopsis DB.
+    def _deal_names(self, deal_ids: List[str]) -> Dict[str, object]:
+        """The presented deals' names, read in one statement and
+        tolerating a flaky synopsis DB.
 
         Presentation must not un-degrade a result that already made it
-        through the ladder: if the row read fails even after retries,
-        fall back to the bare deal id rather than raising.
+        through the ladder: if the read fails even after retries, every
+        activity falls back to its bare deal id rather than raising.
         """
+        if not deal_ids:
+            return {}
         try:
-            return self.retry.call(
-                self.organized.deal_row, deal_id
-            ) or {}
+            return self.retry.call(self.organized.deal_names, deal_ids)
         except _SYNOPSIS_OUTAGES:
             get_registry().inc("query.present_row_unavailable")
             return {}
@@ -531,9 +531,9 @@ class BusinessActivityDrivenSearch:
         self,
         activity: RankedActivity,
         user: User,
+        name: object,
         include_contacts: bool = False,
     ) -> ActivityResult:
-        deal_row = self._deal_row(activity.deal_id)
         repository = self.repositories.get(activity.deal_id, "")
         documents, withheld = self.access.presentable_documents(
             user, repository, activity.hits
@@ -543,7 +543,7 @@ class BusinessActivityDrivenSearch:
         )
         return ActivityResult(
             deal_id=activity.deal_id,
-            name=str(deal_row.get("name") or activity.deal_id),
+            name=str(name or activity.deal_id),
             score=activity.score,
             synopsis_score=activity.synopsis_score,
             siapi_score=activity.siapi_score,

@@ -24,6 +24,10 @@ queries run through one small planner/executor.
   hits with a bounded heap instead of a full sort, and whole OR
   clauses are skipped once their score upper bound drops below the
   running k-th best score.
+* **Rank → choose → build** — evaluation stops at ``(doc_id, score)``
+  pairs (:class:`Ranking`); a caller's ``choose`` picks from them and
+  only what it picks is decoded and given a snippet, all under one
+  read-side hold of the engine lock (:meth:`SearchEngine.select`).
 
 None of this is selectable: there is one executor.  The original
 interpreter (per-document scoring, clause-order evaluation, post-hoc
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from collections.abc import Set as AbstractSet
 from contextlib import contextmanager
 from typing import (
@@ -56,6 +59,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -78,7 +82,9 @@ from repro.search.querylang import (
 )
 from repro.search.scoring import Bm25Scorer, Scorer
 
-__all__ = ["SearchEngine"]
+__all__ = ["SearchEngine", "Ranking"]
+
+_T = TypeVar("_T")
 
 DocFilter = Union[AbstractSet[str], Callable[[IndexableDocument], bool], None]
 
@@ -90,36 +96,86 @@ _PHRASE_BOOST = 1.25
 _PROBE_RATIO = 8
 
 
-class _CachedRanking:
-    """One cached ranking: an immutable hit tuple plus its coverage.
+class Ranking:
+    """One query's ranking as ``(doc_id, score)`` pairs, best first, and
+    the hits built from it so far.
+
+    What a ``choose`` callback of ``engine.select`` works on — group and
+    trim on :attr:`pairs`, read metadata through ``reader
+    .metadata_value``, call :meth:`hit` only for the positions the
+    result shows — and what the result cache stores.  A hit is built
+    once per position and then shared (``SearchHit`` is frozen), so a
+    cached ranking never decodes a document or cuts a snippet twice.
 
     ``limit is None`` means the ranking is complete; otherwise it holds
-    the top ``limit`` hits and can serve any request asking for that
-    many or fewer.  (A limited computation that found fewer hits than
+    the top ``limit`` pairs and can serve any request asking for that
+    many or fewer.  (A limited computation that found fewer pairs than
     its limit is stored as complete — nothing was cut off.)
+
+    Only valid under the read-side hold it was handed out in: hits are
+    built from the owning engine's index as it is *now*, which is the
+    index the pairs were ranked on only while the epoch stands still.
     """
 
-    __slots__ = ("hits", "limit")
+    __slots__ = ("pairs", "limit", "_engine", "_query", "_hits",
+                 "_highlight")
 
-    def __init__(self, hits: Tuple[SearchHit, ...], limit: Optional[int]):
-        self.hits = hits
+    def __init__(
+        self,
+        engine,
+        query: Query,
+        pairs: Sequence[Tuple[str, float]],
+        limit: Optional[int],
+    ) -> None:
+        self.pairs = tuple(pairs)
         self.limit = (
-            None if limit is not None and len(hits) < limit else limit
+            None if limit is not None and len(self.pairs) < limit else limit
         )
+        self._engine = engine
+        self._query = query
+        self._hits: List[Optional[SearchHit]] = [None] * len(self.pairs)
+        self._highlight: Optional[Tuple[List[str], Set[str]]] = None
 
     def covers(self, requested: Optional[int]) -> bool:
         if self.limit is None:
             return True
         return requested is not None and requested <= self.limit
 
-    def slice(self, requested: Optional[int]) -> List[SearchHit]:
-        """A fresh list for one request; counts the hits it serves from a
-        ranking that was not computed for exactly this limit."""
-        if self.limit is None or requested != self.limit:
-            get_registry().inc("engine.cache.sliced")
-        if requested is None:
-            return list(self.hits)
-        return list(self.hits[:requested])
+    @property
+    def reader(self):
+        """The :class:`~repro.search.index_reader.IndexReader` the pairs
+        were ranked on, unlocked: for use inside ``choose`` only."""
+        return self._engine._reader
+
+    def hit(self, position: int) -> SearchHit:
+        """The hit for ``pairs[position]``, built on first request."""
+        hit = self._hits[position]
+        if hit is None:
+            highlight = self._highlight
+            if highlight is None:  # once per ranking, not per hit
+                analyzer = self._engine.analyzer
+                surfaces = _query_surfaces(self._query)
+                terms: Set[str] = set()
+                for surface in surfaces:
+                    terms.update(analyzer.analyze_query_terms(surface))
+                highlight = self._highlight = (
+                    [surface.lower() for surface in surfaces], terms
+                )
+            doc_id, score = self.pairs[position]
+            document = self.reader.document(doc_id)
+            hit = self._hits[position] = SearchHit(
+                doc_id=doc_id,
+                score=score,
+                document=document,
+                snippet=_make_snippet(
+                    document.text, *highlight, self._engine.analyzer
+                ),
+            )
+        return hit
+
+    def head(self, limit: Optional[int]) -> List[SearchHit]:
+        """A fresh list of the first ``limit`` hits (all, for None)."""
+        return [self.hit(i) for i in range(len(self.pairs[:limit]))]
 
 
 def _cache_key(epoch: int, query: Query, doc_filter: DocFilter):
@@ -130,8 +186,8 @@ def _cache_key(epoch: int, query: Query, doc_filter: DocFilter):
     as frozensets.  The owning engine's epoch is part of every key,
     which is how ``add``/``remove`` invalidate without touching the
     cache.  ``limit`` is deliberately absent: the cached value records
-    its own coverage and serves any covered limit by slicing (see
-    :class:`_CachedRanking`).
+    its own coverage and serves any covered limit from its head (see
+    :class:`Ranking`).
     """
     if doc_filter is None:
         filter_key = None
@@ -146,35 +202,102 @@ def _cache_key(epoch: int, query: Query, doc_filter: DocFilter):
     return (epoch, query, filter_key)
 
 
-@contextmanager
-def _logical_query(
-    engine, counter: str, query: Union[str, Query], limit, doc_filter
-) -> Iterator[Tuple[Query, object, Optional[_CachedRanking]]]:
-    """What one logical search or count does before it evaluates,
-    whether ``engine`` is sharded or not.
+class _LogicalQueries:
+    """``select`` and ``count``, written once for :class:`SearchEngine`
+    and the sharded engine.
 
-    The ``index`` fault point (the engine stands in for the OmniFind
-    service, which can be down as a whole: an installed injector checks
-    *before* the result cache, modelling an unreachable service rather
-    than a slow query) and the ``counter`` metric, once.  Then the body
-    runs under the read side of the engine lock with the parsed query,
-    its cache key and the cached ranking that covers ``limit``, if any:
-    epoch read, cache probe, posting traversal and cache store see one
-    snapshot, so concurrent mutations can neither tear a traversal nor
-    let a post-mutation epoch key a pre-mutation ranking.
+    A subclass supplies the evaluation — ``_rank`` and ``_count_docs``,
+    run by a caller that holds the read side of ``_rw`` — plus
+    ``_reader``, ``_cache``, ``epoch`` and ``analyzer``.  What is here
+    is everything that belongs to one *logical* query however many
+    shards evaluate it: one ``index`` fault draw, one counter, one
+    cache verdict, one hold.
     """
-    get_injector().check("index")
-    if isinstance(query, str):
-        query = parse_query(query)
-    get_registry().inc(counter)
-    with engine._rw.read():
-        cache_key = _cache_key(engine.epoch, query, doc_filter)
-        cached = None
-        if cache_key is not None:
-            cached = engine._cache.get(cache_key)
-            if cached is not None and not cached.covers(limit):
-                cached = None
-        yield query, cache_key, cached
+
+    @contextmanager
+    def _logical_query(
+        self, counter: str, query: Union[str, Query], limit, doc_filter
+    ) -> Iterator[Tuple[Query, object, Optional[Ranking]]]:
+        """What a search or a count does before it evaluates.
+
+        The ``index`` fault point (the engine stands in for the
+        OmniFind service, which can be down as a whole: an installed
+        injector checks *before* the result cache, modelling an
+        unreachable service rather than a slow query) and the
+        ``counter`` metric, once.  Then the body runs under the read
+        side of the engine lock with the parsed query, its cache key
+        and the cached ranking that covers ``limit``, if any: epoch
+        read, cache probe, posting traversal, cache store and hit
+        building see one snapshot, so concurrent mutations can neither
+        tear a traversal, nor let a post-mutation epoch key a
+        pre-mutation ranking, nor remove a ranked document before its
+        hit is built.
+        """
+        get_injector().check("index")
+        if isinstance(query, str):
+            query = parse_query(query)
+        get_registry().inc(counter)
+        with self._rw.read():
+            cache_key = _cache_key(self.epoch, query, doc_filter)
+            cached = None
+            if cache_key is not None:
+                cached = self._cache.get(cache_key)
+                if cached is not None and not cached.covers(limit):
+                    cached = None
+            yield query, cache_key, cached
+
+    def select(
+        self,
+        query: Union[str, Query],
+        choose: Callable[[Ranking], _T],
+        limit: Optional[int] = None,
+        doc_filter: DocFilter = None,
+    ) -> _T:
+        """Rank ``query``, let ``choose`` pick, build only what it picks.
+
+        ``choose`` gets the :class:`Ranking` (at least the top ``limit``
+        pairs — a cached one may hold more; all, for None) and returns
+        the answer, calling :meth:`Ranking.hit` for each position it
+        wants a :class:`SearchHit` of.  :meth:`search` is this with
+        ``choose`` = the first ``limit`` hits; the SIAPI facade's
+        grouped search chooses by activity.
+
+        Ranking, the choice and the hit building run inside one
+        read-side hold of the engine lock, so the answer is whole at
+        one epoch: were the hits built under a second hold, a
+        ``remove`` between the two would make a ranked document "not
+        indexed".
+        """
+        with self._logical_query(
+            "engine.searches", query, limit, doc_filter
+        ) as (query, cache_key, ranking):
+            if ranking is None:
+                ranking = Ranking(
+                    self, query, self._rank(query, limit, doc_filter), limit
+                )
+                if cache_key is not None:
+                    self._cache.put(cache_key, ranking)
+            elif ranking.limit is None or limit != ranking.limit:
+                # Served from a ranking not computed for exactly this limit.
+                get_registry().inc("engine.cache.sliced")
+            return choose(ranking)
+
+    def count(
+        self, query: Union[str, Query], doc_filter: DocFilter = None
+    ) -> int:
+        """Number of documents matching ``query`` (no ranking work).
+
+        Answered from a cached *complete* search ranking when one
+        exists; otherwise evaluated membership-only (no scores are ever
+        computed for a count).
+        """
+        with self._logical_query(
+            "engine.counts", query, None, doc_filter
+        ) as (query, _, ranking):
+            if ranking is not None:
+                get_registry().inc("engine.counts_from_cache")
+                return len(ranking.pairs)
+            return self._count_docs(query, doc_filter)
 
 
 class _Execution:
@@ -676,7 +799,7 @@ class _Execution:
         return universe
 
 
-class SearchEngine:
+class SearchEngine(_LogicalQueries):
     """Index + query planner/executor + ranker.
 
     Args:
@@ -822,30 +945,29 @@ class SearchEngine:
             Hits sorted by descending score; ties broken by doc id for
             determinism.
 
-        This is the ``index`` fault point (see :func:`_logical_query`).
+        This is the ``index`` fault point, and :meth:`select` choosing
+        the first ``limit`` hits.
         """
-        with _logical_query(
-            self, "engine.searches", query, limit, doc_filter
-        ) as (query, cache_key, cached):
-            if cached is not None:
-                return cached.slice(limit)
-            hits = self._evaluate(query, limit, doc_filter)
-            if cache_key is not None:
-                self._cache.put(
-                    cache_key, _CachedRanking(tuple(hits), limit)
-                )
-            return hits
+        return self.select(
+            query, lambda ranking: ranking.head(limit), limit, doc_filter
+        )
 
-    def _evaluate(
+    @property
+    def _reader(self):
+        """What :class:`Ranking` reads documents from."""
+        return self.index
+
+    def _rank(
         self, query: Query, limit: Optional[int], doc_filter: DocFilter
-    ) -> List[SearchHit]:
-        """Rank ``query`` and build its hits: one evaluation, nothing else.
+    ) -> List[Tuple[str, float]]:
+        """The ``(doc_id, score)`` ranking: one evaluation, nothing else.
 
-        No fault point, no ``engine.searches``, no result cache — those
-        belong to one *logical* query and live in :meth:`search`.  The
-        sharded engine calls this on each child for that reason.  The
-        caller holds the read side of the lock that excludes mutation
-        of ``self.index`` (this engine's, or the sharded parent's).
+        No fault point, no ``engine.searches``, no result cache, no hit
+        — those belong to one *logical* query and live in
+        :meth:`select`.  The sharded engine calls this on each child
+        for that reason.  The caller holds the read side of the lock
+        that excludes mutation of ``self.index`` (this engine's, or the
+        sharded parent's).
         """
         metrics = get_registry()
         execution = _Execution(self, doc_filter)
@@ -854,48 +976,11 @@ class SearchEngine:
         metrics.observe(
             "engine.candidates_after_filter", execution.n_after_filter
         )
-        surfaces = _query_surfaces(query)
-        highlight_terms: Set[str] = set()
-        for surface in surfaces:
-            highlight_terms.update(
-                self.analyzer.analyze_query_terms(surface)
-            )
-        hits = []
-        for doc_id, score in ranked:
-            document = self.index.document(doc_id)
-            hits.append(
-                SearchHit(
-                    doc_id=doc_id,
-                    score=score,
-                    document=document,
-                    snippet=_make_snippet(
-                        document.text,
-                        surfaces,
-                        highlight_terms,
-                        self.analyzer,
-                    ),
-                )
-            )
-        return hits
+        return ranked
 
-    def count(self, query: Union[str, Query], doc_filter: DocFilter = None) -> int:
-        """Number of documents matching ``query`` (no ranking work).
-
-        Answered from a cached *complete* search ranking when one
-        exists; otherwise evaluated membership-only (no scores are ever
-        computed for a count).
-        """
-        with _logical_query(
-            self, "engine.counts", query, None, doc_filter
-        ) as (query, _, cached):
-            if cached is not None:
-                get_registry().inc("engine.counts_from_cache")
-                return len(cached.hits)
-            return self._count(query, doc_filter)
-
-    def _count(self, query: Query, doc_filter: DocFilter) -> int:
-        """Membership-only count: :meth:`_evaluate`'s counterpart, under
-        the same caller-holds-the-read-side rule."""
+    def _count_docs(self, query: Query, doc_filter: DocFilter) -> int:
+        """Membership-only count: :meth:`_rank`'s counterpart, under the
+        same caller-holds-the-read-side rule."""
         return _Execution(self, doc_filter).count_docs(query)
 
 
@@ -915,7 +1000,7 @@ def _query_surfaces(query: Query) -> List[str]:
 
 def _make_snippet(
     text: str,
-    surfaces: List[str],
+    lowered_surfaces: List[str],
     highlight_terms: Set[str],
     analyzer: Analyzer,
     width: int = 80,
@@ -927,12 +1012,13 @@ def _make_snippet(
     run through the analyzer and the window anchors on the first token
     whose *analyzed* form matches a query term — a query for
     "financing" lands on a document's "financed" instead of falling
-    back to the document head.
+    back to the document head.  The surfaces arrive lowered: that is
+    done once per query, not per hit.
     """
     lowered = text.lower()
     best = None
-    for surface in surfaces:
-        position = lowered.find(surface.lower())
+    for surface in lowered_surfaces:
+        position = lowered.find(surface)
         if position != -1 and (best is None or position < best):
             best = position
     if best is None and highlight_terms:
@@ -945,4 +1031,5 @@ def _make_snippet(
     else:
         start = max(0, best - width // 3)
         snippet = text[start:start + width]
-    return re.sub(r"\s+", " ", snippet).strip()
+    # Whitespace runs to one space, ends trimmed (``\s+`` -> " ").
+    return " ".join(snippet.split())

@@ -182,6 +182,16 @@ class IndexReader(ABC):
         """
 
     @abstractmethod
+    def metadata_value(self, doc_id: str, key: str) -> Any:
+        """What ``document(doc_id).metadata.get(key)`` answers, without
+        decoding the document where the reader can avoid it.
+
+        The inverse of :meth:`docs_with_metadata`; :class:`SearchError`
+        if ``doc_id`` is not indexed.  Read-only: a reader may hand the
+        same value object to every caller.
+        """
+
+    @abstractmethod
     def vocabulary(self, field: Optional[str] = None) -> Set[str]:
         """Distinct terms with a posting in ``field`` (any, for None)."""
         terms: Set[str] = set()
@@ -375,6 +385,12 @@ class CompositeIndexReader(IndexReader):
         for part in self.parts:
             matches |= part.docs_with_metadata(key, values)
         return matches
+
+    def metadata_value(self, doc_id: str, key: str) -> Any:
+        owner = self._owner(doc_id)
+        if owner is None:
+            raise SearchError(f"document {doc_id!r} not indexed")
+        return owner.metadata_value(doc_id, key)
 
     def vocabulary(self, field: Optional[str] = None) -> Set[str]:
         terms: Set[str] = set()

@@ -245,6 +245,9 @@ class InvertedIndex(IndexReader):
                 matches.update(members)
         return matches
 
+    def metadata_value(self, doc_id: str, key: str) -> Any:
+        return self.document(doc_id).metadata.get(key)
+
     # -- statistics ------------------------------------------------------------
 
     def df(self, term: str, field: Optional[str] = None) -> int:

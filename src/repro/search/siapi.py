@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import QuerySyntaxError
 from repro.obs import get_registry
 from repro.search.document import SearchHit
-from repro.search.engine import SearchEngine
+from repro.search.engine import Ranking, SearchEngine
 from repro.search.querylang import (
     AndQuery,
     NotQuery,
@@ -174,36 +174,67 @@ class SiapiService:
         activity; activities sort by that average.  ``activity_limit``
         keeps only the best activities (score normalization still sees
         every hit, so kept activities score identically either way).
+
+        Grouping, normalising, averaging and trimming work on the
+        engine's ``(doc_id, score)`` pairs; a document is decoded and
+        given a snippet only if a kept activity shows it, all under the
+        engine's one read-side hold (:meth:`SearchEngine.select`).
         """
-        hits = self.search(query, scope)
+        return self.engine.select(
+            query.to_query(),
+            lambda ranking: self._group(
+                ranking, per_activity_limit, activity_limit
+            ),
+            None,
+            self._scope_filter(scope),
+        )
+
+    def _group(
+        self,
+        ranking: Ranking,
+        per_activity_limit: Optional[int],
+        activity_limit: Optional[int],
+    ) -> List[ActivityHits]:
+        pairs = ranking.pairs
         metrics = get_registry()
-        metrics.observe("siapi.hits", len(hits))
-        if not hits:
+        metrics.observe("siapi.hits", len(pairs))
+        if not pairs:
             return []
-        best = max(hit.score for hit in hits) or 1.0
-        grouped: Dict[str, List[Tuple[float, SearchHit]]] = {}
-        for hit in hits:
-            activity = hit.metadata.get(self.activity_key)
+        best = pairs[0][1] or 1.0  # best first: the result set's maximum
+        activity_of = ranking.reader.metadata_value
+        activity_key = self.activity_key
+        # activity -> (-normalized score, doc id, position in the
+        # ranking): tuples that sort into the presentation order.
+        grouped: Dict[str, List[Tuple[float, str, int]]] = {}
+        for position, (doc_id, score) in enumerate(pairs):
+            activity = activity_of(doc_id, activity_key)
             if activity is None:
                 continue
-            grouped.setdefault(activity, []).append((hit.score / best, hit))
+            grouped.setdefault(activity, []).append(
+                (-(score / best), doc_id, position)
+            )
+        # (-average score, activity id, its entries), sorted the same way.
+        scored = []
+        for activity_id, entries in grouped.items():
+            # Distinct scores can normalize to one float, so the ranking
+            # order is not yet the (normalized score, doc id) order.
+            entries.sort()
+            average = sum(-entry[0] for entry in entries) / len(entries)
+            scored.append((-average, activity_id, entries))
+        metrics.observe("siapi.activities_matched", len(scored))
+        if activity_limit is not None and activity_limit < len(scored):
+            scored = heapq.nsmallest(activity_limit, scored)
+        else:
+            scored.sort()
         results = []
-        for activity_id, scored in grouped.items():
-            scored.sort(key=lambda pair: (-pair[0], pair[1].doc_id))
-            trimmed = scored[:per_activity_limit] if per_activity_limit else scored
+        for negated, activity_id, entries in scored:
+            if per_activity_limit:
+                entries = entries[:per_activity_limit]
             results.append(
                 ActivityHits(
                     activity_id=activity_id,
-                    score=sum(s for s, _ in scored) / len(scored),
-                    hits=[hit for _, hit in trimmed],
+                    score=-negated,
+                    hits=[ranking.hit(position) for _, _, position in entries],
                 )
             )
-        metrics.observe("siapi.activities_matched", len(results))
-        if activity_limit is not None and activity_limit < len(results):
-            return heapq.nsmallest(
-                activity_limit,
-                results,
-                key=lambda a: (-a.score, a.activity_id),
-            )
-        results.sort(key=lambda a: (-a.score, a.activity_id))
         return results

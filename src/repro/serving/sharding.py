@@ -48,6 +48,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
     Union,
 )
@@ -56,14 +57,12 @@ from repro.cache import LruCache
 from repro.concurrency import AtomicCounter, ReadWriteLock
 from repro.core.organized import OrganizedInformation
 from repro.errors import SearchError
-from repro.obs import get_registry
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument, SearchHit
 from repro.search.engine import (
     DocFilter,
     SearchEngine,
-    _CachedRanking,
-    _logical_query,
+    _LogicalQueries,
 )
 from repro.search.index_reader import CompositeIndexReader, IndexReader
 from repro.search.querylang import Query
@@ -211,7 +210,7 @@ class _GlobalStatsScorer:
         )
 
 
-class ShardedSearchEngine:
+class ShardedSearchEngine(_LogicalQueries):
     """A drop-in :class:`~repro.search.engine.SearchEngine` over shards.
 
     Documents route to shards by their ``shard_key`` metadata (deal id
@@ -331,48 +330,43 @@ class ShardedSearchEngine:
         limit: Optional[int] = None,
         doc_filter: DocFilter = None,
     ) -> List[SearchHit]:
-        """Fan the query out to every shard and rank-merge.
+        """Ranked hits, as :meth:`SearchEngine.search` gives them."""
+        return self.select(
+            query, lambda ranking: ranking.head(limit), limit, doc_filter
+        )
+
+    @property
+    def _reader(self) -> _ShardedIndexView:
+        """What :class:`Ranking` reads documents from: the unlocked
+        view, since a ranking is only used under the parent's hold."""
+        return self._view
+
+    def _rank(
+        self, query: Query, limit: Optional[int], doc_filter: DocFilter
+    ) -> List[Tuple[str, float]]:
+        """Fan the query out to every shard and merge the pairs.
 
         Each shard returns its own top ``limit`` (scored with global
         statistics); since the shards partition the corpus, the merged
-        ``(-score, doc_id)`` order sliced to ``limit`` is exactly the
-        unsharded ranking.
+        ``(-score, doc_id)`` order cut at ``limit`` is exactly the
+        unsharded ranking.  No shard builds a hit: the parent builds
+        the ones a result shows, from its view.
         """
-        with _logical_query(
-            self, "engine.searches", query, limit, doc_filter
-        ) as (query, cache_key, cached):
-            if cached is not None:
-                return cached.slice(limit)
-            per_shard = self._map_shards(
-                lambda shard: shard._evaluate(query, limit, doc_filter)
-            )
-            merged: List[SearchHit] = []
-            for hits in per_shard:
-                merged.extend(hits)
-            merged.sort(key=lambda hit: (-hit.score, hit.doc_id))
-            if limit is not None:
-                merged = merged[:limit]
-            if cache_key is not None:
-                self._cache.put(
-                    cache_key, _CachedRanking(tuple(merged), limit)
-                )
-            return list(merged)
+        merged: List[Tuple[str, float]] = []
+        for pairs in self._map_shards(
+            lambda shard: shard._rank(query, limit, doc_filter)
+        ):
+            merged.extend(pairs)
+        merged.sort(key=lambda pair: (-pair[1], pair[0]))
+        return merged[:limit]
 
-    def count(
-        self, query: Union[str, Query], doc_filter: DocFilter = None
-    ) -> int:
-        """Total matching documents (per-shard counts are disjoint)."""
-        with _logical_query(
-            self, "engine.counts", query, None, doc_filter
-        ) as (query, _, cached):
-            if cached is not None:
-                get_registry().inc("engine.counts_from_cache")
-                return len(cached.hits)
-            return sum(
-                self._map_shards(
-                    lambda shard: shard._count(query, doc_filter)
-                )
+    def _count_docs(self, query: Query, doc_filter: DocFilter) -> int:
+        """Per-shard counts are disjoint, so they add."""
+        return sum(
+            self._map_shards(
+                lambda shard: shard._count_docs(query, doc_filter)
             )
+        )
 
     def close(self) -> None:
         """Shut the fan-out pool down (no-op for serial fan-out)."""

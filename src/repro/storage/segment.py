@@ -90,6 +90,7 @@ class Segment(IndexReader):
         "_live_field_tokens",
         "_live_field_docs",
         "_meta",
+        "_meta_values",
         "_terms",
         "tombstones",
         "_live_df",
@@ -117,6 +118,9 @@ class Segment(IndexReader):
         self._live_field_docs: Dict[str, int] = {}
         # key -> value_json -> ascending ordinals.
         self._meta: Dict[str, Dict[str, Tuple[int, ...]]] = {}
+        # key -> ordinal -> decoded value: ``_meta`` inverted, one key
+        # at a time, when ``metadata_value`` first asks for it.
+        self._meta_values: Dict[str, Dict[int, Any]] = {}
         # field -> term -> (stored_df, stored_max_tf, blob_off, blob_len)
         self._terms: Dict[str, Dict[str, Tuple[int, int, int, int]]] = {}
         self.tombstones: Set[int] = set()
@@ -590,6 +594,29 @@ class Segment(IndexReader):
                 if ordinal not in tombstones:
                     matches.add(doc_ids[ordinal])
         return matches
+
+    def metadata_value(self, doc_id: str, key: str) -> Any:
+        """The live document's metadata ``key``, off the value index.
+
+        A document the index has no entry for under ``key`` either
+        lacks the key or carries a value the index never holds (an
+        unhashable one), so it is decoded from the docstore.
+        """
+        ordinal = self._ord.get(doc_id)
+        if ordinal is None or ordinal in self.tombstones:
+            raise SearchError(f"document {doc_id!r} not indexed")
+        values = self._meta_values.get(key)
+        if values is None:
+            values = {}
+            for value_json, ordinals in self._meta.get(key, {}).items():
+                values.update(
+                    dict.fromkeys(ordinals, json.loads(value_json))
+                )
+            self._meta_values[key] = values
+        try:
+            return values[ordinal]
+        except KeyError:
+            return self.document(doc_id).metadata.get(key)
 
 
 def _meta_value_json(value: Any) -> Optional[str]:

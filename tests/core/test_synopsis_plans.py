@@ -1,7 +1,7 @@
 """Access paths of the synopsis statements.
 
-Every form query starts with a synopsis query and every presented hit
-reads its deal back, so a statement that silently falls back to
+Every form query starts with a synopsis query and every result reads
+its activities' names back, so a statement that silently falls back to
 scanning costs every request.  These tests pin the access path —
 ``ResultSet.plan``'s first line — of each statement
 :class:`SynopsisSearch` and :class:`OrganizedInformation`'s readers
@@ -120,3 +120,23 @@ def test_per_deal_readers_are_point_reads(system, accesses):
         "client_references WHERE deal_id = ?":
             {"index lookup ix_references_deal(deal_id"},
     }
+
+
+@pytest.mark.parametrize("arity", [1, 10])
+def test_presented_names_probe_the_primary_key(system, accesses, arity):
+    """Presentation names a result's activities with one statement; at
+    any arity it probes ``deals``' primary key once per id, never scans
+    (an id without a row — offboarded since it was ranked — is simply
+    not in the answer)."""
+    organized = system.organized
+    present = organized.deal_ids()
+    asked = (present + [f"deal-gone-{i}" for i in range(arity)])[:arity]
+    names = organized.deal_names(asked)
+    assert names == {
+        deal_id: organized.deal_row(deal_id)["name"]
+        for deal_id in asked if deal_id in present
+    }
+    placeholders = ", ".join("?" * arity)
+    assert accesses[
+        f"SELECT deal_id, name FROM deals WHERE deal_id IN ({placeholders})"
+    ] == {"index lookup pk_deals(deal_id"}

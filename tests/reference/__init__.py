@@ -6,7 +6,10 @@ out of ``src/`` because tests are its only callers:
 * ``text`` — the eight Porter steps and the analyzer as a composition.
 * ``select`` — the seed's row-at-a-time SELECT interpreter.
 * ``search`` — the exhaustive query interpreter (per-document scoring,
-  clause-order evaluation, post-hoc filtering, full sort).
+  clause-order evaluation, post-hoc filtering, full sort), and every
+  ranked document built into a hit.
+* ``siapi`` — the grouped search over those built hits (group,
+  normalize, average, and only then trim).
 * ``graph`` — the scan-based entity-graph traversals (rebuild the
   adjacency per call, materialise every candidate, sort, slice).
 

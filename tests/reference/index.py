@@ -10,7 +10,8 @@ with any index under ``src/`` and has no state that could go stale.
 reader must answer: every protocol member and every derived operation,
 for every field (one unknown, and ``None``), every term (one unknown),
 every document (one unknown), every phrase that occurs plus some that
-do not, and every metadata key with hashable and unhashable probes.
+do not, and every metadata key with hashable and unhashable probes, and every
+(document, metadata key) pair read back (one key unknown).
 ``tests/search/test_index_reader.py`` runs it over every kind of
 reader in every layout; the storage and sharding suites hand it their
 own scenarios.
@@ -171,6 +172,9 @@ class DictOfDocs:
             )
         }
 
+    def metadata_value(self, doc_id: str, key: str) -> Any:
+        return self.docs[doc_id].metadata.get(key)
+
     # -- derived ------------------------------------------------------------------
 
     def matching_docs(
@@ -256,6 +260,9 @@ def assert_conforms(reader, model: DictOfDocs) -> None:
     fields = model._all_field_names() + [GHOST_FIELD]
     terms = sorted(model.vocabulary()) + [GHOST_TERM]
     doc_ids = sorted(model.doc_ids) + [GHOST_DOC]
+    metadata_keys = sorted(
+        {key for doc in model.docs.values() for key in doc.metadata}
+    ) + ["ghost_key"]
 
     assert len(reader) == len(model)
     assert reader.doc_ids == model.doc_ids
@@ -277,6 +284,19 @@ def assert_conforms(reader, model: DictOfDocs) -> None:
         else:
             with pytest.raises(SearchError):
                 reader.document(doc_id)
+        for key in metadata_keys:
+            if doc_id in model.docs:
+                # Whatever the stored document says, a value the
+                # metadata index never holds (unhashable) included.
+                assert reader.metadata_value(doc_id, key) == (
+                    model.metadata_value(doc_id, key)
+                ), (doc_id, key)
+                assert reader.metadata_value(doc_id, key) == (
+                    reader.document(doc_id).metadata.get(key)
+                ), (doc_id, key)
+            else:
+                with pytest.raises(SearchError):
+                    reader.metadata_value(doc_id, key)
 
     for field in fields:
         assert reader.field_document_count(field) == (

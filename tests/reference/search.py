@@ -22,11 +22,20 @@ field text.
 
 It imports nothing from ``repro.search.engine`` and records no metrics;
 the number of postings it scored comes back as a return value.
+
+``exhaustive_hits`` is what ``SearchEngine._evaluate`` did with such a
+ranking before the engine ranked to pairs and built only the hits a
+result shows: every ranked document is fetched and given its snippet,
+the query's surfaces lowered again for each one and the whitespace
+folded by ``re.sub``.  ``tests/reference/siapi.py`` groups these hits
+the way ``SiapiService.search_grouped`` used to.
 """
 
+import re
 from collections.abc import Set as AbstractSet
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.search.document import SearchHit
 from repro.search.querylang import (
     AndQuery,
     NotQuery,
@@ -37,7 +46,8 @@ from repro.search.querylang import (
     parse_query,
 )
 
-__all__ = ["exhaustive_search", "exhaustive_ranking"]
+__all__ = ["exhaustive_search", "exhaustive_ranking", "exhaustive_hits",
+           "make_snippet"]
 
 # The engine's phrase boost, restated: a wrong constant on either side
 # shows up as a score mismatch.
@@ -268,3 +278,75 @@ def exhaustive_ranking(
 ) -> Ranking:
     """The ranking half of :func:`exhaustive_search`."""
     return exhaustive_search(engine, query, limit, doc_filter)[0]
+
+
+def query_surfaces(query: Query) -> List[str]:
+    """Positive surface strings in the query, for snippet highlighting."""
+    if isinstance(query, (TermQuery, PhraseQuery)):
+        return [query.text]
+    if isinstance(query, (AndQuery, OrQuery)):
+        surfaces: List[str] = []
+        for clause in query.clauses:
+            surfaces.extend(query_surfaces(clause))
+        return surfaces
+    return []  # NotQuery: nothing to highlight
+
+
+def make_snippet(
+    text: str,
+    surfaces: List[str],
+    highlight_terms: Set[str],
+    analyzer,
+    width: int = 80,
+) -> str:
+    """A short window of text around the first query-term occurrence:
+    the first verbatim surface, else the first token whose analyzed
+    form is a query term, else the document's head."""
+    lowered = text.lower()
+    best = None
+    for surface in surfaces:
+        position = lowered.find(surface.lower())
+        if position != -1 and (best is None or position < best):
+            best = position
+    if best is None and highlight_terms:
+        for analyzed in analyzer.analyze(text):
+            if analyzed.term in highlight_terms:
+                best = analyzed.start
+                break
+    if best is None:
+        snippet = text[:width]
+    else:
+        start = max(0, best - width // 3)
+        snippet = text[start:start + width]
+    return re.sub(r"\s+", " ", snippet).strip()
+
+
+def exhaustive_hits(
+    engine, query, limit: Optional[int] = None, doc_filter=None
+) -> List[SearchHit]:
+    """Every document of :func:`exhaustive_ranking` as a built hit."""
+    if isinstance(query, str):
+        query = parse_query(query)
+    surfaces = query_surfaces(query)
+    highlight_terms: Set[str] = set()
+    for surface in surfaces:
+        highlight_terms.update(
+            engine.analyzer.analyze_query_terms(surface)
+        )
+    hits = []
+    for doc_id, score in exhaustive_ranking(
+        engine, query, limit, doc_filter
+    ):
+        document = engine.index.document(doc_id)
+        hits.append(
+            SearchHit(
+                doc_id=doc_id,
+                score=score,
+                document=document,
+                snippet=make_snippet(
+                    document.text, surfaces, highlight_terms,
+                    engine.analyzer,
+                ),
+            )
+        )
+    return hits

@@ -1,14 +1,20 @@
 """Unit tests for the search engine: matching, ranking, filtering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SearchError
+from repro.obs import use_registry
 from repro.search import (
+    Analyzer,
     Bm25Scorer,
     IndexableDocument,
     SearchEngine,
     TfidfScorer,
 )
+from repro.search.engine import _make_snippet
+from tests.reference.search import make_snippet
 
 
 @pytest.fixture
@@ -225,3 +231,140 @@ class TestLifecycle:
             IndexableDocument("x", {})
         with pytest.raises(SearchError):
             IndexableDocument("x", {"a": 42})
+
+
+class TestCachedRankingBuildsEachHitOnce:
+    """The result cache stores ``(doc_id, score)`` pairs and the hits
+    built from them so far: a second ask decodes nothing."""
+
+    @pytest.fixture
+    def decodes(self, engine, monkeypatch):
+        """Doc ids in the order the engine fetched their documents."""
+        fetched = []
+        document = engine.index.document
+
+        def counting(doc_id):
+            fetched.append(doc_id)
+            return document(doc_id)
+
+        monkeypatch.setattr(engine.index, "document", counting)
+        return fetched
+
+    def test_hit_after_miss_serves_the_same_objects(self, engine, decodes):
+        with use_registry() as registry:
+            first = engine.search("services")
+            assert sorted(decodes) == ["a", "b", "d"]
+            second = engine.search("services")
+            assert registry.counter("engine.cache.hits").value == 1
+        assert len(decodes) == 3  # nothing decoded the second time
+        assert first is not second  # a list of the caller's own
+        assert len(first) == len(second) == 3
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_covered_smaller_limit_builds_nothing_new(self, engine, decodes):
+        with use_registry() as registry:
+            top2 = engine.search("services", limit=2)
+            assert len(decodes) == 2
+            top1 = engine.search("services", limit=1)
+            assert registry.counter("engine.cache.hits").value == 1
+            assert registry.counter("engine.cache.sliced").value == 1
+            assert len(decodes) == 2
+            assert top1[0] is top2[0]
+            # The same limit again is not a slice.
+            engine.search("services", limit=2)
+            assert registry.counter("engine.cache.sliced").value == 1
+
+    def test_only_the_shown_hits_of_a_complete_ranking_are_built(
+        self, engine, decodes
+    ):
+        with use_registry() as registry:
+            # limit=50 finds 3: stored as complete, all three built.
+            engine.search("services", limit=50)
+            assert len(decodes) == 3
+            assert engine.count("services") == 3
+            assert registry.counter("engine.counts_from_cache").value == 1
+        decodes.clear()
+        engine.search("replication OR roster OR minutes")  # b, c, d
+        assert sorted(decodes) == ["b", "c", "d"]
+
+    def test_select_builds_what_choose_asks_for(self, engine, decodes):
+        uncached = SearchEngine(cache_size=0)
+        uncached.add_all(engine.index.document(doc_id) for doc_id in "abcd")
+        expected = uncached.search("services")
+        assert engine.select(
+            "services",
+            lambda ranking: ranking.reader.metadata_value("d", "deal_id"),
+        ) == "d3"
+        decodes.clear()
+
+        def second_only(ranking):
+            assert [doc_id for doc_id, _ in ranking.pairs] == [
+                hit.doc_id for hit in expected
+            ]
+            return ranking.hit(1)
+
+        hit = engine.select("services", second_only)
+        assert decodes == [expected[1].doc_id]
+        assert (hit.doc_id, hit.score, hit.snippet) == (
+            expected[1].doc_id, expected[1].score, expected[1].snippet
+        )
+        # search() on the cached ranking reuses it and builds the rest.
+        hits = engine.search("services")
+        assert hits[1] is hit
+        assert sorted(decodes) == sorted(h.doc_id for h in expected)
+
+
+# Everything ``str.isspace`` calls a space and a regex ``\s`` has to
+# agree on: the ASCII six, the four separators \x1c-\x1f, NEL, NBSP,
+# the Unicode spaces, line and paragraph separators — and CRLF pairs.
+_SPACES = list(
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+) + ["\r\n"]
+# Look like spaces, are not: zero-width space, Mongolian vowel
+# separator, BOM, NUL, ESC.
+_NEAR_SPACES = ["\u200b", "\u180e", "\ufeff", "\x00", "\x1b"]
+_PIECES = st.one_of(
+    st.sampled_from(_SPACES),
+    st.sampled_from(_SPACES),
+    st.sampled_from(_NEAR_SPACES),
+    st.sampled_from(["finance", "Financed", "NETWORK", "storage", "\u00e9", "-"]),
+)
+
+
+class TestSnippetWhitespace:
+    @given(
+        pieces=st.lists(_PIECES, max_size=60),
+        surfaces=st.lists(
+            st.sampled_from(["finance", "Network", "stor age", "zzz",
+                             "financing", "\xa0", ""]),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_split_join_is_the_regex_fold(self, pieces, surfaces):
+        """The engine folds whitespace with ``" ".join(s.split())`` and
+        takes its surfaces lowered; the oracle runs ``re.sub(r"\\s+", " ",
+        s).strip()`` and lowers per call.  Same snippet, any text."""
+        text = "".join(pieces)
+        analyzer = Analyzer()
+        terms = set()
+        for surface in surfaces:
+            terms.update(analyzer.analyze_query_terms(surface))
+        assert _make_snippet(
+            text, [surface.lower() for surface in surfaces], terms, analyzer
+        ) == make_snippet(text, surfaces, terms, analyzer)
+
+    def test_the_alphabet_is_every_space_there_is(self):
+        assert {c for c in _SPACES if len(c) == 1} == {
+            chr(c) for c in range(0x110000) if chr(c).isspace()
+        }
+        assert not any(c.isspace() for c in _NEAR_SPACES)
+
+    @pytest.mark.parametrize("space", _SPACES)
+    def test_every_space_folds_to_one(self, space):
+        text = f"finance{space}{space}network{space}"
+        assert _make_snippet(text, ["finance"], set(), Analyzer()) == (
+            "finance network"
+        )

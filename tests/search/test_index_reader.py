@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SearchError
 from repro.obs import use_registry
 from repro.search import IndexableDocument, IndexReader, InvertedIndex
 from repro.serving.sharding import ShardedSearchEngine
@@ -190,6 +191,40 @@ def test_fixed_script_conforms(name):
             assert reader.segments and all(
                 segment.path for segment in reader.segments
             )
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_metadata_value_of_a_removed_document_raises(name):
+    """"f" and "h" stay removed: dropped from a dict, tombstoned in a
+    segment, or merged away — never answered for, on any layout."""
+    with READERS[name](FIXED_SCRIPT) as reader:
+        for doc_id in ("f", "h", "never-added"):
+            with pytest.raises(SearchError):
+                reader.metadata_value(doc_id, "deal_id")
+        # "a" was removed and re-added under another deal.
+        assert reader.metadata_value("a", "deal_id") == "d3"
+        # A list is in no metadata index; the stored document has it.
+        assert reader.metadata_value("b", "tags") == ["x", "y"]
+        assert reader.metadata_value("b", "rank") == 2
+        assert reader.metadata_value("d", "rank") is None
+
+
+@pytest.mark.parametrize(
+    "name", ["inverted", "store-memtable", "sharded-1", "sharded-3"]
+)
+def test_metadata_value_the_index_never_holds(name):
+    """Readers that keep the document object itself also keep values no
+    segment could encode: a set (unhashable), a frozenset (hashable,
+    not JSON).  ``docs_with_metadata`` cannot find the first;
+    ``metadata_value`` reads both back."""
+    ops = [
+        _doc("s", {"body": "wan"}, deal_id={"x", "y"}),
+        _doc("t", {"body": "lan"}, deal_id=frozenset({"x"})),
+    ]
+    with READERS[name](ops) as reader:
+        assert reader.metadata_value("s", "deal_id") == {"x", "y"}
+        assert reader.metadata_value("t", "deal_id") == frozenset({"x"})
+        assert reader.docs_with_metadata("deal_id", [{"x", "y"}]) == set()
 
 
 def test_loaded_store_keeps_conforming_as_it_is_written_to():

@@ -4,7 +4,10 @@ The serving PR's snapshot promise: a query racing ``add`` / ``remove``
 (engine level) or ``add_workbook`` / ``remove_deal`` (system level)
 always returns a ranking **bit-identical to some quiesced epoch** —
 the corpus as it was before or after a whole mutation, never a torn
-index observed mid-write.
+index observed mid-write.  Since the engine ranks before it builds
+hits, the promise has a second half: an answer's documents are built
+under the same hold they were ranked under, so none of them can have
+been removed in between (``TestGroupedAnswersAreWhole``).
 
 The proof technique: replay the mutation script serially first,
 recording the ranking at every quiesced state; then race concurrent
@@ -22,11 +25,12 @@ import threading
 import pytest
 
 from repro import CorpusConfig, CorpusGenerator, EILSystem, User
-from repro.core.metaqueries import scope_query
+from repro.core.metaqueries import scope_query, service_keyword_query
+from repro.core.query_analyzer import FormQuery
 from repro.docmodel.repository import EngagementWorkbook
 from repro.corpus import DealGenerator, WorkbookFactory
 from repro.graph import EntityGraph
-from repro.search import IndexableDocument, SearchEngine
+from repro.search import IndexableDocument, SearchEngine, SiapiQuery
 from repro.serving import ShardedSearchEngine
 from tests.graph.test_traversal_equivalence import (
     assert_indexes_match_rescan,
@@ -254,6 +258,145 @@ class TestSystemSnapshotIsolation:
         for thread in threads:
             thread.join()
         assert not failures
+
+
+class TestGroupedAnswersAreWhole:
+    """``search_grouped`` and the form search racing onboarding.
+
+    The engine ranks to ``(doc_id, score)`` pairs and builds hits only
+    for what a result shows, so between the two a document could be
+    removed — unless ranking, the choice and the building share one
+    read-side hold, which is the promise here.  The churned workbook
+    has twelve documents, so an offboarding is twelve index mutations
+    with a gap after each; a reader that ranked under one hold and
+    built under the next would meet "document not indexed" in one of
+    them (raised by ``search_grouped``, a ``no-index`` degradation from
+    the form search).  Every answer must be whole: no exception, no
+    degradation, every presented document stored, in the activity it
+    is shown under, of a deal some quiesced epoch had.
+    """
+
+    @pytest.mark.parametrize(
+        "shards, engine_cache_size",
+        [(1, 256), (1, 0), (3, 256), (3, 0)],
+        ids=["unsharded-cached", "unsharded-uncached",
+             "sharded-cached", "sharded-uncached"],
+    )
+    def test_no_answer_is_torn_by_a_removal(self, shards, engine_cache_size):
+        corpus = CorpusGenerator(
+            CorpusConfig(n_deals=4, docs_per_deal=14)
+        ).generate()
+        eil = EILSystem(
+            taxonomy=corpus.taxonomy, collection=corpus.collection,
+            directory=corpus.directory, shards=shards,
+            engine_cache_size=engine_cache_size, query_cache_size=0,
+        )
+        eil.run_offline_pipeline()
+        generator = DealGenerator(seed=999, taxonomy=corpus.taxonomy)
+        deal = generator.generate(len(corpus.deals) + 1)[-1]
+        workbook = WorkbookFactory(corpus.taxonomy, seed=999).build_workbook(
+            deal, 12
+        )
+        eil.add_workbook(workbook)
+        tower = eil.organized.scopes_of(deal.deal_id)[0]["canonical"]
+        known_docs = {
+            doc_id: eil.engine.index.metadata_value(doc_id, "deal_id")
+            for doc_id in eil.engine.index.doc_ids
+        }
+        churned_docs = {
+            doc_id for doc_id, deal_id in known_docs.items()
+            if deal_id == deal.deal_id
+        }
+        assert len(churned_docs) == 12
+
+        words = SiapiQuery(any_words="services network storage")
+        scoped_form = service_keyword_query(tower, "services")
+        unscoped_form = FormQuery(any_words="services network storage")
+        everyone = set(known_docs.values())
+        # The churned deal's documents must be among what is shown, or
+        # the race would be over documents nobody builds.
+        assert churned_docs & {
+            hit.doc_id
+            for group in eil.siapi.search_grouped(words, everyone, 5)
+            for hit in group.hits
+        }
+        assert eil.search(scoped_form, SALES).scoped
+        assert not eil.search(unscoped_form, SALES).scoped
+
+        def check_hits(activity_id, hits):
+            assert len(hits) <= 5
+            for hit in hits:
+                assert known_docs[hit.doc_id] == activity_id
+                assert hit.document.doc_id == hit.doc_id
+                assert hit.document.metadata["deal_id"] == activity_id
+
+        def grouped(scope):
+            for group in eil.siapi.search_grouped(
+                words, scope=scope, per_activity_limit=5
+            ):
+                check_hits(group.activity_id, group.hits)
+
+        def form_search(form):
+            results = eil.search(form, SALES)
+            assert results.degraded is None, results.plan
+            for activity in results.activities:
+                check_hits(activity.deal_id, activity.documents)
+
+        asks = [
+            lambda: grouped(None),
+            lambda: grouped(everyone),
+            lambda: form_search(scoped_form),
+            lambda: form_search(unscoped_form),
+        ]
+        stop = threading.Event()
+        failures = []
+        answered = [0] * len(asks)
+
+        def reader(first):
+            try:
+                turn = first
+                while not stop.is_set():
+                    asks[turn % len(asks)]()
+                    answered[turn % len(asks)] += 1
+                    turn += 1
+            except BaseException as exc:  # pragma: no cover - fail loud
+                failures.append(exc)
+                stop.set()
+
+        def churn():
+            try:
+                for _ in range(12):
+                    eil.remove_deal(deal.deal_id)
+                    eil.add_workbook(workbook)
+            except BaseException as exc:  # pragma: no cover
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        threads = [
+            threading.Thread(target=reader, args=(first,))
+            for first in range(4)
+        ]
+        threads.append(threading.Thread(target=churn))
+        # An index mutation is tens of microseconds; at the default
+        # 5 ms the interpreter would almost never switch inside one.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not any(thread.is_alive() for thread in threads), (
+            "deadlock: a reader or the writer never finished"
+        )
+        assert not failures, failures[0]
+        assert all(answered), answered  # every kind of ask raced
+        # The script is restorative: the documents are all back.
+        assert eil.engine.index.doc_ids == set(known_docs)
 
 
 def _contact(contact_id, name, email, role):
