@@ -3,19 +3,18 @@
 Measures the offline-build executors and the online cache:
 
 * **offline** — wall-clock and docs/sec for the full offline pipeline
-  (crawl + parse/annotate + populate) across the three execution
+  (crawl + parse/annotate + populate) across the two execution
   modes.  Two views land in the JSON:
 
-  - an **executor ablation** (``serial`` vs ``threads`` vs
-    ``processes`` at the same worker count), asserting every mode
-    produces identical ``AnalysisResults``;
+  - an **executor ablation** (``serial`` vs ``processes``),
+    asserting both modes produce identical ``AnalysisResults``;
   - a **throughput trajectory** for the ``processes`` executor —
     docs/sec at 1, 2, 4, ... workers — the scaling curve a multi-core
     host climbs and a single-core host honestly flatlines on.
 
-  On a single-core runner neither pool can beat serial: threads
-  serialize on the GIL (~1.0x) and processes add pickling overhead on
-  top, so recorded speedups at or below 1.0x are expected there.  The
+  On a single-core runner the pool cannot beat serial: processes add
+  pickling overhead with no second core to spend it on, so recorded
+  speedups at or below 1.0x are expected there.  The
   determinism guarantee — identical results at any width, any mode —
   is what the suite enforces; the throughput numbers are recorded
   honestly either way.
@@ -145,7 +144,7 @@ def run_bench(
                 "results_identical": True,
             }
         }
-        for mode in ("threads", "processes"):
+        for mode in ("processes",):
             run = _time_build(corpus, workers=workers, executor=mode)
             ablation[mode] = {
                 "workers": workers,
@@ -183,7 +182,6 @@ def run_bench(
     warm_mean = sum(warm_all) / len(warm_all)
     hits = registry.counters.get("query.cache.hits")
     misses = registry.counters.get("query.cache.misses")
-    threads = ablation["threads"]
     report: Dict[str, object] = {
         "bench": "offline_build",
         "schema_version": 2,
@@ -201,10 +199,6 @@ def run_bench(
             "serial_docs_per_second": serial["docs_per_second"],
             "executor_ablation": ablation,
             "throughput_trajectory": trajectory,
-            # Back-compat fields: the thread-pool comparison older
-            # tooling read from schema 1.
-            "parallel_seconds": threads["seconds"],
-            "speedup": threads["speedup"],
             "results_identical": all(
                 entry["results_identical"] for entry in ablation.values()
             ),
@@ -242,7 +236,7 @@ def test_bench_offline_build(report_writer):
     assert offline["serial_seconds"] > 0
     assert offline["serial_docs_per_second"] > 0
     ablation = offline["executor_ablation"]
-    assert set(ablation) == {"serial", "threads", "processes"}
+    assert set(ablation) == {"serial", "processes"}
     for entry in ablation.values():
         assert entry["results_identical"] is True
         assert entry["docs_per_second"] > 0
@@ -299,7 +293,7 @@ def main() -> int:
     print(f"wrote {args.out}")
     print(f"serial build    : {offline['serial_seconds']:.2f}s "
           f"({offline['serial_docs_per_second']:.0f} docs/s)")
-    for mode in ("threads", "processes"):
+    for mode in ("processes",):
         entry = offline["executor_ablation"][mode]
         print(f"{mode:<10} x{entry['workers']}   : "
               f"{entry['seconds']:.2f}s "

@@ -98,12 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "serial at 1; any width yields identical "
                              "results)")
     parser.add_argument("--executor", default=None,
-                        choices=["serial", "threads", "processes"],
-                        help="offline execution mode (default: threads "
-                             "or $REPRO_EXECUTOR); 'processes' shards "
-                             "the corpus by deal across worker "
-                             "processes for true multi-core builds — "
-                             "results are identical under every mode")
+                        choices=["serial", "processes"],
+                        help="offline execution mode (default: "
+                             "processes, which shards the corpus by "
+                             "deal across --workers worker processes "
+                             "and is serial at 1); 'serial' keeps the "
+                             "build on one thread at any width — "
+                             "results are identical under both")
     parser.add_argument("--shards", type=int, default=None,
                         help="partition the inverted index into this "
                              "many deal-keyed shards served by fan-out "

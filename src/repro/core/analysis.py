@@ -129,15 +129,14 @@ class InformationAnalysis:
         Args:
             collection: The workbooks to analyze.
             workers: Worker count for the parse+annotate stage.  The
-                default (1) runs strictly serially; any value produces
-                identical :class:`AnalysisResults` because the CPE
-                merges worker output in stable document order before
-                the collection-level consumers run.
-            executor: Execution mode for the parse+annotate stage —
-                ``"serial"``, ``"threads"`` (the CPE default) or
-                ``"processes"`` (true multi-core: the corpus is sharded
-                by deal across worker processes).  Results are
-                identical under every mode.
+                default (1) runs strictly serially, more shard the
+                corpus by deal across that many worker processes; any
+                value produces identical :class:`AnalysisResults`
+                because the CPE merges worker output in stable document
+                order before the collection-level consumers run.
+            executor: ``"serial"`` keeps the stage on the calling
+                thread at any width; None or ``"processes"`` lets
+                ``workers`` decide.
         """
         contact_rollup = ContactRollup(self.directory)
         scope_aggregator = ScopeAggregator(self.scope_min_weight)

@@ -51,7 +51,7 @@ from repro.search.document import SearchHit
 from repro.search.engine import SearchEngine
 from repro.search.siapi import SiapiService
 from repro.security.access import AccessController, User
-from repro.storage.atomic import atomic_write_text
+from repro.storage.atomic import atomic_write_text, read_manifest
 
 __all__ = ["EILSystem", "BuildReport"]
 
@@ -67,11 +67,6 @@ def _default_workers() -> int:
     site.
     """
     return int(os.environ.get("REPRO_WORKERS", "1"))
-
-
-def _default_executor() -> str:
-    """Offline executor when unspecified: ``REPRO_EXECUTOR`` or threads."""
-    return os.environ.get("REPRO_EXECUTOR", "threads")
 
 
 def _default_shards() -> int:
@@ -147,7 +142,7 @@ class EILSystem:
         self.directory = directory
         self.access = access or AccessController()
         self.workers = workers
-        self.executor = executor or _default_executor()
+        self.executor = executor  # None: the CPE's default, processes
         self.shards = shards
         self._query_cache_size = query_cache_size
         if shards > 1:
@@ -209,13 +204,14 @@ class EILSystem:
 
         Args:
             workers: Worker count for the offline parse+annotate stage;
-                the default (1, or ``REPRO_WORKERS``) runs serially.
-                Results are identical at any width (stable-order
-                merge).
-            executor: Offline execution mode — ``serial``, ``threads``
-                (default, or ``REPRO_EXECUTOR``) or ``processes`` (true
-                multi-core, sharded by deal).  Results are identical
-                under every mode.
+                the default (1, or ``REPRO_WORKERS``) runs serially,
+                more shard the corpus by deal across that many worker
+                processes.  Results are identical at any width
+                (stable-order merge).
+            executor: Offline execution mode — ``processes`` (the
+                default) or ``serial``, which keeps the stage on the
+                calling thread whatever ``workers`` says.  Results are
+                identical under both.
             deadline_seconds: Per-document analysis budget; overruns
                 are quarantined (None disables the check).
             max_failure_ratio: Abort the build when more than this
@@ -255,8 +251,7 @@ class EILSystem:
             workers: Overrides the system's configured worker count for
                 this run only.
             executor: Overrides the system's configured execution mode
-                (``serial`` / ``threads`` / ``processes``) for this run
-                only.
+                (``serial`` / ``processes``) for this run only.
         """
         count = self.workers if workers is None else workers
         mode = self.executor if executor is None else executor
@@ -278,38 +273,13 @@ class EILSystem:
             )
             with tracer.span("offline.populate", deals=len(deal_ids)):
                 for deal_id in sorted(deal_ids):
-                    self.organized.store_deal_context(
-                        deal_id, results.context.get(deal_id, {})
-                    )
-                    self.organized.store_scopes(
-                        deal_id, results.scopes.get(deal_id, [])
-                    )
-                    self.organized.store_contacts(
-                        deal_id, results.contacts.get(deal_id, [])
-                    )
-                    self.organized.store_win_strategies(
-                        deal_id, results.strategies.get(deal_id, [])
-                    )
-                    self.organized.store_technologies(
-                        deal_id, results.technologies.get(deal_id, [])
-                    )
-                    self.organized.store_client_references(
-                        deal_id, results.references.get(deal_id, [])
-                    )
+                    self._populate(deal_id, results)
 
             with tracer.span("offline.graph", deals=len(deal_ids)):
                 for deal_id in sorted(deal_ids):
                     self._index_deal_graph(deal_id)
 
-            self._search = BusinessActivityDrivenSearch(
-                organized=self.organized,
-                taxonomy=self.taxonomy,
-                siapi=self.siapi,
-                access=self.access,
-                repositories=self._repositories,
-                cache_size=self._query_cache_size,
-                retry=self._retry,
-            )
+            self._search = self._new_search()
         self.build_report = BuildReport(
             documents_indexed=crawl_report.indexed,
             documents_analyzed=results.documents_processed,
@@ -412,30 +382,11 @@ class EILSystem:
             verify: Verify segment checksums against the manifest while
                 loading (disable only for trusted local restarts).
         """
-        manifest_path = os.path.join(directory, cls.EIL_MANIFEST)
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read EIL manifest {manifest_path}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"invalid EIL manifest {manifest_path}: {exc}"
-            ) from exc
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != cls._EIL_FORMAT
-        ):
-            raise StorageError(
-                f"{manifest_path} is not an EIL index manifest"
-            )
-        if manifest.get("version") != cls._EIL_VERSION:
-            raise StorageError(
-                f"unsupported EIL index version "
-                f"{manifest.get('version')!r} in {manifest_path}"
-            )
+        manifest = read_manifest(
+            os.path.join(directory, cls.EIL_MANIFEST),
+            cls._EIL_FORMAT,
+            cls._EIL_VERSION,
+        )
         saved_shards = int(manifest.get("shards", 1))
         if shards is not None and shards != saved_shards:
             raise StorageError(
@@ -482,15 +433,7 @@ class EILSystem:
 
             system.graph = build_graph(system.organized)
         system._repositories = dict(manifest.get("repositories") or {})
-        system._search = BusinessActivityDrivenSearch(
-            organized=system.organized,
-            taxonomy=system.taxonomy,
-            siapi=system.siapi,
-            access=system.access,
-            repositories=system._repositories,
-            cache_size=query_cache_size,
-            retry=system._retry,
-        )
+        system._search = system._new_search()
         report = manifest.get("build_report")
         if report is not None:
             system.build_report = BuildReport(**report)
@@ -568,6 +511,36 @@ class EILSystem:
             )
         return self._search
 
+    def _new_search(self) -> BusinessActivityDrivenSearch:
+        """The online pipeline over this system's current substrates."""
+        return BusinessActivityDrivenSearch(
+            organized=self.organized,
+            taxonomy=self.taxonomy,
+            siapi=self.siapi,
+            access=self.access,
+            repositories=self._repositories,
+            cache_size=self._query_cache_size,
+            retry=self._retry,
+        )
+
+    def _populate(self, deal_id: str, results: AnalysisResults) -> None:
+        """Store one deal's analysis results as its synopsis rows."""
+        organized = self.organized
+        organized.store_deal_context(
+            deal_id, results.context.get(deal_id, {})
+        )
+        organized.store_scopes(deal_id, results.scopes.get(deal_id, []))
+        organized.store_contacts(deal_id, results.contacts.get(deal_id, []))
+        organized.store_win_strategies(
+            deal_id, results.strategies.get(deal_id, [])
+        )
+        organized.store_technologies(
+            deal_id, results.technologies.get(deal_id, [])
+        )
+        organized.store_client_references(
+            deal_id, results.references.get(deal_id, [])
+        )
+
     def _index_deal_graph(self, deal_id: str) -> None:
         """(Re)materialize one deal's subgraph, surviving db faults.
 
@@ -606,8 +579,6 @@ class EILSystem:
         duplicate documents or rows.
         """
         self._require_search()  # initial build must have happened
-        from repro.docmodel.repository import WorkbookCollection
-
         deal_id = workbook.deal_id
         if (deal_id in self._repositories
                 or self.organized.deal_row(deal_id) is not None):
@@ -616,26 +587,13 @@ class EILSystem:
         self._repositories[deal_id] = workbook.name
         self._search.repositories[deal_id] = workbook.name
 
-        crawl = DataAcquisition(self.engine).acquire(
+        # Same retry policy as the build's crawl: a document the build
+        # would ride out a crawler fault for must not be skipped here.
+        crawl = DataAcquisition(self.engine, retry=self._retry).acquire(
             WorkbookCollection([workbook])
         )
         results = self._analysis.analyze(WorkbookCollection([workbook]))
-        self.organized.store_deal_context(
-            deal_id, results.context.get(deal_id, {})
-        )
-        self.organized.store_scopes(deal_id,
-                                    results.scopes.get(deal_id, []))
-        self.organized.store_contacts(deal_id,
-                                      results.contacts.get(deal_id, []))
-        self.organized.store_win_strategies(
-            deal_id, results.strategies.get(deal_id, [])
-        )
-        self.organized.store_technologies(
-            deal_id, results.technologies.get(deal_id, [])
-        )
-        self.organized.store_client_references(
-            deal_id, results.references.get(deal_id, [])
-        )
+        self._populate(deal_id, results)
         self._index_deal_graph(deal_id)
         if self.build_report is not None:
             self.build_report.documents_indexed += crawl.indexed

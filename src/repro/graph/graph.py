@@ -59,7 +59,7 @@ from repro.graph.model import (
     person_key,
 )
 from repro.obs import get_registry
-from repro.storage.atomic import atomic_write_text
+from repro.storage.atomic import atomic_write_text, read_manifest
 from repro.text.normalize import name_key, normalize_email, normalize_role
 
 __all__ = [
@@ -720,27 +720,7 @@ class EntityGraph:
     @classmethod
     def load(cls, path: str, verify: bool = True) -> "EntityGraph":
         """Read a :meth:`save` file back; raises StorageError on damage."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read entity graph {path}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"invalid entity graph {path}: {exc}"
-            ) from exc
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != _GRAPH_FORMAT
-        ):
-            raise StorageError(f"{path} is not an entity-graph file")
-        if document.get("version") != _GRAPH_VERSION:
-            raise StorageError(
-                f"unsupported entity-graph version "
-                f"{document.get('version')!r} in {path}"
-            )
+        document = read_manifest(path, _GRAPH_FORMAT, _GRAPH_VERSION)
         payload = document.get("graph")
         if not isinstance(payload, dict):
             raise StorageError(f"{path} has no graph payload")

@@ -52,7 +52,6 @@ __all__ = [
     "set_tracer",
     "use_tracer",
     "set_enabled",
-    "reset",
     "render_stats",
     "stats_dict",
 ]
@@ -120,9 +119,3 @@ def set_enabled(enabled: bool) -> None:
     """Enable/disable both process-wide defaults in place."""
     _registry.enabled = enabled
     _tracer.enabled = enabled
-
-
-def reset() -> None:
-    """Fresh default registry and tracer (both enabled)."""
-    set_registry(None)
-    set_tracer(None)

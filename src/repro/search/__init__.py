@@ -9,10 +9,10 @@ Public surface::
                                  {"deal_id": "d1"}))
     hits = engine.search('"end user services" -template')
 
-Features: positional inverted index, Porter-stemmed analysis, BM25 and
-TF-IDF scoring, a keyword query language with phrases/fields/AND/OR/NOT,
-SIAPI facade with activity-scoped search and grouped activity ranking,
-and a resilient crawler.
+Features: positional inverted index, Porter-stemmed analysis, BM25
+scoring, a keyword query language with phrases/fields/AND/OR/NOT, SIAPI
+facade with activity-scoped search and grouped activity ranking, and a
+resilient crawler.
 """
 
 from repro.search.analyzer import AnalyzedTerm, Analyzer
@@ -30,7 +30,7 @@ from repro.search.querylang import (
     TermQuery,
     parse_query,
 )
-from repro.search.scoring import Bm25Scorer, Scorer, TfidfScorer
+from repro.search.scoring import Bm25Scorer, Scorer
 from repro.search.siapi import ActivityHits, SiapiQuery, SiapiService
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "NotQuery",
     "parse_query",
     "Bm25Scorer",
-    "TfidfScorer",
     "Scorer",
     "SiapiQuery",
     "SiapiService",

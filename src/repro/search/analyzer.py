@@ -7,14 +7,24 @@ and exposes it to the query parser.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import STOPWORDS
-from repro.text.tokenizer import _WORD_RE
 
 __all__ = ["AnalyzedTerm", "Analyzer"]
+
+# A word is a run of alphanumerics that may contain internal apostrophes
+# (don't), ampersands (AT&T) or periods between single letters (U.S.A.).
+_WORD_RE = re.compile(
+    r"""
+    [A-Za-z0-9]+                 # leading alphanumeric run
+    (?:['&.][A-Za-z0-9]+)*       # internal joiners: don't, AT&T, U.S.A
+    """,
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -52,9 +62,9 @@ class Analyzer:
     def analyze(self, text: str) -> List[AnalyzedTerm]:
         """Produce index terms for one field of text.
 
-        The words are the default :class:`~repro.text.Tokenizer`'s
-        (same pattern, every length, surface case), taken straight from
-        the matches: no ``Token`` is built per word.
+        Words of every length are taken straight from the pattern's
+        matches with their character offsets, so a term maps back to
+        its exact span in the source text.
         """
         terms: List[AnalyzedTerm] = []
         append = terms.append

@@ -34,18 +34,15 @@ interpreter (per-document scoring, clause-order evaluation, post-hoc
 filtering, full sort) is the test oracle ``tests/reference/search.py``,
 and ``tests/search/test_execution_equivalence.py`` holds the executor
 to it: **identical rankings** (same documents, bit-identical scores,
-same tie-breaks) — the scorers share their arithmetic between
+same tie-breaks) — the scorer shares its arithmetic between
 per-document and bulk paths, AND contributions are summed in clause
 order regardless of evaluation order, and MaxScore only skips a clause
-when its bound is *strictly* below the k-th best score.  A scorer
-without ``score_postings`` is scored one document at a time; that is
-read off the scorer, never chosen by a caller.
+when its bound is *strictly* below the k-th best score.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections.abc import Set as AbstractSet
 from contextlib import contextmanager
 from typing import (
@@ -372,7 +369,6 @@ class _Execution:
             and limit > 0
             and isinstance(query, OrQuery)
             and self.predicate is None
-            and hasattr(self.scorer, "upper_bound")
         )
 
     def _post_filter(
@@ -453,14 +449,7 @@ class _Execution:
         allowed = self._combine_restrict(restrict)
         for field_name in fields:
             boost = self.boosts.get(field_name, 1.0)
-            if hasattr(self.scorer, "score_postings"):
-                self._score_field_bulk(
-                    term, field_name, boost, allowed, scores
-                )
-            else:
-                self._score_field_per_doc(
-                    term, field_name, boost, allowed, scores
-                )
+            self._score_field_bulk(term, field_name, boost, allowed, scores)
         return scores
 
     def _score_field_bulk(
@@ -510,27 +499,6 @@ class _Execution:
             self.index, term, field_name, tfs, lengths, df=df
         )
         for doc_id, contribution in zip(doc_ids, contributions):
-            scores[doc_id] = (
-                scores.get(doc_id, 0.0) + boost * contribution
-            )
-
-    def _score_field_per_doc(
-        self,
-        term: str,
-        field_name: str,
-        boost: float,
-        allowed: Optional[Set[str]],
-        scores: Dict[str, float],
-    ) -> None:
-        matching = self.index.matching_docs(term, field_name)
-        df = len(matching)  # computed once per (term, field)
-        if allowed is not None:
-            matching &= allowed
-        self.metrics.inc("engine.postings_touched", len(matching))
-        for doc_id in matching:
-            contribution = self.scorer.score(
-                self.index, term, doc_id, field_name, df=df
-            )
             scores[doc_id] = (
                 scores.get(doc_id, 0.0) + boost * contribution
             )
@@ -692,8 +660,8 @@ class _Execution:
     def upper_bound(self, query: Query) -> float:
         """Upper bound on any document's score for ``query``.
 
-        ``inf`` (scorer without ``upper_bound``) simply makes the
-        clause unprunable — correctness never depends on tightness.
+        Correctness never depends on tightness: a loose bound only
+        makes the clause harder to prune.
         """
         if isinstance(query, TermQuery):
             terms = self._analyze(query.text)
@@ -721,8 +689,6 @@ class _Execution:
         return 0.0  # NotQuery contributes flat 0.0 scores
 
     def _term_bound(self, term: str, field: Optional[str]) -> float:
-        if not hasattr(self.scorer, "upper_bound"):
-            return math.inf
         fields = [field] if field is not None else self.index.fields
         bound = 0.0
         for field_name in fields:

@@ -74,7 +74,7 @@ class TermPostings:
 
 
 class IndexReader(ABC):
-    """What the engine, the scorers and the SIAPI facade read.
+    """What the engine, the scorer and the SIAPI facade read.
 
     The abstract members are the primitives; all of them answer for
     *live* documents only.  ``df``, ``term_frequency`` and

@@ -1,13 +1,13 @@
-"""Relevance scoring: BM25 (default) and classic TF-IDF.
+"""Relevance scoring: Okapi BM25, the keyword baseline's one scorer.
 
 Scores are computed per query term per document over the whole document
 (all fields merged), which matches how the paper's keyword baseline
 treats a workbook document as "a blob of text".  Field weighting is the
 engine's concern (it scores fields separately and sums with boosts).
 
-Both scorers expose three entry points:
+A scorer has three entry points:
 
-* :meth:`score` — one (term, document) contribution, the historic API;
+* :meth:`score` — one (term, document) contribution;
 * :meth:`score_postings` — the bulk API over a compiled posting array
   (parallel ``tfs`` / ``lengths`` lists from
   :class:`~repro.search.index_reader.TermPostings`): idf and the
@@ -23,8 +23,8 @@ Both scorers expose three entry points:
 evaluation produce bit-identical floats — the engine's
 pruned-vs-exhaustive ranking-equivalence guarantee depends on it.
 
-idf depends only on (corpus size, document frequency); both scorers
-memoize it per (field, term) validated against those two numbers, so
+idf depends only on (corpus size, document frequency); the scorer
+memoizes it per (field, term) validated against those two numbers, so
 repeated queries skip the ``math.log`` without any explicit
 invalidation hook.
 """
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.search.index_reader import IndexReader
 
-__all__ = ["Scorer", "Bm25Scorer", "TfidfScorer"]
+__all__ = ["Scorer", "Bm25Scorer"]
 
 # Idf caches are per-scorer-instance and keyed by (field, term); entries
 # self-validate against (N, df).  The cap only guards pathological
@@ -47,9 +47,9 @@ _IDF_CACHE_MAX = 65536
 class Scorer(Protocol):
     """Scoring interface: per-hit, bulk, and upper-bound entry points.
 
-    Third-party scorers may implement only :meth:`score`; the engine
-    falls back to per-document evaluation when ``score_postings`` is
-    missing and disables MaxScore pruning when ``upper_bound`` is.
+    The engine calls ``score_postings`` and ``upper_bound``; ``score``
+    is the same arithmetic one document at a time, which the reference
+    interpreter in ``tests/reference/search.py`` ranks with.
     """
 
     def score(
@@ -236,67 +236,3 @@ class Bm25Scorer:
                 # score <= mult*tf/(tf+base) which increases in tf.
                 return mult * max_tf / (max_tf + base)
         return mult
-
-
-class TfidfScorer:
-    """log-scaled TF x smoothed IDF, the classic vector-space weight."""
-
-    def __init__(self) -> None:
-        self._idf_cache = _IdfCache()
-
-    def _idf(
-        self, index: IndexReader, term: str, field: Optional[str], df: int
-    ) -> float:
-        total = len(index)
-        cached = self._idf_cache.get(field, term, total, df)
-        if cached is not None:
-            return cached
-        idf = math.log((1 + total) / (1 + df)) + 1.0
-        self._idf_cache.put(field, term, total, df, idf)
-        return idf
-
-    def score(
-        self,
-        index: IndexReader,
-        term: str,
-        doc_id: str,
-        field: Optional[str] = None,
-        df: Optional[int] = None,
-    ) -> float:
-        tf = index.term_frequency(term, doc_id, field)
-        if tf == 0:
-            return 0.0
-        if df is None:
-            df = index.document_frequency(term, field)
-        idf = self._idf(index, term, field, df)
-        return (1.0 + math.log(tf)) * idf
-
-    def score_postings(
-        self,
-        index: IndexReader,
-        term: str,
-        field: Optional[str],
-        tfs: Sequence[int],
-        lengths: Sequence[int],
-        df: int,
-    ) -> List[float]:
-        if df <= 0 or not tfs:
-            return []
-        idf = self._idf(index, term, field, df)
-        return [(1.0 + math.log(tf)) * idf for tf in tfs]
-
-    def upper_bound(
-        self,
-        index: IndexReader,
-        term: str,
-        field: Optional[str],
-        df: int,
-        max_tf: Optional[int] = None,
-    ) -> float:
-        if df <= 0:
-            return 0.0
-        idf = self._idf(index, term, field, df)
-        if max_tf is None:
-            # tf is unbounded a priori; never prune on this clause.
-            return math.inf
-        return (1.0 + math.log(max_tf)) * idf

@@ -5,8 +5,7 @@ one deployment; this package is the repro's equivalent of that serving
 tier, in two layers:
 
 * :mod:`repro.serving.sharding` — partition the inverted index
-  (:class:`ShardedSearchEngine`) and the synopsis database
-  (:class:`ShardedOrganized`) into shards keyed by deal, execute
+  (:class:`ShardedSearchEngine`) into shards keyed by deal, execute
   queries by fan-out + rank-merge, and keep rankings **bit-identical**
   to the unsharded engine by scoring every shard with corpus-global
   statistics.
@@ -23,15 +22,10 @@ index.
 """
 
 from repro.serving.server import EILServer
-from repro.serving.sharding import (
-    ShardedOrganized,
-    ShardedSearchEngine,
-    shard_for,
-)
+from repro.serving.sharding import ShardedSearchEngine, shard_for
 
 __all__ = [
     "EILServer",
-    "ShardedOrganized",
     "ShardedSearchEngine",
     "shard_for",
 ]

@@ -1,13 +1,13 @@
-"""Deal-keyed sharding for the semantic index and the synopsis DB.
+"""Deal-keyed sharding for the semantic index.
 
 Partitioning reuses the ``shard_key=deal_id`` convention of the
-process-sharded offline build: a deal's documents and synopsis rows all
-land in one shard (:func:`shard_for` is a stable content hash, so the
-assignment survives restarts and process boundaries).
+process-sharded offline build: a deal's documents all land in one shard
+(:func:`shard_for` is a stable content hash, so the assignment survives
+restarts and process boundaries).
 
 **Why sharded rankings are bit-identical to the unsharded engine.**
-BM25 (and TF-IDF) scores depend on per-document facts — tf and field
-length, which are shard-invariant — and three corpus-global statistics:
+BM25 scores depend on per-document facts — tf and field length, which
+are shard-invariant — and three corpus-global statistics:
 corpus size N, document frequency df, and average field length avgdl.
 Each shard engine therefore scores with a wrapper scorer
 (:class:`_GlobalStatsScorer`) that substitutes the *global* view for
@@ -21,27 +21,23 @@ slicing to the limit reproduces the unsharded ranking exactly; each
 shard's top-``limit`` covers the global top-``limit`` because shards
 partition the corpus.
 
-The synopsis side needs no score rewriting at all: every
-:class:`~repro.core.query_analyzer.SynopsisSearch` statement is keyed
-or grouped by ``deal_id``, so per-shard execution + row concatenation
-is exactly equivalent to the unsharded query (no group ever spans two
-shards).
-
 Concurrency: the sharded engine has a parent-level writer-preferring
 :class:`~repro.concurrency.ReadWriteLock`.  Queries fan out under the
-read side; mutations run under the write side and bump the parent
-epoch, which keys the one result cache (the children run uncached: any
-shard's mutation moves N/avgdl/df for all shards, so a per-shard
-ranking could never be kept anyway).
+read side, one shard after another on the calling thread (evaluation
+is pure Python, so threads would only add a hand-off under the GIL);
+mutations run under the write side and bump the parent epoch, which
+keys the one result cache (the children run uncached: any shard's
+mutation moves N/avgdl/df for all shards, so a per-shard ranking could
+never be kept anyway).
 """
 
 from __future__ import annotations
 
+import json
+import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -49,14 +45,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
     Union,
 )
 
 from repro.cache import LruCache
 from repro.concurrency import AtomicCounter, ReadWriteLock
-from repro.core.organized import OrganizedInformation
-from repro.errors import SearchError
+from repro.errors import SearchError, StorageError
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument, SearchHit
 from repro.search.engine import (
@@ -67,10 +61,9 @@ from repro.search.engine import (
 from repro.search.index_reader import CompositeIndexReader, IndexReader
 from repro.search.querylang import Query
 from repro.search.scoring import Bm25Scorer, Scorer
+from repro.storage.atomic import atomic_write_text, read_manifest
 
-__all__ = ["shard_for", "ShardedSearchEngine", "ShardedOrganized"]
-
-_T = TypeVar("_T")
+__all__ = ["shard_for", "ShardedSearchEngine"]
 
 
 def shard_for(key: Any, shards: int) -> int:
@@ -147,23 +140,13 @@ class _GlobalStatsScorer:
     wrapper swaps in the :class:`_ShardedIndexView` (global N, avgdl,
     routed per-document lookups) and replaces the local df with the
     global one, so every shard computes exactly the score the unsharded
-    engine would.
-
-    Capability passthrough: ``score_postings`` / ``upper_bound`` are
-    bound onto the *instance* only when the base scorer has them, so
-    the engine's ``hasattr`` capability checks (bulk scoring, MaxScore)
-    resolve exactly as they would against the base scorer.  The
-    shard-local ``max_tf`` the engine passes to ``upper_bound`` remains
-    a valid bound for that shard's own postings.
+    engine would.  The shard-local ``max_tf`` the engine passes to
+    ``upper_bound`` remains a valid bound for that shard's own postings.
     """
 
     def __init__(self, base: Scorer, view: _ShardedIndexView) -> None:
         self._base = base
         self._view = view
-        if hasattr(base, "score_postings"):
-            self.score_postings = self._score_postings
-        if hasattr(base, "upper_bound"):
-            self.upper_bound = self._upper_bound
 
     def _global_df(self, term: str, field: Optional[str]) -> int:
         if field is not None:
@@ -182,7 +165,7 @@ class _GlobalStatsScorer:
             df = self._global_df(term, field)
         return self._base.score(self._view, term, doc_id, field, df=df)
 
-    def _score_postings(
+    def score_postings(
         self,
         index,
         term: str,
@@ -196,7 +179,7 @@ class _GlobalStatsScorer:
             df=self._global_df(term, field),
         )
 
-    def _upper_bound(
+    def upper_bound(
         self,
         index,
         term: str,
@@ -227,9 +210,6 @@ class ShardedSearchEngine(_LogicalQueries):
             scorer, so idf caches warm once for the whole corpus.
         shard_key: Metadata key that routes a document to its shard;
             documents without it route by their own ``doc_id``.
-        fanout_workers: ``0`` executes the fan-out serially on the
-            calling thread (the default; cheapest for small shard
-            counts under the GIL), ``> 0`` uses a shared thread pool.
     """
 
     def __init__(
@@ -240,7 +220,6 @@ class ShardedSearchEngine(_LogicalQueries):
         field_boosts: Optional[Mapping[str, float]] = None,
         cache_size: int = 256,
         shard_key: str = "deal_id",
-        fanout_workers: int = 0,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -267,14 +246,6 @@ class ShardedSearchEngine(_LogicalQueries):
         ]
         self._cache = LruCache("engine.cache", cache_size)
         self._doc_shard: Dict[str, SearchEngine] = {}
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=min(fanout_workers, shards),
-                thread_name_prefix="shard-fanout",
-            )
-            if fanout_workers > 0
-            else None
-        )
 
     @property
     def epoch(self) -> int:
@@ -317,13 +288,6 @@ class ShardedSearchEngine(_LogicalQueries):
 
     # -- search --------------------------------------------------------------
 
-    def _map_shards(
-        self, fn: Callable[[SearchEngine], _T]
-    ) -> List[_T]:
-        if self._pool is None:
-            return [fn(shard) for shard in self.shards]
-        return list(self._pool.map(fn, self.shards))
-
     def search(
         self,
         query: Union[str, Query],
@@ -353,25 +317,16 @@ class ShardedSearchEngine(_LogicalQueries):
         the ones a result shows, from its view.
         """
         merged: List[Tuple[str, float]] = []
-        for pairs in self._map_shards(
-            lambda shard: shard._rank(query, limit, doc_filter)
-        ):
-            merged.extend(pairs)
+        for shard in self.shards:
+            merged.extend(shard._rank(query, limit, doc_filter))
         merged.sort(key=lambda pair: (-pair[1], pair[0]))
         return merged[:limit]
 
     def _count_docs(self, query: Query, doc_filter: DocFilter) -> int:
         """Per-shard counts are disjoint, so they add."""
         return sum(
-            self._map_shards(
-                lambda shard: shard._count_docs(query, doc_filter)
-            )
+            shard._count_docs(query, doc_filter) for shard in self.shards
         )
-
-    def close(self) -> None:
-        """Shut the fan-out pool down (no-op for serial fan-out)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     # -- persistence ---------------------------------------------------------
 
@@ -387,18 +342,13 @@ class ShardedSearchEngine(_LogicalQueries):
         parent write lock so the per-shard snapshots are mutually
         consistent.  Returns combined storage stats.
         """
-        import json as _json
-        import os as _os
-
-        from repro.storage.atomic import atomic_write_text
-
-        directory = _os.path.abspath(directory)
-        _os.makedirs(directory, exist_ok=True)
+        directory = os.path.abspath(directory)
+        os.makedirs(directory, exist_ok=True)
         with self._rw.write():
             combined: Dict[str, Any] = {}
             for position, shard in enumerate(self.shards):
                 stats = shard.save_index(
-                    _os.path.join(directory, f"shard-{position:02d}")
+                    os.path.join(directory, f"shard-{position:02d}")
                 )
                 for key, value in stats.items():
                     combined[key] = combined.get(key, 0) + value
@@ -407,8 +357,8 @@ class ShardedSearchEngine(_LogicalQueries):
                     combined["size_bytes"] / combined["docs"]
                 )
             atomic_write_text(
-                _os.path.join(directory, self.SHARDS_MANIFEST),
-                _json.dumps(
+                os.path.join(directory, self.SHARDS_MANIFEST),
+                json.dumps(
                     {
                         "format": self._SHARDS_FORMAT,
                         "version": self._SHARDS_VERSION,
@@ -429,35 +379,11 @@ class ShardedSearchEngine(_LogicalQueries):
         them into a different partition count would misroute every
         query fan-out.
         """
-        import json as _json
-        import os as _os
-
-        from repro.errors import StorageError
-
-        manifest_path = _os.path.join(directory, self.SHARDS_MANIFEST)
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                body = _json.load(handle)
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read shard manifest {manifest_path}: {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise StorageError(
-                f"shard manifest {manifest_path} is not valid JSON: {exc}"
-            ) from exc
-        if (
-            not isinstance(body, dict)
-            or body.get("format") != self._SHARDS_FORMAT
-        ):
-            raise StorageError(
-                f"{manifest_path} is not a sharded index manifest"
-            )
-        if body.get("version") != self._SHARDS_VERSION:
-            raise StorageError(
-                f"shard manifest version {body.get('version')!r} "
-                f"unsupported (expected {self._SHARDS_VERSION})"
-            )
+        body = read_manifest(
+            os.path.join(directory, self.SHARDS_MANIFEST),
+            self._SHARDS_FORMAT,
+            self._SHARDS_VERSION,
+        )
         saved_shards = body.get("shards")
         if saved_shards != len(self.shards):
             raise StorageError(
@@ -468,7 +394,7 @@ class ShardedSearchEngine(_LogicalQueries):
         with self._rw.write():
             for position, shard in enumerate(self.shards):
                 shard.load_index(
-                    _os.path.join(directory, f"shard-{position:02d}"),
+                    os.path.join(directory, f"shard-{position:02d}"),
                     **load_options,
                 )
             self._doc_shard = {
@@ -477,134 +403,3 @@ class ShardedSearchEngine(_LogicalQueries):
                 for doc_id in shard.index.doc_ids
             }
             self._epoch.increment()
-
-
-class _FanoutResult:
-    """Concatenated result rows from a fanned-out SQL statement."""
-
-    def __init__(self, results: Sequence[Any]) -> None:
-        self._results = list(results)
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        rows: List[Dict[str, Any]] = []
-        for result in self._results:
-            rows.extend(result.to_dicts())
-        return rows
-
-    def column(self, name: str) -> List[Any]:
-        values: List[Any] = []
-        for result in self._results:
-            values.extend(result.column(name))
-        return values
-
-
-class _FanoutDb:
-    """Broadcasts SQL to every shard database and concatenates rows.
-
-    Exactly equivalent to one database for the synopsis workload
-    because every statement the online side issues is keyed or grouped
-    by ``deal_id`` and a deal's rows live in exactly one shard: no
-    SELECT group ever spans shards, and a broadcast DELETE only finds
-    rows in the owning shard.
-    """
-
-    def __init__(self, dbs: Sequence[Any]) -> None:
-        self._dbs = list(dbs)
-
-    def execute(self, sql: str, params: Optional[Sequence] = None):
-        return _FanoutResult(
-            [db.execute(sql, params) for db in self._dbs]
-        )
-
-    def query_one(self, sql: str, params: Optional[Sequence] = None):
-        for db in self._dbs:
-            row = db.query_one(sql, params)
-            if row is not None:
-                return row
-        return None
-
-    @property
-    def table_names(self):
-        return self._dbs[0].table_names
-
-
-class ShardedOrganized:
-    """Deal-sharded organized information, API-compatible fan-out.
-
-    Holds one :class:`~repro.core.organized.OrganizedInformation` per
-    shard; writes route by deal id, deal-scoped reads route to the
-    owning shard, and the ``db`` attribute is a fan-out facade so the
-    deal-keyed SQL of :class:`~repro.core.query_analyzer
-    .SynopsisSearch` (and the broadcast DELETEs of incremental
-    offboarding) runs unmodified.
-    """
-
-    def __init__(self, shards: int = 4) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = [OrganizedInformation() for _ in range(shards)]
-        self.db = _FanoutDb([shard.db for shard in self.shards])
-
-    def _shard(self, deal_id: str) -> OrganizedInformation:
-        return self.shards[shard_for(deal_id, len(self.shards))]
-
-    # -- population ---------------------------------------------------------
-
-    def store_deal_context(
-        self, deal_id: str, context: Mapping[str, str]
-    ) -> None:
-        """Route the deal's overview row to its shard."""
-        self._shard(deal_id).store_deal_context(deal_id, context)
-
-    def store_scopes(self, deal_id: str, entries) -> None:
-        """Route the deal's scope rows to its shard."""
-        self._shard(deal_id).store_scopes(deal_id, entries)
-
-    def store_contacts(self, deal_id: str, contacts) -> None:
-        """Route the deal's contact rows to its shard."""
-        self._shard(deal_id).store_contacts(deal_id, contacts)
-
-    def store_win_strategies(self, deal_id: str, strategies) -> None:
-        """Route the deal's win-strategy rows to its shard."""
-        self._shard(deal_id).store_win_strategies(deal_id, strategies)
-
-    def store_technologies(self, deal_id: str, technologies) -> None:
-        """Route the deal's technology rows to its shard."""
-        self._shard(deal_id).store_technologies(deal_id, technologies)
-
-    def store_client_references(self, deal_id: str, references) -> None:
-        """Route the deal's client-reference rows to its shard."""
-        self._shard(deal_id).store_client_references(deal_id, references)
-
-    # -- reads ---------------------------------------------------------------
-
-    def deal_ids(self) -> List[str]:
-        """All populated deal ids across shards, sorted."""
-        ids: List[str] = []
-        for shard in self.shards:
-            ids.extend(shard.deal_ids())
-        return sorted(ids)
-
-    def deal_row(self, deal_id: str):
-        """One deal's overview row from its owning shard."""
-        return self._shard(deal_id).deal_row(deal_id)
-
-    def scopes_of(self, deal_id: str):
-        """Ordered scope rows from the owning shard."""
-        return self._shard(deal_id).scopes_of(deal_id)
-
-    def contacts_of(self, deal_id: str):
-        """Contact rows from the owning shard."""
-        return self._shard(deal_id).contacts_of(deal_id)
-
-    def strategies_of(self, deal_id: str):
-        """Win-strategy texts from the owning shard."""
-        return self._shard(deal_id).strategies_of(deal_id)
-
-    def technologies_of(self, deal_id: str):
-        """Technology rows from the owning shard."""
-        return self._shard(deal_id).technologies_of(deal_id)
-
-    def references_of(self, deal_id: str):
-        """Client-reference texts from the owning shard."""
-        return self._shard(deal_id).references_of(deal_id)

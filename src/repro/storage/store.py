@@ -65,7 +65,11 @@ from repro.search.index_reader import (
     TermPostings,
 )
 from repro.search.inverted_index import InvertedIndex
-from repro.storage.atomic import atomic_write_bytes, atomic_write_text
+from repro.storage.atomic import (
+    atomic_write_bytes,
+    atomic_write_text,
+    read_manifest,
+)
 from repro.storage.segment import (
     Segment,
     encode_from_index,
@@ -410,29 +414,7 @@ class SegmentBackedIndex(CompositeIndexReader):
         """
         directory = os.path.abspath(directory)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read index manifest {manifest_path}: {exc}"
-            ) from exc
-        try:
-            body = json.loads(text)
-        except ValueError as exc:
-            raise StorageError(
-                f"index manifest {manifest_path} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(body, dict) or body.get("format") != MANIFEST_FORMAT:
-            raise StorageError(
-                f"{manifest_path} is not a segment index manifest"
-            )
-        version = body.get("version")
-        if version != MANIFEST_VERSION:
-            raise StorageError(
-                f"index manifest version {version!r} unsupported "
-                f"(expected {MANIFEST_VERSION})"
-            )
+        body = read_manifest(manifest_path, MANIFEST_FORMAT, MANIFEST_VERSION)
         if body.get("checksum") != _manifest_checksum(body):
             raise StorageError(
                 f"index manifest {manifest_path} failed its checksum "

@@ -1,4 +1,5 @@
-"""Text-processing substrate: tokenization, stemming, normalization.
+"""Text-processing substrate: stemming, stopwords, normalization,
+string similarity.
 
 These primitives are shared by the search engine (the OmniFind
 substitute) and the annotators.  Everything is pure Python and
@@ -23,8 +24,7 @@ from repro.text.similarity import (
     token_set_ratio,
 )
 from repro.text.stemmer import PorterStemmer, stem
-from repro.text.stopwords import STOPWORDS, is_stopword
-from repro.text.tokenizer import Token, Tokenizer, split_sentences, tokenize
+from repro.text.stopwords import STOPWORDS
 
 __all__ = [
     "ROLE_SYNONYMS",
@@ -43,9 +43,4 @@ __all__ = [
     "PorterStemmer",
     "stem",
     "STOPWORDS",
-    "is_stopword",
-    "Token",
-    "Tokenizer",
-    "split_sentences",
-    "tokenize",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-__all__ = ["STOPWORDS", "is_stopword"]
+__all__ = ["STOPWORDS"]
 
 STOPWORDS: FrozenSet[str] = frozenset(
     """
@@ -37,8 +37,3 @@ STOPWORDS: FrozenSet[str] = frozenset(
     you you'd you'll you're you've your yours yourself yourselves
     """.split()
 )
-
-
-def is_stopword(term: str) -> bool:
-    """Return True if the case-folded ``term`` is a stopword."""
-    return term.lower() in STOPWORDS

@@ -14,30 +14,29 @@ parallel, so :meth:`CollectionProcessingEngine.run` fans it out over a
 pluggable **executor**:
 
 ``serial``
-    One document at a time on the calling thread — the historical
-    reference execution every other mode must reproduce exactly.
-``threads``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` fan-out.  Cheap
-    to start and shares memory, but Python's GIL serializes the
-    CPU-bound annotators, so wall-clock gains are limited to whatever
-    releases the GIL (I/O, injected latency).
+    One document at a time on the calling thread — the reference
+    execution the other mode must reproduce exactly, and what any run
+    with one worker is.
 ``processes``
-    The corpus is sharded — by deal when a ``shard_key`` is given,
-    contiguous chunks otherwise — across ``multiprocessing`` worker
-    processes, each running prepare+annotate for its shard and sending
-    pickled per-document outcomes back.  This is true multi-core: every
-    worker has its own interpreter and its own GIL.
+    The default.  The corpus is sharded — by deal when a ``shard_key``
+    is given, contiguous chunks otherwise — across ``multiprocessing``
+    worker processes, each running prepare+annotate for its shard and
+    sending pickled per-document outcomes back.  This is true
+    multi-core: every worker has its own interpreter and its own GIL.
+    (The stage is pure-Python CPU work with no I/O inside it, so a
+    thread pool under the GIL measured 0.62–0.98x of serial and is not
+    offered.)
 
-Consumers are inherently order-sensitive collection-level state, so in
-every mode the per-worker streams are merged back in stable submission
-(document) order before any consumer sees a CAS — a ``workers=N`` run
-feeds consumers the exact sequence the serial run would, making the
-runs' results identical at any worker count under any executor.  The
-merge is *streaming*: outcomes are consumed in submission order as they
-complete (bounded submission window), so a run configured with
-``continue_on_error=False`` — or one that hits a fatal ``prepare``
-error — raises at the same document the serial run would, with wasted
-work bounded by the in-flight window instead of the whole collection.
+Consumers are inherently order-sensitive collection-level state, so the
+per-worker streams are merged back in stable submission (document)
+order before any consumer sees a CAS — a ``workers=N`` run feeds
+consumers the exact sequence the serial run would, making the runs'
+results identical at any worker count under either executor.  Outcomes
+are consumed in submission order as their shards complete, so a run
+configured with ``continue_on_error=False`` — or one that hits a fatal
+``prepare`` error — raises at the same document the serial run would;
+a shard stops at its first such document and shards not yet started
+are cancelled, which bounds the wasted work.
 
 Process-mode determinism has two extra legs (see
 docs/ARCHITECTURE.md):
@@ -70,19 +69,13 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from collections import OrderedDict, deque
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Hashable,
     Iterable,
@@ -106,12 +99,13 @@ from repro.uima.engine import AnalysisEngine
 __all__ = ["CasConsumer", "CpeReport", "CollectionProcessingEngine",
            "EXECUTORS"]
 
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
-# Streaming merge keeps at most workers * _WINDOW_FACTOR outcomes in
-# flight: enough to hide merge latency, small enough to bound wasted
-# work when a merged outcome aborts the run.
-_WINDOW_FACTOR = 4
+# Without a shard key the collection is cut into this many contiguous
+# chunks per worker: enough for the pool to load-balance, and small
+# enough that a merged outcome which aborts the run leaves most chunks
+# unstarted.
+_CHUNKS_PER_WORKER = 4
 
 
 class CasConsumer:
@@ -359,7 +353,7 @@ def _build_shards(
         for index, item in indexed:
             groups.setdefault(shard_key(item), []).append((index, item))
         return list(groups.values())
-    chunks = min(len(indexed), workers * _WINDOW_FACTOR)
+    chunks = min(len(indexed), workers * _CHUNKS_PER_WORKER)
     size = (len(indexed) + chunks - 1) // chunks
     return [indexed[i:i + size] for i in range(0, len(indexed), size)]
 
@@ -375,12 +369,12 @@ class CollectionProcessingEngine:
             recorded and the run continues; when False the first one
             raises — at the same document under every executor, because
             outcomes merge in submission order.
-        workers: Default worker count for :meth:`run` — 1 keeps the
-            historical serial execution.
-        executor: Default execution mode for :meth:`run` — one of
-            ``"serial"``, ``"threads"`` (default), ``"processes"``.
-            See the module docstring for the trade-offs; results are
-            identical under all three.
+        workers: Default worker count for :meth:`run` — 1 runs
+            serially under either executor.
+        executor: Default execution mode for :meth:`run` —
+            ``"processes"`` (default) or ``"serial"``, which pins a run
+            to the calling thread whatever ``workers`` says.  Results
+            are identical under both.
         retry: Retry policy for transient per-document errors (None
             disables retrying; transients then quarantine immediately).
         deadline_seconds: Per-document budget for prepare+analysis.  A
@@ -399,7 +393,7 @@ class CollectionProcessingEngine:
         consumers: Sequence[CasConsumer] = (),
         continue_on_error: bool = True,
         workers: int = 1,
-        executor: str = "threads",
+        executor: str = "processes",
         retry: Optional[RetryPolicy] = None,
         deadline_seconds: Optional[float] = None,
         max_failure_ratio: float = 1.0,
@@ -453,7 +447,7 @@ class CollectionProcessingEngine:
             shard_key: ``item -> shard identity`` for the ``processes``
                 executor (the offline build passes the deal id, so a
                 deal's documents stay in one worker).  ``None`` shards
-                into contiguous chunks.  Ignored by other executors.
+                into contiguous chunks.  Ignored by a serial run.
 
         Raises:
             BuildAbortedError: When more than ``max_failure_ratio`` of
@@ -473,8 +467,6 @@ class CollectionProcessingEngine:
         )
         if mode == "serial" or count == 1:
             return self._run_serial(collection, processor)
-        if mode == "threads":
-            return self._run_threads(collection, processor, count)
         return self._run_processes(collection, processor, count, shard_key)
 
     # -- serial path --------------------------------------------------------
@@ -488,53 +480,6 @@ class CollectionProcessingEngine:
         with get_tracer().span("cpe.run", executor="serial"):
             for item in collection:
                 self._merge_outcome(report, processor.process(item))
-            self._check_failure_ratio(report)
-            self._complete_consumers(report)
-        return report
-
-    # -- thread-pool path ---------------------------------------------------
-
-    def _run_threads(
-        self,
-        collection: Iterable[Any],
-        processor: _DocumentProcessor,
-        workers: int,
-    ) -> CpeReport:
-        """Thread fan-out with a streaming, submission-order merge.
-
-        Outcomes are merged strictly in submission order *as they
-        complete*, with at most ``workers * 4`` documents in flight —
-        so the consumers observe the exact serial sequence, and when a
-        merged outcome raises (fatal error, or ``continue_on_error=
-        False``) no further documents are submitted: the run fails at
-        the same document as the serial run, with wasted work bounded
-        by the window instead of the whole collection.
-        """
-        report = CpeReport()
-        with get_tracer().span("cpe.run", workers=workers,
-                               executor="threads"):
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="cpe"
-            ) as pool:
-                items = iter(collection)
-                pending: Deque[Future] = deque()
-
-                def submit_next() -> None:
-                    for item in items:
-                        pending.append(pool.submit(processor.process, item))
-                        return
-
-                for _ in range(workers * _WINDOW_FACTOR):
-                    submit_next()
-                try:
-                    while pending:
-                        outcome = pending.popleft().result()
-                        submit_next()
-                        self._merge_outcome(report, outcome)
-                except BaseException:
-                    for future in pending:
-                        future.cancel()
-                    raise
             self._check_failure_ratio(report)
             self._complete_consumers(report)
         return report

@@ -93,7 +93,12 @@ def _type_system():
 
 
 class _RecordingEngine(AnalysisEngine):
-    """Counts processed documents; fails or stalls on demand."""
+    """Counts processed documents; fails or stalls on demand.
+
+    ``processed`` is this process's list; the ``test.documents_seen``
+    counter also adds up what worker processes did, because a shard's
+    metrics ride back to the parent registry.
+    """
 
     name = "recording"
 
@@ -109,6 +114,7 @@ class _RecordingEngine(AnalysisEngine):
         doc_id = cas.metadata["doc_id"]
         with self._lock:
             self.processed.append(doc_id)
+        obs.get_registry().inc("test.documents_seen")
         if doc_id in self.stall_at and self.stall_seconds:
             import time
             time.sleep(self.stall_seconds)
@@ -125,9 +131,9 @@ def _collection(ts, n):
 
 class TestStreamingFailureParity:
     """``continue_on_error=False`` fails at the serial run's document,
-    with wasted work bounded by the in-flight window, not the corpus."""
+    and the shard that holds it stops there instead of running on."""
 
-    def test_serial_and_threads_raise_at_same_document(self):
+    def test_shard_stops_at_serial_failure(self):
         ts = _type_system()
         serial_engine = _RecordingEngine(fail_at={5})
         with pytest.raises(AnnotatorError, match="at 5"):
@@ -136,34 +142,35 @@ class TestStreamingFailureParity:
             ).run(_collection(ts, 60))
         assert serial_engine.processed == list(range(6))
 
-        threads_engine = _RecordingEngine(fail_at={5})
-        with pytest.raises(AnnotatorError, match="at 5"):
-            CollectionProcessingEngine(
-                threads_engine, continue_on_error=False
-            ).run(_collection(ts, 60), workers=2, executor="threads")
-        # Submission window is workers * 4 plus the pool's in-flight
-        # slots — nowhere near the 60-document collection the old
-        # list(pool.map(...)) path would have burned through.
-        assert len(threads_engine.processed) <= 5 + 1 + 2 * 4 + 2
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            with pytest.raises(AnnotatorError, match="at 5"):
+                CollectionProcessingEngine(
+                    _RecordingEngine(fail_at={5}), continue_on_error=False
+                ).run(_collection(ts, 60), workers=2,
+                      shard_key=lambda cas: cas.metadata["deal_id"])
+        # Raising at document 5 needs all three deal shards merged, so
+        # the count is exact: deal-2's shard (2, 5, 8, ...) stopped at 5,
+        # the other two ran their 20 documents each.
+        assert registry.counters["test.documents_seen"].value == 20 + 20 + 2
 
     def test_fatal_prepare_error_stops_submission(self):
         ts = _type_system()
-        engine = _RecordingEngine()
-        seen = []
 
         def prepare(item):
-            seen.append(item)
+            obs.get_registry().inc("test.items_prepared")
             if item == 7:
                 raise AnnotatorError("collection broken at 7")
             return Cas(f"text {item}", ts, {"doc_id": item,
                                             "deal_id": "d"})
 
-        with pytest.raises(AnnotatorError, match="at 7"):
-            CollectionProcessingEngine(engine).run(
-                list(range(50)), prepare=prepare, workers=2,
-                executor="threads",
-            )
-        assert len(seen) <= 7 + 1 + 2 * 4 + 2
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            with pytest.raises(AnnotatorError, match="at 7"):
+                CollectionProcessingEngine(_RecordingEngine()).run(
+                    list(range(50)), prepare=prepare, workers=2,
+                    shard_key=lambda item: item % 3,
+                )
+        # Shard 1 (1, 4, 7, ...) stopped at 7; shards 0 and 2 ran whole.
+        assert registry.counters["test.items_prepared"].value == 17 + 3 + 16
 
     def test_processes_raise_at_same_document(self):
         ts = _type_system()

@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro import CorpusConfig, CorpusGenerator, EILSystem, User, obs
+from repro import CorpusConfig, CorpusGenerator, EILSystem, User, cli, obs
 from repro.annotators.base import register_eil_types
 from repro.core import scope_query
 from repro.core.analysis import InformationAnalysis
@@ -87,11 +87,6 @@ class TestProcessDeterminismUnderFaults:
         assert (registry.counters["faults.injected"].value
                 == serial_registry.counters["faults.injected"].value)
 
-    def test_threads_and_processes_agree_under_faults(self, corpus):
-        threads, _ = self._analyze(corpus, 3, "threads")
-        processes, _ = self._analyze(corpus, 3, "processes")
-        assert threads == processes
-
 
 class TestProcessSystemBuild:
     def test_process_build_matches_serial(self, corpus):
@@ -119,6 +114,20 @@ class TestProcessSystemBuild:
     def test_invalid_executor_rejected(self, corpus):
         with pytest.raises(ValueError):
             EILSystem.build(corpus, workers=2, executor="fibers")
+
+    def test_threads_executor_rejected(self, corpus, capsys):
+        names_both = r"\('serial', 'processes'\), got 'threads'"
+        with pytest.raises(ValueError, match=names_both):
+            CollectionProcessingEngine(_FlakyEngine(), executor="threads")
+        with pytest.raises(ValueError, match=names_both):
+            CollectionProcessingEngine(_FlakyEngine()).run(
+                [], executor="threads"
+            )
+        with pytest.raises(ValueError, match=names_both):
+            EILSystem.build(corpus, executor="threads")
+        with pytest.raises(SystemExit):
+            cli.main(["--executor", "threads", "stats"])
+        assert "choose from 'serial', 'processes'" in capsys.readouterr().err
 
 
 class _CountingConsumer(CasConsumer):
@@ -234,15 +243,18 @@ class TestProcessModeRequirements:
         assert callable(register_eil_types)
 
     def test_environment_defaults(self, corpus, monkeypatch):
+        # The worker count alone decides (one worker is a serial run);
+        # the executor is left to the CPE's default either way.
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_EXECUTOR", "processes")
         system = EILSystem(corpus.taxonomy, corpus.collection,
                            corpus.directory)
         assert system.workers == 2
-        assert system.executor == "processes"
+        assert system.executor is None
+        assert CollectionProcessingEngine(_FlakyEngine()).executor == (
+            "processes"
+        )
         monkeypatch.delenv("REPRO_WORKERS")
-        monkeypatch.delenv("REPRO_EXECUTOR")
         system = EILSystem(corpus.taxonomy, corpus.collection,
                            corpus.directory)
         assert system.workers == 1
-        assert system.executor == "threads"
+        assert system.executor is None

@@ -78,7 +78,7 @@ class TestDamageDetection:
     def test_foreign_format_raises(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"format": "other", "graph": {}}')
-        with pytest.raises(StorageError, match="not an entity-graph"):
+        with pytest.raises(StorageError, match="not a repro-entity-graph"):
             EntityGraph.load(str(path))
 
     def test_future_version_raises(self, world, tmp_path):

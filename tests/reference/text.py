@@ -3,13 +3,87 @@
 The program caches and fuses; these do neither.  They are the path the
 program took before it did, kept here so that the suites in
 ``tests/text`` and ``tests/search`` state what "unchanged" means.
+
+:class:`Tokenizer` is the offset-preserving word tokenizer the analyzer
+was composed from before its loop was fused; it keeps its own copy of
+the word pattern, so a change to the analyzer's shows up against it.
 """
 
-from typing import List
+import re
+from dataclasses import dataclass
+from typing import Iterator, List
 
 from repro.docmodel import DocumentParser
 from repro.search.analyzer import AnalyzedTerm
-from repro.text import STOPWORDS, PorterStemmer, Tokenizer
+from repro.text import STOPWORDS, PorterStemmer
+
+# A word is a run of alphanumerics that may contain internal apostrophes
+# (don't), ampersands (AT&T) or periods between single letters (U.S.A.).
+_WORD_RE = re.compile(
+    r"""
+    [A-Za-z0-9]+                 # leading alphanumeric run
+    (?:['&.][A-Za-z0-9]+)*       # internal joiners: don't, AT&T, U.S.A
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    """A single token with its character span in the source text.
+
+    Attributes:
+        text: The exact surface form as it appears in the document.
+        start: Offset of the first character (inclusive).
+        end: Offset one past the last character (exclusive).
+    """
+
+    text: str
+    start: int
+    end: int
+
+    def __post_init__(self) -> None:
+        if self.start < 0 or self.end < self.start:
+            raise ValueError(f"invalid token span [{self.start}, {self.end})")
+
+    @property
+    def lower(self) -> str:
+        """Case-folded surface form."""
+        return self.text.lower()
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+
+class Tokenizer:
+    """Offset-preserving word tokenizer.
+
+    Args:
+        lowercase: If true, token text is case-folded (offsets still refer
+            to the original text).
+        min_length: Tokens shorter than this are dropped.
+    """
+
+    def __init__(self, lowercase: bool = False, min_length: int = 1) -> None:
+        if min_length < 1:
+            raise ValueError("min_length must be >= 1")
+        self.lowercase = lowercase
+        self.min_length = min_length
+
+    def tokenize(self, text: str) -> List[Token]:
+        """Tokenize ``text`` into a list of :class:`Token`."""
+        return list(self.iter_tokens(text))
+
+    def iter_tokens(self, text: str) -> Iterator[Token]:
+        """Lazily yield tokens from ``text`` in document order."""
+        for match in _WORD_RE.finditer(text):
+            surface = match.group(0)
+            if len(surface) < self.min_length:
+                continue
+            if self.lowercase:
+                surface = surface.lower()
+            yield Token(surface, match.start(), match.end())
+
 
 _STEMMER = PorterStemmer()
 _STEPS = (

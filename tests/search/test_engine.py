@@ -11,7 +11,6 @@ from repro.search import (
     Bm25Scorer,
     IndexableDocument,
     SearchEngine,
-    TfidfScorer,
 )
 from repro.search.engine import _make_snippet
 from tests.reference.search import make_snippet
@@ -129,12 +128,18 @@ class TestRanking:
         boosted.add_all(docs)
         assert boosted.search("replication")[0].doc_id == "t"
 
-    def test_tfidf_scorer_pluggable(self, engine):
-        e = SearchEngine(scorer=TfidfScorer())
-        e.add(IndexableDocument("x", {"body": "services services rare"}))
-        e.add(IndexableDocument("y", {"body": "services"}))
-        hits = e.search("services")
-        assert hits[0].doc_id == "x"  # higher tf wins
+    def test_custom_scorer_pluggable(self, engine):
+        docs = [
+            IndexableDocument("x", {"body": "services services rare"}),
+            IndexableDocument("y", {"body": "services"}),
+        ]
+        default = SearchEngine()
+        default.add_all(docs)
+        assert default.search("services")[0].doc_id == "y"  # shorter wins
+        e = SearchEngine(scorer=Bm25Scorer(b=0.0))
+        e.add_all(docs)
+        # Without length normalization the higher tf wins.
+        assert e.search("services")[0].doc_id == "x"
 
     def test_bm25_parameter_validation(self):
         with pytest.raises(ValueError):

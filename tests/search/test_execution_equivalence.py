@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 from repro.obs import use_registry
 from repro.search import (
     AndQuery,
+    Bm25Scorer,
     IndexableDocument,
     NotQuery,
     OrQuery,
     PhraseQuery,
     SearchEngine,
     TermQuery,
-    TfidfScorer,
     parse_query,
 )
 from repro.serving.sharding import ShardedSearchEngine
@@ -140,8 +140,10 @@ def test_equivalence_with_field_boosts(corpus, limit):
 
 
 @pytest.mark.parametrize("limit", [None, 5])
-def test_equivalence_with_tfidf_scorer(corpus, limit):
-    engine = make_engine(corpus, scorer=TfidfScorer())
+def test_equivalence_with_custom_scorer(corpus, limit):
+    # Non-default parameters, and b=1 so every MaxScore bound is the
+    # loose idf-only one.
+    engine = make_engine(corpus, scorer=Bm25Scorer(k1=2.0, b=1.0))
     for query in QUERIES:
         assert_equivalent(engine, query, limit)
 

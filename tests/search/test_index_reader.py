@@ -141,11 +141,8 @@ def _sharded(shards: int):
     @contextmanager
     def build(ops: List[Op]) -> Iterator[IndexReader]:
         engine = ShardedSearchEngine(shards=shards)
-        try:
-            _replay(ops, engine.add, engine.remove)
-            yield engine.index
-        finally:
-            engine.close()
+        _replay(ops, engine.add, engine.remove)
+        yield engine.index
 
     return build
 

@@ -1,8 +1,8 @@
-"""Direct unit tests for the BM25 and TF-IDF scorers."""
+"""Direct unit tests for the BM25 scorer."""
 
 import pytest
 
-from repro.search import Analyzer, Bm25Scorer, IndexableDocument, TfidfScorer
+from repro.search import Analyzer, Bm25Scorer, IndexableDocument
 from repro.search.inverted_index import InvertedIndex
 
 
@@ -109,25 +109,3 @@ class TestSparseFieldAverageLength:
     def test_missing_field_average_is_zero(self, sparse):
         assert sparse.average_length("ghost") == 0.0
 
-
-class TestTfidf:
-    def test_absent_term_scores_zero(self, index):
-        assert TfidfScorer().score(index, "ghost", "short") == 0.0
-
-    def test_tf_monotone(self, index):
-        scorer = TfidfScorer()
-        assert scorer.score(index, "wan", "short") > scorer.score(
-            index, "wan", "long"
-        )
-
-    def test_idf_component(self, index):
-        scorer = TfidfScorer()
-        assert scorer.score(index, "mainframe", "other") > scorer.score(
-            index, "lan", "other"
-        )
-
-    def test_precomputed_df_consistent(self, index):
-        scorer = TfidfScorer()
-        assert scorer.score(index, "lan", "other", None, df=2) == (
-            pytest.approx(scorer.score(index, "lan", "other"))
-        )

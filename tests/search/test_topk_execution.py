@@ -18,7 +18,6 @@ from repro.search import (
     IndexableDocument,
     InvertedIndex,
     SearchEngine,
-    TfidfScorer,
 )
 from tests.reference.search import exhaustive_ranking
 
@@ -130,7 +129,9 @@ class TestMetadataValueIndex:
         assert ix.docs_with_metadata("deal_id", [["boom"]]) == set()
 
 
-@pytest.mark.parametrize("scorer", [Bm25Scorer(), TfidfScorer()])
+# b=1 makes the tf-saturation constant k1 * (1 - b) zero: the one case
+# where ``upper_bound`` cannot use ``max_tf`` and returns the idf bound.
+@pytest.mark.parametrize("scorer", [Bm25Scorer(), Bm25Scorer(k1=2.0, b=1.0)])
 class TestBulkScorer:
     def test_score_postings_matches_per_doc(self, index, scorer):
         for term in ("wan", "storage", "lan"):

@@ -125,20 +125,6 @@ class TestEngineEquivalence:
             sharded.remove(doc.doc_id)
             _assert_equivalent(reference, sharded, limit=5)
 
-    def test_parallel_fanout_matches_serial(self):
-        docs = _make_docs()
-        serial = ShardedSearchEngine(shards=3)
-        serial.add_all(docs)
-        parallel = ShardedSearchEngine(shards=3, fanout_workers=3)
-        parallel.add_all(docs)
-        try:
-            for query in QUERIES:
-                assert _pairs(parallel.search(query)) == _pairs(
-                    serial.search(query)
-                )
-        finally:
-            parallel.close()
-
     def test_deal_documents_share_a_shard(self):
         sharded = ShardedSearchEngine(shards=4)
         sharded.add_all(_make_docs())

@@ -168,13 +168,13 @@ def test_save_is_rerunnable_and_sweeps_orphans(tmp_path):
 
 
 def test_load_missing_directory_raises(tmp_path):
-    with pytest.raises(StorageError, match="manifest"):
+    with pytest.raises(StorageError, match="cannot read .*MANIFEST.json"):
         SegmentBackedIndex.load(str(tmp_path / "nope"))
 
 
 def test_load_foreign_manifest_raises(tmp_path):
     (tmp_path / MANIFEST_NAME).write_text('{"something": "else"}')
-    with pytest.raises(StorageError, match="not a segment index"):
+    with pytest.raises(StorageError, match="not a repro-segment-index"):
         SegmentBackedIndex.load(str(tmp_path))
 
 

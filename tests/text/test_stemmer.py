@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import repro.text.stemmer as stemmer_module
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.search import Analyzer
-from repro.text import PorterStemmer, Tokenizer, stem
-from tests.reference.text import field_texts, porter_steps
+from repro.text import PorterStemmer, stem
+from tests.reference.text import Tokenizer, field_texts, porter_steps
 
 # Representative vocabulary -> expected stems, taken from the Porter
 # paper's worked examples plus domain terms used heavily in the corpus.

@@ -1,10 +1,13 @@
-"""Unit tests for the offset-preserving tokenizer."""
+"""Unit tests for the offset-preserving tokenizer the analysis-path
+suites use as their reference (``tests/reference/text.py``)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text import Token, Tokenizer, split_sentences, tokenize
+from tests.reference.text import Token, Tokenizer
+
+tokenize = Tokenizer().tokenize
 
 
 class TestToken:
@@ -78,24 +81,3 @@ class TestTokenizer:
         for left, right in zip(tokens, tokens[1:]):
             assert left.end <= right.start
 
-
-class TestSentenceSplitting:
-    def test_simple_split(self):
-        sents = split_sentences("The deal closed. The team moved on.")
-        assert sents == ["The deal closed.", "The team moved on."]
-
-    def test_paragraph_breaks(self):
-        sents = split_sentences("Win strategy\n\nPricing approach")
-        assert sents == ["Win strategy", "Pricing approach"]
-
-    def test_no_split_inside_abbreviation_lowercase(self):
-        # No boundary because next char is lowercase.
-        sents = split_sentences("approx. value of the deal")
-        assert len(sents) == 1
-
-    def test_empty(self):
-        assert split_sentences("") == []
-
-    def test_question_and_exclamation(self):
-        sents = split_sentences("Who is the CSE? Find out! Now.")
-        assert len(sents) == 3
