@@ -41,8 +41,3 @@ class DataAcquisition:
         metrics.set_gauge("index.documents", len(self.engine))
         span.set_attribute("indexed", report.indexed)
         return report
-
-    @property
-    def indexed_documents(self) -> int:
-        """Documents currently in the semantic index."""
-        return len(self.engine)

@@ -43,7 +43,8 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.concurrency import ReadWriteLock
-from repro.db.plan import SelectPlan, plan_rowids
+from repro.db.expr import Expression, compile_expression
+from repro.db.plan import SelectPlan, plan_rowids, table_slots
 from repro.db.query import ResultSet, SelectStatement, TableRef
 from repro.db.schema import ForeignKey, TableSchema
 from repro.db.sql import (
@@ -286,10 +287,7 @@ class Database:
 
     # -- foreign-key checks --------------------------------------------------
 
-    def _check_fk_on_insert(
-        self, table: Table, values: Mapping[str, Any]
-    ) -> None:
-        row = table.schema.validate_row(values)
+    def _check_fk_on_insert(self, table: Table, row: tuple) -> None:
         for fk in table.schema.foreign_keys:
             key = table.schema.key_of(row, fk.columns)
             if None in key:
@@ -304,7 +302,9 @@ class Database:
                     f"{fk.parent_table!r}"
                 )
 
-    def _check_fk_on_delete(self, table: Table, row: tuple) -> None:
+    def _check_fk_on_delete(
+        self, table: Table, row: tuple, action: str = "delete from"
+    ) -> None:
         if not table.schema.primary_key:
             return
         key = table.schema.key_of(row, table.schema.primary_key)
@@ -323,7 +323,7 @@ class Database:
                     }
                 if referencing:
                     raise IntegrityError(
-                        f"cannot delete from {table.schema.name!r}: "
+                        f"cannot {action} {table.schema.name!r}: "
                         f"row {key!r} referenced by {child.schema.name!r}"
                     )
 
@@ -429,14 +429,15 @@ class Database:
             lines = list(result.plan)
         elif isinstance(statement, (Update, Delete)):
             table = self.table(statement.table)
-            where = (
-                statement.where.bind(params) if statement.where else None
-            )
             lines = []
             with self._rw.read():
                 candidates = list(
                     plan_rowids(
-                        table, TableRef(statement.table), where, (), lines
+                        table,
+                        TableRef(statement.table),
+                        statement.where,
+                        params,
+                        lines,
                     )
                 )
             lines.append(f"candidate rows {len(candidates)}")
@@ -460,7 +461,7 @@ class Database:
                     f"{len(columns)} columns"
                 )
             values = {
-                column: expr.bind(params).evaluate({})
+                column: compile_expression(expr, {})(params)(())
                 for column, expr in zip(columns, value_exprs)
             }
             self._insert_unlocked(statement.table, values)
@@ -476,57 +477,61 @@ class Database:
         self, table_name: str, values: Mapping[str, Any]
     ) -> int:
         table = self.table(table_name)
-        self._check_fk_on_insert(table, values)
-        return table.insert(values)
+        row = table.schema.validate_row(values)
+        self._check_fk_on_insert(table, row)
+        return table.insert_row(row)
 
     def _locate_rows(
         self,
         table: Table,
-        table_name: str,
-        where: Optional[Any],
+        ref: TableRef,
+        where: Optional[Expression],
+        params: Sequence[Any],
         plan: List[str],
-    ) -> List[Tuple[int, tuple, Dict[str, Any]]]:
-        """Rows a bound WHERE matches, located through the planner.
+    ) -> List[Tuple[int, tuple]]:
+        """The ``(rowid, row)`` pairs WHERE matches, located through the
+        planner.
 
         Shared by UPDATE and DELETE: an indexed WHERE narrows the
         candidates through the same access-path planner SELECT uses,
-        then the WHERE is re-applied to each candidate.  Candidates
-        are materialized in ascending-rowid order *before* any
-        mutation, preserving the seed's scan-then-mutate semantics.
+        then the WHERE, compiled against the table's own layout, is
+        re-applied to each candidate's stored tuple.  Candidates are
+        materialized in ascending-rowid order *before* any mutation,
+        preserving the seed's scan-then-mutate semantics.
         """
-        prefix = table.schema.name + "."
-        columns = table.schema.column_names
-        candidates = sorted(
-            plan_rowids(table, TableRef(table_name), where, (), plan)
-        )
+        candidates = sorted(plan_rowids(table, ref, where, params, plan))
         get_registry().inc("db.rows_scanned", len(candidates))
-        matched = []
-        for rowid in candidates:
-            row = table.row(rowid)
-            context = {prefix + c: v for c, v in zip(columns, row)}
-            if where is not None and where.evaluate(context) is not True:
-                continue
-            matched.append((rowid, row, context))
-        return matched
+        located = [(rowid, table.row(rowid)) for rowid in candidates]
+        if where is None:
+            return located
+        matches = compile_expression(where, table_slots(table, ref))(params)
+        return [pair for pair in located if matches(pair[1]) is True]
 
     def _execute_update(
         self, statement: Update, params: Sequence[Any]
     ) -> Tuple[int, List[str]]:
         table = self.table(statement.table)
-        where = statement.where.bind(params) if statement.where else None
+        ref = TableRef(statement.table)
+        slots = table_slots(table, ref)
+        assignments = [
+            (column, compile_expression(expr, slots)(params))
+            for column, expr in statement.assignments
+        ]
+        schema = table.schema
         plan: List[str] = []
         count = 0
-        for rowid, row, context in self._locate_rows(
-            table, statement.table, where, plan
+        for rowid, row in self._locate_rows(
+            table, ref, statement.where, params, plan
         ):
-            changes = {
-                column: expr.bind(params).evaluate(context)
-                for column, expr in statement.assignments
-            }
-            merged = table.schema.row_dict(row)
-            merged.update({c.lower(): v for c, v in changes.items()})
-            self._check_fk_on_insert(table, merged)
-            table.update(rowid, changes)
+            new_row = schema.updated_row(
+                row, {column: value(row) for column, value in assignments}
+            )
+            if schema.key_of(new_row, schema.primary_key) != schema.key_of(
+                row, schema.primary_key
+            ):
+                self._check_fk_on_delete(table, row, "change the key of")
+            self._check_fk_on_insert(table, new_row)
+            table.replace_row(rowid, new_row)
             count += 1
         return count, plan
 
@@ -534,11 +539,10 @@ class Database:
         self, statement: Delete, params: Sequence[Any]
     ) -> Tuple[int, List[str]]:
         table = self.table(statement.table)
-        where = statement.where.bind(params) if statement.where else None
         plan: List[str] = []
         count = 0
-        for rowid, row, _context in self._locate_rows(
-            table, statement.table, where, plan
+        for rowid, row in self._locate_rows(
+            table, TableRef(statement.table), statement.where, params, plan
         ):
             self._check_fk_on_delete(table, row)
             table.delete(rowid)

@@ -1,12 +1,15 @@
-"""Expression AST evaluated against rows (WHERE / SELECT / ORDER BY).
+"""Expression AST and its one evaluator, :func:`compile_expression`.
 
-There are two evaluators with one semantics.  :meth:`Expression.evaluate`
-interprets a tree against a *row context*: a mapping from column
-reference (possibly qualified, ``deals.deal_id``) to value; UPDATE,
-DELETE and INSERT use it, and so does the SELECT test oracle.
-:func:`compile_expression` lowers a tree to a closure over a *stored row
-tuple* whose column slots were resolved once, when the statement was
-planned; that is the only way a SELECT evaluates anything.
+The classes here are the parsed form: they hold operands, report the
+columns they reference and substitute ``?`` placeholders
+(:meth:`Expression.bind`), and evaluate nothing.  Evaluation is
+:func:`compile_expression`: it lowers a tree to a closure over a *stored
+row tuple* whose column slots were resolved once, when the statement was
+planned.  Every WHERE, SET, VALUES, select item and ORDER BY key of
+SELECT, UPDATE, DELETE and INSERT runs as such a closure; a column
+reference names a slot by :meth:`ColumnRef.resolve`.  The tree-walking
+interpreter the compiler is held to is the test oracle
+``tests/reference/expr.py``.
 
 NULL handling follows SQL three-valued logic: comparisons with NULL
 yield NULL (represented as None), AND/OR propagate it per the usual
@@ -48,12 +51,9 @@ __all__ = [
     "Like",
     "Arithmetic",
     "FunctionCall",
-    "RowContext",
     "compile_expression",
     "escape_like",
 ]
-
-RowContext = Mapping[str, Any]
 
 # A compiled expression, bound to one execution's parameters, reads a
 # stored row tuple; a Binder makes one from those parameters.
@@ -63,10 +63,6 @@ Binder = Callable[[Sequence[Any]], RowFunction]
 
 class Expression:
     """Base class for all expression nodes."""
-
-    def evaluate(self, row: RowContext) -> Any:
-        """Evaluate against ``row``; None encodes SQL NULL/UNKNOWN."""
-        raise NotImplementedError
 
     def children(self) -> Iterator["Expression"]:
         """The operand expressions, in the order they evaluate."""
@@ -106,21 +102,12 @@ class Literal(Expression):
 
     value: Any
 
-    def evaluate(self, row: RowContext) -> Any:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Parameter(Expression):
     """A positional ``?`` placeholder, substituted at bind time."""
 
     position: int
-
-    def evaluate(self, row: RowContext) -> Any:
-        raise ProgrammingError(
-            f"unbound parameter at position {self.position}; "
-            "pass params to execute()"
-        )
 
     def bind(self, params: Sequence[Any]) -> Expression:
         if self.position >= len(params):
@@ -160,9 +147,6 @@ class ColumnRef(Expression):
                 raise ProgrammingError(f"ambiguous column {self.name!r}")
         raise ProgrammingError(f"unknown column {key!r}")
 
-    def evaluate(self, row: RowContext) -> Any:
-        return row[self.resolve(row)]
-
     def references(self) -> Iterator[str]:
         yield self.key
 
@@ -189,19 +173,6 @@ class Comparison(Expression):
         if self.op not in _COMPARATORS:
             raise ProgrammingError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, row: RowContext) -> Optional[bool]:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return None
-        try:
-            return _COMPARATORS[self.op](left, right)
-        except TypeError as exc:
-            raise ProgrammingError(
-                f"cannot compare {type(left).__name__} with "
-                f"{type(right).__name__}"
-            ) from exc
-
 
 @dataclass(frozen=True)
 class LogicalAnd(Expression):
@@ -209,17 +180,6 @@ class LogicalAnd(Expression):
 
     left: Expression
     right: Expression
-
-    def evaluate(self, row: RowContext) -> Optional[bool]:
-        left = _as_bool(self.left.evaluate(row))
-        if left is False:
-            return False
-        right = _as_bool(self.right.evaluate(row))
-        if right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
 
 
 @dataclass(frozen=True)
@@ -229,29 +189,12 @@ class LogicalOr(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, row: RowContext) -> Optional[bool]:
-        left = _as_bool(self.left.evaluate(row))
-        if left is True:
-            return True
-        right = _as_bool(self.right.evaluate(row))
-        if right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-
 
 @dataclass(frozen=True)
 class LogicalNot(Expression):
     """Three-valued NOT."""
 
     operand: Expression
-
-    def evaluate(self, row: RowContext) -> Optional[bool]:
-        value = _as_bool(self.operand.evaluate(row))
-        if value is None:
-            return None
-        return not value
 
 
 @dataclass(frozen=True)
@@ -261,10 +204,6 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def evaluate(self, row: RowContext) -> bool:
-        is_null = self.operand.evaluate(row) is None
-        return not is_null if self.negated else is_null
-
 
 @dataclass(frozen=True)
 class InList(Expression):
@@ -273,25 +212,6 @@ class InList(Expression):
     operand: Expression
     choices: Tuple[Expression, ...]
     negated: bool = False
-
-    def evaluate(self, row: RowContext) -> Optional[bool]:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        found = False
-        saw_null = False
-        for choice in self.choices:
-            candidate = choice.evaluate(row)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                found = True
-                break
-        if found:
-            return not self.negated
-        if saw_null:
-            return None
-        return self.negated
 
 
 @dataclass(frozen=True)
@@ -310,16 +230,6 @@ class Like(Expression):
     pattern: Expression
     negated: bool = False
     escape: Optional[str] = None
-
-    def evaluate(self, row: RowContext) -> Optional[bool]:
-        value = self.operand.evaluate(row)
-        pattern = self.pattern.evaluate(row)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise ProgrammingError("LIKE requires text operands")
-        result = _like_regex(pattern, self.escape).fullmatch(value) is not None
-        return not result if self.negated else result
 
 
 def escape_like(text: str, escape: str = "\\") -> str:
@@ -421,21 +331,6 @@ class Arithmetic(Expression):
         if self.op not in _ARITHMETIC:
             raise ProgrammingError(f"unknown arithmetic operator {self.op!r}")
 
-    def evaluate(self, row: RowContext) -> Any:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return None
-        if self.op == "/" and right == 0:
-            return None
-        try:
-            return _ARITHMETIC[self.op](left, right)
-        except TypeError as exc:
-            raise ProgrammingError(
-                f"invalid operands for {self.op!r}: "
-                f"{type(left).__name__}, {type(right).__name__}"
-            ) from exc
-
 
 _FUNCTIONS = {
     "lower": lambda v: v.lower() if isinstance(v, str) else v,
@@ -460,12 +355,6 @@ class FunctionCall(Expression):
             raise ProgrammingError(
                 f"function {self.name!r} takes exactly one argument"
             )
-
-    def evaluate(self, row: RowContext) -> Any:
-        value = self.args[0].evaluate(row)
-        if value is None:
-            return None
-        return _FUNCTIONS[self.name.lower()](value)
 
 
 def _as_bool(value: Any) -> Optional[bool]:
@@ -506,7 +395,8 @@ class _Static:
 
 def _raiser(message: str) -> RowFunction:
     """What an expression that cannot be evaluated compiles to: the
-    error waits until a row reaches it, as the interpreter's does."""
+    error waits until a row reaches it, as the reference interpreter's
+    (``tests/reference/expr.py``) does."""
 
     def _raise(row: Tuple[Any, ...]) -> Any:
         raise ProgrammingError(message)
@@ -521,9 +411,9 @@ def compile_expression(
 ) -> Binder:
     """Lower ``expression`` to a binder ``params -> (row -> value)``.
 
-    The row function evaluates the three-valued-logic semantics of
-    :meth:`Expression.evaluate` on a stored row tuple.  Work is split
-    over three moments:
+    The row function evaluates ``expression`` on a stored row tuple
+    under the module docstring's NULL rules.  Work is split over three
+    moments:
 
     * *now* (plan time): every :class:`ColumnRef` resolves to a slot of
       ``slots`` (context key -> tuple position), and every subtree
@@ -538,10 +428,11 @@ def compile_expression(
     calls) to the slots it appends their values at.
 
     Nothing raises before a row arrives: an unknown or ambiguous column
-    and a missing parameter compile to a function that raises the
-    interpreter's :class:`ProgrammingError` when called.  Binders and
-    row functions hold no per-execution state, so one compiled plan
-    serves concurrent executions.
+    (:meth:`ColumnRef.resolve`) and a missing parameter
+    (:meth:`Parameter.bind`) compile to a function that raises their
+    :class:`ProgrammingError` when called.  Binders and row functions
+    hold no per-execution state, so one compiled plan serves concurrent
+    executions.
     """
     if computed and expression in computed:
         return _Static(operator.itemgetter(computed[expression]))
@@ -565,9 +456,10 @@ def compile_expression(
 
     build = _BUILDERS.get(type(expression))
     if build is None:
-        # Only an AggregateCall outside ``computed`` gets here; its
-        # evaluate() raises whatever the context.
-        return _Static(lambda row: expression.evaluate({}))
+        # Only an AggregateCall outside ``computed`` gets here.
+        return _Static(
+            _raiser("aggregate evaluated outside GROUP BY context")
+        )
 
     operands = [
         compile_expression(child, slots, computed)

@@ -115,7 +115,7 @@ from repro.db.table import Table
 from repro.errors import ProgrammingError
 from repro.obs import get_registry
 
-__all__ = ["SelectPlan", "plan_rowids"]
+__all__ = ["SelectPlan", "plan_rowids", "table_slots"]
 
 # An index nested-loop join pays one index probe + row fetch per left
 # row; scanning the right side pays one fetch per right row.  Probe the
@@ -141,6 +141,12 @@ def _slots(keys: Sequence[str]) -> Dict[str, int]:
     """Context key -> tuple slot.  When a self-join repeats an alias the
     later source owns the key, as the later ``dict.update`` did."""
     return {key: slot for slot, key in enumerate(keys)}
+
+
+def table_slots(table: Table, ref: TableRef) -> Dict[str, int]:
+    """Context key -> slot of ``table``'s stored tuple, named by ``ref``:
+    the layout a one-table expression compiles against."""
+    return _slots(_context_keys(table, ref))
 
 
 def _column_projection(
@@ -489,7 +495,7 @@ class _JoinStep:
         # ON reads the joined row; pushed-down right-side filters read
         # the right table's tuple before it is joined.
         self.on = compile_expression(join.on, joined_slots)
-        self.right_slots = _slots(_context_keys(table, join.ref))
+        self.right_slots = table_slots(table, join.ref)
         self.left_slot: Optional[int] = None
         self.right_slot: Optional[int] = None
         self.right_key = self.right_column = self.right_index = None

@@ -18,15 +18,9 @@ chosen; tests assert on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.db.expr import (
-    ColumnRef,
-    Comparison,
-    Expression,
-    LogicalAnd,
-    RowContext,
-)
+from repro.db.expr import ColumnRef, Comparison, Expression, LogicalAnd
 from repro.db.table import Table
 from repro.errors import ProgrammingError
 
@@ -50,8 +44,9 @@ __all__ = [
 class AggregateCall(Expression):
     """COUNT/SUM/AVG/MIN/MAX over a group.
 
-    ``arg`` is None only for ``COUNT(*)``.  Aggregates are evaluated by
-    the executor's grouping stage, never via :meth:`evaluate`.
+    ``arg`` is None only for ``COUNT(*)``.  Aggregates are computed by
+    the executor's grouping stage; anywhere else one compiles to an
+    error (``aggregate evaluated outside GROUP BY context``).
     """
 
     func: str
@@ -65,11 +60,6 @@ class AggregateCall(Expression):
             raise ProgrammingError(f"unknown aggregate {self.func!r}")
         if self.arg is None and self.func.lower() != "count":
             raise ProgrammingError(f"{self.func}(*) is not valid")
-
-    def evaluate(self, row: RowContext) -> Any:
-        raise ProgrammingError(
-            "aggregate evaluated outside GROUP BY context"
-        )
 
 
 @dataclass(frozen=True)
@@ -134,34 +124,6 @@ class SelectStatement:
     limit: Optional[int] = None
     offset: int = 0
     distinct: bool = False
-
-    def bind(self, params: Sequence[Any]) -> "SelectStatement":
-        """Substitute ``?`` placeholders with ``params``."""
-        return SelectStatement(
-            items=tuple(
-                SelectItem(
-                    item.expr.bind(params) if item.expr else None,
-                    item.alias,
-                    item.star,
-                    item.star_table,
-                )
-                for item in self.items
-            ),
-            from_ref=self.from_ref,
-            joins=tuple(
-                Join(j.ref, j.on.bind(params), j.kind) for j in self.joins
-            ),
-            where=self.where.bind(params) if self.where else None,
-            group_by=tuple(g.bind(params) for g in self.group_by),
-            having=self.having.bind(params) if self.having else None,
-            order_by=tuple(
-                OrderItem(o.expr.bind(params), o.descending)
-                for o in self.order_by
-            ),
-            limit=self.limit,
-            offset=self.offset,
-            distinct=self.distinct,
-        )
 
 
 # ---------------------------------------------------------------------------

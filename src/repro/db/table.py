@@ -131,7 +131,10 @@ class Table:
 
     def insert(self, values: Mapping[str, Any]) -> int:
         """Insert one row; returns its row id."""
-        row = self.schema.validate_row(values)
+        return self.insert_row(self.schema.validate_row(values))
+
+    def insert_row(self, row: Tuple[Any, ...]) -> int:
+        """Store ``row``, a tuple :meth:`TableSchema.validate_row` made."""
         self._check_unique(row, ignore_rowid=None)
         rowid = self._next_rowid
         self._next_rowid += 1
@@ -146,18 +149,23 @@ class Table:
         changes: Mapping[str, Any],
     ) -> Tuple[Any, ...]:
         """Apply ``changes`` to the row at ``rowid``; returns new tuple."""
-        old_row = self._rows.get(rowid)
-        if old_row is None:
-            raise ProgrammingError(f"no row {rowid} in {self.schema.name!r}")
-        merged = self.schema.row_dict(old_row)
-        for column, value in changes.items():
+        old_row = self.row(rowid)
+        for column in changes:
             if not self.schema.has_column(column):
                 raise IntegrityError(
                     f"unknown column {column!r} in UPDATE of "
                     f"{self.schema.name!r}"
                 )
-            merged[column.lower()] = value
-        new_row = self.schema.validate_row(merged)
+        return self.replace_row(
+            rowid, self.schema.updated_row(old_row, changes)
+        )
+
+    def replace_row(
+        self, rowid: int, new_row: Tuple[Any, ...]
+    ) -> Tuple[Any, ...]:
+        """Store ``new_row``, a tuple :meth:`TableSchema.updated_row`
+        made, at ``rowid``; returns it."""
+        old_row = self.row(rowid)
         self._check_unique(new_row, ignore_rowid=rowid)
         self._apply_delete(rowid, old_row)
         self._apply_insert(rowid, new_row)

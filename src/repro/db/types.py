@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from repro.errors import TypeMismatchError
 
-__all__ = ["DataType", "coerce", "compatible_python_type"]
+__all__ = ["DataType", "coerce"]
 
 
 class DataType(enum.Enum):
@@ -80,14 +80,3 @@ def coerce(value: Any, dtype: DataType, column: str = "?") -> Optional[Any]:
         f"column {column!r}: cannot store {type(value).__name__} "
         f"value {value!r} in {dtype} column"
     )
-
-
-def compatible_python_type(dtype: DataType) -> type:
-    """Return the canonical Python type stored for ``dtype``."""
-    return {
-        DataType.INTEGER: int,
-        DataType.REAL: float,
-        DataType.TEXT: str,
-        DataType.BOOLEAN: bool,
-        DataType.DATE: datetime.date,
-    }[dtype]

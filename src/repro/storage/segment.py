@@ -52,7 +52,6 @@ from repro.search.index_reader import IndexReader, TermPostings
 from repro.storage.varint import (
     read_str,
     read_uint,
-    skip_uint,
     write_str,
     write_uint,
 )

@@ -28,8 +28,6 @@ __all__ = [
     "read_uint",
     "write_str",
     "read_str",
-    "encode_uint",
-    "skip_uint",
 ]
 
 
@@ -41,13 +39,6 @@ def write_uint(out: bytearray, value: int) -> None:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
     out.append(value)
-
-
-def encode_uint(value: int) -> bytes:
-    """Encode a single non-negative int to LEB128 bytes."""
-    out = bytearray()
-    write_uint(out, value)
-    return bytes(out)
 
 
 def read_uint(buf, offset: int) -> Tuple[int, int]:
@@ -68,17 +59,6 @@ def read_uint(buf, offset: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, offset
         shift += 7
-
-
-def skip_uint(buf, offset: int) -> int:
-    """Advance past one varint without materializing its value."""
-    end = len(buf)
-    while True:
-        if offset >= end:
-            raise StorageError("truncated varint in segment data")
-        if not buf[offset] & 0x80:
-            return offset + 1
-        offset += 1
 
 
 def write_str(out: bytearray, text: str) -> None:

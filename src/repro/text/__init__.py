@@ -16,13 +16,7 @@ from repro.text.normalize import (
     normalize_whitespace,
     person_from_email,
 )
-from repro.text.similarity import (
-    jaro,
-    jaro_winkler,
-    levenshtein,
-    levenshtein_ratio,
-    token_set_ratio,
-)
+from repro.text.similarity import jaro, jaro_winkler
 from repro.text.stemmer import PorterStemmer, stem
 from repro.text.stopwords import STOPWORDS
 
@@ -37,9 +31,6 @@ __all__ = [
     "person_from_email",
     "jaro",
     "jaro_winkler",
-    "levenshtein",
-    "levenshtein_ratio",
-    "token_set_ratio",
     "PorterStemmer",
     "stem",
     "STOPWORDS",

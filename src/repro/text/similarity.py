@@ -2,53 +2,13 @@
 
 Paper Fig. 3 step 10 de-duplicates social-networking annotations across a
 business activity; the corpus contains the same person with typos and
-order variants, so exact matching is not enough.  We provide the two
-classic edit-based measures (Levenshtein and Jaro-Winkler) plus a
-token-set ratio that is robust to word order (``White, Sam`` vs
-``Sam White``).
+order variants, so exact matching is not enough.  The de-duplication
+path compares names by Jaro-Winkler.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-__all__ = [
-    "levenshtein",
-    "levenshtein_ratio",
-    "jaro",
-    "jaro_winkler",
-    "token_set_ratio",
-]
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance between ``a`` and ``b`` (insert/delete/substitute)."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    # Keep the shorter string in the inner loop for O(min(m,n)) memory.
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
-
-
-def levenshtein_ratio(a: str, b: str) -> float:
-    """Normalized similarity in [0, 1]: 1.0 means identical strings."""
-    if not a and not b:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
+__all__ = ["jaro", "jaro_winkler"]
 
 
 def jaro(a: str, b: str) -> float:
@@ -103,14 +63,3 @@ def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
             break
         prefix += 1
     return base + prefix * prefix_scale * (1.0 - base)
-
-
-def token_set_ratio(a: Sequence[str], b: Sequence[str]) -> float:
-    """Jaccard similarity of two token sequences, order-insensitive."""
-    sa = {t.lower() for t in a}
-    sb = {t.lower() for t in b}
-    if not sa and not sb:
-        return 1.0
-    if not sa or not sb:
-        return 0.0
-    return len(sa & sb) / len(sa | sb)

@@ -78,11 +78,6 @@ class TypeSystem:
     def __contains__(self, name: str) -> bool:
         return name in self._types
 
-    @property
-    def type_names(self) -> Set[str]:
-        """All registered type names."""
-        return set(self._types)
-
     def all_features(self, name: str) -> FrozenSet[str]:
         """Feature slots of ``name`` including inherited ones."""
         cached = self._features.get(name)

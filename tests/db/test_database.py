@@ -146,6 +146,25 @@ class TestDml:
         with pytest.raises(IntegrityError):
             db.execute("UPDATE people SET deal_id = 'ghost' WHERE pid = 1")
 
+    def test_fk_update_of_referenced_key_restricted(self, db):
+        # Like DELETE: moving a parent's key away must not orphan rows.
+        with pytest.raises(IntegrityError, match="referenced by 'people'"):
+            db.execute("UPDATE deals SET deal_id = 'd9' WHERE deal_id = 'd1'")
+        assert db.execute(
+            "SELECT deal_id FROM deals ORDER BY deal_id"
+        ).column("deal_id") == ["d1", "d2", "d3"]
+        # The key left alone, or rewritten to itself, or unreferenced.
+        for sql in (
+            "UPDATE deals SET value = 1.0 WHERE deal_id = 'd1'",
+            "UPDATE deals SET deal_id = 'd1' WHERE deal_id = 'd1'",
+            "UPDATE deals SET deal_id = 'd9' WHERE deal_id = 'd3'",
+        ):
+            assert db.execute(sql).scalar() == 1
+        assert db.execute(
+            "SELECT COUNT(*) FROM people p JOIN deals d "
+            "ON d.deal_id = p.deal_id"
+        ).scalar() == 3
+
 
 class TestSelect:
     def test_where_with_params_uses_pk_index(self, db):

@@ -1,4 +1,9 @@
-"""Unit tests for expression evaluation and SQL NULL semantics."""
+"""Unit tests for expression evaluation and SQL NULL semantics.
+
+Every case runs through :func:`value_of`: ``compile_expression`` — the
+one evaluator ``repro.db`` has — and the reference interpreter
+(``tests/reference/expr.py``) must agree on the value or on the error.
+"""
 
 import re
 
@@ -21,7 +26,10 @@ from repro.db import (
     escape_like,
 )
 from repro.db import expr as expr_module
+from repro.db.expr import compile_expression
 from repro.errors import ProgrammingError
+
+from tests.reference import expr as reference
 
 ROW = {"t.a": 5, "t.b": "hello", "t.c": None}
 
@@ -30,49 +38,84 @@ def lit(value):
     return Literal(value)
 
 
+def value_of(expression, row=None, params=()):
+    """What ``expression`` is over ``row`` (context key -> value) with
+    ``params`` bound, by the compiled row function over the row's keys
+    and by the reference interpreter; raises the ProgrammingError both
+    raise.  They must agree on type and value, or on the message."""
+    row = row or {}
+    keys = list(row)
+
+    def compiled():
+        slots = {key: slot for slot, key in enumerate(keys)}
+        stored = tuple(row[key] for key in keys)
+        return compile_expression(expression, slots)(params)(stored)
+
+    def interpreted():
+        return reference.evaluate(reference.bind(expression, params), row)
+
+    outcomes = []
+    for run in (compiled, interpreted):
+        try:
+            result = run()
+            outcomes.append((type(result), result))
+        except ProgrammingError as exc:
+            outcomes.append((ProgrammingError, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    kind, result = outcomes[0]
+    if kind is ProgrammingError:
+        raise ProgrammingError(result)
+    return result
+
+
 class TestBasics:
     def test_literal(self):
-        assert lit(42).evaluate({}) == 42
+        assert value_of(lit(42)) == 42
 
     def test_column_qualified(self):
-        assert ColumnRef("a", "t").evaluate(ROW) == 5
+        assert value_of(ColumnRef("a", "t"), ROW) == 5
 
     def test_column_unqualified_resolves(self):
-        assert ColumnRef("a").evaluate(ROW) == 5
+        assert value_of(ColumnRef("a"), ROW) == 5
 
     def test_column_unqualified_ambiguous(self):
         row = {"t.a": 1, "u.a": 2}
         with pytest.raises(ProgrammingError, match="ambiguous"):
-            ColumnRef("a").evaluate(row)
+            value_of(ColumnRef("a"), row)
 
     def test_unknown_column(self):
         with pytest.raises(ProgrammingError, match="unknown column"):
-            ColumnRef("zzz").evaluate(ROW)
+            value_of(ColumnRef("zzz"), ROW)
 
     def test_unbound_parameter_raises(self):
+        # Only the interpreter can meet a ``?`` nobody bound: a compiled
+        # expression is always bound before it sees a row.
         with pytest.raises(ProgrammingError, match="unbound parameter"):
-            Parameter(0).evaluate({})
+            reference.evaluate(Parameter(0), {})
 
     def test_parameter_binding(self):
         expr = Comparison("=", ColumnRef("a", "t"), Parameter(0))
-        assert expr.bind([5]).evaluate(ROW) is True
+        assert value_of(expr, ROW, [5]) is True
+        assert expr.bind([5]) == reference.bind(expr, [5])
 
     def test_parameter_missing_raises(self):
         with pytest.raises(ProgrammingError, match="parameter"):
             Parameter(2).bind([1])
+        with pytest.raises(ProgrammingError, match="at least 3 parameter"):
+            value_of(Parameter(2), params=[1])
 
 
 class TestComparison:
     def test_operators(self):
-        assert Comparison("=", lit(1), lit(1)).evaluate({}) is True
-        assert Comparison("!=", lit(1), lit(2)).evaluate({}) is True
-        assert Comparison("<", lit(1), lit(2)).evaluate({}) is True
-        assert Comparison("<=", lit(2), lit(2)).evaluate({}) is True
-        assert Comparison(">", lit(3), lit(2)).evaluate({}) is True
-        assert Comparison(">=", lit(1), lit(2)).evaluate({}) is False
+        assert value_of(Comparison("=", lit(1), lit(1))) is True
+        assert value_of(Comparison("!=", lit(1), lit(2))) is True
+        assert value_of(Comparison("<", lit(1), lit(2))) is True
+        assert value_of(Comparison("<=", lit(2), lit(2))) is True
+        assert value_of(Comparison(">", lit(3), lit(2))) is True
+        assert value_of(Comparison(">=", lit(1), lit(2))) is False
 
     def test_null_propagates(self):
-        assert Comparison("=", ColumnRef("c", "t"), lit(1)).evaluate(ROW) is None
+        assert value_of(Comparison("=", ColumnRef("c", "t"), lit(1)), ROW) is None
 
     def test_unknown_operator(self):
         with pytest.raises(ProgrammingError):
@@ -80,81 +123,81 @@ class TestComparison:
 
     def test_incomparable_types(self):
         with pytest.raises(ProgrammingError):
-            Comparison("<", lit(1), lit("x")).evaluate({})
+            value_of(Comparison("<", lit(1), lit("x")))
 
 
 class TestLogic:
     def test_three_valued_and(self):
         null = lit(None)
-        assert LogicalAnd(lit(True), lit(True)).evaluate({}) is True
-        assert LogicalAnd(lit(True), lit(False)).evaluate({}) is False
-        assert LogicalAnd(lit(False), null).evaluate({}) is False
-        assert LogicalAnd(lit(True), null).evaluate({}) is None
-        assert LogicalAnd(null, null).evaluate({}) is None
+        assert value_of(LogicalAnd(lit(True), lit(True))) is True
+        assert value_of(LogicalAnd(lit(True), lit(False))) is False
+        assert value_of(LogicalAnd(lit(False), null)) is False
+        assert value_of(LogicalAnd(lit(True), null)) is None
+        assert value_of(LogicalAnd(null, null)) is None
 
     def test_three_valued_or(self):
         null = lit(None)
-        assert LogicalOr(lit(False), lit(True)).evaluate({}) is True
-        assert LogicalOr(lit(True), null).evaluate({}) is True
-        assert LogicalOr(lit(False), null).evaluate({}) is None
-        assert LogicalOr(lit(False), lit(False)).evaluate({}) is False
+        assert value_of(LogicalOr(lit(False), lit(True))) is True
+        assert value_of(LogicalOr(lit(True), null)) is True
+        assert value_of(LogicalOr(lit(False), null)) is None
+        assert value_of(LogicalOr(lit(False), lit(False))) is False
 
     def test_not(self):
-        assert LogicalNot(lit(True)).evaluate({}) is False
-        assert LogicalNot(lit(None)).evaluate({}) is None
+        assert value_of(LogicalNot(lit(True))) is False
+        assert value_of(LogicalNot(lit(None))) is None
 
 
 class TestPredicates:
     def test_is_null(self):
-        assert IsNull(ColumnRef("c", "t")).evaluate(ROW) is True
-        assert IsNull(ColumnRef("a", "t")).evaluate(ROW) is False
-        assert IsNull(ColumnRef("c", "t"), negated=True).evaluate(ROW) is False
+        assert value_of(IsNull(ColumnRef("c", "t")), ROW) is True
+        assert value_of(IsNull(ColumnRef("a", "t")), ROW) is False
+        assert value_of(IsNull(ColumnRef("c", "t"), negated=True), ROW) is False
 
     def test_in_list(self):
         expr = InList(ColumnRef("a", "t"), (lit(1), lit(5)))
-        assert expr.evaluate(ROW) is True
+        assert value_of(expr, ROW) is True
         expr = InList(ColumnRef("a", "t"), (lit(1), lit(2)))
-        assert expr.evaluate(ROW) is False
+        assert value_of(expr, ROW) is False
 
     def test_in_list_null_semantics(self):
         # 5 IN (1, NULL) is NULL; 5 NOT IN (1, NULL) is NULL.
         expr = InList(lit(5), (lit(1), lit(None)))
-        assert expr.evaluate({}) is None
+        assert value_of(expr) is None
         expr = InList(lit(5), (lit(1), lit(None)), negated=True)
-        assert expr.evaluate({}) is None
+        assert value_of(expr) is None
         # But 5 IN (5, NULL) is TRUE.
         expr = InList(lit(5), (lit(5), lit(None)))
-        assert expr.evaluate({}) is True
+        assert value_of(expr) is True
 
     def test_like_wildcards(self):
-        assert Like(lit("End User Services"), lit("%user%")).evaluate({}) is True
-        assert Like(lit("deal"), lit("d_al")).evaluate({}) is True
-        assert Like(lit("deal"), lit("d_l")).evaluate({}) is False
+        assert value_of(Like(lit("End User Services"), lit("%user%"))) is True
+        assert value_of(Like(lit("deal"), lit("d_al"))) is True
+        assert value_of(Like(lit("deal"), lit("d_l"))) is False
 
     def test_like_case_insensitive(self):
-        assert Like(lit("ABC"), lit("abc")).evaluate({}) is True
+        assert value_of(Like(lit("ABC"), lit("abc"))) is True
 
     def test_like_escapes_regex_chars(self):
-        assert Like(lit("a.b"), lit("a.b")).evaluate({}) is True
-        assert Like(lit("axb"), lit("a.b")).evaluate({}) is False
+        assert value_of(Like(lit("a.b"), lit("a.b"))) is True
+        assert value_of(Like(lit("axb"), lit("a.b"))) is False
 
     def test_like_null(self):
-        assert Like(lit(None), lit("%")).evaluate({}) is None
+        assert value_of(Like(lit(None), lit("%"))) is None
 
     def test_like_requires_text(self):
         with pytest.raises(ProgrammingError):
-            Like(lit(5), lit("%")).evaluate({})
+            value_of(Like(lit(5), lit("%")))
 
     def test_like_matches_the_whole_value(self):
         # ``$`` also matches before a trailing newline; LIKE must not.
-        assert Like(lit("ab\n"), lit("ab")).evaluate({}) is False
-        assert Like(lit("ab\n"), lit("%b")).evaluate({}) is False
-        assert Like(lit("ab\n"), lit("ab_")).evaluate({}) is True
-        assert Like(lit("a\nb"), lit("a%b")).evaluate({}) is True
+        assert value_of(Like(lit("ab\n"), lit("ab"))) is False
+        assert value_of(Like(lit("ab\n"), lit("%b"))) is False
+        assert value_of(Like(lit("ab\n"), lit("ab_"))) is True
+        assert value_of(Like(lit("a\nb"), lit("a%b"))) is True
 
     def test_like_escape_makes_wildcards_literal(self):
         def like(value, pattern, escape="\\"):
-            return Like(lit(value), lit(pattern), escape=escape).evaluate({})
+            return value_of(Like(lit(value), lit(pattern), escape=escape))
 
         assert like("50%_off", "50\\%\\_off") is True
         assert like("5000 off", "50\\%\\_off") is False
@@ -164,17 +207,17 @@ class TestPredicates:
         # A trailing escape character stands for itself.
         assert like("a\\", "a\\") is True
         # Without ESCAPE the backslash is an ordinary character.
-        assert Like(lit("a\\%"), lit("a\\%")).evaluate({}) is True
-        assert Like(lit("ab"), lit("a\\%")).evaluate({}) is False
+        assert value_of(Like(lit("a\\%"), lit("a\\%"))) is True
+        assert value_of(Like(lit("ab"), lit("a\\%"))) is False
 
     def test_escape_like_round_trips_any_text(self):
         for text in ("%", "_", "\\", "50%_off", "a\\%b", "plain", ""):
             pattern = escape_like(text)
-            assert Like(lit(text), lit(pattern), escape="\\").evaluate({})
+            assert value_of(Like(lit(text), lit(pattern), escape="\\"))
             if text:
-                assert not Like(
+                assert not value_of(Like(
                     lit("x" * len(text)), lit(pattern), escape="\\"
-                ).evaluate({})
+                ))
         assert escape_like("a!b%", "!") == "a!!b!%"
 
     def test_like_pattern_compiles_once_per_execution(self, monkeypatch):
@@ -213,26 +256,26 @@ class TestPredicates:
 
 class TestArithmeticAndFunctions:
     def test_arithmetic(self):
-        assert Arithmetic("+", lit(2), lit(3)).evaluate({}) == 5
-        assert Arithmetic("-", lit(2), lit(3)).evaluate({}) == -1
-        assert Arithmetic("*", lit(2), lit(3)).evaluate({}) == 6
-        assert Arithmetic("/", lit(6), lit(3)).evaluate({}) == 2
+        assert value_of(Arithmetic("+", lit(2), lit(3))) == 5
+        assert value_of(Arithmetic("-", lit(2), lit(3))) == -1
+        assert value_of(Arithmetic("*", lit(2), lit(3))) == 6
+        assert value_of(Arithmetic("/", lit(6), lit(3))) == 2
 
     def test_division_by_zero_is_null(self):
-        assert Arithmetic("/", lit(1), lit(0)).evaluate({}) is None
+        assert value_of(Arithmetic("/", lit(1), lit(0))) is None
 
     def test_string_concat_via_plus(self):
-        assert Arithmetic("+", lit("a"), lit("b")).evaluate({}) == "ab"
+        assert value_of(Arithmetic("+", lit("a"), lit("b"))) == "ab"
 
     def test_null_propagates(self):
-        assert Arithmetic("+", lit(None), lit(1)).evaluate({}) is None
+        assert value_of(Arithmetic("+", lit(None), lit(1))) is None
 
     def test_functions(self):
-        assert FunctionCall("lower", (lit("ABC"),)).evaluate({}) == "abc"
-        assert FunctionCall("upper", (lit("abc"),)).evaluate({}) == "ABC"
-        assert FunctionCall("length", (lit("abcd"),)).evaluate({}) == 4
-        assert FunctionCall("trim", (lit(" x "),)).evaluate({}) == "x"
-        assert FunctionCall("abs", (lit(-3),)).evaluate({}) == 3
+        assert value_of(FunctionCall("lower", (lit("ABC"),))) == "abc"
+        assert value_of(FunctionCall("upper", (lit("abc"),))) == "ABC"
+        assert value_of(FunctionCall("length", (lit("abcd"),))) == 4
+        assert value_of(FunctionCall("trim", (lit(" x "),))) == "x"
+        assert value_of(FunctionCall("abs", (lit(-3),))) == 3
 
     def test_unknown_function(self):
         with pytest.raises(ProgrammingError):

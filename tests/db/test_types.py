@@ -5,7 +5,7 @@ import datetime
 import pytest
 
 from repro.db import DataType
-from repro.db.types import coerce, compatible_python_type
+from repro.db.types import coerce
 from repro.errors import TypeMismatchError
 
 
@@ -62,9 +62,3 @@ class TestCoerce:
     def test_error_mentions_column(self):
         with pytest.raises(TypeMismatchError, match="total_value"):
             coerce("x", DataType.REAL, column="total_value")
-
-
-class TestCompatiblePythonType:
-    def test_mapping_complete(self):
-        for dtype in DataType:
-            assert isinstance(compatible_python_type(dtype), type)

@@ -5,6 +5,8 @@ out of ``src/`` because tests are its only callers:
 
 * ``text`` — the eight Porter steps and the analyzer as a composition.
 * ``select`` — the seed's row-at-a-time SELECT interpreter.
+* ``expr`` — the tree-walking expression interpreter ``select`` and the
+  DML model evaluate with (``repro.db`` only compiles).
 * ``search`` — the exhaustive query interpreter (per-document scoring,
   clause-order evaluation, post-hoc filtering, full sort), and every
   ranked document built into a hit.

@@ -15,18 +15,14 @@ It imports nothing from ``repro.db.plan`` and records no metrics, so a
 suite may call it between production calls without moving a counter.
 The statement model and the shape helpers (conjunct splitting,
 equi-join detection, star expansion, output naming, NULLS-LAST keys)
-come from ``repro.db.query``, as they did when this code lived there.
+come from ``repro.db.query``, as they did when this code lived there;
+every expression is interpreted by ``tests/reference/expr.py``, so no
+evaluation code is shared with the compiled executor it checks.
 """
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.db.expr import (
-    ColumnRef,
-    Comparison,
-    Expression,
-    Literal,
-    RowContext,
-)
+from repro.db.expr import ColumnRef, Comparison, Expression, Literal
 from repro.db.index import SortedIndex
 from repro.db.query import (
     AggregateCall,
@@ -45,6 +41,8 @@ from repro.db.query import (
     grouped_key_position,
 )
 from repro.db.table import Table
+
+from tests.reference.expr import RowContext, bind, evaluate
 
 __all__ = ["naive_execute_select"]
 
@@ -127,7 +125,7 @@ def naive_execute_select(
     is pure with respect to observability — it records no metrics — so
     equivalence tests can call it freely.
     """
-    statement = statement.bind(params)
+    statement = bind(statement, params)
     plan: List[str] = []
 
     # FROM: driving table, index-assisted when WHERE allows.
@@ -174,7 +172,7 @@ def naive_execute_select(
                 for right_row in right_rows:
                     merged = dict(left_row)
                     merged.update(right_row)
-                    if join.on.evaluate(merged) is True:
+                    if evaluate(join.on, merged) is True:
                         joined.append(merged)
                         matched = True
                 if not matched and join.kind == "left":
@@ -186,7 +184,7 @@ def naive_execute_select(
 
     # WHERE.
     if statement.where is not None:
-        rows = [r for r in rows if statement.where.evaluate(r) is True]
+        rows = [r for r in rows if evaluate(statement.where, r) is True]
 
     # Expand stars and name output columns.
     items = _expand_items(statement, catalog, seen_names)
@@ -201,7 +199,7 @@ def naive_execute_select(
         output_rows = _execute_grouped(statement, items, rows)
     else:
         output_rows = [
-            tuple(item.expr.evaluate(row) for item in items)  # type: ignore[union-attr]
+            tuple(evaluate(item.expr, row) for item in items)  # type: ignore[arg-type]
             for row in rows
         ]
         if statement.order_by:
@@ -233,7 +231,7 @@ def _compute_aggregate(
     func = call.func.lower()
     if call.arg is None:
         return len(rows)
-    values = [call.arg.evaluate(row) for row in rows]
+    values = [evaluate(call.arg, row) for row in rows]
     values = [v for v in values if v is not None]
     if call.distinct:
         values = list(dict.fromkeys(values))
@@ -295,7 +293,7 @@ def _evaluate_with_groups(
     representative row (valid because GROUP BY keys are constant within
     a group).
     """
-    return _fold_aggregates(expression, group).evaluate(representative)
+    return evaluate(_fold_aggregates(expression, group), representative)
 
 
 def _execute_grouped(
@@ -306,7 +304,7 @@ def _execute_grouped(
     groups: Dict[Tuple, List[Dict[str, Any]]] = {}
     if statement.group_by:
         for row in rows:
-            key = tuple(g.evaluate(row) for g in statement.group_by)
+            key = tuple(evaluate(g, row) for g in statement.group_by)
             groups.setdefault(key, []).append(row)
     else:
         groups[()] = rows  # global aggregate; empty input => one group
@@ -339,7 +337,7 @@ def _order(
     paired = list(zip(rows, output_rows))
     for order_item in reversed(order_by):
         paired.sort(
-            key=lambda pair: _NullsLast(order_item.expr.evaluate(pair[0])),
+            key=lambda pair: _NullsLast(evaluate(order_item.expr, pair[0])),
             reverse=order_item.descending,
         )
     return [out for _, out in paired]

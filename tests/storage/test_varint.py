@@ -5,14 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage.varint import (
-    encode_uint,
-    read_str,
-    read_uint,
-    skip_uint,
-    write_str,
-    write_uint,
-)
+from repro.storage.varint import read_str, read_uint, write_str, write_uint
+
+
+def encode_uint(value):
+    buf = bytearray()
+    write_uint(buf, value)
+    return bytes(buf)
 
 
 @pytest.mark.parametrize(
@@ -38,7 +37,6 @@ def test_round_trip_property(value):
     decoded, offset = read_uint(data, 0)
     assert decoded == value
     assert offset == len(data)
-    assert skip_uint(data, 0) == len(data)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=50))

@@ -21,9 +21,17 @@ belongs in ``tests/reference/``, or it is dead.
 The analysis is by name, so it errs towards "reached" (a local variable
 that shadows a module-level name counts as a use of it); what it
 reports as unreached is unreached.
+
+Methods get a coarser pass, since a call site does not say which class
+it lands on: a public method or property of a class in ``src/repro`` is
+reached when its name appears as an attribute, a keyword argument or a
+string anywhere under ``src/``, ``benchmarks/`` or ``examples/`` outside
+its own definition.  Dunders are exempt; :data:`TEST_ONLY_METHODS` names
+what that pass finds and why each is still there.
 """
 
 import ast
+import collections
 import importlib
 import pathlib
 import pkgutil
@@ -45,20 +53,69 @@ ENTRY_POINT_API = {
         "library API: one builder per GraphQuery kind",
     "repro.core.metaqueries.graph_team_overlap_query":
         "library API: one builder per GraphQuery kind",
-    # Not API: reached by their unit tests only.  Found by this gate's
-    # first run and left for the next surface PR, each with its tests.
-    "repro.db.types.compatible_python_type":
-        "test-only; goes with tests/db/test_types.py's case",
-    "repro.storage.varint.encode_uint":
-        "test-only single-value form of the varint codec",
-    "repro.storage.varint.skip_uint":
-        "test-only; segment.py imports it and never calls it",
-    "repro.text.similarity.levenshtein":
-        "test-only; the dedup path uses jaro_winkler",
-    "repro.text.similarity.levenshtein_ratio":
-        "test-only; the dedup path uses jaro_winkler",
-    "repro.text.similarity.token_set_ratio":
-        "test-only; the dedup path uses jaro_winkler",
+}
+
+#: Public methods no code under src/, benchmarks/ or examples/ names,
+#: found by the method pass's first run.  "test-only" ones go, with
+#: their tests, in the next surface PR; the others say why they are API.
+TEST_ONLY_METHODS = {
+    "repro.annotators.candidates.LearnedCandidateSelector.agreement_with":
+        "API of LearnedCandidateSelector (see ENTRY_POINT_API)",
+    "repro.annotators.candidates.LearnedCandidateSelector.train_from_rule":
+        "API of LearnedCandidateSelector (see ENTRY_POINT_API)",
+    "repro.annotators.classifier.NaiveBayesClassifier.predict_proba":
+        "test-only; callers use predict",
+    "repro.annotators.classifier.NaiveBayesClassifier.vocabulary_size":
+        "test-only",
+    "repro.core.facets.FacetService.facet":
+        "test-only single-facet form of facets",
+    "repro.db.database.Database.ddl_epoch":
+        "test-only view of the epoch the statement cache keys on",
+    "repro.db.database.Database.in_transaction":
+        "test-only",
+    "repro.db.database.Database.transaction":
+        "test-only context-manager form of begin/commit/rollback",
+    "repro.db.index.SortedIndex.ordered_rowids":
+        "test-only; no plan walks an index in key order",
+    "repro.db.table.Table.indexes_prefixed_by":
+        "test-only; the planner asks index_on",
+    "repro.docmodel.documents.FormDocument.field_value":
+        "test-only",
+    "repro.docmodel.repository.WorkbookCollection.workbook":
+        "test-only lookup by deal id",
+    "repro.faults.breaker.CircuitBreaker.state":
+        "operator API: what the breaker.state.<name> gauge of "
+        "docs/OPERATIONS.md reports",
+    "repro.intranet.directory.PersonnelDirectory.is_active":
+        "test-only",
+    "repro.obs.metrics.MetricsRegistry.reset":
+        "test-only; isolates one test's counters from the next",
+    "repro.obs.tracing.Span.finished":
+        "test-only; obs/tracing.py goes with the request-tracing item",
+    "repro.obs.tracing.Tracer.reset":
+        "test-only; obs/tracing.py goes with the request-tracing item",
+    "repro.obs.tracing.Tracer.to_json":
+        "test-only; obs/tracing.py goes with the request-tracing item",
+    "repro.search.engine.SearchEngine.add_all":
+        "test-only bulk form of add",
+    "repro.serving.sharding.ShardedSearchEngine.add_all":
+        "test-only bulk form of add",
+    "repro.security.access.AccessController.make_public":
+        "test-only; policy administration no entry point performs",
+    "repro.security.access.AccessController.readable_repositories":
+        "test-only; policy administration no entry point performs",
+    "repro.security.access.AccessController.restrict":
+        "test-only; policy administration no entry point performs",
+    "repro.security.access.AccessController.revoke_user":
+        "test-only; policy administration no entry point performs",
+    "repro.storage.store.SegmentBackedIndex.compact":
+        "test-only merge-everything maintenance call",
+    "repro.uima.cas.Cas.select_covered":
+        "test-only",
+    "repro.uima.engine.AggregateAnalysisEngine.delegates":
+        "test-only",
+    "repro.uima.engine.AggregateAnalysisEngine.run_detailed":
+        "test-only; the CPE calls process",
 }
 
 _DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -83,6 +140,7 @@ class _Module:
 
     def __init__(self, name: str, tree: ast.Module) -> None:
         self.name = name
+        self.tree = tree
         self.nodes = {}
         self.public_defs = set()
         self.root_code = []
@@ -230,6 +288,73 @@ def unreached():
         for name in module.public_defs
         if (module.name, name) not in reached
     )
+
+
+def _names_used(tree):
+    """How often each name appears in ``tree`` as an attribute, a
+    keyword argument or a string."""
+    used = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.keyword) and node.arg:
+            used[node.arg] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used[node.value] += 1
+    return used
+
+
+def _methods(module_prefix="repro"):
+    """``(module, class, method def)`` for every method a class under
+    ``module_prefix`` defines."""
+    for name, module in MODULES.items():
+        if not (name + ".").startswith(module_prefix + "."):
+            continue
+        for cls in ast.walk(module.tree):
+            if isinstance(cls, ast.ClassDef):
+                for statement in cls.body:
+                    if isinstance(statement, _DEFS[1:]):
+                        yield name, cls.name, statement
+
+
+def unreached_methods():
+    """Public methods and properties named nowhere outside their own
+    definition."""
+    used = collections.Counter()
+    for module in MODULES.values():
+        used += _names_used(module.tree)
+    for top in ("benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used += _names_used(ast.parse(path.read_text()))
+    return sorted(
+        f"{module}.{cls}.{method.name}"
+        for module, cls, method in _methods()
+        if not method.name.startswith("_")
+        and used[method.name] <= _names_used(method)[method.name]
+    )
+
+
+def test_every_public_method_is_named_somewhere_or_listed():
+    found = unreached_methods()
+    missing = [name for name in found if name not in TEST_ONLY_METHODS]
+    assert not missing, (
+        "public methods nothing under src/, benchmarks/ or examples/ "
+        "names (delete them, or add them to TEST_ONLY_METHODS with the "
+        f"reason): {missing}"
+    )
+    stale = sorted(set(TEST_ONLY_METHODS) - set(found))
+    assert not stale, f"TEST_ONLY_METHODS names now reached or gone: {stale}"
+
+
+def test_repro_db_has_one_evaluator():
+    # compile_expression is how repro.db evaluates; the interpreter it
+    # replaced is the oracle tests/reference/expr.py and stays there.
+    interpreters = [
+        f"{module}.{cls}.{method.name}"
+        for module, cls, method in _methods("repro.db")
+        if method.name == "evaluate"
+    ]
+    assert not interpreters, interpreters
 
 
 def test_every_public_name_is_reached_or_is_entry_point_api():

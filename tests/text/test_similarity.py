@@ -4,56 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text import (
-    jaro,
-    jaro_winkler,
-    levenshtein,
-    levenshtein_ratio,
-    token_set_ratio,
-)
+from repro.text import jaro, jaro_winkler
 
 short_text = st.text(max_size=24)
-
-
-class TestLevenshtein:
-    def test_identical(self):
-        assert levenshtein("white", "white") == 0
-
-    def test_single_substitution(self):
-        assert levenshtein("white", "whita") == 1
-
-    def test_insert_delete(self):
-        assert levenshtein("white", "whiter") == 1
-        assert levenshtein("whiter", "white") == 1
-
-    def test_empty_strings(self):
-        assert levenshtein("", "abc") == 3
-        assert levenshtein("abc", "") == 3
-        assert levenshtein("", "") == 0
-
-    def test_classic_example(self):
-        assert levenshtein("kitten", "sitting") == 3
-
-    def test_ratio_bounds(self):
-        assert levenshtein_ratio("same", "same") == 1.0
-        assert levenshtein_ratio("", "") == 1.0
-        assert levenshtein_ratio("abc", "xyz") == 0.0
-
-    @given(short_text, short_text)
-    def test_symmetry(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
-
-    @given(short_text, short_text)
-    def test_bounded_by_longer_length(self, a, b):
-        assert levenshtein(a, b) <= max(len(a), len(b))
-
-    @given(short_text, short_text, short_text)
-    def test_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
-
-    @given(short_text, short_text)
-    def test_zero_iff_equal(self, a, b):
-        assert (levenshtein(a, b) == 0) == (a == b)
 
 
 class TestJaro:
@@ -94,17 +47,3 @@ class TestJaroWinkler:
     @given(short_text, short_text)
     def test_at_least_jaro(self, a, b):
         assert jaro_winkler(a, b) >= jaro(a, b) - 1e-12
-
-
-class TestTokenSetRatio:
-    def test_order_insensitive(self):
-        assert token_set_ratio(["Sam", "White"], ["white", "sam"]) == 1.0
-
-    def test_partial_overlap(self):
-        assert token_set_ratio(["a", "b"], ["b", "c"]) == pytest.approx(1 / 3)
-
-    def test_both_empty(self):
-        assert token_set_ratio([], []) == 1.0
-
-    def test_one_empty(self):
-        assert token_set_ratio(["a"], []) == 0.0
