@@ -5,8 +5,8 @@ Measures what the concurrent serving PR promises (docs/OPERATIONS.md):
 * **steady state** — N concurrent closed-loop clients drive the
   meta-query mix through :class:`~repro.serving.EILServer`; the bench
   records sustained QPS and p50/p95/p99 latency for the unsharded
-  engine and for a deal-sharded fan-out engine (``shards=4``), plus a
-  parity check that the sharded ranking is identical to the unsharded
+  engine and for the engine over a deal-sharded index (``shards=4``),
+  plus a parity check that the sharded ranking is identical to the unsharded
   one.
 * **concurrent mutation** — the same load while a churn thread
   repeatedly onboards/offboards an extra engagement
@@ -310,7 +310,7 @@ def test_bench_serving(report_writer):
     assert parsed["bench"] == "serving"
     steady = report["steady"]
     lines = [
-        "E17: concurrent serving (sharded fan-out, admission control)",
+        "E17: concurrent serving (sharded index, admission control)",
         f"steady {4} clients: shards=1 "
         f"{steady['shards=1']['sustained_qps']:.0f} q/s p99 "
         f"{steady['shards=1']['latency_ms']['p99']:.1f} ms; shards=4 "

@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "results are identical under both")
     parser.add_argument("--shards", type=int, default=None,
                         help="partition the inverted index into this "
-                             "many deal-keyed shards served by fan-out "
-                             "+ rank-merge (default: 1 or "
+                             "many deal-keyed shards, read as one by "
+                             "the search engine (default: 1 or "
                              "$REPRO_SHARDS; rankings are bit-identical "
                              "at any shard count)")
     parser.add_argument("--fault-profile", default="",

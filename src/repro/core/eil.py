@@ -51,6 +51,7 @@ from repro.search.document import SearchHit
 from repro.search.engine import SearchEngine
 from repro.search.siapi import SiapiService
 from repro.security.access import AccessController, User
+from repro.serving.sharding import ShardedIndex
 from repro.storage.atomic import atomic_write_text, read_manifest
 
 __all__ = ["EILSystem", "BuildReport"]
@@ -73,7 +74,7 @@ def _default_shards() -> int:
     """Engine shard count when unspecified: ``REPRO_SHARDS`` or 1.
 
     Like ``REPRO_WORKERS``, the override exists so an entire test or CI
-    run can be re-executed against the sharded engine (rankings are
+    run can be re-executed over the sharded index (rankings are
     bit-identical at any shard count) without touching call sites.
     """
     return int(os.environ.get("REPRO_SHARDS", "1"))
@@ -145,21 +146,13 @@ class EILSystem:
         self.executor = executor  # None: the CPE's default, processes
         self.shards = shards
         self._query_cache_size = query_cache_size
-        if shards > 1:
-            # Deal-keyed partitions, bit-identical rankings (the shard
-            # engines score with corpus-global statistics).
-            from repro.serving.sharding import ShardedSearchEngine
-
-            self.engine = ShardedSearchEngine(
-                shards=shards,
-                field_boosts=field_boosts or {"title": 2.0},
-                cache_size=engine_cache_size,
-            )
-        else:
-            self.engine = SearchEngine(
-                field_boosts=field_boosts or {"title": 2.0},
-                cache_size=engine_cache_size,
-            )
+        self.engine = SearchEngine(
+            field_boosts=field_boosts or {"title": 2.0},
+            cache_size=engine_cache_size,
+            # Deal-keyed partitions are an index layout: same engine,
+            # bit-identical rankings (the scorer reads the composite).
+            index=ShardedIndex(shards) if shards > 1 else None,
+        )
         self.siapi = SiapiService(self.engine)
         self.organized = OrganizedInformation()
         self.synopsis_builder = SynopsisBuilder(self.organized)
@@ -219,9 +212,8 @@ class EILSystem:
             retry: Retry policy for transient failures across both
                 pipelines (defaults to three quick attempts).
             shards: Online index partitions (default 1, or
-                ``REPRO_SHARDS``); > 1 serves queries by deal-keyed
-                fan-out with rankings bit-identical to the unsharded
-                engine.
+                ``REPRO_SHARDS``); > 1 partitions the index by deal,
+                with rankings bit-identical to the unpartitioned one.
         """
         system = cls(
             taxonomy=corpus.taxonomy,
@@ -368,11 +360,11 @@ class EILSystem:
         incremental maintenance (``add_workbook`` / ``remove_deal``)
         behave exactly as on the freshly built system.
 
-        The shard count comes from the saved manifest — the segments
-        were partitioned at save time, so ``REPRO_SHARDS`` is
-        deliberately ignored here.  Passing an explicit ``shards`` that
-        disagrees with the manifest raises
-        :class:`~repro.errors.StorageError`.
+        The shard count comes from the saved index (``SHARDS.json``, or
+        none for one partition) — the segments were partitioned at save
+        time, so ``REPRO_SHARDS`` is deliberately ignored here.  An
+        explicit ``shards``, or an ``eil-manifest.json``, that disagrees
+        with it raises :class:`~repro.errors.StorageError`.
 
         Args:
             directory: A directory written by :meth:`save_index`.
@@ -382,12 +374,25 @@ class EILSystem:
             verify: Verify segment checksums against the manifest while
                 loading (disable only for trusted local restarts).
         """
+        manifest_path = os.path.join(directory, cls.EIL_MANIFEST)
         manifest = read_manifest(
-            os.path.join(directory, cls.EIL_MANIFEST),
-            cls._EIL_FORMAT,
-            cls._EIL_VERSION,
+            manifest_path, cls._EIL_FORMAT, cls._EIL_VERSION
         )
-        saved_shards = int(manifest.get("shards", 1))
+        index_directory = os.path.join(directory, cls._INDEX_SUBDIR)
+        shards_path = os.path.join(
+            index_directory, ShardedIndex.SHARDS_MANIFEST
+        )
+        sharded = os.path.exists(shards_path)
+        saved_shards = (
+            ShardedIndex.saved_shards(index_directory) if sharded else 1
+        )
+        if manifest.get("shards", saved_shards) != saved_shards:
+            raise StorageError(
+                f"{manifest_path} records {manifest['shards']} shard(s) "
+                f"but {shards_path} "
+                f"{'records' if sharded else 'is absent, which means'} "
+                f"{saved_shards}: a snapshot mixed from two saves"
+            )
         if shards is not None and shards != saved_shards:
             raise StorageError(
                 f"index at {directory} was saved with {saved_shards} "
@@ -412,9 +417,7 @@ class EILSystem:
             shards=saved_shards,
         )
         with get_tracer().span("persist.load"):
-            system.engine.load_index(
-                os.path.join(directory, cls._INDEX_SUBDIR), verify=verify
-            )
+            system.engine.load_index(index_directory, verify=verify)
             system.organized = OrganizedInformation(
                 db=load_database(
                     os.path.join(directory, cls._SYNOPSIS_FILE)
@@ -625,7 +628,7 @@ class EILSystem:
         # segment-backed at 100k+ docs (a scan would page every
         # docstore record off disk).
         for doc_id in sorted(
-            self.engine.index.docs_with_metadata("deal_id", [deal_id])
+            self.engine.docs_with_metadata("deal_id", [deal_id])
         ):
             self.engine.remove(doc_id)
             removed += 1

@@ -142,7 +142,7 @@ class Ranking:
     def reader(self):
         """The :class:`~repro.search.index_reader.IndexReader` the pairs
         were ranked on, unlocked: for use inside ``choose`` only."""
-        return self._engine._reader
+        return self._engine.index
 
     def hit(self, position: int) -> SearchHit:
         """The hit for ``pairs[position]``, built on first request."""
@@ -197,104 +197,6 @@ def _cache_key(epoch: int, query: Query, doc_filter: DocFilter):
     except TypeError:  # pragma: no cover - unhashable custom node
         return None
     return (epoch, query, filter_key)
-
-
-class _LogicalQueries:
-    """``select`` and ``count``, written once for :class:`SearchEngine`
-    and the sharded engine.
-
-    A subclass supplies the evaluation — ``_rank`` and ``_count_docs``,
-    run by a caller that holds the read side of ``_rw`` — plus
-    ``_reader``, ``_cache``, ``epoch`` and ``analyzer``.  What is here
-    is everything that belongs to one *logical* query however many
-    shards evaluate it: one ``index`` fault draw, one counter, one
-    cache verdict, one hold.
-    """
-
-    @contextmanager
-    def _logical_query(
-        self, counter: str, query: Union[str, Query], limit, doc_filter
-    ) -> Iterator[Tuple[Query, object, Optional[Ranking]]]:
-        """What a search or a count does before it evaluates.
-
-        The ``index`` fault point (the engine stands in for the
-        OmniFind service, which can be down as a whole: an installed
-        injector checks *before* the result cache, modelling an
-        unreachable service rather than a slow query) and the
-        ``counter`` metric, once.  Then the body runs under the read
-        side of the engine lock with the parsed query, its cache key
-        and the cached ranking that covers ``limit``, if any: epoch
-        read, cache probe, posting traversal, cache store and hit
-        building see one snapshot, so concurrent mutations can neither
-        tear a traversal, nor let a post-mutation epoch key a
-        pre-mutation ranking, nor remove a ranked document before its
-        hit is built.
-        """
-        get_injector().check("index")
-        if isinstance(query, str):
-            query = parse_query(query)
-        get_registry().inc(counter)
-        with self._rw.read():
-            cache_key = _cache_key(self.epoch, query, doc_filter)
-            cached = None
-            if cache_key is not None:
-                cached = self._cache.get(cache_key)
-                if cached is not None and not cached.covers(limit):
-                    cached = None
-            yield query, cache_key, cached
-
-    def select(
-        self,
-        query: Union[str, Query],
-        choose: Callable[[Ranking], _T],
-        limit: Optional[int] = None,
-        doc_filter: DocFilter = None,
-    ) -> _T:
-        """Rank ``query``, let ``choose`` pick, build only what it picks.
-
-        ``choose`` gets the :class:`Ranking` (at least the top ``limit``
-        pairs — a cached one may hold more; all, for None) and returns
-        the answer, calling :meth:`Ranking.hit` for each position it
-        wants a :class:`SearchHit` of.  :meth:`search` is this with
-        ``choose`` = the first ``limit`` hits; the SIAPI facade's
-        grouped search chooses by activity.
-
-        Ranking, the choice and the hit building run inside one
-        read-side hold of the engine lock, so the answer is whole at
-        one epoch: were the hits built under a second hold, a
-        ``remove`` between the two would make a ranked document "not
-        indexed".
-        """
-        with self._logical_query(
-            "engine.searches", query, limit, doc_filter
-        ) as (query, cache_key, ranking):
-            if ranking is None:
-                ranking = Ranking(
-                    self, query, self._rank(query, limit, doc_filter), limit
-                )
-                if cache_key is not None:
-                    self._cache.put(cache_key, ranking)
-            elif ranking.limit is None or limit != ranking.limit:
-                # Served from a ranking not computed for exactly this limit.
-                get_registry().inc("engine.cache.sliced")
-            return choose(ranking)
-
-    def count(
-        self, query: Union[str, Query], doc_filter: DocFilter = None
-    ) -> int:
-        """Number of documents matching ``query`` (no ranking work).
-
-        Answered from a cached *complete* search ranking when one
-        exists; otherwise evaluated membership-only (no scores are ever
-        computed for a count).
-        """
-        with self._logical_query(
-            "engine.counts", query, None, doc_filter
-        ) as (query, _, ranking):
-            if ranking is not None:
-                get_registry().inc("engine.counts_from_cache")
-                return len(ranking.pairs)
-            return self._count_docs(query, doc_filter)
 
 
 class _Execution:
@@ -765,7 +667,7 @@ class _Execution:
         return universe
 
 
-class SearchEngine(_LogicalQueries):
+class SearchEngine:
     """Index + query planner/executor + ranker.
 
     Args:
@@ -783,7 +685,8 @@ class SearchEngine(_LogicalQueries):
         index: A prebuilt index to serve instead of a fresh in-memory
             one — typically a :class:`~repro.storage.store
             .SegmentBackedIndex` (loaded from disk or configured with a
-            flush threshold).  Must share the engine's analyzer; when
+            flush threshold) or a :class:`~repro.serving.sharding
+            .ShardedIndex` (partitioned by deal).  Must share the engine's analyzer; when
             ``analyzer`` is omitted the index's own analyzer is
             adopted.  Any writable
             :class:`~repro.search.index_reader.IndexReader` works.
@@ -851,40 +754,54 @@ class SearchEngine(_LogicalQueries):
     def save_index(self, directory: str) -> Dict[str, object]:
         """Persist the index as delta-varint segments under ``directory``.
 
-        A segment-backed index flushes and writes its manifest; a plain
-        in-memory index is encoded through a transient
-        :class:`~repro.storage.store.SegmentBackedIndex` without being
-        modified (encoding only reads).  Returns the storage stats of
-        the written state.  Runs under the write lock so a concurrent
-        mutation can never tear the on-disk snapshot.
+        An index that can save itself (segment-backed, sharded) does; a
+        plain in-memory index is encoded through a transient store
+        without being modified (:func:`repro.storage.store.save_index`).
+        Returns the storage stats of the written state.  Runs under the
+        write lock so a concurrent mutation can never tear the on-disk
+        snapshot.
         """
-        from repro.storage.store import SegmentBackedIndex
+        from repro.storage.store import save_index
 
         with self._rw.write():
-            index = self.index
-            if isinstance(index, SegmentBackedIndex):
-                return index.save(directory)
-            return SegmentBackedIndex.from_inverted(index).save(directory)
+            return save_index(self.index, directory)
 
     def load_index(self, directory: str, **load_options):
-        """Cold-start the engine from segments saved by ``save_index``.
+        """Cold-start the engine from what ``save_index`` wrote.
 
-        Returns the loaded :class:`~repro.storage.store
-        .SegmentBackedIndex`, already installed via
-        :meth:`replace_index`.  Extra keyword arguments
+        The directory is read by the ``load`` of the index type the
+        engine serves (a sharded index reads ``SHARDS.json`` + its
+        ``shard-NN/`` stores), an in-memory engine's by
+        :meth:`SegmentBackedIndex.load <repro.storage.store
+        .SegmentBackedIndex.load>`.  Returns the loaded index, already
+        installed via :meth:`replace_index`.  Extra keyword arguments
         (``memtable_limit``, ``merge_fanout``, ``verify``) pass through
-        to :meth:`SegmentBackedIndex.load`.
+        to every segment store loaded.
         """
         from repro.storage.store import SegmentBackedIndex
 
-        store = SegmentBackedIndex.load(
-            directory, analyzer=self.analyzer, **load_options
-        )
+        load = getattr(type(self.index), "load", SegmentBackedIndex.load)
+        store = load(directory, analyzer=self.analyzer, **load_options)
         self.replace_index(store)
         return store
 
     def __len__(self) -> int:
         return len(self.index)
+
+    def docs_with_metadata(
+        self, key: str, values: Iterable[object]
+    ) -> Set[str]:
+        """Ids of the documents whose metadata ``key`` is one of
+        ``values``, read under the read side of the engine lock.
+
+        The locked entry point for walks of the index from outside a
+        query (the SIAPI scope filter, offboarding): a bare
+        ``engine.index.docs_with_metadata`` beside a writer can see a
+        segment store between the statements of a flush or merge and
+        miss documents nobody is touching.
+        """
+        with self._rw.read():
+            return self.index.docs_with_metadata(key, values)
 
     # -- search --------------------------------------------------------------
 
@@ -918,23 +835,97 @@ class SearchEngine(_LogicalQueries):
             query, lambda ranking: ranking.head(limit), limit, doc_filter
         )
 
-    @property
-    def _reader(self):
-        """What :class:`Ranking` reads documents from."""
-        return self.index
+    @contextmanager
+    def _logical_query(
+        self, counter: str, query: Union[str, Query], limit, doc_filter
+    ) -> Iterator[Tuple[Query, object, Optional[Ranking]]]:
+        """What a search or a count does before it evaluates.
+
+        The ``index`` fault point (the engine stands in for the
+        OmniFind service, which can be down as a whole: an installed
+        injector checks *before* the result cache, modelling an
+        unreachable service rather than a slow query) and the
+        ``counter`` metric, once.  Then the body runs under the read
+        side of the engine lock with the parsed query, its cache key
+        and the cached ranking that covers ``limit``, if any: epoch
+        read, cache probe, posting traversal, cache store and hit
+        building see one snapshot, so concurrent mutations can neither
+        tear a traversal, nor let a post-mutation epoch key a
+        pre-mutation ranking, nor remove a ranked document before its
+        hit is built.
+        """
+        get_injector().check("index")
+        if isinstance(query, str):
+            query = parse_query(query)
+        get_registry().inc(counter)
+        with self._rw.read():
+            cache_key = _cache_key(self.epoch, query, doc_filter)
+            cached = None
+            if cache_key is not None:
+                cached = self._cache.get(cache_key)
+                if cached is not None and not cached.covers(limit):
+                    cached = None
+            yield query, cache_key, cached
+
+    def select(
+        self,
+        query: Union[str, Query],
+        choose: Callable[[Ranking], _T],
+        limit: Optional[int] = None,
+        doc_filter: DocFilter = None,
+    ) -> _T:
+        """Rank ``query``, let ``choose`` pick, build only what it picks.
+
+        ``choose`` gets the :class:`Ranking` (at least the top ``limit``
+        pairs — a cached one may hold more; all, for None) and returns
+        the answer, calling :meth:`Ranking.hit` for each position it
+        wants a :class:`SearchHit` of.  :meth:`search` is this with
+        ``choose`` = the first ``limit`` hits; the SIAPI facade's
+        grouped search chooses by activity.
+
+        Ranking, the choice and the hit building run inside one
+        read-side hold of the engine lock, so the answer is whole at
+        one epoch: were the hits built under a second hold, a
+        ``remove`` between the two would make a ranked document "not
+        indexed".
+        """
+        with self._logical_query(
+            "engine.searches", query, limit, doc_filter
+        ) as (query, cache_key, ranking):
+            if ranking is None:
+                ranking = Ranking(
+                    self, query, self._rank(query, limit, doc_filter), limit
+                )
+                if cache_key is not None:
+                    self._cache.put(cache_key, ranking)
+            elif ranking.limit is None or limit != ranking.limit:
+                # Served from a ranking not computed for exactly this limit.
+                get_registry().inc("engine.cache.sliced")
+            return choose(ranking)
+
+    def count(
+        self, query: Union[str, Query], doc_filter: DocFilter = None
+    ) -> int:
+        """Number of documents matching ``query`` (no ranking work).
+
+        Answered from a cached *complete* search ranking when one
+        exists; otherwise evaluated membership-only (no scores are ever
+        computed for a count).
+        """
+        with self._logical_query(
+            "engine.counts", query, None, doc_filter
+        ) as (query, _, ranking):
+            if ranking is not None:
+                get_registry().inc("engine.counts_from_cache")
+                return len(ranking.pairs)
+            return _Execution(self, doc_filter).count_docs(query)
 
     def _rank(
         self, query: Query, limit: Optional[int], doc_filter: DocFilter
     ) -> List[Tuple[str, float]]:
-        """The ``(doc_id, score)`` ranking: one evaluation, nothing else.
-
-        No fault point, no ``engine.searches``, no result cache, no hit
-        — those belong to one *logical* query and live in
-        :meth:`select`.  The sharded engine calls this on each child
-        for that reason.  The caller holds the read side of the lock
-        that excludes mutation of ``self.index`` (this engine's, or the
-        sharded parent's).
-        """
+        """The ``(doc_id, score)`` ranking: one evaluation, nothing else
+        (:meth:`select` owns the fault point, the counter, the cache
+        and the hits), by a caller that holds the read side."""
         metrics = get_registry()
         execution = _Execution(self, doc_filter)
         ranked = execution.ranked(query, limit)
@@ -943,11 +934,6 @@ class SearchEngine(_LogicalQueries):
             "engine.candidates_after_filter", execution.n_after_filter
         )
         return ranked
-
-    def _count_docs(self, query: Query, doc_filter: DocFilter) -> int:
-        """Membership-only count: :meth:`_rank`'s counterpart, under the
-        same caller-holds-the-read-side rule."""
-        return _Execution(self, doc_filter).count_docs(query)
 
 
 def _query_surfaces(query: Query) -> List[str]:

@@ -8,7 +8,7 @@ leaves store postings (:class:`~repro.search.inverted_index
 .InvertedIndex` in dicts, :class:`~repro.storage.segment.Segment` in
 delta-varint bytes); :class:`CompositeIndexReader` is the one union
 over disjoint parts, which both the segment store (segments + memtable)
-and the sharded engine's corpus-global view (shard indexes) are.
+and the sharded index (one index per shard) are.
 
 Readers take no lock: whoever owns one (an engine) excludes mutation
 for the duration of a call.

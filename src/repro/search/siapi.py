@@ -138,11 +138,13 @@ class SiapiService:
         becomes a concrete id set the engine can push down into posting
         traversal *and* fold into its result-cache key — predicate
         filters could do neither (they are opaque and uncacheable).
+        Resolved through the engine, under its read lock: beside a
+        writer the bare index can be mid-flush.
         """
         if scope is None:
             return None
         return frozenset(
-            self.engine.index.docs_with_metadata(self.activity_key, scope)
+            self.engine.docs_with_metadata(self.activity_key, scope)
         )
 
     def search(

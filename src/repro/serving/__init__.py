@@ -1,14 +1,14 @@
-"""Concurrent serving layer: sharded fan-out plus a front door.
+"""Concurrent serving layer: a sharded index layout plus a front door.
 
 The paper's production EIL served an entire community of practice from
 one deployment; this package is the repro's equivalent of that serving
 tier, in two layers:
 
-* :mod:`repro.serving.sharding` — partition the inverted index
-  (:class:`ShardedSearchEngine`) into shards keyed by deal, execute
-  queries by fan-out + rank-merge, and keep rankings **bit-identical**
-  to the unsharded engine by scoring every shard with corpus-global
-  statistics.
+* :mod:`repro.serving.sharding` — :class:`ShardedIndex`, the inverted
+  index partitioned into shards keyed by deal and read as one
+  composite by the one search engine, so rankings stay
+  **bit-identical** to the unsharded index (the scorer reads
+  corpus-global statistics off the composite).
 * :mod:`repro.serving.server` — :class:`EILServer`, a thread-pool
   front door with a bounded admission queue, deadline-aware rejection,
   load shedding (:class:`~repro.errors.ServerOverloadedError`) and a
@@ -22,10 +22,10 @@ index.
 """
 
 from repro.serving.server import EILServer
-from repro.serving.sharding import ShardedSearchEngine, shard_for
+from repro.serving.sharding import ShardedIndex, shard_for
 
 __all__ = [
     "EILServer",
-    "ShardedSearchEngine",
+    "ShardedIndex",
     "shard_for",
 ]

@@ -76,7 +76,12 @@ from repro.storage.segment import (
     merge_segments,
 )
 
-__all__ = ["SegmentBackedIndex", "MANIFEST_NAME", "MANIFEST_FORMAT"]
+__all__ = [
+    "SegmentBackedIndex",
+    "save_index",
+    "MANIFEST_NAME",
+    "MANIFEST_FORMAT",
+]
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "repro-segment-index"
@@ -537,3 +542,15 @@ class SegmentBackedIndex(CompositeIndexReader):
         if compiled is not None:
             return compiled.max_tf
         return super().max_tf(term, field)
+
+
+def save_index(index, directory: str) -> Dict[str, Any]:
+    """Persist ``index`` under ``directory``; returns its storage stats.
+
+    An index that can save itself does.  A plain in-memory one is
+    encoded through a transient :class:`SegmentBackedIndex` and stays
+    usable: encoding only reads.
+    """
+    if not hasattr(index, "save"):
+        index = SegmentBackedIndex.from_inverted(index)
+    return index.save(directory)

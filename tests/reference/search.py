@@ -16,7 +16,7 @@ It reads an index only through the surface every index shares —
 the scorer reads (``term_frequency``, ``field_length``,
 ``average_length``, ``len``) — so the same code runs over an
 ``InvertedIndex``, a ``SegmentBackedIndex`` in any segment layout, and
-a sharded engine's corpus-global view.  Phrase adjacency is therefore
+a ``ShardedIndex``.  Phrase adjacency is therefore
 not read off stored positions but recomputed by analyzing the stored
 field text.
 
@@ -246,7 +246,7 @@ def exhaustive_search(
     """``(ranking, postings scored)`` for ``query`` over ``engine``.
 
     ``engine`` is anything with ``index``, ``scorer``, ``field_boosts``
-    and ``analyzer`` — a ``SearchEngine`` or a ``ShardedSearchEngine``.
+    and ``analyzer`` — a ``SearchEngine`` over any index layout.
     The ranking is ``[(doc_id, score), ...]`` by descending score, ties
     by doc id; ``doc_filter`` is an id set or a predicate over stored
     documents, applied after scoring.

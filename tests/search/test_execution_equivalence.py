@@ -8,7 +8,8 @@ oracle in :mod:`tests.reference.search`.  This suite drives both over
 seeded random corpora, a query zoo covering term/phrase/AND/OR/NOT,
 field restrictions, field boosts, id-set and predicate doc filters and
 post-``remove`` epochs, generated query trees, every segment layout the
-store can be in, and 1, 2 and 4 shards, and asserts exact equality.
+store can be in, and 1, 2 and 4 shards (in memory and cold-loaded), and
+asserts exact equality.
 """
 
 import random
@@ -29,7 +30,7 @@ from repro.search import (
     TermQuery,
     parse_query,
 )
-from repro.serving.sharding import ShardedSearchEngine
+from repro.serving.sharding import ShardedIndex
 from tests.reference.search import exhaustive_ranking, exhaustive_search
 
 # Realistic-ish vocabulary with skewed frequencies so MaxScore has
@@ -89,10 +90,19 @@ def make_engine(corpus, **kwargs):
     return engine
 
 
-def make_sharded_engine(corpus, shards, **kwargs):
+def make_sharded_engine(corpus, shards, reload_through=None, **kwargs):
+    """The engine over a ``ShardedIndex``.  With ``reload_through`` (a
+    directory) the index is saved there and cold-loaded, so every
+    shard is a segment store instead of an in-memory index."""
     kwargs.setdefault("cache_size", 0)
-    engine = ShardedSearchEngine(shards=shards, **kwargs)
+    engine = SearchEngine(index=ShardedIndex(shards), **kwargs)
     engine.add_all(corpus)
+    if reload_through is not None:
+        engine.save_index(str(reload_through))
+        engine = SearchEngine(
+            index=ShardedIndex.load(str(reload_through)), **kwargs
+        )
+        assert len(engine.index.parts) == shards
     return engine
 
 
@@ -236,14 +246,19 @@ def test_maxscore_touches_strictly_fewer_postings(engine):
 
 # -- shards -------------------------------------------------------------------
 #
-# The oracle reads a sharded engine through its corpus-global index
-# view, so "sharded == oracle" is the same assertion as above, not a
-# comparison of two production engines.
+# The oracle reads a sharded index as the one corpus it is, so "sharded
+# == oracle" is the same assertion as above, not a comparison of two
+# production engines.
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_engine_matches_oracle(corpus, shards):
-    engine = make_sharded_engine(corpus, shards)
+@pytest.mark.parametrize(
+    "shards, loaded", [(2, False), (4, False), (2, True), (4, True)],
+    ids=["2", "4", "2-loaded", "4-loaded"],
+)
+def test_sharded_engine_matches_oracle(corpus, tmp_path, shards, loaded):
+    engine = make_sharded_engine(
+        corpus, shards, tmp_path if loaded else None
+    )
     rng = random.Random(99)
     scope = frozenset(doc.doc_id for doc in corpus if rng.random() < 0.4)
 
@@ -296,18 +311,23 @@ query_trees = st.recursive(_leaves, _branches, max_leaves=8)
 
 
 @pytest.fixture(scope="module")
-def engines(corpus):
+def engines(corpus, tmp_path_factory):
     """One engine per shape the index can be served in."""
     return {
         "memory": make_engine(corpus),
         "tiered": make_segmented_engine(corpus, "tiered"),
         "shards2": make_sharded_engine(corpus, 2),
         "shards4": make_sharded_engine(corpus, 4),
+        "shards4-loaded": make_sharded_engine(
+            corpus, 4, tmp_path_factory.mktemp("shards4-loaded")
+        ),
     }
 
 
 @given(
-    shape=st.sampled_from(["memory", "tiered", "shards2", "shards4"]),
+    shape=st.sampled_from(
+        ["memory", "tiered", "shards2", "shards4", "shards4-loaded"]
+    ),
     query=query_trees,
     limit=st.sampled_from(LIMITS),
     scope=st.one_of(

@@ -12,7 +12,7 @@ ids and order, bit-identical activity scores, hit ids, hit scores,
 stored documents and snippets — for scoped and unscoped searches,
 every ``activity_limit`` / ``per_activity_limit`` shape, every segment
 layout the store can be in, a cold-loaded index, and 1, 2 and 4
-shards; over a corpus that plants documents without an activity,
+shards (2 also cold-loaded); over a corpus that plants documents without an activity,
 identical documents in several activities (ties on the normalized
 score and on the activity average) and, on hand-made pairs, distinct
 scores that normalize to one float.
@@ -32,7 +32,6 @@ from repro.search import (
     SiapiService,
 )
 from repro.search.engine import Ranking
-from repro.serving.sharding import ShardedSearchEngine
 from tests.reference.search import exhaustive_hits
 from tests.reference.siapi import group_hits, grouped_by_materialising
 from tests.search.test_execution_equivalence import (
@@ -93,6 +92,9 @@ def engines(tmp_path_factory):
         "shards1": make_sharded_engine(corpus, 1),
         "shards2": make_sharded_engine(corpus, 2),
         "shards4": make_sharded_engine(corpus, 4),
+        "shards2-loaded": make_sharded_engine(
+            corpus, 2, tmp_path_factory.mktemp("grouped-shards2-loaded")
+        ),
     }
     directory = tmp_path_factory.mktemp("grouped-cold")
     make_segmented_engine(corpus, "tiered", REMOVED).save_index(
@@ -110,7 +112,7 @@ def engines(tmp_path_factory):
 
 SHAPES = ["memory", "memtable", "flushed", "tiered", "tombstoned",
           "compacted", "cold", "shards1", "shards2", "shards4",
-          "memory-cached", "shards2-cached"]
+          "shards2-loaded", "memory-cached", "shards2-cached"]
 
 
 def flat_hit(hit: SearchHit):

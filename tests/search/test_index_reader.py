@@ -2,7 +2,7 @@
 
 Every reader the tree has — the in-memory ``InvertedIndex``, a lone
 ``Segment``, a ``SegmentBackedIndex`` in each layout the LSM store can
-be in, and the sharded engine's corpus-global view — is driven through
+be in, and a ``ShardedIndex`` in memory and cold-loaded — is driven through
 the same add/remove script and must then answer every protocol member
 and every derived operation exactly as the dict-of-docs model does
 (``tests/reference/index.py``): first after a fixed script that plants
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import SearchError
 from repro.obs import use_registry
 from repro.search import IndexableDocument, IndexReader, InvertedIndex
-from repro.serving.sharding import ShardedSearchEngine
+from repro.serving.sharding import ShardedIndex
 from repro.storage import SegmentBackedIndex
 from repro.storage.segment import Segment, encode_from_index
 from tests.reference.index import DictOfDocs, assert_conforms
@@ -137,12 +137,22 @@ def _store(memtable_limit: int, merge_fanout: int, then: str = ""):
     return build
 
 
-def _sharded(shards: int):
+def _sharded(shards: int, then: str = ""):
     @contextmanager
     def build(ops: List[Op]) -> Iterator[IndexReader]:
-        engine = ShardedSearchEngine(shards=shards)
-        _replay(ops, engine.add, engine.remove)
-        yield engine.index
+        index = ShardedIndex(shards)
+        _replay(ops, index.add, index.remove)
+        if then != "save+load":
+            yield index
+            return
+        with tempfile.TemporaryDirectory(prefix="index-reader-") as directory:
+            index.save(directory)
+            loaded = ShardedIndex.load(directory)
+            try:
+                yield loaded
+            finally:
+                for part in loaded.parts:
+                    part.close()
 
     return build
 
@@ -161,13 +171,14 @@ READERS = {
     "store-loaded": _store(3, 3, then="save+load"),
     "sharded-1": _sharded(1),
     "sharded-3": _sharded(3),
+    "sharded-loaded": _sharded(3, then="save+load"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_fixed_script_conforms(name):
     with use_registry() as registry, READERS[name](FIXED_SCRIPT) as reader:
-        assert isinstance(reader, IndexReader) or name.startswith("sharded")
+        assert isinstance(reader, IndexReader)
         assert_conforms(reader, _model(FIXED_SCRIPT))
         # Each layout is the layout its name says.
         if name == "segment":
@@ -187,6 +198,10 @@ def test_fixed_script_conforms(name):
         elif name == "store-loaded":
             assert reader.segments and all(
                 segment.path for segment in reader.segments
+            )
+        elif name == "sharded-loaded":
+            assert len(reader.parts) == 3 and all(
+                isinstance(part, SegmentBackedIndex) for part in reader.parts
             )
 
 

@@ -7,7 +7,9 @@ the corpus as it was before or after a whole mutation, never a torn
 index observed mid-write.  Since the engine ranks before it builds
 hits, the promise has a second half: an answer's documents are built
 under the same hold they were ranked under, so none of them can have
-been removed in between (``TestGroupedAnswersAreWhole``).
+been removed in between (``TestGroupedAnswersAreWhole``).  And a third:
+resolving an activity scope to document ids is itself a read under the
+engine lock, on every index layout (``TestScopeIsLocked``).
 
 The proof technique: replay the mutation script serially first,
 recording the ranking at every quiesced state; then race concurrent
@@ -30,8 +32,14 @@ from repro.core.query_analyzer import FormQuery
 from repro.docmodel.repository import EngagementWorkbook
 from repro.corpus import DealGenerator, WorkbookFactory
 from repro.graph import EntityGraph
-from repro.search import IndexableDocument, SearchEngine, SiapiQuery
-from repro.serving import ShardedSearchEngine
+from repro.search import (
+    IndexableDocument,
+    SearchEngine,
+    SiapiQuery,
+    SiapiService,
+)
+from repro.serving import ShardedIndex
+from repro.storage import SegmentBackedIndex
 from tests.graph.test_traversal_equivalence import (
     assert_indexes_match_rescan,
 )
@@ -76,7 +84,7 @@ class TestEngineSnapshotIsolation:
         "factory",
         [
             lambda: SearchEngine(),
-            lambda: ShardedSearchEngine(shards=3),
+            lambda: SearchEngine(index=ShardedIndex(3)),
         ],
         ids=["unsharded", "sharded"],
     )
@@ -397,6 +405,104 @@ class TestGroupedAnswersAreWhole:
         assert all(answered), answered  # every kind of ask raced
         # The script is restorative: the documents are all back.
         assert eil.engine.index.doc_ids == set(known_docs)
+
+
+class TestScopeIsLocked:
+    """``SiapiService._scope_filter`` goes through the engine's locked
+    ``docs_with_metadata``, whatever the index is.
+
+    A segment store swaps ``segments`` and ``memtable`` in several
+    statements when it flushes or merges; a scope resolved off the bare
+    index beside a writer can land between them and miss documents of
+    deals nobody is touching.
+    """
+
+    LAYOUTS = {
+        "inverted": lambda: SearchEngine(),
+        "segments": lambda: SearchEngine(
+            index=SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
+        ),
+        "sharded": lambda: SearchEngine(index=ShardedIndex(3)),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_scope_queues_behind_a_writer(self, layout):
+        engine = self.LAYOUTS[layout]()
+        docs = _make_docs()
+        engine.add_all(docs)
+        service = SiapiService(engine)
+        resolved = []
+        thread = threading.Thread(
+            target=lambda: resolved.append(service._scope_filter({"d1"}))
+        )
+        with engine._rw.write():
+            thread.start()
+            thread.join(0.2)
+            assert thread.is_alive() and not resolved
+        thread.join(5)
+        assert not thread.is_alive()
+        assert resolved == [frozenset(
+            doc.doc_id for doc in docs if doc.metadata["deal_id"] == "d1"
+        )]
+
+    def test_scope_never_shrinks_beside_an_adder(self, tmp_path):
+        """Nothing is ever removed, so the documents a scope resolves to
+        can only grow.  The store spills to a directory: the file writes
+        inside a flush or merge release the interpreter lock, which is
+        when a reader gets to look."""
+        index = SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
+        engine = SearchEngine(index=index, cache_size=0)
+        docs = _make_docs(n=830, deals=3)
+        engine.add_all(docs[:30])
+        index.save(str(tmp_path))
+        service = SiapiService(engine)
+        scope = {"d0", "d1", "d2"}
+        stop = threading.Event()
+        failures = []
+        reads = [0, 0]
+
+        def reader(slot):
+            matched = 0
+            try:
+                while not stop.is_set():
+                    now = len(service._scope_filter(scope))
+                    assert now >= matched, f"scope shrank {matched} -> {now}"
+                    matched = now
+                    reads[slot] += 1
+            except BaseException as exc:  # pragma: no cover - fail loud
+                failures.append(exc)
+                stop.set()
+
+        def writer():
+            try:
+                for doc in docs[30:]:
+                    if stop.is_set():
+                        break
+                    engine.add(doc)
+            except BaseException as exc:  # pragma: no cover
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        threads = [
+            threading.Thread(target=reader, args=(slot,))
+            for slot in range(len(reads))
+        ]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        assert all(reads), reads  # the race actually exercised readers
+        assert len(service._scope_filter(scope)) == len(docs)
 
 
 def _contact(contact_id, name, email, role):

@@ -1,13 +1,12 @@
-"""Equivalence tests: sharded fan-out must rank bit-identically.
+"""Equivalence tests: the sharded layout must rank bit-identically.
 
-The whole point of :class:`~repro.serving.ShardedSearchEngine` is that
+The whole point of :class:`~repro.serving.ShardedIndex` is that
 partitioning is invisible to relevance: every (doc_id, score) pair —
 including tie-breaks — must equal the unsharded engine's, at any shard
 count, for every query shape, before and after mutations.
 """
 
 import random
-import threading
 
 import pytest
 
@@ -22,7 +21,7 @@ from repro.errors import InjectedFaultError, SearchError
 from repro.faults import FaultInjector, FaultProfile, use_injector
 from repro.obs import use_registry
 from repro.search import IndexableDocument, SearchEngine
-from repro.serving import ShardedSearchEngine, shard_for
+from repro.serving import ShardedIndex, shard_for
 from tests.reference.index import DictOfDocs, assert_conforms
 
 SALES = User("u", frozenset({"sales"}))
@@ -64,6 +63,10 @@ def _make_docs(n=24, deals=5):
     return docs
 
 
+def _sharded(shards):
+    return SearchEngine(index=ShardedIndex(shards))
+
+
 def _pairs(hits):
     return [(hit.doc_id, hit.score) for hit in hits]
 
@@ -90,7 +93,7 @@ class TestShardFor:
         with pytest.raises(ValueError):
             shard_for("d1", 0)
         with pytest.raises(ValueError):
-            ShardedSearchEngine(shards=0)
+            ShardedIndex(shards=0)
 
 
 class TestEngineEquivalence:
@@ -99,7 +102,7 @@ class TestEngineEquivalence:
         docs = _make_docs()
         reference = SearchEngine()
         reference.add_all(docs)
-        sharded = ShardedSearchEngine(shards=shards)
+        sharded = _sharded(shards)
         sharded.add_all(docs)
         _assert_equivalent(reference, sharded)
         for limit in (1, 3, 10, 100):
@@ -109,7 +112,7 @@ class TestEngineEquivalence:
         docs = _make_docs()
         reference = SearchEngine()
         reference.add_all(docs)
-        sharded = ShardedSearchEngine(shards=3)
+        sharded = _sharded(3)
         sharded.add_all(docs)
         keep = {doc.doc_id for doc in docs[::2]}
         _assert_equivalent(reference, sharded, doc_filter=keep)
@@ -118,7 +121,7 @@ class TestEngineEquivalence:
         docs = _make_docs()
         reference = SearchEngine()
         reference.add_all(docs)
-        sharded = ShardedSearchEngine(shards=3)
+        sharded = _sharded(3)
         sharded.add_all(docs)
         for doc in docs[::3]:
             reference.remove(doc.doc_id)
@@ -126,17 +129,34 @@ class TestEngineEquivalence:
             _assert_equivalent(reference, sharded, limit=5)
 
     def test_deal_documents_share_a_shard(self):
-        sharded = ShardedSearchEngine(shards=4)
+        sharded = _sharded(4)
         sharded.add_all(_make_docs())
         owners = {}
-        for doc_id, shard in sharded._doc_shard.items():
-            deal = sharded.index.document(doc_id).metadata["deal_id"]
-            assert owners.setdefault(deal, shard) is shard
+        for position, part in enumerate(sharded.index.parts):
+            for doc_id in part.doc_ids:
+                deal = part.metadata_value(doc_id, "deal_id")
+                assert owners.setdefault(deal, position) == position
+        assert len(set(owners.values())) > 1  # the corpus did spread
 
     def test_remove_unknown_doc_raises(self):
-        sharded = ShardedSearchEngine(shards=2)
+        sharded = _sharded(2)
         with pytest.raises(SearchError):
             sharded.remove("ghost")
+
+    def test_an_id_is_indexed_once_whichever_shard_it_routes_to(self):
+        sharded = _sharded(4)
+        first, *rest = _make_docs()
+        sharded.add(first)
+        moved = next(
+            doc for doc in rest
+            if shard_for(doc.metadata["deal_id"], 4)
+            != shard_for(first.metadata["deal_id"], 4)
+        )
+        with pytest.raises(SearchError):
+            sharded.add(IndexableDocument(
+                first.doc_id, moved.fields, moved.metadata
+            ))
+        assert len(sharded) == 1
 
 
 class TestOneLogicalQuery:
@@ -145,10 +165,7 @@ class TestOneLogicalQuery:
 
     @staticmethod
     def _engine(shards):
-        engine = (
-            SearchEngine() if shards is None
-            else ShardedSearchEngine(shards=shards)
-        )
+        engine = SearchEngine() if shards is None else _sharded(shards)
         engine.add_all(_make_docs(n=20))
         return engine
 
@@ -203,7 +220,7 @@ class TestIndexView:
         docs = _make_docs()
         reference = SearchEngine()
         reference.add_all(docs)
-        sharded = ShardedSearchEngine(shards=3)
+        sharded = _sharded(3)
         sharded.add_all(docs)
         return reference, sharded
 
@@ -231,34 +248,6 @@ class TestIndexView:
         assert not sharded.index.has_document("ghost")
         doc = sharded.index.document("doc03")
         assert doc.doc_id == "doc03"
-
-    def test_index_reads_queue_behind_a_writer_the_scorers_view_does_not(
-        self, pair
-    ):
-        _, sharded = pair
-        term = min(sharded.index.vocabulary())
-        seen = []
-        reads = [
-            lambda: sharded.index.doc_ids,
-            lambda: sharded.index.matching_docs(term),
-            lambda: len(sharded.index),
-        ]
-        threads = [
-            threading.Thread(target=lambda read=read: seen.append(read()))
-            for read in reads
-        ]
-        with sharded._rw.write():
-            # What a fan-out query reads through: no lock to wait for.
-            assert len(sharded._view) == len(sharded._doc_shard)
-            assert sharded._view.document_frequency(term) > 0
-            for thread in threads:
-                thread.start()
-            threads[0].join(0.2)
-            assert all(thread.is_alive() for thread in threads)
-            assert not seen
-        for thread in threads:
-            thread.join(5)
-        assert len(seen) == len(reads)
 
     def test_epoch_bumps_on_every_mutation(self, pair):
         _, sharded = pair
@@ -290,10 +279,12 @@ class TestSystemEquivalence:
             ),
         ]
 
-    def test_sharded_system_uses_sharded_engine(self, world):
+    def test_sharded_system_is_one_engine_over_shards(self, world):
         _, unsharded, sharded = world
-        assert isinstance(sharded.engine, ShardedSearchEngine)
-        assert isinstance(unsharded.engine, SearchEngine)
+        assert type(sharded.engine) is type(unsharded.engine) is SearchEngine
+        assert isinstance(sharded.engine.index, ShardedIndex)
+        assert len(sharded.engine.index.parts) == 3
+        assert not isinstance(unsharded.engine.index, ShardedIndex)
 
     def test_form_queries_identical(self, world):
         corpus, unsharded, sharded = world

@@ -98,8 +98,6 @@ TEST_ONLY_METHODS = {
         "test-only; obs/tracing.py goes with the request-tracing item",
     "repro.search.engine.SearchEngine.add_all":
         "test-only bulk form of add",
-    "repro.serving.sharding.ShardedSearchEngine.add_all":
-        "test-only bulk form of add",
     "repro.security.access.AccessController.make_public":
         "test-only; policy administration no entry point performs",
     "repro.security.access.AccessController.readable_repositories":
@@ -355,6 +353,28 @@ def test_repro_db_has_one_evaluator():
         if method.name == "evaluate"
     ]
     assert not interpreters, interpreters
+
+
+def test_there_is_one_search_engine_and_nobody_else_takes_its_lock():
+    # Sharding is an index layout (repro.serving.sharding.ShardedIndex):
+    # a second class that ranks would be a second engine, and a module
+    # reaching for another object's ``_rw`` a lock proxy around the
+    # first.  A class's own ``self._rw`` (the database's) is its own.
+    rankers = [
+        f"{module}.{cls}"
+        for module, cls, method in _methods()
+        if method.name == "_rank"
+    ]
+    assert rankers == ["repro.search.engine.SearchEngine"], rankers
+    borrowed = [
+        f"{name}:{node.lineno}"
+        for name, module in MODULES.items()
+        if name != "repro.search.engine"
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_rw"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert not borrowed, borrowed
 
 
 def test_every_public_name_is_reached_or_is_entry_point_api():
