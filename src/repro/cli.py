@@ -524,8 +524,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for name, value in registry.snapshot().items()
             if name.startswith("serving.")
         }
-        completed = registry.counters.get("serving.completed")
-        qps = (completed.value / elapsed) if completed and elapsed else 0.0
+        # Answered requests: cache hits answered on the client's thread
+        # plus the ones a worker completed.
+        answered = sum(
+            registry.counter(name).value
+            for name in ("serving.answered_inline", "serving.completed")
+        )
+        qps = answered / elapsed if elapsed else 0.0
         if args.as_json:
             print(json.dumps({"elapsed_seconds": elapsed,
                               "sustained_qps": qps,

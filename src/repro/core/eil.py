@@ -36,7 +36,11 @@ from repro.core.analysis import AnalysisResults, InformationAnalysis
 from repro.core.context import DealSynopsis, SynopsisBuilder
 from repro.core.organized import OrganizedInformation
 from repro.core.query_analyzer import FormQuery
-from repro.core.search import BusinessActivityDrivenSearch, EilResults
+from repro.core.search import (
+    BusinessActivityDrivenSearch,
+    CacheProbe,
+    EilResults,
+)
 from repro.corpus.generator import Corpus
 from repro.corpus.taxonomy import ServiceTaxonomy
 from repro.db.persistence import dump_database, load_database
@@ -456,10 +460,34 @@ class EILSystem:
         form: FormQuery,
         user: User = _DEFAULT_USER,
         limit: Optional[int] = None,
+        probe: Optional[CacheProbe] = None,
     ) -> EilResults:
-        """Business-activity driven search (paper Figure 1)."""
+        """Business-activity driven search (paper Figure 1).
+
+        ``probe`` is this request's :meth:`probe_search`, when the
+        caller made it first: access, form and cache are then not
+        looked at again.
+        """
         with get_tracer().span("online.search"):
-            return self._require_search().execute(form, user, limit)
+            return self._require_search().execute(
+                form, user, limit, probe=probe
+            )
+
+    def probe_search(
+        self,
+        form: FormQuery,
+        user: User = _DEFAULT_USER,
+        limit: Optional[int] = None,
+    ) -> CacheProbe:
+        """Look ``search(form, user, limit)`` up in the query cache.
+
+        The first half of a search: the access and empty-form checks,
+        the cache key and the one cache verdict, with no substrate
+        read — cheap enough for a caller's own thread.  Hand the probe
+        to :meth:`search` to finish the request: a hit is copied out, a
+        miss computed and stored under the probe's key.
+        """
+        return self._require_search().probe(form, user, limit)
 
     def synopsis(self, deal_id: str, user: User = _DEFAULT_USER) -> DealSynopsis:
         """The deal synopsis view (paper Figure 6)."""

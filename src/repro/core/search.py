@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.cache import LruCache
 from repro.concurrency import AtomicCounter
@@ -59,6 +59,7 @@ from repro.security.access import AccessController, User
 __all__ = [
     "ActivityResult",
     "EilResults",
+    "CacheProbe",
     "BusinessActivityDrivenSearch",
     "DEGRADED_NO_SYNOPSIS",
     "DEGRADED_NO_INDEX",
@@ -136,6 +137,20 @@ class EilResults:
     def deal_ids(self) -> List[str]:
         """Ranked activity ids."""
         return [a.deal_id for a in self.activities]
+
+
+class CacheProbe(NamedTuple):
+    """One request's query-cache lookup: the first half of a search.
+
+    Attributes:
+        key: The key the request was looked up under; a miss is stored
+            under it once computed.
+        cached: The cached answer (shared: copy before handing it out),
+            or None on a miss.
+    """
+
+    key: tuple
+    cached: Optional[EilResults]
 
 
 #: The form's field values in declaration order, read without copying
@@ -235,27 +250,50 @@ class BusinessActivityDrivenSearch:
         user: User,
         limit: Optional[int] = None,
         per_activity_documents: int = 5,
+        probe: Optional[CacheProbe] = None,
     ) -> EilResults:
         """Run one query for ``user``; see the module docstring.
+
+        ``probe`` is this request's :meth:`probe` when the caller made
+        it already (the front door does, to answer hits on its own
+        thread); the lookup half is then not run again, and a miss is
+        computed and stored under the probe's key.
 
         Raises:
             EILUnavailableError: Only when *both* the synopsis store
                 and the SIAPI index are down; any single outage returns
                 a degraded (never cached) result instead.
         """
+        if probe is None:
+            probe = self.probe(form, user, limit, per_activity_documents)
+        if probe.cached is not None:
+            return _copy_results(probe.cached)
+        results = self._execute(form, user, limit, per_activity_documents)
+        # The cache itself refuses degraded values (LruCache.storable),
+        # so a thinned-out answer can never outlive the outage.
+        self._cache.put(probe.key, results)
+        return _copy_results(results)
+
+    def probe(
+        self,
+        form: FormQuery,
+        user: User,
+        limit: Optional[int] = None,
+        per_activity_documents: int = 5,
+    ) -> CacheProbe:
+        """The lookup half of :meth:`execute`.
+
+        Counts the request (``query.executed``), checks synopsis access
+        and the form, builds the cache key and takes the request's one
+        cache verdict.  Reads no substrate and takes no lock but the
+        cache's own.
+        """
         get_registry().inc("query.executed")
         self.access.require_synopsis_access(user)
         if form.is_empty():
             raise QuerySyntaxError("the search form is empty")
         key = self._cache_key(form, user, limit, per_activity_documents)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return _copy_results(cached)
-        results = self._execute(form, user, limit, per_activity_documents)
-        # The cache itself refuses degraded values (LruCache.storable),
-        # so a thinned-out answer can never outlive the outage.
-        self._cache.put(key, results)
-        return _copy_results(results)
+        return CacheProbe(key, self._cache.get(key))
 
     def _cache_key(
         self,

@@ -88,8 +88,8 @@ DocFilter = Union[AbstractSet[str], Callable[[IndexableDocument], bool], None]
 #: Phrase matches are stronger evidence than the bag of words.
 _PHRASE_BOOST = 1.25
 
-# When an id-set filter is much smaller than a posting list, probe the
-# filter against the index instead of scanning the posting array.
+# When an id-set filter is much smaller than a posting list, look the
+# filter ids up in the posting array instead of scanning all of it.
 _PROBE_RATIO = 8
 
 
@@ -373,18 +373,16 @@ class _Execution:
         elif not allowed:
             return
         elif len(allowed) * _PROBE_RATIO < df:
-            # Tiny filter against a long posting list: probe the filter
-            # ids instead of scanning the whole array.
+            # Tiny filter against a long posting list: probe the array
+            # for the filter ids instead of scanning all of it.
             doc_ids, tfs, lengths = [], [], []
             for doc_id in allowed:
-                tf = self.index.term_frequency(term, doc_id, field_name)
-                if tf == 0:
+                i = compiled.position(doc_id)
+                if i is None:
                     continue
                 doc_ids.append(doc_id)
-                tfs.append(tf)
-                lengths.append(
-                    self.index.field_length(field_name, doc_id)
-                )
+                tfs.append(compiled.tfs[i])
+                lengths.append(compiled.lengths[i])
         else:
             keep = [
                 i

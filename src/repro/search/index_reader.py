@@ -19,6 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import (
     Any,
+    Dict,
     Iterable,
     List,
     Mapping,
@@ -45,16 +46,20 @@ class TermPostings:
             the whole array, so it is never stale).
     """
 
-    __slots__ = ("doc_ids", "tfs", "lengths", "max_tf")
+    __slots__ = ("doc_ids", "tfs", "lengths", "max_tf", "_where")
 
     def __init__(self) -> None:
         self.doc_ids: List[str] = []
         self.tfs: List[int] = []
         self.lengths: List[int] = []
         self.max_tf = 0
+        # doc id -> its entry, made by the first position() call.
+        self._where: Optional[Dict[str, int]] = None
 
     def append(self, doc_id: str, tf: int, length: int) -> None:
         """Add one document's entry (index ``add`` / lazy compile)."""
+        if self._where is not None:
+            self._where[doc_id] = len(self.doc_ids)
         self.doc_ids.append(doc_id)
         self.tfs.append(tf)
         self.lengths.append(length)
@@ -63,11 +68,26 @@ class TermPostings:
 
     def extend(self, other: "TermPostings") -> None:
         """Append every entry of ``other`` (a composite's next part)."""
+        self._where = None
         self.doc_ids.extend(other.doc_ids)
         self.tfs.extend(other.tfs)
         self.lengths.extend(other.lengths)
         if other.max_tf > self.max_tf:
             self.max_tf = other.max_tf
+
+    def position(self, doc_id: str) -> Optional[int]:
+        """Where ``doc_id``'s entry sits in the arrays, or None.
+
+        The doc id -> entry map is built once, on the first call, and
+        lives as long as the array (whoever drops the array drops it),
+        so probing a few ids of a long array costs a dict lookup each.
+        """
+        where = self._where
+        if where is None:
+            where = self._where = {
+                doc_id: i for i, doc_id in enumerate(self.doc_ids)
+            }
+        return where.get(doc_id)
 
     def __len__(self) -> int:
         return len(self.doc_ids)

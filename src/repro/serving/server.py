@@ -25,11 +25,20 @@ API).  Its job is not to make queries faster — it is to keep the system
   degradation ladder is below the breaker); only a full
   :class:`~repro.errors.EILUnavailableError` outage trips it.
 
+All of that is for requests that need a worker.  A form search whose
+answer the query cache already holds is answered on the caller's own
+thread (:meth:`EILServer.search`): it reads no substrate, so it takes
+no admission slot, is never shed or rejected for its deadline, and is
+answered while the breaker is open.
+
 Metrics (``repro stats`` vocabulary, see docs/OPERATIONS.md):
-``serving.admitted`` / ``serving.shed`` / ``serving.rejected.deadline``
-/ ``serving.completed`` / ``serving.errors`` counters,
-``serving.latency`` / ``serving.queue_wait`` histograms (seconds), and
-``serving.inflight`` / ``serving.queue_depth`` gauges.
+``serving.answered_inline`` / ``serving.admitted`` / ``serving.shed``
+/ ``serving.rejected.deadline`` / ``serving.completed`` /
+``serving.errors`` counters, ``serving.latency`` /
+``serving.queue_wait`` histograms (seconds), and ``serving.inflight``
+/ ``serving.queue_depth`` gauges.  Every request lands in exactly one
+of ``answered_inline``, ``completed``, ``errors``, ``shed`` and
+``rejected.deadline``.
 """
 
 from __future__ import annotations
@@ -60,6 +69,8 @@ class EILServer:
     Args:
         eil: The system to serve — anything exposing ``search`` /
             ``keyword_search`` (an :class:`~repro.core.eil.EILSystem`).
+            One that also has ``probe_search`` gets its query-cache
+            hits answered on the caller's thread.
         max_concurrency: Worker threads executing requests.
         queue_depth: Requests allowed to *wait* beyond the executing
             ones; an arriving request past ``max_concurrency +
@@ -106,6 +117,7 @@ class EILServer:
         self._inflight = AtomicCounter()
         self._queued = AtomicCounter()
         self._closed = False
+        self._probe = getattr(eil, "probe_search", None)
 
     # -- the public request surface -----------------------------------------
 
@@ -113,13 +125,39 @@ class EILServer:
                **kwargs):
         """Business-activity driven search through the front door.
 
-        Blocks the caller for the result; the request still passes
-        admission control, so a saturated server sheds it instead of
-        queueing without bound.
+        Blocks the caller for the result.  A system with
+        ``probe_search`` has the request looked up in its query cache
+        on this thread first, and a hit is answered right here
+        (``serving.answered_inline``).  A miss — or any request to a
+        system without the probe — passes admission control, so a
+        saturated server sheds it instead of queueing without bound; a
+        miss carries its probe to the worker, which computes and stores
+        the answer without looking it up again.
         """
-        return self.submit_search(
-            *args, deadline_seconds=deadline_seconds, **kwargs
-        ).result()
+        if self._probe is None:
+            return self.submit_search(
+                *args, deadline_seconds=deadline_seconds, **kwargs
+            ).result()
+        if self._closed:
+            raise RuntimeError("server is shut down")
+        metrics = get_registry()
+        arrived_at = self.clock()
+        try:
+            probe = self._probe(*args, **kwargs)
+            if probe.cached is not None:
+                answer = self.eil.search(*args, probe=probe, **kwargs)
+        except BaseException:
+            metrics.inc("serving.errors")
+            metrics.observe("serving.latency", self.clock() - arrived_at)
+            raise
+        if probe.cached is None:
+            return self._admit(
+                lambda: self.eil.search(*args, probe=probe, **kwargs),
+                deadline_seconds,
+            ).result()
+        metrics.inc("serving.answered_inline")
+        metrics.observe("serving.latency", self.clock() - arrived_at)
+        return answer
 
     def keyword_search(self, *args,
                        deadline_seconds: Optional[float] = None,
@@ -146,7 +184,11 @@ class EILServer:
     def submit_search(
         self, *args, deadline_seconds: Optional[float] = None, **kwargs
     ) -> "Future":
-        """Async variant of :meth:`search`; sheds at submission time."""
+        """Async variant of :meth:`search`; sheds at submission time.
+
+        Every request is admitted, a query-cache hit included: only
+        :meth:`search` answers hits on the caller's thread.
+        """
         return self._admit(
             lambda: self.eil.search(*args, **kwargs), deadline_seconds
         )
@@ -228,12 +270,13 @@ class EILServer:
                     f"{started_at - enqueued_at:.3f}s in queue, "
                     f"past its deadline"
                 )
-            result = self.breaker.call(request)
+            try:
+                result = self.breaker.call(request)
+            except BaseException:
+                metrics.inc("serving.errors")
+                raise
             metrics.inc("serving.completed")
             return result
-        except BaseException:
-            metrics.inc("serving.errors")
-            raise
         finally:
             metrics.set_gauge("serving.inflight",
                               self._inflight.decrement())

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,6 +96,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "MQ1" in out and "MQ4" in out
 
+    def test_serve_accounts_for_every_request(self, capsys):
+        code = main(FAST + ["serve", "--clients", "3", "--requests", "6",
+                            "--json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        counters = {
+            name: metric["value"]
+            for name, metric in report["metrics"].items()
+            if metric["type"] == "counter"
+        }
+        outcomes = ("serving.answered_inline", "serving.completed",
+                    "serving.errors", "serving.shed",
+                    "serving.rejected.deadline")
+        assert sum(counters.get(name, 0) for name in outcomes) == 3 * 6
+        # Four forms cycled 18 times: most are query-cache hits.
+        assert counters["serving.answered_inline"] > 0
+        answered = (counters["serving.answered_inline"]
+                    + counters.get("serving.completed", 0))
+        assert report["sustained_qps"] == pytest.approx(
+            answered / report["elapsed_seconds"]
+        )
+
 
 class TestGraphCommand:
     def _first_person(self):
@@ -132,8 +156,6 @@ class TestGraphCommand:
         assert "limit must be" in capsys.readouterr().err
 
     def test_json_answer_is_parseable(self, capsys):
-        import json
-
         person = self._first_person()
         code = main(FAST + ["graph", "--worked-with", person,
                             "--limit", "2", "--json"])
@@ -157,7 +179,5 @@ class TestGraphCommand:
         code = main(FAST + ["graph", "--index-dir", str(tmp_path),
                             "--graph-stats", "--json"])
         assert code == 0
-        import json
-
         stats = json.loads(capsys.readouterr().out)
         assert stats["deals"] == 3

@@ -26,7 +26,7 @@ import threading
 
 import pytest
 
-from repro import CorpusConfig, CorpusGenerator, EILSystem, User
+from repro import CorpusConfig, CorpusGenerator, EILSystem, User, obs
 from repro.core.metaqueries import scope_query, service_keyword_query
 from repro.core.query_analyzer import FormQuery
 from repro.docmodel.repository import EngagementWorkbook
@@ -38,7 +38,7 @@ from repro.search import (
     SiapiQuery,
     SiapiService,
 )
-from repro.serving import ShardedIndex
+from repro.serving import EILServer, ShardedIndex
 from repro.storage import SegmentBackedIndex
 from tests.graph.test_traversal_equivalence import (
     assert_indexes_match_rescan,
@@ -266,6 +266,160 @@ class TestSystemSnapshotIsolation:
         for thread in threads:
             thread.join()
         assert not failures
+
+
+def _answer(results):
+    """What a form search answers, in comparable form."""
+    return (
+        tuple(
+            (a.deal_id, a.name, a.score, a.synopsis_score, a.siapi_score,
+             tuple(a.reasons), tuple(hit.doc_id for hit in a.documents),
+             a.documents_withheld)
+            for a in results.activities
+        ),
+        results.scoped, results.degraded, tuple(results.plan),
+    )
+
+
+class _Probes:
+    """The served system, remembering on each thread whether that
+    thread's last query-cache probe hit."""
+
+    def __init__(self, eil):
+        self.eil = eil
+        self.last = threading.local()
+
+    def probe_search(self, *args, **kwargs):
+        probe = self.eil.probe_search(*args, **kwargs)
+        self.last.hit = probe.cached is not None
+        return probe
+
+    def search(self, *args, **kwargs):
+        return self.eil.search(*args, **kwargs)
+
+
+class TestInlineHitsUnderChurn:
+    """Cached forms through ``EILServer.search`` beside ``add_workbook``
+    / ``remove_deal``.
+
+    A hit is answered on the reader's own thread straight off the query
+    cache; what retires it is a mutation moving the epochs in the cache
+    key.  So every answer must be one some quiesced epoch gives, and the
+    first request after a mutation returns must miss: a hit there would
+    be an answer cached before the mutation.
+
+    The readers ask forms whose answer a half-applied onboarding cannot
+    change (synopsis-only forms, and a scoped form the churned deal is
+    outside of); the writer asks its own form — one the churned deal is
+    in, by tower and by keyword — only between mutations, so nobody
+    else has looked it up at the new epoch before it does.
+    """
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_answers_match_a_quiesced_epoch(self, shards):
+        corpus = CorpusGenerator(
+            CorpusConfig(n_deals=4, docs_per_deal=14)
+        ).generate()
+        eil = EILSystem.build(corpus, shards=shards)
+        generator = DealGenerator(seed=999, taxonomy=corpus.taxonomy)
+        deal = generator.generate(len(corpus.deals) + 1)[-1]
+        full = WorkbookFactory(corpus.taxonomy, seed=999).build_workbook(
+            deal, 12
+        )
+        workbook = EngagementWorkbook(
+            deal.deal_id, name=full.name,
+            documents=full.documents()[:1],
+        )
+        tower = deal.towers[0]
+        shared = [
+            scope_query("End User Services"),
+            scope_query(tower),
+            service_keyword_query("Storage Management Services",
+                                  "data replication"),
+        ]
+        own = service_keyword_query(tower, "services")
+        forms = shared + [own]
+
+        def answers():
+            return {i: _answer(eil.search(form, SALES))
+                    for i, form in enumerate(forms)}
+
+        base = answers()
+        eil.add_workbook(workbook)
+        extra = answers()
+        eil.remove_deal(deal.deal_id)
+        assert answers() == base  # churn is restorative
+        # The two quiesced answers differ where the churned deal shows.
+        assert base[1] != extra[1] and base[3] != extra[3]
+        allowed = {i: {base[i], extra[i]} for i in base}
+
+        probes = _Probes(eil)
+        stop = threading.Event()
+        failures = []
+        observed = {i: set() for i in range(len(shared))}
+        observed_lock = threading.Lock()
+
+        def reader(first, server):
+            local = {i: set() for i in observed}
+            try:
+                turn = first
+                while not stop.is_set():
+                    i = turn % len(shared)
+                    local[i].add(_answer(server.search(shared[i], SALES)))
+                    turn += 1
+            except BaseException as exc:  # pragma: no cover - fail loud
+                failures.append(exc)
+                stop.set()
+            with observed_lock:
+                for i, seen in local.items():
+                    observed[i] |= seen
+
+        def writer(server):
+            try:
+                for _ in range(8):
+                    for mutate, state in (
+                        (lambda: eil.add_workbook(workbook), extra),
+                        (lambda: eil.remove_deal(deal.deal_id), base),
+                    ):
+                        mutate()
+                        assert _answer(server.search(own, SALES)) == state[3]
+                        assert not probes.last.hit, (
+                            "hit across a mutation"
+                        )
+                        assert _answer(server.search(own, SALES)) == state[3]
+                        assert probes.last.hit
+            except BaseException as exc:  # pragma: no cover - fail loud
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        with obs.use_registry() as registry, EILServer(probes) as server:
+            threads = [
+                threading.Thread(target=reader, args=(first, server))
+                for first in range(3)
+            ]
+            threads.append(threading.Thread(target=writer, args=(server,)))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+                stop.set()
+        assert not any(thread.is_alive() for thread in threads), (
+            "deadlock: a reader or the writer never finished"
+        )
+        assert not failures, failures[0]
+        for i, seen in observed.items():
+            assert seen  # the race exercised every shared form
+            torn = seen - allowed[i]
+            assert not torn, f"{shared[i]}: {len(torn)} torn answers"
+        # The readers were answered inline, off the cache, mostly.
+        inline = registry.counters["serving.answered_inline"].value
+        assert inline > registry.counters["serving.admitted"].value
 
 
 class TestGroupedAnswersAreWhole:

@@ -2,22 +2,40 @@
 
 Uses a gate-controlled fake system so admission, queueing, shedding,
 deadline rejection and breaker integration can be driven
-deterministically — no sleeps, no real corpus.
+deterministically — no sleeps, no real corpus.  A second fake also
+exposes ``probe_search``, the query-cache lookup the front door answers
+hits with on the caller's thread; ``TestRealSystem`` drives the same
+path through an :class:`~repro.core.eil.EILSystem`.
 """
 
 import threading
 
 import pytest
 
-from repro import obs
+from repro import CorpusConfig, CorpusGenerator, EILSystem, User, obs
+from repro.core.metaqueries import scope_query
+from repro.core.query_analyzer import FormQuery
+from repro.core.search import CacheProbe
 from repro.errors import (
+    AccessDeniedError,
     CircuitOpenError,
     DeadlineExceededError,
     InjectedFaultError,
+    QuerySyntaxError,
     ServerOverloadedError,
 )
 from repro.faults import CircuitBreaker
+from repro.security.access import ANONYMOUS
 from repro.serving import EILServer
+
+#: Every request lands in exactly one of these.
+OUTCOMES = ("serving.answered_inline", "serving.completed",
+            "serving.errors", "serving.shed", "serving.rejected.deadline")
+
+
+def _count(registry, name):
+    counter = registry.counters.get(name)
+    return counter.value if counter else 0
 
 
 @pytest.fixture
@@ -70,6 +88,209 @@ class GatedSystem:
         self.started.release()
         assert self.gate.wait(10), "gate never opened"
         return ("graph", query)
+
+
+class ProbedSystem(GatedSystem):
+    """A gated fake with a query cache the front door can probe.
+
+    Forms in ``hot`` are cache hits; ``""`` is an empty form (the probe
+    raises, as the real one does); a miss on ``"down"`` raises a
+    substrate fault on the worker.
+    """
+
+    def __init__(self, hot=()):
+        super().__init__()
+        self.hot = set(hot)
+        self.probed = []
+        self.carried = []
+
+    def probe_search(self, form, user=None, limit=None):
+        self.probed.append(form)
+        if form == "":
+            raise QuerySyntaxError("the search form is empty")
+        cached = ("cached", form) if form in self.hot else None
+        return CacheProbe(("key", form), cached)
+
+    def search(self, form, user=None, limit=None, probe=None):
+        if probe is not None:
+            self.carried.append(probe)
+            if probe.cached is not None:
+                return probe.cached
+        if form == "down":
+            raise InjectedFaultError("substrate down")
+        return super().search(form, user, limit)
+
+
+class TestInlineHits:
+    """Query-cache hits are answered on the caller's thread."""
+
+    def test_hit_is_answered_with_every_slot_taken(self, registry):
+        system = ProbedSystem(hot={"hot"})
+        system.gate.clear()  # hold every admitted request in flight
+        server = EILServer(system, max_concurrency=1, queue_depth=1)
+        try:
+            first = server.submit_search("a")
+            assert system.started.acquire(timeout=5)  # executing
+            second = server.submit_search("b")  # queued
+            with pytest.raises(ServerOverloadedError):
+                server.search("cold")  # a miss still needs a slot
+            assert server.search("hot") == ("cached", "hot")
+            assert _count(registry, "serving.admitted") == 2
+            assert _count(registry, "serving.answered_inline") == 1
+            assert _count(registry, "serving.shed") == 1
+            system.gate.set()
+            assert first.result(timeout=5) == ("search", "a")
+            assert second.result(timeout=5) == ("search", "b")
+        finally:
+            system.gate.set()
+            server.shutdown()
+        assert system.calls == 2  # the hit never reached a worker
+
+    def test_miss_carries_its_probe_to_the_worker(self, registry):
+        system = ProbedSystem()
+        with EILServer(system) as server:
+            assert server.search("cold", "user", limit=3) == (
+                "search", "cold"
+            )
+        assert system.probed == ["cold"]  # looked up once, on the caller
+        assert system.carried == [CacheProbe(("key", "cold"), None)]
+        assert _count(registry, "serving.admitted") == 1
+        assert _count(registry, "serving.completed") == 1
+        assert "serving.answered_inline" not in registry.counters
+
+    def test_open_breaker_answers_hits_and_fails_misses(self, registry):
+        system = ProbedSystem(hot={"hot"})
+        breaker = CircuitBreaker("serving", failure_threshold=1)
+        with EILServer(system, breaker=breaker) as server:
+            with pytest.raises(InjectedFaultError):
+                server.search("down")  # trips the breaker
+            assert server.search("hot") == ("cached", "hot")
+            with pytest.raises(CircuitOpenError):
+                server.search("cold")
+        assert _count(registry, "serving.answered_inline") == 1
+        assert _count(registry, "serving.errors") == 2
+
+    def test_hit_is_never_rejected_for_its_deadline(self, registry):
+        clock = FakeClock()
+        system = ProbedSystem(hot={"hot"})
+        system.gate.clear()
+        server = EILServer(system, max_concurrency=1, queue_depth=1,
+                           clock=clock)
+        try:
+            blocker = server.submit_search("a")
+            assert system.started.acquire(timeout=5)
+            queued = server.submit_search("b", deadline_seconds=5.0)
+            clock.advance(10.0)
+            assert server.search("hot", deadline_seconds=0.0) == (
+                "cached", "hot"
+            )
+            system.gate.set()
+            assert blocker.result(timeout=5) == ("search", "a")
+            with pytest.raises(DeadlineExceededError):
+                queued.result(timeout=5)
+        finally:
+            system.gate.set()
+            server.shutdown()
+        assert _count(registry, "serving.rejected.deadline") == 1
+        # A deadline rejection is its own outcome, not also an error.
+        assert "serving.errors" not in registry.counters
+
+    def test_shut_down_server_raises_for_a_hit(self, registry):
+        system = ProbedSystem(hot={"hot"})
+        server = EILServer(system)
+        assert server.search("hot") == ("cached", "hot")
+        server.shutdown()
+        with pytest.raises(RuntimeError):
+            server.search("hot")
+        assert system.probed == ["hot"]  # not looked up once shut down
+
+    def test_submit_search_of_a_cached_form_is_admitted(self, registry):
+        system = ProbedSystem(hot={"hot"})
+        with EILServer(system) as server:
+            assert server.search("hot") == ("cached", "hot")
+            assert server.submit_search("hot").result(timeout=5) == (
+                "search", "hot"
+            )
+        assert _count(registry, "serving.answered_inline") == 1
+        assert _count(registry, "serving.admitted") == 1
+        assert system.probed == ["hot"]  # submit_* does not probe
+
+    def test_probe_errors_raise_on_the_caller_and_count(self, registry):
+        system = ProbedSystem()
+        with EILServer(system) as server:
+            with pytest.raises(QuerySyntaxError):
+                server.search("")
+        assert _count(registry, "serving.errors") == 1
+        assert "serving.admitted" not in registry.counters
+        assert system.calls == 0
+
+    def test_every_request_is_timed_and_lands_in_one_outcome(
+        self, registry
+    ):
+        system = ProbedSystem(hot={"hot"})
+        requests = ["hot", "cold", "hot", "", "cold", "hot"]
+        with EILServer(system) as server:
+            for form in requests:
+                try:
+                    server.search(form)
+                except QuerySyntaxError:
+                    pass
+        assert registry.histograms["serving.latency"].count == len(
+            requests
+        )
+        # Queue wait is what admitted requests spent queued: misses only.
+        assert registry.histograms["serving.queue_wait"].count == 2
+        assert sum(_count(registry, name) for name in OUTCOMES) == len(
+            requests
+        )
+        assert _count(registry, "serving.answered_inline") == 3
+
+
+class TestRealSystem:
+    """The inline path through an ``EILSystem``: the same counts, spans
+    and answers as a search that never met the front door."""
+
+    @pytest.fixture(scope="class")
+    def eil(self):
+        corpus = CorpusGenerator(
+            CorpusConfig(n_deals=4, docs_per_deal=14)
+        ).generate()
+        return EILSystem.build(corpus)
+
+    def test_a_miss_then_a_hit(self, eil, registry):
+        eil._search._cache.clear()
+        user = User("u", frozenset({"sales"}))
+        form = scope_query("End User Services")
+        with EILServer(eil) as server:
+            missed = server.search(form, user, limit=3)
+            hit = server.search(form, user, limit=3)
+        assert _count(registry, "query.cache.misses") == 1
+        assert _count(registry, "query.cache.hits") == 1
+        assert _count(registry, "query.executed") == 2
+        assert registry.histograms["span.online.search"].count == 2
+        assert _count(registry, "serving.admitted") == 1
+        assert _count(registry, "serving.answered_inline") == 1
+        assert hit is not missed and hit.activities is not missed.activities
+        eil._search._cache.clear()
+        direct = eil.search(form, user, limit=3)
+        assert missed == direct
+        assert hit == direct
+        assert direct.activities  # the answer is not trivially empty
+
+    @pytest.mark.parametrize("form, user, error", [
+        (FormQuery(), User("u", frozenset({"sales"})), QuerySyntaxError),
+        (scope_query("End User Services"), ANONYMOUS, AccessDeniedError),
+    ], ids=["empty-form", "no-synopsis-access"])
+    def test_refusals_raise_what_a_direct_search_raises(
+        self, eil, registry, form, user, error
+    ):
+        with pytest.raises(error):
+            eil.search(form, user)
+        with EILServer(eil) as server:
+            with pytest.raises(error):
+                server.search(form, user)
+        assert _count(registry, "serving.errors") == 1
+        assert _count(registry, "query.executed") == 2
 
 
 class TestPassThrough:
@@ -185,6 +406,7 @@ class TestDeadlines:
         # The aged-out request never reached the system: one worker
         # spent zero effort on an unmeetable deadline.
         assert system.calls == 1
+        assert "serving.errors" not in registry.counters
 
     def test_fresh_deadline_executes(self, registry):
         clock = FakeClock()
