@@ -172,10 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=int, default=8,
                        help="requests per client (default: 8)")
     serve.add_argument("--concurrency", type=int, default=4,
-                       help="server worker threads (default: 4)")
+                       help="requests the server executes at once "
+                            "(default: 4)")
     serve.add_argument("--queue-depth", type=int, default=16,
-                       help="admission queue slots beyond the workers "
-                            "(default: 16)")
+                       help="requests allowed to wait beyond the "
+                            "executing ones (default: 16)")
     serve.add_argument("--deadline", type=float, default=None,
                        help="per-request deadline in seconds (default: "
                             "none)")
@@ -524,8 +525,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for name, value in registry.snapshot().items()
             if name.startswith("serving.")
         }
-        # Answered requests: cache hits answered on the client's thread
-        # plus the ones a worker completed.
+        # Answered requests: cache hits answered before admission plus
+        # the admitted ones that completed.
         answered = sum(
             registry.counter(name).value
             for name in ("serving.answered_inline", "serving.completed")

@@ -255,8 +255,8 @@ class BusinessActivityDrivenSearch:
         """Run one query for ``user``; see the module docstring.
 
         ``probe`` is this request's :meth:`probe` when the caller made
-        it already (the front door does, to answer hits on its own
-        thread); the lookup half is then not run again, and a miss is
+        it already (the front door does, to answer hits before
+        admission); the lookup half is then not run again, and a miss is
         computed and stored under the probe's key.
 
         Raises:

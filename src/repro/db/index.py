@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import IntegrityError
+from repro.errors import IntegrityError, ProgrammingError
 
 __all__ = ["Index", "HashIndex", "SortedIndex"]
 
@@ -147,20 +147,29 @@ class SortedIndex(Index):
         """Yield row ids with low <= key <= high, in key order.
 
         Either bound may be None for an open interval; inclusivity is
-        controlled per bound so the planner can serve <, <=, >, >=.
+        controlled per bound so the planner can serve <, <=, >, >=.  A
+        bound the stored keys cannot be ordered against raises
+        :class:`~repro.errors.ProgrammingError`, as the same comparison
+        does on an unindexed column.
         """
-        if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(self._sorted_keys, low)
-        else:
-            start = bisect.bisect_right(self._sorted_keys, low)
-        if high is None:
-            stop = len(self._sorted_keys)
-        elif include_high:
-            stop = bisect.bisect_right(self._sorted_keys, high)
-        else:
-            stop = bisect.bisect_left(self._sorted_keys, high)
+        try:
+            if low is None:
+                start = 0
+            elif include_low:
+                start = bisect.bisect_left(self._sorted_keys, low)
+            else:
+                start = bisect.bisect_right(self._sorted_keys, low)
+            if high is None:
+                stop = len(self._sorted_keys)
+            elif include_high:
+                stop = bisect.bisect_right(self._sorted_keys, high)
+            else:
+                stop = bisect.bisect_left(self._sorted_keys, high)
+        except TypeError as exc:
+            raise ProgrammingError(
+                f"cannot compare the keys of index {self.name!r} with "
+                f"the range {low!r}..{high!r}: {exc}"
+            ) from exc
         for position in range(start, stop):
             # Sort row ids for deterministic iteration order.
             yield from sorted(self._entries[self._sorted_keys[position]])

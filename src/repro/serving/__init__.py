@@ -9,10 +9,10 @@ tier, in two layers:
   composite by the one search engine, so rankings stay
   **bit-identical** to the unsharded index (the scorer reads
   corpus-global statistics off the composite).
-* :mod:`repro.serving.server` — :class:`EILServer`, a thread-pool
-  front door with a bounded admission queue, deadline-aware rejection,
-  load shedding (:class:`~repro.errors.ServerOverloadedError`) and a
-  circuit breaker, surfaced through ``serving.*`` metrics.
+* :mod:`repro.serving.server` — :class:`EILServer`, a front door doing
+  caller-thread admission: a bounded admission queue, deadline-aware
+  rejection, load shedding (:class:`~repro.errors.ServerOverloadedError`)
+  and a circuit breaker, surfaced through ``serving.*`` metrics.
 
 Snapshot semantics: every engine mutation and its epoch bump run under
 the write side of a writer-preferring read/write lock, every query

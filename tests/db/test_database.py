@@ -166,6 +166,34 @@ class TestDml:
         ).scalar() == 3
 
 
+class TestIllTypedRange:
+    """A text column ordered against a number raises the same typed
+    error whether a sorted index or a scan serves the range, in SELECT
+    and DML alike, and no row changes before it does."""
+
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["scan", "index"])
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize("statement", [
+        "SELECT deal_id FROM deals WHERE name {op} 1",
+        "UPDATE deals SET value = 0 WHERE name {op} 1",
+        "DELETE FROM deals WHERE name {op} 1",
+    ], ids=["select", "update", "delete"])
+    def test_raises_programming_error(self, db, statement, op, indexed):
+        if indexed:
+            db.execute("CREATE INDEX ix_name ON deals (name)")
+            plan = db.execute(
+                f"SELECT deal_id FROM deals WHERE name {op} 'M'"
+            ).plan
+            assert any("index range ix_name" in step for step in plan)
+        before = db.execute("SELECT * FROM deals ORDER BY deal_id").rows
+        with pytest.raises(ProgrammingError, match="cannot compare"):
+            db.execute(statement.format(op=op))
+        assert db.execute(
+            "SELECT * FROM deals ORDER BY deal_id"
+        ).rows == before
+
+
 class TestSelect:
     def test_where_with_params_uses_pk_index(self, db):
         result = db.execute(

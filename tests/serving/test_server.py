@@ -2,13 +2,19 @@
 
 Uses a gate-controlled fake system so admission, queueing, shedding,
 deadline rejection and breaker integration can be driven
-deterministically — no sleeps, no real corpus.  A second fake also
-exposes ``probe_search``, the query-cache lookup the front door answers
-hits with on the caller's thread; ``TestRealSystem`` drives the same
-path through an :class:`~repro.core.eil.EILSystem`.
+deterministically — no real corpus.  The server runs every request on
+the thread that made it, so a request held at the gate holds its
+*client* thread: :class:`Client` issues a request from a thread of its
+own and keeps what it returned or raised.  A second fake also exposes
+``probe_search``, the query-cache lookup the front door answers hits
+with before admission; ``TestRealSystem`` drives the same path through
+an :class:`~repro.core.eil.EILSystem`.
 """
 
+import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -38,10 +44,44 @@ def _count(registry, name):
     return counter.value if counter else 0
 
 
+def _wait_queued(registry, depth):
+    """Block until ``depth`` requests hold an admission slot but no
+    executing slot."""
+    give_up = time.monotonic() + 5
+    while registry.gauge("serving.queue_depth").value != depth:
+        assert time.monotonic() < give_up, "request never queued"
+        time.sleep(0.001)
+
+
 @pytest.fixture
 def registry():
     with obs.use_registry() as fresh:
         yield fresh
+
+
+class Client(threading.Thread):
+    """One caller with a thread of its own: runs ``call(*args,
+    **kwargs)`` and keeps what it returned or raised."""
+
+    def __init__(self, call, *args, **kwargs):
+        super().__init__(daemon=True)
+        self._call = lambda: call(*args, **kwargs)
+        self._returned = None
+        self._raised = None
+        self.start()
+
+    def run(self):
+        try:
+            self._returned = self._call()
+        except BaseException as exc:
+            self._raised = exc
+
+    def result(self, timeout=5):
+        self.join(timeout)
+        assert not self.is_alive(), "request never finished"
+        if self._raised is not None:
+            raise self._raised
+        return self._returned
 
 
 class FakeClock:
@@ -66,28 +106,25 @@ class GatedSystem:
         self.gate.set()  # open by default
         self.started = threading.Semaphore(0)
         self.calls = 0
+        self.threads = []  # the thread each request ran on
         self._lock = threading.Lock()
 
-    def search(self, form, user=None, limit=None):
+    def _serve(self, kind, value):
         with self._lock:
             self.calls += 1
+            self.threads.append(threading.get_ident())
         self.started.release()
         assert self.gate.wait(10), "gate never opened"
-        return ("search", form)
+        return (kind, value)
+
+    def search(self, form, user=None, limit=None):
+        return self._serve("search", form)
 
     def keyword_search(self, query, limit=None):
-        with self._lock:
-            self.calls += 1
-        self.started.release()
-        assert self.gate.wait(10), "gate never opened"
-        return ("keyword", query)
+        return self._serve("keyword", query)
 
     def graph_query(self, query):
-        with self._lock:
-            self.calls += 1
-        self.started.release()
-        assert self.gate.wait(10), "gate never opened"
-        return ("graph", query)
+        return self._serve("graph", query)
 
 
 class ProbedSystem(GatedSystem):
@@ -95,7 +132,7 @@ class ProbedSystem(GatedSystem):
 
     Forms in ``hot`` are cache hits; ``""`` is an empty form (the probe
     raises, as the real one does); a miss on ``"down"`` raises a
-    substrate fault on the worker.
+    substrate fault.
     """
 
     def __init__(self, hot=()):
@@ -122,16 +159,17 @@ class ProbedSystem(GatedSystem):
 
 
 class TestInlineHits:
-    """Query-cache hits are answered on the caller's thread."""
+    """Query-cache hits are answered without admission."""
 
     def test_hit_is_answered_with_every_slot_taken(self, registry):
         system = ProbedSystem(hot={"hot"})
         system.gate.clear()  # hold every admitted request in flight
         server = EILServer(system, max_concurrency=1, queue_depth=1)
         try:
-            first = server.submit_search("a")
+            first = Client(server.search, "a")
             assert system.started.acquire(timeout=5)  # executing
-            second = server.submit_search("b")  # queued
+            second = Client(server.search, "b")
+            _wait_queued(registry, 1)
             with pytest.raises(ServerOverloadedError):
                 server.search("cold")  # a miss still needs a slot
             assert server.search("hot") == ("cached", "hot")
@@ -139,20 +177,20 @@ class TestInlineHits:
             assert _count(registry, "serving.answered_inline") == 1
             assert _count(registry, "serving.shed") == 1
             system.gate.set()
-            assert first.result(timeout=5) == ("search", "a")
-            assert second.result(timeout=5) == ("search", "b")
+            assert first.result() == ("search", "a")
+            assert second.result() == ("search", "b")
         finally:
             system.gate.set()
             server.shutdown()
-        assert system.calls == 2  # the hit never reached a worker
+        assert system.calls == 2  # the hit never reached the substrate
 
-    def test_miss_carries_its_probe_to_the_worker(self, registry):
+    def test_miss_carries_its_probe_to_the_search(self, registry):
         system = ProbedSystem()
         with EILServer(system) as server:
             assert server.search("cold", "user", limit=3) == (
                 "search", "cold"
             )
-        assert system.probed == ["cold"]  # looked up once, on the caller
+        assert system.probed == ["cold"]  # looked up once
         assert system.carried == [CacheProbe(("key", "cold"), None)]
         assert _count(registry, "serving.admitted") == 1
         assert _count(registry, "serving.completed") == 1
@@ -177,17 +215,18 @@ class TestInlineHits:
         server = EILServer(system, max_concurrency=1, queue_depth=1,
                            clock=clock)
         try:
-            blocker = server.submit_search("a")
+            blocker = Client(server.search, "a")
             assert system.started.acquire(timeout=5)
-            queued = server.submit_search("b", deadline_seconds=5.0)
+            queued = Client(server.search, "b", deadline_seconds=5.0)
+            _wait_queued(registry, 1)
             clock.advance(10.0)
             assert server.search("hot", deadline_seconds=0.0) == (
                 "cached", "hot"
             )
             system.gate.set()
-            assert blocker.result(timeout=5) == ("search", "a")
+            assert blocker.result() == ("search", "a")
             with pytest.raises(DeadlineExceededError):
-                queued.result(timeout=5)
+                queued.result()
         finally:
             system.gate.set()
             server.shutdown()
@@ -204,16 +243,17 @@ class TestInlineHits:
             server.search("hot")
         assert system.probed == ["hot"]  # not looked up once shut down
 
-    def test_submit_search_of_a_cached_form_is_admitted(self, registry):
+    def test_keyword_and_graph_requests_are_admitted_unprobed(
+        self, registry
+    ):
         system = ProbedSystem(hot={"hot"})
         with EILServer(system) as server:
             assert server.search("hot") == ("cached", "hot")
-            assert server.submit_search("hot").result(timeout=5) == (
-                "search", "hot"
-            )
+            assert server.keyword_search("hot") == ("keyword", "hot")
+            assert server.graph_query("hot") == ("graph", "hot")
         assert _count(registry, "serving.answered_inline") == 1
-        assert _count(registry, "serving.admitted") == 1
-        assert system.probed == ["hot"]  # submit_* does not probe
+        assert _count(registry, "serving.admitted") == 2
+        assert system.probed == ["hot"]  # only a form search probes
 
     def test_probe_errors_raise_on_the_caller_and_count(self, registry):
         system = ProbedSystem()
@@ -238,7 +278,8 @@ class TestInlineHits:
         assert registry.histograms["serving.latency"].count == len(
             requests
         )
-        # Queue wait is what admitted requests spent queued: misses only.
+        # Queue wait is what admitted requests spent waiting for an
+        # executing slot: misses only.
         assert registry.histograms["serving.queue_wait"].count == 2
         assert sum(_count(registry, name) for name in OUTCOMES) == len(
             requests
@@ -309,16 +350,39 @@ class TestPassThrough:
             assert server.graph_query("gq") == ("graph", "gq")
         assert registry.counters["serving.completed"].value == 1
 
+    def test_requests_run_on_the_callers_thread(self, registry):
+        system = GatedSystem()
+        with EILServer(system) as server:
+            server.search("q")
+            server.keyword_search("q")
+            server.graph_query("gq")
+        assert system.threads == [threading.get_ident()] * 3
+
+    def test_admitted_requests_yield_the_interpreter(self, registry,
+                                                     monkeypatch):
+        """Each admitted request ends by handing the interpreter lock to
+        any thread waiting for it; a hit, which reads no substrate, does
+        not."""
+        yields = []
+        monkeypatch.setattr(os, "sched_yield", lambda: yields.append(1))
+        with EILServer(ProbedSystem(hot={"hot"})) as server:
+            server.search("hot")
+            server.search("cold")
+            server.keyword_search("q")
+            with pytest.raises(InjectedFaultError):
+                server.search("down")
+        assert len(yields) == 3
+
     def test_graph_query_passes_admission_control(self, registry):
         """Graph traversals shed exactly like searches under load."""
         system = GatedSystem()
         system.gate.clear()
         with EILServer(system, max_concurrency=1,
                        queue_depth=0) as server:
-            first = server.submit_graph_query("gq1")
+            first = Client(server.graph_query, "gq1")
             assert system.started.acquire(timeout=10)
             with pytest.raises(ServerOverloadedError):
-                server.submit_graph_query("gq2")
+                server.graph_query("gq2")
             system.gate.set()
             assert first.result(timeout=10) == ("graph", "gq1")
         assert registry.counters["serving.shed"].value == 1
@@ -346,16 +410,17 @@ class TestAdmissionControl:
         system.gate.clear()  # hold every admitted request in flight
         server = EILServer(system, max_concurrency=1, queue_depth=1)
         try:
-            first = server.submit_search("a")
+            first = Client(server.search, "a")
             assert system.started.acquire(timeout=5)  # executing
-            second = server.submit_search("b")  # queued
+            second = Client(server.search, "b")
+            _wait_queued(registry, 1)
             with pytest.raises(ServerOverloadedError):
-                server.submit_search("c")  # 1 + 1 slots are taken
+                server.search("c")  # 1 + 1 slots are taken
             assert registry.counters["serving.shed"].value == 1
             assert registry.counters["serving.admitted"].value == 2
             system.gate.set()
-            assert first.result(timeout=5) == ("search", "a")
-            assert second.result(timeout=5) == ("search", "b")
+            assert first.result() == ("search", "a")
+            assert second.result() == ("search", "b")
         finally:
             system.gate.set()
             server.shutdown()
@@ -381,6 +446,55 @@ class TestAdmissionControl:
         with pytest.raises(RuntimeError):
             server.search("q")
 
+    def test_concurrent_clients_never_exceed_the_bounds(self, registry):
+        """8 clients x 50 requests through 2 executing + 2 queued slots:
+        never more than 2 at the substrate, every request in one
+        outcome, and both gauges back at 0."""
+
+        class SleepySystem:
+            def __init__(self):
+                self.active = 0
+                self.most_active = 0
+                self._lock = threading.Lock()
+
+            def search(self, form, user=None, limit=None):
+                with self._lock:
+                    self.active += 1
+                    self.most_active = max(self.most_active, self.active)
+                time.sleep(form % 11 / 10_000)  # 0-1 ms
+                with self._lock:
+                    self.active -= 1
+                return ("search", form)
+
+        system = SleepySystem()
+        server = EILServer(system, max_concurrency=2, queue_depth=2)
+
+        def client():
+            for i in range(50):
+                try:
+                    server.search(i, deadline_seconds=0.002 if i % 2
+                                  else None)
+                except (ServerOverloadedError, DeadlineExceededError):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+        assert system.most_active <= 2
+        assert sum(_count(registry, name) for name in OUTCOMES) == 400
+        assert _count(registry, "serving.shed") > 0
+        assert registry.gauges["serving.inflight"].value == 0
+        assert registry.gauges["serving.queue_depth"].value == 0
+
 
 class TestDeadlines:
     def test_expired_in_queue_is_rejected_unstarted(self, registry):
@@ -391,22 +505,44 @@ class TestDeadlines:
             system, max_concurrency=1, queue_depth=1, clock=clock
         )
         try:
-            blocker = server.submit_search("a")
+            blocker = Client(server.search, "a")
             assert system.started.acquire(timeout=5)
-            queued = server.submit_search("b", deadline_seconds=5.0)
+            queued = Client(server.search, "b", deadline_seconds=5.0)
+            _wait_queued(registry, 1)
             clock.advance(10.0)  # the queued request ages out
             system.gate.set()
-            assert blocker.result(timeout=5) == ("search", "a")
+            assert blocker.result() == ("search", "a")
             with pytest.raises(DeadlineExceededError):
-                queued.result(timeout=5)
+                queued.result()
         finally:
             system.gate.set()
             server.shutdown()
         assert registry.counters["serving.rejected.deadline"].value == 1
-        # The aged-out request never reached the system: one worker
-        # spent zero effort on an unmeetable deadline.
+        # The aged-out request never reached the system: the executing
+        # slot spent zero effort on an unmeetable deadline.
         assert system.calls == 1
         assert "serving.errors" not in registry.counters
+
+    def test_queued_miss_gives_up_at_its_deadline(self, registry):
+        """The wait for an executing slot ends at the deadline, not when
+        the slot frees."""
+        system = GatedSystem()
+        system.gate.clear()
+        server = EILServer(system, max_concurrency=1, queue_depth=1)
+        try:
+            blocker = Client(server.search, "a")
+            assert system.started.acquire(timeout=5)
+            with pytest.raises(DeadlineExceededError):
+                server.search("b", deadline_seconds=0.05)
+            assert blocker.is_alive()  # still holding the executing slot
+            assert system.calls == 1
+            system.gate.set()
+            assert blocker.result() == ("search", "a")
+        finally:
+            system.gate.set()
+            server.shutdown()
+        assert registry.counters["serving.rejected.deadline"].value == 1
+        assert registry.gauges["serving.queue_depth"].value == 0
 
     def test_fresh_deadline_executes(self, registry):
         clock = FakeClock()

@@ -35,6 +35,7 @@ import collections
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -375,6 +376,25 @@ def test_there_is_one_search_engine_and_nobody_else_takes_its_lock():
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
     assert not borrowed, borrowed
+
+
+def test_the_front_door_has_no_worker_pool():
+    # EILServer runs each request on its caller's thread behind two
+    # semaphores: a thread pool would add a hand-off per request and,
+    # under the GIL, no parallelism.  The CPE's process pool is the one
+    # executor in the program.
+    pools = {
+        word
+        for path in (SRC / "repro").rglob("*.py")
+        for word in re.findall(r"\bFuture\b|\w*Executor\b", path.read_text())
+    }
+    assert pools == {"ProcessPoolExecutor"}, pools
+    submits = [
+        method.name
+        for _, cls, method in _methods("repro.serving.server")
+        if cls == "EILServer" and method.name.startswith("submit_")
+    ]
+    assert not submits, submits
 
 
 def test_every_public_name_is_reached_or_is_entry_point_api():
