@@ -4,8 +4,8 @@ A multinomial Naive Bayes text classifier, built from scratch, that
 annotators use to capture "complex and abstract concepts" simple
 patterns cannot — e.g. whether a section of prose is a win-strategy
 discussion.  As Table 1 notes, quality is "highly dependent on the
-training data set"; the classifier therefore exposes its class priors
-and vocabulary so callers can sanity-check what it learned.
+training data set"; the classifier therefore exposes its labels and
+class priors so callers can sanity-check what it learned.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class NaiveBayesClassifier:
         """Known class labels, sorted."""
         return sorted(self._class_counts)
 
-    @property
-    def vocabulary_size(self) -> int:
-        """Distinct terms seen in training."""
-        return len(self._vocabulary)
-
     def prior(self, label: str) -> float:
         """P(label) from training frequencies."""
         total = sum(self._class_counts.values())
@@ -86,14 +81,6 @@ class NaiveBayesClassifier:
         """Most probable label (ties broken lexicographically)."""
         scores = self.log_scores(text)
         return max(sorted(scores), key=lambda label: scores[label])
-
-    def predict_proba(self, text: str) -> Dict[str, float]:
-        """Normalized class probabilities."""
-        scores = self.log_scores(text)
-        peak = max(scores.values())
-        exps = {label: math.exp(s - peak) for label, s in scores.items()}
-        total = sum(exps.values())
-        return {label: value / total for label, value in exps.items()}
 
 
 class SectionClassifierAnnotator(EilAnnotator):

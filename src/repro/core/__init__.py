@@ -4,7 +4,7 @@ from repro.core.acquisition import DataAcquisition
 from repro.core.analysis import AnalysisResults, FeatureRollup, InformationAnalysis
 from repro.core.context import ContactView, DealSynopsis, SynopsisBuilder
 from repro.core.eil import BuildReport, EILSystem
-from repro.core.facets import FACET_NAMES, FacetService
+from repro.core.facets import FacetService
 from repro.core.metaqueries import (
     GraphQuery,
     graph_expertise_query,
@@ -42,7 +42,6 @@ __all__ = [
     "RankCombiner",
     "RankedActivity",
     "FacetService",
-    "FACET_NAMES",
     "OrganizedInformation",
     "create_schema",
     "DealSynopsis",

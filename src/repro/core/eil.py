@@ -107,7 +107,40 @@ class BuildReport:
 
 
 class EILSystem:
-    """One deployed EIL instance over a workbook collection."""
+    """One deployed EIL instance over a workbook collection.
+
+    :meth:`build` and :meth:`load` take the same keyword options as the
+    constructor and hand them to it.
+
+    Args:
+        taxonomy: The services taxonomy.
+        collection: The workbooks the system covers.
+        directory: The intranet personnel directory.
+        access: Document ACLs (default: open).
+        scope_min_weight: The weight a service needs to be reported as
+            a deal's scope.
+        strategy_classifier: A trained win-strategy classifier for the
+            annotator pipeline.
+        workers: Worker count for the offline parse+annotate stage;
+            the default (1, or ``REPRO_WORKERS``) runs serially, more
+            shard the corpus by deal across that many worker processes.
+            Results are identical at any width (stable-order merge).
+        executor: Offline execution mode — ``processes`` (the default)
+            or ``serial``, which keeps the stage on the calling thread
+            whatever ``workers`` says.  Results are identical under
+            both.
+        query_cache_size: Form-query result-cache capacity (0: none).
+        engine_cache_size: Search-engine result-cache capacity (0: none).
+        deadline_seconds: Per-document analysis budget; overruns are
+            quarantined (None disables the check).
+        max_failure_ratio: Abort the build when more than this fraction
+            of documents failed or were quarantined.
+        retry: Retry policy for transient failures across both
+            pipelines (defaults to three quick attempts).
+        shards: Online index partitions (default 1, or
+            ``REPRO_SHARDS``); > 1 partitions the index by deal, with
+            rankings bit-identical to the unpartitioned one.
+    """
 
     #: File names / identity of the on-disk layout written by
     #: :meth:`save_index` and read back by :meth:`load`.
@@ -126,7 +159,6 @@ class EILSystem:
         access: Optional[AccessController] = None,
         scope_min_weight: float = 4.0,
         strategy_classifier: Optional[NaiveBayesClassifier] = None,
-        field_boosts: Optional[Dict[str, float]] = None,
         workers: Optional[int] = None,
         executor: Optional[str] = None,
         query_cache_size: int = 128,
@@ -151,7 +183,8 @@ class EILSystem:
         self.shards = shards
         self._query_cache_size = query_cache_size
         self.engine = SearchEngine(
-            field_boosts=field_boosts or {"title": 2.0},
+            # Slide titles carry the key point (paper Section 3.3).
+            field_boosts={"title": 2.0},
             cache_size=engine_cache_size,
             # Deal-keyed partitions are an index layout: same engine,
             # bit-identical rankings (the scorer reads the composite).
@@ -174,6 +207,8 @@ class EILSystem:
             deadline_seconds=deadline_seconds,
             max_failure_ratio=max_failure_ratio,
         )
+        # deal_id -> repository name; the online search holds this very
+        # dict, so onboarding and offboarding update it in one place.
         self._repositories: Dict[str, str] = {
             workbook.deal_id: workbook.name for workbook in collection
         }
@@ -184,82 +219,31 @@ class EILSystem:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        corpus: Corpus,
-        access: Optional[AccessController] = None,
-        scope_min_weight: float = 4.0,
-        strategy_classifier: Optional[NaiveBayesClassifier] = None,
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-        max_failure_ratio: float = 1.0,
-        retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
-    ) -> "EILSystem":
+    def build(cls, corpus: Corpus, **options) -> "EILSystem":
         """Build a ready-to-query system from a generated corpus.
 
-        Args:
-            workers: Worker count for the offline parse+annotate stage;
-                the default (1, or ``REPRO_WORKERS``) runs serially,
-                more shard the corpus by deal across that many worker
-                processes.  Results are identical at any width
-                (stable-order merge).
-            executor: Offline execution mode — ``processes`` (the
-                default) or ``serial``, which keeps the stage on the
-                calling thread whatever ``workers`` says.  Results are
-                identical under both.
-            deadline_seconds: Per-document analysis budget; overruns
-                are quarantined (None disables the check).
-            max_failure_ratio: Abort the build when more than this
-                fraction of documents failed or were quarantined.
-            retry: Retry policy for transient failures across both
-                pipelines (defaults to three quick attempts).
-            shards: Online index partitions (default 1, or
-                ``REPRO_SHARDS``); > 1 partitions the index by deal,
-                with rankings bit-identical to the unpartitioned one.
+        ``options`` are the constructor's keyword arguments.
         """
         system = cls(
             taxonomy=corpus.taxonomy,
             collection=corpus.collection,
             directory=corpus.directory,
-            access=access,
-            scope_min_weight=scope_min_weight,
-            strategy_classifier=strategy_classifier,
-            workers=workers,
-            executor=executor,
-            deadline_seconds=deadline_seconds,
-            max_failure_ratio=max_failure_ratio,
-            retry=retry,
-            shards=shards,
+            **options,
         )
         system.run_offline_pipeline()
         return system
 
-    def run_offline_pipeline(
-        self,
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
-    ) -> BuildReport:
-        """Crawl, analyze and populate (Figure 2's offline half).
-
-        Args:
-            workers: Overrides the system's configured worker count for
-                this run only.
-            executor: Overrides the system's configured execution mode
-                (``serial`` / ``processes``) for this run only.
-        """
-        count = self.workers if workers is None else workers
-        mode = self.executor if executor is None else executor
+    def run_offline_pipeline(self) -> BuildReport:
+        """Crawl, analyze and populate (Figure 2's offline half)."""
         tracer = get_tracer()
-        with tracer.span("offline.pipeline", workers=count,
-                         executor=mode):
+        with tracer.span("offline.pipeline", workers=self.workers,
+                         executor=self.executor):
             acquisition = DataAcquisition(self.engine, retry=self._retry)
             crawl_report = acquisition.acquire(self.collection)
 
             results = self._analysis.analyze(self.collection,
-                                             workers=count,
-                                             executor=mode)
+                                             workers=self.workers,
+                                             executor=self.executor)
             self.analysis_results = results
 
             deal_ids = (
@@ -338,31 +322,15 @@ class EILSystem:
         return stats
 
     @classmethod
-    def load(
-        cls,
-        directory: str,
-        corpus: Corpus,
-        access: Optional[AccessController] = None,
-        scope_min_weight: float = 4.0,
-        strategy_classifier: Optional[NaiveBayesClassifier] = None,
-        field_boosts: Optional[Dict[str, float]] = None,
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
-        query_cache_size: int = 128,
-        engine_cache_size: int = 256,
-        deadline_seconds: Optional[float] = None,
-        max_failure_ratio: float = 1.0,
-        retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
-        verify: bool = True,
-    ) -> "EILSystem":
+    def load(cls, directory: str, corpus: Corpus, **options) -> "EILSystem":
         """Cold-start a ready-to-query system from :meth:`save_index`.
 
         Skips the offline pipeline entirely: the segment index and the
         organized-information database are read back from disk, so load
         time is independent of analysis cost.  Queries, synopses and
         incremental maintenance (``add_workbook`` / ``remove_deal``)
-        behave exactly as on the freshly built system.
+        behave exactly as on the freshly built system.  Every file is
+        checked against its checksum.
 
         The shard count comes from the saved index (``SHARDS.json``, or
         none for one partition) — the segments were partitioned at save
@@ -375,8 +343,7 @@ class EILSystem:
             corpus: The corpus the index was built from (supplies the
                 taxonomy, workbook collection and personnel directory,
                 which are not persisted).
-            verify: Verify segment checksums against the manifest while
-                loading (disable only for trusted local restarts).
+            options: The constructor's keyword arguments.
         """
         manifest_path = os.path.join(directory, cls.EIL_MANIFEST)
         manifest = read_manifest(
@@ -397,6 +364,7 @@ class EILSystem:
                 f"{'records' if sharded else 'is absent, which means'} "
                 f"{saved_shards}: a snapshot mixed from two saves"
             )
+        shards = options.pop("shards", None)
         if shards is not None and shards != saved_shards:
             raise StorageError(
                 f"index at {directory} was saved with {saved_shards} "
@@ -407,21 +375,11 @@ class EILSystem:
             taxonomy=corpus.taxonomy,
             collection=corpus.collection,
             directory=corpus.directory,
-            access=access,
-            scope_min_weight=scope_min_weight,
-            strategy_classifier=strategy_classifier,
-            field_boosts=field_boosts,
-            workers=workers,
-            executor=executor,
-            query_cache_size=query_cache_size,
-            engine_cache_size=engine_cache_size,
-            deadline_seconds=deadline_seconds,
-            max_failure_ratio=max_failure_ratio,
-            retry=retry,
             shards=saved_shards,
+            **options,
         )
         with get_tracer().span("persist.load"):
-            system.engine.load_index(index_directory, verify=verify)
+            system.engine.load_index(index_directory)
             system.organized = OrganizedInformation(
                 db=load_database(
                     os.path.join(directory, cls._SYNOPSIS_FILE)
@@ -432,7 +390,7 @@ class EILSystem:
         if os.path.exists(graph_path):
             # The persisted graph is canonical: loading it (rather than
             # rebuilding) is what makes cold starts bit-identical.
-            system.graph = EntityGraph.load(graph_path, verify=verify)
+            system.graph = EntityGraph.load(graph_path)
         else:
             # Pre-graph save_index layouts stay loadable: the graph is
             # derived state, so rebuild it from the synopsis DB.
@@ -615,8 +573,7 @@ class EILSystem:
                 or self.organized.deal_row(deal_id) is not None):
             self.remove_deal(deal_id)
         self.collection.upsert(workbook)
-        self._repositories[deal_id] = workbook.name
-        self._search.repositories[deal_id] = workbook.name
+        self._repositories[deal_id] = workbook.name  # the search's map too
 
         # Same retry policy as the build's crawl: a document the build
         # would ride out a crawler fault for must not be skipped here.
@@ -672,7 +629,6 @@ class EILSystem:
         self.graph.remove_deal(deal_id)
         self._repositories.pop(deal_id, None)
         if self._search is not None:
-            self._search.repositories.pop(deal_id, None)
             self._search.invalidate()
         if self.build_report is not None:
             self.build_report.documents_indexed -= removed

@@ -15,10 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.organized import OrganizedInformation
 
-__all__ = ["FacetService", "FACET_NAMES"]
-
-FACET_NAMES = ("tower", "industry", "consultant", "geography",
-               "value_band", "role")
+__all__ = ["FacetService"]
 
 
 class FacetService:
@@ -45,16 +42,6 @@ class FacetService:
             "value_band": self._deal_column_facet("value_band", scope),
             "role": self._role_facet(scope),
         }
-
-    def facet(
-        self,
-        name: str,
-        deal_ids: Optional[Iterable[str]] = None,
-    ) -> List[Tuple[str, int]]:
-        """One facet's value counts."""
-        if name not in FACET_NAMES:
-            raise KeyError(f"unknown facet {name!r}")
-        return self.facets(deal_ids)[name]
 
     # -- internals ----------------------------------------------------------
 

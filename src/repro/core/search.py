@@ -184,6 +184,8 @@ class BusinessActivityDrivenSearch:
         siapi: Scoped keyword search service.
         access: Access controller for step 19.
         repositories: deal_id -> repository name, for document ACLs.
+            Held, not copied: the owning system's onboarding and
+            offboarding update it in place.
         combiner: Rank combination policy (step 18).
         cache_size: Result-cache capacity (0 disables caching).  Keys
             combine the normalized form, the user's access signature
@@ -214,7 +216,7 @@ class BusinessActivityDrivenSearch:
         self.synopsis_search = SynopsisSearch(organized, taxonomy)
         self.siapi = siapi
         self.access = access or AccessController()
-        self.repositories = dict(repositories or {})
+        self.repositories = {} if repositories is None else repositories
         self.combiner = combiner or RankCombiner()
         # Atomic: concurrent add_workbook/remove_deal calls both bump
         # the epoch, and a lost increment would let a stale cache key

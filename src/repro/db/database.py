@@ -8,9 +8,8 @@ and the synopsis queries read from.  One :class:`Database` owns a set of
 * Programmatic helpers (``create_table``, ``insert``, ``select`` with a
   prebuilt :class:`SelectStatement`) for hot paths that should skip the
   parser.
-* Undo-log transactions: ``begin`` / ``commit`` / ``rollback`` and a
-  ``transaction()`` context manager.  Statements outside a transaction
-  auto-commit.
+* Undo-log transactions: ``begin`` / ``commit`` / ``rollback``.
+  Statements outside a transaction auto-commit.
 * Foreign keys with RESTRICT semantics, checked at statement level.
 
 Concurrency: row-level statements run under a writer-preferring
@@ -22,25 +21,22 @@ mid-mutation.  Isolation is *per statement*, not per transaction
 intended users); DDL and catalog lookups are the offline build's
 single-threaded domain and stay unlocked.
 
-Statement cache: ``execute(sql, params)`` keeps a bounded LRU of
-parsed statements keyed on the SQL text; SELECT entries also carry
-their prepared :class:`~repro.db.plan.SelectPlan`, so the hot synopsis
-read path parses and plans each query text once and then only executes.
-Entries are stamped with the database's DDL epoch — every CREATE/DROP
-TABLE and index creation (including indexes created directly on a
-:class:`~repro.db.table.Table`) bumps the epoch, so stale plans can
-never run against a changed catalog.  ``REPRO_DB_PLAN_CACHE`` controls
-capacity (``0`` disables, default 128); ``db.stmt_cache.*`` counters
-report hits, misses, evictions and epoch invalidations.
+Statement cache: ``execute(sql, params)`` keeps a bounded LRU of the
+last 128 parsed statements keyed on the SQL text; SELECT entries also
+carry their prepared :class:`~repro.db.plan.SelectPlan`, so the hot
+synopsis read path parses and plans each query text once and then only
+executes.  Entries are stamped with the database's DDL epoch — every
+CREATE/DROP TABLE and index creation (including indexes created
+directly on a :class:`~repro.db.table.Table`) bumps the epoch, so stale
+plans can never run against a changed catalog.  ``db.stmt_cache.*``
+counters report hits, misses, evictions and epoch invalidations.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.concurrency import ReadWriteLock
 from repro.db.expr import Expression, compile_expression
@@ -70,22 +66,7 @@ from repro.obs import get_registry
 
 __all__ = ["Database"]
 
-_DEFAULT_PLAN_CACHE = 128
-
-
-def _plan_cache_capacity(requested: Optional[int]) -> int:
-    """Resolve the statement-cache capacity (argument, else env)."""
-    if requested is not None:
-        return max(0, requested)
-    raw = os.environ.get("REPRO_DB_PLAN_CACHE", "").strip().lower()
-    if not raw:
-        return _DEFAULT_PLAN_CACHE
-    if raw in ("off", "false", "no"):
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return _DEFAULT_PLAN_CACHE
+_STATEMENT_CACHE_SIZE = 128
 
 
 class _CacheEntry:
@@ -148,23 +129,16 @@ class _StatementCache:
 class Database:
     """An in-memory relational database."""
 
-    def __init__(self, plan_cache: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         self._undo_log: Optional[
             List[Tuple[str, str, int, Optional[tuple], Optional[tuple]]]
         ] = None
         self._rw = ReadWriteLock()
+        # Monotonic catalog version; cached plans from older epochs are
+        # invalid.
         self._ddl_epoch = 0
-        capacity = _plan_cache_capacity(plan_cache)
-        self._stmt_cache = (
-            _StatementCache(capacity) if capacity > 0 else None
-        )
-
-    @property
-    def ddl_epoch(self) -> int:
-        """Monotonic catalog version; cached plans from older epochs
-        are invalid."""
-        return self._ddl_epoch
+        self._stmt_cache = _StatementCache(_STATEMENT_CACHE_SIZE)
 
     def _bump_ddl(self) -> None:
         self._ddl_epoch += 1
@@ -257,18 +231,6 @@ class Database:
                     assert old_row is not None
                     table.undo_update(rowid, old_row)
 
-    @contextmanager
-    def transaction(self) -> Iterator["Database"]:
-        """Context manager: commit on success, rollback on exception."""
-        self.begin()
-        try:
-            yield self
-        except BaseException:
-            self.rollback()
-            raise
-        else:
-            self.commit()
-
     def _journal(
         self,
         table_name: str,
@@ -279,11 +241,6 @@ class Database:
     ) -> None:
         if self._undo_log is not None:
             self._undo_log.append((table_name, op, rowid, old_row, new_row))
-
-    @property
-    def in_transaction(self) -> bool:
-        """True while a transaction is open."""
-        return self._undo_log is not None
 
     # -- foreign-key checks --------------------------------------------------
 
@@ -350,8 +307,6 @@ class Database:
         if sql.lstrip()[:6].upper() == "SELECT":
             get_injector().check("db")
         cache = self._stmt_cache
-        if cache is None:
-            return self.execute_statement(parse(sql), params)
         metrics = get_registry()
         entry = cache.lookup(sql, self._ddl_epoch, metrics)
         if entry is None:

@@ -173,9 +173,3 @@ class SortedIndex(Index):
         for position in range(start, stop):
             # Sort row ids for deterministic iteration order.
             yield from sorted(self._entries[self._sorted_keys[position]])
-
-    def ordered_rowids(self, descending: bool = False) -> Iterator[int]:
-        """All row ids in key order (NULL-keyed rows excluded)."""
-        keys = reversed(self._sorted_keys) if descending else self._sorted_keys
-        for key in keys:
-            yield from sorted(self._entries[key])

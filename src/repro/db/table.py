@@ -14,7 +14,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    List,
     Mapping,
     Optional,
     Tuple,
@@ -112,15 +111,6 @@ class Table:
             if index.columns == lowered:
                 return index
         return None
-
-    def indexes_prefixed_by(self, column: str) -> List[Index]:
-        """Indexes whose leading key column is ``column``."""
-        lowered = column.lower()
-        return [
-            index
-            for index in self._indexes.values()
-            if index.columns[0] == lowered
-        ]
 
     @property
     def indexes(self) -> Mapping[str, Index]:

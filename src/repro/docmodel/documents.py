@@ -11,7 +11,7 @@ flattening to text at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import CorpusError
 
@@ -147,14 +147,6 @@ class FormDocument(EnterpriseDocument):
             self, "fields", tuple((str(k), str(v)) for k, v in self.fields)
         )
         object.__setattr__(self, "doc_type", "form")
-
-    def field_value(self, name: str) -> Optional[str]:
-        """Value of the first field named ``name`` (case-insensitive)."""
-        lowered = name.lower()
-        for key, value in self.fields:
-            if key.lower() == lowered:
-                return value
-        return None
 
 
 @dataclass(frozen=True)

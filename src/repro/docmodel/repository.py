@@ -135,13 +135,6 @@ class WorkbookCollection:
     def __contains__(self, deal_id: str) -> bool:
         return deal_id in self._workbooks
 
-    def workbook(self, deal_id: str) -> EngagementWorkbook:
-        """The workbook of one deal."""
-        workbook = self._workbooks.get(deal_id)
-        if workbook is None:
-            raise CorpusError(f"no workbook for deal {deal_id!r}")
-        return workbook
-
     @property
     def deal_ids(self) -> List[str]:
         """Sorted deal ids."""

@@ -178,6 +178,14 @@ def _top(limit: Optional[int], keys: List[tuple]) -> List[tuple]:
     return heapq.nsmallest(limit, keys)
 
 
+def _payload_checksum(payload: Dict[str, object]) -> str:
+    """Checksum of the payload's canonical (compact, sorted) JSON."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(
+        canonical.encode("utf-8"), digest_size=16
+    ).hexdigest()
+
+
 def _role_of(edge: Edge) -> str:
     return str(edge.attrs.get("role") or "")
 
@@ -700,15 +708,10 @@ class EntityGraph:
     def dumps(self) -> str:
         """The canonical on-disk document (checksum + payload)."""
         payload = self.to_payload()
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        checksum = hashlib.blake2b(
-            canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
         document = {
             "format": _GRAPH_FORMAT,
             "version": _GRAPH_VERSION,
-            "checksum": checksum,
+            "checksum": _payload_checksum(payload),
             "graph": payload,
         }
         return json.dumps(document, sort_keys=True, indent=2) + "\n"
@@ -718,22 +721,16 @@ class EntityGraph:
         atomic_write_text(path, self.dumps())
 
     @classmethod
-    def load(cls, path: str, verify: bool = True) -> "EntityGraph":
+    def load(cls, path: str) -> "EntityGraph":
         """Read a :meth:`save` file back; raises StorageError on damage."""
         document = read_manifest(path, _GRAPH_FORMAT, _GRAPH_VERSION)
         payload = document.get("graph")
         if not isinstance(payload, dict):
             raise StorageError(f"{path} has no graph payload")
-        if verify:
-            canonical = json.dumps(payload, sort_keys=True,
-                                   separators=(",", ":"))
-            checksum = hashlib.blake2b(
-                canonical.encode("utf-8"), digest_size=16
-            ).hexdigest()
-            if checksum != document.get("checksum"):
-                raise StorageError(
-                    f"entity graph {path} failed checksum verification"
-                )
+        if _payload_checksum(payload) != document.get("checksum"):
+            raise StorageError(
+                f"entity graph {path} failed checksum verification"
+            )
         graph = cls()
         deals = payload.get("deals") or {}
         by_deal: Dict[str, List[Edge]] = {

@@ -134,11 +134,6 @@ class PersonnelDirectory:
         )
         return [_to_record(row) for row in result.to_dicts()]
 
-    def is_active(self, email: str) -> Optional[bool]:
-        """Active flag for ``email``, or None when unknown."""
-        record = self.lookup_email(email)
-        return record.active if record is not None else None
-
     def __len__(self) -> int:
         return self._db.execute("SELECT COUNT(*) FROM personnel").scalar()
 

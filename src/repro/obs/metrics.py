@@ -365,10 +365,3 @@ class MetricsRegistry:
         for name, histogram in self._histograms.items():
             out[name] = histogram.to_dict()
         return dict(sorted(out.items()))
-
-    def reset(self) -> None:
-        """Drop every metric (the registry stays usable)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()

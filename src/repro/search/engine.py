@@ -2,9 +2,10 @@
 
 Executes the query AST over the inverted index, scores hits with BM25
 (configurable), and returns ranked :class:`SearchHit` lists with
-snippets.  A ``doc_filter`` restricts the searchable set — this is the
-hook the SIAPI facade uses to scope a search to the business activities
-selected by the synopsis query (paper Fig. 1, step 8).
+snippets.  A ``doc_filter`` — a set of document ids — restricts the
+searchable set: this is the hook the SIAPI facade uses to scope a
+search to the business activities selected by the synopsis query
+(paper Fig. 1, step 8).
 
 Execution model (docs/ARCHITECTURE.md, "Query execution engine"):
 queries run through one small planner/executor.
@@ -17,9 +18,9 @@ queries run through one small planner/executor.
   document-frequency order and the running intersection is pushed into
   every later clause's posting traversal, so big terms only score
   documents the small terms already admitted.
-* **Filter pushdown** — an id-set ``doc_filter`` (the SIAPI activity
-  scope) is intersected during posting traversal; out-of-scope
-  documents are never scored.
+* **Filter pushdown** — the ``doc_filter`` (the SIAPI activity scope)
+  is intersected during posting traversal; out-of-scope documents are
+  never scored.
 * **Top-k + MaxScore** — with a ``limit``, OR/hybrid queries select
   hits with a bounded heap instead of a full sort, and whole OR
   clauses are skipped once their score upper bound drops below the
@@ -83,7 +84,7 @@ __all__ = ["SearchEngine", "Ranking"]
 
 _T = TypeVar("_T")
 
-DocFilter = Union[AbstractSet[str], Callable[[IndexableDocument], bool], None]
+DocFilter = Optional[AbstractSet[str]]
 
 #: Phrase matches are stronger evidence than the bag of words.
 _PHRASE_BOOST = 1.25
@@ -175,74 +176,59 @@ class Ranking:
         return [self.hit(i) for i in range(len(self.pairs[:limit]))]
 
 
-def _cache_key(epoch: int, query: Query, doc_filter: DocFilter):
-    """Hashable result-cache key, or None when the search is uncacheable.
+def _filter_ids(doc_filter: DocFilter) -> Optional[frozenset]:
+    """``doc_filter`` as a frozenset of ids (None: every document).
 
-    Predicate filters are opaque (no stable identity), so those
-    searches always recompute; id-set filters are folded into the key
-    as frozensets.  The owning engine's epoch is part of every key,
-    which is how ``add``/``remove`` invalidate without touching the
-    cache.  ``limit`` is deliberately absent: the cached value records
-    its own coverage and serves any covered limit from its head (see
-    :class:`Ranking`).
+    Anything but a set of ids raises :class:`SearchError` — before the
+    cache is probed or a posting read, so a predicate is turned away
+    rather than half-applied.
     """
     if doc_filter is None:
-        filter_key = None
-    elif isinstance(doc_filter, AbstractSet):
-        filter_key = frozenset(doc_filter)
-    else:
         return None
-    try:
-        hash(query)
-    except TypeError:  # pragma: no cover - unhashable custom node
-        return None
-    return (epoch, query, filter_key)
+    if not isinstance(doc_filter, AbstractSet):
+        raise SearchError(
+            f"doc_filter must be a set of document ids, "
+            f"got {type(doc_filter).__name__}"
+        )
+    return frozenset(doc_filter)
 
 
 class _Execution:
-    """One query evaluation: normalized filter and scratch state.
+    """One query evaluation: the filter and scratch state.
 
     The executor keeps per-search state (memoized query-term analysis,
-    candidate counts for metrics) out of the engine so concurrent
+    the candidate count for metrics) out of the engine so concurrent
     searches never share mutables.
     """
 
-    def __init__(self, engine: "SearchEngine", doc_filter: DocFilter) -> None:
+    def __init__(
+        self, engine: "SearchEngine", filter_ids: Optional[frozenset]
+    ) -> None:
         self.engine = engine
         self.index = engine.index
         self.scorer = engine.scorer
         self.boosts = engine.field_boosts
         self.metrics = get_registry()
-        self.filter_ids: Optional[frozenset] = None
-        self.predicate: Optional[Callable[[IndexableDocument], bool]] = None
-        if doc_filter is None:
-            pass
-        elif isinstance(doc_filter, AbstractSet):
-            self.filter_ids = frozenset(doc_filter)
-        elif callable(doc_filter):
-            self.predicate = doc_filter
-        else:
-            raise SearchError(
-                f"doc_filter must be a set of ids or a predicate, "
-                f"got {type(doc_filter).__name__}"
-            )
+        self.filter_ids = filter_ids
         self._terms_cache: Dict[str, List[str]] = {}
         self.n_candidates = 0
-        self.n_after_filter = 0
 
     # -- entry ----------------------------------------------------------------
 
     def ranked(
         self, query: Query, limit: Optional[int]
     ) -> List[Tuple[str, float]]:
-        """Evaluate ``query`` and return the (doc_id, score) ranking."""
-        if self._prunable(query, limit):
+        """Evaluate ``query`` and return the (doc_id, score) ranking.
+
+        MaxScore applies to root OR queries under a positive limit (the
+        filter is intersected during traversal, before any threshold is
+        taken, so it never makes pruning unsound).
+        """
+        if limit is not None and limit > 0 and isinstance(query, OrQuery):
             scores = self._or_top_k(query, limit)
         else:
             scores = self.match(query)
         self.n_candidates = len(scores)
-        scores = self._post_filter(scores)
-        self.n_after_filter = len(scores)
         return self._select(scores, limit)
 
     def count_docs(self, query: Query) -> int:
@@ -250,40 +236,7 @@ class _Execution:
         docs = self.match_docs(query)
         if self.filter_ids is not None:
             docs &= self.filter_ids
-        if self.predicate is not None:
-            docs = {
-                doc_id
-                for doc_id in docs
-                if self.predicate(self.index.document(doc_id))
-            }
         return len(docs)
-
-    def _prunable(self, query: Query, limit: Optional[int]) -> bool:
-        """MaxScore applies to root OR queries under safe conditions.
-
-        A predicate filter would thin the candidate set *after*
-        pruning decisions, making the running threshold unsound — those
-        searches fall back to full evaluation.  (An id-set filter is
-        intersected during traversal, before any threshold is taken.)
-        """
-        return (
-            limit is not None
-            and limit > 0
-            and isinstance(query, OrQuery)
-            and self.predicate is None
-        )
-
-    def _post_filter(
-        self, scores: Dict[str, float]
-    ) -> Dict[str, float]:
-        """Apply the predicate filter; id sets were applied in traversal."""
-        if self.predicate is not None:
-            scores = {
-                doc_id: score
-                for doc_id, score in scores.items()
-                if self.predicate(self.index.document(doc_id))
-            }
-        return scores
 
     def _select(
         self, scores: Dict[str, float], limit: Optional[int]
@@ -722,14 +675,6 @@ class SearchEngine:
             self.index.add(document)
             self.epoch += 1
 
-    def add_all(self, documents: Iterable[IndexableDocument]) -> int:
-        """Index many documents; returns the count."""
-        count = 0
-        for document in documents:
-            self.add(document)
-            count += 1
-        return count
-
     def remove(self, doc_id: str) -> None:
         """Remove a document from the index."""
         with self._rw.write():
@@ -764,7 +709,7 @@ class SearchEngine:
         with self._rw.write():
             return save_index(self.index, directory)
 
-    def load_index(self, directory: str, **load_options):
+    def load_index(self, directory: str):
         """Cold-start the engine from what ``save_index`` wrote.
 
         The directory is read by the ``load`` of the index type the
@@ -772,14 +717,12 @@ class SearchEngine:
         ``shard-NN/`` stores), an in-memory engine's by
         :meth:`SegmentBackedIndex.load <repro.storage.store
         .SegmentBackedIndex.load>`.  Returns the loaded index, already
-        installed via :meth:`replace_index`.  Extra keyword arguments
-        (``memtable_limit``, ``merge_fanout``, ``verify``) pass through
-        to every segment store loaded.
+        installed via :meth:`replace_index`.
         """
         from repro.storage.store import SegmentBackedIndex
 
         load = getattr(type(self.index), "load", SegmentBackedIndex.load)
-        store = load(directory, analyzer=self.analyzer, **load_options)
+        store = load(directory, analyzer=self.analyzer)
         self.replace_index(store)
         return store
 
@@ -817,10 +760,9 @@ class SearchEngine:
             limit: Maximum hits to return (None = all).  The top-k
                 hits under a limit are guaranteed identical (documents,
                 scores, order) to the head of the unlimited ranking.
-            doc_filter: Restrict the searchable set — either a set of
-                doc ids (pushed down into posting traversal) or a
-                predicate over stored documents (applied to matched
-                candidates only).
+            doc_filter: Restrict the searchable set to a set of doc ids,
+                pushed down into posting traversal.  Anything else
+                raises :class:`~repro.errors.SearchError`.
 
         Returns:
             Hits sorted by descending score; ties broken by doc id for
@@ -836,34 +778,41 @@ class SearchEngine:
     @contextmanager
     def _logical_query(
         self, counter: str, query: Union[str, Query], limit, doc_filter
-    ) -> Iterator[Tuple[Query, object, Optional[Ranking]]]:
+    ) -> Iterator[
+        Tuple[Query, Optional[frozenset], tuple, Optional[Ranking]]
+    ]:
         """What a search or a count does before it evaluates.
 
-        The ``index`` fault point (the engine stands in for the
-        OmniFind service, which can be down as a whole: an installed
-        injector checks *before* the result cache, modelling an
-        unreachable service rather than a slow query) and the
+        The filter check; the ``index`` fault point (the engine stands
+        in for the OmniFind service, which can be down as a whole: an
+        installed injector checks *before* the result cache, modelling
+        an unreachable service rather than a slow query) and the
         ``counter`` metric, once.  Then the body runs under the read
-        side of the engine lock with the parsed query, its cache key
-        and the cached ranking that covers ``limit``, if any: epoch
-        read, cache probe, posting traversal, cache store and hit
-        building see one snapshot, so concurrent mutations can neither
-        tear a traversal, nor let a post-mutation epoch key a
+        side of the engine lock with the parsed query, the filter ids,
+        the cache key and the cached ranking that covers ``limit``, if
+        any: epoch read, cache probe, posting traversal, cache store
+        and hit building see one snapshot, so concurrent mutations can
+        neither tear a traversal, nor let a post-mutation epoch key a
         pre-mutation ranking, nor remove a ranked document before its
         hit is built.
+
+        The owning engine's epoch is part of every cache key, which is
+        how ``add``/``remove`` invalidate without touching the cache.
+        ``limit`` is deliberately absent: the cached value records its
+        own coverage and serves any covered limit from its head (see
+        :class:`Ranking`).
         """
+        filter_ids = _filter_ids(doc_filter)
         get_injector().check("index")
         if isinstance(query, str):
             query = parse_query(query)
         get_registry().inc(counter)
         with self._rw.read():
-            cache_key = _cache_key(self.epoch, query, doc_filter)
-            cached = None
-            if cache_key is not None:
-                cached = self._cache.get(cache_key)
-                if cached is not None and not cached.covers(limit):
-                    cached = None
-            yield query, cache_key, cached
+            cache_key = (self.epoch, query, filter_ids)
+            cached = self._cache.get(cache_key)
+            if cached is not None and not cached.covers(limit):
+                cached = None
+            yield query, filter_ids, cache_key, cached
 
     def select(
         self,
@@ -889,13 +838,12 @@ class SearchEngine:
         """
         with self._logical_query(
             "engine.searches", query, limit, doc_filter
-        ) as (query, cache_key, ranking):
+        ) as (query, filter_ids, cache_key, ranking):
             if ranking is None:
                 ranking = Ranking(
-                    self, query, self._rank(query, limit, doc_filter), limit
+                    self, query, self._rank(query, limit, filter_ids), limit
                 )
-                if cache_key is not None:
-                    self._cache.put(cache_key, ranking)
+                self._cache.put(cache_key, ranking)
             elif ranking.limit is None or limit != ranking.limit:
                 # Served from a ranking not computed for exactly this limit.
                 get_registry().inc("engine.cache.sliced")
@@ -912,25 +860,24 @@ class SearchEngine:
         """
         with self._logical_query(
             "engine.counts", query, None, doc_filter
-        ) as (query, _, ranking):
+        ) as (query, filter_ids, _, ranking):
             if ranking is not None:
                 get_registry().inc("engine.counts_from_cache")
                 return len(ranking.pairs)
-            return _Execution(self, doc_filter).count_docs(query)
+            return _Execution(self, filter_ids).count_docs(query)
 
     def _rank(
-        self, query: Query, limit: Optional[int], doc_filter: DocFilter
+        self,
+        query: Query,
+        limit: Optional[int],
+        filter_ids: Optional[frozenset],
     ) -> List[Tuple[str, float]]:
         """The ``(doc_id, score)`` ranking: one evaluation, nothing else
         (:meth:`select` owns the fault point, the counter, the cache
         and the hits), by a caller that holds the read side."""
-        metrics = get_registry()
-        execution = _Execution(self, doc_filter)
+        execution = _Execution(self, filter_ids)
         ranked = execution.ranked(query, limit)
-        metrics.observe("engine.candidates", execution.n_candidates)
-        metrics.observe(
-            "engine.candidates_after_filter", execution.n_after_filter
-        )
+        get_registry().observe("engine.candidates", execution.n_candidates)
         return ranked
 
 

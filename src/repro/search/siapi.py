@@ -135,11 +135,10 @@ class SiapiService:
         """Resolve an activity scope to a document-id set.
 
         The index maintains a metadata value index, so the scope
-        becomes a concrete id set the engine can push down into posting
-        traversal *and* fold into its result-cache key — predicate
-        filters could do neither (they are opaque and uncacheable).
-        Resolved through the engine, under its read lock: beside a
-        writer the bare index can be mid-flush.
+        becomes a concrete id set — the only filter the engine takes —
+        which it pushes down into posting traversal *and* folds into
+        its result-cache key.  Resolved through the engine, under its
+        read lock: beside a writer the bare index can be mid-flush.
         """
         if scope is None:
             return None

@@ -13,7 +13,7 @@ EIL's advantage over document search under access control (Section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.errors import AccessDeniedError
 from repro.obs import get_registry
@@ -52,8 +52,9 @@ class AccessController:
     * Every authenticated user may read synopses (the extracted business
       context) — matching the paper's design where the synopsis with
       contact list is the fallback view.
-    * Document access is per repository: granted to specific users, to
-      specific roles, or to everyone when the repository is public.
+    * Document access is per repository: a restricted repository is
+      readable by the users and roles granted it; any other follows
+      ``default_open``.
     * ``admin`` role bypasses all checks.
     """
 
@@ -64,7 +65,6 @@ class AccessController:
         self.default_open = default_open
         self._allowed_users: Dict[str, Set[str]] = {}
         self._allowed_roles: Dict[str, Set[str]] = {}
-        self._public: Set[str] = set()
         self._restricted: Set[str] = set()
         # Bumped on every policy mutation; query caches embed it in
         # their keys so ACL changes invalidate cached results.
@@ -75,13 +75,6 @@ class AccessController:
     def restrict(self, repository: str) -> None:
         """Mark a repository as restricted (explicit grants required)."""
         self._restricted.add(repository)
-        self._public.discard(repository)
-        self.policy_version += 1
-
-    def make_public(self, repository: str) -> None:
-        """Open a repository to everyone."""
-        self._public.add(repository)
-        self._restricted.discard(repository)
         self.policy_version += 1
 
     def grant_user(self, repository: str, user_id: str) -> None:
@@ -114,8 +107,6 @@ class AccessController:
 
     def _can_read_documents(self, user: User, repository: str) -> bool:
         if user.has_role("admin"):
-            return True
-        if repository in self._public:
             return True
         if repository in self._restricted:
             if user.user_id in self._allowed_users.get(repository, ()):
@@ -154,13 +145,3 @@ class AccessController:
             raise AccessDeniedError(
                 f"user {user.user_id!r} may not read synopses"
             )
-
-    def readable_repositories(
-        self, user: User, repositories: Iterable[str]
-    ) -> Set[str]:
-        """Filter ``repositories`` down to document-readable ones."""
-        return {
-            repository
-            for repository in repositories
-            if self.can_read_documents(user, repository)
-        }

@@ -148,19 +148,15 @@ class ShardedIndex(CompositeIndexReader):
 
     @classmethod
     def load(
-        cls,
-        directory: str,
-        analyzer: Optional[Analyzer] = None,
-        **load_options,
+        cls, directory: str, analyzer: Optional[Analyzer] = None
     ) -> "ShardedIndex":
         """Cold-start from a :meth:`save` directory, in the shard count
-        it records; ``load_options`` reach every shard's segment store."""
+        it records."""
         index = cls(cls.saved_shards(directory), analyzer)
         index.parts = [
             SegmentBackedIndex.load(
                 os.path.join(directory, f"shard-{position:02d}"),
                 analyzer=index.analyzer,
-                **load_options,
             )
             for position in range(len(index.parts))
         ]

@@ -33,10 +33,13 @@ dead ordinals held by the owning store and applied here), and live
 statistics (df, token totals, field document counts) are maintained
 incrementally so BM25 inputs stay exact without rescanning.
 
-``Segment.open`` keeps only the head in memory and serves
-``document()`` reads straight from the file via ``os.pread`` (safe
-under concurrent reader threads); ``Segment.from_bytes`` keeps the
-whole buffer (the memtable-flush path before a save).
+``Segment.from_bytes`` decodes a whole buffer and keeps it (the
+memtable-flush path before a save); once the same bytes are on disk,
+``attach_file`` drops the buffer, keeping only the head in memory, and
+``document()`` reads come straight from the file via ``os.pread`` (safe
+under concurrent reader threads).  A load reads each file whole to
+check it against the manifest, so it decodes through ``from_bytes``
+too.
 """
 
 from __future__ import annotations
@@ -146,36 +149,6 @@ class Segment(IndexReader):
         segment._data = bytes(data)
         segment._docstore_base = off + head_len
         segment.size_bytes = len(data)
-        segment._parse_head(head)
-        return segment
-
-    @classmethod
-    def open(cls, path: str) -> "Segment":
-        """Open a file-backed segment; only the head is loaded."""
-        try:
-            with open(path, "rb") as handle:
-                prefix = handle.read(24)
-                if prefix[:4] != MAGIC:
-                    raise StorageError(
-                        f"{path}: not a segment file (bad magic)"
-                    )
-                version, off = read_uint(prefix, 4)
-                if version != FORMAT_VERSION:
-                    raise StorageError(
-                        f"{path}: segment format version {version} "
-                        f"unsupported (expected {FORMAT_VERSION})"
-                    )
-                head_len, off = read_uint(prefix, off)
-                handle.seek(off)
-                head = handle.read(head_len)
-                if len(head) != head_len:
-                    raise StorageError(f"{path}: truncated segment head")
-        except OSError as exc:
-            raise StorageError(f"cannot read segment {path}: {exc}") from exc
-        segment = cls()
-        segment.path = path
-        segment._docstore_base = off + head_len
-        segment.size_bytes = os.path.getsize(path)
         segment._parse_head(head)
         return segment
 

@@ -315,16 +315,6 @@ class SegmentBackedIndex(CompositeIndexReader):
         metrics.inc("storage.merges")
         metrics.observe("storage.merge_seconds", elapsed)
 
-    def compact(self) -> None:
-        """Flush, then merge everything into one tombstone-free segment."""
-        self.flush()
-        if len(self.segments) > 1 or any(
-            segment.tombstones for segment in self.segments
-        ):
-            self._merge_positions(list(range(len(self.segments))))
-        self.maybe_merge()
-        self._refresh_gauges()
-
     def _tombstone_count(self) -> int:
         return sum(len(segment.tombstones) for segment in self.segments)
 
@@ -406,16 +396,14 @@ class SegmentBackedIndex(CompositeIndexReader):
         cls,
         directory: str,
         analyzer: Optional[Analyzer] = None,
-        memtable_limit: int = DEFAULT_MEMTABLE_LIMIT,
-        merge_fanout: int = DEFAULT_MERGE_FANOUT,
-        verify: bool = True,
     ) -> "SegmentBackedIndex":
         """Cold-start a store from a saved directory.
 
         Rejects foreign or damaged state with :class:`StorageError`:
         missing/unparseable manifest, wrong format marker or version,
-        manifest checksum mismatch, missing segment files, and (with
-        ``verify=True``) segment checksum mismatches.
+        manifest checksum mismatch, missing segment files, segment
+        checksum or length mismatches, and segments that do not decode
+        (the error names the file).
         """
         directory = os.path.abspath(directory)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -425,33 +413,27 @@ class SegmentBackedIndex(CompositeIndexReader):
                 f"index manifest {manifest_path} failed its checksum "
                 f"(partial or corrupted write)"
             )
-        store = cls(
-            analyzer=analyzer,
-            memtable_limit=memtable_limit,
-            merge_fanout=merge_fanout,
-        )
+        store = cls(analyzer=analyzer)
         store.directory = directory
         store._next_segment = int(body.get("next_segment", 1))
         for entry in body["segments"]:
             path = os.path.join(directory, entry["file"])
             if not os.path.isfile(path):
                 raise StorageError(f"missing segment file {path}")
-            if verify:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-                if _checksum(data) != entry["checksum"]:
-                    raise StorageError(
-                        f"segment {path} failed its checksum"
-                    )
-                if len(data) != entry["bytes"]:
-                    raise StorageError(
-                        f"segment {path} has {len(data)} bytes, "
-                        f"manifest says {entry['bytes']}"
-                    )
+            with open(path, "rb") as handle:
+                data = handle.read()
+            if _checksum(data) != entry["checksum"]:
+                raise StorageError(f"segment {path} failed its checksum")
+            if len(data) != entry["bytes"]:
+                raise StorageError(
+                    f"segment {path} has {len(data)} bytes, "
+                    f"manifest says {entry['bytes']}"
+                )
+            try:
                 segment = Segment.from_bytes(data)
-                segment.attach_file(path)
-            else:
-                segment = Segment.open(path)
+            except StorageError as exc:
+                raise StorageError(f"segment {path}: {exc}") from exc
+            segment.attach_file(path)
             for doc_id in entry.get("tombstones", ()):
                 segment.tombstone(doc_id)
             store._checksums[path] = entry["checksum"]

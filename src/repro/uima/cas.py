@@ -125,16 +125,6 @@ class Cas:
         selected.sort(key=lambda a: (a.begin, a.end, a.annotation_id))
         return selected
 
-    def select_covered(
-        self, type_name: str, begin: int, end: int
-    ) -> List[Annotation]:
-        """Annotations of ``type_name`` fully inside [begin, end)."""
-        return [
-            a
-            for a in self.select(type_name)
-            if a.begin >= begin and a.end <= end
-        ]
-
     def covered_text(self, annotation: Annotation) -> str:
         """The text span an annotation covers."""
         return self.text[annotation.begin:annotation.end]

@@ -27,12 +27,10 @@ class EngineResult:
     Attributes:
         engine_name: The engine that ran.
         annotations_added: Count of annotations the engine created.
-        skipped: True when flow control skipped the engine.
     """
 
     engine_name: str
     annotations_added: int = 0
-    skipped: bool = False
 
 
 class AnalysisEngine:
@@ -119,11 +117,6 @@ class AggregateAnalysisEngine(AnalysisEngine):
         if not self._delegates:
             raise AnnotatorError(f"aggregate {name!r} has no delegates")
 
-    @property
-    def delegates(self) -> List[AnalysisEngine]:
-        """The delegate engines, in order."""
-        return [engine for engine, _ in self._delegates]
-
     def initialize_types(self, type_system: TypeSystem) -> None:
         for engine, _ in self._delegates:
             engine.initialize_types(type_system)
@@ -133,13 +126,3 @@ class AggregateAnalysisEngine(AnalysisEngine):
             if predicate is not None and not predicate(cas):
                 continue
             engine.run(cas)
-
-    def run_detailed(self, cas: Cas) -> List[EngineResult]:
-        """Like :meth:`process` but reporting per-delegate results."""
-        results = []
-        for engine, predicate in self._delegates:
-            if predicate is not None and not predicate(cas):
-                results.append(EngineResult(engine.name, skipped=True))
-                continue
-            results.append(engine.run(cas))
-        return results

@@ -165,12 +165,6 @@ class TestNaiveBayes:
             "other"
         )
 
-    def test_probabilities_sum_to_one(self):
-        classifier = self.make_trained()
-        proba = classifier.predict_proba("pricing strategy")
-        assert abs(sum(proba.values()) - 1.0) < 1e-9
-        assert set(proba) == {"strategy", "other"}
-
     def test_priors(self):
         classifier = self.make_trained()
         assert classifier.prior("strategy") == 0.5
@@ -181,9 +175,14 @@ class TestNaiveBayes:
 
     def test_incremental_training(self):
         classifier = self.make_trained()
-        before = classifier.vocabulary_size
+        before = classifier.log_scores("novel vocabulary terms")
         classifier.train([("novel vocabulary terms", "other")])
-        assert classifier.vocabulary_size > before
+        after = classifier.log_scores("novel vocabulary terms")
+        # The new terms now count as evidence for the label they came in.
+        assert after["other"] - after["strategy"] > (
+            before["other"] - before["strategy"]
+        )
+        assert classifier.predict("novel vocabulary terms") == "other"
 
     def test_unseen_words_handled(self):
         classifier = self.make_trained()
@@ -214,7 +213,6 @@ class TestCompositePipeline:
     def test_pipeline_builds_and_runs(self):
         taxonomy = build_default_taxonomy()
         pipeline = build_eil_pipeline(taxonomy)
-        assert len(pipeline.delegates) == 8
         ts = TypeSystem()
         pipeline.initialize_types(ts)
         parser = DocumentParser(ts)

@@ -1,11 +1,15 @@
 """Tests for EILSystem configuration options and error paths."""
 
+import inspect
+
 import pytest
 
 from repro import CorpusConfig, CorpusGenerator, EILSystem, User
 from repro.annotators import NaiveBayesClassifier
 from repro.core import scope_query
 from repro.errors import ProgrammingError
+from repro.faults import RetryPolicy
+from repro.security import AccessController
 
 SALES = User("u", frozenset({"sales"}))
 
@@ -60,9 +64,33 @@ class TestBuildOptions:
         with pytest.raises(ProgrammingError):
             system.synopsis("ghost-deal", SALES)
 
-    def test_field_boosts_configurable(self, corpus):
-        system = EILSystem(
-            corpus.taxonomy, corpus.collection,
-            field_boosts={"title": 10.0},
-        )
-        assert system.engine.field_boosts["title"] == 10.0
+    def test_build_and_load_take_every_constructor_option(
+        self, corpus, tmp_path
+    ):
+        # The constructor declares the options; build and load hand
+        # them on, so each takes all of them, to the same effect.
+        options = {
+            "access": AccessController(),
+            "scope_min_weight": 4.0,
+            "strategy_classifier": None,
+            "workers": 1,
+            "executor": "serial",
+            "query_cache_size": 3,
+            "engine_cache_size": 5,
+            "deadline_seconds": None,
+            "max_failure_ratio": 1.0,
+            "retry": RetryPolicy(),
+            "shards": 1,
+        }
+        built = EILSystem.build(corpus, **options)
+        built.save_index(str(tmp_path))
+        loaded = EILSystem.load(str(tmp_path), corpus, **options)
+        for system in (built, loaded):
+            assert system._search._cache.max_entries == 3
+            assert system.engine._cache.max_entries == 5
+            assert system.engine.field_boosts == {"title": 2.0}
+            assert (system.workers, system.executor) == (1, "serial")
+        declared = inspect.signature(EILSystem.__init__).parameters
+        assert set(options) == set(declared) - {
+            "self", "taxonomy", "collection", "directory"
+        }

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.annotators import ContactRecord, ScopeEntry
-from repro.core import FACET_NAMES, FacetService, OrganizedInformation
+from repro.core import FacetService, OrganizedInformation
 
 
 @pytest.fixture
@@ -40,19 +40,21 @@ def facets():
 
 class TestFacets:
     def test_industry_counts(self, facets):
-        assert facets.facet("industry") == [("Banking", 1), ("Insurance", 2)][::-1]
+        assert facets.facets()["industry"] == [
+            ("Insurance", 2), ("Banking", 1)
+        ]
 
     def test_empty_values_excluded(self, facets):
-        consultant = dict(facets.facet("consultant"))
+        consultant = dict(facets.facets()["consultant"])
         assert consultant == {"TPI": 2}
 
     def test_tower_counts_deals_not_mentions(self, facets):
-        tower = dict(facets.facet("tower"))
+        tower = dict(facets.facets()["tower"])
         assert tower["WAN"] == 2
         assert tower["LAN"] == 1
 
     def test_role_counts_distinct_deals(self, facets):
-        role = dict(facets.facet("role"))
+        role = dict(facets.facets()["role"])
         assert role["Client Solution Executive"] == 2
         assert role["Pricer"] == 1
 
@@ -62,17 +64,16 @@ class TestFacets:
         assert dict(scoped["tower"]) == {"WAN": 1, "LAN": 1}
 
     def test_sorted_by_count_then_value(self, facets):
-        values = facets.facet("tower")
+        values = facets.facets()["tower"]
         counts = [count for _, count in values]
         assert counts == sorted(counts, reverse=True)
 
-    def test_unknown_facet_rejected(self, facets):
-        with pytest.raises(KeyError):
-            facets.facet("nope")
-
     def test_all_facet_names_computable(self, facets):
         everything = facets.facets()
-        assert set(everything) == set(FACET_NAMES)
+        assert set(everything) == {
+            "tower", "industry", "consultant", "geography", "value_band",
+            "role",
+        }
 
     def test_value_band_facet(self, facets):
-        assert dict(facets.facet("value_band")) == {"over 100M": 3}
+        assert dict(facets.facets()["value_band"]) == {"over 100M": 3}

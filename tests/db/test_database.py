@@ -338,14 +338,6 @@ class TestTransactions:
         assert result.to_dicts() == [{"name": "Sam White"}]
         assert any("index lookup" in step for step in result.plan)
 
-    def test_context_manager_rolls_back_on_error(self, db):
-        with pytest.raises(RuntimeError):
-            with db.transaction():
-                db.execute("DELETE FROM people")
-                raise RuntimeError("boom")
-        assert db.execute("SELECT COUNT(*) FROM people").scalar() == 3
-        assert not db.in_transaction
-
     def test_nested_begin_rejected(self, db):
         db.begin()
         with pytest.raises(TransactionError):

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.db import Database, Literal, Parameter, parse
 from repro.db.expr import Expression
 from repro.db.sql import Update
@@ -65,7 +66,7 @@ UNINDEXED = {
 
 
 def build_db():
-    db = Database(plan_cache=0)
+    db = Database()
     db.execute(
         "CREATE TABLE t (k INTEGER, grp TEXT, body TEXT, n REAL, "
         "m INTEGER NOT NULL, PRIMARY KEY (k))"
@@ -288,15 +289,22 @@ def statements(draw):
 @given(st.lists(statements(), min_size=1, max_size=4))
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_generated_dml_matches_the_model(script):
+    # Each statement runs twice, on the table the first run left: the
+    # second run is served off the statement cache.
     db = build_db()
     schema = db.table("t").schema
     rows = initial_rows(db)
-    for sql, params in script:
-        statement = parse(sql)
-        expected = outcome(lambda: run_model(rows, schema, statement, params))
-        actual = outcome(lambda: db.execute(sql, params).scalar())
-        assert actual == expected, (sql, params)
-        assert_same_state(db, rows)
+    with obs.use_registry() as registry:
+        for sql, params in script:
+            statement = parse(sql)
+            for run in range(2):
+                expected = outcome(
+                    lambda: run_model(rows, schema, statement, params)
+                )
+                actual = outcome(lambda: db.execute(sql, params).scalar())
+                assert actual == expected, (sql, params, run)
+                assert_same_state(db, rows)
+        assert registry.counter("db.stmt_cache.hits").value >= len(script)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ class TestPredicates:
         # The pattern cache used to stop admitting at 4,096 entries and
         # was consulted per row, so a long-lived process re-translated
         # and recompiled every later pattern for each row it met.
-        db = Database(plan_cache=8)
+        db = Database()
         db.execute("CREATE TABLE t (k INTEGER, v TEXT, PRIMARY KEY (k))")
         rows = 25
         for k in range(rows):

@@ -4,7 +4,7 @@ import pytest
 
 from repro import obs
 from repro.db import Database
-from repro.db.database import _plan_cache_capacity
+from repro.db.database import _CacheEntry, _StatementCache
 
 
 @pytest.fixture
@@ -15,9 +15,7 @@ def registry():
 
 @pytest.fixture
 def db():
-    # Capacity pinned by argument so the suite still exercises the
-    # cache when CI exports REPRO_DB_PLAN_CACHE=0.
-    database = Database(plan_cache=128)
+    database = Database()
     database.execute(
         "CREATE TABLE deals (deal_id TEXT, industry TEXT, value REAL, "
         "PRIMARY KEY (deal_id))"
@@ -85,53 +83,41 @@ class TestInvalidation:
         # bypassing SQL DDL; cached plans must still re-plan.
         sql = "SELECT deal_id FROM deals WHERE industry = 'auto'"
         db.execute(sql)
-        epoch = db.ddl_epoch
+        epoch = db._ddl_epoch
         db.table("deals").create_index("ix_direct", ("industry",))
-        assert db.ddl_epoch > epoch
+        assert db._ddl_epoch > epoch
         assert any("ix_direct" in line for line in db.execute(sql).plan)
 
     def test_drop_table_invalidates(self, db):
         db.execute("SELECT deal_id FROM deals")
-        epoch = db.ddl_epoch
+        epoch = db._ddl_epoch
         db.execute("CREATE TABLE aux (k INTEGER, PRIMARY KEY (k))")
         db.execute("DROP TABLE aux")
-        assert db.ddl_epoch >= epoch + 2
+        assert db._ddl_epoch >= epoch + 2
 
 
-class TestEvictionAndDisable:
+class TestEviction:
     def test_lru_eviction_at_capacity(self, registry):
-        database = Database(plan_cache=2)
-        database.execute("CREATE TABLE t (k INTEGER, PRIMARY KEY (k))")
-        database.execute("SELECT k FROM t")          # miss, cached
-        database.execute("SELECT k FROM t WHERE k = 1")  # miss, cached
-        database.execute("SELECT k FROM t WHERE k = 2")  # miss, evicts
-        database.execute("SELECT k FROM t")          # miss again: evicted
-        assert registry.counter("db.stmt_cache.evictions").value >= 1
-        # 5 misses: CREATE TABLE takes a slot too, then the four above.
-        assert registry.counter("db.stmt_cache.misses").value == 5
-        assert registry.counter("db.stmt_cache.hits").value == 0
+        cache = _StatementCache(2)
 
-    def test_plan_cache_zero_disables(self, registry):
-        database = Database(plan_cache=0)
-        database.execute("CREATE TABLE t (k INTEGER, PRIMARY KEY (k))")
-        database.execute("SELECT k FROM t")
-        database.execute("SELECT k FROM t")
-        assert "db.stmt_cache.hits" not in registry.snapshot()
+        def entry():
+            return _CacheEntry(statement=None, plan=None, epoch=0)
 
-    def test_env_capacity_parsing(self, monkeypatch):
-        cases = {
-            "": 128, "0": 0, "off": 0, "FALSE": 0, "no": 0,
-            "64": 64, "bogus": 128, "-3": 0,
-        }
-        for raw, expected in cases.items():
-            monkeypatch.setenv("REPRO_DB_PLAN_CACHE", raw)
-            assert _plan_cache_capacity(None) == expected, raw
-        assert _plan_cache_capacity(7) == 7
+        cache.store("a", entry(), registry)
+        cache.store("b", entry(), registry)
+        assert cache.lookup("a", 0, registry) is not None  # a is fresher
+        cache.store("c", entry(), registry)  # evicts b, the least recent
+        assert len(cache) == 2
+        assert cache.lookup("b", 0, registry) is None
+        assert cache.lookup("a", 0, registry) is not None
+        assert cache.lookup("c", 0, registry) is not None
+        assert registry.counter("db.stmt_cache.evictions").value == 1
+        assert registry.counter("db.stmt_cache.hits").value == 3
+        assert registry.counter("db.stmt_cache.misses").value == 1
 
-    def test_env_disable(self, monkeypatch, registry):
-        monkeypatch.setenv("REPRO_DB_PLAN_CACHE", "off")
-        database = Database()
-        database.execute("CREATE TABLE t (k INTEGER, PRIMARY KEY (k))")
-        database.execute("SELECT k FROM t")
-        database.execute("SELECT k FROM t")
-        assert "db.stmt_cache.hits" not in registry.snapshot()
+    def test_an_entry_from_an_older_epoch_is_dropped(self, registry):
+        cache = _StatementCache(2)
+        cache.store("a", _CacheEntry(None, None, epoch=0), registry)
+        assert cache.lookup("a", 1, registry) is None
+        assert len(cache) == 0
+        assert registry.counter("db.stmt_cache.invalidations").value == 1

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.db import Database, parse
 from repro.db.plan import SelectPlan
 from repro.errors import ProgrammingError
@@ -45,7 +46,7 @@ NOTES = [
 
 @pytest.fixture(scope="module")
 def db():
-    database = Database(plan_cache=0)
+    database = Database()
     database.execute(
         "CREATE TABLE deals (deal_id TEXT, industry TEXT, value REAL, "
         "lead TEXT, PRIMARY KEY (deal_id))"
@@ -431,11 +432,16 @@ def selects(draw):
 @given(selects())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_generated_selects_match_naive(db, generated):
+    # Twice: the second run is served off the statement cache, through
+    # the plan the first one prepared.
     sql, params = generated
     expected = _reference(db, sql, params)
-    result = db.execute(sql, params)
-    assert result.columns == expected.columns, sql
-    assert result.rows == expected.rows, (sql, params)
+    with obs.use_registry() as registry:
+        for run in range(2):
+            result = db.execute(sql, params)
+            assert result.columns == expected.columns, (sql, run)
+            assert result.rows == expected.rows, (sql, params, run)
+        assert registry.counter("db.stmt_cache.hits").value >= 1
 
 
 # -- LIKE, exhaustively ---------------------------------------------------------

@@ -14,9 +14,7 @@ def registry():
 
 @pytest.fixture
 def db():
-    # Cache pinned on so EXPLAIN and execution go through a cached plan
-    # even when CI exports REPRO_DB_PLAN_CACHE=0.
-    database = Database(plan_cache=128)
+    database = Database()
     database.execute(
         "CREATE TABLE deals (deal_id TEXT, industry TEXT, "
         "PRIMARY KEY (deal_id))"

@@ -123,11 +123,6 @@ class TestSecondaryIndexes:
         assert table.index_on(("deal_id",)) is not None
         assert table.index_on(("value",)) is None
 
-    def test_indexes_prefixed_by(self):
-        table = make_table()
-        table.create_index("ix2", ("value", "name"))
-        assert [i.name for i in table.indexes_prefixed_by("value")] == ["ix2"]
-
 
 class TestJournal:
     def test_journal_records_all_ops(self):

@@ -57,7 +57,8 @@ class TestCollection:
             [EngagementWorkbook("d1"), EngagementWorkbook("d2")]
         )
         assert collection.deal_ids == ["d1", "d2"]
-        assert collection.workbook("d2").deal_id == "d2"
+        assert "d2" in collection
+        assert [w.deal_id for w in collection] == ["d1", "d2"]
 
     def test_duplicate_deal_rejected(self):
         collection = WorkbookCollection([EngagementWorkbook("d1")])
@@ -65,8 +66,7 @@ class TestCollection:
             collection.add(EngagementWorkbook("d1"))
 
     def test_missing_workbook(self):
-        with pytest.raises(CorpusError):
-            WorkbookCollection().workbook("nope")
+        assert "nope" not in WorkbookCollection()
 
     def test_counts_and_iteration(self):
         collection = WorkbookCollection(

@@ -206,7 +206,7 @@ class TestIncrementalConsistency:
 
         before = shape(eil.graph)
         victim = corpus.deals[1].deal_id
-        workbook = corpus.collection.workbook(victim)
+        workbook = next(w for w in corpus.collection if w.deal_id == victim)
         eil.remove_deal(victim)
         eil.add_workbook(workbook)
         assert shape(eil.graph) == before

@@ -97,14 +97,6 @@ class TestDamageDetection:
         with pytest.raises(StorageError, match="checksum"):
             EntityGraph.load(str(path))
 
-    def test_verify_false_skips_the_checksum(self, world, tmp_path):
-        path = self._saved(world, tmp_path)
-        document = json.loads(path.read_text())
-        document["graph"]["edges"][0]["deal_id"] = "tampered"
-        path.write_text(json.dumps(document))
-        graph = EntityGraph.load(str(path), verify=False)
-        assert "tampered" in graph.deal_ids()
-
 
 class TestSystemColdStart:
     def test_save_index_writes_the_graph(self, world, tmp_path):
@@ -157,7 +149,8 @@ class TestSystemColdStart:
         eil.save_index(str(tmp_path))
         cold = EILSystem.load(str(tmp_path), corpus)
         victim = corpus.deals[0].deal_id
+        workbook = next(w for w in corpus.collection if w.deal_id == victim)
         cold.remove_deal(victim)
         assert victim not in cold.graph.deal_ids()
-        cold.add_workbook(corpus.collection.workbook(victim))
+        cold.add_workbook(workbook)
         assert victim in cold.graph.deal_ids()

@@ -157,7 +157,7 @@ class TestIdempotentOnboarding:
         """Onboarding a deal already present in the collection upserts."""
         corpus, eil, _, _ = world
         deal_id = corpus.deals[0].deal_id
-        workbook = corpus.collection.workbook(deal_id)
+        workbook = next(w for w in corpus.collection if w.deal_id == deal_id)
         docs_before = len(eil.engine)
         rows_before = _synopsis_row_counts(eil, deal_id)
         deals_before = eil.build_report.deals_populated

@@ -53,5 +53,5 @@ class TestDirectory:
     def test_is_active(self):
         directory = PersonnelDirectory()
         directory.add_person(person(), active=False)
-        assert directory.is_active("sam.white@abc.com") is False
-        assert directory.is_active("ghost@abc.com") is None
+        assert directory.lookup_email("sam.white@abc.com").active is False
+        assert directory.lookup_email("ghost@abc.com") is None

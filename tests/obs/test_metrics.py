@@ -103,12 +103,6 @@ class TestRegistry:
         assert snapshot["h"]["type"] == "histogram"
         assert snapshot["h"]["count"] == 1
 
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.inc("c")
-        registry.reset()
-        assert registry.names() == []
-
 
 class TestGlobalDefault:
     def test_use_registry_swaps_and_restores(self):

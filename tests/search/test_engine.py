@@ -19,37 +19,36 @@ from tests.reference.search import make_snippet
 @pytest.fixture
 def engine():
     e = SearchEngine()
-    e.add_all(
-        [
-            IndexableDocument(
-                "a",
-                {"title": "End User Services scope",
-                 "body": "Customer Services Center and Distributed "
-                         "Client Services are in scope for this deal."},
-                {"deal_id": "d1", "doc_type": "scope"},
-            ),
-            IndexableDocument(
-                "b",
-                {"title": "Technical solution",
-                 "body": "data replication between the two data centers "
-                         "with storage management services"},
-                {"deal_id": "d2", "doc_type": "solution"},
-            ),
-            IndexableDocument(
-                "c",
-                {"title": "Team roster",
-                 "body": "Sam White is the CSE. Contact "
-                         "sam.white@abc.com for details."},
-                {"deal_id": "d2", "doc_type": "roster"},
-            ),
-            IndexableDocument(
-                "d",
-                {"title": "Weekly minutes",
-                 "body": "Nothing about services here, only schedules."},
-                {"deal_id": "d3", "doc_type": "minutes"},
-            ),
-        ]
-    )
+    for document in (
+        IndexableDocument(
+            "a",
+            {"title": "End User Services scope",
+             "body": "Customer Services Center and Distributed "
+                     "Client Services are in scope for this deal."},
+            {"deal_id": "d1", "doc_type": "scope"},
+        ),
+        IndexableDocument(
+            "b",
+            {"title": "Technical solution",
+             "body": "data replication between the two data centers "
+                     "with storage management services"},
+            {"deal_id": "d2", "doc_type": "solution"},
+        ),
+        IndexableDocument(
+            "c",
+            {"title": "Team roster",
+             "body": "Sam White is the CSE. Contact "
+                     "sam.white@abc.com for details."},
+            {"deal_id": "d2", "doc_type": "roster"},
+        ),
+        IndexableDocument(
+            "d",
+            {"title": "Weekly minutes",
+             "body": "Nothing about services here, only schedules."},
+            {"deal_id": "d3", "doc_type": "minutes"},
+        ),
+    ):
+        e.add(document)
     return e
 
 
@@ -125,7 +124,8 @@ class TestRanking:
             IndexableDocument("b", {"title": "x", "body": "replication y"}),
         ]
         boosted = SearchEngine(field_boosts={"title": 5.0})
-        boosted.add_all(docs)
+        for document in docs:
+            boosted.add(document)
         assert boosted.search("replication")[0].doc_id == "t"
 
     def test_custom_scorer_pluggable(self, engine):
@@ -134,10 +134,12 @@ class TestRanking:
             IndexableDocument("y", {"body": "services"}),
         ]
         default = SearchEngine()
-        default.add_all(docs)
+        for document in docs:
+            default.add(document)
         assert default.search("services")[0].doc_id == "y"  # shorter wins
         e = SearchEngine(scorer=Bm25Scorer(b=0.0))
-        e.add_all(docs)
+        for document in docs:
+            e.add(document)
         # Without length normalization the higher tf wins.
         assert e.search("services")[0].doc_id == "x"
 
@@ -159,12 +161,28 @@ class TestFiltering:
         hits = engine.search("services", doc_filter={"a", "d"})
         assert {h.doc_id for h in hits} == {"a", "d"}
 
-    def test_doc_filter_by_predicate(self, engine):
-        hits = engine.search(
-            "services",
-            doc_filter=lambda d: d.metadata.get("deal_id") == "d2",
-        )
-        assert {h.doc_id for h in hits} == {"b"}
+    def test_a_predicate_doc_filter_is_rejected_before_anything_runs(
+        self, engine
+    ):
+        # A filter is a set of ids (SIAPI resolves scopes to one): a
+        # callable is turned away before the cache is probed or a
+        # posting read, and is never called.
+        called = []
+
+        def predicate(document):
+            called.append(document.doc_id)
+            return True
+
+        with use_registry() as registry:
+            for run in (
+                lambda: engine.search("services", doc_filter=predicate),
+                lambda: engine.count("services", doc_filter=predicate),
+                lambda: engine.select("services", len, None, predicate),
+            ):
+                with pytest.raises(SearchError, match="set of document ids"):
+                    run()
+            assert registry.names() == []
+        assert called == []
 
     def test_count_respects_filter(self, engine):
         assert engine.count("services", doc_filter={"a"}) == 1
@@ -180,19 +198,6 @@ class TestFiltering:
         allowed = {"b": None, "d": None}
         hits = engine.search("services", doc_filter=allowed.keys())
         assert {h.doc_id for h in hits} == {"b", "d"}
-
-    def test_predicate_filter_sees_only_candidates(self, engine):
-        # Regression: the seed materialised the predicate over the whole
-        # corpus; it must run only against already-matched candidates.
-        seen = []
-
-        def predicate(document):
-            seen.append(document.doc_id)
-            return True
-
-        hits = engine.search("replication", doc_filter=predicate)
-        assert [h.doc_id for h in hits] == ["b"]
-        assert seen == ["b"]  # never called for a, c, d
 
     def test_invalid_doc_filter_raises(self, engine):
         with pytest.raises(SearchError):
@@ -294,7 +299,8 @@ class TestCachedRankingBuildsEachHitOnce:
 
     def test_select_builds_what_choose_asks_for(self, engine, decodes):
         uncached = SearchEngine(cache_size=0)
-        uncached.add_all(engine.index.document(doc_id) for doc_id in "abcd")
+        for doc_id in "abcd":
+            uncached.add(engine.index.document(doc_id))
         expected = uncached.search("services")
         assert engine.select(
             "services",

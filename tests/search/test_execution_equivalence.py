@@ -6,10 +6,11 @@ pruning — is invisible in the results: same documents, bit-identical
 scores, same tie-breaks as the exhaustive interpreter kept as the
 oracle in :mod:`tests.reference.search`.  This suite drives both over
 seeded random corpora, a query zoo covering term/phrase/AND/OR/NOT,
-field restrictions, field boosts, id-set and predicate doc filters and
-post-``remove`` epochs, generated query trees, every segment layout the
-store can be in, and 1, 2 and 4 shards (in memory and cold-loaded), and
-asserts exact equality.
+field restrictions, field boosts, id-set doc filters (a deal scope
+against the oracle's predicate filter too) and post-``remove`` epochs,
+generated query trees, every segment layout the store can be in, and
+1, 2 and 4 shards (in memory and cold-loaded), and asserts exact
+equality.
 """
 
 import random
@@ -32,6 +33,7 @@ from repro.search import (
 )
 from repro.serving.sharding import ShardedIndex
 from tests.reference.search import exhaustive_ranking, exhaustive_search
+from tests.storage.test_store import compact
 
 # Realistic-ish vocabulary with skewed frequencies so MaxScore has
 # common terms to prune and rare terms to keep: the first words appear
@@ -86,7 +88,8 @@ def make_corpus(seed, docs=80, deals=8):
 def make_engine(corpus, **kwargs):
     kwargs.setdefault("cache_size", 0)
     engine = SearchEngine(**kwargs)
-    engine.add_all(corpus)
+    for document in corpus:
+        engine.add(document)
     return engine
 
 
@@ -96,7 +99,8 @@ def make_sharded_engine(corpus, shards, reload_through=None, **kwargs):
     shard is a segment store instead of an in-memory index."""
     kwargs.setdefault("cache_size", 0)
     engine = SearchEngine(index=ShardedIndex(shards), **kwargs)
-    engine.add_all(corpus)
+    for document in corpus:
+        engine.add(document)
     if reload_through is not None:
         engine.save_index(str(reload_through))
         engine = SearchEngine(
@@ -124,6 +128,20 @@ def assert_equivalent(engine, query, limit=None, doc_filter=None):
             f"top-{limit} is not the head of the full ranking "
             f"for query={query!r}"
         )
+
+
+def assert_deal_scope_equivalent(engine, query, limit, deals):
+    """A deal scope resolved to its document ids, as SIAPI passes it to
+    the engine, ranks as the oracle's predicate over stored documents."""
+    parsed = parse_query(query)
+
+    def predicate(document):
+        return document.metadata.get("deal_id") in deals
+
+    scope = frozenset(engine.docs_with_metadata("deal_id", deals))
+    assert ranking(engine, parsed, limit, scope) == exhaustive_ranking(
+        engine, parsed, limit, predicate
+    ), f"deal scope diverged for query={query!r} limit={limit}"
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +190,8 @@ def test_equivalence_with_id_set_filter(engine, corpus, limit):
 
 @pytest.mark.parametrize("limit", [None, 4])
 def test_equivalence_with_predicate_filter(engine, limit):
-    def predicate(document):
-        return document.metadata.get("deal_id") in {"deal1", "deal3"}
-
     for query in QUERIES:
-        assert_equivalent(engine, query, limit, doc_filter=predicate)
+        assert_deal_scope_equivalent(engine, query, limit, {"deal1", "deal3"})
 
 
 def test_equivalence_after_removals(corpus):
@@ -261,15 +276,11 @@ def test_sharded_engine_matches_oracle(corpus, tmp_path, shards, loaded):
     )
     rng = random.Random(99)
     scope = frozenset(doc.doc_id for doc in corpus if rng.random() < 0.4)
-
-    def predicate(document):
-        return document.metadata.get("deal_id") in {"deal1", "deal3"}
-
     for query in QUERIES:
         for limit in (None, 3):
             assert_equivalent(engine, query, limit)
         assert_equivalent(engine, query, 4, doc_filter=scope)
-        assert_equivalent(engine, query, None, doc_filter=predicate)
+        assert_deal_scope_equivalent(engine, query, None, {"deal1", "deal3"})
     engine.remove("doc004")
     engine.remove("doc017")
     for query in QUERIES:
@@ -363,13 +374,14 @@ def make_segmented_engine(corpus, layout, removed=(), **kwargs):
     index = SegmentBackedIndex(memtable_limit=memtable_limit,
                                merge_fanout=3)
     engine = SearchEngine(index=index, **kwargs)
-    engine.add_all(corpus)
+    for document in corpus:
+        engine.add(document)
     if layout == "flushed":
         index.flush()
     for doc_id in removed:
         engine.remove(doc_id)
     if layout == "compacted":
-        index.compact()
+        compact(index)
     return engine
 
 

@@ -25,6 +25,7 @@ from repro.serving.sharding import ShardedIndex
 from repro.storage import SegmentBackedIndex
 from repro.storage.segment import Segment, encode_from_index
 from tests.reference.index import DictOfDocs, assert_conforms
+from tests.storage.test_store import compact
 
 Op = Tuple[str, Any]  # ("add", IndexableDocument) | ("remove", doc_id)
 
@@ -118,7 +119,7 @@ def _store(memtable_limit: int, merge_fanout: int, then: str = ""):
         )
         _replay(ops, store.add, store.remove)
         if then == "compact":
-            store.compact()
+            compact(store)
         if then != "save+load":
             yield store
             return

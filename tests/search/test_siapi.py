@@ -19,27 +19,26 @@ from repro.search import (
 @pytest.fixture
 def service():
     engine = SearchEngine()
-    engine.add_all(
-        [
-            IndexableDocument(
-                "a1", {"body": "storage management services with data "
-                               "replication plan"},
-                {"deal_id": "A"},
-            ),
-            IndexableDocument(
-                "a2", {"body": "delivery schedule for storage management"},
-                {"deal_id": "A"},
-            ),
-            IndexableDocument(
-                "b1", {"body": "data replication appendix boilerplate"},
-                {"deal_id": "B"},
-            ),
-            IndexableDocument(
-                "c1", {"body": "unrelated networking document"},
-                {"deal_id": "C"},
-            ),
-        ]
-    )
+    for document in (
+        IndexableDocument(
+            "a1", {"body": "storage management services with data "
+                           "replication plan"},
+            {"deal_id": "A"},
+        ),
+        IndexableDocument(
+            "a2", {"body": "delivery schedule for storage management"},
+            {"deal_id": "A"},
+        ),
+        IndexableDocument(
+            "b1", {"body": "data replication appendix boilerplate"},
+            {"deal_id": "B"},
+        ),
+        IndexableDocument(
+            "c1", {"body": "unrelated networking document"},
+            {"deal_id": "C"},
+        ),
+    ):
+        engine.add(document)
     return SiapiService(engine)
 
 

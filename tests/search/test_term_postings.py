@@ -63,7 +63,8 @@ LAYOUTS = {
 def test_tiny_filter_probes_the_array(layout, monkeypatch):
     corpus = make_corpus(seed=2008)
     engine = SearchEngine(index=LAYOUTS[layout](), cache_size=0)
-    engine.add_all(corpus)
+    for document in corpus:
+        engine.add(document)
     # "services" is in most documents: two ids are far below 1/8 of it.
     term = engine.analyzer.analyze("services")[0].term
     assert engine.index.df(term, "body") > 16
@@ -81,10 +82,10 @@ def test_tiny_filter_probes_the_array(layout, monkeypatch):
 
 def test_a_removal_drops_the_map_with_the_array():
     engine = SearchEngine(cache_size=0)
-    engine.add_all([
-        IndexableDocument(f"d{i}", {"body": "services " * (i % 3 + 1)})
-        for i in range(40)
-    ])
+    for i in range(40):
+        engine.add(
+            IndexableDocument(f"d{i}", {"body": "services " * (i % 3 + 1)})
+        )
     scope = frozenset({"d1", "d2"})
     before = ranking(engine, "services", None, scope)
     engine.remove("d1")

@@ -171,14 +171,13 @@ class TestEngineCacheSatellites:
     @pytest.fixture
     def engine(self):
         e = SearchEngine(cache_size=32)
-        e.add_all(
-            [
-                doc("a", "wan storage network services"),
-                doc("b", "wan wan storage"),
-                doc("c", "network network services"),
-                doc("d", "storage services wan network"),
-            ]
-        )
+        for document in (
+            doc("a", "wan storage network services"),
+            doc("b", "wan wan storage"),
+            doc("c", "network network services"),
+            doc("d", "storage services wan network"),
+        ):
+            e.add(document)
         return e
 
     def test_limits_share_one_cached_ranking(self, engine):

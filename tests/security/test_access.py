@@ -48,23 +48,13 @@ class TestDocumentAccess:
         controller.restrict("r1")
         assert controller.can_read_documents(User("root", {"admin"}), "r1")
 
-    def test_public_overrides_default_closed(self):
-        controller = AccessController(default_open=False)
-        controller.make_public("r1")
-        assert controller.can_read_documents(User("u"), "r1")
-
-    def test_restrict_after_public(self):
-        controller = AccessController()
-        controller.make_public("r1")
-        controller.restrict("r1")
-        assert not controller.can_read_documents(User("u"), "r1")
-
     def test_readable_repositories_filter(self):
         controller = AccessController(default_open=False)
         controller.grant_user("r1", "u")
-        assert controller.readable_repositories(
-            User("u"), ["r1", "r2"]
-        ) == {"r1"}
+        assert {
+            repository for repository in ("r1", "r2")
+            if controller.can_read_documents(User("u"), repository)
+        } == {"r1"}
 
 
 class TestSynopsisAccess:

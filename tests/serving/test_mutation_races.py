@@ -94,7 +94,8 @@ class TestEngineSnapshotIsolation:
 
         # Serial replay: record the ranking at every quiesced state.
         replay = factory()
-        replay.add_all(docs)
+        for document in docs:
+            replay.add(document)
         allowed = {_ranking(replay)}
         for doc in churned:
             replay.remove(doc.doc_id)
@@ -104,7 +105,8 @@ class TestEngineSnapshotIsolation:
             allowed.add(_ranking(replay))
 
         engine = factory()
-        engine.add_all(docs)
+        for document in docs:
+            engine.add(document)
         stop = threading.Event()
         observed = []
         observed_lock = threading.Lock()
@@ -583,7 +585,8 @@ class TestScopeIsLocked:
     def test_scope_queues_behind_a_writer(self, layout):
         engine = self.LAYOUTS[layout]()
         docs = _make_docs()
-        engine.add_all(docs)
+        for document in docs:
+            engine.add(document)
         service = SiapiService(engine)
         resolved = []
         thread = threading.Thread(
@@ -607,7 +610,8 @@ class TestScopeIsLocked:
         index = SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
         engine = SearchEngine(index=index, cache_size=0)
         docs = _make_docs(n=830, deals=3)
-        engine.add_all(docs[:30])
+        for document in docs[:30]:
+            engine.add(document)
         index.save(str(tmp_path))
         service = SiapiService(engine)
         scope = {"d0", "d1", "d2"}

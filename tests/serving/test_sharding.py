@@ -101,9 +101,10 @@ class TestEngineEquivalence:
     def test_rankings_bit_identical(self, shards):
         docs = _make_docs()
         reference = SearchEngine()
-        reference.add_all(docs)
         sharded = _sharded(shards)
-        sharded.add_all(docs)
+        for document in docs:
+            reference.add(document)
+            sharded.add(document)
         _assert_equivalent(reference, sharded)
         for limit in (1, 3, 10, 100):
             _assert_equivalent(reference, sharded, limit=limit)
@@ -111,18 +112,20 @@ class TestEngineEquivalence:
     def test_doc_filter_equivalence(self):
         docs = _make_docs()
         reference = SearchEngine()
-        reference.add_all(docs)
         sharded = _sharded(3)
-        sharded.add_all(docs)
+        for document in docs:
+            reference.add(document)
+            sharded.add(document)
         keep = {doc.doc_id for doc in docs[::2]}
         _assert_equivalent(reference, sharded, doc_filter=keep)
 
     def test_equivalence_survives_removals(self):
         docs = _make_docs()
         reference = SearchEngine()
-        reference.add_all(docs)
         sharded = _sharded(3)
-        sharded.add_all(docs)
+        for document in docs:
+            reference.add(document)
+            sharded.add(document)
         for doc in docs[::3]:
             reference.remove(doc.doc_id)
             sharded.remove(doc.doc_id)
@@ -130,7 +133,8 @@ class TestEngineEquivalence:
 
     def test_deal_documents_share_a_shard(self):
         sharded = _sharded(4)
-        sharded.add_all(_make_docs())
+        for document in _make_docs():
+            sharded.add(document)
         owners = {}
         for position, part in enumerate(sharded.index.parts):
             for doc_id in part.doc_ids:
@@ -166,7 +170,8 @@ class TestOneLogicalQuery:
     @staticmethod
     def _engine(shards):
         engine = SearchEngine() if shards is None else _sharded(shards)
-        engine.add_all(_make_docs(n=20))
+        for document in _make_docs(n=20):
+            engine.add(document)
         return engine
 
     def test_index_faults_hit_the_same_queries_at_any_shard_count(self):
@@ -219,9 +224,10 @@ class TestIndexView:
     def pair(self):
         docs = _make_docs()
         reference = SearchEngine()
-        reference.add_all(docs)
         sharded = _sharded(3)
-        sharded.add_all(docs)
+        for document in docs:
+            reference.add(document)
+            sharded.add(document)
         return reference, sharded
 
     def test_global_statistics_match(self, pair):

@@ -187,7 +187,8 @@ def test_file_backed_segment_reads_docs_lazily(tmp_path, index):
     data = encode_from_index(index)
     path = tmp_path / "seg-000001.rsg"
     path.write_bytes(data)
-    segment = Segment.open(str(path))
+    segment = Segment.from_bytes(data)
+    segment.attach_file(str(path))  # the RAM copy goes; reads pread
     try:
         assert segment.doc_count == len(index)
         for doc_id in list(index.doc_ids)[:5]:

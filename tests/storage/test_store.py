@@ -21,6 +21,8 @@ from repro.obs import use_registry
 from repro.search import IndexableDocument
 from repro.search.inverted_index import InvertedIndex
 from repro.storage import MANIFEST_NAME, SegmentBackedIndex
+from repro.storage.segment import FORMAT_VERSION, MAGIC
+from repro.storage.store import _checksum, _manifest_checksum
 from tests.reference.index import DictOfDocs, assert_conforms
 
 WORDS = ["network", "storage", "deal", "services", "migration",
@@ -58,6 +60,15 @@ def assert_index_equivalent(store, reference):
             assert store.term_postings(term, field).doc_ids == (
                 reference.term_postings(term, field).doc_ids
             )
+
+
+def compact(store):
+    """Flush, then merge every segment into one tombstone-free segment:
+    the whole store taken as one merge tier (and dropped if empty)."""
+    store.flush()
+    if len(store.segments) > 1 or any(s.tombstones for s in store.segments):
+        store._merge_positions(list(range(len(store.segments))))
+    store.maybe_merge()
 
 
 def build_pair(docs, memtable_limit=16, merge_fanout=3):
@@ -107,7 +118,7 @@ def test_compact_collapses_to_one_clean_segment():
     for doc_id in ("doc000", "doc013", "doc027"):
         store.remove(doc_id)
         reference.remove(doc_id)
-    store.compact()
+    compact(store)
     assert len(store.segments) == 1
     assert not store.segments[0].tombstones
     assert len(store.memtable) == 0
@@ -155,7 +166,7 @@ def test_save_is_rerunnable_and_sweeps_orphans(tmp_path):
     for doc_id in ("doc001", "doc002"):
         store.remove(doc_id)
         reference.remove(doc_id)
-    store.compact()
+    compact(store)
     store.save(str(tmp_path))
     assert not (tmp_path / "seg-999999.rsg").exists()
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
@@ -222,6 +233,29 @@ def test_load_truncated_segment_raises(tmp_path):
     victim.write_bytes(victim.read_bytes()[:-20])
     with pytest.raises(StorageError):
         SegmentBackedIndex.load(str(tmp_path))
+
+
+def test_load_names_a_segment_that_does_not_decode(tmp_path):
+    # A segment from another format version, with the manifest's
+    # checksum and byte count rewritten to match it: only decoding can
+    # tell, and the error must say which file.
+    store, _ = build_pair(make_docs(docs=30), memtable_limit=8)
+    store.save(str(tmp_path))
+    manifest_path = tmp_path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["segments"][0]
+    victim = tmp_path / entry["file"]
+    data = bytearray(victim.read_bytes())
+    assert data[:4] == MAGIC and data[4] == FORMAT_VERSION
+    data[4] = FORMAT_VERSION + 1
+    victim.write_bytes(bytes(data))
+    entry["checksum"] = _checksum(bytes(data))
+    entry["bytes"] = len(data)
+    manifest["checksum"] = _manifest_checksum(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StorageError, match="format version") as raised:
+        SegmentBackedIndex.load(str(tmp_path))
+    assert str(victim) in str(raised.value)
 
 
 def test_load_missing_segment_raises(tmp_path):

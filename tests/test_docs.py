@@ -184,7 +184,6 @@ class TestOperationsDocs:
             "db.stmt_cache.misses",
             "db.stmt_cache.invalidations",
             "db.stmt_cache.evictions",
-            "REPRO_DB_PLAN_CACHE",
         ):
             assert metric in operations, (
                 f"docs/OPERATIONS.md no longer documents {metric!r}"

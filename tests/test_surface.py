@@ -57,65 +57,39 @@ ENTRY_POINT_API = {
 }
 
 #: Public methods no code under src/, benchmarks/ or examples/ names,
-#: found by the method pass's first run.  "test-only" ones go, with
-#: their tests, in the next surface PR; the others say why they are API.
+#: and why each is still there.
 TEST_ONLY_METHODS = {
     "repro.annotators.candidates.LearnedCandidateSelector.agreement_with":
         "API of LearnedCandidateSelector (see ENTRY_POINT_API)",
+    "repro.annotators.candidates.LearnedCandidateSelector.predicate":
+        "API of LearnedCandidateSelector (see ENTRY_POINT_API)",
     "repro.annotators.candidates.LearnedCandidateSelector.train_from_rule":
         "API of LearnedCandidateSelector (see ENTRY_POINT_API)",
-    "repro.annotators.classifier.NaiveBayesClassifier.predict_proba":
-        "test-only; callers use predict",
-    "repro.annotators.classifier.NaiveBayesClassifier.vocabulary_size":
-        "test-only",
-    "repro.core.facets.FacetService.facet":
-        "test-only single-facet form of facets",
-    "repro.db.database.Database.ddl_epoch":
-        "test-only view of the epoch the statement cache keys on",
-    "repro.db.database.Database.in_transaction":
-        "test-only",
-    "repro.db.database.Database.transaction":
-        "test-only context-manager form of begin/commit/rollback",
-    "repro.db.index.SortedIndex.ordered_rowids":
-        "test-only; no plan walks an index in key order",
-    "repro.db.table.Table.indexes_prefixed_by":
-        "test-only; the planner asks index_on",
-    "repro.docmodel.documents.FormDocument.field_value":
-        "test-only",
-    "repro.docmodel.repository.WorkbookCollection.workbook":
-        "test-only lookup by deal id",
+    "repro.db.database.Database.commit":
+        "undo-log transactions (begin/commit/rollback), which no entry "
+        "point opens; begin is reached only through other uses of its name",
+    "repro.db.database.Database.rollback":
+        "undo-log transactions (begin/commit/rollback), which no entry "
+        "point opens; begin is reached only through other uses of its name",
     "repro.faults.breaker.CircuitBreaker.state":
         "operator API: what the breaker.state.<name> gauge of "
         "docs/OPERATIONS.md reports",
-    "repro.intranet.directory.PersonnelDirectory.is_active":
-        "test-only",
-    "repro.obs.metrics.MetricsRegistry.reset":
-        "test-only; isolates one test's counters from the next",
     "repro.obs.tracing.Span.finished":
         "test-only; obs/tracing.py goes with the request-tracing item",
     "repro.obs.tracing.Tracer.reset":
         "test-only; obs/tracing.py goes with the request-tracing item",
     "repro.obs.tracing.Tracer.to_json":
         "test-only; obs/tracing.py goes with the request-tracing item",
-    "repro.search.engine.SearchEngine.add_all":
-        "test-only bulk form of add",
-    "repro.security.access.AccessController.make_public":
-        "test-only; policy administration no entry point performs",
-    "repro.security.access.AccessController.readable_repositories":
-        "test-only; policy administration no entry point performs",
     "repro.security.access.AccessController.restrict":
-        "test-only; policy administration no entry point performs",
+        "policy administration: the access-control properties move "
+        "policy_version with it",
     "repro.security.access.AccessController.revoke_user":
-        "test-only; policy administration no entry point performs",
-    "repro.storage.store.SegmentBackedIndex.compact":
-        "test-only merge-everything maintenance call",
-    "repro.uima.cas.Cas.select_covered":
-        "test-only",
-    "repro.uima.engine.AggregateAnalysisEngine.delegates":
-        "test-only",
-    "repro.uima.engine.AggregateAnalysisEngine.run_detailed":
-        "test-only; the CPE calls process",
+        "policy administration: the access-control properties move "
+        "policy_version with it",
 }
+
+#: The environment variables the program reads: deployment shape only.
+ENVIRONMENT = {"REPRO_WORKERS", "REPRO_SHARDS"}
 
 _DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -395,6 +369,42 @@ def test_the_front_door_has_no_worker_pool():
         if cls == "EILServer" and method.name.startswith("submit_")
     ]
     assert not submits, submits
+
+
+def test_the_program_reads_only_the_deployment_shape_from_the_environment():
+    # REPRO_WORKERS and REPRO_SHARDS re-run a whole suite in another
+    # deployment shape; a variable that selects a second code path is
+    # an option nobody sets.  A read is ``os.environ.get("NAME", ...)``.
+    read, elsewhere = set(), []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        text = path.read_text()
+        names = re.findall(r"""\bos\.environ\.get\(\s*["'](\w+)["']""", text)
+        read.update(names)
+        if len(re.findall(r"\b(?:environ|getenv)\b", text)) != len(names):
+            elsewhere.append(str(path.relative_to(SRC)))
+    assert not elsewhere, elsewhere
+    assert read == ENVIRONMENT, read
+
+
+def test_every_load_verifies_what_it_reads():
+    # Checksums and lengths are checked on every load: no ``verify``
+    # switch, and no Segment.open, the loader only it selected.
+    switches = [
+        f"{name}:{node.lineno}"
+        for name, module in MODULES.items()
+        for node in ast.walk(module.tree)
+        if isinstance(node, _DEFS[1:]) and node.name.startswith("load")
+        and "verify" in [
+            arg.arg for arg in node.args.args + node.args.kwonlyargs
+        ]
+    ]
+    assert not switches, switches
+    opens = [
+        method.name
+        for _, cls, method in _methods("repro.storage.segment")
+        if cls == "Segment" and method.name == "open"
+    ]
+    assert not opens
 
 
 def test_every_public_name_is_reached_or_is_entry_point_api():

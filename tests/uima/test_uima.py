@@ -156,12 +156,6 @@ class TestCas:
         assert len(cas.select("eil.Org")) == 1
         assert len(cas.select()) == 2
 
-    def test_select_covered(self, ts):
-        cas = Cas("Sam White at ACME", ts)
-        cas.annotate("eil.Person", 0, 9)
-        cas.annotate("eil.Org", 13, 17)
-        assert len(cas.select_covered("eil.Entity", 0, 10)) == 1
-
     def test_remove(self, ts):
         cas = Cas("abc", ts)
         annotation = cas.annotate("eil.Org", 0, 1)
@@ -241,13 +235,6 @@ class TestEngines:
         aggregate.run(cas_miss)
         assert len(cas_hit.select("eil.Org")) == 1
         assert len(cas_miss.select("eil.Org")) == 0
-
-    def test_aggregate_detailed_reports_skips(self, ts):
-        aggregate = AggregateAnalysisEngine(
-            "agg", [(UppercaseOrgAnnotator(), lambda cas: False)]
-        )
-        results = aggregate.run_detailed(Cas("ACME", ts))
-        assert results[0].skipped is True
 
     def test_aggregate_validates_delegates(self):
         with pytest.raises(AnnotatorError):
