@@ -25,7 +25,6 @@ Typical use::
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
@@ -56,7 +55,11 @@ from repro.search.engine import SearchEngine
 from repro.search.siapi import SiapiService
 from repro.security.access import AccessController, User
 from repro.serving.sharding import ShardedIndex
-from repro.storage.atomic import atomic_write_text, read_manifest
+from repro.storage.atomic import (
+    atomic_write_text,
+    encode_document,
+    read_manifest,
+)
 
 __all__ = ["EILSystem", "BuildReport"]
 
@@ -146,7 +149,7 @@ class EILSystem:
     #: :meth:`save_index` and read back by :meth:`load`.
     EIL_MANIFEST = "eil-manifest.json"
     _EIL_FORMAT = "repro-eil-index"
-    _EIL_VERSION = 1
+    _EIL_VERSION = 2
     _INDEX_SUBDIR = "index"
     _SYNOPSIS_FILE = "synopsis.json"
     _GRAPH_FILE = "graph.json"
@@ -281,16 +284,17 @@ class EILSystem:
         Layout::
 
             directory/
-              eil-manifest.json   # format + version + shards + build report
+              eil-manifest.json   # shards, repositories, build report
               index/              # segment store (MANIFEST.json or, when
                                   # sharded, SHARDS.json + shard-NN/)
               synopsis.json       # organized-information database snapshot
               graph.json          # entity graph (canonical, checksummed)
 
         Every file lands atomically (temp + fsync + rename), so a crash
-        mid-save leaves any previous snapshot loadable.  Returns the
-        engine's storage statistics (``segments``, ``bytes_per_doc``,
-        ...).
+        mid-save leaves any previous snapshot loadable; every JSON file
+        is an :func:`~repro.storage.atomic.encode_document` document.
+        Returns the engine's storage statistics (``segments``,
+        ``bytes_per_doc``, ...).
         """
         self._require_search()  # only a built system is worth persisting
         os.makedirs(directory, exist_ok=True)
@@ -304,10 +308,7 @@ class EILSystem:
             )
             self.graph.save(os.path.join(directory, self._GRAPH_FILE))
             manifest = {
-                "format": self._EIL_FORMAT,
-                "version": self._EIL_VERSION,
                 "shards": self.shards,
-                "graph": self._GRAPH_FILE,
                 "repositories": self._repositories,
                 "build_report": (
                     asdict(self.build_report)
@@ -317,7 +318,7 @@ class EILSystem:
             }
             atomic_write_text(
                 os.path.join(directory, self.EIL_MANIFEST),
-                json.dumps(manifest, sort_keys=True, indent=2),
+                encode_document(self._EIL_FORMAT, self._EIL_VERSION, manifest),
             )
         return stats
 
@@ -330,7 +331,8 @@ class EILSystem:
         time is independent of analysis cost.  Queries, synopses and
         incremental maintenance (``add_workbook`` / ``remove_deal``)
         behave exactly as on the freshly built system.  Every file is
-        checked against its checksum.
+        checked against its checksum and version; a file that fails
+        raises a typed error naming it.
 
         The shard count comes from the saved index (``SHARDS.json``, or
         none for one partition) — the segments were partitioned at save
@@ -357,9 +359,9 @@ class EILSystem:
         saved_shards = (
             ShardedIndex.saved_shards(index_directory) if sharded else 1
         )
-        if manifest.get("shards", saved_shards) != saved_shards:
+        if manifest.get("shards") != saved_shards:
             raise StorageError(
-                f"{manifest_path} records {manifest['shards']} shard(s) "
+                f"{manifest_path} records {manifest.get('shards')} shard(s) "
                 f"but {shards_path} "
                 f"{'records' if sharded else 'is absent, which means'} "
                 f"{saved_shards}: a snapshot mixed from two saves"
@@ -392,8 +394,8 @@ class EILSystem:
             # rebuilding) is what makes cold starts bit-identical.
             system.graph = EntityGraph.load(graph_path)
         else:
-            # Pre-graph save_index layouts stay loadable: the graph is
-            # derived state, so rebuild it from the synopsis DB.
+            # The graph is derived state: without its file, rebuild it
+            # from the synopsis DB.
             from repro.graph import build_graph
 
             system.graph = build_graph(system.organized)

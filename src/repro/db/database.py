@@ -4,12 +4,14 @@ This is the DB2 stand-in the EIL organized-information layer writes to
 and the synopsis queries read from.  One :class:`Database` owns a set of
 :class:`~repro.db.table.Table` objects and exposes:
 
-* ``execute(sql, params)`` — parse and run any supported statement.
-* Programmatic helpers (``create_table``, ``insert``, ``select`` with a
-  prebuilt :class:`SelectStatement`) for hot paths that should skip the
-  parser.
+* ``execute(sql, params)`` — parse and run any supported statement
+  (``EXPLAIN <statement>`` reports the plan without mutating).
+* Programmatic helpers (``create_table``, ``insert``) for hot paths
+  that should skip the parser.
 * Undo-log transactions: ``begin`` / ``commit`` / ``rollback``.
-  Statements outside a transaction auto-commit.
+  Statements outside a transaction auto-commit.  Every SQL INSERT,
+  UPDATE and DELETE is all-or-nothing on its own: a statement that
+  fails on its third row leaves the first two unchanged too.
 * Foreign keys with RESTRICT semantics, checked at statement level.
 
 Concurrency: row-level statements run under a writer-preferring
@@ -36,7 +38,17 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.concurrency import ReadWriteLock
 from repro.db.expr import Expression, compile_expression
@@ -126,14 +138,16 @@ class _StatementCache:
                 metrics.inc("db.stmt_cache.evictions")
 
 
+#: One journaled row change: (table, op, rowid, old row, new row).
+_UndoEntry = Tuple[str, str, int, Optional[tuple], Optional[tuple]]
+
+
 class Database:
     """An in-memory relational database."""
 
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
-        self._undo_log: Optional[
-            List[Tuple[str, str, int, Optional[tuple], Optional[tuple]]]
-        ] = None
+        self._undo_log: Optional[List[_UndoEntry]] = None
         self._rw = ReadWriteLock()
         # Monotonic catalog version; cached plans from older epochs are
         # invalid.
@@ -200,6 +214,13 @@ class Database:
         """Sorted names of all tables."""
         return sorted(self._tables)
 
+    @property
+    def tables(self) -> List[Table]:
+        """Every table in creation order, so a parent comes before each
+        table that references it (``create_table`` refuses a child
+        first, and ``drop_table`` a referenced parent)."""
+        return list(self._tables.values())
+
     # -- transactions -----------------------------------------------------
 
     def begin(self) -> None:
@@ -220,16 +241,43 @@ class Database:
             raise TransactionError("no transaction in progress")
         log, self._undo_log = self._undo_log, None
         with self._rw.write():
-            for table_name, op, rowid, old_row, _new_row in reversed(log):
-                table = self._tables[table_name]
-                if op == "insert":
-                    table.undo_insert(rowid)
-                elif op == "delete":
-                    assert old_row is not None
-                    table.undo_delete(rowid, old_row)
-                else:  # update
-                    assert old_row is not None
-                    table.undo_update(rowid, old_row)
+            self._undo(log)
+
+    def _undo(self, log: List[_UndoEntry]) -> None:
+        """Replay ``log`` backwards (the caller holds the write lock)."""
+        for table_name, op, rowid, old_row, _new_row in reversed(log):
+            table = self._tables[table_name]
+            if op == "insert":
+                table.undo_insert(rowid)
+            elif op == "delete":
+                assert old_row is not None
+                table.undo_delete(rowid, old_row)
+            else:  # update
+                assert old_row is not None
+                table.undo_update(rowid, old_row)
+
+    @contextmanager
+    def _statement(self) -> Iterator[None]:
+        """Run one INSERT / UPDATE / DELETE all-or-nothing, under the
+        write lock.
+
+        Its row changes are journaled to an undo list of its own: on any
+        exception the list is replayed, so the rows it changed before
+        the failing one are restored; on success it joins the open
+        transaction's log, if any, so ``rollback`` still reaches it.
+        """
+        with self._rw.write():
+            transaction, log = self._undo_log, []
+            self._undo_log = log
+            try:
+                yield
+            except BaseException:
+                self._undo(log)
+                raise
+            finally:
+                self._undo_log = transaction
+            if transaction is not None:
+                transaction.extend(log)
 
     def _journal(
         self,
@@ -295,7 +343,7 @@ class Database:
         This is the ``db`` fault point: SELECT statements — the
         synopsis queries' read path — can be made to fail by an
         installed :class:`~repro.faults.FaultInjector`.  DDL and the
-        programmatic helpers (``insert``, ``select``) are not faulted,
+        programmatic ``insert`` are not faulted,
         so the offline populate stage never loses rows or tables to
         injection; what an armed ``db`` profile exercises is the
         online store outage the degradation ladder exists for.
@@ -328,19 +376,19 @@ class Database:
 
         Row-level statements are serialized against each other by the
         database's read/write lock: SELECTs share the read side,
-        mutations take the write side.
+        mutations take the write side, and each runs all-or-nothing.
         """
         if isinstance(statement, SelectStatement):
             with self._rw.read():
                 return SelectPlan(self, statement).execute(params)
         if isinstance(statement, Insert):
-            with self._rw.write():
+            with self._statement():
                 return _rowcount(self._execute_insert(statement, params))
         if isinstance(statement, Update):
-            with self._rw.write():
+            with self._statement():
                 return _rowcount(*self._execute_update(statement, params))
         if isinstance(statement, Delete):
-            with self._rw.write():
+            with self._statement():
                 return _rowcount(*self._execute_delete(statement, params))
         if isinstance(statement, CreateTable):
             self.create_table(statement.schema)
@@ -360,8 +408,11 @@ class Database:
             return self._explain_statement(statement.statement, params)
         raise ProgrammingError(f"unsupported statement {statement!r}")
 
-    def explain(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        """Report the planner's choices for ``sql`` without mutating.
+    def _explain_statement(
+        self, statement: Statement, params: Sequence[Any]
+    ) -> ResultSet:
+        """``EXPLAIN``: the planner's choices for ``statement``, without
+        mutating.
 
         SELECTs are executed (they are side-effect free) so the report
         includes runtime decisions — join strategy and build side
@@ -370,14 +421,6 @@ class Database:
         the candidate row count.  The result has one ``plan`` column,
         one line per row; the same lines are in ``ResultSet.plan``.
         """
-        statement = parse(sql)
-        if isinstance(statement, Explain):
-            statement = statement.statement
-        return self._explain_statement(statement, params)
-
-    def _explain_statement(
-        self, statement: Statement, params: Sequence[Any]
-    ) -> ResultSet:
         if isinstance(statement, SelectStatement):
             with self._rw.read():
                 result = SelectPlan(self, statement).execute(params)
@@ -503,13 +546,6 @@ class Database:
             table.delete(rowid)
             count += 1
         return count, plan
-
-    def select(
-        self, statement: SelectStatement, params: Sequence[Any] = ()
-    ) -> ResultSet:
-        """Run a prebuilt SELECT (skips the SQL parser)."""
-        with self._rw.read():
-            return SelectPlan(self, statement).execute(params)
 
     def query_one(
         self, sql: str, params: Sequence[Any] = ()

@@ -8,27 +8,24 @@ pipeline.  Dates are serialized as ISO strings and restored through the
 normal coercion path, so a loaded database is indistinguishable from
 the original.
 
-Durability hardening (format version 2):
+A snapshot is a ``repro-db-snapshot`` document in the checksummed
+envelope of :mod:`repro.storage.atomic` whose payload is ``{"tables":
+[...]}``, one entry per table in creation order (parents before the
+children that reference them); the loader creates tables and inserts
+rows in that order.
 
-* :func:`dump_database` writes atomically (temp file + fsync +
-  rename via :mod:`repro.storage.atomic`) so a crash mid-dump never
-  corrupts the last good snapshot;
-* the header carries a blake2b checksum over the canonical table
-  payload, verified on load;
-* every load failure — foreign file, truncated JSON, checksum
-  mismatch, unsupported version, malformed structure — raises a typed
-  :class:`~repro.errors.DatabaseError`, never a bare ``KeyError`` or
-  ``JSONDecodeError``.
-
-Version-1 snapshots (no checksum) still load, so pre-hardening
-snapshots survive an upgrade.
+* :func:`dump_database` writes atomically (temp file + fsync + rename),
+  so a crash mid-dump never corrupts the last good snapshot;
+* every load failure — unreadable or foreign file, truncated JSON,
+  checksum mismatch, another version (older snapshots included),
+  malformed structure, a child table listed before its parent — raises
+  a typed :class:`~repro.errors.DatabaseError` naming the source, never
+  a bare ``KeyError`` or ``JSONDecodeError``.
 """
 
 from __future__ import annotations
 
 import datetime
-import hashlib
-import json
 import pathlib
 from typing import Any, Dict, List, Union
 
@@ -36,27 +33,18 @@ from repro.db.database import Database
 from repro.db.index import SortedIndex
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.types import DataType
-from repro.errors import DatabaseError
-from repro.storage.atomic import atomic_write_text
+from repro.errors import DatabaseError, StorageError
+from repro.storage.atomic import (
+    atomic_write_text,
+    decode_document,
+    encode_document,
+)
 
 __all__ = ["dump_database", "load_database", "dumps_database",
            "loads_database"]
 
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
-
-
-def _tables_checksum(tables: List[Dict[str, Any]]) -> str:
-    """Checksum over the canonical JSON form of the table payload.
-
-    Canonical (sorted-keys) re-serialization makes the digest stable
-    across a dump → load → dump round-trip: the payload is pure JSON
-    primitives, so re-encoding is byte-reproducible.
-    """
-    canonical = json.dumps(tables, sort_keys=True)
-    return hashlib.blake2b(
-        canonical.encode("utf-8"), digest_size=16
-    ).hexdigest()
+SNAPSHOT_FORMAT = "repro-db-snapshot"
+SNAPSHOT_VERSION = 3
 
 
 def _encode_value(value: Any) -> Any:
@@ -74,8 +62,7 @@ def _decode_value(value: Any) -> Any:
 def dumps_database(db: Database) -> str:
     """Serialize ``db`` to a JSON string."""
     tables: List[Dict[str, Any]] = []
-    for name in db.table_names:
-        table = db.table(name)
+    for table in db.tables:
         schema = table.schema
         tables.append(
             {
@@ -115,99 +102,43 @@ def dumps_database(db: Database) -> str:
                 ],
             }
         )
-    return json.dumps(
-        {
-            "version": _FORMAT_VERSION,
-            "checksum": _tables_checksum(tables),
-            "tables": tables,
-        }
+    return encode_document(
+        SNAPSHOT_FORMAT, SNAPSHOT_VERSION, {"tables": tables}
     )
 
 
-def loads_database(payload: str) -> Database:
+def loads_database(
+    text: Union[str, bytes], source: str = "database snapshot"
+) -> Database:
     """Rebuild a Database from :func:`dumps_database` output.
 
-    Raises :class:`~repro.errors.DatabaseError` for every failure
-    mode: non-JSON input, a JSON document that is not a snapshot
-    (foreign file), an unsupported version, a checksum mismatch
-    (corruption / truncation), or a structurally malformed snapshot.
+    Raises :class:`~repro.errors.DatabaseError` naming ``source`` for
+    every failure mode: what :func:`~repro.storage.atomic.decode_document`
+    rejects (non-JSON or foreign input, another version, a checksum
+    mismatch) and a structurally malformed snapshot.
     """
     try:
-        document = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise DatabaseError(f"invalid database snapshot: {exc}") from exc
-    if (
-        not isinstance(document, dict)
-        or "version" not in document
-        or not isinstance(document.get("tables"), list)
-    ):
-        raise DatabaseError(
-            "not a database snapshot (foreign or partial file)"
+        payload = decode_document(
+            text, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, source
         )
-    version = document["version"]
-    if version not in _SUPPORTED_VERSIONS:
-        raise DatabaseError(f"unsupported snapshot version {version!r}")
-    if version >= 2:
-        stored = document.get("checksum")
-        if stored is None:
-            raise DatabaseError("snapshot header is missing its checksum")
-        if stored != _tables_checksum(document["tables"]):
-            raise DatabaseError(
-                "snapshot failed checksum verification (corrupt or "
-                "truncated file)"
-            )
-    try:
-        return _load_tables(document["tables"])
-    except DatabaseError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DatabaseError(
-            f"malformed database snapshot: {exc!r}"
-        ) from exc
-
-
-def _load_tables(tables: List[Dict[str, Any]]) -> Database:
+    except StorageError as exc:
+        raise DatabaseError(str(exc)) from exc
     db = Database()
-    # Two passes: create all tables first (FKs may reference any order —
-    # but create_table validates parents exist, so order parent-first).
-    pending = list(tables)
-    created = set()
-    creation_order: List[Dict[str, Any]] = []
-    progress = True
-    while pending and progress:
-        progress = False
-        remaining = []
-        for spec in pending:
-            parents = {
-                fk["parent_table"].lower()
-                for fk in spec["foreign_keys"]
-            }
-            if parents <= created:
-                _create_table(db, spec)
-                created.add(spec["name"])
-                creation_order.append(spec)
-                progress = True
-            else:
-                remaining.append(spec)
-        pending = remaining
-    if pending:
-        raise DatabaseError(
-            "snapshot has unresolvable foreign-key ordering: "
-            + ", ".join(spec["name"] for spec in pending)
-        )
-    # Rows must load parent tables first too, or FK checks reject
-    # children whose parents have not arrived yet.
-    for spec in creation_order:
-        table = db.table(spec["name"])
-        column_names = table.schema.column_names
-        for row in spec["rows"]:
-            db.insert(
-                spec["name"],
-                {
-                    column: _decode_value(value)
-                    for column, value in zip(column_names, row)
-                },
-            )
+    try:
+        for spec in payload["tables"]:
+            _create_table(db, spec)
+            column_names = db.table(spec["name"]).schema.column_names
+            for row in spec["rows"]:
+                db.insert(
+                    spec["name"],
+                    {
+                        column: _decode_value(value)
+                        for column, value in zip(column_names, row)
+                    },
+                )
+    except (DatabaseError, KeyError, TypeError, ValueError,
+            AttributeError) as exc:
+        raise DatabaseError(f"malformed {source}: {exc!r}") from exc
     return db
 
 
@@ -256,13 +187,13 @@ def dump_database(db: Database, path: Union[str, pathlib.Path]) -> None:
 def load_database(path: Union[str, pathlib.Path]) -> Database:
     """Load a database snapshot from ``path``.
 
-    Raises :class:`~repro.errors.DatabaseError` if the file is missing,
-    unreadable, or fails :func:`loads_database` validation.
+    Raises :class:`~repro.errors.DatabaseError` naming ``path`` if the
+    file is missing, unreadable, or fails :func:`loads_database`.
     """
     try:
-        payload = pathlib.Path(path).read_text()
+        data = pathlib.Path(path).read_bytes()
     except OSError as exc:
         raise DatabaseError(
             f"cannot read database snapshot {path}: {exc}"
         ) from exc
-    return loads_database(payload)
+    return loads_database(data, str(path))

@@ -2,9 +2,11 @@
 
 Rows are stored as immutable tuples keyed by a monotonically increasing
 row id.  All constraint checks (primary key, unique, NOT NULL via the
-schema) happen *before* any mutation so a failed statement leaves the
-table unchanged.  Every mutation is reported to the owning database's
-undo log (when a transaction is active) through the ``journal`` hook.
+schema) happen *before* a row is changed, so a failed row change leaves
+the table unchanged.  Every mutation is reported to the owning
+database's undo log through the ``journal`` hook: the database replays
+it to undo a SQL statement that fails on a later row, and to roll back
+a transaction.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ Consistency contract (the same one the search engine keeps):
 * every edge cites the organized-information row it came from, so
   graph answers are provably consistent with the per-deal contact
   lists — the equivalence suite asserts it row by row;
-* serialization is canonical (sorted nodes, edges and keys), so
-  ``save`` → ``load`` → ``save`` is bit-identical and cold starts
-  reload the exact graph that was persisted.
+* serialization is canonical (sorted nodes, edges and keys, in the
+  checksummed :func:`~repro.storage.atomic.encode_document` envelope
+  every saved JSON file uses), so ``save`` → ``load`` → ``save`` is
+  bit-identical and cold starts reload the exact graph that was
+  persisted.
 
 Metrics (``repro stats`` vocabulary): ``graph.nodes`` /
 ``graph.edges`` / ``graph.deals`` gauges after every mutation,
@@ -37,14 +39,11 @@ Metrics (``repro stats`` vocabulary): ``graph.nodes`` /
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.concurrency import AtomicCounter, ReadWriteLock
-from repro.errors import StorageError
 from repro.graph.model import (
     DEAL,
     IN_SCOPE,
@@ -59,7 +58,11 @@ from repro.graph.model import (
     person_key,
 )
 from repro.obs import get_registry
-from repro.storage.atomic import atomic_write_text, read_manifest
+from repro.storage.atomic import (
+    atomic_write_text,
+    encode_document,
+    read_manifest,
+)
 from repro.text.normalize import name_key, normalize_email, normalize_role
 
 __all__ = [
@@ -73,7 +76,7 @@ __all__ = [
 ]
 
 _GRAPH_FORMAT = "repro-entity-graph"
-_GRAPH_VERSION = 1
+_GRAPH_VERSION = 2
 
 
 @dataclass
@@ -176,14 +179,6 @@ def _top(limit: Optional[int], keys: List[tuple]) -> List[tuple]:
     if limit is None:
         return sorted(keys)
     return heapq.nsmallest(limit, keys)
-
-
-def _payload_checksum(payload: Dict[str, object]) -> str:
-    """Checksum of the payload's canonical (compact, sorted) JSON."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(
-        canonical.encode("utf-8"), digest_size=16
-    ).hexdigest()
 
 
 def _role_of(edge: Edge) -> str:
@@ -706,15 +701,11 @@ class EntityGraph:
             }
 
     def dumps(self) -> str:
-        """The canonical on-disk document (checksum + payload)."""
-        payload = self.to_payload()
-        document = {
-            "format": _GRAPH_FORMAT,
-            "version": _GRAPH_VERSION,
-            "checksum": _payload_checksum(payload),
-            "graph": payload,
-        }
-        return json.dumps(document, sort_keys=True, indent=2) + "\n"
+        """The canonical on-disk document: :meth:`to_payload` in the
+        :func:`~repro.storage.atomic.encode_document` envelope."""
+        return encode_document(
+            _GRAPH_FORMAT, _GRAPH_VERSION, self.to_payload()
+        )
 
     def save(self, path: str) -> None:
         """Atomically persist the graph (temp + fsync + rename)."""
@@ -723,14 +714,7 @@ class EntityGraph:
     @classmethod
     def load(cls, path: str) -> "EntityGraph":
         """Read a :meth:`save` file back; raises StorageError on damage."""
-        document = read_manifest(path, _GRAPH_FORMAT, _GRAPH_VERSION)
-        payload = document.get("graph")
-        if not isinstance(payload, dict):
-            raise StorageError(f"{path} has no graph payload")
-        if _payload_checksum(payload) != document.get("checksum"):
-            raise StorageError(
-                f"entity graph {path} failed checksum verification"
-            )
+        payload = read_manifest(path, _GRAPH_FORMAT, _GRAPH_VERSION)
         graph = cls()
         deals = payload.get("deals") or {}
         by_deal: Dict[str, List[Edge]] = {

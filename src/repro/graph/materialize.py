@@ -17,9 +17,8 @@ Used in three places:
   populate step;
 * ``EILSystem.add_workbook`` / ``remove_deal`` — incremental
   re-materialization of the touched deal only;
-* ``EILSystem.load`` — fallback rebuild when a persisted index
-  pre-dates the graph file (older ``save_index`` layouts stay
-  loadable).
+* ``EILSystem.load`` — fallback rebuild when a saved system has no
+  graph file.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ as it ranks one index's.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from typing import Any, Dict, Optional, Sequence
@@ -32,7 +31,11 @@ from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument
 from repro.search.index_reader import CompositeIndexReader, IndexReader
 from repro.search.inverted_index import InvertedIndex
-from repro.storage.atomic import atomic_write_text, read_manifest
+from repro.storage.atomic import (
+    atomic_write_text,
+    encode_document,
+    read_manifest,
+)
 from repro.storage.store import SegmentBackedIndex, save_index
 
 __all__ = ["shard_for", "ShardedIndex"]
@@ -65,7 +68,7 @@ class ShardedIndex(CompositeIndexReader):
     parts: Sequence[IndexReader] = ()
     SHARDS_MANIFEST = "SHARDS.json"
     _SHARDS_FORMAT = "repro-sharded-index"
-    _SHARDS_VERSION = 1
+    _SHARDS_VERSION = 2
 
     def __init__(
         self,
@@ -104,7 +107,7 @@ class ShardedIndex(CompositeIndexReader):
     def save(self, directory: str) -> Dict[str, Any]:
         """Persist every shard under ``directory``.
 
-        Layout: ``SHARDS.json`` (format marker + shard count) plus one
+        Layout: ``SHARDS.json`` (the shard count) plus one
         ``shard-NN/`` segment directory per shard.  Returns combined
         storage stats.
         """
@@ -123,16 +126,11 @@ class ShardedIndex(CompositeIndexReader):
             )
         atomic_write_text(
             os.path.join(directory, self.SHARDS_MANIFEST),
-            json.dumps(
-                {
-                    "format": self._SHARDS_FORMAT,
-                    "version": self._SHARDS_VERSION,
-                    "shards": len(self.parts),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
+            encode_document(
+                self._SHARDS_FORMAT,
+                self._SHARDS_VERSION,
+                {"shards": len(self.parts)},
+            ),
         )
         return combined
 

@@ -11,7 +11,9 @@ Public surface:
   format access.
 * :func:`~repro.storage.atomic.atomic_write_bytes` /
   ``atomic_write_text`` — the crash-safe write primitive shared with
-  :mod:`repro.db.persistence`.
+  :mod:`repro.db.persistence`, beside ``encode_document`` /
+  ``decode_document``, the checksummed envelope of every saved JSON
+  file.
 
 See docs/ARCHITECTURE.md ("Persistent index storage") for the on-disk
 layout and merge policy, and docs/OPERATIONS.md for the snapshot /

@@ -1,4 +1,4 @@
-"""Crash-safe file writes: temp file + fsync + atomic rename.
+"""Crash-safe file writes, and the one envelope every saved JSON file uses.
 
 A snapshot or manifest write that dies mid-``write()`` must never
 destroy the last good copy.  The only portable way to get that on POSIX
@@ -8,25 +8,36 @@ and ``fsync`` the file so the bytes are durable before the name flips,
 ``os.replace`` onto the final path (atomic within a directory), then
 fsync the directory so the rename itself survives a power cut.
 
-Used by :mod:`repro.db.persistence` for synopsis snapshots and by
-:mod:`repro.storage.store` for segment files and manifests.
+Every JSON file of a saved system — ``eil-manifest.json``,
+``SHARDS.json``, a segment store's ``MANIFEST.json``, ``synopsis.json``
+and ``graph.json`` — is one document of the same shape, written by
+:func:`encode_document` and read by :func:`decode_document` (or
+:func:`read_manifest`, which reads the file first)::
 
-:func:`read_manifest` is the reading half for the JSON manifests written
-this way (``eil-manifest.json``, ``SHARDS.json``, the segment
-``MANIFEST.json``, ``graph.json``): each is one JSON object carrying a
-``format`` marker and an integer ``version``.
+    {"checksum":"<hex>","format":"<kind>","payload":{...},"version":N}
+
+canonical JSON (sorted keys, no whitespace), with the checksum (a
+blake2b-128 hex digest) taken over the payload's canonical text.
+Whatever is wrong with a document — unreadable, not JSON, not an
+object, another kind or version, a missing or wrong checksum, a missing
+payload — the reader raises :class:`~repro.errors.StorageError` naming
+where it came from.  The payload's fields are the caller's to
+interpret.  :func:`checksum` is also what a segment store records for
+each segment file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict
+from typing import Any, Dict, Union
 
 from repro.errors import StorageError
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "read_manifest"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "checksum",
+           "encode_document", "decode_document", "read_manifest"]
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -60,30 +71,72 @@ def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:
     atomic_write_bytes(path, text.encode(encoding))
 
 
-def read_manifest(path: str, format: str, version: int) -> Dict[str, Any]:
-    """The JSON object stored at ``path``, checked to be a ``format`` file
-    of exactly ``version``.
+def checksum(data: bytes) -> str:
+    """The blake2b-128 hex digest every saved file is checked against."""
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
-    Anything else — unreadable, truncated or non-JSON bytes, a JSON value
-    that is not an object, another format marker, another version — raises
-    :class:`~repro.errors.StorageError` naming the path.  Checksums and
-    payload fields are the caller's to verify.
+
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def encode_document(kind: str, version: int, payload: Dict[str, Any]) -> str:
+    """``payload`` as a checksummed ``kind`` document of ``version``.
+
+    The text is canonical JSON of the whole envelope; it is assembled
+    around the payload's canonical text so the payload is serialized
+    once, for both the checksum and the file.
+    """
+    body = _canonical(payload)
+    return (
+        f'{{"checksum":"{checksum(body.encode("utf-8"))}",'
+        f'"format":{_canonical(kind)},"payload":{body},'
+        f'"version":{version}}}'
+    )
+
+
+def decode_document(
+    text: Union[str, bytes], kind: str, version: int, source: str
+) -> Dict[str, Any]:
+    """The payload of an :func:`encode_document` text, checked to be a
+    ``kind`` document of exactly ``version`` whose checksum matches.
+
+    Raises :class:`~repro.errors.StorageError` naming ``source`` for
+    anything else.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            body = json.load(handle)
+        document = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise StorageError(f"invalid JSON in {source}: {exc}") from exc
+    if not isinstance(document, dict) or document.get("format") != kind:
+        raise StorageError(f"{source} is not a {kind} file")
+    if document.get("version") != version:
+        raise StorageError(
+            f"unsupported {kind} version {document.get('version')!r} in "
+            f"{source} (expected {version}); rebuild and save again"
+        )
+    payload = document.get("payload")
+    if not isinstance(payload, dict):
+        raise StorageError(f"{source} has no {kind} payload")
+    if document.get("checksum") != checksum(
+        _canonical(payload).encode("utf-8")
+    ):
+        raise StorageError(
+            f"{source} failed its checksum (partial or corrupted write)"
+        )
+    return payload
+
+
+def read_manifest(path: str, kind: str, version: int) -> Dict[str, Any]:
+    """The payload of the ``kind`` document of ``version`` at ``path``
+    (see :func:`decode_document`); an unreadable file raises
+    :class:`~repro.errors.StorageError` naming the path too."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise StorageError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(body, dict) or body.get("format") != format:
-        raise StorageError(f"{path} is not a {format} file")
-    if body.get("version") != version:
-        raise StorageError(
-            f"unsupported {format} version {body.get('version')!r} in "
-            f"{path} (expected {version})"
-        )
-    return body
+    return decode_document(data, kind, version, path)
 
 
 def _fsync_directory(directory: str) -> None:

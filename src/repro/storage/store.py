@@ -37,8 +37,9 @@ flushes and merges happen inside ``add`` calls, which the engine
 already runs under its write lock, so queries never observe a
 half-merged segment list.
 
-Persistence (``save``/``load``) writes a manifest (format-versioned,
-checksummed, atomically replaced) plus one file per segment.  While a
+Persistence (``save``/``load``) writes a manifest (a
+:func:`~repro.storage.atomic.encode_document` document, atomically
+replaced) plus one file per segment.  While a
 directory is attached, flushed and merged segments spill straight to
 disk (docstores leave RAM — this is what bounds build memory at 100k+
 docs); the manifest is only rewritten by ``save``, so a crash leaves
@@ -48,8 +49,6 @@ unreferenced segment files.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from collections import OrderedDict
@@ -68,6 +67,8 @@ from repro.search.inverted_index import InvertedIndex
 from repro.storage.atomic import (
     atomic_write_bytes,
     atomic_write_text,
+    checksum,
+    encode_document,
     read_manifest,
 )
 from repro.storage.segment import (
@@ -85,7 +86,7 @@ __all__ = [
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "repro-segment-index"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 #: Documents held in the memtable before an automatic flush.
 DEFAULT_MEMTABLE_LIMIT = 4096
@@ -93,18 +94,6 @@ DEFAULT_MEMTABLE_LIMIT = 4096
 DEFAULT_MERGE_FANOUT = 4
 
 _DOC_CACHE_SIZE = 256
-
-
-def _checksum(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
-def _manifest_checksum(body: Dict[str, Any]) -> str:
-    canonical = json.dumps(
-        {key: body[key] for key in body if key != "checksum"},
-        sort_keys=True,
-    )
-    return _checksum(canonical.encode("utf-8"))
 
 
 class SegmentBackedIndex(CompositeIndexReader):
@@ -241,7 +230,7 @@ class SegmentBackedIndex(CompositeIndexReader):
         if self.directory is not None:
             path = self._new_segment_path()
             atomic_write_bytes(path, data)
-            self._checksums[path] = _checksum(data)
+            self._checksums[path] = checksum(data)
             segment.attach_file(path)
         self.segments.append(segment)
         return segment
@@ -301,7 +290,7 @@ class SegmentBackedIndex(CompositeIndexReader):
         if self.directory is not None:
             path = self._new_segment_path()
             atomic_write_bytes(path, data)
-            self._checksums[path] = _checksum(data)
+            self._checksums[path] = checksum(data)
             merged.attach_file(path)
         insert_at = positions[0]
         for position in sorted(positions, reverse=True):
@@ -348,31 +337,28 @@ class SegmentBackedIndex(CompositeIndexReader):
                 data = segment.raw_bytes()
                 path = self._new_segment_path()
                 atomic_write_bytes(path, data)
-                self._checksums[path] = _checksum(data)
+                self._checksums[path] = checksum(data)
                 segment.attach_file(path)
-            checksum = self._checksums.get(segment.path)
-            if checksum is None:
-                checksum = _checksum(segment.raw_bytes())
-                self._checksums[segment.path] = checksum
+            digest = self._checksums.get(segment.path)
+            if digest is None:
+                digest = checksum(segment.raw_bytes())
+                self._checksums[segment.path] = digest
             entries.append(
                 {
                     "file": os.path.basename(segment.path),
-                    "checksum": checksum,
+                    "checksum": digest,
                     "bytes": segment.size_bytes,
                     "docs": segment.doc_count,
                     "tombstones": segment.tombstoned_ids(),
                 }
             )
-        body: Dict[str, Any] = {
-            "format": MANIFEST_FORMAT,
-            "version": MANIFEST_VERSION,
-            "segments": entries,
-            "next_segment": self._next_segment,
-        }
-        body["checksum"] = _manifest_checksum(body)
         atomic_write_text(
             os.path.join(directory, MANIFEST_NAME),
-            json.dumps(body, indent=2, sort_keys=True) + "\n",
+            encode_document(
+                MANIFEST_FORMAT,
+                MANIFEST_VERSION,
+                {"segments": entries, "next_segment": self._next_segment},
+            ),
         )
         referenced = {entry["file"] for entry in entries}
         for name in os.listdir(directory):
@@ -399,20 +385,15 @@ class SegmentBackedIndex(CompositeIndexReader):
     ) -> "SegmentBackedIndex":
         """Cold-start a store from a saved directory.
 
-        Rejects foreign or damaged state with :class:`StorageError`:
-        missing/unparseable manifest, wrong format marker or version,
-        manifest checksum mismatch, missing segment files, segment
-        checksum or length mismatches, and segments that do not decode
-        (the error names the file).
+        Rejects foreign or damaged state with :class:`StorageError`
+        naming the file: a manifest that
+        :func:`~repro.storage.atomic.read_manifest` rejects, missing
+        segment files, segment checksum or length mismatches, and
+        segments that do not decode.
         """
         directory = os.path.abspath(directory)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         body = read_manifest(manifest_path, MANIFEST_FORMAT, MANIFEST_VERSION)
-        if body.get("checksum") != _manifest_checksum(body):
-            raise StorageError(
-                f"index manifest {manifest_path} failed its checksum "
-                f"(partial or corrupted write)"
-            )
         store = cls(analyzer=analyzer)
         store.directory = directory
         store._next_segment = int(body.get("next_segment", 1))
@@ -422,7 +403,7 @@ class SegmentBackedIndex(CompositeIndexReader):
                 raise StorageError(f"missing segment file {path}")
             with open(path, "rb") as handle:
                 data = handle.read()
-            if _checksum(data) != entry["checksum"]:
+            if checksum(data) != entry["checksum"]:
                 raise StorageError(f"segment {path} failed its checksum")
             if len(data) != entry["bytes"]:
                 raise StorageError(

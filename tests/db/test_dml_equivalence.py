@@ -9,11 +9,10 @@ context, and a mutation is a list edit.  After every generated statement
 the table, the rowcount or the raised error type, and every index must
 agree.
 
-Statements outside a transaction are not atomic — a failure on the
-third matched row leaves the first two changed — so the model applies
-row by row in rowid order and the comparison after an error is on the
-half-changed table.  WHERE, though, is decided for every row before any
-row changes.
+A statement is all-or-nothing: the model applies it row by row in
+rowid order to a copy of the table and keeps the copy only if every row
+succeeded, so a failure on the third matched row leaves the first two
+unchanged too.  WHERE is decided for every row before any row changes.
 
 The rows are adversarial (NULLs, NaN, the case-fold traps of
 ``tests/db/test_plan_equivalence.py``, one key a child table references), and predicates are drawn over indexed (``k``, ``grp``) and
@@ -119,8 +118,16 @@ def _bind_present(node, params):
 
 
 def run_model(rows, schema, statement, params):
-    """Apply a parsed UPDATE or DELETE of ``t`` to ``rows`` in place;
-    returns the rowcount or raises what the statement raises."""
+    """Apply a parsed UPDATE or DELETE of ``t`` to ``rows`` in place, all
+    or nothing; returns the rowcount or raises what the statement raises
+    (leaving ``rows`` as they were)."""
+    changed = list(rows)
+    count = _apply(changed, schema, statement, params)
+    rows[:] = changed
+    return count
+
+
+def _apply(rows, schema, statement, params):
     columns = schema.column_names
 
     def context(row):
@@ -346,3 +353,105 @@ def test_reached_errors_raise_before_any_row_changes(sql, params):
     with pytest.raises(ProgrammingError):
         db.execute(sql, params)
     assert [repr(row) for _, row in db.table("t").scan()] == before
+
+
+# ---------------------------------------------------------------------------
+# Statements are all-or-nothing
+# ---------------------------------------------------------------------------
+
+
+def build_parent_child():
+    """``p`` (five rows, ``UNIQUE (v)``) and ``c``, whose one row
+    references ``p.id = 4``: a multi-row statement over ``p`` can get
+    part way before it fails."""
+    db = Database()
+    db.execute(
+        "CREATE TABLE p (id INTEGER, v INTEGER, PRIMARY KEY (id), "
+        "UNIQUE (v))"
+    )
+    db.execute(
+        "CREATE TABLE c (cid INTEGER, pid INTEGER, PRIMARY KEY (cid), "
+        "FOREIGN KEY (pid) REFERENCES p (id))"
+    )
+    db.execute("CREATE INDEX ix_c_pid ON c (pid)")
+    db.execute("INSERT INTO p VALUES (1, 10), (2, 20), (3, 30), (4, 40), "
+               "(5, 50)")
+    db.execute("INSERT INTO c VALUES (1, 4)")
+    return db
+
+
+def table_state(db):
+    """Every table's rows, and per index its size, distinct keys and
+    what each stored row's key looks up."""
+    state = {}
+    for name in db.table_names:
+        table = db.table(name)
+        rows = list(table.scan())
+        state[name] = (rows, {
+            index.name: (
+                len(index),
+                index.distinct_keys,
+                {
+                    key: index.lookup(key)
+                    for key in (
+                        table.schema.key_of(row, index.columns)
+                        for _, row in rows
+                    )
+                },
+            )
+            for index in table.indexes.values()
+        })
+    return state
+
+
+#: Statements whose first rows succeed before a later row fails; each
+#: id says what the first rows did.
+PARTIAL = [
+    pytest.param("DELETE FROM p WHERE v > 0",
+                 id="deleted-ids-1-3-then-id-4-is-referenced"),
+    pytest.param("INSERT INTO p VALUES (6, 60), (7, 70), (1, 80)",
+                 id="inserted-6-and-7-then-id-1-exists"),
+    pytest.param("UPDATE p SET v = 60 WHERE id > 2",
+                 id="moved-id-3-then-id-4-collides-on-v"),
+    pytest.param("INSERT INTO c VALUES (2, 1), (3, 9)",
+                 id="inserted-cid-2-then-no-parent-9"),
+]
+
+
+@pytest.mark.parametrize("sql", PARTIAL)
+def test_a_statement_that_fails_part_way_changes_nothing(sql):
+    db = build_parent_child()
+    before = table_state(db)
+    with pytest.raises(IntegrityError):
+        db.execute(sql)
+    assert table_state(db) == before
+    # Nothing of it lingers to trip up the statements after it.
+    db.execute("INSERT INTO p VALUES (6, 60)")
+    assert db.execute("SELECT COUNT(*) FROM p").scalar() == 6
+
+
+@pytest.mark.parametrize("sql", PARTIAL)
+def test_a_failed_statement_inside_a_transaction_keeps_rollback_whole(sql):
+    db = build_parent_child()
+    before = table_state(db)
+    db.begin()
+    db.execute("UPDATE p SET v = 11 WHERE id = 1")
+    db.execute("INSERT INTO p VALUES (8, 80)")
+    during = table_state(db)
+    with pytest.raises(IntegrityError):
+        db.execute(sql)
+    assert table_state(db) == during
+    db.rollback()
+    assert table_state(db) == before
+
+
+@pytest.mark.parametrize("sql", PARTIAL)
+def test_a_committed_transaction_keeps_what_succeeded(sql):
+    db = build_parent_child()
+    db.begin()
+    db.execute("INSERT INTO p VALUES (8, 80)")
+    during = table_state(db)
+    with pytest.raises(IntegrityError):
+        db.execute(sql)
+    db.commit()
+    assert table_state(db) == during

@@ -1,6 +1,7 @@
 """Unit and property tests for database JSON persistence."""
 
 import datetime
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,15 @@ from repro.db import (
     load_database,
     loads_database,
 )
+from repro.db.persistence import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from repro.errors import DatabaseError
+from repro.storage.atomic import encode_document
+
+
+def snapshot_of(tables, version=SNAPSHOT_VERSION):
+    """A well-formed, correctly checksummed snapshot document of
+    ``tables`` (whatever they hold)."""
+    return encode_document(SNAPSHOT_FORMAT, version, {"tables": tables})
 
 
 def make_db():
@@ -73,8 +82,12 @@ class TestRoundtrip:
         assert any("index range ix_value" in step for step in result.plan)
 
     def test_fk_ordering_resolved(self):
-        # Alphabetical order would load 'contacts' before 'deals'.
-        restored = loads_database(dumps_database(make_db()))
+        # Alphabetical order would load 'contacts' before 'deals'; the
+        # snapshot lists tables in creation order, parents first.
+        text = dumps_database(make_db())
+        tables = json.loads(text)["payload"]["tables"]
+        assert [table["name"] for table in tables] == ["deals", "contacts"]
+        restored = loads_database(text)
         assert restored.execute(
             "SELECT COUNT(*) FROM contacts"
         ).scalar() == 1
@@ -102,7 +115,7 @@ class TestErrors:
 
     def test_wrong_version(self):
         with pytest.raises(DatabaseError, match="version"):
-            loads_database('{"version": 99, "tables": []}')
+            loads_database(snapshot_of([], version=99))
 
     def test_foreign_json_rejected(self):
         for payload in ('{"something": "else"}', "[1, 2, 3]", '"text"',
@@ -111,16 +124,12 @@ class TestErrors:
                 loads_database(payload)
 
     def test_checksum_mismatch_rejected(self):
-        import json
-
         document = json.loads(dumps_database(make_db()))
-        document["tables"][0]["rows"][0][1] = "tampered"
+        document["payload"]["tables"][0]["rows"][0][1] = "tampered"
         with pytest.raises(DatabaseError, match="checksum"):
             loads_database(json.dumps(document))
 
     def test_missing_checksum_rejected(self):
-        import json
-
         document = json.loads(dumps_database(make_db()))
         del document["checksum"]
         with pytest.raises(DatabaseError, match="checksum"):
@@ -128,28 +137,38 @@ class TestErrors:
 
     def test_malformed_structure_raises_typed_error(self):
         # Structurally broken specs must never leak KeyError/TypeError.
-        payloads = [
-            '{"version": 1, "tables": [{}]}',
-            '{"version": 1, "tables": [{"name": "t", "columns": 3, '
-            '"primary_key": [], "unique": [], "foreign_keys": [], '
-            '"indexes": [], "rows": []}]}',
-            '{"version": 1, "tables": [{"name": "t", "columns": '
-            '[{"name": "c", "dtype": "NOPE", "nullable": true, '
-            '"default": null}], "primary_key": [], "unique": [], '
-            '"foreign_keys": [], "indexes": [], "rows": []}]}',
+        table = {"name": "t", "columns": [], "primary_key": [],
+                 "unique": [], "foreign_keys": [], "indexes": [],
+                 "rows": []}
+        column = {"name": "c", "dtype": "TEXT", "nullable": True,
+                  "default": None}
+        malformed = [
+            [{}],
+            [{**table, "columns": 3}],
+            [{**table, "columns": [{**column, "dtype": "NOPE"}]}],
+            [{**table, "columns": [column], "rows": [[{"__date__": 5}]]}],
+            {"t": table},
         ]
-        for payload in payloads:
-            with pytest.raises(DatabaseError):
-                loads_database(payload)
+        for tables in malformed:
+            with pytest.raises(DatabaseError, match="malformed"):
+                loads_database(snapshot_of(tables))
 
-    def test_version1_snapshot_still_loads(self):
-        import json
+    def test_child_listed_before_its_parent_is_malformed(self):
+        tables = json.loads(dumps_database(make_db()))["payload"]["tables"]
+        with pytest.raises(DatabaseError, match="malformed .*unknown table"):
+            loads_database(snapshot_of(tables[::-1]))
 
-        document = json.loads(dumps_database(make_db()))
-        del document["checksum"]
-        document["version"] = 1
-        restored = loads_database(json.dumps(document))
-        assert restored.execute("SELECT COUNT(*) FROM deals").scalar() == 2
+    def test_older_snapshot_is_rejected_naming_the_file(self, tmp_path):
+        # The layout dumps_database wrote before the shared envelope:
+        # version 2, a checksum and the tables at the top level.
+        path = tmp_path / "snapshot.json"
+        tables = json.loads(dumps_database(make_db()))["payload"]["tables"]
+        path.write_text(json.dumps(
+            {"version": 2, "checksum": "0" * 32, "tables": tables}
+        ))
+        with pytest.raises(DatabaseError, match="not a repro-db") as raised:
+            load_database(path)
+        assert str(path) in str(raised.value)
 
     def test_load_missing_file_raises_typed_error(self, tmp_path):
         with pytest.raises(DatabaseError, match="cannot read"):

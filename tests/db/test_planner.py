@@ -200,8 +200,8 @@ class TestScanMetrics:
 
 class TestExplain:
     def test_explain_select_reports_plan_without_rows(self, db):
-        result = db.explain(
-            "SELECT c.nm FROM deals d "
+        result = db.execute(
+            "EXPLAIN SELECT c.nm FROM deals d "
             "JOIN contacts c ON c.deal_id = d.deal_id "
             "WHERE d.deal_id = ?",
             ["d1"],
@@ -219,8 +219,8 @@ class TestExplain:
                    for line in result.column("plan"))
 
     def test_explain_update_uses_index_without_mutating(self, db):
-        result = db.explain(
-            "UPDATE contacts SET nm = 'x' WHERE deal_id = 'd1'"
+        result = db.execute(
+            "EXPLAIN UPDATE contacts SET nm = 'x' WHERE deal_id = 'd1'"
         )
         lines = result.column("plan")
         assert any("ix_contacts_deal" in line for line in lines)
@@ -228,7 +228,7 @@ class TestExplain:
         assert "x" not in db.execute("SELECT nm FROM contacts").column("nm")
 
     def test_explain_delete_reports_access_path(self, db):
-        result = db.explain("DELETE FROM contacts WHERE cid = 11")
+        result = db.execute("EXPLAIN DELETE FROM contacts WHERE cid = 11")
         assert any("pk_contacts" in line for line in result.column("plan"))
         assert db.execute(
             "SELECT count(*) FROM contacts"

@@ -193,7 +193,7 @@ class TestIncrementalConsistency:
         eil = EILSystem.build(corpus)
 
         def shape(graph):
-            payload = json.loads(graph.dumps())["graph"]
+            payload = json.loads(graph.dumps())["payload"]
             for edge in payload["edges"]:
                 edge.pop("provenance")
             # Provenance was the final tiebreaker in the canonical

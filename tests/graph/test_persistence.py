@@ -1,10 +1,9 @@
-"""Entity-graph persistence: bit-identity, damage detection, legacy dirs.
+"""Entity-graph persistence: bit-identity, damage detection, rebuilds.
 
 The storage contract mirrors the segment store's: canonical
 serialization (save → load → save is byte-identical), checksum
-verification on load, and back-compat — a pre-graph ``persist``
-directory (no graph.json) still cold-starts, rebuilding the graph from
-the synopsis database.
+verification on load, and a snapshot directory without graph.json
+still cold-starts, rebuilding the graph from the synopsis database.
 """
 
 import json
@@ -51,11 +50,15 @@ class TestBitIdentity:
         _, eil = world
         path = tmp_path / "g.json"
         eil.graph.save(str(path))
-        document = json.loads(path.read_text())
+        text = path.read_text()
+        document = json.loads(text)
+        assert set(document) == {"checksum", "format", "payload", "version"}
         assert document["format"] == "repro-entity-graph"
-        assert document["version"] == 1
-        assert "checksum" in document
-        assert set(document["graph"]) == {"deals", "edges"}
+        assert document["version"] == 2
+        assert set(document["payload"]) == {"deals", "edges"}
+        assert text == json.dumps(
+            document, sort_keys=True, separators=(",", ":")
+        )
 
 
 class TestDamageDetection:
@@ -92,7 +95,7 @@ class TestDamageDetection:
     def test_corrupted_payload_fails_checksum(self, world, tmp_path):
         path = self._saved(world, tmp_path)
         document = json.loads(path.read_text())
-        document["graph"]["edges"][0]["deal_id"] = "tampered"
+        document["payload"]["edges"][0]["deal_id"] = "tampered"
         path.write_text(json.dumps(document))
         with pytest.raises(StorageError, match="checksum"):
             EntityGraph.load(str(path))
@@ -102,11 +105,14 @@ class TestSystemColdStart:
     def test_save_index_writes_the_graph(self, world, tmp_path):
         _, eil = world
         eil.save_index(str(tmp_path))
-        assert (tmp_path / "graph.json").exists()
+        assert EntityGraph.load(str(tmp_path / "graph.json")).dumps() == (
+            eil.graph.dumps()
+        )
+        # The system manifest does not name the file: load looks for it.
         manifest = json.loads(
             (tmp_path / EILSystem.EIL_MANIFEST).read_text()
         )
-        assert manifest["graph"] == "graph.json"
+        assert "graph" not in manifest["payload"]
 
     def test_cold_start_graph_is_bit_identical(self, world, tmp_path):
         corpus, eil = world
@@ -120,14 +126,10 @@ class TestSystemColdStart:
 
     def test_legacy_directory_without_graph_rebuilds(self, world,
                                                      tmp_path):
-        """Pre-graph persist layouts stay loadable (manifest v1)."""
+        """A snapshot without graph.json loads: the graph is rebuilt."""
         corpus, eil = world
         eil.save_index(str(tmp_path))
         os.remove(tmp_path / "graph.json")
-        manifest_path = tmp_path / EILSystem.EIL_MANIFEST
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["graph"]
-        manifest_path.write_text(json.dumps(manifest))
         cold = EILSystem.load(str(tmp_path), corpus)
         # Rebuilt from the synopsis DB: same graph, byte for byte.
         assert cold.graph.dumps() == eil.graph.dumps()
@@ -138,7 +140,7 @@ class TestSystemColdStart:
         eil.save_index(str(tmp_path))
         graph_path = tmp_path / "graph.json"
         document = json.loads(graph_path.read_text())
-        document["graph"]["edges"] = []
+        document["payload"]["edges"] = []
         graph_path.write_text(json.dumps(document))
         with pytest.raises(StorageError, match="checksum"):
             EILSystem.load(str(tmp_path), corpus)

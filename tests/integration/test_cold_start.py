@@ -182,7 +182,7 @@ def test_cold_start_onboards_unseen_deal(corpus, tmp_path):
 
     def state(eil):
         return (
-            json.loads(dumps_database(eil.organized.db))["tables"],
+            json.loads(dumps_database(eil.organized.db))["payload"],
             eil.graph.dumps(),
             keyword_fingerprint(eil),
             dataclasses.asdict(run_table2(corpus, eil)),

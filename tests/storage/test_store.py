@@ -21,8 +21,9 @@ from repro.obs import use_registry
 from repro.search import IndexableDocument
 from repro.search.inverted_index import InvertedIndex
 from repro.storage import MANIFEST_NAME, SegmentBackedIndex
+from repro.storage.atomic import checksum, encode_document, read_manifest
 from repro.storage.segment import FORMAT_VERSION, MAGIC
-from repro.storage.store import _checksum, _manifest_checksum
+from repro.storage.store import MANIFEST_FORMAT, MANIFEST_VERSION
 from tests.reference.index import DictOfDocs, assert_conforms
 
 WORDS = ["network", "storage", "deal", "services", "migration",
@@ -169,7 +170,7 @@ def test_save_is_rerunnable_and_sweeps_orphans(tmp_path):
     compact(store)
     store.save(str(tmp_path))
     assert not (tmp_path / "seg-999999.rsg").exists()
-    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())["payload"]
     referenced = {entry["file"] for entry in manifest["segments"]}
     on_disk = {p.name for p in tmp_path.glob("seg-*.rsg")}
     assert on_disk == referenced
@@ -209,7 +210,7 @@ def test_load_tampered_manifest_raises(tmp_path):
     store, _ = build_pair(make_docs(docs=5))
     store.save(str(tmp_path))
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-    manifest["next_segment"] = 12345
+    manifest["payload"]["next_segment"] = 12345
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
     with pytest.raises(StorageError, match="checksum"):
         SegmentBackedIndex.load(str(tmp_path))
@@ -242,17 +243,20 @@ def test_load_names_a_segment_that_does_not_decode(tmp_path):
     store, _ = build_pair(make_docs(docs=30), memtable_limit=8)
     store.save(str(tmp_path))
     manifest_path = tmp_path / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(
+        str(manifest_path), MANIFEST_FORMAT, MANIFEST_VERSION
+    )
     entry = manifest["segments"][0]
     victim = tmp_path / entry["file"]
     data = bytearray(victim.read_bytes())
     assert data[:4] == MAGIC and data[4] == FORMAT_VERSION
     data[4] = FORMAT_VERSION + 1
     victim.write_bytes(bytes(data))
-    entry["checksum"] = _checksum(bytes(data))
+    entry["checksum"] = checksum(bytes(data))
     entry["bytes"] = len(data)
-    manifest["checksum"] = _manifest_checksum(manifest)
-    manifest_path.write_text(json.dumps(manifest))
+    manifest_path.write_text(
+        encode_document(MANIFEST_FORMAT, MANIFEST_VERSION, manifest)
+    )
     with pytest.raises(StorageError, match="format version") as raised:
         SegmentBackedIndex.load(str(tmp_path))
     assert str(victim) in str(raised.value)

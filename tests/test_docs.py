@@ -1,6 +1,6 @@
 """Documentation quality gates.
 
-Five checks keep the docs from rotting:
+Six checks keep the docs from rotting:
 
 * every module under ``src/repro`` and ``benchmarks/`` carries a module
   docstring (empty ``__init__.py`` re-export stubs are exempt only if
@@ -16,7 +16,9 @@ Five checks keep the docs from rotting:
   from ``repro.cli``;
 * the ``REPRO_*`` environment variables ``src/`` reads are exactly the
   ones ``docs/OPERATIONS.md`` names, so a knob can neither arrive
-  undocumented nor linger in the runbook after it is removed.
+  undocumented nor linger in the runbook after it is removed;
+* the saved-file table in ``docs/ARCHITECTURE.md`` names exactly the
+  file names, ``format`` markers and versions the code writes.
 """
 
 import ast
@@ -233,6 +235,40 @@ class TestOperationsDocs:
             f"created but undocumented: {sorted(created - documented)}; "
             f"documented but not created: {sorted(documented - created)}"
         )
+
+    def test_architecture_lists_exactly_the_saved_json_formats(
+        self, architecture
+    ):
+        from repro.core.eil import EILSystem
+        from repro.db import persistence
+        from repro.graph import graph
+        from repro.serving.sharding import ShardedIndex
+        from repro.storage import store
+
+        section = architecture.split("### Saved JSON files", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = {
+            name: (kind, int(version))
+            for name, kind, version in re.findall(
+                r"^\| `([\w.-]+)` \| `([\w-]+)` \| (\d+) \|", section, re.M
+            )
+        }
+        written = {
+            EILSystem.EIL_MANIFEST: (
+                EILSystem._EIL_FORMAT, EILSystem._EIL_VERSION
+            ),
+            ShardedIndex.SHARDS_MANIFEST: (
+                ShardedIndex._SHARDS_FORMAT, ShardedIndex._SHARDS_VERSION
+            ),
+            store.MANIFEST_NAME: (
+                store.MANIFEST_FORMAT, store.MANIFEST_VERSION
+            ),
+            EILSystem._SYNOPSIS_FILE: (
+                persistence.SNAPSHOT_FORMAT, persistence.SNAPSHOT_VERSION
+            ),
+            EILSystem._GRAPH_FILE: (graph._GRAPH_FORMAT, graph._GRAPH_VERSION),
+        }
+        assert documented == written
 
     def test_architecture_covers_the_db_engine(self, architecture):
         for needle in (

@@ -407,6 +407,29 @@ def test_every_load_verifies_what_it_reads():
     assert not opens
 
 
+def test_saved_files_have_one_checksum():
+    # Every saved JSON file goes through repro.storage.atomic's
+    # encode_document / decode_document, and segment files through its
+    # checksum(); the fault injector's hash picks faults, not files.
+    hashing = sorted(
+        str(path.relative_to(SRC / "repro"))
+        for path in (SRC / "repro").rglob("*.py")
+        if re.search(r"^import hashlib\b", path.read_text(), re.M)
+    )
+    assert hashing == ["faults/injection.py", "storage/atomic.py"], hashing
+
+
+def test_database_runs_sql_one_way():
+    # execute() runs every statement, EXPLAIN included: no select()
+    # that skips the parser, no explain() beside the EXPLAIN statement.
+    defined = {
+        method.name
+        for _, cls, method in _methods("repro.db.database")
+        if cls == "Database"
+    }
+    assert not defined & {"select", "explain"}, defined
+
+
 def test_every_public_name_is_reached_or_is_entry_point_api():
     missing = [name for name in unreached() if name not in ENTRY_POINT_API]
     assert not missing, (
