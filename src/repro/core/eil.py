@@ -26,8 +26,8 @@ Typical use::
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, List, Optional, Tuple
 
 from repro.annotators.classifier import NaiveBayesClassifier
 from repro.core.acquisition import DataAcquisition
@@ -107,6 +107,39 @@ class BuildReport:
     documents_failed: int
     deals_populated: int
     documents_quarantined: int = 0
+
+
+def _manifest_fields(
+    manifest: Dict[str, object], path: str
+) -> Tuple[Dict[str, str], Optional[BuildReport]]:
+    """``eil-manifest.json``'s repositories and build report, once they
+    have the shapes :meth:`EILSystem.save_index` writes; a
+    :class:`StorageError` naming ``path`` otherwise (the envelope
+    vouches for the bytes, not for the code that wrote them)."""
+    repositories = manifest.get("repositories")
+    if not isinstance(repositories, dict) or not all(
+        isinstance(name, str) for name in repositories.values()
+    ):
+        raise StorageError(
+            f"malformed {path}: repositories must map deal ids to "
+            f"repository names, got {repositories!r:.80}"
+        )
+    if "build_report" not in manifest:
+        raise StorageError(f"malformed {path}: no build_report")
+    report = manifest["build_report"]
+    if report is None:
+        return dict(repositories), None
+    names = {f.name for f in fields(BuildReport)}
+    if (
+        not isinstance(report, dict)
+        or set(report) != names
+        or not all(type(value) is int for value in report.values())
+    ):
+        raise StorageError(
+            f"malformed {path}: build_report must have the integer "
+            f"fields {sorted(names)}, got {report!r:.120}"
+        )
+    return dict(repositories), BuildReport(**report)
 
 
 class EILSystem:
@@ -351,6 +384,7 @@ class EILSystem:
         manifest = read_manifest(
             manifest_path, cls._EIL_FORMAT, cls._EIL_VERSION
         )
+        repositories, report = _manifest_fields(manifest, manifest_path)
         index_directory = os.path.join(directory, cls._INDEX_SUBDIR)
         shards_path = os.path.join(
             index_directory, ShardedIndex.SHARDS_MANIFEST
@@ -399,11 +433,10 @@ class EILSystem:
             from repro.graph import build_graph
 
             system.graph = build_graph(system.organized)
-        system._repositories = dict(manifest.get("repositories") or {})
+        system._repositories = repositories
         system._search = system._new_search()
-        report = manifest.get("build_report")
         if report is not None:
-            system.build_report = BuildReport(**report)
+            system.build_report = report
             get_registry().set_gauge(
                 "eil.deals_populated", system.build_report.deals_populated
             )

@@ -123,9 +123,15 @@ def loads_database(
         )
     except StorageError as exc:
         raise DatabaseError(str(exc)) from exc
+    tables = payload.get("tables")
+    if not isinstance(tables, list):
+        raise DatabaseError(
+            f"malformed {source}: tables must be a list, got "
+            f"{type(tables).__name__}"
+        )
     db = Database()
     try:
-        for spec in payload["tables"]:
+        for spec in tables:
             _create_table(db, spec)
             column_names = db.table(spec["name"]).schema.column_names
             for row in spec["rows"]:

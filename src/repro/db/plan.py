@@ -49,6 +49,13 @@ What the plan does:
   column, when no equality or range conjunct already chose an index, is
   the ascending union of one index probe per distinct non-NULL value:
   the rows a full scan would deliver, in the order it would.
+* *Substring probes* — failing those, a non-negated ``LIKE`` over an
+  indexed TEXT column (bare or under ``LOWER``/``UPPER``) with a
+  literal or ``?`` pattern asks the index's trigram map for the keys
+  that may match: those holding every trigram of the pattern's ASCII
+  literal runs, plus every non-ASCII key.  Their rows come in rowid
+  order, a superset the LIKE conjunct then filters.  A pattern with no
+  ASCII run of three or more characters scans.
 * *Streaming aggregation* — GROUP BY folds incremental aggregate
   states (count/sum/avg/min/max, DISTINCT via first-occurrence sets) in
   a single pass instead of materializing per-group row lists.  Fold
@@ -89,10 +96,13 @@ from repro.db.expr import (
     ColumnRef,
     Comparison,
     Expression,
+    FunctionCall,
     InList,
+    Like,
     Literal,
     Parameter,
     RowFunction,
+    _like_tokens,
     compile_expression,
 )
 from repro.db.index import Index, SortedIndex
@@ -112,6 +122,7 @@ from repro.db.query import (
     grouped_key_position,
 )
 from repro.db.table import Table
+from repro.db.types import DataType
 from repro.errors import ProgrammingError
 from repro.obs import get_registry
 
@@ -201,18 +212,62 @@ def _probe_value(expression: Expression, params: Sequence[Any]) -> Any:
     return expression.value
 
 
+def _text_column_of(
+    expression: Expression, ref: TableRef, table: Table
+) -> Optional[str]:
+    """The TEXT column of ``table`` a LIKE operand reads — ``col``,
+    ``LOWER(col)`` or ``UPPER(col)`` — if it is one."""
+    if (
+        isinstance(expression, FunctionCall)
+        and expression.name.lower() in ("lower", "upper")
+    ):
+        (expression,) = expression.args
+    column = _column_of(expression, ref, table)
+    if column is None:
+        return None
+    if table.schema.column(column).dtype is not DataType.TEXT:
+        return None
+    return column
+
+
+def _ascii_runs(pattern: str, escape: Optional[str]) -> List[str]:
+    """The literal runs of a LIKE pattern a trigram probe may use: the
+    maximal runs of ASCII literal characters, three or more long.  A
+    ``%``, a ``_`` and a non-ASCII character each end a run — the regex
+    that defines LIKE folds some non-ASCII characters onto ASCII
+    letters, so only ASCII runs say which ASCII keys can match."""
+    runs: List[str] = []
+    run: List[str] = []
+    for token in _like_tokens(pattern, escape) + [None]:
+        if isinstance(token, str) and token.isascii():
+            run.append(token)
+            continue
+        if len(run) >= 3:
+            runs.append("".join(run))
+        run = []
+    return runs
+
+
 class _BaseAccess:
     """Access path for one table's rows, chosen by shape at plan time.
 
     Preference order matches the seed planner — single-column equality
     index, then sorted-index range — then, where the seed would scan,
-    an indexed ``col IN (constants)``, then the full scan.  (The IN
-    probes come last because a range delivers key order: taking them
-    over a range would reorder rows the seed leaves in key order.)
-    Probe values may be ``?`` parameters — they are read per execution,
-    and a NULL probe short-circuits to an empty scan (``col = NULL`` is
-    never true, and the conjunct that produced the probe is re-applied
-    anyway)."""
+    an indexed ``col IN (constants)``, then an indexed substring probe,
+    then the full scan.  (The IN probes come after the range because a
+    range delivers key order: taking them over a range would reorder
+    rows the seed leaves in key order.)  The substring probe serves a
+    non-negated ``LIKE`` over a TEXT column, bare or under
+    ``LOWER``/``UPPER``, whose pattern is a literal or a ``?``: it asks
+    the column's index for the keys holding every trigram of the
+    pattern's ASCII literal runs, plus every non-ASCII key, in rowid
+    order.  A pattern with no such run of three or more characters
+    scans.  Only TEXT columns qualify because LIKE over any other value
+    raises when a row reaches it, and a probe that delivered no row
+    would hide that.  Probe values may be ``?`` parameters — they are
+    read per execution, and a NULL probe short-circuits to an empty
+    scan (``col = NULL`` and ``col LIKE NULL`` are never true, and the
+    conjunct that produced the probe is re-applied anyway)."""
 
     __slots__ = ("table", "kind", "index", "column", "op", "probe")
 
@@ -224,14 +279,25 @@ class _BaseAccess:
         self.index = None
         self.column: Optional[str] = None
         self.op: Optional[str] = None
-        # One Literal/Parameter, or the tuple of them of an IN list.
+        # One Literal/Parameter, the tuple of them of an IN list, or
+        # the Like node of a substring probe.
         self.probe: Any = None
 
         # Candidate (kind, column, op, probe) paths, by kind.
         equality: List[Tuple[str, str, Optional[str], Any]] = []
         ranges: List[Tuple[str, str, Optional[str], Any]] = []
         in_lists: List[Tuple[str, str, Optional[str], Any]] = []
+        likes: List[Tuple[str, str, Optional[str], Any]] = []
         for conjunct in conjuncts:
+            if isinstance(conjunct, Like):
+                column = _text_column_of(conjunct.operand, ref, table)
+                if (
+                    column is not None
+                    and not conjunct.negated
+                    and isinstance(conjunct.pattern, (Literal, Parameter))
+                ):
+                    likes.append(("like", column, "like", conjunct))
+                continue
             if isinstance(conjunct, InList):
                 column = _column_of(conjunct.operand, ref, table)
                 if (
@@ -265,7 +331,7 @@ class _BaseAccess:
             elif op in ("<", "<=", ">", ">="):
                 ranges.append(("range", column, op, right))
 
-        for kind, column, op, probe in equality + ranges + in_lists:
+        for kind, column, op, probe in equality + ranges + in_lists + likes:
             index = table.index_on((column,))
             if isinstance(
                 index, SortedIndex if kind == "range" else Index
@@ -276,19 +342,29 @@ class _BaseAccess:
 
     def rows(self, params: Sequence[Any], plan: List[str]) -> List[Row]:
         """The candidate rows, in :meth:`rowids` order."""
-        if self.kind == "scan":
-            plan.append(f"full scan {self.table.schema.name}")
+        rowids = self._probe(params, plan)
+        if rowids is None:
             return [row for _, row in self.table.scan()]
-        return list(map(self.table.row, self.rowids(params, plan)))
+        return list(map(self.table.row, rowids))
 
     def rowids(
         self, params: Sequence[Any], plan: List[str]
     ) -> Iterable[int]:
-        """Candidate row ids in ascending-rowid order (scan/eq/in) or
-        key order (range), appending the chosen path to ``plan``."""
+        """Candidate row ids in ascending-rowid order (scan/eq/in/like)
+        or key order (range), appending the chosen path to ``plan``."""
+        rowids = self._probe(params, plan)
+        if rowids is None:
+            return (rowid for rowid, _ in self.table.scan())
+        return rowids
+
+    def _probe(
+        self, params: Sequence[Any], plan: List[str]
+    ) -> Optional[Iterable[int]]:
+        """The row ids the index path gives, or None for a full scan;
+        either way the path taken is appended to ``plan``."""
         if self.kind == "scan":
             plan.append(f"full scan {self.table.schema.name}")
-            return (rowid for rowid, _ in self.table.scan())
+            return None
         if self.kind == "in":
             values = dict.fromkeys(
                 value
@@ -304,13 +380,31 @@ class _BaseAccess:
             return sorted(
                 set().union(*(self.index.lookup((v,)) for v in values))
             )
-        value = _probe_value(self.probe, params)
+        like = self.probe if self.kind == "like" else None
+        value = _probe_value(
+            like.pattern if like is not None else self.probe, params
+        )
         if value is None:
             plan.append(
                 f"empty scan {self.table.schema.name} "
                 f"({self.column} {self.op or '='} NULL)"
             )
             return ()
+        if like is not None:
+            # A pattern that is not text raises once a row reaches it.
+            runs = (
+                _ascii_runs(value, like.escape)
+                if isinstance(value, str)
+                else None
+            )
+            if not runs:
+                plan.append(f"full scan {self.table.schema.name}")
+                return None
+            plan.append(
+                f"index substring {self.index.name}"
+                f"({self.column} like {value!r})"
+            )
+            return self.index.substring_rowids(runs)
         if self.kind == "eq":
             plan.append(
                 f"index lookup {self.index.name}({self.column}={value!r})"

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.concurrency import AtomicCounter, ReadWriteLock
+from repro.errors import StorageError
 from repro.graph.model import (
     DEAL,
     IN_SCOPE,
@@ -713,22 +714,38 @@ class EntityGraph:
 
     @classmethod
     def load(cls, path: str) -> "EntityGraph":
-        """Read a :meth:`save` file back; raises StorageError on damage."""
+        """Read a :meth:`save` file back; raises StorageError naming
+        ``path`` on damage, a well-enveloped payload of the wrong shape
+        included."""
         payload = read_manifest(path, _GRAPH_FORMAT, _GRAPH_VERSION)
+        deals = payload.get("deals")
+        edges = payload.get("edges")
+        if not isinstance(deals, dict) or not isinstance(edges, list):
+            raise StorageError(
+                f"malformed {path}: 'deals' must be an object and 'edges' "
+                f"a list, got {type(deals).__name__} and "
+                f"{type(edges).__name__}"
+            )
+        try:
+            by_deal: Dict[str, List[Edge]] = {
+                deal_id: [] for deal_id in deals
+            }
+            for raw in edges:
+                edge = Edge.from_dict(raw)
+                by_deal.setdefault(edge.deal_id, []).append(edge)
+            attrs_of = {
+                deal_id: dict(deals.get(deal_id) or {"name": deal_id})
+                for deal_id in by_deal
+            }
+        except (KeyError, IndexError, TypeError, ValueError,
+                AttributeError) as exc:
+            raise StorageError(f"malformed {path}: {exc!r}") from exc
         graph = cls()
-        deals = payload.get("deals") or {}
-        by_deal: Dict[str, List[Edge]] = {
-            deal_id: [] for deal_id in deals
-        }
-        for raw in payload.get("edges") or []:
-            edge = Edge.from_dict(raw)
-            by_deal.setdefault(edge.deal_id, []).append(edge)
         with graph._lock.write():
             touched: Set[str] = set()
             for deal_id in sorted(by_deal):
-                attrs = deals.get(deal_id) or {"name": deal_id}
                 touched.update(
-                    graph._attach(deal_id, dict(attrs), by_deal[deal_id])
+                    graph._attach(deal_id, attrs_of[deal_id], by_deal[deal_id])
                 )
             graph._rename(touched)
             graph._epoch.increment()

@@ -95,6 +95,36 @@ DEFAULT_MERGE_FANOUT = 4
 
 _DOC_CACHE_SIZE = 256
 
+#: field -> type of one ``segments`` entry of ``MANIFEST.json``.
+_ENTRY_FIELDS = {"file": str, "checksum": str, "bytes": int,
+                 "tombstones": list}
+
+
+def _segment_entries(body: Mapping[str, Any], path: str) -> List[Dict]:
+    """``body``'s segment entries, once its fields have the shapes
+    :meth:`SegmentBackedIndex.save` writes; a :class:`StorageError`
+    naming ``path`` otherwise (the envelope vouches for the bytes, not
+    for the code that wrote them)."""
+    next_segment = body.get("next_segment")
+    if type(next_segment) is not int or next_segment < 1:
+        raise StorageError(
+            f"malformed {path}: next_segment is {next_segment!r}"
+        )
+    entries = body.get("segments")
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict)
+        and all(
+            type(entry.get(field)) is kind
+            for field, kind in _ENTRY_FIELDS.items()
+        )
+        for entry in entries
+    ):
+        raise StorageError(
+            f"malformed {path}: segments must be a list of "
+            f"{sorted(_ENTRY_FIELDS)} entries"
+        )
+    return entries
+
 
 class SegmentBackedIndex(CompositeIndexReader):
     """Memtable + immutable segments, read as one composite index."""
@@ -394,10 +424,11 @@ class SegmentBackedIndex(CompositeIndexReader):
         directory = os.path.abspath(directory)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         body = read_manifest(manifest_path, MANIFEST_FORMAT, MANIFEST_VERSION)
+        entries = _segment_entries(body, manifest_path)
         store = cls(analyzer=analyzer)
         store.directory = directory
-        store._next_segment = int(body.get("next_segment", 1))
-        for entry in body["segments"]:
+        store._next_segment = body["next_segment"]
+        for entry in entries:
             path = os.path.join(directory, entry["file"])
             if not os.path.isfile(path):
                 raise StorageError(f"missing segment file {path}")
@@ -415,7 +446,7 @@ class SegmentBackedIndex(CompositeIndexReader):
             except StorageError as exc:
                 raise StorageError(f"segment {path}: {exc}") from exc
             segment.attach_file(path)
-            for doc_id in entry.get("tombstones", ()):
+            for doc_id in entry["tombstones"]:
                 segment.tombstone(doc_id)
             store._checksums[path] = entry["checksum"]
             store.segments.append(segment)

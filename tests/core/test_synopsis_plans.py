@@ -5,9 +5,10 @@ its activities' names back, so a statement that silently falls back to
 scanning costs every request.  These tests pin the access path —
 ``ResultSet.plan``'s first line — of each statement
 :class:`SynopsisSearch` and :class:`OrganizedInformation`'s readers
-issue: index probes everywhere, a full scan only where the predicate is
-a leading-wildcard ``LIKE`` (a substring search no index serves) or
-there is no predicate at all.
+issue: index probes everywhere.  A leading-wildcard ``LIKE`` (a
+substring search) probes its column's index by trigram where the column
+has one; a full scan is left only where it has none, where the needle
+is shorter than a trigram, or where there is no predicate at all.
 """
 
 import pytest
@@ -32,8 +33,10 @@ def accesses(system, monkeypatch):
 
     def recording(sql, params=()):
         result = execute(sql, params)
-        # "index lookup ix(col='v')" -> "index lookup ix(col"
+        # "index lookup ix(col='v')" -> "index lookup ix(col", and
+        # "index substring ix(col like '%v%')" -> "index substring ix(col"
         path = result.plan[0].split("=")[0].split(" in ")[0]
+        path = path.split(" like ")[0]
         seen.setdefault(" ".join(sql.split()), set()).add(path)
         return result
 
@@ -72,9 +75,12 @@ def test_synopsis_search_probes_where_an_index_can_serve(system, accesses):
     } == {
         f"SELECT deal_id FROM deals WHERE LOWER({column}) {contains}":
             {"full scan deals"}
-        for column in ("industry", "consultant", "geography")
+        for column in ("consultant", "geography")
     } | {
-        contacts.format(f"LOWER(name) {contains}"): {"full scan contacts"},
+        f"SELECT deal_id FROM deals WHERE LOWER(industry) {contains}":
+            {"index substring ix_deals_industry(industry"},
+        contacts.format(f"LOWER(name) {contains}"):
+            {"index substring ix_contacts_name(name"},
         contacts.format(f"LOWER(organization) {contains}"):
             {"full scan contacts"},
         contacts.format("role = ?"):
@@ -84,9 +90,23 @@ def test_synopsis_search_probes_where_an_index_can_serve(system, accesses):
             "AND role = ?"
         ): {"index lookup ix_contacts_role(role"},
         f"SELECT deal_id FROM technologies WHERE LOWER(term) {contains}":
-            {"full scan technologies"},
+            {"index substring ix_tech_term(term"},
         f"SELECT deal_id FROM win_strategies WHERE LOWER(text) {contains}":
             {"full scan win_strategies"},
+    }
+
+
+def test_a_needle_shorter_than_a_trigram_scans(system, accesses):
+    """A two-character name has no trigram to probe for: the indexed
+    name column is scanned, as every column was before it had a
+    substring path."""
+    SynopsisSearch(system.organized, system.taxonomy).execute(
+        FormQuery(person_name="sm")
+    )
+    assert accesses == {
+        "SELECT deal_id, MAX(mention_count) AS mentions FROM contacts "
+        "WHERE LOWER(name) LIKE ? ESCAPE '\\' GROUP BY deal_id":
+            {"full scan contacts"},
     }
 
 

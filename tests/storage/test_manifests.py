@@ -359,6 +359,29 @@ def _one_value_changed(original, data):
     return json.dumps(document).encode("utf-8")
 
 
+#: What a forged top-level payload field becomes (one of another type).
+FORGED_VALUES = [None, True, 7, "x", [], {}]
+
+
+def _forged(original, data):
+    """``original`` with one top-level payload field deleted or given a
+    value of another type, re-encoded so the envelope checks out: what
+    a loader sees past the checksum."""
+    document = json.loads(original)
+    payload = document["payload"]
+    field = data.draw(st.sampled_from(sorted(payload)), label="field")
+    if data.draw(st.booleans(), label="delete"):
+        del payload[field]
+    else:
+        payload[field] = data.draw(st.sampled_from([
+            value for value in FORGED_VALUES
+            if type(value) is not type(payload[field])
+        ]), label="forged")
+    return encode_document(
+        document["format"], document["version"], payload
+    ).encode("utf-8")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -371,7 +394,7 @@ def test_damage_is_a_typed_error_naming_the_file_or_changes_nothing(
     path = root / relative
     original = path.read_bytes()
     how = data.draw(st.sampled_from(
-        ["byte", "truncate", "value"] if relative.endswith(".json")
+        ["byte", "truncate", "value", "forged"] if relative.endswith(".json")
         else ["byte", "truncate"]
     ), label="damage")
     if how == "byte":
@@ -385,8 +408,10 @@ def test_damage_is_a_typed_error_naming_the_file_or_changes_nothing(
         damaged = original[:data.draw(
             st.integers(0, len(original) - 1), label="length"
         )]
-    else:
+    elif how == "value":
         damaged = _one_value_changed(original, data)
+    else:
+        damaged = _forged(original, data)
     path.write_bytes(damaged)
     try:
         outcome = load_outcome(root, corpus)
@@ -396,6 +421,48 @@ def test_damage_is_a_typed_error_naming_the_file_or_changes_nothing(
         assert str(path) in str(outcome), (relative, how, outcome)
     else:
         assert outcome == undamaged, (relative, how)
+
+
+#: (file, top-level payload field, forged value or None to delete it):
+#: each used to load past its envelope into a bare TypeError,
+#: ValueError, KeyError or AttributeError.
+FORGED = [
+    (EILSystem.EIL_MANIFEST, "build_report", 12345),
+    (EILSystem.EIL_MANIFEST, "build_report", {"documents_indexed": 1}),
+    (EILSystem.EIL_MANIFEST, "repositories", "ab"),
+    (EILSystem.EIL_MANIFEST, "repositories", 7),
+    (EILSystem.EIL_MANIFEST, "repositories", None),
+    ("graph.json", "deals", 7),
+    ("graph.json", "edges", 7),
+    ("graph.json", "edges", ["x"]),
+    ("graph.json", "deals", None),
+    (os.path.join("index", "shard-00", MANIFEST_NAME), "segments", 7),
+    (os.path.join("index", "shard-00", MANIFEST_NAME), "segments", ["x"]),
+    (os.path.join("index", "shard-00", MANIFEST_NAME), "segments", None),
+    (os.path.join("index", "shard-01", MANIFEST_NAME), "next_segment", "x"),
+    (os.path.join("index", "shard-01", MANIFEST_NAME), "next_segment", None),
+]
+
+
+@pytest.mark.parametrize("relative,field,value", FORGED)
+def test_a_forged_payload_field_raises_storage_error_naming_the_file(
+    saved, corpus, tmp_path, relative, field, value
+):
+    root = tmp_path / "copy"
+    shutil.copytree(saved, root)
+    path = root / relative
+    document = json.loads(path.read_text())
+    payload = document["payload"]
+    if value is None:
+        del payload[field]
+    else:
+        payload[field] = value
+    path.write_text(
+        encode_document(document["format"], document["version"], payload)
+    )
+    with pytest.raises(StorageError) as raised:
+        EILSystem.load(str(root), corpus)
+    assert str(path) in str(raised.value)
 
 
 @pytest.mark.parametrize("field,value", [
