@@ -12,6 +12,13 @@ pattern: instrumented components resolve :func:`get_registry` /
 * :func:`set_enabled` (False) turns all recording into immediate
   returns, bounding instrumentation overhead on hot paths.
 
+The default tracer keeps no span trees (``max_roots=0``): a span on it
+is a stage timer that costs two clock reads and one ``span.<name>``
+histogram sample.  Code that wants the per-request trees asks for them
+with :func:`use_tracer` (or :func:`set_tracer`), which installs a
+tracer keeping the last 256 roots — ``repro stats --json`` does, for
+its ``traces``.
+
 Typical use::
 
     from repro import obs
@@ -85,16 +92,17 @@ def use_registry(
         set_registry(previous)
 
 
-_tracer = Tracer(registry_provider=get_registry)
+_tracer = Tracer(registry_provider=get_registry, max_roots=0)
 
 
 def get_tracer() -> Tracer:
-    """The process-wide default tracer."""
+    """The process-wide tracer (at start, one that keeps no trees)."""
     return _tracer
 
 
 def set_tracer(tracer: Optional[Tracer]) -> Tracer:
-    """Install ``tracer`` as the default (None installs a fresh one)."""
+    """Install ``tracer`` as the default (None installs a fresh one
+    keeping the last 256 root span trees)."""
     global _tracer
     _tracer = (
         tracer
@@ -106,7 +114,8 @@ def set_tracer(tracer: Optional[Tracer]) -> Tracer:
 
 @contextmanager
 def use_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Temporarily install a tracer; restores the previous on exit."""
+    """Temporarily install a tree-keeping tracer (or ``tracer``);
+    restores the previous on exit."""
     previous = get_tracer()
     installed = set_tracer(tracer)
     try:

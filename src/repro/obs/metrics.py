@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from bisect import insort
+from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "Timer"]
@@ -219,14 +220,10 @@ class Timer:
         self._start: Optional[float] = None
 
     def __enter__(self) -> "Timer":
-        from time import perf_counter
-
         self._start = perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        from time import perf_counter
-
         if self._start is not None:
             self._registry.observe(self._name, perf_counter() - self._start)
 

@@ -1,20 +1,23 @@
-"""Hierarchical spans over monotonic clocks.
+"""Per-stage timings, and hierarchical spans for whoever asks for trees.
 
-A :class:`Span` is one timed region of a pipeline stage; spans nest,
-so one ``query.execute`` root span holds the ``query.synopsis`` /
-``query.siapi`` / ``query.rank`` children the paper's Figure 1 steps
-map to.  The :class:`Tracer` hands out spans as context managers and
-keeps the finished roots for export.
+Every span records its duration into the metrics registry as a
+``span.<name>`` histogram, which is what aggregate per-stage latency
+reporting (``repro stats``, the latency benchmark) reads.
 
-Span durations are also recorded into the metrics registry as
-``span.<name>`` histograms, which is what aggregate per-stage latency
-reporting (``repro stats``, the latency benchmark) reads — the span
-tree itself is the per-request view.
+What else a span does depends on the :class:`Tracer`'s ``max_roots``:
+
+* ``max_roots=0`` (the process default, :func:`repro.obs.get_tracer`)
+  keeps no trees, so it builds none: a span is a stage timer, one clock
+  read at each end and one histogram sample at exit.
+* ``max_roots > 0`` (what :func:`repro.obs.use_tracer` installs) builds
+  a :class:`Span` tree per thread and keeps the last ``max_roots``
+  finished roots for export — one ``query.execute`` root holding the
+  ``query.synopsis`` / ``query.siapi`` / ``query.rank`` children the
+  paper's Figure 1 steps map to.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
@@ -25,7 +28,7 @@ __all__ = ["Span", "Tracer"]
 
 
 class Span:
-    """One timed, attributable region of work.
+    """One timed, attributable region of work in a retained tree.
 
     Attributes:
         name: Stage name (dotted, e.g. ``"query.siapi"``).
@@ -60,11 +63,6 @@ class Span:
             self._end = perf_counter()
 
     @property
-    def finished(self) -> bool:
-        """True once :meth:`finish` ran."""
-        return self._end is not None
-
-    @property
     def duration(self) -> float:
         """Elapsed seconds (up to now while the span is still open)."""
         end = self._end if self._end is not None else perf_counter()
@@ -83,17 +81,46 @@ class Span:
 class _ActiveSpan:
     """Context manager binding a span to the tracer's stack."""
 
-    __slots__ = ("_tracer", "span")
+    __slots__ = ("_tracer", "span", "_metric")
 
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
+    def __init__(self, tracer: "Tracer", span: Span, metric: str) -> None:
         self._tracer = tracer
         self.span = span
+        self._metric = metric
 
     def __enter__(self) -> Span:
         return self.span
 
     def __exit__(self, *exc_info: object) -> None:
-        self._tracer._finish(self.span)
+        self._tracer._finish(self.span, self._metric)
+
+
+class _StageTimer:
+    """A span on a tracer that keeps no trees: a clock read at each end
+    and one ``span.<name>`` sample into the registry resolved at exit."""
+
+    __slots__ = ("_registry_provider", "_metric", "_start")
+
+    def __init__(
+        self,
+        registry_provider: Callable[[], Optional[MetricsRegistry]],
+        metric: str,
+    ) -> None:
+        self._registry_provider = registry_provider
+        self._metric = metric
+
+    def __enter__(self) -> "_StageTimer":
+        self._start = perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        elapsed = perf_counter() - self._start
+        registry = self._registry_provider()
+        if registry is not None:
+            registry.observe(self._metric, elapsed)
+
+    def set_attribute(self, key: str, value: Any) -> None:
+        """Discard the annotation: no tree keeps it."""
 
 
 class _NullSpanContext:
@@ -115,7 +142,7 @@ _NULL_SPAN = _NullSpanContext()
 
 
 class Tracer:
-    """Produces nested spans and retains finished root spans.
+    """Hands out spans as context managers.
 
     Args:
         registry: Metrics registry for ``span.<name>`` duration
@@ -123,9 +150,10 @@ class Tracer:
         registry_provider: Zero-arg callable resolving the registry at
             record time — how the default tracer follows the global
             default registry even after it is swapped.
-        max_roots: Finished root spans retained for export (oldest are
-            dropped first); per-stage aggregates live in the registry,
-            so the cap only bounds the per-request trace view.
+        max_roots: Finished root span trees retained for export (oldest
+            are dropped first).  At 0 the tracer keeps no trees and
+            builds none: each span is a stage timer that only records
+            its ``span.<name>`` sample.
         enabled: When False, :meth:`span` returns a shared no-op
             context manager.
     """
@@ -139,10 +167,12 @@ class Tracer:
     ) -> None:
         if registry is not None and registry_provider is not None:
             raise ValueError("pass registry or registry_provider, not both")
-        self._registry = registry
-        self._registry_provider = registry_provider
+        self._registry_provider: Callable[[], Optional[MetricsRegistry]] = (
+            registry_provider or (lambda: registry)
+        )
         self.max_roots = max_roots
         self.enabled = enabled
+        self._metrics: Dict[str, str] = {}  # stage name -> "span.<name>"
         self._local = threading.local()
         self._lock = threading.Lock()
         self._roots: List[Span] = []
@@ -152,22 +182,24 @@ class Tracer:
     def span(self, name: str, **attributes: Any):
         """Open a span as a context manager.
 
-        The span nests under the thread's currently open span; a span
-        with no parent becomes a root and is retained for export.
+        On a tree-keeping tracer the span nests under the thread's
+        currently open span, and a span with no parent becomes a root
+        retained for export.
         """
         if not self.enabled:
             return _NULL_SPAN
-        parent = self.current()
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics.setdefault(name, "span." + name)
+        if not self.max_roots:
+            return _StageTimer(self._registry_provider, metric)
+        stack = self._stack()
+        parent = stack[-1] if stack else None
         span = Span(name, parent=parent, attributes=attributes)
         if parent is not None:
             parent.children.append(span)
-        self._stack().append(span)
-        return _ActiveSpan(self, span)
-
-    def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        stack.append(span)
+        return _ActiveSpan(self, span, metric)
 
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
@@ -175,7 +207,7 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def _finish(self, span: Span) -> None:
+    def _finish(self, span: Span, metric: str) -> None:
         span.finish()
         stack = self._stack()
         if stack and stack[-1] is span:
@@ -185,40 +217,23 @@ class Tracer:
                 stack.remove(span)
             except ValueError:
                 pass
-        registry = self._resolve_registry()
+        registry = self._registry_provider()
         if registry is not None:
-            registry.observe(f"span.{span.name}", span.duration)
+            registry.observe(metric, span.duration)
         if span.parent is None:
             with self._lock:
                 self._roots.append(span)
                 if len(self._roots) > self.max_roots:
                     del self._roots[: len(self._roots) - self.max_roots]
 
-    def _resolve_registry(self) -> Optional[MetricsRegistry]:
-        if self._registry is not None:
-            return self._registry
-        if self._registry_provider is not None:
-            return self._registry_provider()
-        return None
-
     # -- export -------------------------------------------------------------
 
     @property
     def roots(self) -> List[Span]:
-        """Finished root spans, oldest first."""
+        """Finished root spans, oldest first (none when ``max_roots`` is 0)."""
         with self._lock:
             return list(self._roots)
 
     def export(self) -> List[Dict[str, Any]]:
         """Every retained root span tree as plain dicts."""
         return [root.to_dict() for root in self.roots]
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """JSON dump of :meth:`export`."""
-        return json.dumps(self.export(), indent=indent)
-
-    def reset(self) -> None:
-        """Drop retained roots and this thread's open stack."""
-        with self._lock:
-            self._roots.clear()
-        self._local.stack = []

@@ -74,18 +74,20 @@ TEST_ONLY_METHODS = {
     "repro.faults.breaker.CircuitBreaker.state":
         "operator API: what the breaker.state.<name> gauge of "
         "docs/OPERATIONS.md reports",
-    "repro.obs.tracing.Span.finished":
-        "test-only; obs/tracing.py goes with the request-tracing item",
-    "repro.obs.tracing.Tracer.reset":
-        "test-only; obs/tracing.py goes with the request-tracing item",
-    "repro.obs.tracing.Tracer.to_json":
-        "test-only; obs/tracing.py goes with the request-tracing item",
     "repro.security.access.AccessController.restrict":
         "policy administration: the access-control properties move "
         "policy_version with it",
     "repro.security.access.AccessController.revoke_user":
         "policy administration: the access-control properties move "
         "policy_version with it",
+}
+
+#: Methods deleted because only tests called them; they stay gone.
+DELETED_METHODS = {
+    "repro.obs.tracing.Span.finished",
+    "repro.obs.tracing.Tracer.current",
+    "repro.obs.tracing.Tracer.reset",
+    "repro.obs.tracing.Tracer.to_json",
 }
 
 #: The environment variables the program reads: deployment shape only.
@@ -317,6 +319,16 @@ def test_every_public_method_is_named_somewhere_or_listed():
     )
     stale = sorted(set(TEST_ONLY_METHODS) - set(found))
     assert not stale, f"TEST_ONLY_METHODS names now reached or gone: {stale}"
+
+
+def test_deleted_test_only_methods_stay_gone():
+    back = sorted(
+        DELETED_METHODS & {
+            f"{module}.{cls}.{method.name}"
+            for module, cls, method in _methods()
+        }
+    )
+    assert not back, f"deleted methods defined again: {back}"
 
 
 def test_repro_db_has_one_evaluator():
