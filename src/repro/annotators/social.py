@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.annotators.base import EilAnnotator
 from repro.errors import DatabaseError, TransientError
 from repro.intranet.directory import PersonnelDirectory
-from repro.obs import get_registry
+from repro.obs import CounterHandle
 from repro.text.normalize import (
     name_key,
     normalize_email,
@@ -42,6 +42,8 @@ __all__ = [
     "CATEGORY_FOR_ROLE",
     "candidate_document",
 ]
+
+_REFRESH_SKIPPED = CounterHandle("contacts.directory_refresh_skipped")
 
 # Business heuristic: People-tab category by canonical role (paper
 # Section 4, Meta-query 2: "core deal team, technical support team,
@@ -330,7 +332,7 @@ class ContactRollup(CasConsumer):
                 if len(matches) == 1:
                     directory_record = matches[0]
         except (DatabaseError, TransientError):
-            get_registry().inc("contacts.directory_refresh_skipped")
+            _REFRESH_SKIPPED.inc()
             return record
         if directory_record is not None:
             record.validated = True

@@ -11,7 +11,7 @@ die by key mismatch rather than by explicit eviction.
 
 Each cache is obs-instrumented: ``<name>.hits`` / ``<name>.misses`` /
 ``<name>.evictions`` / ``<name>.bypassed`` counters and a
-``<name>.size`` gauge land in the ambient
+``<name>.size`` gauge, bound once per cache, land in the default
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Degraded results never enter a cache: a value carrying a truthy
@@ -28,7 +28,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
-from repro.obs import get_registry
+from repro.obs import CounterHandle, GaugeHandle
 
 __all__ = ["LruCache"]
 
@@ -59,18 +59,22 @@ class LruCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
+        self._hits = CounterHandle(f"{name}.hits")
+        self._misses = CounterHandle(f"{name}.misses")
+        self._evictions = CounterHandle(f"{name}.evictions")
+        self._bypassed = CounterHandle(f"{name}.bypassed")
+        self._size = GaugeHandle(f"{name}.size")
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value, or ``None``; refreshes LRU order on hit."""
-        metrics = get_registry()
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
                 self._entries.move_to_end(key)
         if value is None:
-            metrics.inc(f"{self.name}.misses")
+            self._misses.inc()
             return None
-        metrics.inc(f"{self.name}.hits")
+        self._hits.inc()
         return value
 
     @staticmethod
@@ -91,12 +95,11 @@ class LruCache:
         """
         if value is None:
             raise ValueError(f"cache {self.name!r} cannot store None")
-        metrics = get_registry()
         # Classify before the disabled-cache short-circuit: a degraded
         # value must count as bypassed (and None must raise) at every
         # capacity, so metric semantics do not depend on sizing.
         if not self.storable(value):
-            metrics.inc(f"{self.name}.bypassed")
+            self._bypassed.inc()
             return
         if self.max_entries == 0:
             return
@@ -112,14 +115,14 @@ class LruCache:
                 self._entries.popitem(last=False)
                 evicted += 1
             if evicted:
-                metrics.inc(f"{self.name}.evictions", evicted)
-            metrics.set_gauge(f"{self.name}.size", len(self._entries))
+                self._evictions.inc(evicted)
+            self._size.set(len(self._entries))
 
     def clear(self) -> None:
         """Drop every entry (capacity and counters are untouched)."""
         with self._lock:
             self._entries.clear()
-            get_registry().set_gauge(f"{self.name}.size", 0)
+            self._size.set(0)
 
     def __len__(self) -> int:
         with self._lock:

@@ -76,6 +76,8 @@ from repro.serving import EILServer
 
 __all__ = ["main", "build_parser"]
 
+_BASELINE_UNAVAILABLE = obs.CounterHandle("query.baseline_unavailable")
+
 _USER = User("cli", frozenset({"sales"}))
 
 
@@ -465,7 +467,7 @@ def _stats_workload(eil: EILSystem, corpus, rounds: int) -> None:
         except TransientError:
             # The baseline has no degradation ladder (by design); a
             # persistent injected outage must not kill the stats run.
-            obs.get_registry().inc("query.baseline_unavailable")
+            _BASELINE_UNAVAILABLE.inc()
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

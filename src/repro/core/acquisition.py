@@ -12,11 +12,16 @@ from typing import Optional
 
 from repro.docmodel.repository import WorkbookCollection
 from repro.faults import RetryPolicy
-from repro.obs import get_registry, get_tracer
+from repro.obs import CounterHandle, GaugeHandle, get_tracer
 from repro.search.crawler import Crawler, CrawlReport
 from repro.search.engine import SearchEngine
 
 __all__ = ["DataAcquisition"]
+
+_DOCUMENTS_INDEXED = CounterHandle("acquisition.documents_indexed")
+_DOCUMENTS_SKIPPED = CounterHandle("acquisition.documents_skipped")
+_SOURCES_ABORTED = CounterHandle("acquisition.sources_aborted")
+_INDEX_DOCUMENTS = GaugeHandle("index.documents")
 
 
 class DataAcquisition:
@@ -34,10 +39,9 @@ class DataAcquisition:
         """Crawl every workbook in the collection into the index."""
         with get_tracer().span("offline.acquire") as span:
             report = self._crawler.crawl_all(iter(collection))
-        metrics = get_registry()
-        metrics.inc("acquisition.documents_indexed", report.indexed)
-        metrics.inc("acquisition.documents_skipped", report.skipped)
-        metrics.inc("acquisition.sources_aborted", report.sources_aborted)
-        metrics.set_gauge("index.documents", len(self.engine))
+        _DOCUMENTS_INDEXED.inc(report.indexed)
+        _DOCUMENTS_SKIPPED.inc(report.skipped)
+        _SOURCES_ABORTED.inc(report.sources_aborted)
+        _INDEX_DOCUMENTS.set(len(self.engine))
         span.set_attribute("indexed", report.indexed)
         return report

@@ -33,12 +33,18 @@ from repro.docmodel.repository import WorkbookCollection
 from repro.errors import TransientError
 from repro.faults import RetryPolicy, get_injector
 from repro.intranet.directory import PersonnelDirectory
-from repro.obs import get_registry, get_tracer
+from repro.obs import CounterHandle, HistogramHandle, get_tracer
 from repro.uima.cas import Cas
 from repro.uima.cpe import CasConsumer, CollectionProcessingEngine
 from repro.uima.typesystem import TypeSystem
 
 __all__ = ["AnalysisResults", "FeatureRollup", "InformationAnalysis"]
+
+_DOCUMENTS_FAILED = CounterHandle("analysis.documents_failed")
+_DOCUMENTS_PROCESSED = CounterHandle("analysis.documents_processed")
+_DOCUMENTS_QUARANTINED = CounterHandle("analysis.documents_quarantined")
+_WORKBOOKS_QUARANTINED = CounterHandle("analysis.workbooks_quarantined")
+_PARSE_SECONDS = HistogramHandle("analysis.parse_seconds")
 
 
 class FeatureRollup(CasConsumer):
@@ -180,12 +186,11 @@ class InformationAnalysis:
                 # repository layout the paper crawls.
                 shard_key=attrgetter("deal_id"),
             )
-        metrics = get_registry()
-        metrics.inc("analysis.documents_processed",
-                    report.documents_processed)
-        metrics.inc("analysis.documents_failed", report.documents_failed)
-        metrics.inc("analysis.documents_quarantined",
-                    report.documents_quarantined + skipped_docs)
+        _DOCUMENTS_PROCESSED.inc(report.documents_processed)
+        _DOCUMENTS_FAILED.inc(report.documents_failed)
+        _DOCUMENTS_QUARANTINED.inc(
+            report.documents_quarantined + skipped_docs
+        )
         span.set_attribute("documents", report.documents_processed)
         results = AnalysisResults(
             contacts=report.consumer_results["contact-rollup"],
@@ -244,7 +249,7 @@ class InformationAnalysis:
                     f"{type(exc).__name__}: {exc} "
                     f"({len(workbook)} documents skipped)"
                 )
-                get_registry().inc("analysis.workbooks_quarantined")
+                _WORKBOOKS_QUARANTINED.inc()
                 continue
             documents.extend(docs)
         return documents, skipped, quarantine
@@ -263,5 +268,5 @@ class InformationAnalysis:
         get_injector().check(
             "analysis", key=getattr(document, "doc_id", None)
         )
-        with get_registry().timer("analysis.parse_seconds"):
+        with _PARSE_SECONDS.timer():
             return self.parser.to_cas(document)

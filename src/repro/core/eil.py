@@ -49,7 +49,7 @@ from repro.errors import StorageError, TransientError
 from repro.faults import RetryPolicy
 from repro.graph import EntityGraph, index_deal_from_organized
 from repro.intranet.directory import PersonnelDirectory
-from repro.obs import get_registry, get_tracer
+from repro.obs import CounterHandle, GaugeHandle, get_tracer
 from repro.search.document import SearchHit
 from repro.search.engine import SearchEngine
 from repro.search.siapi import SiapiService
@@ -62,6 +62,10 @@ from repro.storage.atomic import (
 )
 
 __all__ = ["EILSystem", "BuildReport"]
+
+_DEALS_POPULATED = GaugeHandle("eil.deals_populated")
+_DOCUMENTS_QUARANTINED = GaugeHandle("eil.documents_quarantined")
+_GRAPH_DEALS_SKIPPED = CounterHandle("graph.deals_skipped")
 
 _DEFAULT_USER = User("analyst", frozenset({"sales"}))
 
@@ -303,10 +307,8 @@ class EILSystem:
             deals_populated=len(deal_ids),
             documents_quarantined=results.documents_quarantined,
         )
-        get_registry().set_gauge("eil.deals_populated", len(deal_ids))
-        get_registry().set_gauge(
-            "eil.documents_quarantined", results.documents_quarantined
-        )
+        _DEALS_POPULATED.set(len(deal_ids))
+        _DOCUMENTS_QUARANTINED.set(results.documents_quarantined)
         return self.build_report
 
     # -- persistence -------------------------------------------------------------
@@ -437,12 +439,9 @@ class EILSystem:
         system._search = system._new_search()
         if report is not None:
             system.build_report = report
-            get_registry().set_gauge(
-                "eil.deals_populated", system.build_report.deals_populated
-            )
-            get_registry().set_gauge(
-                "eil.documents_quarantined",
-                system.build_report.documents_quarantined,
+            _DEALS_POPULATED.set(system.build_report.deals_populated)
+            _DOCUMENTS_QUARANTINED.set(
+                system.build_report.documents_quarantined
             )
         return system
 
@@ -583,7 +582,7 @@ class EILSystem:
                 self.graph, self.organized, deal_id,
             )
         except TransientError:
-            get_registry().inc("graph.deals_skipped")
+            _GRAPH_DEALS_SKIPPED.inc()
 
     # -- incremental maintenance ---------------------------------------------
 
@@ -627,9 +626,7 @@ class EILSystem:
                 results.documents_quarantined
             )
             self.build_report.deals_populated += 1
-            get_registry().set_gauge(
-                "eil.deals_populated", self.build_report.deals_populated
-            )
+            _DEALS_POPULATED.set(self.build_report.deals_populated)
         self._search.invalidate()
 
     def remove_deal(self, deal_id: str) -> int:
@@ -669,7 +666,5 @@ class EILSystem:
             self.build_report.documents_indexed -= removed
             if had_synopsis:
                 self.build_report.deals_populated -= 1
-            get_registry().set_gauge(
-                "eil.deals_populated", self.build_report.deals_populated
-            )
+            _DEALS_POPULATED.set(self.build_report.deals_populated)
         return removed

@@ -19,11 +19,19 @@ from repro.core.organized import OrganizedInformation
 from repro.corpus.taxonomy import ServiceTaxonomy
 from repro.db import escape_like
 from repro.errors import QuerySyntaxError
-from repro.obs import get_registry, get_tracer
+from repro.obs import CounterHandle, get_tracer
 from repro.search.siapi import SiapiQuery
 from repro.text.normalize import normalize_role
 
 __all__ = ["FormQuery", "SynopsisMatch", "SynopsisSearch"]
+
+_CRITERION_CONSULTANT = CounterHandle("synopsis.criterion.consultant")
+_CRITERION_GEOGRAPHY = CounterHandle("synopsis.criterion.geography")
+_CRITERION_INDUSTRY = CounterHandle("synopsis.criterion.industry")
+_CRITERION_PEOPLE = CounterHandle("synopsis.criterion.people")
+_CRITERION_TEXT = CounterHandle("synopsis.criterion.text")
+_CRITERION_TOWER = CounterHandle("synopsis.criterion.tower")
+_QUERIES = CounterHandle("synopsis.queries")
 
 # Form criteria are substrings (paper Fig. 8): a ``%`` or ``_`` the user
 # typed is text to find, not a wildcard.
@@ -190,8 +198,7 @@ class SynopsisSearch:
             form.has_text_criteria() and form.search_in == "synopsis"
         ):
             return {}
-        metrics = get_registry()
-        metrics.inc("synopsis.queries")
+        _QUERIES.inc()
         criteria_scores: List[Dict[str, float]] = []
         reasons: Dict[str, List[str]] = {}
         tracer = get_tracer()
@@ -203,26 +210,26 @@ class SynopsisSearch:
 
         with tracer.span("synopsis.sql"):
             if form.tower.strip():
-                metrics.inc("synopsis.criterion.tower")
+                _CRITERION_TOWER.inc()
                 add(self._tower_scores(form.tower), f"tower={form.tower}")
             if form.industry.strip():
-                metrics.inc("synopsis.criterion.industry")
+                _CRITERION_INDUSTRY.inc()
                 add(self._field_scores("industry", form.industry),
                     f"industry={form.industry}")
             if form.consultant.strip():
-                metrics.inc("synopsis.criterion.consultant")
+                _CRITERION_CONSULTANT.inc()
                 add(self._field_scores("consultant", form.consultant),
                     f"consultant={form.consultant}")
             if form.geography.strip():
-                metrics.inc("synopsis.criterion.geography")
+                _CRITERION_GEOGRAPHY.inc()
                 add(self._field_scores("geography", form.geography),
                     f"geography={form.geography}")
             if form.person_name.strip() or form.organization.strip() or \
                     form.role.strip():
-                metrics.inc("synopsis.criterion.people")
+                _CRITERION_PEOPLE.inc()
                 add(self._people_scores(form), "people")
             if form.has_text_criteria() and form.search_in == "synopsis":
-                metrics.inc("synopsis.criterion.text")
+                _CRITERION_TEXT.inc()
                 add(self._synopsis_text_scores(form), "synopsis-text")
 
         if not criteria_scores:

@@ -52,7 +52,12 @@ from repro.errors import (
     TransientError,
 )
 from repro.faults import CircuitBreaker, RetryPolicy
-from repro.obs import get_registry, get_tracer
+from repro.obs import (
+    CounterHandle,
+    HistogramHandle,
+    get_registry,
+    get_tracer,
+)
 from repro.search.siapi import SiapiService
 from repro.security.access import AccessController, User
 
@@ -64,6 +69,21 @@ __all__ = [
     "DEGRADED_NO_SYNOPSIS",
     "DEGRADED_NO_INDEX",
 ]
+
+_ACTIVITIES_RETURNED = HistogramHandle("query.activities_returned")
+_DEGRADED = CounterHandle("query.degraded")
+_EMPTY_RESULTS = CounterHandle("query.empty_results")
+_EXECUTED = CounterHandle("query.executed")
+_PRESENT_CONTACTS_UNAVAILABLE = CounterHandle(
+    "query.present_contacts_unavailable"
+)
+_PRESENT_ROW_UNAVAILABLE = CounterHandle("query.present_row_unavailable")
+_SIAPI_SCOPED = CounterHandle("query.siapi_scoped")
+_SIAPI_UNAVAILABLE = CounterHandle("query.siapi_unavailable")
+_SIAPI_UNSCOPED = CounterHandle("query.siapi_unscoped")
+_SYNOPSIS_MATCHES = HistogramHandle("query.synopsis_matches")
+_SYNOPSIS_UNAVAILABLE = CounterHandle("query.synopsis_unavailable")
+_UNAVAILABLE = CounterHandle("query.unavailable")
 
 #: ``EilResults.degraded`` flag: the synopsis store was unreachable, so
 #: the result is keyword-only (no business-context scoping or scores).
@@ -290,7 +310,7 @@ class BusinessActivityDrivenSearch:
         cache verdict.  Reads no substrate and takes no lock but the
         cache's own.
         """
-        get_registry().inc("query.executed")
+        _EXECUTED.inc()
         self.access.require_synopsis_access(user)
         if form.is_empty():
             raise QuerySyntaxError("the search form is empty")
@@ -348,9 +368,8 @@ class BusinessActivityDrivenSearch:
         )
 
     def _record_degraded(self, flag: str, plan: List[str], note: str) -> None:
-        metrics = get_registry()
-        metrics.inc("query.degraded")
-        metrics.inc(f"query.degraded.{flag}")
+        _DEGRADED.inc()
+        get_registry().inc(f"query.degraded.{flag}")
         plan.append(note)
 
     def _execute(
@@ -361,7 +380,6 @@ class BusinessActivityDrivenSearch:
         per_activity_documents: int,
     ) -> EilResults:
         tracer = get_tracer()
-        metrics = get_registry()
         with tracer.span("query.execute") as root:
             plan: List[str] = []
             degraded: Optional[str] = None
@@ -382,15 +400,13 @@ class BusinessActivityDrivenSearch:
                     synopsis_matches = self._synopsis_matches(form)
                 except _SYNOPSIS_OUTAGES as exc:
                     synopsis_failure = exc
-                    metrics.inc("query.synopsis_unavailable")
+                    _SYNOPSIS_UNAVAILABLE.inc()
             if synopsis_failure is None:
                 plan.append(
                     f"synopsis query matched {len(synopsis_matches)} "
                     f"activities"
                 )
-                metrics.observe(
-                    "query.synopsis_matches", len(synopsis_matches)
-                )
+                _SYNOPSIS_MATCHES.observe(len(synopsis_matches))
             else:
                 degraded = DEGRADED_NO_SYNOPSIS
                 self._record_degraded(
@@ -415,7 +431,7 @@ class BusinessActivityDrivenSearch:
                         "no text criteria to fall back to; empty "
                         "degraded result"
                     )
-                    metrics.inc("query.empty_results")
+                    _EMPTY_RESULTS.inc()
                     return EilResults(plan=plan, degraded=degraded)
                 try:
                     with tracer.span("query.siapi", scoped=False):
@@ -424,8 +440,8 @@ class BusinessActivityDrivenSearch:
                             activity_limit=limit,
                         )
                 except _INDEX_OUTAGES as exc:
-                    metrics.inc("query.siapi_unavailable")
-                    metrics.inc("query.unavailable")
+                    _SIAPI_UNAVAILABLE.inc()
+                    _UNAVAILABLE.inc()
                     raise EILUnavailableError(
                         "both the synopsis store and the SIAPI index "
                         "are unavailable",
@@ -434,7 +450,7 @@ class BusinessActivityDrivenSearch:
                             "index": exc,
                         },
                     ) from exc
-                metrics.inc("query.siapi_unscoped")
+                _SIAPI_UNSCOPED.inc()
                 plan.append(
                     f"unscoped SIAPI query matched "
                     f"{len(siapi_groups)} activities"
@@ -456,7 +472,7 @@ class BusinessActivityDrivenSearch:
                     except _INDEX_OUTAGES as exc:
                         # Rung 2: no index.  Synopsis + contact list
                         # only — the access-control fallback view.
-                        metrics.inc("query.siapi_unavailable")
+                        _SIAPI_UNAVAILABLE.inc()
                         degraded = DEGRADED_NO_INDEX
                         self._record_degraded(
                             degraded, plan,
@@ -467,7 +483,7 @@ class BusinessActivityDrivenSearch:
                         siapi_groups = None
                     else:
                         scoped = True
-                        metrics.inc("query.siapi_scoped")
+                        _SIAPI_SCOPED.inc()
                         plan.append(
                             f"SIAPI query scoped to {len(scope)} "
                             f"activities, {len(siapi_groups)} matched"
@@ -497,7 +513,7 @@ class BusinessActivityDrivenSearch:
                     except _INDEX_OUTAGES as exc:
                         # Synopsis answered (nothing), index is down:
                         # an empty result is all we can honestly give.
-                        metrics.inc("query.siapi_unavailable")
+                        _SIAPI_UNAVAILABLE.inc()
                         degraded = DEGRADED_NO_INDEX
                         self._record_degraded(
                             degraded, plan,
@@ -505,16 +521,16 @@ class BusinessActivityDrivenSearch:
                             f"({type(exc).__name__}) and no synopsis "
                             f"matches; empty degraded result",
                         )
-                        metrics.inc("query.empty_results")
+                        _EMPTY_RESULTS.inc()
                         return EilResults(plan=plan, degraded=degraded)
-                    metrics.inc("query.siapi_unscoped")
+                    _SIAPI_UNSCOPED.inc()
                     plan.append(
                         f"unscoped SIAPI query matched "
                         f"{len(siapi_groups)} activities"
                     )
                 else:
                     plan.append("no criteria matched; empty result")
-                    metrics.inc("query.empty_results")
+                    _EMPTY_RESULTS.inc()
                     return EilResults(plan=plan)
 
             # Step 18: rank.  The limit rides into the combiner so the
@@ -535,7 +551,7 @@ class BusinessActivityDrivenSearch:
                     )
                     for activity in ranked
                 ]
-            metrics.observe("query.activities_returned", len(results))
+            _ACTIVITIES_RETURNED.observe(len(results))
             root.set_attribute("activities", len(results))
         return EilResults(
             activities=results, scoped=scoped, plan=plan,
@@ -555,7 +571,7 @@ class BusinessActivityDrivenSearch:
         try:
             return self.retry.call(self.organized.deal_names, deal_ids)
         except _SYNOPSIS_OUTAGES:
-            get_registry().inc("query.present_row_unavailable")
+            _PRESENT_ROW_UNAVAILABLE.inc()
             return {}
 
     def _contacts(self, deal_id: str) -> List[str]:
@@ -563,7 +579,7 @@ class BusinessActivityDrivenSearch:
         try:
             rows = self.retry.call(self.organized.contacts_of, deal_id)
         except _SYNOPSIS_OUTAGES:
-            get_registry().inc("query.present_contacts_unavailable")
+            _PRESENT_CONTACTS_UNAVAILABLE.inc()
             return []
         return [str(row.get("name", "")) for row in rows if row.get("name")]
 

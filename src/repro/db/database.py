@@ -74,9 +74,15 @@ from repro.errors import (
     TransactionError,
 )
 from repro.faults import get_injector
-from repro.obs import get_registry
+from repro.obs import CounterHandle
 
 __all__ = ["Database"]
+
+_ROWS_SCANNED = CounterHandle("db.rows_scanned")
+_STMT_HITS = CounterHandle("db.stmt_cache.hits")
+_STMT_MISSES = CounterHandle("db.stmt_cache.misses")
+_STMT_INVALIDATIONS = CounterHandle("db.stmt_cache.invalidations")
+_STMT_EVICTIONS = CounterHandle("db.stmt_cache.evictions")
 
 _STATEMENT_CACHE_SIZE = 128
 
@@ -114,28 +120,28 @@ class _StatementCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, sql: str, epoch: int, metrics: Any) -> Optional[_CacheEntry]:
+    def lookup(self, sql: str, epoch: int) -> Optional[_CacheEntry]:
         with self._lock:
             entry = self._entries.get(sql)
             if entry is None:
-                metrics.inc("db.stmt_cache.misses")
+                _STMT_MISSES.inc()
                 return None
             if entry.epoch != epoch:
                 del self._entries[sql]
-                metrics.inc("db.stmt_cache.invalidations")
-                metrics.inc("db.stmt_cache.misses")
+                _STMT_INVALIDATIONS.inc()
+                _STMT_MISSES.inc()
                 return None
             self._entries.move_to_end(sql)
-            metrics.inc("db.stmt_cache.hits")
+            _STMT_HITS.inc()
             return entry
 
-    def store(self, sql: str, entry: _CacheEntry, metrics: Any) -> None:
+    def store(self, sql: str, entry: _CacheEntry) -> None:
         with self._lock:
             self._entries[sql] = entry
             self._entries.move_to_end(sql)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
-                metrics.inc("db.stmt_cache.evictions")
+                _STMT_EVICTIONS.inc()
 
 
 #: One journaled row change: (table, op, rowid, old row, new row).
@@ -355,15 +361,14 @@ class Database:
         if sql.lstrip()[:6].upper() == "SELECT":
             get_injector().check("db")
         cache = self._stmt_cache
-        metrics = get_registry()
-        entry = cache.lookup(sql, self._ddl_epoch, metrics)
+        entry = cache.lookup(sql, self._ddl_epoch)
         if entry is None:
             statement = parse(sql)
             plan = None
             if isinstance(statement, SelectStatement):
                 plan = SelectPlan(self, statement)
             entry = _CacheEntry(statement, plan, self._ddl_epoch)
-            cache.store(sql, entry, metrics)
+            cache.store(sql, entry)
         if entry.plan is not None:
             with self._rw.read():
                 return entry.plan.execute(params)
@@ -498,7 +503,7 @@ class Database:
         preserving the seed's scan-then-mutate semantics.
         """
         candidates = sorted(plan_rowids(table, ref, where, params, plan))
-        get_registry().inc("db.rows_scanned", len(candidates))
+        _ROWS_SCANNED.inc(len(candidates))
         located = [(rowid, table.row(rowid)) for rowid in candidates]
         if where is None:
             return located

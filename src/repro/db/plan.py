@@ -124,9 +124,15 @@ from repro.db.query import (
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ProgrammingError
-from repro.obs import get_registry
+from repro.obs import CounterHandle
 
 __all__ = ["SelectPlan", "plan_rowids", "table_slots"]
+
+_SELECTS = CounterHandle("db.selects")
+_ROWS_SCANNED = CounterHandle("db.rows_scanned")
+_ROWS_RETURNED = CounterHandle("db.rows_returned")
+_JOIN_BUILD_ROWS = CounterHandle("db.join.build_rows")
+_JOIN_PROBE_ROWS = CounterHandle("db.join.probe_rows")
 
 # An index nested-loop join pays one index probe + row fetch per left
 # row; scanning the right side pays one fetch per right row.  Probe the
@@ -808,8 +814,7 @@ class SelectPlan:
 
     def execute(self, params: Sequence[Any] = ()) -> ResultSet:
         statement = self.statement
-        metrics = get_registry()
-        metrics.inc("db.selects")
+        _SELECTS.inc()
         plan: List[str] = []
         coerce = self.coerce_conjuncts
 
@@ -856,12 +861,12 @@ class SelectPlan:
             output_rows = output_rows[: statement.limit]
 
         plan.extend(self.static_notes)
-        metrics.inc("db.rows_scanned", rows_scanned)
+        _ROWS_SCANNED.inc(rows_scanned)
         if build_rows:
-            metrics.inc("db.join.build_rows", build_rows)
+            _JOIN_BUILD_ROWS.inc(build_rows)
         if probe_rows:
-            metrics.inc("db.join.probe_rows", probe_rows)
-        metrics.inc("db.rows_returned", len(output_rows))
+            _JOIN_PROBE_ROWS.inc(probe_rows)
+        _ROWS_RETURNED.inc(len(output_rows))
         return ResultSet(list(self.column_names), output_rows, plan)
 
     # -- joins ---------------------------------------------------------

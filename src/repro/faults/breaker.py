@@ -38,9 +38,11 @@ import time
 from typing import Callable, Tuple, Type
 
 from repro.errors import CircuitOpenError, TransientError
-from repro.obs import get_registry
+from repro.obs import CounterHandle, GaugeHandle
 
 __all__ = ["CircuitBreaker"]
+
+_BREAKER_OPEN = CounterHandle("breaker.open")
 
 CLOSED, HALF_OPEN, OPEN = "closed", "half-open", "open"
 _STATE_GAUGE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
@@ -90,6 +92,9 @@ class CircuitBreaker:
         # flight.  Cleared by whichever of record_success /
         # record_failure / probe-release runs first.
         self._probe_in_flight = False
+        self._state_gauge = GaugeHandle(f"breaker.state.{name}")
+        self._opened = CounterHandle(f"breaker.open.{name}")
+        self._rejected = CounterHandle(f"breaker.rejected.{name}")
 
     # -- state -------------------------------------------------------------
 
@@ -113,17 +118,14 @@ class CircuitBreaker:
 
     def _set_state(self, state: str) -> None:
         self._state = state
-        get_registry().set_gauge(
-            f"breaker.state.{self.name}", _STATE_GAUGE[state]
-        )
+        self._state_gauge.set(_STATE_GAUGE[state])
 
     def _trip(self) -> None:
         """Transition to OPEN and count it (caller must hold the lock)."""
-        metrics = get_registry()
         self._set_state(OPEN)
         self._opened_at = self.clock()
-        metrics.inc("breaker.open")
-        metrics.inc(f"breaker.open.{self.name}")
+        _BREAKER_OPEN.inc()
+        self._opened.inc()
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -179,14 +181,14 @@ class CircuitBreaker:
         with self._lock:
             state = self._observe_state()
             if state == OPEN:
-                get_registry().inc(f"breaker.rejected.{self.name}")
+                self._rejected.inc()
                 raise CircuitOpenError(
                     f"circuit {self.name!r} is open "
                     f"({self._failures} consecutive failures)"
                 )
             if state == HALF_OPEN:
                 if self._probe_in_flight:
-                    get_registry().inc(f"breaker.rejected.{self.name}")
+                    self._rejected.inc()
                     raise CircuitOpenError(
                         f"circuit {self.name!r} is half-open and its "
                         f"recovery probe is already in flight"

@@ -64,9 +64,11 @@ from repro.errors import (
     DeadlineExceededError,
     InjectedFaultError,
 )
-from repro.obs import get_registry
+from repro.obs import CounterHandle, get_registry
 
 __all__ = ["FaultRule", "FaultProfile", "FaultInjector"]
+
+_FAULTS_INJECTED = CounterHandle("faults.injected")
 
 
 @dataclass(frozen=True)
@@ -249,18 +251,18 @@ class FaultInjector:
         error_u, timeout_u, latency_u = self._draws(component, key)
         metrics = get_registry()
         if rule.latency_rate and rule.latency and latency_u < rule.latency_rate:
-            metrics.inc("faults.injected")
+            _FAULTS_INJECTED.inc()
             metrics.inc(f"faults.injected.{component}.latency")
             self.sleep(rule.latency)
         if rule.error_rate and error_u < rule.error_rate:
-            metrics.inc("faults.injected")
+            _FAULTS_INJECTED.inc()
             metrics.inc(f"faults.injected.{component}.error")
             raise InjectedFaultError(
                 f"injected fault in {component}"
                 + (f" (key={key!r})" if key is not None else "")
             )
         if rule.timeout_rate and timeout_u < rule.timeout_rate:
-            metrics.inc("faults.injected")
+            _FAULTS_INJECTED.inc()
             metrics.inc(f"faults.injected.{component}.timeout")
             raise DeadlineExceededError(
                 f"injected timeout in {component}"

@@ -18,11 +18,11 @@ asserts on.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.errors import TransientError
 from repro.faults.injection import _stable_uniform
-from repro.obs import get_registry
+from repro.obs import CounterHandle
 
 __all__ = ["RetryPolicy"]
 
@@ -68,6 +68,8 @@ class RetryPolicy:
         self.seed = seed
         self.retryable = tuple(retryable)
         self.sleep = sleep
+        # "<metric>.<outcome>" handles, bound on first use
+        self._handles: Dict[Tuple[str, str], CounterHandle] = {}
 
     def classify(self, exc: BaseException) -> bool:
         """True when ``exc`` is worth another attempt."""
@@ -93,7 +95,6 @@ class RetryPolicy:
         ``retry.exhausted`` counts give-ups, ``retry.recovered`` counts
         calls that failed at least once but eventually succeeded.
         """
-        metrics = get_registry()
         retried = False
         for attempt in range(1, self.max_attempts + 1):
             try:
@@ -101,14 +102,22 @@ class RetryPolicy:
             except BaseException as exc:
                 if not self.classify(exc) or attempt >= self.max_attempts:
                     if metric and retried:
-                        metrics.inc(f"{metric}.exhausted")
+                        self._count(metric, "exhausted")
                     raise
                 retried = True
                 if metric:
-                    metrics.inc(f"{metric}.attempts")
+                    self._count(metric, "attempts")
                 self.sleep(self.delay(attempt))
             else:
                 if metric and retried:
-                    metrics.inc(f"{metric}.recovered")
+                    self._count(metric, "recovered")
                 return result
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _count(self, metric: str, outcome: str) -> None:
+        handle = self._handles.get((metric, outcome))
+        if handle is None:
+            handle = self._handles.setdefault(
+                (metric, outcome), CounterHandle(f"{metric}.{outcome}")
+            )
+        handle.inc()

@@ -58,7 +58,7 @@ from repro.graph.model import (
     Provenance,
     person_key,
 )
-from repro.obs import get_registry
+from repro.obs import CounterHandle, GaugeHandle, HistogramHandle
 from repro.storage.atomic import (
     atomic_write_text,
     encode_document,
@@ -75,6 +75,18 @@ __all__ = [
     "TeamOverlapAnswer",
     "EntityGraph",
 ]
+
+_DEALS = GaugeHandle("graph.deals")
+_DEALS_INDEXED = CounterHandle("graph.deals_indexed")
+_DEALS_REMOVED = CounterHandle("graph.deals_removed")
+_EDGES = GaugeHandle("graph.edges")
+_NODES = GaugeHandle("graph.nodes")
+_QUERIES = CounterHandle("graph.queries")
+_QUERIES_OF_KIND = {
+    kind: CounterHandle(f"graph.queries.{kind}")
+    for kind in ("worked_with", "role_capacity", "expertise", "team_overlap")
+}
+_QUERY_SECONDS = HistogramHandle("graph.query_seconds")
 
 _GRAPH_FORMAT = "repro-entity-graph"
 _GRAPH_VERSION = 2
@@ -374,7 +386,7 @@ class EntityGraph:
             self._rename(touched)
             self._epoch.increment()
             self._set_gauges_locked()
-        get_registry().inc("graph.deals_indexed")
+        _DEALS_INDEXED.inc()
         return len(edges)
 
     def remove_deal(self, deal_id: str) -> int:
@@ -390,7 +402,7 @@ class EntityGraph:
                 self._set_gauges_locked()
         if edges is None:
             return 0
-        get_registry().inc("graph.deals_removed")
+        _DEALS_REMOVED.inc()
         return len(edges)
 
     # _attach and _detach are the only code that moves the maintained
@@ -478,14 +490,12 @@ class EntityGraph:
             )
 
     def _set_gauges_locked(self) -> None:
-        registry = get_registry()
-        registry.set_gauge("graph.deals", len(self._deal_attrs))
-        registry.set_gauge(
-            "graph.nodes",
+        _DEALS.set(len(self._deal_attrs))
+        _NODES.set(
             len(self._deal_attrs) + len(self._memberships)
-            + len(self._topic_deals),
+            + len(self._topic_deals)
         )
-        registry.set_gauge("graph.edges", self._edge_count)
+        _EDGES.set(self._edge_count)
 
     # -- shared traversal helpers (caller holds the read lock) --------------
 
@@ -676,10 +686,9 @@ class EntityGraph:
             )
 
     def _query(self, kind: str):
-        registry = get_registry()
-        registry.inc("graph.queries")
-        registry.inc(f"graph.queries.{kind}")
-        return registry.timer("graph.query_seconds")
+        _QUERIES.inc()
+        _QUERIES_OF_KIND[kind].inc()
+        return _QUERY_SECONDS.timer()
 
     # -- persistence ---------------------------------------------------------
 

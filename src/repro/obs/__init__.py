@@ -1,16 +1,24 @@
 """Observability for the EIL pipelines: metrics + tracing.
 
 Dependency-free telemetry with a *global default, injectable override*
-pattern: instrumented components resolve :func:`get_registry` /
-:func:`get_tracer` at call time, so
+pattern: instrumented components record through metric handles
+(:class:`CounterHandle`, :class:`GaugeHandle`, :class:`HistogramHandle`)
+bound once per module or per object, and resolve :func:`get_tracer` at
+call time, so
 
 * ordinary use needs zero wiring — everything records into the process
   defaults, and ``repro stats`` renders them;
 * a test or benchmark swaps in its own registry with
   :func:`use_registry` (or :func:`set_registry`) without rebuilding the
-  system under test;
+  system under test: every handle re-binds on its next record;
 * :func:`set_enabled` (False) turns all recording into immediate
   returns, bounding instrumentation overhead on hot paths.
+
+A record takes no lock: counters and histograms write a per-thread
+cell.  Histograms are log-linear buckets whose ``count``, ``sum``,
+``min`` and ``max`` are exact and whose percentiles read at most
+:data:`RELATIVE_ERROR` (1/32, 3.2 %) below the exact nearest-rank
+sample (:mod:`repro.obs.metrics`).
 
 The default tracer keeps no span trees (``max_roots=0``): a span on it
 is a stage timer that costs two clock reads and one ``span.<name>``
@@ -35,19 +43,30 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs.metrics import (
+    RELATIVE_ERROR,
     Counter,
+    CounterHandle,
     Gauge,
+    GaugeHandle,
     Histogram,
+    HistogramHandle,
     MetricsRegistry,
     Timer,
+    get_registry,
+    set_registry,
+    use_registry,
 )
 from repro.obs.report import render_stats, stats_dict
 from repro.obs.tracing import Span, Tracer
 
 __all__ = [
+    "RELATIVE_ERROR",
     "Counter",
+    "CounterHandle",
     "Gauge",
+    "GaugeHandle",
     "Histogram",
+    "HistogramHandle",
     "MetricsRegistry",
     "Timer",
     "Span",
@@ -62,34 +81,6 @@ __all__ = [
     "render_stats",
     "stats_dict",
 ]
-
-
-_registry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default metrics registry."""
-    return _registry
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` as the default (None installs a fresh one)."""
-    global _registry
-    _registry = registry if registry is not None else MetricsRegistry()
-    return _registry
-
-
-@contextmanager
-def use_registry(
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[MetricsRegistry]:
-    """Temporarily install a registry; restores the previous on exit."""
-    previous = get_registry()
-    installed = set_registry(registry)
-    try:
-        yield installed
-    finally:
-        set_registry(previous)
 
 
 _tracer = Tracer(registry_provider=get_registry, max_roots=0)
@@ -126,5 +117,5 @@ def use_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
 
 def set_enabled(enabled: bool) -> None:
     """Enable/disable both process-wide defaults in place."""
-    _registry.enabled = enabled
+    get_registry().enabled = enabled
     _tracer.enabled = enabled

@@ -22,7 +22,7 @@ import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import HistogramHandle, MetricsRegistry
 
 __all__ = ["Span", "Tracer"]
 
@@ -83,7 +83,8 @@ class _ActiveSpan:
 
     __slots__ = ("_tracer", "span", "_metric")
 
-    def __init__(self, tracer: "Tracer", span: Span, metric: str) -> None:
+    def __init__(self, tracer: "Tracer", span: Span,
+                 metric: HistogramHandle) -> None:
         self._tracer = tracer
         self.span = span
         self._metric = metric
@@ -97,16 +98,11 @@ class _ActiveSpan:
 
 class _StageTimer:
     """A span on a tracer that keeps no trees: a clock read at each end
-    and one ``span.<name>`` sample into the registry resolved at exit."""
+    and one ``span.<name>`` sample through the stage's handle."""
 
-    __slots__ = ("_registry_provider", "_metric", "_start")
+    __slots__ = ("_metric", "_start")
 
-    def __init__(
-        self,
-        registry_provider: Callable[[], Optional[MetricsRegistry]],
-        metric: str,
-    ) -> None:
-        self._registry_provider = registry_provider
+    def __init__(self, metric: HistogramHandle) -> None:
         self._metric = metric
 
     def __enter__(self) -> "_StageTimer":
@@ -114,10 +110,7 @@ class _StageTimer:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        elapsed = perf_counter() - self._start
-        registry = self._registry_provider()
-        if registry is not None:
-            registry.observe(self._metric, elapsed)
+        self._metric.observe(perf_counter() - self._start)
 
     def set_attribute(self, key: str, value: Any) -> None:
         """Discard the annotation: no tree keeps it."""
@@ -172,7 +165,8 @@ class Tracer:
         )
         self.max_roots = max_roots
         self.enabled = enabled
-        self._metrics: Dict[str, str] = {}  # stage name -> "span.<name>"
+        # stage name -> its ``span.<name>`` handle
+        self._metrics: Dict[str, HistogramHandle] = {}
         self._local = threading.local()
         self._lock = threading.Lock()
         self._roots: List[Span] = []
@@ -190,9 +184,12 @@ class Tracer:
             return _NULL_SPAN
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics.setdefault(name, "span." + name)
+            metric = self._metrics.setdefault(
+                name,
+                HistogramHandle("span." + name, self._registry_provider),
+            )
         if not self.max_roots:
-            return _StageTimer(self._registry_provider, metric)
+            return _StageTimer(metric)
         stack = self._stack()
         parent = stack[-1] if stack else None
         span = Span(name, parent=parent, attributes=attributes)
@@ -207,7 +204,7 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def _finish(self, span: Span, metric: str) -> None:
+    def _finish(self, span: Span, metric: HistogramHandle) -> None:
         span.finish()
         stack = self._stack()
         if stack and stack[-1] is span:
@@ -217,9 +214,7 @@ class Tracer:
                 stack.remove(span)
             except ValueError:
                 pass
-        registry = self._registry_provider()
-        if registry is not None:
-            registry.observe(metric, span.duration)
+        metric.observe(span.duration)
         if span.parent is None:
             with self._lock:
                 self._roots.append(span)

@@ -22,11 +22,14 @@ from typing import Iterable, List, Optional, Protocol
 
 from repro.errors import SearchError, TransientError
 from repro.faults import RetryPolicy, get_injector
-from repro.obs import get_registry
+from repro.obs import CounterHandle
 from repro.search.document import IndexableDocument
 from repro.search.engine import SearchEngine
 
 __all__ = ["DocumentSource", "CrawlReport", "Crawler"]
+
+_SKIPPED_TRANSIENT = CounterHandle("crawler.documents_skipped_transient")
+_SOURCES_ABORTED = CounterHandle("crawler.sources_aborted")
 
 
 class DocumentSource(Protocol):
@@ -86,7 +89,6 @@ class Crawler:
         transient fetch errors are retried before being recorded.
         """
         report = CrawlReport()
-        metrics = get_registry()
         try:
             for document in source.iter_documents():
                 try:
@@ -96,7 +98,7 @@ class Crawler:
                     report.errors.append(str(exc))
                 except TransientError as exc:
                     report.skipped += 1
-                    metrics.inc("crawler.documents_skipped_transient")
+                    _SKIPPED_TRANSIENT.inc()
                     report.errors.append(
                         f"doc {document.doc_id}: "
                         f"{type(exc).__name__}: {exc}"
@@ -107,7 +109,7 @@ class Crawler:
             # The source iterator itself failed (repository outage):
             # the generator is dead, so the rest of this source is lost.
             report.sources_aborted += 1
-            metrics.inc("crawler.sources_aborted")
+            _SOURCES_ABORTED.inc()
             report.errors.append(
                 f"source aborted after {report.indexed} documents: "
                 f"{type(exc).__name__}: {exc}"

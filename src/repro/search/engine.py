@@ -65,7 +65,7 @@ from repro.cache import LruCache
 from repro.concurrency import ReadWriteLock
 from repro.errors import SearchError
 from repro.faults import get_injector
-from repro.obs import get_registry
+from repro.obs import CounterHandle, HistogramHandle
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument, SearchHit
 from repro.search.inverted_index import InvertedIndex
@@ -81,6 +81,16 @@ from repro.search.querylang import (
 from repro.search.scoring import Bm25Scorer, Scorer
 
 __all__ = ["SearchEngine", "Ranking"]
+
+_SEARCHES = CounterHandle("engine.searches")
+_COUNTS = CounterHandle("engine.counts")
+_CACHE_SLICED = CounterHandle("engine.cache.sliced")
+_COUNTS_FROM_CACHE = CounterHandle("engine.counts_from_cache")
+_CANDIDATES = HistogramHandle("engine.candidates")
+_TERMS_SCORED = CounterHandle("engine.terms_scored")
+_POSTINGS_TOUCHED = CounterHandle("engine.postings_touched")
+_TOPK_SEARCHES = CounterHandle("engine.maxscore.topk_searches")
+_CLAUSES_PRUNED = CounterHandle("engine.maxscore.clauses_pruned")
 
 _T = TypeVar("_T")
 
@@ -208,7 +218,6 @@ class _Execution:
         self.index = engine.index
         self.scorer = engine.scorer
         self.boosts = engine.field_boosts
-        self.metrics = get_registry()
         self.filter_ids = filter_ids
         self._terms_cache: Dict[str, List[str]] = {}
         self.n_candidates = 0
@@ -300,7 +309,7 @@ class _Execution:
     ) -> Dict[str, float]:
         scores: Dict[str, float] = {}
         fields = [field] if field is not None else self.index.fields
-        self.metrics.inc("engine.terms_scored")
+        _TERMS_SCORED.inc()
         allowed = self._combine_restrict(restrict)
         for field_name in fields:
             boost = self.boosts.get(field_name, 1.0)
@@ -347,7 +356,7 @@ class _Execution:
             lengths = [compiled.lengths[i] for i in keep]
         if not doc_ids:
             return
-        self.metrics.inc("engine.postings_touched", len(doc_ids))
+        _POSTINGS_TOUCHED.inc(len(doc_ids))
         contributions = self.scorer.score_postings(
             self.index, term, field_name, tfs, lengths, df=df
         )
@@ -573,7 +582,7 @@ class _Execution:
         top-k score is already >= theta > bound).
         """
         assert limit is not None
-        self.metrics.inc("engine.maxscore.topk_searches")
+        _TOPK_SEARCHES.inc()
         ordered = sorted(
             ((self.upper_bound(c), i, c) for i, c in enumerate(query.clauses)),
             key=lambda item: (-item[0], item[1]),
@@ -583,10 +592,7 @@ class _Execution:
             if len(scores) >= limit:
                 theta = heapq.nlargest(limit, scores.values())[-1]
                 if bound < theta:
-                    self.metrics.inc(
-                        "engine.maxscore.clauses_pruned",
-                        len(ordered) - position,
-                    )
+                    _CLAUSES_PRUNED.inc(len(ordered) - position)
                     break
             for doc_id, score in self.match(clause).items():
                 scores[doc_id] = max(scores.get(doc_id, 0.0), score)
@@ -777,7 +783,8 @@ class SearchEngine:
 
     @contextmanager
     def _logical_query(
-        self, counter: str, query: Union[str, Query], limit, doc_filter
+        self, counter: CounterHandle, query: Union[str, Query], limit,
+        doc_filter,
     ) -> Iterator[
         Tuple[Query, Optional[frozenset], tuple, Optional[Ranking]]
     ]:
@@ -806,7 +813,7 @@ class SearchEngine:
         get_injector().check("index")
         if isinstance(query, str):
             query = parse_query(query)
-        get_registry().inc(counter)
+        counter.inc()
         with self._rw.read():
             cache_key = (self.epoch, query, filter_ids)
             cached = self._cache.get(cache_key)
@@ -837,7 +844,7 @@ class SearchEngine:
         indexed".
         """
         with self._logical_query(
-            "engine.searches", query, limit, doc_filter
+            _SEARCHES, query, limit, doc_filter
         ) as (query, filter_ids, cache_key, ranking):
             if ranking is None:
                 ranking = Ranking(
@@ -846,7 +853,7 @@ class SearchEngine:
                 self._cache.put(cache_key, ranking)
             elif ranking.limit is None or limit != ranking.limit:
                 # Served from a ranking not computed for exactly this limit.
-                get_registry().inc("engine.cache.sliced")
+                _CACHE_SLICED.inc()
             return choose(ranking)
 
     def count(
@@ -859,10 +866,10 @@ class SearchEngine:
         computed for a count).
         """
         with self._logical_query(
-            "engine.counts", query, None, doc_filter
+            _COUNTS, query, None, doc_filter
         ) as (query, filter_ids, _, ranking):
             if ranking is not None:
-                get_registry().inc("engine.counts_from_cache")
+                _COUNTS_FROM_CACHE.inc()
                 return len(ranking.pairs)
             return _Execution(self, filter_ids).count_docs(query)
 
@@ -877,7 +884,7 @@ class SearchEngine:
         and the hits), by a caller that holds the read side."""
         execution = _Execution(self, filter_ids)
         ranked = execution.ranked(query, limit)
-        get_registry().observe("engine.candidates", execution.n_candidates)
+        _CANDIDATES.observe(execution.n_candidates)
         return ranked
 
 

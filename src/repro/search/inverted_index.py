@@ -28,12 +28,16 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import SearchError
-from repro.obs import get_registry
+from repro.obs import CounterHandle, HistogramHandle
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument
 from repro.search.index_reader import IndexReader, TermPostings
 
 __all__ = ["InvertedIndex", "TermPostings"]
+
+_INDEX_POSTINGS_COMPILED = CounterHandle("index.postings_compiled")
+_INDEX_REMOVALS = CounterHandle("index.removals")
+_INDEX_REMOVE_TERMS_TOUCHED = HistogramHandle("index.remove_terms_touched")
 
 
 class InvertedIndex(IndexReader):
@@ -158,9 +162,8 @@ class InvertedIndex(IndexReader):
                 members.discard(doc_id)
                 if not members:
                     del by_value[value]
-        metrics = get_registry()
-        metrics.inc("index.removals")
-        metrics.observe("index.remove_terms_touched", terms_touched)
+        _INDEX_REMOVALS.inc()
+        _INDEX_REMOVE_TERMS_TOUCHED.observe(terms_touched)
         return document
 
     # -- lookup ---------------------------------------------------------------
@@ -213,7 +216,7 @@ class InvertedIndex(IndexReader):
                     doc_id, len(positions), lengths.get(doc_id, 0)
                 )
             self._compiled[key] = compiled
-            get_registry().inc("index.postings_compiled")
+            _INDEX_POSTINGS_COMPILED.inc()
         return compiled
 
     def max_tf(self, term: str, field: str) -> Optional[int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import QuerySyntaxError
-from repro.obs import get_registry
+from repro.obs import HistogramHandle
 from repro.search.document import SearchHit
 from repro.search.engine import Ranking, SearchEngine
 from repro.search.querylang import (
@@ -41,6 +41,9 @@ from repro.search.querylang import (
 )
 
 __all__ = ["SiapiQuery", "ActivityHits", "SiapiService"]
+
+_SIAPI_ACTIVITIES_MATCHED = HistogramHandle("siapi.activities_matched")
+_SIAPI_HITS = HistogramHandle("siapi.hits")
 
 
 @dataclass(frozen=True)
@@ -197,8 +200,7 @@ class SiapiService:
         activity_limit: Optional[int],
     ) -> List[ActivityHits]:
         pairs = ranking.pairs
-        metrics = get_registry()
-        metrics.observe("siapi.hits", len(pairs))
+        _SIAPI_HITS.observe(len(pairs))
         if not pairs:
             return []
         best = pairs[0][1] or 1.0  # best first: the result set's maximum
@@ -222,7 +224,7 @@ class SiapiService:
             entries.sort()
             average = sum(-entry[0] for entry in entries) / len(entries)
             scored.append((-average, activity_id, entries))
-        metrics.observe("siapi.activities_matched", len(scored))
+        _SIAPI_ACTIVITIES_MATCHED.observe(len(scored))
         if activity_limit is not None and activity_limit < len(scored):
             scored = heapq.nsmallest(activity_limit, scored)
         else:

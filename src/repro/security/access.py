@@ -16,9 +16,14 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.errors import AccessDeniedError
-from repro.obs import get_registry
+from repro.obs import CounterHandle
 
 __all__ = ["User", "AccessController", "ANONYMOUS"]
+
+_DOCUMENT_CHECKS = CounterHandle("access.document_checks")
+_DOCUMENT_DENIALS = CounterHandle("access.document_denials")
+_DOCUMENTS_REDACTED = CounterHandle("access.documents_redacted")
+_SYNOPSIS_DENIALS = CounterHandle("access.synopsis_denials")
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,9 @@ class AccessController:
     def can_read_documents(self, user: User, repository: str) -> bool:
         """May ``user`` read the repository's raw documents?"""
         allowed = self._can_read_documents(user, repository)
-        metrics = get_registry()
-        metrics.inc("access.document_checks")
+        _DOCUMENT_CHECKS.inc()
         if not allowed:
-            metrics.inc("access.document_denials")
+            _DOCUMENT_DENIALS.inc()
         return allowed
 
     def _can_read_documents(self, user: User, repository: str) -> bool:
@@ -131,7 +135,7 @@ class AccessController:
         if may_read:
             return list(hits), False
         if hits:
-            get_registry().inc("access.documents_redacted", len(hits))
+            _DOCUMENTS_REDACTED.inc(len(hits))
         return [], bool(hits)
 
     def can_read_synopsis(self, user: User) -> bool:
@@ -141,7 +145,7 @@ class AccessController:
     def require_synopsis_access(self, user: User) -> None:
         """Raise AccessDeniedError when synopses are off-limits."""
         if not self.can_read_synopsis(user):
-            get_registry().inc("access.synopsis_denials")
+            _SYNOPSIS_DENIALS.inc()
             raise AccessDeniedError(
                 f"user {user.user_id!r} may not read synopses"
             )

@@ -59,9 +59,20 @@ from repro.errors import (
     TransientError,
 )
 from repro.faults import CircuitBreaker
-from repro.obs import get_registry
+from repro.obs import CounterHandle, GaugeHandle, HistogramHandle
 
 __all__ = ["EILServer"]
+
+_ANSWERED_INLINE = CounterHandle("serving.answered_inline")
+_ADMITTED = CounterHandle("serving.admitted")
+_SHED = CounterHandle("serving.shed")
+_REJECTED_DEADLINE = CounterHandle("serving.rejected.deadline")
+_COMPLETED = CounterHandle("serving.completed")
+_ERRORS = CounterHandle("serving.errors")
+_LATENCY = HistogramHandle("serving.latency")
+_QUEUE_WAIT = HistogramHandle("serving.queue_wait")
+_QUEUE_DEPTH = GaugeHandle("serving.queue_depth")
+_INFLIGHT = GaugeHandle("serving.inflight")
 
 _T = TypeVar("_T")
 
@@ -139,7 +150,6 @@ class EILServer:
         computes and stores the answer without looking it up again.
         """
         arrived_at = self._arrive()
-        metrics = get_registry()
         try:
             probe = self._probe(*args, **kwargs)
             if probe is not None:
@@ -148,16 +158,16 @@ class EILServer:
             if hit:
                 answer = self.eil.search(*args, **kwargs)
         except BaseException:
-            metrics.inc("serving.errors")
-            metrics.observe("serving.latency", self.clock() - arrived_at)
+            _ERRORS.inc()
+            _LATENCY.observe(self.clock() - arrived_at)
             raise
         if not hit:
             return self._admit(
                 lambda: self.eil.search(*args, **kwargs),
                 arrived_at, deadline_seconds,
             )
-        metrics.inc("serving.answered_inline")
-        metrics.observe("serving.latency", self.clock() - arrived_at)
+        _ANSWERED_INLINE.inc()
+        _LATENCY.observe(self.clock() - arrived_at)
         return answer
 
     def keyword_search(self, *args,
@@ -198,15 +208,14 @@ class EILServer:
         arrived_at: float,
         deadline_seconds: Optional[float],
     ) -> _T:
-        metrics = get_registry()
         if not self._admission.acquire(blocking=False):
-            metrics.inc("serving.shed")
+            _SHED.inc()
             raise ServerOverloadedError(
                 f"admission queue full "
                 f"({self.max_concurrency} executing + "
                 f"{self.queue_depth} queued)"
             )
-        metrics.inc("serving.admitted")
+        _ADMITTED.inc()
         deadline = (
             arrived_at + deadline_seconds
             if deadline_seconds is not None
@@ -215,46 +224,42 @@ class EILServer:
         executing = False
         try:
             queued_at = self.clock()
-            metrics.set_gauge("serving.queue_depth",
-                              self._queued.increment())
+            _QUEUE_DEPTH.set(self._queued.increment())
             try:
                 executing = self._executing.acquire(
                     timeout=None if deadline is None
                     else max(0.0, deadline - queued_at)
                 )
             finally:
-                metrics.set_gauge("serving.queue_depth",
-                                  self._queued.decrement())
+                _QUEUE_DEPTH.set(self._queued.decrement())
             started_at = self.clock()
-            metrics.observe("serving.queue_wait", started_at - queued_at)
+            _QUEUE_WAIT.observe(started_at - queued_at)
             if not executing or (
                 deadline is not None and started_at >= deadline
             ):
                 # The request aged out while queued; running it now
                 # would only make every later deadline worse.
-                metrics.inc("serving.rejected.deadline")
+                _REJECTED_DEADLINE.inc()
                 raise DeadlineExceededError(
                     f"request spent "
                     f"{started_at - queued_at:.3f}s in queue, "
                     f"past its deadline"
                 )
-            metrics.set_gauge("serving.inflight",
-                              self._inflight.increment())
+            _INFLIGHT.set(self._inflight.increment())
             try:
                 result = self.breaker.call(request)
             except BaseException:
-                metrics.inc("serving.errors")
+                _ERRORS.inc()
                 raise
             finally:
-                metrics.set_gauge("serving.inflight",
-                                  self._inflight.decrement())
-            metrics.inc("serving.completed")
+                _INFLIGHT.set(self._inflight.decrement())
+            _COMPLETED.inc()
             return result
         finally:
             if executing:
                 self._executing.release()
             self._admission.release()
-            metrics.observe("serving.latency", self.clock() - arrived_at)
+            _LATENCY.observe(self.clock() - arrived_at)
             # Hand the processor, and the interpreter lock with it, to
             # any thread waiting for them.  A client sending requests
             # back to back would otherwise keep the lock a whole switch

@@ -55,7 +55,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import SearchError, StorageError
-from repro.obs import get_registry
+from repro.obs import CounterHandle, GaugeHandle, HistogramHandle
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument
 from repro.search.index_reader import (
@@ -83,6 +83,17 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_FORMAT",
 ]
+
+_POSTINGS_COMPILED = CounterHandle("index.postings_compiled")
+_REMOVALS = CounterHandle("index.removals")
+_REMOVE_TERMS_TOUCHED = HistogramHandle("index.remove_terms_touched")
+_FLUSHES = CounterHandle("storage.flushes")
+_MERGES = CounterHandle("storage.merges")
+_MERGE_SECONDS = HistogramHandle("storage.merge_seconds")
+_SEGMENTS = GaugeHandle("storage.segments")
+_MEMTABLE_DOCS = GaugeHandle("storage.memtable_docs")
+_TOMBSTONES = GaugeHandle("storage.tombstones")
+_BYTES_PER_DOC = GaugeHandle("storage.bytes_per_doc")
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "repro-segment-index"
@@ -188,9 +199,7 @@ class SegmentBackedIndex(CompositeIndexReader):
             self.flush()
             self.maybe_merge()
         else:
-            get_registry().set_gauge(
-                "storage.memtable_docs", len(self.memtable)
-            )
+            _MEMTABLE_DOCS.set(len(self.memtable))
 
     def remove(self, doc_id: str) -> IndexableDocument:
         """Remove a document: memtable delete or segment tombstone."""
@@ -199,9 +208,7 @@ class SegmentBackedIndex(CompositeIndexReader):
             document = self.memtable.remove(doc_id)
             self._invalidate(touched)
             self._doc_cache.pop(doc_id, None)
-            get_registry().set_gauge(
-                "storage.memtable_docs", len(self.memtable)
-            )
+            _MEMTABLE_DOCS.set(len(self.memtable))
             return document
         for segment in self.segments:
             if not segment.has_document(doc_id):
@@ -218,10 +225,9 @@ class SegmentBackedIndex(CompositeIndexReader):
                 }
             )
             self._doc_cache.pop(doc_id, None)
-            metrics = get_registry()
-            metrics.inc("index.removals")
-            metrics.observe("index.remove_terms_touched", terms_touched)
-            metrics.set_gauge("storage.tombstones", self._tombstone_count())
+            _REMOVALS.inc()
+            _REMOVE_TERMS_TOUCHED.observe(terms_touched)
+            _TOMBSTONES.set(self._tombstone_count())
             return document
         raise SearchError(f"document {doc_id!r} not indexed")
 
@@ -250,8 +256,7 @@ class SegmentBackedIndex(CompositeIndexReader):
         data = encode_from_index(self.memtable)
         self._append_segment(data)
         self.memtable = InvertedIndex(self.analyzer)
-        metrics = get_registry()
-        metrics.inc("storage.flushes")
+        _FLUSHES.inc()
         self._refresh_gauges()
         return True
 
@@ -330,18 +335,16 @@ class SegmentBackedIndex(CompositeIndexReader):
             segment.close()
         self.segments.insert(insert_at, merged)
         elapsed = time.monotonic() - start
-        metrics = get_registry()
-        metrics.inc("storage.merges")
-        metrics.observe("storage.merge_seconds", elapsed)
+        _MERGES.inc()
+        _MERGE_SECONDS.observe(elapsed)
 
     def _tombstone_count(self) -> int:
         return sum(len(segment.tombstones) for segment in self.segments)
 
     def _refresh_gauges(self) -> None:
-        metrics = get_registry()
-        metrics.set_gauge("storage.segments", len(self.segments))
-        metrics.set_gauge("storage.memtable_docs", len(self.memtable))
-        metrics.set_gauge("storage.tombstones", self._tombstone_count())
+        _SEGMENTS.set(len(self.segments))
+        _MEMTABLE_DOCS.set(len(self.memtable))
+        _TOMBSTONES.set(self._tombstone_count())
 
     # -- persistence --------------------------------------------------------
 
@@ -402,8 +405,7 @@ class SegmentBackedIndex(CompositeIndexReader):
                 except OSError:
                     pass
         stats = self.storage_stats()
-        metrics = get_registry()
-        metrics.set_gauge("storage.bytes_per_doc", stats["bytes_per_doc"])
+        _BYTES_PER_DOC.set(stats["bytes_per_doc"])
         self._refresh_gauges()
         return stats
 
@@ -451,10 +453,7 @@ class SegmentBackedIndex(CompositeIndexReader):
             store._checksums[path] = entry["checksum"]
             store.segments.append(segment)
         store._refresh_gauges()
-        get_registry().set_gauge(
-            "storage.bytes_per_doc",
-            store.storage_stats()["bytes_per_doc"],
-        )
+        _BYTES_PER_DOC.set(store.storage_stats()["bytes_per_doc"])
         return store
 
     def storage_stats(self) -> Dict[str, Any]:
@@ -518,7 +517,7 @@ class SegmentBackedIndex(CompositeIndexReader):
             compiled = super().term_postings(term, field)
             if compiled is not None:
                 self._compiled[key] = compiled
-                get_registry().inc("index.postings_compiled")
+                _POSTINGS_COMPILED.inc()
         return compiled
 
     def max_tf(self, term: str, field: str) -> Optional[int]:

@@ -92,12 +92,27 @@ from repro.errors import (
     TransientError,
 )
 from repro.faults import FaultInjector, RetryPolicy, get_injector, set_injector
-from repro.obs import MetricsRegistry, get_registry, get_tracer, set_registry
+from repro.obs import (
+    CounterHandle,
+    HistogramHandle,
+    MetricsRegistry,
+    get_registry,
+    get_tracer,
+    set_registry,
+)
 from repro.uima.cas import Cas
 from repro.uima.engine import AnalysisEngine
 
 __all__ = ["CasConsumer", "CpeReport", "CollectionProcessingEngine",
            "EXECUTORS"]
+
+_PROCESSED = CounterHandle("cpe.documents_processed")
+_FAILED = CounterHandle("cpe.documents_failed")
+_QUARANTINED = CounterHandle("cpe.documents_quarantined")
+_BUILDS_ABORTED = CounterHandle("cpe.builds_aborted")
+_SECONDS = HistogramHandle("cpe.document_seconds")
+_SECONDS_FAILED = HistogramHandle("cpe.document_seconds.failed")
+_SECONDS_QUARANTINED = HistogramHandle("cpe.document_seconds.quarantined")
 
 EXECUTORS = ("serial", "processes")
 
@@ -563,36 +578,33 @@ class CollectionProcessingEngine:
         self._record_success(report, outcome)
 
     def _record_success(self, report: CpeReport, outcome: _Outcome) -> None:
-        metrics = get_registry()
         report.documents_processed += 1
-        metrics.inc("cpe.documents_processed")
-        metrics.observe("cpe.document_seconds", outcome.elapsed)
+        _PROCESSED.inc()
+        _SECONDS.observe(outcome.elapsed)
         for consumer in self.consumers:
             consumer.process_cas(outcome.cas)
 
     def _record_failure(self, report: CpeReport, outcome: _Outcome) -> None:
-        metrics = get_registry()
         report.documents_failed += 1
         report.failures.append(
             _describe_failure(outcome.cas, outcome.error)
         )
-        metrics.inc("cpe.documents_failed")
-        metrics.observe("cpe.document_seconds.failed", outcome.elapsed)
+        _FAILED.inc()
+        _SECONDS_FAILED.observe(outcome.elapsed)
 
     def _record_quarantine(
         self, report: CpeReport, outcome: _Outcome
     ) -> None:
-        metrics = get_registry()
         report.documents_quarantined += 1
         report.quarantined.append(
             _describe_failure(outcome.cas, outcome.error)
         )
-        metrics.inc("cpe.documents_quarantined")
-        metrics.observe("cpe.document_seconds.quarantined", outcome.elapsed)
+        _QUARANTINED.inc()
+        _SECONDS_QUARANTINED.observe(outcome.elapsed)
 
     def _check_failure_ratio(self, report: CpeReport) -> None:
         if report.failure_ratio > self.max_failure_ratio:
-            get_registry().inc("cpe.builds_aborted")
+            _BUILDS_ABORTED.inc()
             raise BuildAbortedError(
                 f"build aborted: {report.documents_failed} failed + "
                 f"{report.documents_quarantined} quarantined of "

@@ -9,11 +9,12 @@ per-delegate flow control (skip predicates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import AnnotatorError
-from repro.obs import get_registry
+from repro.obs import CounterHandle, HistogramHandle
 from repro.uima.cas import Cas
 from repro.uima.typesystem import TypeSystem
 
@@ -51,6 +52,17 @@ class AnalysisEngine:
         """Analyze one CAS, adding annotations in place."""
         raise NotImplementedError
 
+    @cached_property
+    def _handles(self) -> Tuple[CounterHandle, HistogramHandle, CounterHandle]:
+        """This engine's failures, seconds and annotations metrics,
+        bound on its first run."""
+        prefix = f"annotator.{self.name}"
+        return (
+            CounterHandle(f"{prefix}.failures"),
+            HistogramHandle(f"{prefix}.seconds"),
+            CounterHandle(f"{prefix}.annotations"),
+        )
+
     def run(self, cas: Cas) -> EngineResult:
         """Process with bookkeeping; wraps errors with the engine name.
 
@@ -58,24 +70,22 @@ class AnalysisEngine:
         ``annotator.<name>.seconds`` / ``.annotations`` — the Table 1
         cost breakdown the offline pipeline is steered by.
         """
+        failures, seconds, annotations = self._handles
         before = len(cas)
         started = perf_counter()
         try:
             self.process(cas)
         except AnnotatorError:
-            get_registry().inc(f"annotator.{self.name}.failures")
+            failures.inc()
             raise
         except Exception as exc:
-            get_registry().inc(f"annotator.{self.name}.failures")
+            failures.inc()
             raise AnnotatorError(
                 f"engine {self.name!r} failed: {exc}"
             ) from exc
         added = len(cas) - before
-        metrics = get_registry()
-        metrics.observe(
-            f"annotator.{self.name}.seconds", perf_counter() - started
-        )
-        metrics.inc(f"annotator.{self.name}.annotations", max(0, added))
+        seconds.observe(perf_counter() - started)
+        annotations.inc(max(0, added))
         return EngineResult(self.name, annotations_added=added)
 
 

@@ -103,21 +103,21 @@ class TestEviction:
         def entry():
             return _CacheEntry(statement=None, plan=None, epoch=0)
 
-        cache.store("a", entry(), registry)
-        cache.store("b", entry(), registry)
-        assert cache.lookup("a", 0, registry) is not None  # a is fresher
-        cache.store("c", entry(), registry)  # evicts b, the least recent
+        cache.store("a", entry())
+        cache.store("b", entry())
+        assert cache.lookup("a", 0) is not None  # a is fresher
+        cache.store("c", entry())  # evicts b, the least recent
         assert len(cache) == 2
-        assert cache.lookup("b", 0, registry) is None
-        assert cache.lookup("a", 0, registry) is not None
-        assert cache.lookup("c", 0, registry) is not None
+        assert cache.lookup("b", 0) is None
+        assert cache.lookup("a", 0) is not None
+        assert cache.lookup("c", 0) is not None
         assert registry.counter("db.stmt_cache.evictions").value == 1
         assert registry.counter("db.stmt_cache.hits").value == 3
         assert registry.counter("db.stmt_cache.misses").value == 1
 
     def test_an_entry_from_an_older_epoch_is_dropped(self, registry):
         cache = _StatementCache(2)
-        cache.store("a", _CacheEntry(None, None, epoch=0), registry)
-        assert cache.lookup("a", 1, registry) is None
+        cache.store("a", _CacheEntry(None, None, epoch=0))
+        assert cache.lookup("a", 1) is None
         assert len(cache) == 0
         assert registry.counter("db.stmt_cache.invalidations").value == 1

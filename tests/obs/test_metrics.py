@@ -1,10 +1,20 @@
 """Unit tests for counters, gauges, histograms and the registry."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import MetricsRegistry
+from repro.obs import (
+    RELATIVE_ERROR,
+    GaugeHandle,
+    HistogramHandle,
+    MetricsRegistry,
+)
 from repro.obs.metrics import Histogram
+from tests.reference.metrics import SortedHistogram
 
 
 class TestCounterGauge:
@@ -21,8 +31,8 @@ class TestCounterGauge:
 
     def test_gauge_overwrites(self):
         registry = MetricsRegistry()
-        registry.set_gauge("docs", 10)
-        registry.set_gauge("docs", 7)
+        registry.gauge("docs").set(10)
+        registry.gauge("docs").set(7)
         assert registry.gauge("docs").value == 7
 
     def test_same_name_same_object(self):
@@ -62,32 +72,78 @@ class TestHistogram:
         assert summary["count"] == 0
         assert summary["p50"] == 0.0
 
-    def test_decimation_bounds_memory_keeps_exact_totals(self):
-        histogram = Histogram("h", max_samples=64)
-        n = 1000
-        for value in range(n):
-            histogram.observe(float(value))
-        assert histogram.count == n
-        assert histogram.sum == float(sum(range(n)))
-        assert histogram.min == 0.0
-        assert histogram.max == float(n - 1)
-        assert len(histogram._samples) <= 64
-        # Percentiles stay representative after decimation.
-        assert histogram.percentile(50) == pytest.approx(n / 2, rel=0.25)
+
+#: Samples the histograms see: zero, sub-microsecond seconds, and
+#: counts up to 10**12 (the buckets reach 2**40).
+_SAMPLES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-6),
+    st.floats(min_value=0.0, max_value=1e12),
+)
+_BOTTOM = 2.0 ** -30  # below it a percentile is within this, absolute
+
+
+def _fed(values):
+    histogram = Histogram("h")
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
+class TestBucketsAgainstSortedSamples:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SAMPLES, min_size=1, max_size=300))
+    def test_totals_exact_and_percentiles_within_error(self, values):
+        histogram = _fed(values)
+        oracle = SortedHistogram()
+        for value in values:
+            oracle.observe(value)
+        assert histogram.count == oracle.count
+        assert histogram.sum == oracle.sum
+        assert histogram.min == oracle.min
+        assert histogram.max == oracle.max
+        for q in (0, 50, 95, 99, 100):
+            exact = oracle.percentile(q)
+            read = histogram.percentile(q)
+            assert read <= exact
+            assert exact - read <= max(RELATIVE_ERROR * exact, _BOTTOM)
+        assert histogram.percentile(0) == oracle.min
+        assert histogram.percentile(100) == oracle.max
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SAMPLES, max_size=200), st.lists(_SAMPLES, max_size=200))
+    def test_merge_is_bucket_addition(self, left, right):
+        merged = _fed(left)
+        merged.merge(_fed(right))
+        fed = _fed(left + right)
+        assert merged._folded()[:-3] == fed._folded()[:-3]
+        assert merged.count == fed.count
+        assert merged.min == fed.min and merged.max == fed.max
+        assert merged.sum == pytest.approx(fed.sum)
+        for q in (0, 50, 95, 99, 100):
+            assert merged.percentile(q) == fed.percentile(q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_SAMPLES, max_size=200))
+    def test_pickle_round_trip_is_equal(self, values):
+        histogram = _fed(values)
+        copy = pickle.loads(pickle.dumps(histogram))
+        assert copy.__getstate__() == histogram.__getstate__()
+        assert copy.summary() == histogram.summary()
 
 
 class TestRegistry:
     def test_disabled_registry_records_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.inc("c")
-        registry.set_gauge("g", 3)
-        registry.observe("h", 1.0)
+        with obs.use_registry(MetricsRegistry(enabled=False)) as registry:
+            registry.inc("c")
+            GaugeHandle("g").set(3)
+            HistogramHandle("h").observe(1.0)
         assert registry.names() == []
 
     def test_timer_records_elapsed(self):
-        registry = MetricsRegistry()
-        with registry.timer("stage"):
-            pass
+        with obs.use_registry() as registry:
+            with HistogramHandle("stage").timer():
+                pass
         histogram = registry.histogram("stage")
         assert histogram.count == 1
         assert histogram.sum >= 0.0
@@ -95,8 +151,8 @@ class TestRegistry:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.inc("c", 2)
-        registry.set_gauge("g", 1.5)
-        registry.observe("h", 3.0)
+        registry.gauge("g").set(1.5)
+        registry.histogram("h").observe(3.0)
         snapshot = registry.snapshot()
         assert snapshot["c"] == {"type": "counter", "value": 2}
         assert snapshot["g"] == {"type": "gauge", "value": 1.5}
@@ -131,7 +187,7 @@ class TestGlobalDefault:
 
     def test_render_stats_mentions_metrics(self):
         registry = MetricsRegistry()
-        registry.observe("span.query.execute", 0.005)
+        registry.histogram("span.query.execute").observe(0.005)
         registry.inc("engine.searches", 3)
         text = obs.render_stats(registry)
         assert "query.execute" in text

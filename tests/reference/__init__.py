@@ -14,6 +14,8 @@ out of ``src/`` because tests are its only callers:
   normalize, average, and only then trim).
 * ``graph`` — the scan-based entity-graph traversals (rebuild the
   adjacency per call, materialise every candidate, sort, slice).
+* ``metrics`` — the histogram that keeps every sample sorted, which the
+  bucketed histogram's percentiles are checked against.
 
 ``index`` is the one model that was never a program path: a dict of
 documents that answers the whole ``IndexReader`` protocol by analysing

@@ -42,7 +42,7 @@ class TestMetricPrimitives:
         assert counter.value == n * per_thread
 
     def test_histogram_totals_stay_exact(self, registry):
-        histogram = Histogram("storm", max_samples=128)
+        histogram = Histogram("storm")
         n, per_thread = 8, 500
 
         def worker(offset):
@@ -55,8 +55,8 @@ class TestMetricPrimitives:
         assert histogram.sum == sum(range(total))
         assert histogram.min == 0.0
         assert histogram.max == float(total - 1)
-        # The decimated buffer must still be sorted (percentiles walk
-        # it by rank); a torn insort would break monotonicity.
+        # Percentiles walk the per-thread buckets by rank; a torn
+        # fold would break monotonicity.
         assert (
             histogram.percentile(10)
             <= histogram.percentile(50)

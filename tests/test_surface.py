@@ -33,11 +33,13 @@ what that pass finds and why each is still there.
 import ast
 import collections
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
 
 import repro
+from repro.obs import Histogram
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -84,6 +86,7 @@ TEST_ONLY_METHODS = {
 
 #: Methods deleted because only tests called them; they stay gone.
 DELETED_METHODS = {
+    "repro.obs.metrics.MetricsRegistry.observe",
     "repro.obs.tracing.Span.finished",
     "repro.obs.tracing.Tracer.current",
     "repro.obs.tracing.Tracer.reset",
@@ -440,6 +443,51 @@ def test_database_runs_sql_one_way():
         if cls == "Database"
     }
     assert not defined & {"select", "explain"}, defined
+
+
+def test_fixed_metric_names_are_recorded_through_handles():
+    # A metric with a fixed name is bound once (CounterHandle,
+    # GaugeHandle, HistogramHandle); only names built per call, such as
+    # faults.injected.<component>.<kind>, are resolved on the registry.
+    by_name = [
+        f"{name}:{node.lineno}"
+        for name, module in MODULES.items()
+        if name != "repro.obs" and not name.startswith("repro.obs.")
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"inc", "observe"}
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ]
+    assert not by_name, by_name
+
+
+def test_one_histogram_and_no_sample_buffer():
+    # The bucketed histogram is the only one: no sample buffer to size,
+    # decimate or stride through.
+    histograms = [
+        f"{name}.{node.name}"
+        for name, module in MODULES.items()
+        if name == "repro.obs" or name.startswith("repro.obs.")
+        for node in module.tree.body
+        if isinstance(node, ast.ClassDef)
+        and {"observe", "percentile"} <= {
+            item.name for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        }
+    ]
+    assert histograms == ["repro.obs.metrics.Histogram"], histograms
+    assert "max_samples" not in inspect.signature(Histogram).parameters
+    histogram = Histogram("h")
+    histogram.observe(1.0)
+    gone = [
+        attribute
+        for attribute in ("max_samples", "_samples", "_stride", "_pending")
+        if hasattr(histogram, attribute)
+    ]
+    assert not gone, gone
 
 
 def test_every_public_name_is_reached_or_is_entry_point_api():
