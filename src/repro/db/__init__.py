@@ -6,12 +6,15 @@ Public surface::
 
     db = Database()
     db.execute("CREATE TABLE deals (deal_id TEXT, name TEXT, PRIMARY KEY (deal_id))")
-    db.execute("INSERT INTO deals VALUES ('d1', 'DEAL A')")
+    db.insert("deals", {"deal_id": "d1", "name": "DEAL A"})
     rows = db.execute("SELECT name FROM deals WHERE deal_id = ?", ["d1"])
 
 The engine supports typed schemas, PRIMARY KEY / UNIQUE / FOREIGN KEY /
-NOT NULL constraints, hash and sorted secondary indexes with a planner
-that uses them, inner/left joins, aggregation, and undo-log transactions.
+NOT NULL constraints, hash indexes (equality and trigram substring
+probes) with a planner that uses them, inner/left joins, aggregation,
+DELETE, and undo-log transactions.  A row enters through
+``Database.insert`` only; SQL is SELECT, DELETE, CREATE TABLE, CREATE
+INDEX and EXPLAIN.
 """
 
 from repro.db.database import Database
@@ -31,7 +34,7 @@ from repro.db.expr import (
     Parameter,
     escape_like,
 )
-from repro.db.index import HashIndex, Index, SortedIndex
+from repro.db.index import Index
 from repro.db.persistence import (
     dump_database,
     dumps_database,
@@ -61,8 +64,6 @@ __all__ = [
     "ForeignKey",
     "DataType",
     "Index",
-    "HashIndex",
-    "SortedIndex",
     "Expression",
     "Literal",
     "ColumnRef",

@@ -4,19 +4,20 @@ This is the DB2 stand-in the EIL organized-information layer writes to
 and the synopsis queries read from.  One :class:`Database` owns a set of
 :class:`~repro.db.table.Table` objects and exposes:
 
-* ``execute(sql, params)`` — parse and run any supported statement
-  (``EXPLAIN <statement>`` reports the plan without mutating).
-* Programmatic helpers (``create_table``, ``insert``) for hot paths
-  that should skip the parser.
+* ``execute(sql, params)`` — parse and run SELECT, DELETE, CREATE
+  TABLE, CREATE INDEX or ``EXPLAIN <statement>`` (which reports the
+  plan without mutating).
+* ``insert(table, values)`` — the one way a row enters a table; and
+  ``create_table``, the programmatic twin of CREATE TABLE.
 * Undo-log transactions: ``begin`` / ``commit`` / ``rollback``.
-  Statements outside a transaction auto-commit.  Every SQL INSERT,
-  UPDATE and DELETE is all-or-nothing on its own: a statement that
-  fails on its third row leaves the first two unchanged too.
-* Foreign keys with RESTRICT semantics, checked at statement level.
+  Mutations outside a transaction auto-commit.  A DELETE is
+  all-or-nothing on its own: one that fails on its third row leaves
+  the first two in place too.
+* Foreign keys with RESTRICT semantics, checked per row.
 
-Concurrency: row-level statements run under a writer-preferring
-read/write lock — SELECTs share the read side, INSERT/UPDATE/DELETE
-(and rollback's undo replay) take the write side — so a synopsis query
+Concurrency: row-level work runs under a writer-preferring read/write
+lock — SELECTs share the read side, ``insert`` and DELETE (and
+rollback's undo replay) take the write side — so a synopsis query
 racing incremental onboarding/offboarding can never observe a table
 mid-mutation.  Isolation is *per statement*, not per transaction
 (single-writer callers like the serving layer's mutation paths are the
@@ -28,7 +29,7 @@ last 128 parsed statements keyed on the SQL text; SELECT entries also
 carry their prepared :class:`~repro.db.plan.SelectPlan`, so the hot
 synopsis read path parses and plans each query text once and then only
 executes.  Entries are stamped with the database's DDL epoch — every
-CREATE/DROP TABLE and index creation (including indexes created
+table and index creation (including indexes created
 directly on a :class:`~repro.db.table.Table`) bumps the epoch, so stale
 plans can never run against a changed catalog.  ``db.stmt_cache.*``
 counters report hits, misses, evictions and epoch invalidations.
@@ -51,7 +52,7 @@ from typing import (
 )
 
 from repro.concurrency import ReadWriteLock
-from repro.db.expr import Expression, compile_expression
+from repro.db.expr import compile_expression
 from repro.db.plan import SelectPlan, plan_rowids, table_slots
 from repro.db.query import ResultSet, SelectStatement, TableRef
 from repro.db.schema import ForeignKey, TableSchema
@@ -59,11 +60,8 @@ from repro.db.sql import (
     CreateIndex,
     CreateTable,
     Delete,
-    DropTable,
     Explain,
-    Insert,
     Statement,
-    Update,
     parse,
 )
 from repro.db.table import Table
@@ -191,23 +189,6 @@ class Database:
                 f"{fk.parent_table!r} ({parent_pk}), got {normalized}"
             )
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table; fails if another table references it."""
-        lowered = name.lower()
-        if lowered not in self._tables:
-            raise ProgrammingError(f"no table {name!r}")
-        for other in self._tables.values():
-            if other.schema.name == lowered:
-                continue
-            for fk in other.schema.foreign_keys:
-                if fk.parent_table.lower() == lowered:
-                    raise IntegrityError(
-                        f"cannot drop {name!r}: referenced by "
-                        f"{other.schema.name!r}"
-                    )
-        del self._tables[lowered]
-        self._bump_ddl()
-
     def table(self, name: str) -> Table:
         """Look up a table by name (case-insensitive)."""
         table = self._tables.get(name.lower())
@@ -224,7 +205,7 @@ class Database:
     def tables(self) -> List[Table]:
         """Every table in creation order, so a parent comes before each
         table that references it (``create_table`` refuses a child
-        first, and ``drop_table`` a referenced parent)."""
+        first)."""
         return list(self._tables.values())
 
     # -- transactions -----------------------------------------------------
@@ -255,17 +236,13 @@ class Database:
             table = self._tables[table_name]
             if op == "insert":
                 table.undo_insert(rowid)
-            elif op == "delete":
+            else:  # delete
                 assert old_row is not None
                 table.undo_delete(rowid, old_row)
-            else:  # update
-                assert old_row is not None
-                table.undo_update(rowid, old_row)
 
     @contextmanager
     def _statement(self) -> Iterator[None]:
-        """Run one INSERT / UPDATE / DELETE all-or-nothing, under the
-        write lock.
+        """Run one DELETE all-or-nothing, under the write lock.
 
         Its row changes are journaled to an undo list of its own: on any
         exception the list is replayed, so the rows it changed before
@@ -313,9 +290,7 @@ class Database:
                     f"{fk.parent_table!r}"
                 )
 
-    def _check_fk_on_delete(
-        self, table: Table, row: tuple, action: str = "delete from"
-    ) -> None:
+    def _check_fk_on_delete(self, table: Table, row: tuple) -> None:
         if not table.schema.primary_key:
             return
         key = table.schema.key_of(row, table.schema.primary_key)
@@ -334,7 +309,7 @@ class Database:
                     }
                 if referencing:
                     raise IntegrityError(
-                        f"cannot {action} {table.schema.name!r}: "
+                        f"cannot delete from {table.schema.name!r}: "
                         f"row {key!r} referenced by {child.schema.name!r}"
                     )
 
@@ -386,12 +361,6 @@ class Database:
         if isinstance(statement, SelectStatement):
             with self._rw.read():
                 return SelectPlan(self, statement).execute(params)
-        if isinstance(statement, Insert):
-            with self._statement():
-                return _rowcount(self._execute_insert(statement, params))
-        if isinstance(statement, Update):
-            with self._statement():
-                return _rowcount(*self._execute_update(statement, params))
         if isinstance(statement, Delete):
             with self._statement():
                 return _rowcount(*self._execute_delete(statement, params))
@@ -406,9 +375,6 @@ class Database:
                 unique=statement.unique,
             )
             return _rowcount(0)
-        if isinstance(statement, DropTable):
-            self.drop_table(statement.table)
-            return _rowcount(0)
         if isinstance(statement, Explain):
             return self._explain_statement(statement.statement, params)
         raise ProgrammingError(f"unsupported statement {statement!r}")
@@ -421,16 +387,16 @@ class Database:
 
         SELECTs are executed (they are side-effect free) so the report
         includes runtime decisions — join strategy and build side
-        depend on actual cardinalities.  UPDATE/DELETE only run the
-        shared row-location planner and report the access path plus
-        the candidate row count.  The result has one ``plan`` column,
+        depend on actual cardinalities.  A DELETE only runs the
+        row-location planner and reports the access path plus the
+        candidate row count.  The result has one ``plan`` column,
         one line per row; the same lines are in ``ResultSet.plan``.
         """
         if isinstance(statement, SelectStatement):
             with self._rw.read():
                 result = SelectPlan(self, statement).execute(params)
             lines = list(result.plan)
-        elif isinstance(statement, (Update, Delete)):
+        elif isinstance(statement, Delete):
             table = self.table(statement.table)
             lines = []
             with self._rw.read():
@@ -450,107 +416,43 @@ class Database:
             ["plan"], [(line,) for line in lines], list(lines)
         )
 
-    def _execute_insert(self, statement: Insert, params: Sequence[Any]) -> int:
-        table = self.table(statement.table)
-        columns = (
-            tuple(c.lower() for c in statement.columns)
-            or tuple(table.schema.column_names)
-        )
-        count = 0
-        for value_exprs in statement.rows:
-            if len(value_exprs) != len(columns):
-                raise ProgrammingError(
-                    f"INSERT has {len(value_exprs)} values for "
-                    f"{len(columns)} columns"
-                )
-            values = {
-                column: compile_expression(expr, {})(params)(())
-                for column, expr in zip(columns, value_exprs)
-            }
-            self._insert_unlocked(statement.table, values)
-            count += 1
-        return count
-
     def insert(self, table_name: str, values: Mapping[str, Any]) -> int:
-        """Insert one row (programmatic path); returns the row id."""
+        """Insert one row, the one way a row enters a table; returns
+        its row id."""
         with self._rw.write():
-            return self._insert_unlocked(table_name, values)
-
-    def _insert_unlocked(
-        self, table_name: str, values: Mapping[str, Any]
-    ) -> int:
-        table = self.table(table_name)
-        row = table.schema.validate_row(values)
-        self._check_fk_on_insert(table, row)
-        return table.insert_row(row)
-
-    def _locate_rows(
-        self,
-        table: Table,
-        ref: TableRef,
-        where: Optional[Expression],
-        params: Sequence[Any],
-        plan: List[str],
-    ) -> List[Tuple[int, tuple]]:
-        """The ``(rowid, row)`` pairs WHERE matches, located through the
-        planner.
-
-        Shared by UPDATE and DELETE: an indexed WHERE narrows the
-        candidates through the same access-path planner SELECT uses,
-        then the WHERE, compiled against the table's own layout, is
-        re-applied to each candidate's stored tuple.  Candidates are
-        materialized in ascending-rowid order *before* any mutation,
-        preserving the seed's scan-then-mutate semantics.
-        """
-        candidates = sorted(plan_rowids(table, ref, where, params, plan))
-        _ROWS_SCANNED.inc(len(candidates))
-        located = [(rowid, table.row(rowid)) for rowid in candidates]
-        if where is None:
-            return located
-        matches = compile_expression(where, table_slots(table, ref))(params)
-        return [pair for pair in located if matches(pair[1]) is True]
-
-    def _execute_update(
-        self, statement: Update, params: Sequence[Any]
-    ) -> Tuple[int, List[str]]:
-        table = self.table(statement.table)
-        ref = TableRef(statement.table)
-        slots = table_slots(table, ref)
-        assignments = [
-            (column, compile_expression(expr, slots)(params))
-            for column, expr in statement.assignments
-        ]
-        schema = table.schema
-        plan: List[str] = []
-        count = 0
-        for rowid, row in self._locate_rows(
-            table, ref, statement.where, params, plan
-        ):
-            new_row = schema.updated_row(
-                row, {column: value(row) for column, value in assignments}
-            )
-            if schema.key_of(new_row, schema.primary_key) != schema.key_of(
-                row, schema.primary_key
-            ):
-                self._check_fk_on_delete(table, row, "change the key of")
-            self._check_fk_on_insert(table, new_row)
-            table.replace_row(rowid, new_row)
-            count += 1
-        return count, plan
+            table = self.table(table_name)
+            row = table.schema.validate_row(values)
+            self._check_fk_on_insert(table, row)
+            return table.insert_row(row)
 
     def _execute_delete(
         self, statement: Delete, params: Sequence[Any]
     ) -> Tuple[int, List[str]]:
+        """Delete the rows WHERE matches, located through the planner.
+
+        An indexed WHERE narrows the candidates through the same
+        access-path planner SELECT uses, then the WHERE, compiled
+        against the table's own layout, is re-applied to each
+        candidate's stored tuple.  Candidates are materialized in
+        ascending-rowid order *before* any row goes, preserving the
+        seed's scan-then-mutate semantics.
+        """
         table = self.table(statement.table)
+        ref = TableRef(statement.table)
+        where = statement.where
         plan: List[str] = []
-        count = 0
-        for rowid, row in self._locate_rows(
-            table, TableRef(statement.table), statement.where, params, plan
-        ):
+        candidates = sorted(plan_rowids(table, ref, where, params, plan))
+        _ROWS_SCANNED.inc(len(candidates))
+        located = [(rowid, table.row(rowid)) for rowid in candidates]
+        if where is not None:
+            matches = compile_expression(where, table_slots(table, ref))(
+                params
+            )
+            located = [pair for pair in located if matches(pair[1]) is True]
+        for rowid, row in located:
             self._check_fk_on_delete(table, row)
             table.delete(rowid)
-            count += 1
-        return count, plan
+        return len(located), plan
 
     def query_one(
         self, sql: str, params: Sequence[Any] = ()

@@ -5,8 +5,8 @@ columns they reference and substitute ``?`` placeholders
 (:meth:`Expression.bind`), and evaluate nothing.  Evaluation is
 :func:`compile_expression`: it lowers a tree to a closure over a *stored
 row tuple* whose column slots were resolved once, when the statement was
-planned.  Every WHERE, SET, VALUES, select item and ORDER BY key of
-SELECT, UPDATE, DELETE and INSERT runs as such a closure; a column
+planned.  Every WHERE, select item and ORDER BY key of SELECT and
+DELETE runs as such a closure; a column
 reference names a slot by :meth:`ColumnRef.resolve`.  The tree-walking
 interpreter the compiler is held to is the test oracle
 ``tests/reference/expr.py``.

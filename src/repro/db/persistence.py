@@ -30,7 +30,6 @@ import pathlib
 from typing import Any, Dict, List, Union
 
 from repro.db.database import Database
-from repro.db.index import SortedIndex
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.types import DataType
 from repro.errors import DatabaseError, StorageError
@@ -91,7 +90,6 @@ def dumps_database(db: Database) -> str:
                         "name": index.name,
                         "columns": list(index.columns),
                         "unique": index.unique,
-                        "sorted": isinstance(index, SortedIndex),
                     }
                     for index in table.indexes.values()
                     if not index.name.startswith(("pk_", "uq_"))
@@ -177,7 +175,6 @@ def _create_table(db: Database, spec: Dict[str, Any]) -> None:
             index["name"],
             tuple(index["columns"]),
             unique=index["unique"],
-            sorted_=index["sorted"],
         )
 
 

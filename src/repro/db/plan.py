@@ -46,7 +46,7 @@ What the plan does:
   constant, a constant LIKE pattern is classified once, a constant IN
   list becomes one containment test.
 * *IN probes* — a non-negated ``col IN (constants)`` over an indexed
-  column, when no equality or range conjunct already chose an index, is
+  column, when no equality conjunct already chose an index, is
   the ascending union of one index probe per distinct non-NULL value:
   the rows a full scan would deliver, in the order it would.
 * *Substring probes* — failing those, a non-negated ``LIKE`` over an
@@ -105,7 +105,6 @@ from repro.db.expr import (
     _like_tokens,
     compile_expression,
 )
-from repro.db.index import Index, SortedIndex
 from repro.db.query import (
     AggregateCall,
     ResultSet,
@@ -207,7 +206,7 @@ def _keep(rows: List[Row], test: RowFunction, coerce: bool) -> List[Row]:
 
 
 # ---------------------------------------------------------------------------
-# Base-table access (shared with UPDATE/DELETE row location)
+# Base-table access (shared with DELETE row location)
 # ---------------------------------------------------------------------------
 
 
@@ -257,12 +256,12 @@ def _ascii_runs(pattern: str, escape: Optional[str]) -> List[str]:
 class _BaseAccess:
     """Access path for one table's rows, chosen by shape at plan time.
 
-    Preference order matches the seed planner — single-column equality
-    index, then sorted-index range — then, where the seed would scan,
-    an indexed ``col IN (constants)``, then an indexed substring probe,
-    then the full scan.  (The IN probes come after the range because a
-    range delivers key order: taking them over a range would reorder
-    rows the seed leaves in key order.)  The substring probe serves a
+    Preference order: a single-column equality index, then an indexed
+    ``col IN (constants)``, then an indexed substring probe, then the
+    full scan.  Every path delivers ascending row ids, the order a
+    scan would, so the choice never reorders rows.  A range conjunct
+    (``<``, ``>``) takes no index: the compiled filter applies it over
+    the rows of whichever path was taken.  The substring probe serves a
     non-negated ``LIKE`` over a TEXT column, bare or under
     ``LOWER``/``UPPER``, whose pattern is a literal or a ``?``: it asks
     the column's index for the keys holding every trigram of the
@@ -275,7 +274,7 @@ class _BaseAccess:
     scan (``col = NULL`` and ``col LIKE NULL`` are never true, and the
     conjunct that produced the probe is re-applied anyway)."""
 
-    __slots__ = ("table", "kind", "index", "column", "op", "probe")
+    __slots__ = ("table", "kind", "index", "column", "probe")
 
     def __init__(
         self, table: Table, ref: TableRef, conjuncts: Sequence[Expression]
@@ -284,16 +283,14 @@ class _BaseAccess:
         self.kind = "scan"
         self.index = None
         self.column: Optional[str] = None
-        self.op: Optional[str] = None
         # One Literal/Parameter, the tuple of them of an IN list, or
         # the Like node of a substring probe.
         self.probe: Any = None
 
-        # Candidate (kind, column, op, probe) paths, by kind.
-        equality: List[Tuple[str, str, Optional[str], Any]] = []
-        ranges: List[Tuple[str, str, Optional[str], Any]] = []
-        in_lists: List[Tuple[str, str, Optional[str], Any]] = []
-        likes: List[Tuple[str, str, Optional[str], Any]] = []
+        # Candidate (kind, column, probe) paths, by kind.
+        equality: List[Tuple[str, str, Any]] = []
+        in_lists: List[Tuple[str, str, Any]] = []
+        likes: List[Tuple[str, str, Any]] = []
         for conjunct in conjuncts:
             if isinstance(conjunct, Like):
                 column = _text_column_of(conjunct.operand, ref, table)
@@ -302,7 +299,7 @@ class _BaseAccess:
                     and not conjunct.negated
                     and isinstance(conjunct.pattern, (Literal, Parameter))
                 ):
-                    likes.append(("like", column, "like", conjunct))
+                    likes.append(("like", column, conjunct))
                 continue
             if isinstance(conjunct, InList):
                 column = _column_of(conjunct.operand, ref, table)
@@ -314,36 +311,28 @@ class _BaseAccess:
                         for choice in conjunct.choices
                     )
                 ):
-                    in_lists.append(("in", column, None, conjunct.choices))
+                    in_lists.append(("in", column, conjunct.choices))
                 continue
-            if not isinstance(conjunct, Comparison):
+            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
                 continue
             left, right = conjunct.left, conjunct.right
-            op = conjunct.op
             if isinstance(left, (Literal, Parameter)) and isinstance(
                 right, ColumnRef
             ):
                 left, right = right, left
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
             if not isinstance(right, (Literal, Parameter)):
                 continue
             if isinstance(right, Literal) and right.value is None:
                 continue
             column = _column_of(left, ref, table)
-            if column is None:
-                continue
-            if op == "=":
-                equality.append(("eq", column, None, right))
-            elif op in ("<", "<=", ">", ">="):
-                ranges.append(("range", column, op, right))
+            if column is not None:
+                equality.append(("eq", column, right))
 
-        for kind, column, op, probe in equality + ranges + in_lists + likes:
+        for kind, column, probe in equality + in_lists + likes:
             index = table.index_on((column,))
-            if isinstance(
-                index, SortedIndex if kind == "range" else Index
-            ):
+            if index is not None:
                 self.kind, self.index = kind, index
-                self.column, self.op, self.probe = column, op, probe
+                self.column, self.probe = column, probe
                 return
 
     def rows(self, params: Sequence[Any], plan: List[str]) -> List[Row]:
@@ -356,8 +345,8 @@ class _BaseAccess:
     def rowids(
         self, params: Sequence[Any], plan: List[str]
     ) -> Iterable[int]:
-        """Candidate row ids in ascending-rowid order (scan/eq/in/like)
-        or key order (range), appending the chosen path to ``plan``."""
+        """Candidate row ids in ascending order, appending the chosen
+        path to ``plan``."""
         rowids = self._probe(params, plan)
         if rowids is None:
             return (rowid for rowid, _ in self.table.scan())
@@ -393,7 +382,7 @@ class _BaseAccess:
         if value is None:
             plan.append(
                 f"empty scan {self.table.schema.name} "
-                f"({self.column} {self.op or '='} NULL)"
+                f"({self.column} {'like' if like is not None else '='} NULL)"
             )
             return ()
         if like is not None:
@@ -411,20 +400,10 @@ class _BaseAccess:
                 f"({self.column} like {value!r})"
             )
             return self.index.substring_rowids(runs)
-        if self.kind == "eq":
-            plan.append(
-                f"index lookup {self.index.name}({self.column}={value!r})"
-            )
-            return self.index.lookup_sorted((value,))
         plan.append(
-            f"index range {self.index.name}"
-            f"({self.column} {self.op} {value!r})"
+            f"index lookup {self.index.name}({self.column}={value!r})"
         )
-        if self.op in ("<", "<="):
-            return self.index.range(
-                None, (value,), include_high=self.op == "<="
-            )
-        return self.index.range((value,), None, include_low=self.op == ">=")
+        return self.index.lookup_sorted((value,))
 
 
 def plan_rowids(
@@ -437,8 +416,8 @@ def plan_rowids(
     """Candidate row ids for ``where`` over ``table``.
 
     This is the shared row-location path: SELECT uses it through
-    :class:`SelectPlan`, and UPDATE/DELETE use it directly so an
-    indexed WHERE no longer forces a full scan.  Candidates are a
+    :class:`SelectPlan`, and DELETE uses it directly so an indexed
+    WHERE does not force a full scan.  Candidates are a
     superset of the matching rows — callers re-apply the WHERE."""
     return _BaseAccess(table, ref, _conjuncts(where)).rowids(params, plan)
 

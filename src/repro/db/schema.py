@@ -180,19 +180,6 @@ class TableSchema:
             row.append(value)
         return tuple(row)
 
-    def updated_row(
-        self, row: Sequence[Any], changes: Mapping[str, Any]
-    ) -> Tuple[Any, ...]:
-        """The storage tuple ``row`` becomes under ``changes``
-        (column -> new value), validated as :meth:`validate_row` does."""
-        merged = self.row_dict(row)
-        merged.update({c.lower(): v for c, v in changes.items()})
-        return self.validate_row(merged)
-
-    def row_dict(self, row: Sequence[Any]) -> Dict[str, Any]:
-        """Convert a storage tuple back to a column->value dict."""
-        return dict(zip(self.column_names, row))
-
     def key_of(self, row: Sequence[Any], columns: Sequence[str]) -> Tuple:
         """Extract the tuple of ``columns`` values from a storage row."""
         return tuple(row[self.position(c)] for c in columns)

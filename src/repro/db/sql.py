@@ -1,21 +1,23 @@
 """A small SQL dialect: lexer, recursive-descent parser, statement model.
 
-Supported statements (the subset EIL's organized-information layer and
-the synopsis queries use):
+Supported statements (what EIL's organized-information layer and the
+synopsis queries use):
 
 * ``CREATE TABLE t (col TYPE [NOT NULL] [DEFAULT lit], ...,
   PRIMARY KEY (...), UNIQUE (...), FOREIGN KEY (...) REFERENCES p(...))``
 * ``CREATE [UNIQUE] INDEX name ON t (cols)``
-* ``DROP TABLE t``
-* ``INSERT INTO t [(cols)] VALUES (...), (...)``
 * ``SELECT [DISTINCT] items FROM t [alias]
   [[LEFT] JOIN u [alias] ON expr] ... [WHERE expr]
   [GROUP BY exprs] [HAVING expr] [ORDER BY expr [ASC|DESC], ...]
   [LIMIT n [OFFSET m]]``
-* ``UPDATE t SET col = expr, ... [WHERE expr]``
 * ``DELETE FROM t [WHERE expr]``
 * ``EXPLAIN <statement>`` — report the planner's access-path choices
   without mutating anything
+
+Rows enter through :meth:`repro.db.database.Database.insert`, and
+onboarding or offboarding a deal replaces its rows, so there is no
+INSERT, UPDATE or DROP TABLE: each is rejected as "expected a SQL
+statement".
 
 Expressions support AND/OR/NOT, comparisons, LIKE [ESCAPE 'c'], IN,
 IS [NOT] NULL, ``+ - * /``, scalar functions, the aggregates, ``?``
@@ -61,9 +63,6 @@ __all__ = [
     "Statement",
     "CreateTable",
     "CreateIndex",
-    "DropTable",
-    "Insert",
-    "Update",
     "Delete",
     "Explain",
 ]
@@ -89,7 +88,7 @@ _KEYWORDS = {
     "asc", "desc", "limit", "offset", "join", "left", "inner", "on", "and",
     "or", "not", "in", "is", "null", "like", "true", "false", "as", "create",
     "table", "index", "unique", "primary", "key", "foreign", "references",
-    "drop", "insert", "into", "values", "update", "set", "delete", "default",
+    "delete", "default",
     "count", "sum", "avg", "min", "max", "explain", "escape",
 }
 
@@ -146,31 +145,6 @@ class CreateIndex:
 
 
 @dataclass(frozen=True)
-class DropTable:
-    """Parsed DROP TABLE."""
-
-    table: str
-
-
-@dataclass(frozen=True)
-class Insert:
-    """Parsed INSERT; ``columns=()`` means schema order."""
-
-    table: str
-    columns: Tuple[str, ...]
-    rows: Tuple[Tuple[Expression, ...], ...]
-
-
-@dataclass(frozen=True)
-class Update:
-    """Parsed UPDATE."""
-
-    table: str
-    assignments: Tuple[Tuple[str, Expression], ...]
-    where: Optional[Expression] = None
-
-
-@dataclass(frozen=True)
 class Delete:
     """Parsed DELETE."""
 
@@ -185,10 +159,7 @@ class Explain:
     statement: "Statement"
 
 
-Statement = Union[
-    SelectStatement, CreateTable, CreateIndex, DropTable, Insert, Update,
-    Delete, Explain,
-]
+Statement = Union[SelectStatement, CreateTable, CreateIndex, Delete, Explain]
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +240,6 @@ class _Parser:
             statement = self._parse_select()
         elif self._accept_keyword("create"):
             statement = self._parse_create()
-        elif self._accept_keyword("drop"):
-            self._expect_keyword("table")
-            statement = DropTable(self._expect_ident("table name"))
-        elif self._accept_keyword("insert"):
-            statement = self._parse_insert()
-        elif self._accept_keyword("update"):
-            statement = self._parse_update()
         elif self._accept_keyword("delete"):
             statement = self._parse_delete()
         else:
@@ -485,45 +449,7 @@ class _Parser:
             self._fail("DEFAULT requires a literal")
         return expression.value  # type: ignore[union-attr]
 
-    # -- INSERT / UPDATE / DELETE -----------------------------------------
-
-    def _parse_insert(self) -> Insert:
-        self._expect_keyword("into")
-        table = self._expect_ident("table name")
-        columns: Tuple[str, ...] = ()
-        if self._accept_op("("):
-            names = [self._expect_ident("column name")]
-            while self._accept_op(","):
-                names.append(self._expect_ident("column name"))
-            self._expect_op(")")
-            columns = tuple(names)
-        self._expect_keyword("values")
-        rows: List[Tuple[Expression, ...]] = []
-        while True:
-            self._expect_op("(")
-            values = [self._parse_expression()]
-            while self._accept_op(","):
-                values.append(self._parse_expression())
-            self._expect_op(")")
-            rows.append(tuple(values))
-            if not self._accept_op(","):
-                break
-        return Insert(table, columns, tuple(rows))
-
-    def _parse_update(self) -> Update:
-        table = self._expect_ident("table name")
-        self._expect_keyword("set")
-        assignments: List[Tuple[str, Expression]] = []
-        while True:
-            column = self._expect_ident("column name")
-            self._expect_op("=")
-            assignments.append((column, self._parse_expression()))
-            if not self._accept_op(","):
-                break
-        where = (
-            self._parse_expression() if self._accept_keyword("where") else None
-        )
-        return Update(table, tuple(assignments), where)
+    # -- DELETE -------------------------------------------------------------
 
     def _parse_delete(self) -> Delete:
         self._expect_keyword("from")

@@ -1,12 +1,13 @@
 """Heap table storage with automatic index maintenance.
 
 Rows are stored as immutable tuples keyed by a monotonically increasing
-row id.  All constraint checks (primary key, unique, NOT NULL via the
-schema) happen *before* a row is changed, so a failed row change leaves
-the table unchanged.  Every mutation is reported to the owning
-database's undo log through the ``journal`` hook: the database replays
-it to undo a SQL statement that fails on a later row, and to roll back
-a transaction.
+row id.  A row enters through :meth:`Table.insert_row` and leaves
+through :meth:`Table.delete`; nothing changes a stored row in place.
+All constraint checks (primary key, unique, NOT NULL via the schema)
+happen *before* a row is stored, so a failed insert leaves the table
+unchanged.  Every mutation is reported to the owning database's undo
+log through the ``journal`` hook: the database replays it to undo a
+DELETE that fails on a later row, and to roll back a transaction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import (
     Tuple,
 )
 
-from repro.db.index import HashIndex, Index, SortedIndex
+from repro.db.index import Index
 from repro.db.schema import TableSchema
 from repro.errors import IntegrityError, ProgrammingError, SchemaError
 
@@ -58,53 +59,34 @@ class Table:
         self._journal = journal
         self._on_ddl = on_ddl
         if schema.primary_key:
-            self._create_index(
-                f"pk_{schema.name}", schema.primary_key, unique=True, sorted_=True
+            self.create_index(
+                f"pk_{schema.name}", schema.primary_key, unique=True
             )
         for position, constraint in enumerate(schema.unique):
-            self._create_index(
-                f"uq_{schema.name}_{position}", constraint, unique=True,
-                sorted_=False,
+            self.create_index(
+                f"uq_{schema.name}_{position}", constraint, unique=True
             )
 
     # -- index management -------------------------------------------------
-
-    def _create_index(
-        self,
-        name: str,
-        columns: Tuple[str, ...],
-        unique: bool,
-        sorted_: bool,
-    ) -> Index:
-        if name in self._indexes:
-            raise SchemaError(f"index {name!r} already exists")
-        for column in columns:
-            self.schema.position(column)  # raises on unknown column
-        index: Index
-        if sorted_:
-            index = SortedIndex(name, columns, unique)
-        else:
-            index = HashIndex(name, columns, unique)
-        for rowid, row in self._rows.items():
-            index.insert(self.schema.key_of(row, columns), rowid)
-        self._indexes[name] = index
-        if self._on_ddl is not None:
-            self._on_ddl()
-        return index
 
     def create_index(
         self,
         name: str,
         columns: Tuple[str, ...],
         unique: bool = False,
-        sorted_: bool = True,
     ) -> Index:
-        """Create a secondary index over ``columns``.
-
-        Sorted indexes additionally support range scans; hash indexes
-        are marginally faster for pure equality.
-        """
-        return self._create_index(name, columns, unique, sorted_)
+        """Create an index over ``columns``, filled from the rows held."""
+        if name in self._indexes:
+            raise SchemaError(f"index {name!r} already exists")
+        for column in columns:
+            self.schema.position(column)  # raises on unknown column
+        index = Index(name, columns, unique)
+        for rowid, row in self._rows.items():
+            index.insert(self.schema.key_of(row, columns), rowid)
+        self._indexes[name] = index
+        if self._on_ddl is not None:
+            self._on_ddl()
+        return index
 
     def index_on(self, columns: Tuple[str, ...]) -> Optional[Index]:
         """Return an index whose key is exactly ``columns``, if any."""
@@ -121,49 +103,16 @@ class Table:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, values: Mapping[str, Any]) -> int:
-        """Insert one row; returns its row id."""
-        return self.insert_row(self.schema.validate_row(values))
-
     def insert_row(self, row: Tuple[Any, ...]) -> int:
-        """Store ``row``, a tuple :meth:`TableSchema.validate_row` made."""
-        self._check_unique(row, ignore_rowid=None)
+        """Store ``row``, a tuple :meth:`TableSchema.validate_row` made;
+        returns its row id."""
+        self._check_unique(row)
         rowid = self._next_rowid
         self._next_rowid += 1
         self._apply_insert(rowid, row)
         if self._journal is not None:
             self._journal(self.schema.name, "insert", rowid, None, row)
         return rowid
-
-    def update(
-        self,
-        rowid: int,
-        changes: Mapping[str, Any],
-    ) -> Tuple[Any, ...]:
-        """Apply ``changes`` to the row at ``rowid``; returns new tuple."""
-        old_row = self.row(rowid)
-        for column in changes:
-            if not self.schema.has_column(column):
-                raise IntegrityError(
-                    f"unknown column {column!r} in UPDATE of "
-                    f"{self.schema.name!r}"
-                )
-        return self.replace_row(
-            rowid, self.schema.updated_row(old_row, changes)
-        )
-
-    def replace_row(
-        self, rowid: int, new_row: Tuple[Any, ...]
-    ) -> Tuple[Any, ...]:
-        """Store ``new_row``, a tuple :meth:`TableSchema.updated_row`
-        made, at ``rowid``; returns it."""
-        old_row = self.row(rowid)
-        self._check_unique(new_row, ignore_rowid=rowid)
-        self._apply_delete(rowid, old_row)
-        self._apply_insert(rowid, new_row)
-        if self._journal is not None:
-            self._journal(self.schema.name, "update", rowid, old_row, new_row)
-        return new_row
 
     def delete(self, rowid: int) -> Tuple[Any, ...]:
         """Delete the row at ``rowid``; returns the removed tuple."""
@@ -186,22 +135,14 @@ class Table:
         """Reverse a journaled delete."""
         self._apply_insert(rowid, row)
 
-    def undo_update(self, rowid: int, old_row: Tuple[Any, ...]) -> None:
-        """Reverse a journaled update."""
-        current = self._rows[rowid]
-        self._apply_delete(rowid, current)
-        self._apply_insert(rowid, old_row)
-
     # -- internals ----------------------------------------------------------
 
-    def _check_unique(
-        self, row: Tuple[Any, ...], ignore_rowid: Optional[int]
-    ) -> None:
+    def _check_unique(self, row: Tuple[Any, ...]) -> None:
         for index in self._indexes.values():
             if not index.unique:
                 continue
             key = self.schema.key_of(row, index.columns)
-            if index.would_violate(key, ignore_rowid):
+            if index.would_violate(key):
                 constraint = (
                     "PRIMARY KEY"
                     if index.columns == self.schema.primary_key

@@ -1,7 +1,7 @@
-"""DML equivalence: UPDATE and DELETE against a list-of-rows model.
+"""DML equivalence: DELETE against a list-of-rows model.
 
 ``Database.execute`` locates rows through the planner's access paths and
-evaluates WHERE and SET as compiled row functions over stored tuples.
+evaluates WHERE as a compiled row function over stored tuples.
 The model here knows none of that: a table is a list of tuples in rowid
 order, a statement is its parsed form, every expression is interpreted
 by ``tests/reference/expr.py`` against a ``{table.column: value}``
@@ -12,7 +12,9 @@ agree.
 A statement is all-or-nothing: the model applies it row by row in
 rowid order to a copy of the table and keeps the copy only if every row
 succeeded, so a failure on the third matched row leaves the first two
-unchanged too.  WHERE is decided for every row before any row changes.
+in place too.  WHERE is decided for every row before any row goes.
+Rows enter through ``Database.insert``, the one insert path, and the
+transaction tests mix those inserts with DELETEs.
 
 The rows are adversarial (NULLs, NaN, the case-fold traps of
 ``tests/db/test_plan_equivalence.py``, one key a child table references), and predicates are drawn over indexed (``k``, ``grp``) and
@@ -31,8 +33,8 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.db import Database, Literal, Parameter, parse
 from repro.db.expr import Expression
-from repro.db.sql import Update
 from repro.errors import DatabaseError, IntegrityError, ProgrammingError
+from tests.db.rows import insert_rows
 from tests.db.test_plan_equivalence import NUM, TEXT, _atoms
 from tests.reference.expr import evaluate
 
@@ -48,7 +50,7 @@ ROWS = [
     (7, "a", "", 0.3, 2),
     (8, None, None, None, 40),
 ]
-# ``children.pid`` references ``t.k``: key 6 may neither go nor move.
+# ``children.pid`` references ``t.k``: key 6 may not go.
 CHILDREN = [(1, 6), (2, 6), (3, None)]
 REFERENCED = {pid for _, pid in CHILDREN if pid is not None}
 
@@ -75,10 +77,8 @@ def build_db():
         "CREATE TABLE children (cid INTEGER, pid INTEGER, "
         "PRIMARY KEY (cid), FOREIGN KEY (pid) REFERENCES t (k))"
     )
-    for row in ROWS:
-        db.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", list(row))
-    for row in CHILDREN:
-        db.execute("INSERT INTO children VALUES (?, ?)", list(row))
+    insert_rows(db, "t", ROWS)
+    insert_rows(db, "children", CHILDREN)
     return db
 
 
@@ -118,8 +118,8 @@ def _bind_present(node, params):
 
 
 def run_model(rows, schema, statement, params):
-    """Apply a parsed UPDATE or DELETE of ``t`` to ``rows`` in place, all
-    or nothing; returns the rowcount or raises what the statement raises
+    """Apply a parsed DELETE of ``t`` to ``rows`` in place, all or
+    nothing; returns the rowcount or raises what the statement raises
     (leaving ``rows`` as they were)."""
     changed = list(rows)
     count = _apply(changed, schema, statement, params)
@@ -140,28 +140,11 @@ def _apply(rows, schema, statement, params):
         row for row in rows
         if statement.where is None or value_of(statement.where, row) is True
     ]
-    count = 0
     for old in matched:
-        position = next(i for i, row in enumerate(rows) if row is old)
-        key_moves_or_goes = True
-        if isinstance(statement, Update):
-            merged = dict(zip(columns, old))
-            merged.update(
-                (column.lower(), value_of(expression, old))
-                for column, expression in statement.assignments
-            )
-            new = schema.validate_row(merged)
-            key_moves_or_goes = new[0] != old[0]
-        if key_moves_or_goes and old[0] in REFERENCED:
+        if old[0] in REFERENCED:
             raise IntegrityError(f"{old[0]} is referenced")
-        if isinstance(statement, Update):
-            if any(row[0] == new[0] for row in rows if row is not old):
-                raise IntegrityError(f"duplicate key {new[0]}")
-            rows[position] = new
-        else:
-            del rows[position]
-        count += 1
-    return count
+        del rows[next(i for i, row in enumerate(rows) if row is old)]
+    return len(matched)
 
 
 def assert_same_state(db, rows):
@@ -197,33 +180,6 @@ WHERE_ERRORS = [
     "body + 1 = 'x'", "m > ?",  # the ``?`` gets no parameter
 ]
 
-# (column, right-hand side, parameter values to draw one from or None).
-ASSIGNMENTS = [
-    ("body", "?", ["x", "", "İ", None]),
-    ("body", "body + ?", ["!", "%"]),
-    ("body", "LOWER(body)", None),
-    ("body", "grp", None),
-    ("grp", "?", ["a", "z", None]),
-    ("grp", "UPPER(body)", None),
-    ("n", "n * 2", None),
-    ("n", "m + 0.5", None),
-    ("n", "n / m", None),                 # m = 0: NULL, not an error
-    ("n", "?", [NAN, None, 7, -0.0]),
-    ("m", "m + 1", None),
-    ("m", "LENGTH(body)", None),          # NULL body: NOT NULL violated
-    ("m", "n", None),                     # fractional, NaN: type mismatch
-    ("m", "?", [5, None, 2.0, "five"]),
-    ("k", "k + 10", None),
-    ("k", "k + 1", None),                 # collides with the next key
-    ("k", "?", [2, 50, None]),
-    ("K", "k * 1", None),                 # the key rewritten to itself
-    ("body", "body + 1", None),           # ill-typed operands
-    ("n", "nope", None),                  # unknown column
-    ("nope", "1", None),                  # unknown target
-    ("n", "m + ?", "missing"),            # the ``?`` gets no parameter
-]
-
-
 # Not predicates: alone, WHERE keeps a row only for the value True
 # itself; under AND, OR and NOT any truthy value counts (NaN included).
 BARE = ["m", "n", "LENGTH(body)", "m - 3"]
@@ -250,7 +206,7 @@ def _wheres(draw, columns, params):
 
 @st.composite
 def statements(draw):
-    """``(sql, params)``: an UPDATE or DELETE of ``t``.
+    """``(sql, params)``: a DELETE of ``t``.
 
     A WHERE that can raise is drawn over unindexed columns only.  An
     index narrows candidates before WHERE is evaluated, so a row the
@@ -259,24 +215,6 @@ def statements(draw):
     model and engine meet each error on the same row."""
     params = []
     head = "DELETE FROM t"
-    missing = False
-    if draw(st.booleans()):
-        chosen = draw(st.lists(
-            st.sampled_from(ASSIGNMENTS), min_size=1, max_size=2,
-            unique_by=lambda assignment: assignment[0].lower(),
-        ))
-        # The missing ``?`` has to be the statement's last.
-        chosen.sort(key=lambda assignment: assignment[2] == "missing")
-        for _, _, values in chosen:
-            if values == "missing":
-                missing = True
-            elif values is not None:
-                params.append(draw(st.sampled_from(values)))
-        head = "UPDATE t SET " + ", ".join(
-            f"{column} = {value}" for column, value, _ in chosen
-        )
-    if missing:
-        return head, params  # a WHERE's ``?`` would take its place
     if draw(st.integers(0, 5)) == 0:
         where = draw(_wheres(list(UNINDEXED.items()), params))
         error = draw(st.sampled_from(WHERE_ERRORS))
@@ -323,8 +261,6 @@ UNREACHED = [
     # WHERE and no candidate row reaches it.
     ("DELETE FROM t WHERE m = 1000 AND n > ?", []),
     ("DELETE FROM t WHERE grp = 'nope' AND nope = 1", []),
-    ("UPDATE t SET m = 0 WHERE m > 1000 AND body LIKE ?", []),
-    ("UPDATE t SET m = 0 WHERE k = ? AND zzz = 1", [99]),
 ]
 
 
@@ -343,9 +279,6 @@ def test_errors_wait_for_a_row_in_dml_as_in_select(sql, params):
 @pytest.mark.parametrize("sql,params", [
     ("DELETE FROM t WHERE n > ?", []),
     ("DELETE FROM t WHERE k = ?", []),  # an index probe reads it at once
-    ("UPDATE t SET m = 0 WHERE nope = 1", []),
-    ("UPDATE t SET m = ? WHERE k = 2", []),
-    ("UPDATE t SET m = nope WHERE k = 2", []),
 ])
 def test_reached_errors_raise_before_any_row_changes(sql, params):
     db = build_db()
@@ -374,9 +307,8 @@ def build_parent_child():
         "FOREIGN KEY (pid) REFERENCES p (id))"
     )
     db.execute("CREATE INDEX ix_c_pid ON c (pid)")
-    db.execute("INSERT INTO p VALUES (1, 10), (2, 20), (3, 30), (4, 40), "
-               "(5, 50)")
-    db.execute("INSERT INTO c VALUES (1, 4)")
+    insert_rows(db, "p", [(1, 10), (2, 20), (3, 30), (4, 40), (5, 50)])
+    insert_rows(db, "c", [(1, 4)])
     return db
 
 
@@ -409,12 +341,6 @@ def table_state(db):
 PARTIAL = [
     pytest.param("DELETE FROM p WHERE v > 0",
                  id="deleted-ids-1-3-then-id-4-is-referenced"),
-    pytest.param("INSERT INTO p VALUES (6, 60), (7, 70), (1, 80)",
-                 id="inserted-6-and-7-then-id-1-exists"),
-    pytest.param("UPDATE p SET v = 60 WHERE id > 2",
-                 id="moved-id-3-then-id-4-collides-on-v"),
-    pytest.param("INSERT INTO c VALUES (2, 1), (3, 9)",
-                 id="inserted-cid-2-then-no-parent-9"),
 ]
 
 
@@ -426,7 +352,7 @@ def test_a_statement_that_fails_part_way_changes_nothing(sql):
         db.execute(sql)
     assert table_state(db) == before
     # Nothing of it lingers to trip up the statements after it.
-    db.execute("INSERT INTO p VALUES (6, 60)")
+    db.insert("p", {"id": 6, "v": 60})
     assert db.execute("SELECT COUNT(*) FROM p").scalar() == 6
 
 
@@ -435,8 +361,8 @@ def test_a_failed_statement_inside_a_transaction_keeps_rollback_whole(sql):
     db = build_parent_child()
     before = table_state(db)
     db.begin()
-    db.execute("UPDATE p SET v = 11 WHERE id = 1")
-    db.execute("INSERT INTO p VALUES (8, 80)")
+    db.execute("DELETE FROM p WHERE id = 5")
+    db.insert("p", {"id": 8, "v": 80})
     during = table_state(db)
     with pytest.raises(IntegrityError):
         db.execute(sql)
@@ -449,7 +375,7 @@ def test_a_failed_statement_inside_a_transaction_keeps_rollback_whole(sql):
 def test_a_committed_transaction_keeps_what_succeeded(sql):
     db = build_parent_child()
     db.begin()
-    db.execute("INSERT INTO p VALUES (8, 80)")
+    db.insert("p", {"id": 8, "v": 80})
     during = table_state(db)
     with pytest.raises(IntegrityError):
         db.execute(sql)

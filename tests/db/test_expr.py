@@ -29,6 +29,7 @@ from repro.db import expr as expr_module
 from repro.db.expr import compile_expression
 from repro.errors import ProgrammingError
 
+from tests.db.rows import insert_rows
 from tests.reference import expr as reference
 
 ROW = {"t.a": 5, "t.b": "hello", "t.c": None}
@@ -227,8 +228,7 @@ class TestPredicates:
         db = Database()
         db.execute("CREATE TABLE t (k INTEGER, v TEXT, PRIMARY KEY (k))")
         rows = 25
-        for k in range(rows):
-            db.execute("INSERT INTO t VALUES (?, ?)", [k, f"v{k}x"])
+        insert_rows(db, "t", [(k, f"v{k}x") for k in range(rows)])
         compiled = []
         compile_ = re.compile
         monkeypatch.setattr(

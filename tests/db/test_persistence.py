@@ -17,6 +17,7 @@ from repro.db import (
 from repro.db.persistence import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from repro.errors import DatabaseError
 from repro.storage.atomic import encode_document
+from tests.db.rows import insert_rows
 
 
 def snapshot_of(tables, version=SNAPSHOT_VERSION):
@@ -38,12 +39,11 @@ def make_db():
         "FOREIGN KEY (deal_id) REFERENCES deals (deal_id))"
     )
     db.execute("CREATE INDEX ix_value ON deals (value)")
-    db.execute(
-        "INSERT INTO deals VALUES "
-        "('d1', 'A', 2.0, '2006-01-05', TRUE), "
-        "('d2', 'B', NULL, NULL, FALSE)"
-    )
-    db.execute("INSERT INTO contacts VALUES (1, 'd1', 'Sam')")
+    insert_rows(db, "deals", [
+        ("d1", "A", 2.0, "2006-01-05", True),
+        ("d2", "B", None, None, False),
+    ])
+    insert_rows(db, "contacts", [(1, "d1", "Sam")])
     return db
 
 
@@ -71,15 +71,15 @@ class TestRoundtrip:
         from repro.errors import IntegrityError
 
         with pytest.raises(IntegrityError):
-            restored.execute("INSERT INTO deals VALUES "
-                             "('d1', 'dup', 1.0, NULL, TRUE)")
+            restored.insert("deals", {"deal_id": "d1", "name": "dup"})
         with pytest.raises(IntegrityError):
-            restored.execute("INSERT INTO contacts VALUES (9, 'ghost', 'x')")
+            restored.insert("contacts", {"cid": 9, "deal_id": "ghost"})
 
     def test_secondary_indexes_survive(self):
         restored = loads_database(dumps_database(make_db()))
-        result = restored.execute("SELECT deal_id FROM deals WHERE value > 1")
-        assert any("index range ix_value" in step for step in result.plan)
+        result = restored.execute("SELECT deal_id FROM deals WHERE value = 2")
+        assert result.plan[0] == "index lookup ix_value(value=2)"
+        assert result.rows == [("d1",)]
 
     def test_fk_ordering_resolved(self):
         # Alphabetical order would load 'contacts' before 'deals'; the
@@ -94,9 +94,7 @@ class TestRoundtrip:
 
     def test_defaults_survive(self):
         restored = loads_database(dumps_database(make_db()))
-        restored.execute(
-            "INSERT INTO deals (deal_id, name) VALUES ('d3', 'C')"
-        )
+        restored.insert("deals", {"deal_id": "d3", "name": "C"})
         assert restored.execute(
             "SELECT value FROM deals WHERE deal_id = 'd3'"
         ).scalar() == 1.5
@@ -181,7 +179,7 @@ class TestAtomicity:
         dump_database(make_db(), path)
         first = path.read_text()
         db = make_db()
-        db.execute("INSERT INTO deals (deal_id, name) VALUES ('d9', 'Z')")
+        db.insert("deals", {"deal_id": "d9", "name": "Z"})
         dump_database(db, path)
         assert path.read_text() != first
         assert load_database(path).execute(

@@ -28,6 +28,7 @@ from repro import obs
 from repro.db import Database, parse
 from repro.db.plan import SelectPlan
 from repro.errors import ProgrammingError
+from tests.db.rows import insert_rows
 from tests.reference.select import naive_execute_select
 
 # What LIKE patterns and the ``notes`` rows are made of: both wildcards,
@@ -61,12 +62,11 @@ def db():
     )
     database.execute("CREATE TABLE empty (k INTEGER, PRIMARY KEY (k))")
     database.execute("CREATE TABLE one (k INTEGER, PRIMARY KEY (k))")
-    database.execute("INSERT INTO one VALUES (1)")
+    insert_rows(database, "one", [(1,)])
     database.execute(
         "CREATE TABLE notes (nid INTEGER, body TEXT, PRIMARY KEY (nid))"
     )
-    for nid, body in enumerate(NOTES):
-        database.execute("INSERT INTO notes VALUES (?, ?)", [nid, body])
+    insert_rows(database, "notes", enumerate(NOTES))
     database.execute("CREATE INDEX ix_contacts_deal ON contacts (deal_id)")
     database.execute("CREATE INDEX ix_deals_industry ON deals (industry)")
     database.execute("CREATE INDEX ix_scopes_deal ON scopes (deal_id)")
@@ -78,8 +78,7 @@ def db():
         ("d5", None, 10.5, "Jane"),
         ("d6", "bank", None, "Jane"),
     ]
-    for row in deals:
-        database.execute("INSERT INTO deals VALUES (?, ?, ?, ?)", list(row))
+    insert_rows(database, "deals", deals)
     contacts = [
         (1, "d1", "Sam", "CSE"),
         (2, "d1", "Jane", "TSA"),
@@ -90,10 +89,7 @@ def db():
         (7, "dX", "Orphan", "TSA"),  # key with no matching deal
         (8, "d5", "Jane", None),
     ]
-    for row in contacts:
-        database.execute(
-            "INSERT INTO contacts VALUES (?, ?, ?, ?)", list(row)
-        )
+    insert_rows(database, "contacts", contacts)
     scopes = [
         (1, "d1", "WAN", 100.0),
         (2, "d1", "LAN", 0.1),
@@ -102,8 +98,7 @@ def db():
         (5, None, "LAN", 0.4),       # NULL join key again
         (6, "d4", "WAN", None),
     ]
-    for row in scopes:
-        database.execute("INSERT INTO scopes VALUES (?, ?, ?, ?)", list(row))
+    insert_rows(database, "scopes", scopes)
     return database
 
 

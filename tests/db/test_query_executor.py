@@ -4,6 +4,7 @@ import pytest
 
 from repro.db import Database
 from repro.errors import ProgrammingError
+from tests.db.rows import insert_rows
 
 
 @pytest.fixture
@@ -22,18 +23,14 @@ def db():
         "PRIMARY KEY (sid), "
         "FOREIGN KEY (deal_id) REFERENCES deals (deal_id))"
     )
-    database.execute(
-        "INSERT INTO deals VALUES ('d1', 'A'), ('d2', 'B'), ('d3', 'C')"
-    )
-    database.execute(
-        "INSERT INTO contacts VALUES "
-        "(1, 'd1', 'Sam', 'CSE'), (2, 'd1', 'Jane', 'TSA'), "
-        "(3, 'd2', 'Sam', 'CSE'), (4, 'd3', 'Wei', 'DPE')"
-    )
-    database.execute(
-        "INSERT INTO scopes VALUES "
-        "(1, 'd1', 'WAN'), (2, 'd2', 'WAN'), (3, 'd2', 'LAN')"
-    )
+    insert_rows(database, "deals", [("d1", "A"), ("d2", "B"), ("d3", "C")])
+    insert_rows(database, "contacts", [
+        (1, "d1", "Sam", "CSE"), (2, "d1", "Jane", "TSA"),
+        (3, "d2", "Sam", "CSE"), (4, "d3", "Wei", "DPE"),
+    ])
+    insert_rows(database, "scopes", [
+        (1, "d1", "WAN"), (2, "d2", "WAN"), (3, "d2", "LAN"),
+    ])
     return database
 
 
@@ -177,7 +174,7 @@ class TestExecutorEdgeCases:
         assert paged == full[1:3]
 
     def test_null_join_keys_never_match(self, db):
-        db.execute("INSERT INTO contacts VALUES (9, NULL, 'Ghost', 'DPE')")
+        insert_rows(db, "contacts", [(9, None, "Ghost", "DPE")])
         try:
             result = db.execute(
                 "SELECT c.nm FROM deals d "

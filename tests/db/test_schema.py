@@ -101,7 +101,7 @@ class TestRowValidation:
     def test_row_dict_roundtrip(self):
         schema = make_schema()
         row = schema.validate_row({"deal_id": "d1", "name": "A", "value": 2})
-        assert schema.row_dict(row) == {
+        assert dict(zip(schema.column_names, row)) == {
             "deal_id": "d1",
             "name": "A",
             "value": 2.0,

@@ -9,15 +9,13 @@ from repro.db import (
     DataType,
     Like,
     Literal,
+    Parameter,
     SelectStatement,
 )
 from repro.db.sql import (
     CreateIndex,
     CreateTable,
     Delete,
-    DropTable,
-    Insert,
-    Update,
     parse,
 )
 from repro.errors import SqlSyntaxError
@@ -74,36 +72,17 @@ class TestCreateIndexAndDrop:
         statement = parse("CREATE UNIQUE INDEX ix ON t (a)")
         assert statement.unique is True
 
-    def test_drop_table(self):
-        assert parse("DROP TABLE t") == DropTable("t")
-
-
-class TestInsert:
-    def test_with_columns(self):
-        statement = parse(
-            "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')"
-        )
-        assert isinstance(statement, Insert)
-        assert statement.columns == ("a", "b")
-        assert len(statement.rows) == 2
-        assert statement.rows[0][1] == Literal("x")
-
-    def test_without_columns(self):
-        statement = parse("INSERT INTO t VALUES (1, NULL, TRUE)")
-        assert statement.columns == ()
-        assert statement.rows[0][1] == Literal(None)
-        assert statement.rows[0][2] == Literal(True)
-
-    def test_string_escape(self):
-        statement = parse("INSERT INTO t VALUES ('it''s')")
-        assert statement.rows[0][0] == Literal("it's")
-
-    def test_parameter_placeholders(self):
-        statement = parse("INSERT INTO t VALUES (?, ?)")
-        assert len(statement.rows[0]) == 2
-
 
 class TestSelect:
+    def test_string_escape(self):
+        statement = parse("SELECT * FROM t WHERE a = 'it''s'")
+        assert statement.where.right == Literal("it's")
+
+    def test_parameter_placeholders(self):
+        statement = parse("SELECT * FROM t WHERE a = ? AND b = ?")
+        assert statement.where.left.right == Parameter(0)
+        assert statement.where.right.right == Parameter(1)
+
     def test_simple(self):
         statement = parse("SELECT a, b FROM t")
         assert isinstance(statement, SelectStatement)
@@ -215,12 +194,6 @@ class TestSelect:
 
 
 class TestUpdateDelete:
-    def test_update(self):
-        statement = parse("UPDATE t SET a = 1, b = 'x' WHERE c = 2")
-        assert isinstance(statement, Update)
-        assert len(statement.assignments) == 2
-        assert statement.where is not None
-
     def test_delete(self):
         statement = parse("DELETE FROM t WHERE a = 1")
         assert isinstance(statement, Delete)

@@ -20,6 +20,7 @@ import threading
 import time
 
 from repro.db import Database
+from tests.db.rows import insert_rows
 from tests.db.test_substring_probe import assert_map_is_current
 
 SQL = (
@@ -46,13 +47,12 @@ def build(with_extra=False):
         "mention_count INTEGER, PRIMARY KEY (cid))"
     )
     db.execute("CREATE INDEX ix_contacts_name ON contacts (name)")
-    for cid, name in enumerate(NAMES):
-        db.execute(
-            "INSERT INTO contacts VALUES (?, ?, ?, ?)",
-            [cid, f"d{cid % 5}", name, cid % 7],
-        )
+    insert_rows(db, "contacts", [
+        (cid, f"d{cid % 5}", name, cid % 7)
+        for cid, name in enumerate(NAMES)
+    ])
     if with_extra:
-        db.execute("INSERT INTO contacts VALUES (?, ?, ?, ?)", list(EXTRA))
+        insert_rows(db, "contacts", [EXTRA])
     return db
 
 
@@ -88,9 +88,7 @@ def run_round(allowed, deadline):
         try:
             start.wait(JOIN_SECONDS)
             while not readers_done.is_set() and time.monotonic() < deadline:
-                db.execute(
-                    "INSERT INTO contacts VALUES (?, ?, ?, ?)", list(EXTRA)
-                )
+                insert_rows(db, "contacts", [EXTRA])
                 db.execute("DELETE FROM contacts WHERE cid = ?", [EXTRA[0]])
         except Exception as exc:
             errors.append(exc)

@@ -4,13 +4,13 @@ A non-negated ``LIKE`` over an indexed TEXT column reads candidates
 through the index's trigram map (``index substring`` in the plan) and
 re-applies the ``LIKE`` to each.  The map is built on the first probe
 and then maintained by every key that appears or disappears, so this
-property builds it first and then interleaves SELECTs with INSERT,
-UPDATE, DELETE and a rolled-back transaction:
+property builds it first and then interleaves SELECTs with inserts,
+DELETEs and a rolled-back transaction:
 
 * every SELECT returns the rows, in the order, of the seed interpreter
   ``tests/reference/select.py``, or raises what it raises — ``LIKE``
   over the indexed INTEGER key included;
-* every UPDATE and DELETE does what the list-of-rows model of
+* every DELETE does what the list-of-rows model of
   ``tests/db/test_dml_equivalence.py`` does;
 * after the script the maintained map is the map rebuilt from the
   index's keys.
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.db import Database, parse
 from repro.db.index import _TrigramMap
 from repro.errors import ProgrammingError
+from tests.db.rows import insert_rows
 from tests.db.test_dml_equivalence import (
     CHILDREN,
     assert_same_state,
@@ -63,7 +64,7 @@ ESCAPES = ["", " ESCAPE '\\'", " ESCAPE 'a'"]
 
 
 def build_db(values):
-    """``t`` of ``tests/db/test_dml_equivalence.py`` (``k`` the sorted
+    """``t`` of ``tests/db/test_dml_equivalence.py`` (``k`` the
     INTEGER key, ``grp`` indexed TEXT, ``body`` unindexed TEXT) with
     ``values`` in both text columns; key 6, which ``children``
     references, is always there."""
@@ -77,12 +78,11 @@ def build_db(values):
         "CREATE TABLE children (cid INTEGER, pid INTEGER, "
         "PRIMARY KEY (cid), FOREIGN KEY (pid) REFERENCES t (k))"
     )
-    for k, value in enumerate(values + [None] * (7 - len(values)), 1):
-        body = value[::-1] if isinstance(value, str) else value
-        db.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)",
-                   [k, value, body, 0.5, k])
-    for row in CHILDREN:
-        db.execute("INSERT INTO children VALUES (?, ?)", list(row))
+    insert_rows(db, "t", [
+        (k, value, value[::-1] if isinstance(value, str) else value, 0.5, k)
+        for k, value in enumerate(values + [None] * (7 - len(values)), 1)
+    ])
+    insert_rows(db, "children", CHILDREN)
     return db
 
 
@@ -155,14 +155,8 @@ def selects(draw, values):
 @st.composite
 def dml(draw, values):
     params = []
-    if draw(st.booleans()):
-        head = "DELETE FROM t"
-    else:
-        column = draw(st.sampled_from(COLUMNS))
-        params.append(draw(VALUES))
-        head = f"UPDATE t SET {column} = ?, m = m + 1"
     where = draw(wheres(values, params))
-    return ("dml", f"{head} WHERE {where}", params)
+    return ("dml", f"DELETE FROM t WHERE {where}", params)
 
 
 @st.composite
@@ -222,10 +216,10 @@ class Model:
             assert actual == expected, (sql, params)
         elif kind == "insert":
             _, grp, body = step
-            values = [self.next_key, grp, body, None, 0]
+            values = (self.next_key, grp, body, None, 0)
             self.next_key += 1
-            self.db.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", values)
-            self.rows.append(tuple(values))
+            insert_rows(self.db, "t", [values])
+            self.rows.append(values)
         elif kind == "rollback":
             before = list(self.rows)
             self.db.begin()

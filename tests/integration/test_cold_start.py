@@ -18,14 +18,20 @@ import sys
 import pytest
 
 from repro.core.eil import EILSystem
-from repro.core.metaqueries import scope_query, service_keyword_query
+from repro.core.metaqueries import (
+    role_capacity_query,
+    scope_query,
+    service_keyword_query,
+    worked_with_query,
+)
 from repro.corpus import DealGenerator, WorkbookFactory
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
-from repro.db.persistence import dumps_database
+from repro.db.persistence import SNAPSHOT_VERSION, dumps_database
 from repro.errors import StorageError
 from repro.faults import FaultInjector, FaultRule, use_injector
 from repro.eval import run_table2
 from repro.security.access import User
+from repro.storage.atomic import encode_document
 
 _USER = User("tester", frozenset({"sales"}))
 _CONFIG = dict(seed=2008, n_deals=6, docs_per_deal=14)
@@ -85,6 +91,47 @@ def test_cold_start_same_process(built, corpus, tmp_path):
             dataclasses.asdict(built.synopsis(deal_id, _USER))
         )
     assert cold.build_report == built.build_report
+
+
+def test_a_snapshot_whose_indexes_were_sorted_loads(built, corpus, tmp_path):
+    # Before the range access path went, every index of synopsis.json
+    # was written with "sorted": true.  The snapshot version did not
+    # move: such a file still loads, the flag ignored, and the synopsis
+    # views and meta-queries 1-4 answer as the system it came from.
+    built.save_index(str(tmp_path))
+    path = tmp_path / "synopsis.json"
+    document = json.loads(path.read_text())
+    assert document["version"] == SNAPSHOT_VERSION
+    payload = document["payload"]
+    specs = [spec for table in payload["tables"] for spec in table["indexes"]]
+    assert specs
+    for spec in specs:
+        spec["sorted"] = True
+    path.write_text(
+        encode_document(document["format"], document["version"], payload)
+    )
+    cold = EILSystem.load(str(tmp_path), corpus)
+    member = corpus.deals[0].team[0]
+    forms = [
+        scope_query("End User Services"),
+        worked_with_query(member.person.full_name,
+                          member.person.organization),
+        role_capacity_query(member.role),
+        service_keyword_query("Storage Management Services",
+                              "data replication"),
+        service_keyword_query("Storage Management Services",
+                              "data replication", in_synopsis=True),
+    ]
+    for form in forms:
+        expected = built.search(form, _USER)
+        answered = cold.search(form, _USER)
+        assert [(a.deal_id, a.score) for a in answered.activities] == [
+            (a.deal_id, a.score) for a in expected.activities
+        ], form
+    for deal_id in built.deal_ids():
+        assert dataclasses.asdict(cold.synopsis(deal_id, _USER)) == (
+            dataclasses.asdict(built.synopsis(deal_id, _USER))
+        )
 
 
 def test_cold_start_supports_mutations(built, corpus, tmp_path):

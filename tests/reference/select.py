@@ -2,14 +2,16 @@
 
 This is the executor ``repro.db`` shipped before it had a planner,
 relocated here verbatim when the planner became the only production
-path.  It binds parameters into the statement, picks at most one index
-for the driving table, materializes every join input, re-applies the
-whole WHERE after the joins, materializes each group's rows before
-folding aggregates over them, fully sorts, and slices last.  Nothing is
-compiled, pushed down, streamed or cut short, which is what makes it
-the statement of what :class:`repro.db.plan.SelectPlan` must return:
-``tests/db/test_plan_equivalence.py`` compares the two on rows, columns
-and order.
+path (less the sorted-index range path, which went with
+``repro.db``'s).  It binds parameters into the statement, picks at
+most one index for the driving table, materializes every join input,
+re-applies the whole WHERE after the joins, materializes each group's
+rows before folding aggregates over them, fully sorts, and slices
+last.  Nothing is compiled, pushed down, streamed or cut short, which
+is what makes it the statement of what
+:class:`repro.db.plan.SelectPlan` must return:
+``tests/db/test_plan_equivalence.py`` compares the two on rows,
+columns and order.
 
 It imports nothing from ``repro.db.plan`` and records no metrics, so a
 suite may call it between production calls without moving a counter.
@@ -23,7 +25,6 @@ evaluation code is shared with the compiled executor it checks.
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.expr import ColumnRef, Comparison, Expression, Literal
-from repro.db.index import SortedIndex
 from repro.db.query import (
     AggregateCall,
     OrderItem,
@@ -55,44 +56,24 @@ def _plan_base_rowids(
 ) -> Iterable[int]:
     """Choose an access path for the driving table.
 
-    Preference: single-column unique/equality index lookup, then sorted-
-    index range scan, then full scan.  Only constant (Literal) right
-    sides qualify — parameters are bound before planning.
+    Preference: single-column unique/equality index lookup, then full
+    scan; a range conjunct takes no index.  Only constant (Literal)
+    right sides qualify — parameters are bound before planning.
     """
-    equality: List[Tuple[str, Any]] = []
-    ranges: List[Tuple[str, str, Any]] = []
     for conjunct in _conjuncts(where):
-        if not isinstance(conjunct, Comparison):
+        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
             continue
         left, right = conjunct.left, conjunct.right
-        op = conjunct.op
-        # Normalize `literal op column` to `column op' literal`.
+        # Normalize `literal = column` to `column = literal`.
         if isinstance(left, Literal) and isinstance(right, ColumnRef):
             left, right = right, left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
         if not isinstance(right, Literal) or right.value is None:
             continue
         column = _column_of(left, source, table)
-        if column is None:
-            continue
-        if op == "=":
-            equality.append((column, right.value))
-        elif op in ("<", "<=", ">", ">="):
-            ranges.append((column, op, right.value))
-
-    for column, value in equality:
-        index = table.index_on((column,))
+        index = None if column is None else table.index_on((column,))
         if index is not None:
-            plan.append(f"index lookup {index.name}({column}={value!r})")
-            return sorted(index.lookup((value,)))
-
-    for column, op, value in ranges:
-        index = table.index_on((column,))
-        if isinstance(index, SortedIndex):
-            plan.append(f"index range {index.name}({column} {op} {value!r})")
-            if op in ("<", "<="):
-                return index.range(None, (value,), include_high=op == "<=")
-            return index.range((value,), None, include_low=op == ">=")
+            plan.append(f"index lookup {index.name}({column}={right.value!r})")
+            return sorted(index.lookup((right.value,)))
 
     plan.append(f"full scan {table.schema.name}")
     return (rowid for rowid, _ in table.scan())

@@ -297,8 +297,7 @@ class TestOperationsDocs:
             )
         }
         assert prefixes == {
-            "full scan", "empty scan", "index lookup", "index range",
-            "index substring", "index join", "hash join", "nested loop join",
+            "full scan", "empty scan", "index lookup", "index substring", "index join", "hash join", "nested loop join",
         }, "a new plan line: document it, then add it here"
         for prefix in sorted(prefixes):
             assert f"`{prefix} " in operations, (

@@ -38,7 +38,12 @@ import pathlib
 import pkgutil
 import re
 
+import pytest
+
 import repro
+import repro.db
+from repro.db import Table, parse
+from repro.errors import SqlSyntaxError
 from repro.obs import Histogram
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -86,6 +91,13 @@ TEST_ONLY_METHODS = {
 
 #: Methods deleted because only tests called them; they stay gone.
 DELETED_METHODS = {
+    "repro.db.database.Database.drop_table",
+    "repro.db.schema.TableSchema.row_dict",
+    "repro.db.schema.TableSchema.updated_row",
+    "repro.db.table.Table.insert",
+    "repro.db.table.Table.replace_row",
+    "repro.db.table.Table.undo_update",
+    "repro.db.table.Table.update",
     "repro.obs.metrics.MetricsRegistry.observe",
     "repro.obs.tracing.Span.finished",
     "repro.obs.tracing.Tracer.current",
@@ -443,6 +455,19 @@ def test_database_runs_sql_one_way():
         if cls == "Database"
     }
     assert not defined & {"select", "explain"}, defined
+
+
+def test_repro_db_has_one_index_and_one_insert_path():
+    # SQL is SELECT, DELETE, CREATE TABLE, CREATE INDEX and EXPLAIN; a
+    # row enters through Database.insert, and an index answers equality
+    # and substring probes only: a range conjunct filters a scan.
+    assert not {"SortedIndex", "HashIndex"} & set(dir(repro.db))
+    assert "sorted_" not in inspect.signature(Table.create_index).parameters
+    for sql in ("UPDATE t SET a = 1", "INSERT INTO t VALUES (1)",
+                "DROP TABLE t"):
+        with pytest.raises(SqlSyntaxError, match="expected a SQL statement"):
+            parse(sql)
+    assert "index range" not in (SRC / "repro" / "db" / "plan.py").read_text()
 
 
 def test_fixed_metric_names_are_recorded_through_handles():
