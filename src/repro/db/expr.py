@@ -80,7 +80,10 @@ class Expression:
             yield from child.references()
 
     def bind(self, params: Sequence[Any]) -> "Expression":
-        """Return a copy with :class:`Parameter` placeholders substituted."""
+        """Return a copy with :class:`Parameter` placeholders substituted,
+        each read through the one bounds check, :meth:`Parameter.value_in`."""
+        if isinstance(self, Parameter):
+            return Literal(self.value_in(params))
         if next(self.children(), None) is None:
             return self
 
@@ -109,13 +112,14 @@ class Parameter(Expression):
 
     position: int
 
-    def bind(self, params: Sequence[Any]) -> Expression:
+    def value_in(self, params: Sequence[Any]) -> Any:
+        """This placeholder's value among one execution's ``params``."""
         if self.position >= len(params):
             raise ProgrammingError(
                 f"query expects at least {self.position + 1} parameter(s), "
                 f"got {len(params)}"
             )
-        return Literal(params[self.position])
+        return params[self.position]
 
 
 @dataclass(frozen=True)
@@ -429,7 +433,7 @@ def compile_expression(
 
     Nothing raises before a row arrives: an unknown or ambiguous column
     (:meth:`ColumnRef.resolve`) and a missing parameter
-    (:meth:`Parameter.bind`) compile to a function that raises their
+    (:meth:`Parameter.value_in`) compile to a function that raises their
     :class:`ProgrammingError` when called.  Binders and row functions
     hold no per-execution state, so one compiled plan serves concurrent
     executions.
@@ -448,7 +452,7 @@ def compile_expression(
 
         def bind_parameter(params: Sequence[Any]) -> RowFunction:
             try:
-                return _Const(expression.bind(params).value)
+                return _Const(expression.value_in(params))
             except ProgrammingError as exc:
                 return _raiser(str(exc))
 

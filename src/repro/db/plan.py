@@ -56,10 +56,12 @@ What the plan does:
   literal runs, plus every non-ASCII key.  Their rows come in rowid
   order, a superset the LIKE conjunct then filters.  A pattern with no
   ASCII run of three or more characters scans.
-* *Streaming aggregation* — GROUP BY folds incremental aggregate
-  states (count/sum/avg/min/max, DISTINCT via first-occurrence sets) in
-  a single pass instead of materializing per-group row lists.  Fold
-  order is row order, so float sums stay bit-identical to ``sum()``
+* *Streaming aggregation* — GROUP BY never materializes per-group row
+  lists.  At plan time each aggregate call becomes fold steps over
+  fixed accumulator slots (:class:`_GroupFold`); an execution keeps one
+  flat list per group — its first row, then its accumulators — and
+  runs each step over every row, dispatching on nothing per row.  Each
+  fold is in row order, so float sums stay bit-identical to ``sum()``
   over the materialized group.
 * *Top-k order* — ORDER BY + LIMIT keeps a heap of the top
   ``offset + limit`` rows instead of sorting everything; LIMIT without
@@ -70,13 +72,17 @@ What the plan does:
 Known (documented) divergence from the reference: pushdown and
 streaming aggregation may surface *errors* earlier — an unknown-column
 conjunct evaluates at the base scan instead of after joins, and an
-ill-typed aggregate raises during the row pass instead of at group
-fold.  Result rows are never affected.
+ill-typed aggregate raises while its step folds every row instead of
+at its group's fold, so when two aggregates would both raise, which
+one does may differ.  A lone raising aggregate raises the reference's
+exception type, and result rows are never affected.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
+from dataclasses import replace
 from operator import itemgetter
 from typing import (
     Any,
@@ -108,7 +114,6 @@ from repro.db.expr import (
 from repro.db.query import (
     AggregateCall,
     ResultSet,
-    SelectItem,
     SelectStatement,
     TableRef,
     _column_of,
@@ -212,7 +217,7 @@ def _keep(rows: List[Row], test: RowFunction, coerce: bool) -> List[Row]:
 
 def _probe_value(expression: Expression, params: Sequence[Any]) -> Any:
     if isinstance(expression, Parameter):
-        return expression.bind(params).value  # bounds-checked
+        return expression.value_in(params)
     assert isinstance(expression, Literal)
     return expression.value
 
@@ -423,61 +428,118 @@ def plan_rowids(
 
 
 # ---------------------------------------------------------------------------
-# Aggregate machinery (streaming mode)
+# Aggregation
 # ---------------------------------------------------------------------------
 
 _UNSET = object()
 
 
-class _AggregateState:
-    """Incremental state for one aggregate call within one group.
+class _GroupFold:
+    """How a plan's aggregate calls fold, decided once per plan.
 
-    Folds values in row order with the same initial values and
-    comparison directions as the naive ``compute()`` (``sum()`` starts
-    at 0, ``min``/``max`` keep the first of ties), so results —
-    including float sums — are bit-identical."""
+    A group is one flat list: its first row's ``width`` values, then
+    call ``i``'s accumulator at ``width + i`` (where HAVING and the
+    select items read it), then a hidden count per AVG.  Each call is
+    one or more steps, run in call order, each over every row at once:
+    ``count`` (``COUNT(*)`` has no argument), ``sum``, ``min`` and
+    ``max``; AVG is a sum, a hidden count and a ``divide`` per group.
+    A DISTINCT step folds only each group's first occurrence of a
+    value.  Folds start from the reference's values (a sum is
+    ``0 + v``; ``min``/``max`` keep the first of ties) and run in row
+    order, so results are bit-identical.  Accumulators belong to one
+    execution, never to the plan."""
 
-    __slots__ = ("func", "count_star", "count", "total", "best", "seen")
+    __slots__ = ("keys", "width", "initial", "steps")
 
-    def __init__(self, call: AggregateCall) -> None:
-        self.func = call.func.lower()
-        self.count_star = call.arg is None
-        self.count = 0
-        self.total: Any = 0
-        self.best: Any = _UNSET
-        self.seen: Optional[Dict[Any, None]] = {} if call.distinct else None
+    def __init__(
+        self,
+        keys: Sequence[Expression],
+        nodes: Sequence[AggregateCall],
+        slots: Mapping[str, int],
+        width: int,
+    ) -> None:
+        self.keys = [compile_expression(key, slots) for key in keys]
+        self.width = width
+        self.initial: List[Any] = [
+            0 if node.func.lower() == "count" else None for node in nodes
+        ]
+        # (kind, slot, argument binder or divisor slot, distinct)
+        self.steps: List[Tuple[str, int, Any, bool]] = []
+        for slot, node in enumerate(nodes, width):
+            arg = None
+            if node.arg is not None:
+                arg = compile_expression(node.arg, slots)
+            kind = node.func.lower()
+            if kind != "avg":
+                self.steps.append((kind, slot, arg, node.distinct))
+                continue
+            count = width + len(self.initial)
+            self.initial.append(0)
+            self.steps += [
+                ("sum", slot, arg, node.distinct),
+                ("count", count, arg, node.distinct),
+                ("divide", slot, count, False),
+            ]
 
-    def add(self, value: Any) -> None:
-        if self.count_star:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen[value] = None
-        self.count += 1
-        func = self.func
-        if func in ("sum", "avg"):
-            self.total = self.total + value
-        elif func == "min":
-            if self.best is _UNSET or value < self.best:
-                self.best = value
-        elif func == "max":
-            if self.best is _UNSET or value > self.best:
-                self.best = value
+    def run(self, rows: List[Row], params: Sequence[Any]) -> List[List[Any]]:
+        """The groups of ``rows`` in first-appearance order, folded.  A
+        global aggregate is one group even over no rows, and then its
+        ``width`` values are None: it has no first row."""
+        initial = self.initial
+        if self.keys:
+            keys = [binder(params) for binder in self.keys]
+            key_of = keys[0] if len(keys) == 1 else (
+                lambda row: tuple([key(row) for key in keys])
+            )
+            by_key: Dict[Any, List[Any]] = {}  # first-appearance order
+            group_of: List[List[Any]] = []
+            for key, row in zip(map(key_of, rows), rows):
+                group = by_key.get(key)
+                if group is None:
+                    group = by_key[key] = [*row, *initial]
+                group_of.append(group)
+            groups = list(by_key.values())
+        else:
+            groups = [[*(rows[0] if rows else [None] * self.width), *initial]]
+            group_of = groups * len(rows)
 
-    def result(self) -> Any:
-        if self.count_star or self.func == "count":
-            return self.count
-        if self.count == 0:
-            return None
-        if self.func == "sum":
-            return self.total
-        if self.func == "avg":
-            return self.total / self.count
-        return self.best
+        for kind, slot, operand, distinct in self.steps:
+            if kind == "divide":
+                for group in groups:
+                    if group[slot] is not None:
+                        group[slot] = group[slot] / group[operand]
+                continue
+            if operand is None:  # COUNT(*)
+                for group in group_of:
+                    group[slot] += 1
+                continue
+            values: Iterable[Tuple[List[Any], Any]] = zip(
+                group_of, map(operand(params), rows)
+            )
+            if distinct:  # an equal value already seen keeps its place
+                first: Dict[Tuple[int, Any], List[Any]] = {}
+                for group, value in values:
+                    first.setdefault((id(group), value), group)
+                values = [(group, key[1]) for key, group in first.items()]
+            if kind == "count":
+                for group, value in values:
+                    if value is not None:
+                        group[slot] += 1
+            elif kind == "sum":
+                for group, value in values:
+                    if value is not None:
+                        total = group[slot]
+                        group[slot] = (
+                            0 + value if total is None else total + value
+                        )
+            else:
+                better = operator.lt if kind == "min" else operator.gt
+                for group, value in values:
+                    if value is not None:
+                        best = group[slot]
+                        if best is None or better(value, best):
+                            group[slot] = value
+        return groups
 
 
 def _aggregate_calls(
@@ -536,6 +598,29 @@ class _CompositeKey:
             (a is None and b is None) or a == b
             for (a, _), (b, _) in zip(self.parts, other.parts)
         )
+
+
+def _ordered(
+    rows: List[Row],
+    keys: Sequence[Tuple[RowFunction, bool]],
+    bound: Optional[int],
+) -> List[Row]:
+    """``rows`` in ORDER BY order — ``keys`` are (key, descending)
+    pairs — or, given ``bound``, that order's first ``bound`` rows,
+    kept by a heap (``heapq.nsmallest`` is stable, so the prefix is the
+    full sort's)."""
+    if bound is not None:
+        return heapq.nsmallest(
+            bound,
+            rows,
+            key=lambda row: _CompositeKey(
+                [(key(row), descending) for key, descending in keys]
+            ),
+        )
+    ordered = list(rows)
+    for key, descending in reversed(keys):
+        ordered.sort(key=lambda row: _NullsLast(key(row)), reverse=descending)
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -693,20 +778,13 @@ class SelectPlan:
         )
 
         if self.has_aggregates:
-            self.group_keys = [
-                compile_expression(expr, slots)
-                for expr in statement.group_by
-            ]
             self.agg_nodes = _aggregate_calls(
                 item_exprs + [statement.having]
             )
-            self.agg_args: List[Optional[Binder]] = [
-                compile_expression(node.arg, slots)
-                if node.arg is not None
-                else None
-                for node in self.agg_nodes
-            ]
-            # A group's row is its first source row plus its aggregate
+            self.fold = _GroupFold(
+                statement.group_by, self.agg_nodes, slots, width
+            )
+            # A group's row is its first source row, then its aggregate
             # results.  The global group of an empty input has no first
             # row, so there every column is unknown.
             self.group_outputs = self._compile_group_outputs(slots, width)
@@ -739,12 +817,16 @@ class SelectPlan:
                 f"({len(statement.group_by)} key(s), "
                 f"{len(self.agg_nodes)} aggregate(s))"
             )
+        # LIMIT needs only the first offset+limit rows; ORDER BY without
+        # DISTINCT keeps just those of the order, by heap (_ordered).
+        self.bound = self.top_k = None
         if statement.limit is not None:
-            bound = statement.limit + statement.offset
+            self.bound = statement.limit + statement.offset
             if statement.order_by and not statement.distinct:
-                notes.append(f"top-k order by (heap, k={bound})")
+                self.top_k = self.bound
+                notes.append(f"top-k order by (heap, k={self.bound})")
             elif not statement.order_by:
-                notes.append(f"limit short-circuit (k={bound})")
+                notes.append(f"limit short-circuit (k={self.bound})")
         self.static_notes = notes
 
     def _compile_group_outputs(
@@ -823,16 +905,13 @@ class SelectPlan:
         # Projection / aggregation / ordering.
         if self.has_aggregates:
             output_rows = self._execute_aggregated(rows, params)
-            distinct_done = False
         else:
-            output_rows, distinct_done = self._execute_projected(
-                rows, params
-            )
+            output_rows = self._execute_projected(rows, params)
 
         # DISTINCT and LIMIT/OFFSET.  Optimized paths above produce a
         # prefix of the naive output sequence, so this shared tail
         # finishes identically.
-        if statement.distinct and not distinct_done:
+        if statement.distinct:
             output_rows = list(dict.fromkeys(output_rows))
         if statement.offset:
             output_rows = output_rows[statement.offset:]
@@ -978,61 +1057,29 @@ class SelectPlan:
 
     def _execute_projected(
         self, rows: List[Row], params: Sequence[Any]
-    ) -> Tuple[List[Row], bool]:
-        """Project (and order) non-aggregated rows.
-
-        Returns ``(output_rows, distinct_done)`` — the flag tells the
-        shared tail that DISTINCT was already applied by the
-        short-circuiting path."""
+    ) -> List[Row]:
+        """Project (and order) non-aggregated rows."""
         statement = self.statement
         project = self._projection(params)
-
-        bound = (
-            statement.limit + statement.offset
-            if statement.limit is not None
-            else None
-        )
-
+        bound = self.bound
         if statement.order_by:
             order_keys = [
                 (binder(params), descending)
                 for binder, descending in self.order_keys
             ]
-            if bound is not None and not statement.distinct:
-                # Heap keeps the top offset+limit source rows; sorting
-                # and projecting only those yields the same prefix the
-                # full sort would.
-                def sort_key(row: Row) -> _CompositeKey:
-                    return _CompositeKey(
-                        [(key(row), desc) for key, desc in order_keys]
-                    )
-
-                top = heapq.nsmallest(bound, rows, key=sort_key)
-                return list(map(project, top)), False
-            ordered = list(rows)
-            for key, descending in reversed(order_keys):
-                ordered.sort(
-                    key=lambda row: _NullsLast(key(row)),
-                    reverse=descending,
-                )
-            return list(map(project, ordered)), False
+            return list(map(project, _ordered(rows, order_keys, self.top_k)))
 
         if bound is not None and statement.distinct:
             # Stop once offset+limit distinct rows are collected; a
             # prefix of dict.fromkeys() over the full projection.
-            seen: Set[Row] = set()
-            collected: List[Row] = []
+            collected: Dict[Row, None] = {}
             for row in rows:
-                out = project(row)
-                if out in seen:
-                    continue
-                seen.add(out)
-                collected.append(out)
+                collected[project(row)] = None
                 if len(collected) >= bound:
                     break
-            return collected, True
+            return list(collected)
         # ``rows[:None]`` is every row: no LIMIT, nothing to cut short.
-        return list(map(project, rows[:bound])), False
+        return list(map(project, rows[:bound]))
 
     def _projection(self, params: Sequence[Any]) -> Callable[[Row], Row]:
         """``source row -> output row`` for this execution."""
@@ -1047,88 +1094,33 @@ class SelectPlan:
         self, rows: List[Row], params: Sequence[Any]
     ) -> List[Row]:
         statement = self.statement
-        output_rows = self._streaming_groups(rows, params)
+        outputs = self.group_outputs
+        if not rows and not statement.group_by:
+            outputs = self._compile_group_outputs({}, self.fold.width)
+        having = outputs[0](params) if outputs[0] is not None else None
+        item_evaluators = [binder(params) for binder in outputs[1]]
+        output_rows = [
+            tuple([evaluate(group) for evaluate in item_evaluators])
+            for group in self.fold.run(rows, params)
+            if having is None or having(group) is True
+        ]
         if not statement.order_by:
             return output_rows
 
         # Grouped ORDER BY references output columns; resolve positions
         # against bound expressions exactly as the seed does.
         bound_items = [
-            SelectItem(
-                item.expr.bind(params) if item.expr else None,
-                item.alias,
-                item.star,
-                item.star_table,
-            )
-            for item in self.items
+            replace(item, expr=item.expr.bind(params)) for item in self.items
         ]
         keys = [
             (
-                grouped_key_position(
-                    order.expr.bind(params), bound_items, self.column_names
+                itemgetter(
+                    grouped_key_position(
+                        order.expr.bind(params), bound_items, self.column_names
+                    )
                 ),
                 order.descending,
             )
             for order in statement.order_by
         ]
-        if statement.limit is not None and not statement.distinct:
-            bound = statement.limit + statement.offset
-
-            def sort_key(row: Row) -> _CompositeKey:
-                return _CompositeKey(
-                    [(row[position], desc) for position, desc in keys]
-                )
-
-            return heapq.nsmallest(bound, output_rows, key=sort_key)
-        ordered = list(output_rows)
-        for position, descending in reversed(keys):
-            ordered.sort(
-                key=lambda row: _NullsLast(row[position]),
-                reverse=descending,
-            )
-        return ordered
-
-    def _streaming_groups(
-        self, rows: List[Row], params: Sequence[Any]
-    ) -> List[Row]:
-        key_evaluators = [binder(params) for binder in self.group_keys]
-        arg_evaluators = [
-            binder(params) if binder is not None else None
-            for binder in self.agg_args
-        ]
-        agg_nodes = self.agg_nodes
-
-        # One pass: group key -> (representative row, aggregate states).
-        # Dict insertion order preserves first-appearance group order,
-        # matching the naive setdefault-driven grouping.
-        groups: Dict[Row, Tuple[Row, List[_AggregateState]]] = {}
-        for row in rows:
-            key = tuple([evaluate(row) for evaluate in key_evaluators])
-            entry = groups.get(key)
-            if entry is None:
-                entry = (
-                    row,
-                    [_AggregateState(node) for node in agg_nodes],
-                )
-                groups[key] = entry
-            for state, evaluate in zip(entry[1], arg_evaluators):
-                state.add(evaluate(row) if evaluate is not None else None)
-        outputs = self.group_outputs
-        if not self.statement.group_by and not groups:
-            # Global aggregate over an empty input still yields one row.
-            groups[()] = ((), [_AggregateState(node) for node in agg_nodes])
-            outputs = self._compile_group_outputs({}, 0)
-
-        having = outputs[0](params) if outputs[0] is not None else None
-        item_evaluators = [binder(params) for binder in outputs[1]]
-        output: List[Row] = []
-        for representative, states in groups.values():
-            row = representative + tuple(
-                [state.result() for state in states]
-            )
-            if having is not None and having(row) is not True:
-                continue
-            output.append(
-                tuple([evaluate(row) for evaluate in item_evaluators])
-            )
-        return output
+        return _ordered(output_rows, keys, self.top_k)

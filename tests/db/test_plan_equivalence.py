@@ -13,11 +13,17 @@ planner options; there is one configuration now.)
 
 The fixture data is deliberately adversarial: NULL join keys on both
 sides, duplicate keys, ties in sort columns, floats whose sum depends
-on fold order, an empty table, and a table of strings made of LIKE
+on fold order, an empty table, a table of strings made of LIKE
 wildcards, regex metacharacters and the characters whose case folding
-``str.lower`` and the regex engine do not agree on.
+``str.lower`` and the regex engine do not agree on, and a table of
+signed zeros, booleans and all-NULL groups.  Rows compare type-exactly
+(:func:`exact`): ``==`` cannot tell ``1`` from ``1.0`` from ``True``,
+or ``0.0`` from ``-0.0``, which is what a reordered fold changes.
 """
 
+import math
+import os
+import sys
 import threading
 
 import pytest
@@ -45,6 +51,37 @@ NOTES = [
 ]
 
 
+# Signed zeros, ties between them, booleans, an all-NULL group, and a
+# text column that is NULL until the last row (where folding it raises).
+SIGNS = [
+    (1, "negsum", -0.0, True, None),
+    (2, "negsum", -0.0, False, None),
+    (3, "minfirst", -0.0, True, None),
+    (4, "minfirst", 0.0, True, None),
+    (5, "maxfirst", 0.0, None, None),
+    (6, "maxfirst", -0.0, False, None),
+    (7, "nulls", None, None, None),
+    (8, "nulls", None, None, None),
+    (9, "late", 1.5, True, None),
+    (10, "late", 2.5, None, "x"),
+]
+
+
+def exact(rows):
+    """``rows`` with each cell as its type and value, and a float also
+    as the sign of its zero, so that comparing two results compares
+    what ``==`` alone would not."""
+    return [
+        tuple(
+            (type(value), value, math.copysign(1.0, value))
+            if isinstance(value, float)
+            else (type(value), value)
+            for value in row
+        )
+        for row in rows
+    ]
+
+
 @pytest.fixture(scope="module")
 def db():
     database = Database()
@@ -67,6 +104,11 @@ def db():
         "CREATE TABLE notes (nid INTEGER, body TEXT, PRIMARY KEY (nid))"
     )
     insert_rows(database, "notes", enumerate(NOTES))
+    database.execute(
+        "CREATE TABLE signs (sid INTEGER, grp TEXT, x REAL, b BOOLEAN, "
+        "t TEXT, PRIMARY KEY (sid))"
+    )
+    insert_rows(database, "signs", SIGNS)
     database.execute("CREATE INDEX ix_contacts_deal ON contacts (deal_id)")
     database.execute("CREATE INDEX ix_deals_industry ON deals (industry)")
     database.execute("CREATE INDEX ix_scopes_deal ON scopes (deal_id)")
@@ -165,6 +207,25 @@ QUERY_ZOO = [
     ("SELECT lead, count(*) FROM deals WHERE industry = ? "
      "GROUP BY lead ORDER BY lead", ("bank",)),
     ("SELECT sum(value) FROM deals WHERE industry = 'nope'", ()),
+    # Signed zeros: a sum starts at ``0 + v`` (so -0.0 sums to 0.0),
+    # min and max keep the first of tied zeros, DISTINCT keeps the
+    # first of equal ones; booleans sum to ints; all-NULL groups.
+    ("SELECT grp, sum(x), min(x), max(x), avg(x), count(x), count(*) "
+     "FROM signs GROUP BY grp", ()),
+    ("SELECT grp, count(DISTINCT x), sum(DISTINCT x), avg(DISTINCT x), "
+     "min(DISTINCT x), max(DISTINCT x) FROM signs GROUP BY grp", ()),
+    ("SELECT grp, sum(b), count(DISTINCT b), min(b), max(b), avg(b) "
+     "FROM signs GROUP BY grp", ()),
+    ("SELECT sum(sid), avg(sid), sum(x), count(DISTINCT x), "
+     "sum(DISTINCT x), min(b) FROM signs", ()),
+    ("SELECT sum(x), min(x), max(x), avg(x) FROM signs "
+     "WHERE grp = 'minfirst'", ()),
+    ("SELECT grp FROM signs GROUP BY grp HAVING sum(x) IS NULL", ()),
+    ("SELECT grp, max(x) m FROM signs GROUP BY grp "
+     "ORDER BY m DESC, grp LIMIT 3", ()),
+    # A global aggregate over no rows is one group, which HAVING tests.
+    ("SELECT count(*), sum(k), max(k) FROM empty HAVING count(*) = 0", ()),
+    ("SELECT count(*), avg(k) FROM empty HAVING count(*) > 0", ()),
 ]
 
 
@@ -178,7 +239,27 @@ def test_every_option_combination_matches_naive(db, sql, params):
     expected = _reference(db, sql, params)
     result = SelectPlan(db, parse(sql)).execute(params)
     assert result.columns == expected.columns
-    assert result.rows == expected.rows
+    assert exact(result.rows) == exact(expected.rows)
+
+
+# An aggregate whose argument, or whose fold, raises partway through the
+# rows (``t`` is NULL until the last row) raises what the oracle does.
+FOLD_ERRORS = [
+    "SELECT grp, sum(x + t) FROM signs GROUP BY grp",
+    "SELECT grp, count(*), avg(x + t) FROM signs GROUP BY grp",
+    "SELECT sum(t) FROM signs",
+    "SELECT grp, count(*), sum(DISTINCT t) FROM signs GROUP BY grp",
+]
+
+
+@pytest.mark.parametrize("sql", FOLD_ERRORS)
+def test_fold_errors_match_naive(db, sql):
+    with pytest.raises(Exception) as expected:
+        _reference(db, sql, ())
+    with pytest.raises(Exception) as raised:
+        SelectPlan(db, parse(sql)).execute(())
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_plans_are_reusable_across_params(db):
@@ -188,7 +269,7 @@ def test_plans_are_reusable_across_params(db):
         expected = _reference(
             db, "SELECT deal_id FROM deals WHERE industry = ?", (value,)
         )
-        assert plan.execute((value,)).rows == expected.rows
+        assert exact(plan.execute((value,)).rows) == exact(expected.rows)
 
 
 # -- generated SELECTs --------------------------------------------------------
@@ -246,6 +327,7 @@ FROM_SHAPES = [
 AGGREGATES = [
     "count(*)", "count({a})", "count(DISTINCT {a})", "sum({n})",
     "avg({n})", "min({a})", "max({a})", "max({n}) - min({n})",
+    "sum(DISTINCT {n})", "avg(DISTINCT {n})",
 ]
 
 
@@ -435,7 +517,9 @@ def test_generated_selects_match_naive(db, generated):
         for run in range(2):
             result = db.execute(sql, params)
             assert result.columns == expected.columns, (sql, run)
-            assert result.rows == expected.rows, (sql, params, run)
+            assert exact(result.rows) == exact(expected.rows), (
+                sql, params, run
+            )
         assert registry.counter("db.stmt_cache.hits").value >= 1
 
 
@@ -528,13 +612,17 @@ def test_empty_global_group_knows_no_column(db):
 
 
 def test_one_plan_serves_concurrent_executions(db):
-    # Parameters are bound per execution into closures the execution
-    # owns; the plan itself keeps nothing between calls.
+    # Parameters are bound, and accumulators kept, per execution; the
+    # plan itself keeps nothing between calls.  More threads than cores
+    # and a switch interval of a microsecond interleave executions of
+    # the one grouped plan as finely as the interpreter allows.
     plan = SelectPlan(db, parse(
-        "SELECT d.deal_id, count(c.cid) n FROM deals d "
+        "SELECT d.deal_id, count(c.cid) n, count(*) r, sum(d.value) v, "
+        "min(c.nm) lo, max(c.role) hi FROM deals d "
         "LEFT JOIN contacts c ON c.deal_id = d.deal_id "
         "WHERE d.industry IN (?, ?) AND LOWER(d.lead) LIKE ? "
-        "GROUP BY d.deal_id HAVING count(*) >= ? ORDER BY d.deal_id"
+        "GROUP BY d.deal_id HAVING count(*) >= ? "
+        "ORDER BY r DESC, d.deal_id LIMIT 2"
     ))
     bindings = [
         ("bank", "auto", "%a%", 1),
@@ -542,23 +630,31 @@ def test_one_plan_serves_concurrent_executions(db):
         ("bank", "bank", "jane", 1),
         ("nope", "auto", "s_m", 2),
     ]
-    expected = [plan.execute(params).rows for params in bindings]
+    expected = [exact(plan.execute(params).rows) for params in bindings]
     assert len({tuple(rows) for rows in expected}) == len(bindings)
-    start = threading.Barrier(len(bindings))
+    threads_per_binding = max(2, os.cpu_count() or 1)
+    work_items = list(zip(bindings, expected)) * threads_per_binding
+    start = threading.Barrier(len(work_items))
     wrong = []
 
     def work(params, rows):
         start.wait()
-        for _ in range(200):
-            if plan.execute(params).rows != rows:
+        for _ in range(100):
+            if exact(plan.execute(params).rows) != rows:
                 wrong.append(params)
 
     threads = [
-        threading.Thread(target=work, args=pair)
-        for pair in zip(bindings, expected)
+        threading.Thread(target=work, args=item, daemon=True)
+        for item in work_items
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not wrong

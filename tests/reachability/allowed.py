@@ -190,7 +190,6 @@ _allow(LATER, "SELECT expression closure (OR / NOT / arithmetic / IN / "
            "repro.db.expr._build_or._or",
            "repro.db.expr._like_matcher.by_regex",
            "repro.db.expr._like_regex",
-           "repro.db.plan.SelectPlan._execute_projected.sort_key",
        ])
 _allow(LATER, "CREATE TABLE's DEFAULT clause: no schema the system "
        "creates uses it", [

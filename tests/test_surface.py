@@ -470,6 +470,18 @@ def test_repro_db_has_one_index_and_one_insert_path():
     assert "index range" not in (SRC / "repro" / "db" / "plan.py").read_text()
 
 
+def test_grouped_aggregates_fold_one_way():
+    # A plan decides how each aggregate folds (plan._GroupFold); the
+    # per-group, per-aggregate state objects it replaced stay gone.
+    plan_module = MODULES["repro.db.plan"]
+    assert "_AggregateState" not in plan_module.nodes
+    folds = [
+        node.name for node in ast.walk(plan_module.tree)
+        if isinstance(node, ast.ClassDef) and "Aggregat" in node.name
+    ]
+    assert not folds, folds
+
+
 def test_fixed_metric_names_are_recorded_through_handles():
     # A metric with a fixed name is bound once (CounterHandle,
     # GaugeHandle, HistogramHandle); only names built per call, such as
