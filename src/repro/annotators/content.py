@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence
 
 from repro.annotators.base import EilAnnotator
 from repro.corpus.taxonomy import ServiceTaxonomy
+from repro.text.terms import term_pattern
 from repro.uima.cas import Cas
 
 __all__ = [
@@ -78,12 +79,10 @@ class TechnologyAnnotator(EilAnnotator):
             for tech in node.technologies:
                 term_to_towers.setdefault(tech.lower(), []).append(node.name)
         self._term_to_towers = term_to_towers
-        escaped = sorted(
-            (re.escape(t) for t in term_to_towers), key=len, reverse=True
-        )
         self._pattern = re.compile(
-            r"\b(?:" + "|".join(escaped) + r")\b", re.IGNORECASE
-        ) if escaped else None
+            r"\b" + term_pattern(term_to_towers, ignore_case=True) + r"\b",
+            re.IGNORECASE,
+        ) if term_to_towers else None
 
     def process(self, cas: Cas) -> None:
         if self._pattern is None:

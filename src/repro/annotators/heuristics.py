@@ -21,6 +21,7 @@ from typing import Tuple
 
 from repro.annotators.base import EilAnnotator
 from repro.text.normalize import normalize_person_name, normalize_role
+from repro.text.terms import term_pattern
 from repro.uima.cas import Cas
 
 __all__ = ["PersonHeuristicAnnotator", "ROLE_TERM_RE"]
@@ -36,11 +37,7 @@ _ROLE_TERMS = (
     "Client Executive", "Chief Information Officer", "IT Director",
     "Procurement Director",
 )
-ROLE_TERM_RE = (
-    "(?:" + "|".join(
-        re.escape(t) for t in sorted(_ROLE_TERMS, key=len, reverse=True)
-    ) + ")"
-)
+ROLE_TERM_RE = term_pattern(_ROLE_TERMS)
 
 # A capitalized first-last name, optionally with a middle initial.
 _NAME = r"[A-Z][a-z]+(?:\s[A-Z]\.)?\s[A-Z][a-z]+(?:-[A-Z][a-z]+)?"

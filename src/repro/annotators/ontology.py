@@ -4,7 +4,10 @@ Walks the :class:`~repro.corpus.taxonomy.ServiceTaxonomy` and marks
 every surface form (canonical name, acronym, alias) found in the text as
 an ``eil.Service`` annotation carrying the resolved canonical name and
 top-level tower.  Matching is longest-form-first so "Customer Service
-Center" wins over a hypothetical shorter overlap, and acronyms are
+Center" wins over a hypothetical shorter overlap: the surface forms
+compile to one trie (:func:`~repro.text.terms.term_pattern`) whose every
+node tries the longer continuation before it ends a form, so a shorter
+form matches only where no longer one does.  Acronyms are
 matched case-sensitively (``CSC`` but not ``csc``) to keep precision —
 exactly the "quality of the ontology drives quality of the annotator"
 trade-off the paper's Table 1 calls out.
@@ -22,6 +25,7 @@ from typing import Dict, List, Tuple
 
 from repro.annotators.base import EilAnnotator
 from repro.corpus.taxonomy import ServiceNode, ServiceTaxonomy
+from repro.text.terms import term_pattern
 from repro.uima.cas import Cas
 
 __all__ = ["OntologyServiceAnnotator"]
@@ -52,18 +56,15 @@ class OntologyServiceAnnotator(EilAnnotator):
             for surface in node.surface_forms:
                 self._surface_to_node.setdefault(surface.lower(), node)
                 if _is_acronym(surface):
-                    case_sensitive.append(re.escape(surface))
+                    case_sensitive.append(surface)
                 else:
-                    case_insensitive.append(re.escape(surface))
-        # Longest alternatives first so the regex engine prefers the
-        # most specific (multi-word) form at each position.
-        case_insensitive.sort(key=len, reverse=True)
-        case_sensitive.sort(key=len, reverse=True)
+                    case_insensitive.append(surface)
         self._name_re = re.compile(
-            r"\b(?:" + "|".join(case_insensitive) + r")\b", re.IGNORECASE
+            r"\b" + term_pattern(case_insensitive, ignore_case=True) + r"\b",
+            re.IGNORECASE,
         ) if case_insensitive else None
         self._acronym_re = re.compile(
-            r"\b(?:" + "|".join(case_sensitive) + r")\b"
+            r"\b" + term_pattern(case_sensitive) + r"\b"
         ) if case_sensitive else None
 
     def process(self, cas: Cas) -> None:

@@ -31,7 +31,10 @@ __all__ = [
 EMAIL_PATTERN = re.compile(
     r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}\b"
 )
+# Every phone number starts with "+", a digit or "(": the lookahead
+# rejects any other position with one class test.
 PHONE_PATTERN = re.compile(
+    r"(?=[+\d(])"
     r"(?:\+?\d{1,2}[-\s.])?(?:\(\d{3}\)\s?|\d{3}[-\s.])\d{3}[-\s.]\d{4}"
 )
 MONEY_BAND_PATTERN = re.compile(

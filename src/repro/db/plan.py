@@ -61,8 +61,9 @@ What the plan does:
   fixed accumulator slots (:class:`_GroupFold`); an execution keeps one
   flat list per group — its first row, then its accumulators — and
   runs each step over every row, dispatching on nothing per row.  Each
-  fold is in row order, so float sums stay bit-identical to ``sum()``
-  over the materialized group.
+  fold is in row order, so a float sum is bit-identical to the
+  reference's left-to-right fold from ``0 + v`` (``sum()`` agrees only
+  up to Python 3.11: from 3.12 it compensates rounding).
 * *Top-k order* — ORDER BY + LIMIT keeps a heap of the top
   ``offset + limit`` rows instead of sorting everything; LIMIT without
   ORDER BY stops projecting early; DISTINCT + LIMIT stops after enough

@@ -16,6 +16,8 @@ out of ``src/`` because tests are its only callers:
   adjacency per call, materialise every candidate, sort, slice).
 * ``metrics`` — the histogram that keeps every sample sorted, which the
   bucketed histogram's percentiles are checked against.
+* ``terms`` — the longest-first alternation every term dictionary
+  compiled to, and the phone pattern without its lookahead.
 
 ``index`` is the one model that was never a program path: a dict of
 documents that answers the whole ``IndexReader`` protocol by analysing

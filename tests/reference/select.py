@@ -220,10 +220,14 @@ def _compute_aggregate(
         return len(values)
     if not values:
         return None
-    if func == "sum":
-        return sum(values)
-    if func == "avg":
-        return sum(values) / len(values)
+    if func in ("sum", "avg"):
+        # Left to right from 0 + v, not sum(): from Python 3.12 sum()
+        # compensates float rounding, and the contract is the row-order
+        # fold.
+        total = 0 + values[0]
+        for value in values[1:]:
+            total = total + value
+        return total if func == "sum" else total / len(values)
     if func == "min":
         return min(values)
     return max(values)

@@ -42,6 +42,7 @@ import pytest
 
 import repro
 import repro.db
+import repro.text
 from repro.db import Table, parse
 from repro.errors import SqlSyntaxError
 from repro.obs import Histogram
@@ -525,6 +526,18 @@ def test_one_histogram_and_no_sample_buffer():
         if hasattr(histogram, attribute)
     ]
     assert not gone, gone
+
+
+def test_term_dictionaries_compile_in_one_place():
+    # A term dictionary becomes a regex through repro.text.terms'
+    # term_pattern only: no annotator joins its own alternation.
+    joining = sorted(
+        str(path.relative_to(SRC / "repro"))
+        for path in (SRC / "repro").rglob("*.py")
+        if '"|".join(' in path.read_text()
+    )
+    assert joining == ["text/terms.py"], joining
+    assert "term_pattern" not in repro.text.__all__
 
 
 def test_every_public_name_is_reached_or_is_entry_point_api():
