@@ -9,6 +9,10 @@ Two corpus scales are shared session-wide:
 Every bench writes its paper-shaped report to ``benchmarks/out/<name>.txt``
 (pytest captures stdout, so the files are the canonical record) and also
 prints it for ``-s`` runs.
+
+A case marked ``rung`` builds a corpus rung (paper, rollout) and runs
+only when the marker is selected (``-m rung``): never in the default
+run or CI.
 """
 
 from __future__ import annotations
@@ -20,6 +24,22 @@ import pytest
 from repro import CorpusConfig, CorpusGenerator, EILSystem
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "rung: a long case at a named corpus rung; runs only under -m rung",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if "rung" in (config.getoption("markexpr") or ""):
+        return
+    skip = pytest.mark.skip(reason="a corpus rung runs only under -m rung")
+    for item in items:
+        if "rung" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -208,22 +208,28 @@ class SynopsisSearch:
             for deal_id in scores:
                 reasons.setdefault(deal_id, []).append(label)
 
+        # Criteria are read stripped, as the query cache keys them: a
+        # padded form answers exactly as its unpadded twin.
+        tower = form.tower.strip()
+        industry = form.industry.strip()
+        consultant = form.consultant.strip()
+        geography = form.geography.strip()
         with tracer.span("synopsis.sql"):
-            if form.tower.strip():
+            if tower:
                 _CRITERION_TOWER.inc()
-                add(self._tower_scores(form.tower), f"tower={form.tower}")
-            if form.industry.strip():
+                add(self._tower_scores(tower), f"tower={tower}")
+            if industry:
                 _CRITERION_INDUSTRY.inc()
-                add(self._field_scores("industry", form.industry),
-                    f"industry={form.industry}")
-            if form.consultant.strip():
+                add(self._field_scores("industry", industry),
+                    f"industry={industry}")
+            if consultant:
                 _CRITERION_CONSULTANT.inc()
-                add(self._field_scores("consultant", form.consultant),
-                    f"consultant={form.consultant}")
-            if form.geography.strip():
+                add(self._field_scores("consultant", consultant),
+                    f"consultant={consultant}")
+            if geography:
                 _CRITERION_GEOGRAPHY.inc()
-                add(self._field_scores("geography", form.geography),
-                    f"geography={form.geography}")
+                add(self._field_scores("geography", geography),
+                    f"geography={geography}")
             if form.person_name.strip() or form.organization.strip() or \
                     form.role.strip():
                 _CRITERION_PEOPLE.inc()

@@ -2,10 +2,10 @@
 
 Executes the query AST over the inverted index, scores hits with BM25
 (configurable), and returns ranked :class:`SearchHit` lists with
-snippets.  A ``doc_filter`` — a set of document ids — restricts the
-searchable set: this is the hook the SIAPI facade uses to scope a
-search to the business activities selected by the synopsis query
-(paper Fig. 1, step 8).
+snippets.  A ``scope`` — a metadata key and the values a document's
+key must be one of — restricts the searchable set: this is the hook the
+SIAPI facade uses to scope a search to the business activities selected
+by the synopsis query (paper Fig. 1, step 8).
 
 Execution model (docs/ARCHITECTURE.md, "Query execution engine"):
 queries run through one small planner/executor.
@@ -18,9 +18,12 @@ queries run through one small planner/executor.
   document-frequency order and the running intersection is pushed into
   every later clause's posting traversal, so big terms only score
   documents the small terms already admitted.
-* **Filter pushdown** — the ``doc_filter`` (the SIAPI activity scope)
-  is intersected during posting traversal; out-of-scope documents are
-  never scored.
+* **Scope pushdown** — the activity scope is checked on the posting
+  arrays traversal already walks, against the index's metadata column
+  (doc id -> value); out-of-scope documents are never scored, and the
+  scope never becomes a set of document ids.  Only a scope of few
+  documents against a long posting list is resolved to its ids, to
+  probe the array for them.
 * **Top-k + MaxScore** — with a ``limit``, OR/hybrid queries select
   hits with a bounded heap instead of a full sort, and whole OR
   clauses are skipped once their score upper bound drops below the
@@ -32,7 +35,7 @@ queries run through one small planner/executor.
 
 None of this is selectable: there is one executor.  The original
 interpreter (per-document scoring, clause-order evaluation, post-hoc
-filtering, full sort) is the test oracle ``tests/reference/search.py``,
+scope predicate, full sort) is the test oracle ``tests/reference/search.py``,
 and ``tests/search/test_execution_equivalence.py`` holds the executor
 to it: **identical rankings** (same documents, bit-identical scores,
 same tie-breaks) — the scorer shares its arithmetic between
@@ -47,8 +50,10 @@ import heapq
 from collections.abc import Set as AbstractSet
 from contextlib import contextmanager
 from typing import (
+    Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -94,14 +99,17 @@ _CLAUSES_PRUNED = CounterHandle("engine.maxscore.clauses_pruned")
 
 _T = TypeVar("_T")
 
-DocFilter = Optional[AbstractSet[str]]
+#: An activity scope: a metadata key and the values it may take.
+Scope = Tuple[str, FrozenSet[Any]]
 
 #: Phrase matches are stronger evidence than the bag of words.
 _PHRASE_BOOST = 1.25
 
-# When an id-set filter is much smaller than a posting list, look the
-# filter ids up in the posting array instead of scanning all of it.
+# When the documents allowed are much fewer than a posting list holds,
+# look them up in the posting array instead of scanning all of it.
 _PROBE_RATIO = 8
+
+_ABSENT = object()
 
 
 class Ranking:
@@ -110,7 +118,7 @@ class Ranking:
 
     What a ``choose`` callback of ``engine.select`` works on — group and
     trim on :attr:`pairs`, read metadata through ``reader
-    .metadata_value``, call :meth:`hit` only for the positions the
+    .metadata_column``, call :meth:`hit` only for the positions the
     result shows — and what the result cache stores.  A hit is built
     once per position and then shared (``SearchHit`` is frozen), so a
     cached ranking never decodes a document or cuts a snippet twice.
@@ -186,39 +194,54 @@ class Ranking:
         return [self.hit(i) for i in range(len(self.pairs[:limit]))]
 
 
-def _filter_ids(doc_filter: DocFilter) -> Optional[frozenset]:
-    """``doc_filter`` as a frozenset of ids (None: every document).
+def _scope(scope) -> Optional[Scope]:
+    """``scope`` as a hashable ``(key, frozenset of values)`` (None:
+    every document).
 
-    Anything but a set of ids raises :class:`SearchError` — before the
-    cache is probed or a posting read, so a predicate is turned away
-    rather than half-applied.
+    Anything else — a set of document ids, a predicate — raises
+    :class:`SearchError` before the cache is probed or a posting read,
+    so it is turned away rather than half-applied.
     """
-    if doc_filter is None:
+    if scope is None:
         return None
-    if not isinstance(doc_filter, AbstractSet):
-        raise SearchError(
-            f"doc_filter must be a set of document ids, "
-            f"got {type(doc_filter).__name__}"
-        )
-    return frozenset(doc_filter)
+    if (
+        isinstance(scope, tuple)
+        and len(scope) == 2
+        and isinstance(scope[0], str)
+        and isinstance(scope[1], AbstractSet)
+    ):
+        return (scope[0], frozenset(scope[1]))
+    raise SearchError(
+        f"a scope must be (metadata key, set of values), "
+        f"got {type(scope).__name__}"
+    )
 
 
 class _Execution:
-    """One query evaluation: the filter and scratch state.
+    """One query evaluation: the scope and scratch state.
 
     The executor keeps per-search state (memoized query-term analysis,
-    the candidate count for metrics) out of the engine so concurrent
-    searches never share mutables.
+    the scope's resolved ids, the candidate count for metrics) out of
+    the engine so concurrent searches never share mutables.
+
+    A ``restrict`` set handed down the evaluation (the running AND
+    intersection, a phrase's documents) is always inside the scope —
+    it is made of documents an in-scope evaluation matched — so the
+    scope is checked only where no ``restrict`` is given.
     """
 
-    def __init__(
-        self, engine: "SearchEngine", filter_ids: Optional[frozenset]
-    ) -> None:
+    def __init__(self, engine: "SearchEngine", scope: Optional[Scope]) -> None:
         self.engine = engine
         self.index = engine.index
         self.scorer = engine.scorer
         self.boosts = engine.field_boosts
-        self.filter_ids = filter_ids
+        self.scope = scope
+        self.column = (
+            self.index.metadata_column(scope[0]) if scope is not None
+            else None
+        )
+        self._scope_size: Optional[int] = None
+        self._scope_ids: Optional[Set[str]] = None
         self._terms_cache: Dict[str, List[str]] = {}
         self.n_candidates = 0
 
@@ -230,7 +253,7 @@ class _Execution:
         """Evaluate ``query`` and return the (doc_id, score) ranking.
 
         MaxScore applies to root OR queries under a positive limit (the
-        filter is intersected during traversal, before any threshold is
+        scope is applied during traversal, before any threshold is
         taken, so it never makes pruning unsound).
         """
         if limit is not None and limit > 0 and isinstance(query, OrQuery):
@@ -243,9 +266,9 @@ class _Execution:
     def count_docs(self, query: Query) -> int:
         """Number of matching documents (membership only, no scoring)."""
         docs = self.match_docs(query)
-        if self.filter_ids is not None:
-            docs &= self.filter_ids
-        return len(docs)
+        if self.scope is None:
+            return len(docs)
+        return len(self._in_scope(docs))
 
     def _select(
         self, scores: Dict[str, float], limit: Optional[int]
@@ -310,10 +333,9 @@ class _Execution:
         scores: Dict[str, float] = {}
         fields = [field] if field is not None else self.index.fields
         _TERMS_SCORED.inc()
-        allowed = self._combine_restrict(restrict)
         for field_name in fields:
             boost = self.boosts.get(field_name, 1.0)
-            self._score_field_bulk(term, field_name, boost, allowed, scores)
+            self._score_field_bulk(term, field_name, boost, restrict, scores)
         return scores
 
     def _score_field_bulk(
@@ -321,39 +343,55 @@ class _Execution:
         term: str,
         field_name: str,
         boost: float,
-        allowed: Optional[Set[str]],
+        restrict: Optional[Set[str]],
         scores: Dict[str, float],
     ) -> None:
         compiled = self.index.term_postings(term, field_name)
         if compiled is None:
             return
         df = len(compiled)
-        if allowed is None:
-            doc_ids: Sequence[str] = compiled.doc_ids
-            tfs: Sequence[int] = compiled.tfs
-            lengths: Sequence[int] = compiled.lengths
-        elif not allowed:
-            return
-        elif len(allowed) * _PROBE_RATIO < df:
-            # Tiny filter against a long posting list: probe the array
-            # for the filter ids instead of scanning all of it.
-            doc_ids, tfs, lengths = [], [], []
-            for doc_id in allowed:
-                i = compiled.position(doc_id)
-                if i is None:
-                    continue
-                doc_ids.append(doc_id)
-                tfs.append(compiled.tfs[i])
-                lengths.append(compiled.lengths[i])
-        else:
-            keep = [
-                i
-                for i, doc_id in enumerate(compiled.doc_ids)
-                if doc_id in allowed
-            ]
-            doc_ids = [compiled.doc_ids[i] for i in keep]
-            tfs = [compiled.tfs[i] for i in keep]
-            lengths = [compiled.lengths[i] for i in keep]
+        doc_ids: Sequence[str] = compiled.doc_ids
+        tfs: Sequence[int] = compiled.tfs
+        lengths: Sequence[int] = compiled.lengths
+        if restrict is None and self.scope is not None:
+            if self._scope_count() * _PROBE_RATIO < df:
+                restrict = self._resolved_scope()
+            else:
+                # Keep the postings whose document's value is in scope.
+                value_of = self.column.values.get
+                values = self.scope[1]
+                keep = [
+                    i
+                    for i, doc_id in enumerate(doc_ids)
+                    if value_of(doc_id, _ABSENT) in values
+                ]
+                if len(keep) < df:  # else every posting is in scope
+                    doc_ids = [doc_ids[i] for i in keep]
+                    tfs = [tfs[i] for i in keep]
+                    lengths = [lengths[i] for i in keep]
+        if restrict is not None:
+            if not restrict:
+                return
+            if len(restrict) * _PROBE_RATIO < df:
+                # Few allowed documents against a long posting list:
+                # probe the array for them instead of scanning all of it.
+                doc_ids, tfs, lengths = [], [], []
+                for doc_id in restrict:
+                    i = compiled.position(doc_id)
+                    if i is None:
+                        continue
+                    doc_ids.append(doc_id)
+                    tfs.append(compiled.tfs[i])
+                    lengths.append(compiled.lengths[i])
+            else:
+                keep = [
+                    i
+                    for i, doc_id in enumerate(doc_ids)
+                    if doc_id in restrict
+                ]
+                doc_ids = [doc_ids[i] for i in keep]
+                tfs = [tfs[i] for i in keep]
+                lengths = [lengths[i] for i in keep]
         if not doc_ids:
             return
         _POSTINGS_TOUCHED.inc(len(doc_ids))
@@ -374,9 +412,10 @@ class _Execution:
         if len(terms) == 1:
             return self.score_term(terms[0], query.field, restrict)
         docs = self.index.phrase_docs(terms, query.field)
-        allowed = self._combine_restrict(restrict)
-        if allowed is not None:
-            docs &= allowed
+        if restrict is not None:
+            docs &= restrict
+        elif self.scope is not None:
+            docs = self._in_scope(docs)
         if not docs:
             return {}
         # Score each member term over the phrase documents only, then
@@ -607,21 +646,40 @@ class _Execution:
             self._terms_cache[text] = terms
         return terms
 
-    def _combine_restrict(
-        self, restrict: Optional[Set[str]]
-    ) -> Optional[Set[str]]:
-        if restrict is None:
-            return self.filter_ids
-        if self.filter_ids is None:
-            return restrict
-        return restrict & self.filter_ids
-
     def _universe(self, restrict: Optional[Set[str]]) -> Set[str]:
-        universe = self.index.doc_ids
-        allowed = self._combine_restrict(restrict)
-        if allowed is not None:
-            universe &= allowed
-        return universe
+        """The documents a negation ranges over."""
+        if restrict is not None:
+            return set(restrict)
+        if self.scope is None:
+            return self.index.doc_ids
+        values = self.scope[1]
+        return {
+            doc_id
+            for doc_id, value in self.column.values.items()
+            if value in values
+        }
+
+    def _in_scope(self, docs: Iterable[str]) -> Set[str]:
+        """The members of ``docs`` the scope admits."""
+        value_of = self.column.values.get
+        values = self.scope[1]
+        return {
+            doc_id for doc_id in docs if value_of(doc_id, _ABSENT) in values
+        }
+
+    def _scope_count(self) -> int:
+        """How many live documents the scope admits (once per query)."""
+        if self._scope_size is None:
+            self._scope_size = self.column.count(self.scope[1])
+        return self._scope_size
+
+    def _resolved_scope(self) -> Set[str]:
+        """The scope's document ids, for a probe of a long posting
+        list: resolved once per query, and only when
+        :meth:`_scope_count` says the scope is that small."""
+        if self._scope_ids is None:
+            self._scope_ids = self.index.docs_with_metadata(*self.scope)
+        return self._scope_ids
 
 
 class SearchEngine:
@@ -742,7 +800,7 @@ class SearchEngine:
         ``values``, read under the read side of the engine lock.
 
         The locked entry point for walks of the index from outside a
-        query (the SIAPI scope filter, offboarding): a bare
+        query (offboarding): a bare
         ``engine.index.docs_with_metadata`` beside a writer can see a
         segment store between the statements of a flush or merge and
         miss documents nobody is touching.
@@ -756,7 +814,7 @@ class SearchEngine:
         self,
         query: Union[str, Query],
         limit: Optional[int] = None,
-        doc_filter: DocFilter = None,
+        scope: Optional[Scope] = None,
     ) -> List[SearchHit]:
         """Run ``query`` and return ranked hits.
 
@@ -766,9 +824,11 @@ class SearchEngine:
             limit: Maximum hits to return (None = all).  The top-k
                 hits under a limit are guaranteed identical (documents,
                 scores, order) to the head of the unlimited ranking.
-            doc_filter: Restrict the searchable set to a set of doc ids,
-                pushed down into posting traversal.  Anything else
-                raises :class:`~repro.errors.SearchError`.
+            scope: ``(metadata key, set of values)``: only documents
+                whose value of the key is one of the values are
+                searched, checked during posting traversal.  Anything
+                else (a set of document ids, a predicate) raises
+                :class:`~repro.errors.SearchError`.
 
         Returns:
             Hits sorted by descending score; ties broken by doc id for
@@ -778,24 +838,24 @@ class SearchEngine:
         the first ``limit`` hits.
         """
         return self.select(
-            query, lambda ranking: ranking.head(limit), limit, doc_filter
+            query, lambda ranking: ranking.head(limit), limit, scope
         )
 
     @contextmanager
     def _logical_query(
         self, counter: CounterHandle, query: Union[str, Query], limit,
-        doc_filter,
+        scope,
     ) -> Iterator[
-        Tuple[Query, Optional[frozenset], tuple, Optional[Ranking]]
+        Tuple[Query, Optional[Scope], tuple, Optional[Ranking]]
     ]:
         """What a search or a count does before it evaluates.
 
-        The filter check; the ``index`` fault point (the engine stands
+        The scope check; the ``index`` fault point (the engine stands
         in for the OmniFind service, which can be down as a whole: an
         installed injector checks *before* the result cache, modelling
         an unreachable service rather than a slow query) and the
         ``counter`` metric, once.  Then the body runs under the read
-        side of the engine lock with the parsed query, the filter ids,
+        side of the engine lock with the parsed query, the scope,
         the cache key and the cached ranking that covers ``limit``, if
         any: epoch read, cache probe, posting traversal, cache store
         and hit building see one snapshot, so concurrent mutations can
@@ -804,29 +864,31 @@ class SearchEngine:
         hit is built.
 
         The owning engine's epoch is part of every cache key, which is
-        how ``add``/``remove`` invalidate without touching the cache.
+        how ``add``/``remove`` invalidate without touching the cache;
+        so is the scope, as its key and values (never as the document
+        ids it admits).
         ``limit`` is deliberately absent: the cached value records its
         own coverage and serves any covered limit from its head (see
         :class:`Ranking`).
         """
-        filter_ids = _filter_ids(doc_filter)
+        scope = _scope(scope)
         get_injector().check("index")
         if isinstance(query, str):
             query = parse_query(query)
         counter.inc()
         with self._rw.read():
-            cache_key = (self.epoch, query, filter_ids)
+            cache_key = (self.epoch, query, scope)
             cached = self._cache.get(cache_key)
             if cached is not None and not cached.covers(limit):
                 cached = None
-            yield query, filter_ids, cache_key, cached
+            yield query, scope, cache_key, cached
 
     def select(
         self,
         query: Union[str, Query],
         choose: Callable[[Ranking], _T],
         limit: Optional[int] = None,
-        doc_filter: DocFilter = None,
+        scope: Optional[Scope] = None,
     ) -> _T:
         """Rank ``query``, let ``choose`` pick, build only what it picks.
 
@@ -844,11 +906,11 @@ class SearchEngine:
         indexed".
         """
         with self._logical_query(
-            _SEARCHES, query, limit, doc_filter
-        ) as (query, filter_ids, cache_key, ranking):
+            _SEARCHES, query, limit, scope
+        ) as (query, scope, cache_key, ranking):
             if ranking is None:
                 ranking = Ranking(
-                    self, query, self._rank(query, limit, filter_ids), limit
+                    self, query, self._rank(query, limit, scope), limit
                 )
                 self._cache.put(cache_key, ranking)
             elif ranking.limit is None or limit != ranking.limit:
@@ -857,7 +919,7 @@ class SearchEngine:
             return choose(ranking)
 
     def count(
-        self, query: Union[str, Query], doc_filter: DocFilter = None
+        self, query: Union[str, Query], scope: Optional[Scope] = None
     ) -> int:
         """Number of documents matching ``query`` (no ranking work).
 
@@ -866,23 +928,23 @@ class SearchEngine:
         computed for a count).
         """
         with self._logical_query(
-            _COUNTS, query, None, doc_filter
-        ) as (query, filter_ids, _, ranking):
+            _COUNTS, query, None, scope
+        ) as (query, scope, _, ranking):
             if ranking is not None:
                 _COUNTS_FROM_CACHE.inc()
                 return len(ranking.pairs)
-            return _Execution(self, filter_ids).count_docs(query)
+            return _Execution(self, scope).count_docs(query)
 
     def _rank(
         self,
         query: Query,
         limit: Optional[int],
-        filter_ids: Optional[frozenset],
+        scope: Optional[Scope],
     ) -> List[Tuple[str, float]]:
         """The ``(doc_id, score)`` ranking: one evaluation, nothing else
         (:meth:`select` owns the fault point, the counter, the cache
         and the hits), by a caller that holds the read side."""
-        execution = _Execution(self, filter_ids)
+        execution = _Execution(self, scope)
         ranked = execution.ranked(query, limit)
         _CANDIDATES.observe(execution.n_candidates)
         return ranked

@@ -31,7 +31,14 @@ from typing import (
 from repro.errors import SearchError
 from repro.search.document import IndexableDocument
 
-__all__ = ["IndexReader", "CompositeIndexReader", "TermPostings"]
+__all__ = [
+    "IndexReader",
+    "CompositeIndexReader",
+    "MetadataColumn",
+    "TermPostings",
+]
+
+_ABSENT = object()
 
 
 class TermPostings:
@@ -91,6 +98,74 @@ class TermPostings:
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+
+class MetadataColumn:
+    """One metadata key's value for every live document that has one.
+
+    What the engine checks an activity scope against, posting by
+    posting, and what grouped search reads a hit's activity from.  It
+    holds what the metadata value index holds — hashable values only —
+    so an id it lacks either has no such key or an unhashable value.
+
+    Attributes:
+        key: The metadata key.
+        values: doc id -> value.  Read-only to everyone but the reader
+            that maintains it.
+        sizes: value -> number of live documents holding it, so the
+            document count of a scope costs one lookup per value.
+    """
+
+    __slots__ = ("key", "values", "sizes")
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+        self.values: Dict[str, Any] = {}
+        self.sizes: Dict[Any, int] = {}
+
+    def add(self, doc_id: str, value: Any) -> None:
+        """Record ``doc_id``'s ``value`` (hashable; the id not yet held)."""
+        self.values[doc_id] = value
+        self.sizes[value] = self.sizes.get(value, 0) + 1
+
+    def add_document(self, document: IndexableDocument) -> None:
+        """Record ``document``'s value, if it has a hashable one."""
+        value = document.metadata.get(self.key, _ABSENT)
+        if value is _ABSENT:
+            return
+        try:
+            hash(value)
+        except TypeError:
+            return  # never indexed, so in no scope
+        self.add(document.doc_id, value)
+
+    def extend(self, other: "MetadataColumn") -> None:
+        """Take in every entry of ``other`` (a composite's next part)."""
+        self.values.update(other.values)
+        for value, size in other.sizes.items():
+            self.sizes[value] = self.sizes.get(value, 0) + size
+
+    def discard(self, doc_id: str) -> None:
+        """Forget ``doc_id``, if held."""
+        value = self.values.pop(doc_id, _ABSENT)
+        if value is _ABSENT:
+            return
+        left = self.sizes[value] - 1
+        if left:
+            self.sizes[value] = left
+        else:
+            del self.sizes[value]
+
+    def count(self, values: Iterable[Any]) -> int:
+        """Live documents whose value is one of ``values``; unhashable
+        values match nothing."""
+        total = 0
+        for value in values:
+            try:
+                total += self.sizes.get(value, 0)
+            except TypeError:
+                continue
+        return total
 
 
 class IndexReader(ABC):
@@ -202,13 +277,15 @@ class IndexReader(ABC):
         """
 
     @abstractmethod
-    def metadata_value(self, doc_id: str, key: str) -> Any:
-        """What ``document(doc_id).metadata.get(key)`` answers, without
-        decoding the document where the reader can avoid it.
+    def metadata_column(self, key: str) -> MetadataColumn:
+        """Every live document's value of metadata ``key``: the inverse
+        of :meth:`docs_with_metadata`, as one column.
 
-        The inverse of :meth:`docs_with_metadata`; :class:`SearchError`
-        if ``doc_id`` is not indexed.  Read-only: a reader may hand the
-        same value object to every caller.
+        Built once per key, on the first ask, then kept current by the
+        reader's own writes; never rebuilt per query.  The first ask may
+        come from several readers at once (under the engine's read
+        lock), so a column is published only once it is whole.
+        Read-only: the caller gets the reader's own column.
         """
 
     @abstractmethod
@@ -296,9 +373,18 @@ class CompositeIndexReader(IndexReader):
     term set a union, every per-document lookup a call on the owning
     part.  ``field=None`` is passed down, so the parts merge their own
     fields.
+
+    A metadata column is the one thing a composite keeps of its own: the
+    union of its parts' columns, made on the first ask and then kept
+    current by the subclass's ``add`` / ``remove`` (:meth:`_track` /
+    :meth:`_untrack`).  Moving documents between parts (a flush, a
+    merge) never changes a document's value, so it never touches them.
     """
 
-    __slots__ = ()
+    __slots__ = ("_columns",)
+
+    def __init__(self) -> None:
+        self._columns: Dict[str, MetadataColumn] = {}
 
     @property
     @abstractmethod
@@ -406,11 +492,25 @@ class CompositeIndexReader(IndexReader):
             matches |= part.docs_with_metadata(key, values)
         return matches
 
-    def metadata_value(self, doc_id: str, key: str) -> Any:
-        owner = self._owner(doc_id)
-        if owner is None:
-            raise SearchError(f"document {doc_id!r} not indexed")
-        return owner.metadata_value(doc_id, key)
+    def metadata_column(self, key: str) -> MetadataColumn:
+        column = self._columns.get(key)
+        if column is None:
+            # Published whole: readers may build one side by side.
+            column = MetadataColumn(key)
+            for part in self.parts:
+                column.extend(part.metadata_column(key))
+            self._columns[key] = column
+        return column
+
+    def _track(self, document: IndexableDocument) -> None:
+        """Record an added ``document`` in every column made so far."""
+        for column in self._columns.values():
+            column.add_document(document)
+
+    def _untrack(self, doc_id: str) -> None:
+        """Drop a removed ``doc_id`` from every column made so far."""
+        for column in self._columns.values():
+            column.discard(doc_id)
 
     def vocabulary(self, field: Optional[str] = None) -> Set[str]:
         terms: Set[str] = set()

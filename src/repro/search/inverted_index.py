@@ -18,9 +18,11 @@ query path never walks dict-of-dict chains per (term, document):
   exact — every mutation that could change an array either updates it
   or invalidates it.
 * a metadata value index (``docs_with_metadata``) mapping each hashable
-  ``(key, value)`` metadata pair to its document-id set, which lets the
-  SIAPI facade turn an activity scope into an id-set ``doc_filter`` the
-  engine can push down into posting traversal.
+  ``(key, value)`` metadata pair to its document-id set (what
+  offboarding removes, and what a scope of a few documents is probed
+  with), and its inverse per key (``metadata_column``): each document's
+  value, which the engine checks an activity scope against on the
+  postings it already walks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from repro.errors import SearchError
 from repro.obs import CounterHandle, HistogramHandle
 from repro.search.analyzer import Analyzer
 from repro.search.document import IndexableDocument
-from repro.search.index_reader import IndexReader, TermPostings
+from repro.search.index_reader import (
+    IndexReader,
+    MetadataColumn,
+    TermPostings,
+)
 
 __all__ = ["InvertedIndex", "TermPostings"]
 
@@ -68,6 +74,9 @@ class InvertedIndex(IndexReader):
         self._compiled: Dict[Tuple[str, str], TermPostings] = {}
         # metadata key -> value -> doc ids (hashable values only).
         self._meta_index: Dict[str, Dict[Any, Set[str]]] = {}
+        # metadata key -> its column, made on the first ask, then
+        # maintained by add and remove.
+        self._columns: Dict[str, MetadataColumn] = {}
 
     # -- mutation -----------------------------------------------------------
 
@@ -111,6 +120,8 @@ class InvertedIndex(IndexReader):
                 by_value.setdefault(value, set()).add(document.doc_id)
             except TypeError:
                 continue  # unhashable value; never scope-filterable
+        for column in self._columns.values():
+            column.add_document(document)
 
     def remove(self, doc_id: str) -> IndexableDocument:
         """Remove a document from the index and return it.
@@ -162,6 +173,8 @@ class InvertedIndex(IndexReader):
                 members.discard(doc_id)
                 if not members:
                     del by_value[value]
+        for column in self._columns.values():
+            column.discard(doc_id)
         _INDEX_REMOVALS.inc()
         _INDEX_REMOVE_TERMS_TOUCHED.observe(terms_touched)
         return document
@@ -233,8 +246,8 @@ class InvertedIndex(IndexReader):
         self, key: str, values: Iterable[Any]
     ) -> Set[str]:
         """Backed by an incrementally-maintained (key, value) -> id-set
-        map, so an activity scope of *k* values resolves in O(k) plus
-        the result size — never a corpus scan."""
+        map, so *k* values resolve in O(k) plus the result size — never
+        a corpus scan."""
         by_value = self._meta_index.get(key)
         if not by_value:
             return set()
@@ -248,8 +261,15 @@ class InvertedIndex(IndexReader):
                 matches.update(members)
         return matches
 
-    def metadata_value(self, doc_id: str, key: str) -> Any:
-        return self.document(doc_id).metadata.get(key)
+    def metadata_column(self, key: str) -> MetadataColumn:
+        column = self._columns.get(key)
+        if column is None:
+            # Published whole: readers may build one side by side.
+            column = MetadataColumn(key)
+            for document in self._documents.values():
+                column.add_document(document)
+            self._columns[key] = column
+        return column
 
     # -- statistics ------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import QuerySyntaxError
 from repro.obs import HistogramHandle
@@ -44,6 +44,8 @@ __all__ = ["SiapiQuery", "ActivityHits", "SiapiService"]
 
 _SIAPI_ACTIVITIES_MATCHED = HistogramHandle("siapi.activities_matched")
 _SIAPI_HITS = HistogramHandle("siapi.hits")
+
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -132,22 +134,15 @@ class SiapiService:
         self.engine = engine
         self.activity_key = activity_key
 
-    def _scope_filter(
+    def _scope(
         self, scope: Optional[Set[str]]
-    ) -> Optional[frozenset]:
-        """Resolve an activity scope to a document-id set.
-
-        The index maintains a metadata value index, so the scope
-        becomes a concrete id set — the only filter the engine takes —
-        which it pushes down into posting traversal *and* folds into
-        its result-cache key.  Resolved through the engine, under its
-        read lock: beside a writer the bare index can be mid-flush.
-        """
+    ) -> Optional[Tuple[str, FrozenSet[str]]]:
+        """An activity scope as the engine takes it: the activity key
+        and the deal ids, which the engine checks on the postings it
+        walks and folds into its result-cache key."""
         if scope is None:
             return None
-        return frozenset(
-            self.engine.docs_with_metadata(self.activity_key, scope)
-        )
+        return (self.activity_key, frozenset(scope))
 
     def search(
         self,
@@ -157,12 +152,12 @@ class SiapiService:
     ) -> List[SearchHit]:
         """Ranked document hits; ``scope`` restricts to those activities."""
         return self.engine.search(
-            query.to_query(), limit, self._scope_filter(scope)
+            query.to_query(), limit, self._scope(scope)
         )
 
     def count(self, query: SiapiQuery, scope: Optional[Set[str]] = None) -> int:
         """Number of matching documents (the paper's "N documents")."""
-        return self.engine.count(query.to_query(), self._scope_filter(scope))
+        return self.engine.count(query.to_query(), self._scope(scope))
 
     def search_grouped(
         self,
@@ -190,7 +185,7 @@ class SiapiService:
                 ranking, per_activity_limit, activity_limit
             ),
             None,
-            self._scope_filter(scope),
+            self._scope(scope),
         )
 
     def _group(
@@ -204,13 +199,18 @@ class SiapiService:
         if not pairs:
             return []
         best = pairs[0][1] or 1.0  # best first: the result set's maximum
-        activity_of = ranking.reader.metadata_value
+        reader = ranking.reader
         activity_key = self.activity_key
+        activity_of = reader.metadata_column(activity_key).values.get
         # activity -> (-normalized score, doc id, position in the
         # ranking): tuples that sort into the presentation order.
         grouped: Dict[str, List[Tuple[float, str, int]]] = {}
         for position, (doc_id, score) in enumerate(pairs):
-            activity = activity_of(doc_id, activity_key)
+            activity = activity_of(doc_id, _ABSENT)
+            if activity is _ABSENT:  # no key, or a value no index holds
+                activity = reader.document(doc_id).metadata.get(
+                    activity_key
+                )
             if activity is None:
                 continue
             grouped.setdefault(activity, []).append(

@@ -78,6 +78,7 @@ class ShardedIndex(CompositeIndexReader):
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        super().__init__()
         self.analyzer = analyzer or Analyzer()
         self.shard_key = shard_key
         self.parts = [InvertedIndex(self.analyzer) for _ in range(shards)]
@@ -94,12 +95,14 @@ class ShardedIndex(CompositeIndexReader):
         part = self.parts[shard_for(key, len(self.parts))]
         part.add(document)
         self._doc_part[document.doc_id] = part
+        self._track(document)
 
     def remove(self, doc_id: str) -> IndexableDocument:
         """Remove a document from its owning shard and return it."""
         part = self._doc_part.pop(doc_id, None)
         if part is None:
             raise SearchError(f"document {doc_id!r} not indexed")
+        self._untrack(doc_id)
         return part.remove(doc_id)
 
     # -- persistence ---------------------------------------------------------

@@ -51,7 +51,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import SearchError, StorageError
 from repro.search.document import IndexableDocument
-from repro.search.index_reader import IndexReader, TermPostings
+from repro.search.index_reader import (
+    IndexReader,
+    MetadataColumn,
+    TermPostings,
+)
 from repro.storage.varint import (
     read_str,
     read_uint,
@@ -92,7 +96,7 @@ class Segment(IndexReader):
         "_live_field_tokens",
         "_live_field_docs",
         "_meta",
-        "_meta_values",
+        "_columns",
         "_terms",
         "tombstones",
         "_live_df",
@@ -120,9 +124,9 @@ class Segment(IndexReader):
         self._live_field_docs: Dict[str, int] = {}
         # key -> value_json -> ascending ordinals.
         self._meta: Dict[str, Dict[str, Tuple[int, ...]]] = {}
-        # key -> ordinal -> decoded value: ``_meta`` inverted, one key
-        # at a time, when ``metadata_value`` first asks for it.
-        self._meta_values: Dict[str, Dict[int, Any]] = {}
+        # key -> its live column: ``_meta`` inverted, one key at a
+        # time, when ``metadata_column`` first asks for it.
+        self._columns: Dict[str, MetadataColumn] = {}
         # field -> term -> (stored_df, stored_max_tf, blob_off, blob_len)
         self._terms: Dict[str, Dict[str, Tuple[int, int, int, int]]] = {}
         self.tombstones: Set[int] = set()
@@ -343,6 +347,8 @@ class Segment(IndexReader):
         if ordinal is None or ordinal in self.tombstones:
             return False
         self.tombstones.add(ordinal)
+        for column in self._columns.values():
+            column.discard(doc_id)
         for field, lengths in self._length_arrays.items():
             length = lengths[ordinal]
             if length >= 0:
@@ -567,28 +573,32 @@ class Segment(IndexReader):
                     matches.add(doc_ids[ordinal])
         return matches
 
-    def metadata_value(self, doc_id: str, key: str) -> Any:
-        """The live document's metadata ``key``, off the value index.
-
-        A document the index has no entry for under ``key`` either
-        lacks the key or carries a value the index never holds (an
-        unhashable one), so it is decoded from the docstore.
-        """
-        ordinal = self._ord.get(doc_id)
-        if ordinal is None or ordinal in self.tombstones:
-            raise SearchError(f"document {doc_id!r} not indexed")
-        values = self._meta_values.get(key)
-        if values is None:
-            values = {}
+    def metadata_column(self, key: str) -> MetadataColumn:
+        """The live documents' values of ``key``, off the value index."""
+        column = self._columns.get(key)
+        if column is None:
+            # Published whole: readers may build one side by side.
+            column = MetadataColumn(key)
+            tombstones = self.tombstones
+            doc_ids = self._ids
             for value_json, ordinals in self._meta.get(key, {}).items():
-                values.update(
-                    dict.fromkeys(ordinals, json.loads(value_json))
-                )
-            self._meta_values[key] = values
-        try:
-            return values[ordinal]
-        except KeyError:
-            return self.document(doc_id).metadata.get(key)
+                value = _indexed_value(json.loads(value_json))
+                for ordinal in ordinals:
+                    if ordinal not in tombstones:
+                        column.add(doc_ids[ordinal], value)
+            self._columns[key] = column
+        return column
+
+
+def _indexed_value(decoded: Any) -> Any:
+    """The hashable value the index encoded, from its decoded JSON.
+
+    Only hashable values are encoded, and JSON turns a tuple into a
+    list, so every list decoded here was a tuple.
+    """
+    if isinstance(decoded, list):
+        return tuple(_indexed_value(item) for item in decoded)
+    return decoded
 
 
 def _meta_value_json(value: Any) -> Optional[str]:

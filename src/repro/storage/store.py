@@ -154,6 +154,7 @@ class SegmentBackedIndex(CompositeIndexReader):
             raise ValueError(
                 f"merge_fanout must be >= 2, got {merge_fanout}"
             )
+        super().__init__()
         self.analyzer = analyzer or Analyzer()
         self.memtable = InvertedIndex(self.analyzer)
         self.segments: List[Segment] = []
@@ -194,6 +195,7 @@ class SegmentBackedIndex(CompositeIndexReader):
                 f"document {document.doc_id!r} already indexed"
             )
         self.memtable.add(document)
+        self._track(document)
         self._invalidate(self.memtable.terms_of(document.doc_id))
         if len(self.memtable) >= self.memtable_limit:
             self.flush()
@@ -206,6 +208,7 @@ class SegmentBackedIndex(CompositeIndexReader):
         if self.memtable.has_document(doc_id):
             touched = self.memtable.terms_of(doc_id)
             document = self.memtable.remove(doc_id)
+            self._untrack(doc_id)
             self._invalidate(touched)
             self._doc_cache.pop(doc_id, None)
             _MEMTABLE_DOCS.set(len(self.memtable))
@@ -215,6 +218,7 @@ class SegmentBackedIndex(CompositeIndexReader):
                 continue
             document = segment.document(doc_id)
             segment.tombstone(doc_id)
+            self._untrack(doc_id)
             # The segment has no reverse term map; re-analyzing this one
             # document recovers exactly the touched (field, term) pairs
             # so cache invalidation stays per-term, like the memtable's.

@@ -63,6 +63,26 @@ class TestQueryCacheHits:
         eil.search(scope_query("  End User Services  "), SALES)
         assert _hits(registry) == 1
 
+    def test_a_padded_form_answers_alike_cold_and_cached(self, corpus):
+        """The cache keys a form by its stripped fields, so what it
+        serves a padded form after the unpadded one must be what a
+        fresh system answers the padded form."""
+        padded = FormQuery(tower="  End User Services ",
+                           any_words=" services ")
+        plain = FormQuery(tower="End User Services", any_words="services")
+        fresh = EILSystem.build(corpus).search(padded, SALES)
+        assert fresh.activities
+        assert all(
+            activity.reasons == ["tower=End User Services"]
+            for activity in fresh.activities
+        )
+        warm = EILSystem.build(corpus)
+        warm.search(plain, SALES)
+        with obs.use_registry() as registry:
+            cached = warm.search(padded, SALES)
+            assert _hits(registry) == 1
+        assert cached == fresh
+
     def test_different_limits_are_distinct_entries(self, eil, registry):
         form = scope_query("End User Services")
         eil.search(form, SALES, limit=1)

@@ -43,7 +43,7 @@ _allow(PROTOCOL, "IndexReader's abstract primitive: every reader "
                "__len__", "doc_ids", "docs_with_metadata", "document",
                "document_frequency", "field_document_count",
                "field_length", "field_token_total", "fields",
-               "has_document", "max_tf", "metadata_value", "positions",
+               "has_document", "max_tf", "metadata_column", "positions",
                "term_frequency", "term_postings", "token_total",
                "total_length", "vocabulary",
            )
@@ -151,6 +151,7 @@ _allow(LAYOUT, "the segment store's write path, which the one-served-"
        "layout item reaches from the build", [
            "repro.storage.segment.merge_segments",
            "repro.storage.segment.Segment.iter_term_raw",
+           "repro.storage.segment.Segment.docs_with_metadata",
            "repro.storage.segment.Segment.raw_bytes",
            "repro.storage.segment.Segment.tombstone",
            "repro.storage.store.SegmentBackedIndex._merge_positions",
@@ -217,6 +218,11 @@ _allow(LATER, "scalar scoring and the SIAPI service's own search: "
            "repro.search.scoring.Scorer.score",
            "repro.search.siapi.SiapiService.count",
            "repro.search.siapi.SiapiService.search",
+       ])
+_allow(LATER, "the small-scope probe: no entry point forms a scope "
+       "whose documents are under an eighth of a posting list's df "
+       "(a one-deal scope of a large corpus would)", [
+           "repro.search.engine._Execution._resolved_scope",
        ])
 _allow(LATER, "behaviour no entry point exercises: a later deletion PR "
        "reaches or deletes it", [

@@ -11,7 +11,8 @@ reader must answer: every protocol member and every derived operation,
 for every field (one unknown, and ``None``), every term (one unknown),
 every document (one unknown), every phrase that occurs plus some that
 do not, and every metadata key with hashable and unhashable probes, and every
-(document, metadata key) pair read back (one key unknown).
+metadata key's column (one key unknown): each live document's value,
+each value's document count, and the count of every probe.
 ``tests/search/test_index_reader.py`` runs it over every kind of
 reader in every layout; the storage and sharding suites hand it their
 own scenarios.
@@ -172,8 +173,14 @@ class DictOfDocs:
             )
         }
 
-    def metadata_value(self, doc_id: str, key: str) -> Any:
-        return self.docs[doc_id].metadata.get(key)
+    def metadata_column(self, key: str) -> Dict[str, Any]:
+        """doc_id -> value, for each document whose ``key`` has a
+        hashable value."""
+        return {
+            doc_id: doc.metadata[key]
+            for doc_id, doc in self.docs.items()
+            if key in doc.metadata and _hashable(doc.metadata[key])
+        }
 
     # -- derived ------------------------------------------------------------------
 
@@ -284,19 +291,18 @@ def assert_conforms(reader, model: DictOfDocs) -> None:
         else:
             with pytest.raises(SearchError):
                 reader.document(doc_id)
-        for key in metadata_keys:
-            if doc_id in model.docs:
-                # Whatever the stored document says, a value the
-                # metadata index never holds (unhashable) included.
-                assert reader.metadata_value(doc_id, key) == (
-                    model.metadata_value(doc_id, key)
-                ), (doc_id, key)
-                assert reader.metadata_value(doc_id, key) == (
-                    reader.document(doc_id).metadata.get(key)
-                ), (doc_id, key)
-            else:
-                with pytest.raises(SearchError):
-                    reader.metadata_value(doc_id, key)
+
+    for key in metadata_keys:
+        column = reader.metadata_column(key)
+        expected = model.metadata_column(key)
+        assert column.key == key
+        assert column.values == expected, key
+        sizes: Dict[Any, int] = {}
+        for value in expected.values():
+            sizes[value] = sizes.get(value, 0) + 1
+        assert column.sizes == sizes, key
+        # Asked again: the one column, not a rebuilt one.
+        assert reader.metadata_column(key) is column
 
     for field in fields:
         assert reader.field_document_count(field) == (
@@ -359,5 +365,8 @@ def assert_conforms(reader, model: DictOfDocs) -> None:
             model.docs_with_metadata(key, values)
         ), (key, values)
         assert reader.docs_with_metadata(key, iter(values)) == (
+            model.docs_with_metadata(key, values)
+        ), (key, values)
+        assert reader.metadata_column(key).count(values) == len(
             model.docs_with_metadata(key, values)
         ), (key, values)

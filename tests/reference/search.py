@@ -248,13 +248,19 @@ def exhaustive_search(
     ``engine`` is anything with ``index``, ``scorer``, ``field_boosts``
     and ``analyzer`` — a ``SearchEngine`` over any index layout.
     The ranking is ``[(doc_id, score), ...]`` by descending score, ties
-    by doc id; ``doc_filter`` is an id set or a predicate over stored
-    documents, applied after scoring.
+    by doc id; ``doc_filter`` is an id set, a predicate over stored
+    documents, or an activity scope ``(metadata key, values)`` — which
+    is resolved to the id set of its documents through the index's
+    ``docs_with_metadata``, the way the engine took a scope before it
+    checked one on the postings it walks — applied after scoring.
     """
     if isinstance(query, str):
         query = parse_query(query)
     interpreter = _Interpreter(engine)
     scores = interpreter.match(query)
+    if isinstance(doc_filter, tuple):
+        key, values = doc_filter
+        doc_filter = engine.index.docs_with_metadata(key, values)
     if isinstance(doc_filter, AbstractSet):
         scores = {
             doc_id: score

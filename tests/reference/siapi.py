@@ -19,7 +19,7 @@ from repro.search.document import SearchHit
 from repro.search.siapi import ActivityHits, SiapiQuery
 from tests.reference.search import exhaustive_hits
 
-__all__ = ["grouped_by_materialising", "group_hits"]
+__all__ = ["grouped_by_materialising", "group_hits", "scope_predicate"]
 
 
 def grouped_by_materialising(
@@ -35,14 +35,25 @@ def grouped_by_materialising(
     after scoring."""
     doc_filter = None
     if scope is not None:
-        def doc_filter(document):
-            try:
-                return document.metadata.get(activity_key) in scope
-            except TypeError:  # an unhashable value is in no scope
-                return False
+        doc_filter = scope_predicate(scope, activity_key)
     hits = exhaustive_hits(engine, query.to_query(), None, doc_filter)
     return group_hits(hits, per_activity_limit, activity_limit,
                       activity_key)
+
+
+def scope_predicate(scope, activity_key: str = "deal_id"):
+    """An activity scope as a predicate over a stored document: its
+    activity is one of ``scope``.  A document without the key is in no
+    scope."""
+    def in_scope(document) -> bool:
+        if activity_key not in document.metadata:
+            return False
+        try:
+            return document.metadata[activity_key] in scope
+        except TypeError:  # an unhashable value is in no scope
+            return False
+
+    return in_scope
 
 
 def group_hits(

@@ -157,16 +157,17 @@ class TestRanking:
 
 
 class TestFiltering:
+    """The one filter is an activity scope, ``(metadata key, values)``."""
+
     def test_doc_filter_by_set(self, engine):
-        hits = engine.search("services", doc_filter={"a", "d"})
+        hits = engine.search("services", scope=("deal_id", {"d1", "d3"}))
         assert {h.doc_id for h in hits} == {"a", "d"}
 
     def test_a_predicate_doc_filter_is_rejected_before_anything_runs(
         self, engine
     ):
-        # A filter is a set of ids (SIAPI resolves scopes to one): a
-        # callable is turned away before the cache is probed or a
-        # posting read, and is never called.
+        # A callable, or a set of document ids, is turned away before
+        # the cache is probed or a posting read, and is never called.
         called = []
 
         def predicate(document):
@@ -174,34 +175,38 @@ class TestFiltering:
             return True
 
         with use_registry() as registry:
-            for run in (
-                lambda: engine.search("services", doc_filter=predicate),
-                lambda: engine.count("services", doc_filter=predicate),
-                lambda: engine.select("services", len, None, predicate),
-            ):
-                with pytest.raises(SearchError, match="set of document ids"):
-                    run()
+            for bad in (predicate, {"a", "d"}, frozenset({"a"})):
+                for run in (
+                    lambda: engine.search("services", scope=bad),
+                    lambda: engine.count("services", scope=bad),
+                    lambda: engine.select("services", len, None, bad),
+                ):
+                    with pytest.raises(SearchError, match="metadata key"):
+                        run()
             assert registry.names() == []
         assert called == []
 
     def test_count_respects_filter(self, engine):
-        assert engine.count("services", doc_filter={"a"}) == 1
+        assert engine.count("services", scope=("deal_id", {"d1"})) == 1
+        assert engine.count("services", scope=("doc_type", {"scope"})) == 1
+        assert engine.count("services", scope=("deal_id", set())) == 0
 
     def test_doc_filter_by_frozenset(self, engine):
-        # Regression: the seed only recognised the concrete ``set``
-        # type and crashed trying to call a frozenset as a predicate.
-        hits = engine.search("services", doc_filter=frozenset({"a", "d"}))
+        hits = engine.search(
+            "services", scope=("deal_id", frozenset({"d1", "d3"}))
+        )
         assert {h.doc_id for h in hits} == {"a", "d"}
 
     def test_doc_filter_by_dict_key_view(self, engine):
-        # Any collections.abc.Set works, including dict key views.
-        allowed = {"b": None, "d": None}
-        hits = engine.search("services", doc_filter=allowed.keys())
+        # Any collections.abc.Set of values works, dict key views too.
+        allowed = {"d2": None, "d3": None}
+        hits = engine.search("services", scope=("deal_id", allowed.keys()))
         assert {h.doc_id for h in hits} == {"b", "d"}
 
     def test_invalid_doc_filter_raises(self, engine):
-        with pytest.raises(SearchError):
-            engine.search("services", doc_filter=42)
+        for bad in (42, ("deal_id",), ("deal_id", ["d1"]), (1, {"d1"})):
+            with pytest.raises(SearchError):
+                engine.search("services", scope=bad)
 
 
 class TestSnippets:
@@ -304,7 +309,8 @@ class TestCachedRankingBuildsEachHitOnce:
         expected = uncached.search("services")
         assert engine.select(
             "services",
-            lambda ranking: ranking.reader.metadata_value("d", "deal_id"),
+            lambda ranking: ranking.reader.metadata_column("deal_id")
+            .values["d"],
         ) == "d3"
         decodes.clear()
 

@@ -6,8 +6,9 @@ pruning — is invisible in the results: same documents, bit-identical
 scores, same tie-breaks as the exhaustive interpreter kept as the
 oracle in :mod:`tests.reference.search`.  This suite drives both over
 seeded random corpora, a query zoo covering term/phrase/AND/OR/NOT,
-field restrictions, field boosts, id-set doc filters (a deal scope
-against the oracle's predicate filter too) and post-``remove`` epochs,
+field restrictions, field boosts, activity scopes (against the
+oracle's id set of the scope's documents and against its predicate
+over stored documents) and post-``remove`` epochs,
 generated query trees, every segment layout the store can be in, and
 1, 2 and 4 shards (in memory and cold-loaded), and asserts exact
 equality.
@@ -79,10 +80,18 @@ def make_corpus(seed, docs=80, deals=8):
             IndexableDocument(
                 f"doc{i:03d}",
                 {"title": title, "body": " ".join(body_words)},
-                {"deal_id": f"deal{i % deals}"},
+                # "ref" names one document, so a scope on it picks any
+                # subset of the corpus, not just whole deals.
+                {"deal_id": f"deal{i % deals}", "ref": f"doc{i:03d}"},
             )
         )
     return corpus
+
+
+def ref_scope(doc_ids):
+    """The scope that admits exactly ``doc_ids`` of a corpus whose
+    documents carry their own id as metadata ``ref``."""
+    return ("ref", frozenset(doc_ids))
 
 
 def make_engine(corpus, **kwargs):
@@ -110,20 +119,25 @@ def make_sharded_engine(corpus, shards, reload_through=None, **kwargs):
     return engine
 
 
-def ranking(engine, query, limit=None, doc_filter=None):
-    hits = engine.search(query, limit=limit, doc_filter=doc_filter)
+def ranking(engine, query, limit=None, scope=None):
+    hits = engine.search(query, limit=limit, scope=scope)
     return [(hit.doc_id, hit.score) for hit in hits]
 
 
-def assert_equivalent(engine, query, limit=None, doc_filter=None):
+def assert_equivalent(engine, query, limit=None, scope=None):
+    """The engine ranks as the oracle, which resolves ``scope`` to the
+    id set of its documents and filters after scoring; ``count``
+    agrees."""
     parsed = parse_query(query) if isinstance(query, str) else query
-    reference = exhaustive_ranking(engine, parsed, limit, doc_filter)
-    planned = ranking(engine, parsed, limit, doc_filter)
+    reference = exhaustive_ranking(engine, parsed, limit, scope)
+    planned = ranking(engine, parsed, limit, scope)
     assert planned == reference, (
-        f"ranking diverged for query={query!r} limit={limit}"
+        f"ranking diverged for query={query!r} limit={limit} scope={scope}"
     )
-    if limit is not None:
-        unlimited = ranking(engine, parsed, None, doc_filter)
+    if limit is None:
+        assert engine.count(parsed, scope) == len(reference)
+    else:
+        unlimited = ranking(engine, parsed, None, scope)
         assert reference == unlimited[:limit], (
             f"top-{limit} is not the head of the full ranking "
             f"for query={query!r}"
@@ -131,14 +145,14 @@ def assert_equivalent(engine, query, limit=None, doc_filter=None):
 
 
 def assert_deal_scope_equivalent(engine, query, limit, deals):
-    """A deal scope resolved to its document ids, as SIAPI passes it to
-    the engine, ranks as the oracle's predicate over stored documents."""
+    """A deal scope, as SIAPI passes it to the engine, ranks as the
+    oracle's predicate over stored documents."""
     parsed = parse_query(query)
 
     def predicate(document):
         return document.metadata.get("deal_id") in deals
 
-    scope = frozenset(engine.docs_with_metadata("deal_id", deals))
+    scope = ("deal_id", frozenset(deals))
     assert ranking(engine, parsed, limit, scope) == exhaustive_ranking(
         engine, parsed, limit, predicate
     ), f"deal scope diverged for query={query!r} limit={limit}"
@@ -178,14 +192,13 @@ def test_equivalence_with_custom_scorer(corpus, limit):
 
 @pytest.mark.parametrize("limit", [None, 4])
 def test_equivalence_with_id_set_filter(engine, corpus, limit):
+    """A scope admitting an arbitrary 40 % of the documents ranks as
+    the oracle's filter by their id set; so does the empty scope."""
     rng = random.Random(99)
-    scope = frozenset(
-        doc.doc_id for doc in corpus if rng.random() < 0.4
-    )
+    scope = ref_scope(doc.doc_id for doc in corpus if rng.random() < 0.4)
     for query in QUERIES:
-        assert_equivalent(engine, query, limit, doc_filter=scope)
-    assert_equivalent(engine, "finance OR audit", limit,
-                      doc_filter=frozenset())
+        assert_equivalent(engine, query, limit, scope)
+    assert_equivalent(engine, "finance OR audit", limit, ("ref", frozenset()))
 
 
 @pytest.mark.parametrize("limit", [None, 4])
@@ -275,11 +288,11 @@ def test_sharded_engine_matches_oracle(corpus, tmp_path, shards, loaded):
         corpus, shards, tmp_path if loaded else None
     )
     rng = random.Random(99)
-    scope = frozenset(doc.doc_id for doc in corpus if rng.random() < 0.4)
+    scope = ref_scope(doc.doc_id for doc in corpus if rng.random() < 0.4)
     for query in QUERIES:
         for limit in (None, 3):
             assert_equivalent(engine, query, limit)
-        assert_equivalent(engine, query, 4, doc_filter=scope)
+        assert_equivalent(engine, query, 4, scope)
         assert_deal_scope_equivalent(engine, query, None, {"deal1", "deal3"})
     engine.remove("doc004")
     engine.remove("doc017")
@@ -346,12 +359,12 @@ def engines(corpus, tmp_path_factory):
         st.frozensets(
             st.sampled_from([f"doc{i:03d}" for i in range(80)]),
             max_size=40,
-        ),
+        ).map(ref_scope),
     ),
 )
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_generated_queries_match_oracle(engines, shape, query, limit, scope):
-    assert_equivalent(engines[shape], query, limit, doc_filter=scope)
+    assert_equivalent(engines[shape], query, limit, scope)
 
 
 # -- segment-backed layouts ---------------------------------------------------

@@ -11,8 +11,11 @@ off the hit, and trims last.  The suite holds the two equal — activity
 ids and order, bit-identical activity scores, hit ids, hit scores,
 stored documents and snippets — for scoped and unscoped searches,
 every ``activity_limit`` / ``per_activity_limit`` shape, every segment
-layout the store can be in, a cold-loaded index, and 1, 2 and 4
-shards (2 also cold-loaded); over a corpus that plants documents without an activity,
+layout the store can be in, a cold-loaded index, and 1, 2, 3 and 4
+shards (2 also cold-loaded); and for generated scopes — empty, one
+deal, all deals, unknown deal ids, a deal whose documents are all
+removed — ``search`` and ``count`` as well, against the scope applied
+as a predicate after scoring.  The corpus plants documents without an activity,
 identical documents in several activities (ties on the normalized
 score and on the activity average) and, on hand-made pairs, distinct
 scores that normalize to one float.
@@ -33,7 +36,11 @@ from repro.search import (
 )
 from repro.search.engine import Ranking
 from tests.reference.search import exhaustive_hits
-from tests.reference.siapi import group_hits, grouped_by_materialising
+from tests.reference.siapi import (
+    group_hits,
+    grouped_by_materialising,
+    scope_predicate,
+)
 from tests.search.test_execution_equivalence import (
     COMMON,
     MID,
@@ -43,24 +50,38 @@ from tests.search.test_execution_equivalence import (
     make_segmented_engine,
     make_sharded_engine,
     query_trees,
+    ref_scope,
 )
 
 DEALS = [f"deal{i}" for i in range(8)]
 TWINS = ("deal1", "deal5", "deal6")
+#: A deal every shape removes whole: flushed into a segment and
+#: tombstoned there, where the layout has segments.
+GONE = "deal-gone"
+GONE_DOCS = ("gone0", "gone1", "gone2")
 
 
 def grouped_corpus():
     """The ranking suite's corpus, plus what grouping has to get right."""
-    corpus = make_corpus(seed=2008)
+    # First, so a segmented layout flushes them before they go.
+    corpus = [
+        IndexableDocument(
+            doc_id,
+            {"title": "finance audit", "body": "services network storage"},
+            {"deal_id": GONE, "ref": doc_id},
+        )
+        for doc_id in GONE_DOCS
+    ]
+    corpus.extend(make_corpus(seed=2008))
     # No activity at all, an explicit None, and one the metadata index
     # cannot hold: the first two are dropped, none may break a search
     # that does not reach them.
     corpus.append(IndexableDocument(
         "orphan0", {"title": "audit escrow", "body": "finance network audit"},
-        {"doc_type": "memo"}))
+        {"doc_type": "memo", "ref": "orphan0"}))
     corpus.append(IndexableDocument(
         "orphan1", {"title": "finance", "body": "storage management audit"},
-        {"deal_id": None}))
+        {"deal_id": None, "ref": "orphan1"}))
     # Word-for-word the same document in three activities: equal
     # scores, so equal normalized scores (ties by doc id) and, for the
     # two activities holding nothing else that matches "quarantine
@@ -71,7 +92,7 @@ def grouped_corpus():
                 f"twin{position}{copy}",
                 {"title": "quarantine turbine",
                  "body": "quarantine turbine mainframe benchmark latency"},
-                {"deal_id": deal_id}))
+                {"deal_id": deal_id, "ref": f"twin{position}{copy}"}))
     return corpus
 
 
@@ -91,6 +112,7 @@ def engines(tmp_path_factory):
         "compacted": make_segmented_engine(corpus, "compacted", REMOVED),
         "shards1": make_sharded_engine(corpus, 1),
         "shards2": make_sharded_engine(corpus, 2),
+        "shards3": make_sharded_engine(corpus, 3),
         "shards4": make_sharded_engine(corpus, 4),
         "shards2-loaded": make_sharded_engine(
             corpus, 2, tmp_path_factory.mktemp("grouped-shards2-loaded")
@@ -107,11 +129,17 @@ def engines(tmp_path_factory):
     # from the cached pairs and the hits built the first time.
     shapes["memory-cached"] = make_engine(corpus, cache_size=64)
     shapes["shards2-cached"] = make_sharded_engine(corpus, 2, cache_size=64)
+    for engine in shapes.values():
+        for doc_id in GONE_DOCS:
+            engine.remove(doc_id)
+    assert any(
+        segment.tombstones for segment in shapes["tiered"].index.segments
+    )
     return shapes
 
 
 SHAPES = ["memory", "memtable", "flushed", "tiered", "tombstoned",
-          "compacted", "cold", "shards1", "shards2", "shards4",
+          "compacted", "cold", "shards1", "shards2", "shards3", "shards4",
           "shards2-loaded", "memory-cached", "shards2-cached"]
 
 
@@ -190,9 +218,9 @@ def test_generated_grouped_searches_match_oracle(
         st.none(),
         st.frozensets(
             st.sampled_from([f"doc{i:03d}" for i in range(80)]
-                            + ["orphan0", "twin10", "twin21"]),
+                            + ["orphan0", "twin10", "twin21", "gone1"]),
             max_size=40,
-        ),
+        ).map(ref_scope),
     ),
 )
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -286,3 +314,43 @@ def test_distinct_scores_that_normalize_to_one_float():
     groups = service._group(Ranking(engine, query, pairs, None), None, None)
     deal4 = next(g for g in groups if g.activity_id == "deal4")
     assert [h.doc_id for h in deal4.hits] == ["doc012", "doc060", "doc020"]
+
+
+generated_scopes = st.one_of(
+    st.just(set()),
+    st.sampled_from(DEALS).map(lambda deal: {deal}),
+    st.just(set(DEALS)),
+    st.sets(st.sampled_from(["no-such-deal", "deal99", ""]), min_size=1),
+    st.just({GONE}),
+    st.sets(st.sampled_from(DEALS + ["no-such-deal", GONE])),
+)
+
+
+@given(
+    shape=st.sampled_from(SHAPES),
+    query=siapi_queries,
+    scope=generated_scopes,
+    limit=st.sampled_from([None, 1, 3, 10]),
+    per_activity_limit=st.sampled_from([None, 1, 5]),
+    activity_limit=st.sampled_from([None, None, 1, 3]),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_generated_scopes_match_oracle(
+    engines, shape, query, scope, limit, per_activity_limit, activity_limit
+):
+    """A deal scope checked on the postings answers as the scope applied
+    as a predicate over stored documents after scoring, for
+    ``search_grouped``, ``search`` and ``count``."""
+    engine = engines[shape]
+    assert_grouped_equivalent(
+        engine, query, scope, per_activity_limit, activity_limit
+    )
+    service = SiapiService(engine)
+    predicate = scope_predicate(scope)
+    expected = exhaustive_hits(engine, query.to_query(), limit, predicate)
+    found = service.search(query, scope, limit)
+    assert [flat_hit(h) for h in found] == [flat_hit(h) for h in expected]
+    everything = exhaustive_hits(engine, query.to_query(), None, predicate)
+    assert service.count(query, scope) == len(everything)
+    if scope & {GONE}:
+        assert not {hit.doc_id for hit in found} & set(GONE_DOCS)

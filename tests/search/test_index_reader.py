@@ -209,17 +209,21 @@ def test_fixed_script_conforms(name):
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_metadata_value_of_a_removed_document_raises(name):
     """"f" and "h" stay removed: dropped from a dict, tombstoned in a
-    segment, or merged away — never answered for, on any layout."""
+    segment, or merged away — in no column, and their documents not
+    answered for, on any layout."""
     with READERS[name](FIXED_SCRIPT) as reader:
+        deals = reader.metadata_column("deal_id").values
         for doc_id in ("f", "h", "never-added"):
+            assert doc_id not in deals
             with pytest.raises(SearchError):
-                reader.metadata_value(doc_id, "deal_id")
+                reader.document(doc_id)
         # "a" was removed and re-added under another deal.
-        assert reader.metadata_value("a", "deal_id") == "d3"
-        # A list is in no metadata index; the stored document has it.
-        assert reader.metadata_value("b", "tags") == ["x", "y"]
-        assert reader.metadata_value("b", "rank") == 2
-        assert reader.metadata_value("d", "rank") is None
+        assert deals["a"] == "d3"
+        # A list is in no column; the stored document has it.
+        assert "b" not in reader.metadata_column("tags").values
+        assert reader.document("b").metadata["tags"] == ["x", "y"]
+        assert reader.metadata_column("rank").values["b"] == 2
+        assert "d" not in reader.metadata_column("rank").values
 
 
 @pytest.mark.parametrize(
@@ -228,16 +232,35 @@ def test_metadata_value_of_a_removed_document_raises(name):
 def test_metadata_value_the_index_never_holds(name):
     """Readers that keep the document object itself also keep values no
     segment could encode: a set (unhashable), a frozenset (hashable,
-    not JSON).  ``docs_with_metadata`` cannot find the first;
-    ``metadata_value`` reads both back."""
+    not JSON).  Neither ``docs_with_metadata`` nor the column holds the
+    first; the column holds the second; the document has both."""
     ops = [
         _doc("s", {"body": "wan"}, deal_id={"x", "y"}),
         _doc("t", {"body": "lan"}, deal_id=frozenset({"x"})),
     ]
     with READERS[name](ops) as reader:
-        assert reader.metadata_value("s", "deal_id") == {"x", "y"}
-        assert reader.metadata_value("t", "deal_id") == frozenset({"x"})
+        column = reader.metadata_column("deal_id")
+        assert column.values == {"t": frozenset({"x"})}
+        assert column.count([{"x", "y"}, frozenset({"x"})]) == 1
+        assert reader.document("s").metadata["deal_id"] == {"x", "y"}
         assert reader.docs_with_metadata("deal_id", [{"x", "y"}]) == set()
+
+
+@pytest.mark.parametrize("name", sorted(set(READERS) - {"segment"}))
+def test_columns_made_before_the_writes_stay_current(name):
+    """A column is made once and then kept by the reader's own writes —
+    adds, removals, flushes, merges, tombstones — never rebuilt."""
+    keys = ("deal_id", "rank", "tags", "ghost_key")
+    head, tail = FIXED_SCRIPT[:2], FIXED_SCRIPT[2:]
+    with READERS[name](head) as reader:
+        columns = [reader.metadata_column(key) for key in keys]
+        _replay(tail, reader.add, reader.remove)
+        assert [reader.metadata_column(key) for key in keys] == columns
+        assert all(
+            reader.metadata_column(key) is column
+            for key, column in zip(keys, columns)
+        )
+        assert_conforms(reader, _model(FIXED_SCRIPT))
 
 
 def test_loaded_store_keeps_conforming_as_it_is_written_to():

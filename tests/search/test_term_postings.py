@@ -1,10 +1,12 @@
 """``TermPostings.position`` and the engine's tiny-filter probe.
 
-When an id-set filter is much smaller than a term's posting list, the
-engine looks the filter ids up in the compiled posting array instead of
-scanning it.  The lookup goes through the array's own doc id -> entry
-map, never through ``term_frequency``: on a segment that walks the
-term's varint postings from the start, once per probed id.
+When a scope admits far fewer documents than a term's posting list
+holds, the engine resolves the scope to its ids and looks them up in the
+compiled posting array instead of scanning it.  The lookup goes through
+the array's own doc id -> entry map, never through ``term_frequency``:
+on a segment that walks the term's varint postings from the start, once
+per probed id.  A scope of many documents is never resolved to ids: it
+is checked on the postings, against the metadata column.
 """
 
 import pytest
@@ -16,7 +18,11 @@ from repro.serving.sharding import ShardedIndex
 from repro.storage import SegmentBackedIndex
 from repro.storage.segment import Segment
 from tests.reference.search import exhaustive_ranking
-from tests.search.test_execution_equivalence import make_corpus, ranking
+from tests.search.test_execution_equivalence import (
+    make_corpus,
+    ranking,
+    ref_scope,
+)
 
 
 def _postings(entries):
@@ -68,7 +74,7 @@ def test_tiny_filter_probes_the_array(layout, monkeypatch):
     # "services" is in most documents: two ids are far below 1/8 of it.
     term = engine.analyzer.analyze("services")[0].term
     assert engine.index.df(term, "body") > 16
-    scope = frozenset(doc.doc_id for doc in corpus[:2]) | {"no-such-doc"}
+    scope = ref_scope([doc.doc_id for doc in corpus[:2]] + ["no-such-doc"])
     reference = exhaustive_ranking(engine, "services", None, scope)
     assert reference  # the filter ids do carry the term
     monkeypatch.setattr(Segment, "term_frequency", _no_term_frequency)
@@ -80,17 +86,38 @@ def test_tiny_filter_probes_the_array(layout, monkeypatch):
     )
 
 
+def _refuse_to_resolve(self, key, values):
+    raise AssertionError("a scope of many documents was resolved to ids")
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_a_large_scope_is_checked_on_the_postings(layout, monkeypatch):
+    corpus = make_corpus(seed=2008)
+    engine = SearchEngine(index=LAYOUTS[layout](), cache_size=0)
+    for document in corpus:
+        engine.add(document)
+    scope = ("deal_id", frozenset({"deal1", "deal2", "deal3"}))
+    reference = exhaustive_ranking(engine, "services", None, scope)
+    assert reference
+    for reader in (InvertedIndex, Segment, SegmentBackedIndex, ShardedIndex):
+        monkeypatch.setattr(reader, "docs_with_metadata", _refuse_to_resolve)
+    assert ranking(engine, "services", None, scope) == reference
+    assert engine.count("services", scope) == len(reference)
+
+
 def test_a_removal_drops_the_map_with_the_array():
     engine = SearchEngine(cache_size=0)
     for i in range(40):
         engine.add(
-            IndexableDocument(f"d{i}", {"body": "services " * (i % 3 + 1)})
+            IndexableDocument(f"d{i}", {"body": "services " * (i % 3 + 1)},
+                              {"ref": f"d{i}"})
         )
-    scope = frozenset({"d1", "d2"})
+    scope = ref_scope({"d1", "d2"})
     before = ranking(engine, "services", None, scope)
     engine.remove("d1")
     engine.add(IndexableDocument("d1", {"body": "services services "
-                                        "services services"}))
+                                        "services services"},
+                                 {"ref": "d1"}))
     after = ranking(engine, "services", None, scope)
     assert after == exhaustive_ranking(engine, "services", None, scope)
     assert after != before

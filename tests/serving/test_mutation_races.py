@@ -8,8 +8,9 @@ index observed mid-write.  Since the engine ranks before it builds
 hits, the promise has a second half: an answer's documents are built
 under the same hold they were ranked under, so none of them can have
 been removed in between (``TestGroupedAnswersAreWhole``).  And a third:
-resolving an activity scope to document ids is itself a read under the
-engine lock, on every index layout (``TestScopeIsLocked``).
+a scoped read is a read under the engine lock, on every index layout —
+the scope is checked against the index's metadata column, which a flush
+or a merge must never show half-moved (``TestScopeIsLocked``).
 
 The proof technique: replay the mutation script serially first,
 recording the ranking at every quiesced state; then race concurrent
@@ -464,7 +465,7 @@ class TestGroupedAnswersAreWhole:
         eil.add_workbook(workbook)
         tower = eil.organized.scopes_of(deal.deal_id)[0]["canonical"]
         known_docs = {
-            doc_id: eil.engine.index.metadata_value(doc_id, "deal_id")
+            doc_id: eil.engine.index.document(doc_id).metadata["deal_id"]
             for doc_id in eil.engine.index.doc_ids
         }
         churned_docs = {
@@ -564,13 +565,13 @@ class TestGroupedAnswersAreWhole:
 
 
 class TestScopeIsLocked:
-    """``SiapiService._scope_filter`` goes through the engine's locked
-    ``docs_with_metadata``, whatever the index is.
+    """A scoped ``count`` and ``search_grouped`` read under the engine
+    lock, whatever the index is.
 
     A segment store swaps ``segments`` and ``memtable`` in several
-    statements when it flushes or merges; a scope resolved off the bare
-    index beside a writer can land between them and miss documents of
-    deals nobody is touching.
+    statements when it flushes or merges; a scoped read beside a writer
+    that landed between them could miss documents of deals nobody is
+    touching.
     """
 
     LAYOUTS = {
@@ -580,6 +581,8 @@ class TestScopeIsLocked:
         ),
         "sharded": lambda: SearchEngine(index=ShardedIndex(3)),
     }
+    #: Every document holds some of these words, so this matches all.
+    EVERYTHING = SiapiQuery(any_words=" ".join(WORDS))
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_scope_queues_behind_a_writer(self, layout):
@@ -588,44 +591,127 @@ class TestScopeIsLocked:
         for document in docs:
             engine.add(document)
         service = SiapiService(engine)
-        resolved = []
-        thread = threading.Thread(
-            target=lambda: resolved.append(service._scope_filter({"d1"}))
+        answers = []
+
+        def read():
+            groups = service.search_grouped(self.EVERYTHING, {"d1"})
+            answers.append((
+                [group.activity_id for group in groups],
+                {hit.doc_id for group in groups for hit in group.hits},
+                service.count(self.EVERYTHING, {"d1"}),
+            ))
+
+        late = IndexableDocument(
+            "late", {"title": "storage", "body": "network services"},
+            {"deal_id": "d1"},
         )
+        thread = threading.Thread(target=read)
         with engine._rw.write():
             thread.start()
             thread.join(0.2)
-            assert thread.is_alive() and not resolved
+            assert thread.is_alive() and not answers
+            # The writer's whole mutation lands before the read runs.
+            engine.index.add(late)
+            engine.epoch += 1
         thread.join(5)
         assert not thread.is_alive()
-        assert resolved == [frozenset(
-            doc.doc_id for doc in docs if doc.metadata["deal_id"] == "d1"
-        )]
+        expected = {
+            doc.doc_id for doc in docs + [late]
+            if doc.metadata["deal_id"] == "d1"
+        }
+        assert answers == [(["d1"], expected, len(expected))]
 
     def test_scope_never_shrinks_beside_an_adder(self, tmp_path):
-        """Nothing is ever removed, so the documents a scope resolves to
-        can only grow.  The store spills to a directory: the file writes
-        inside a flush or merge release the interpreter lock, which is
-        when a reader gets to look."""
-        index = SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
-        engine = SearchEngine(index=index, cache_size=0)
-        docs = _make_docs(n=830, deals=3)
-        for document in docs[:30]:
-            engine.add(document)
-        index.save(str(tmp_path))
-        service = SiapiService(engine)
+        """Nothing is ever removed, so what a scoped read finds can only
+        grow, on each layout.  The segment stores spill to a directory:
+        the file writes inside a flush or merge release the interpreter
+        lock, which is when a reader gets to look."""
         scope = {"d0", "d1", "d2"}
+        stores = [
+            SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
+            for _ in range(4)
+        ]
+        sharded = ShardedIndex(3)
+        sharded.parts = stores[1:]
+        layouts = [
+            (SearchEngine(cache_size=0), 300),
+            (SearchEngine(index=stores[0], cache_size=0), 830),
+            (SearchEngine(index=sharded, cache_size=0), 830),
+        ]
+        for engine, n in layouts:
+            docs = _make_docs(n=n, deals=3)
+            for document in docs[:30]:
+                engine.add(document)
+            for position, store in enumerate(stores):
+                if store.directory is None and len(store):
+                    store.save(str(tmp_path / f"store-{position}"))
+            service = SiapiService(engine)
+            self._race(engine, service, docs, scope)
+            assert service.count(self.EVERYTHING, scope) == len(docs)
+            groups = service.search_grouped(self.EVERYTHING, scope)
+            assert sorted(group.activity_id for group in groups) == sorted(
+                scope
+            )
+            assert sum(len(group.hits) for group in groups) == len(docs)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_first_scoped_reads_side_by_side_see_whole_columns(
+        self, layout
+    ):
+        """Readers share the read lock, so several can make a column on
+        its first ask at once: none may read one still being filled."""
+        scope = {"d0", "d1", "d2"}
+        for attempt in range(3):
+            engine = self.LAYOUTS[layout]()
+            docs = _make_docs(n=3000, deals=4)
+            for document in docs:
+                engine.add(document)
+            service = SiapiService(engine)
+            expected = sum(doc.metadata["deal_id"] in scope for doc in docs)
+            barrier = threading.Barrier(6)
+            counts, failures = [], []
+
+            def reader():
+                try:
+                    barrier.wait(timeout=30)
+                    counts.append(service.count(self.EVERYTHING, scope))
+                except BaseException as exc:  # pragma: no cover
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures[0]
+            assert counts == [expected] * 6, (attempt, counts)
+
+    def _race(self, engine, service, docs, scope):
         stop = threading.Event()
         failures = []
         reads = [0, 0]
 
         def reader(slot):
-            matched = 0
+            matched, shown = 0, set()
             try:
                 while not stop.is_set():
-                    now = len(service._scope_filter(scope))
+                    now = service.count(self.EVERYTHING, scope)
                     assert now >= matched, f"scope shrank {matched} -> {now}"
                     matched = now
+                    activities = {
+                        group.activity_id
+                        for group in service.search_grouped(
+                            self.EVERYTHING, scope, per_activity_limit=1
+                        )
+                    }
+                    assert shown <= activities <= scope, (shown, activities)
+                    shown = activities
                     reads[slot] += 1
             except BaseException as exc:  # pragma: no cover - fail loud
                 failures.append(exc)
@@ -660,7 +746,6 @@ class TestScopeIsLocked:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures[0]
         assert all(reads), reads  # the race actually exercised readers
-        assert len(service._scope_filter(scope)) == len(docs)
 
 
 def _contact(contact_id, name, email, role):

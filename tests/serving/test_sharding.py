@@ -71,15 +71,15 @@ def _pairs(hits):
     return [(hit.doc_id, hit.score) for hit in hits]
 
 
-def _assert_equivalent(reference, sharded, limit=None, doc_filter=None):
+def _assert_equivalent(reference, sharded, limit=None, scope=None):
     for query in QUERIES:
         assert _pairs(
-            sharded.search(query, limit, doc_filter)
+            sharded.search(query, limit, scope)
         ) == _pairs(
-            reference.search(query, limit, doc_filter)
+            reference.search(query, limit, scope)
         ), query
-        assert sharded.count(query, doc_filter) == reference.count(
-            query, doc_filter
+        assert sharded.count(query, scope) == reference.count(
+            query, scope
         ), query
 
 
@@ -116,8 +116,10 @@ class TestEngineEquivalence:
         for document in docs:
             reference.add(document)
             sharded.add(document)
-        keep = {doc.doc_id for doc in docs[::2]}
-        _assert_equivalent(reference, sharded, doc_filter=keep)
+        for deals in ({"d0", "d2"}, {"d1"}, {"ghost"}, set()):
+            scope = ("deal_id", frozenset(deals))
+            _assert_equivalent(reference, sharded, scope=scope)
+            _assert_equivalent(reference, sharded, limit=3, scope=scope)
 
     def test_equivalence_survives_removals(self):
         docs = _make_docs()
@@ -138,7 +140,7 @@ class TestEngineEquivalence:
         owners = {}
         for position, part in enumerate(sharded.index.parts):
             for doc_id in part.doc_ids:
-                deal = part.metadata_value(doc_id, "deal_id")
+                deal = part.metadata_column("deal_id").values[doc_id]
                 assert owners.setdefault(deal, position) == position
         assert len(set(owners.values())) > 1  # the corpus did spread
 

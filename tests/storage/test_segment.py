@@ -110,6 +110,33 @@ def test_metadata_lookup(index, segment):
     assert segment.docs_with_metadata("rank", [1]) == (
         index.docs_with_metadata("rank", [1])
     )
+    for key in ("deal_id", "rank", "nope"):
+        column = segment.metadata_column(key)
+        assert column.values == index.metadata_column(key).values
+        assert column.sizes == index.metadata_column(key).sizes
+
+
+def test_a_tuple_value_stays_in_its_scope_once_saved(tmp_path):
+    """JSON gives a tuple back as a list; the column gives it back as
+    the tuple the document was indexed under, so a scope holding it
+    finds the document in memory and after a save and load alike."""
+    from repro.search import SearchEngine
+
+    engine = SearchEngine(cache_size=0)
+    engine.add(IndexableDocument(
+        "t", {"body": "storage"}, {"deal_id": ("d1", ("x", 2))}))
+    engine.add(IndexableDocument("u", {"body": "storage"},
+                                 {"deal_id": "d2"}))
+    scope = ("deal_id", frozenset({("d1", ("x", 2))}))
+    assert [hit.doc_id for hit in engine.search("storage", None, scope)
+            ] == ["t"]
+    engine.save_index(str(tmp_path))
+    loaded = SearchEngine(cache_size=0)
+    store = loaded.load_index(str(tmp_path))
+    assert store.segments[0].metadata_column("deal_id").values == {
+        "t": ("d1", ("x", 2)), "u": "d2"}
+    assert [hit.doc_id for hit in loaded.search("storage", None, scope)
+            ] == ["t"]
 
 
 def test_tombstone_adjusts_live_statistics(index):
@@ -118,7 +145,10 @@ def test_tombstone_adjusts_live_statistics(index):
     body_len = segment.field_length("body", victim)
     live_docs = segment.field_document_count("body")
     live_tokens = segment.field_token_total("body")
+    deals = segment.metadata_column("deal_id")
+    assert victim in deals.values
     assert segment.tombstone(victim)
+    assert victim not in deals.values
     assert not segment.tombstone(victim)  # second call is a no-op
     with pytest.raises(SearchError):
         segment.document(victim)

@@ -380,6 +380,64 @@ def test_there_is_one_search_engine_and_nobody_else_takes_its_lock():
     assert not borrowed, borrowed
 
 
+def _calls_by_function(attribute):
+    """``module.Class.function`` of every call of ``.attribute(...)``
+    under ``src/repro``."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                inner = f"{scope}.{child.name}"
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attribute
+            ):
+                callers.add(inner)
+            visit(child, inner)
+
+    for name, module in MODULES.items():
+        visit(module.tree, name)
+    return callers
+
+
+def test_a_scope_becomes_document_ids_only_where_ids_are_needed():
+    # An activity scope is checked on the postings against the metadata
+    # column.  Resolving it to document ids is for offboarding a deal
+    # and for probing a long posting list with a scope of few
+    # documents; everything else is a reader forwarding the call.
+    forwarding = {
+        "repro.search.engine.SearchEngine.docs_with_metadata",
+        "repro.search.index_reader.CompositeIndexReader.docs_with_metadata",
+    }
+    callers = _calls_by_function("docs_with_metadata") - forwarding
+    assert callers == {
+        "repro.core.eil.EILSystem.remove_deal",
+        "repro.search.engine._Execution._resolved_scope",
+    }, callers
+
+
+def test_the_engine_filters_on_a_scope_never_on_document_ids():
+    from repro.errors import SearchError
+    from repro.search import IndexableDocument, SearchEngine
+
+    engine = SearchEngine()
+    engine.add(IndexableDocument("a", {"body": "services"}, {"deal_id": "d"}))
+    for ids in ({"a"}, frozenset({"a"}), {"a": 1}.keys()):
+        for run in (
+            lambda: engine.search("services", None, ids),
+            lambda: engine.select("services", len, None, ids),
+            lambda: engine.count("services", ids),
+        ):
+            with pytest.raises(SearchError):
+                run()
+    assert engine.count("services", ("deal_id", {"d"})) == 1
+
+
 def test_the_front_door_has_no_worker_pool():
     # EILServer runs each request on its caller's thread behind two
     # semaphores: a thread pool would add a hand-off per request and,
