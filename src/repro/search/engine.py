@@ -21,9 +21,7 @@ queries run through one small planner/executor.
 * **Scope pushdown** — the activity scope is checked on the posting
   arrays traversal already walks, against the index's metadata column
   (doc id -> value); out-of-scope documents are never scored, and the
-  scope never becomes a set of document ids.  Only a scope of few
-  documents against a long posting list is resolved to its ids, to
-  probe the array for them.
+  scope never becomes a set of document ids.
 * **Top-k + MaxScore** — with a ``limit``, OR/hybrid queries select
   hits with a bounded heap instead of a full sort, and whole OR
   clauses are skipped once their score upper bound drops below the
@@ -105,8 +103,8 @@ Scope = Tuple[str, FrozenSet[Any]]
 #: Phrase matches are stronger evidence than the bag of words.
 _PHRASE_BOOST = 1.25
 
-# When the documents allowed are much fewer than a posting list holds,
-# look them up in the posting array instead of scanning all of it.
+# When a restrict set is much smaller than a posting list, look its
+# documents up in the posting array instead of scanning all of it.
 _PROBE_RATIO = 8
 
 _ABSENT = object()
@@ -221,8 +219,8 @@ class _Execution:
     """One query evaluation: the scope and scratch state.
 
     The executor keeps per-search state (memoized query-term analysis,
-    the scope's resolved ids, the candidate count for metrics) out of
-    the engine so concurrent searches never share mutables.
+    the scope's column, the candidate count for metrics) out of the
+    engine so concurrent searches never share mutables.
 
     A ``restrict`` set handed down the evaluation (the running AND
     intersection, a phrase's documents) is always inside the scope —
@@ -240,8 +238,6 @@ class _Execution:
             self.index.metadata_column(scope[0]) if scope is not None
             else None
         )
-        self._scope_size: Optional[int] = None
-        self._scope_ids: Optional[Set[str]] = None
         self._terms_cache: Dict[str, List[str]] = {}
         self.n_candidates = 0
 
@@ -354,22 +350,19 @@ class _Execution:
         tfs: Sequence[int] = compiled.tfs
         lengths: Sequence[int] = compiled.lengths
         if restrict is None and self.scope is not None:
-            if self._scope_count() * _PROBE_RATIO < df:
-                restrict = self._resolved_scope()
-            else:
-                # Keep the postings whose document's value is in scope.
-                value_of = self.column.values.get
-                values = self.scope[1]
-                keep = [
-                    i
-                    for i, doc_id in enumerate(doc_ids)
-                    if value_of(doc_id, _ABSENT) in values
-                ]
-                if len(keep) < df:  # else every posting is in scope
-                    doc_ids = [doc_ids[i] for i in keep]
-                    tfs = [tfs[i] for i in keep]
-                    lengths = [lengths[i] for i in keep]
-        if restrict is not None:
+            # Keep the postings whose document's value is in scope.
+            value_of = self.column.values.get
+            values = self.scope[1]
+            keep = [
+                i
+                for i, doc_id in enumerate(doc_ids)
+                if value_of(doc_id, _ABSENT) in values
+            ]
+            if len(keep) < df:  # else every posting is in scope
+                doc_ids = [doc_ids[i] for i in keep]
+                tfs = [tfs[i] for i in keep]
+                lengths = [lengths[i] for i in keep]
+        elif restrict is not None:
             if not restrict:
                 return
             if len(restrict) * _PROBE_RATIO < df:
@@ -666,20 +659,6 @@ class _Execution:
         return {
             doc_id for doc_id in docs if value_of(doc_id, _ABSENT) in values
         }
-
-    def _scope_count(self) -> int:
-        """How many live documents the scope admits (once per query)."""
-        if self._scope_size is None:
-            self._scope_size = self.column.count(self.scope[1])
-        return self._scope_size
-
-    def _resolved_scope(self) -> Set[str]:
-        """The scope's document ids, for a probe of a long posting
-        list: resolved once per query, and only when
-        :meth:`_scope_count` says the scope is that small."""
-        if self._scope_ids is None:
-            self._scope_ids = self.index.docs_with_metadata(*self.scope)
-        return self._scope_ids
 
 
 class SearchEngine:

@@ -112,21 +112,13 @@ class MetadataColumn:
         key: The metadata key.
         values: doc id -> value.  Read-only to everyone but the reader
             that maintains it.
-        sizes: value -> number of live documents holding it, so the
-            document count of a scope costs one lookup per value.
     """
 
-    __slots__ = ("key", "values", "sizes")
+    __slots__ = ("key", "values")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.values: Dict[str, Any] = {}
-        self.sizes: Dict[Any, int] = {}
-
-    def add(self, doc_id: str, value: Any) -> None:
-        """Record ``doc_id``'s ``value`` (hashable; the id not yet held)."""
-        self.values[doc_id] = value
-        self.sizes[value] = self.sizes.get(value, 0) + 1
 
     def add_document(self, document: IndexableDocument) -> None:
         """Record ``document``'s value, if it has a hashable one."""
@@ -137,35 +129,11 @@ class MetadataColumn:
             hash(value)
         except TypeError:
             return  # never indexed, so in no scope
-        self.add(document.doc_id, value)
-
-    def extend(self, other: "MetadataColumn") -> None:
-        """Take in every entry of ``other`` (a composite's next part)."""
-        self.values.update(other.values)
-        for value, size in other.sizes.items():
-            self.sizes[value] = self.sizes.get(value, 0) + size
+        self.values[document.doc_id] = value
 
     def discard(self, doc_id: str) -> None:
         """Forget ``doc_id``, if held."""
-        value = self.values.pop(doc_id, _ABSENT)
-        if value is _ABSENT:
-            return
-        left = self.sizes[value] - 1
-        if left:
-            self.sizes[value] = left
-        else:
-            del self.sizes[value]
-
-    def count(self, values: Iterable[Any]) -> int:
-        """Live documents whose value is one of ``values``; unhashable
-        values match nothing."""
-        total = 0
-        for value in values:
-            try:
-                total += self.sizes.get(value, 0)
-            except TypeError:
-                continue
-        return total
+        self.values.pop(doc_id, None)
 
 
 class IndexReader(ABC):
@@ -277,15 +245,20 @@ class IndexReader(ABC):
         """
 
     @abstractmethod
-    def metadata_column(self, key: str) -> MetadataColumn:
+    def metadata_column(self, key: str, keep: bool = True) -> MetadataColumn:
         """Every live document's value of metadata ``key``: the inverse
         of :meth:`docs_with_metadata`, as one column.
 
-        Built once per key, on the first ask, then kept current by the
-        reader's own writes; never rebuilt per query.  The first ask may
-        come from several readers at once (under the engine's read
-        lock), so a column is published only once it is whole.
-        Read-only: the caller gets the reader's own column.
+        A reader the engine searches (:class:`~repro.search
+        .inverted_index.InvertedIndex`, the composites) builds it once
+        per key, on the first ask, and keeps it current through its own
+        writes; never rebuilt per query.  The first ask may come from
+        several readers at once (under the engine's read lock), so a
+        column is published only once it is whole.  ``keep=False`` asks
+        for a column without publishing one: what a composite builds its
+        union from, so no part holds a second copy.  A segment never
+        keeps one: it is only ever a part.  Read-only: the caller may
+        get the reader's own column.
         """
 
     @abstractmethod
@@ -375,8 +348,9 @@ class CompositeIndexReader(IndexReader):
     fields.
 
     A metadata column is the one thing a composite keeps of its own: the
-    union of its parts' columns, made on the first ask and then kept
-    current by the subclass's ``add`` / ``remove`` (:meth:`_track` /
+    union of its parts' columns (asked with ``keep=False``, so the
+    parts keep none), made on the first ask and then kept current by
+    the subclass's ``add`` / ``remove`` (:meth:`_track` /
     :meth:`_untrack`).  Moving documents between parts (a flush, a
     merge) never changes a document's value, so it never touches them.
     """
@@ -492,14 +466,14 @@ class CompositeIndexReader(IndexReader):
             matches |= part.docs_with_metadata(key, values)
         return matches
 
-    def metadata_column(self, key: str) -> MetadataColumn:
+    def metadata_column(self, key: str, keep: bool = True) -> MetadataColumn:
         column = self._columns.get(key)
         if column is None:
-            # Published whole: readers may build one side by side.
             column = MetadataColumn(key)
             for part in self.parts:
-                column.extend(part.metadata_column(key))
-            self._columns[key] = column
+                column.values.update(part.metadata_column(key, False).values)
+            if keep:  # published whole: readers may build side by side
+                self._columns[key] = column
         return column
 
     def _track(self, document: IndexableDocument) -> None:

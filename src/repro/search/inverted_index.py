@@ -19,10 +19,9 @@ query path never walks dict-of-dict chains per (term, document):
   or invalidates it.
 * a metadata value index (``docs_with_metadata``) mapping each hashable
   ``(key, value)`` metadata pair to its document-id set (what
-  offboarding removes, and what a scope of a few documents is probed
-  with), and its inverse per key (``metadata_column``): each document's
-  value, which the engine checks an activity scope against on the
-  postings it already walks.
+  offboarding removes), and its inverse per key (``metadata_column``):
+  each document's value, which the engine checks an activity scope
+  against on the postings it already walks.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class InvertedIndex(IndexReader):
         self._compiled: Dict[Tuple[str, str], TermPostings] = {}
         # metadata key -> value -> doc ids (hashable values only).
         self._meta_index: Dict[str, Dict[Any, Set[str]]] = {}
-        # metadata key -> its column, made on the first ask, then
+        # metadata key -> its column, made on the first kept ask, then
         # maintained by add and remove.
         self._columns: Dict[str, MetadataColumn] = {}
 
@@ -261,14 +260,14 @@ class InvertedIndex(IndexReader):
                 matches.update(members)
         return matches
 
-    def metadata_column(self, key: str) -> MetadataColumn:
+    def metadata_column(self, key: str, keep: bool = True) -> MetadataColumn:
         column = self._columns.get(key)
         if column is None:
-            # Published whole: readers may build one side by side.
             column = MetadataColumn(key)
             for document in self._documents.values():
                 column.add_document(document)
-            self._columns[key] = column
+            if keep:  # published whole: readers may build side by side
+                self._columns[key] = column
         return column
 
     # -- statistics ------------------------------------------------------------

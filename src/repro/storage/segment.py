@@ -96,7 +96,6 @@ class Segment(IndexReader):
         "_live_field_tokens",
         "_live_field_docs",
         "_meta",
-        "_columns",
         "_terms",
         "tombstones",
         "_live_df",
@@ -124,9 +123,6 @@ class Segment(IndexReader):
         self._live_field_docs: Dict[str, int] = {}
         # key -> value_json -> ascending ordinals.
         self._meta: Dict[str, Dict[str, Tuple[int, ...]]] = {}
-        # key -> its live column: ``_meta`` inverted, one key at a
-        # time, when ``metadata_column`` first asks for it.
-        self._columns: Dict[str, MetadataColumn] = {}
         # field -> term -> (stored_df, stored_max_tf, blob_off, blob_len)
         self._terms: Dict[str, Dict[str, Tuple[int, int, int, int]]] = {}
         self.tombstones: Set[int] = set()
@@ -347,8 +343,6 @@ class Segment(IndexReader):
         if ordinal is None or ordinal in self.tombstones:
             return False
         self.tombstones.add(ordinal)
-        for column in self._columns.values():
-            column.discard(doc_id)
         for field, lengths in self._length_arrays.items():
             length = lengths[ordinal]
             if length >= 0:
@@ -573,20 +567,19 @@ class Segment(IndexReader):
                     matches.add(doc_ids[ordinal])
         return matches
 
-    def metadata_column(self, key: str) -> MetadataColumn:
-        """The live documents' values of ``key``, off the value index."""
-        column = self._columns.get(key)
-        if column is None:
-            # Published whole: readers may build one side by side.
-            column = MetadataColumn(key)
-            tombstones = self.tombstones
-            doc_ids = self._ids
-            for value_json, ordinals in self._meta.get(key, {}).items():
-                value = _indexed_value(json.loads(value_json))
-                for ordinal in ordinals:
-                    if ordinal not in tombstones:
-                        column.add(doc_ids[ordinal], value)
-            self._columns[key] = column
+    def metadata_column(self, key: str, keep: bool = True) -> MetadataColumn:
+        """The live documents' values of ``key``, read off the value
+        index on every call: a segment is only ever a part, and its
+        composite keeps the union."""
+        column = MetadataColumn(key)
+        values = column.values
+        tombstones = self.tombstones
+        doc_ids = self._ids
+        for value_json, ordinals in self._meta.get(key, {}).items():
+            value = _indexed_value(json.loads(value_json))
+            for ordinal in ordinals:
+                if ordinal not in tombstones:
+                    values[doc_ids[ordinal]] = value
         return column
 
 

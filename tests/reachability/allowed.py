@@ -219,11 +219,6 @@ _allow(LATER, "scalar scoring and the SIAPI service's own search: "
            "repro.search.siapi.SiapiService.count",
            "repro.search.siapi.SiapiService.search",
        ])
-_allow(LATER, "the small-scope probe: no entry point forms a scope "
-       "whose documents are under an eighth of a posting list's df "
-       "(a one-deal scope of a large corpus would)", [
-           "repro.search.engine._Execution._resolved_scope",
-       ])
 _allow(LATER, "behaviour no entry point exercises: a later deletion PR "
        "reaches or deletes it", [
            "repro.core.metaqueries.graph_expertise_query",

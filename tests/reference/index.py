@@ -25,6 +25,7 @@ import pytest
 
 from repro.errors import SearchError
 from repro.search import IndexableDocument
+from repro.storage.segment import Segment
 from tests.reference.text import analyze_by_composition
 
 __all__ = ["DictOfDocs", "assert_conforms"]
@@ -293,16 +294,15 @@ def assert_conforms(reader, model: DictOfDocs) -> None:
                 reader.document(doc_id)
 
     for key in metadata_keys:
-        column = reader.metadata_column(key)
         expected = model.metadata_column(key)
-        assert column.key == key
+        unkept = reader.metadata_column(key, False)
+        assert unkept.key == key
+        assert unkept.values == expected, key
+        column = reader.metadata_column(key)
         assert column.values == expected, key
-        sizes: Dict[Any, int] = {}
-        for value in expected.values():
-            sizes[value] = sizes.get(value, 0) + 1
-        assert column.sizes == sizes, key
-        # Asked again: the one column, not a rebuilt one.
-        assert reader.metadata_column(key) is column
+        if not isinstance(reader, Segment):  # only ever a part: kept by none
+            # Asked again: the one column, not a rebuilt one.
+            assert reader.metadata_column(key) is column
 
     for field in fields:
         assert reader.field_document_count(field) == (
@@ -365,8 +365,5 @@ def assert_conforms(reader, model: DictOfDocs) -> None:
             model.docs_with_metadata(key, values)
         ), (key, values)
         assert reader.docs_with_metadata(key, iter(values)) == (
-            model.docs_with_metadata(key, values)
-        ), (key, values)
-        assert reader.metadata_column(key).count(values) == len(
             model.docs_with_metadata(key, values)
         ), (key, values)

@@ -241,7 +241,6 @@ def test_metadata_value_the_index_never_holds(name):
     with READERS[name](ops) as reader:
         column = reader.metadata_column("deal_id")
         assert column.values == {"t": frozenset({"x"})}
-        assert column.count([{"x", "y"}, frozenset({"x"})]) == 1
         assert reader.document("s").metadata["deal_id"] == {"x", "y"}
         assert reader.docs_with_metadata("deal_id", [{"x", "y"}]) == set()
 
@@ -261,6 +260,31 @@ def test_columns_made_before_the_writes_stay_current(name):
             for key, column in zip(keys, columns)
         )
         assert_conforms(reader, _model(FIXED_SCRIPT))
+
+
+def _kept_columns(reader):
+    """Every column a reader below the top of ``reader``'s tree keeps."""
+    kept = []
+    for part in getattr(reader, "parts", ()):
+        kept += list(getattr(part, "_columns", {}).values())
+        kept += _kept_columns(part)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "name", sorted(set(READERS) - {"inverted", "segment"})
+)
+def test_only_the_top_reader_keeps_a_column(name):
+    """A composite builds its union from parts that keep no column of
+    their own, so each document's value is held once however deep the
+    tree (a sharded store: shards, memtables, segments)."""
+    head, tail = FIXED_SCRIPT[:2], FIXED_SCRIPT[2:]
+    with READERS[name](head) as reader:
+        for key in ("deal_id", "rank"):
+            reader.metadata_column(key)
+        _replay(tail, reader.add, reader.remove)
+        assert_conforms(reader, _model(FIXED_SCRIPT))
+        assert _kept_columns(reader) == []
 
 
 def test_loaded_store_keeps_conforming_as_it_is_written_to():

@@ -1,12 +1,12 @@
 """``TermPostings.position`` and the engine's tiny-filter probe.
 
-When a scope admits far fewer documents than a term's posting list
-holds, the engine resolves the scope to its ids and looks them up in the
-compiled posting array instead of scanning it.  The lookup goes through
-the array's own doc id -> entry map, never through ``term_frequency``:
-on a segment that walks the term's varint postings from the start, once
-per probed id.  A scope of many documents is never resolved to ids: it
-is checked on the postings, against the metadata column.
+When the documents a conjunction's running intersection (or a phrase)
+still admits are far fewer than a term's posting list holds, the engine
+looks them up in the compiled posting array instead of scanning it.
+The lookup goes through the array's own doc id -> entry map, never
+through ``term_frequency``: on a segment that walks the term's varint
+postings from the start, once per probed id.  A scope is never resolved
+to ids: it is checked on the postings, against the metadata column.
 """
 
 import pytest
@@ -65,25 +65,52 @@ LAYOUTS = {
 }
 
 
+def _services_corpus():
+    """60 documents with "services" in each and "zebra" in two."""
+    return [
+        IndexableDocument(
+            f"d{i}",
+            {"body": "services " * (i % 3 + 1)
+             + ("zebra" if i in (5, 41) else "")},
+            {"deal_id": f"deal{i % 4}", "ref": f"d{i}"},
+        )
+        for i in range(60)
+    ]
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_tiny_filter_probes_the_array(layout, monkeypatch):
-    corpus = make_corpus(seed=2008)
     engine = SearchEngine(index=LAYOUTS[layout](), cache_size=0)
-    for document in corpus:
+    for document in _services_corpus():
         engine.add(document)
-    # "services" is in most documents: two ids are far below 1/8 of it.
+    # "zebra" goes first and leaves two documents, far below 1/8 of
+    # "services"' posting list, which is then probed for them.
     term = engine.analyzer.analyze("services")[0].term
     assert engine.index.df(term, "body") > 16
-    scope = ref_scope([doc.doc_id for doc in corpus[:2]] + ["no-such-doc"])
-    reference = exhaustive_ranking(engine, "services", None, scope)
-    assert reference  # the filter ids do carry the term
+    scopes = (None, ("deal_id", frozenset({"deal1", "deal2"})),
+              ref_scope({"d5", "no-such-doc"}))
+    references = [
+        exhaustive_ranking(engine, "zebra services", None, scope)
+        for scope in scopes
+    ]
     monkeypatch.setattr(Segment, "term_frequency", _no_term_frequency)
     monkeypatch.setattr(InvertedIndex, "term_frequency", _no_term_frequency)
-    with use_registry() as registry:
-        assert ranking(engine, "services", None, scope) == reference
-    assert registry.counters["engine.postings_touched"].value <= 2 * len(
-        engine.index.fields
-    )
+    probed = []
+    position = TermPostings.position
+
+    def counted(postings, doc_id):
+        probed.append(doc_id)
+        return position(postings, doc_id)
+
+    monkeypatch.setattr(TermPostings, "position", counted)
+    for scope, reference in zip(scopes, references):
+        assert reference  # the admitted documents do carry the term
+        del probed[:]
+        with use_registry() as registry:
+            assert ranking(engine, "zebra services", None, scope) == reference
+        # Two "zebra" postings, then "services" probed for what is left.
+        assert 1 <= len(probed) <= 2
+        assert registry.counters["engine.postings_touched"].value <= 4
 
 
 def _refuse_to_resolve(self, key, values):

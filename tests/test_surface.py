@@ -407,18 +407,14 @@ def _calls_by_function(attribute):
 
 def test_a_scope_becomes_document_ids_only_where_ids_are_needed():
     # An activity scope is checked on the postings against the metadata
-    # column.  Resolving it to document ids is for offboarding a deal
-    # and for probing a long posting list with a scope of few
-    # documents; everything else is a reader forwarding the call.
+    # column.  Resolving it to document ids is for offboarding a deal;
+    # everything else is a reader forwarding the call.
     forwarding = {
         "repro.search.engine.SearchEngine.docs_with_metadata",
         "repro.search.index_reader.CompositeIndexReader.docs_with_metadata",
     }
     callers = _calls_by_function("docs_with_metadata") - forwarding
-    assert callers == {
-        "repro.core.eil.EILSystem.remove_deal",
-        "repro.search.engine._Execution._resolved_scope",
-    }, callers
+    assert callers == {"repro.core.eil.EILSystem.remove_deal"}, callers
 
 
 def test_the_engine_filters_on_a_scope_never_on_document_ids():
