@@ -639,16 +639,14 @@ class EILSystem:
         removal, so stats do not drift under continuous offboarding.
         """
         had_synopsis = self.organized.deal_row(deal_id) is not None
-        removed = 0
         # The metadata value index finds the deal's documents directly —
         # no full doc_ids scan, which matters once the index is
         # segment-backed at 100k+ docs (a scan would page every
-        # docstore record off disk).
-        for doc_id in sorted(
-            self.engine.docs_with_metadata("deal_id", [deal_id])
-        ):
-            self.engine.remove(doc_id)
-            removed += 1
+        # docstore record off disk).  They leave the index together: a
+        # reader sees the whole deal or none of it.
+        doc_ids = sorted(self.engine.docs_with_metadata("deal_id", [deal_id]))
+        self.engine.remove(*doc_ids)
+        removed = len(doc_ids)
         # Children first, then the deal row (FK RESTRICT order).
         for table in ("deal_scopes", "contacts", "win_strategies",
                       "technologies", "client_references"):

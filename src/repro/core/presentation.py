@@ -118,7 +118,7 @@ def render_results(results: EilResults) -> str:
                 "    contacts: " + ", ".join(activity.contacts)
             )
         for hit in activity.documents:
-            title = hit.document.fields.get("title", hit.doc_id)
+            title = hit.fields.get("title", hit.doc_id)
             lines.append(f"    {hit.score / best * 100:6.2f}%  {title}")
             if hit.snippet:
                 lines.append(f"            {hit.snippet}")

@@ -20,6 +20,7 @@ from repro.core.metaqueries import (
 )
 from repro.corpus.generator import Corpus
 from repro.eval.metrics import PrfScores, evaluate_sets, ndcg
+from repro.search.document import SearchHit
 from repro.security.access import User
 
 __all__ = [
@@ -86,11 +87,14 @@ def keyword_matched_deals(
     which engagements they belong to — i.e. a deal is "retrieved" when
     at least one of its documents matches.
     """
-    return {
-        hit.metadata.get("deal_id")
-        for hit in eil.keyword_search(query)
-        if hit.metadata.get("deal_id")
-    }
+    return _hit_deals(eil, eil.keyword_search(query))
+
+
+def _hit_deals(eil: EILSystem, hits: Sequence[SearchHit]) -> Set[str]:
+    """The deals ``hits`` belong to, read off the index's deal column
+    (a hit carries what it shows, not its metadata)."""
+    deal_of = eil.engine.index.metadata_column("deal_id").values.get
+    return {deal_of(hit.doc_id) for hit in hits} - {None, ""}
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +278,7 @@ def run_fig7(
     )
     # Step 2: drop the role; find the deal from the hits.
     step2_hits = eil.keyword_search(f"{quoted_name} {org_token}".strip())
-    discovered = sorted(
-        {
-            hit.metadata.get("deal_id")
-            for hit in step2_hits
-            if hit.metadata.get("deal_id")
-        }
-    )
+    discovered = sorted(_hit_deals(eil, step2_hits))
     # Step 3: search the discovered deal's name with the role.
     step3 = 0
     if discovered:
@@ -349,7 +347,7 @@ def run_mq3(
     hits = eil.keyword_search(f'"{role_surface}"')
     useful = 0
     for hit in hits:
-        body = hit.document.fields.get("body", "")
+        body = hit.fields.get("body", "")
         for line in body.splitlines():
             if role_surface.lower() in line.lower():
                 value = line.partition(":")[2].strip()
@@ -427,11 +425,7 @@ def run_mq4(
         keyword=keyword,
         eil_deals=results.deal_ids,
         eil_scoped=results.scoped,
-        keyword_deals={
-            hit.metadata.get("deal_id")
-            for hit in keyword_hits
-            if hit.metadata.get("deal_id")
-        },
+        keyword_deals=_hit_deals(eil, keyword_hits),
         keyword_docs=len(keyword_hits),
         truth_deals=truth,
     )

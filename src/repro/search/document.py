@@ -3,14 +3,14 @@
 A document is a set of named text fields (``title``, ``body``, ...) plus
 opaque metadata the engine stores but does not interpret — EIL uses the
 metadata to carry the owning business activity (``deal_id``), document
-type and repository, which the scoped SIAPI search and the access-control
-layer read back from hits.
+type and repository, which the scoped SIAPI search reads back from the
+index.  A hit carries the fields it shows, never the metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Mapping
 
 from repro.errors import SearchError
 
@@ -58,16 +58,12 @@ class SearchHit:
     Attributes:
         doc_id: The matching document's id.
         score: Relevance score (higher is better).
-        document: The stored document.
+        fields: The stored document's fields (name -> text), a
+            read-only view; its metadata is read through the index.
         snippet: A short extract around the first match, if computed.
     """
 
     doc_id: str
     score: float
-    document: IndexableDocument
+    fields: Mapping[str, str]
     snippet: str = ""
-
-    @property
-    def metadata(self) -> Dict[str, Any]:
-        """Shortcut to the stored document's metadata."""
-        return dict(self.document.metadata)

@@ -28,8 +28,9 @@ queries run through one small planner/executor.
   running k-th best score.
 * **Rank → choose → build** — evaluation stops at ``(doc_id, score)``
   pairs (:class:`Ranking`); a caller's ``choose`` picks from them and
-  only what it picks is decoded and given a snippet, all under one
-  read-side hold of the engine lock (:meth:`SearchEngine.select`).
+  only what it picks has its stored fields read and a snippet cut, all
+  under one read-side hold of the engine lock
+  (:meth:`SearchEngine.select`).
 
 None of this is selectable: there is one executor.  The original
 interpreter (per-document scoring, clause-order evaluation, post-hoc
@@ -47,6 +48,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Set as AbstractSet
 from contextlib import contextmanager
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -117,9 +119,11 @@ class Ranking:
     What a ``choose`` callback of ``engine.select`` works on — group and
     trim on :attr:`pairs`, read metadata through ``reader
     .metadata_column``, call :meth:`hit` only for the positions the
-    result shows — and what the result cache stores.  A hit is built
-    once per position and then shared (``SearchHit`` is frozen), so a
-    cached ranking never decodes a document or cuts a snippet twice.
+    result shows — and what the result cache stores.  A hit is the
+    document's stored fields (``reader.stored_fields``: no metadata is
+    decoded) and a snippet, built once per position and then shared
+    (``SearchHit`` is frozen and its fields a read-only view), so a
+    cached ranking never reads a record or cuts a snippet twice.
 
     ``limit is None`` means the ranking is complete; otherwise it holds
     the top ``limit`` pairs and can serve any request asking for that
@@ -176,13 +180,14 @@ class Ranking:
                     [surface.lower() for surface in surfaces], terms
                 )
             doc_id, score = self.pairs[position]
-            document = self.reader.document(doc_id)
+            fields = self.reader.stored_fields(doc_id)
             hit = self._hits[position] = SearchHit(
                 doc_id=doc_id,
                 score=score,
-                document=document,
+                fields=MappingProxyType(fields),
                 snippet=_make_snippet(
-                    document.text, *highlight, self._engine.analyzer
+                    "\n".join(fields.values()), *highlight,
+                    self._engine.analyzer,
                 ),
             )
         return hit
@@ -718,10 +723,24 @@ class SearchEngine:
             self.index.add(document)
             self.epoch += 1
 
-    def remove(self, doc_id: str) -> None:
-        """Remove a document from the index."""
+    def remove(self, *doc_ids: str) -> None:
+        """Remove the documents ``doc_ids`` from the index, together.
+
+        One write-side hold and one epoch bump for all of them: a
+        reader sees every one of them or none (offboarding removes a
+        whole deal this way), and no reader runs between two of them.
+        Every id is checked before any is removed, so an id that is not
+        indexed (:class:`SearchError`) leaves the index as it was.
+        """
+        doc_ids = tuple(dict.fromkeys(doc_ids))
+        if not doc_ids:
+            return
         with self._rw.write():
-            self.index.remove(doc_id)
+            missing = [d for d in doc_ids if not self.index.has_document(d)]
+            if missing:
+                raise SearchError(f"documents {missing!r} not indexed")
+            for doc_id in doc_ids:
+                self.index.remove(doc_id)
             self.epoch += 1
 
     # -- persistence ---------------------------------------------------------
@@ -966,6 +985,16 @@ def _make_snippet(
         position = lowered.find(surface)
         if position != -1 and (best is None or position < best):
             best = position
+    if best is not None and len(lowered) != len(text):
+        # Lowering lengthened some character ("İ" lowers to two code
+        # points; none lowers to fewer): anchor on the character of
+        # ``text`` that the match's first lowered code point came from.
+        seen = 0
+        for offset, char in enumerate(text):
+            seen += len(char.lower())
+            if seen > best:
+                best = offset
+                break
     if best is None and highlight_terms:
         for analyzed in analyzer.analyze(text):
             if analyzed.term in highlight_terms:

@@ -173,6 +173,14 @@ class IndexReader(ABC):
         """The stored document; :class:`SearchError` if not indexed."""
 
     @abstractmethod
+    def stored_fields(self, doc_id: str) -> Mapping[str, str]:
+        """The stored document's fields, in its order, without its
+        metadata: what a shown hit reads.  :class:`SearchError` if not
+        indexed.  Read-only: implementations may hand out their own
+        storage.
+        """
+
+    @abstractmethod
     def positions(
         self, term: str, field: str
     ) -> Mapping[str, Sequence[int]]:
@@ -397,6 +405,12 @@ class CompositeIndexReader(IndexReader):
         if owner is None:
             raise SearchError(f"document {doc_id!r} not indexed")
         return owner.document(doc_id)
+
+    def stored_fields(self, doc_id: str) -> Mapping[str, str]:
+        owner = self._owner(doc_id)
+        if owner is None:
+            raise SearchError(f"document {doc_id!r} not indexed")
+        return owner.stored_fields(doc_id)
 
     def positions(
         self, term: str, field: str

@@ -26,7 +26,7 @@ query path never walks dict-of-dict chains per (term, document):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import SearchError
 from repro.obs import CounterHandle, HistogramHandle
@@ -185,6 +185,9 @@ class InvertedIndex(IndexReader):
         if document is None:
             raise SearchError(f"document {doc_id!r} not indexed")
         return document
+
+    def stored_fields(self, doc_id: str) -> Mapping[str, str]:
+        return self.document(doc_id).fields
 
     def has_document(self, doc_id: str) -> bool:
         return doc_id in self._documents

@@ -2,14 +2,14 @@
 
 One segment file holds a self-contained slice of the inverted index —
 documents, per-field lengths, the metadata value index, and positional
-postings — in a compact delta-varint layout:
+postings — in a compact delta-varint layout (format version 2):
 
 ::
 
-    +--------+-----------+----------------------+--------------------+
-    | "RSG1" | head_len  |  head (statistics +  |  docstore (lazily  |
-    | magic  | (varint)  |  postings, in RAM)   |  read from disk)   |
-    +--------+-----------+----------------------+--------------------+
+    +--------+---------+----------+----------------------+-------------+
+    | "RSG1" | version | head_len |  head (statistics +  |  docstore   |
+    | magic  | (2)     | (varint) |  postings, in RAM)   |  (on disk)  |
+    +--------+---------+----------+----------------------+-------------+
 
     head := n_docs, then per doc: doc_id, docstore offset, length
             length fields: name, token_total, n, (ord-gap, len)*
@@ -19,6 +19,9 @@ postings — in a compact delta-varint layout:
     blob := per doc (ascending ordinal):
                 ord-gap, rest_len, rest
     rest := tf, then position deltas (first absolute, then gaps)
+    docstore record := n_fields, (name, text)*, metadata JSON
+            (names and texts length-prefixed UTF-8; the metadata is
+            the record's tail, compact and key-sorted, unprefixed)
 
 Document ids are mapped to dense ordinals (sorted order at encode
 time), so posting entries store tiny ordinal *gaps* instead of repeated
@@ -28,6 +31,12 @@ things: the scoring path decodes ``(ordinal, tf)`` and *skips*
 positions, and the structural merge copies ``rest`` bytes verbatim —
 compaction never re-analyzes text or even decodes a position.
 
+A docstore record puts the fields first so a shown hit, which needs its
+title and text and nothing else, decodes them and stops
+(:meth:`Segment.stored_fields`); only :meth:`Segment.document` reads
+the metadata tail.  Version 1 records led with the metadata; a
+version-1 file is refused, not converted.
+
 A segment is immutable once written; deletes are *tombstones* (a set of
 dead ordinals held by the owning store and applied here), and live
 statistics (df, token totals, field document counts) are maintained
@@ -36,7 +45,7 @@ incrementally so BM25 inputs stay exact without rescanning.
 ``Segment.from_bytes`` decodes a whole buffer and keeps it (the
 memtable-flush path before a save); once the same bytes are on disk,
 ``attach_file`` drops the buffer, keeping only the head in memory, and
-``document()`` reads come straight from the file via ``os.pread`` (safe
+docstore reads come straight from the file via ``os.pread`` (safe
 under concurrent reader threads).  A load reads each file whole to
 check it against the manifest, so it decodes through ``from_bytes``
 too.
@@ -67,7 +76,7 @@ __all__ = ["Segment", "MAGIC", "FORMAT_VERSION", "encode_from_index", "merge_seg
 
 MAGIC = b"RSG1"
 #: Bump on any layout change; readers reject other versions.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class Segment(IndexReader):
@@ -286,24 +295,25 @@ class Segment(IndexReader):
             raise StorageError(f"truncated docstore read in {self.path}")
         return data
 
-    def document(self, doc_id: str) -> IndexableDocument:
-        """Decode a live document from the docstore."""
+    def _record(self, doc_id: str) -> bytes:
         ordinal = self._ord.get(doc_id)
         if ordinal is None or ordinal in self.tombstones:
             raise SearchError(f"document {doc_id!r} not indexed")
-        record = self._read_docstore(
+        return self._read_docstore(
             self._doc_offs[ordinal], self._doc_lens[ordinal]
         )
+
+    def stored_fields(self, doc_id: str) -> Dict[str, str]:
+        """Decode a live document's fields, never its metadata."""
+        return _decode_fields(self._record(doc_id), doc_id)[0]
+
+    def document(self, doc_id: str) -> IndexableDocument:
+        """Decode a live document from the docstore."""
+        record = self._record(doc_id)
+        fields, off = _decode_fields(record, doc_id)
         try:
-            meta_json, off = read_str(record, 0)
-            n_fields, off = read_uint(record, off)
-            fields: Dict[str, str] = {}
-            for _ in range(n_fields):
-                name, off = read_str(record, off)
-                text, off = read_str(record, off)
-                fields[name] = text
-            metadata = json.loads(meta_json)
-        except (StorageError, ValueError, UnicodeDecodeError) as exc:
+            metadata = json.loads(record[off:].decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
             raise StorageError(
                 f"corrupt docstore record for {doc_id!r}: {exc}"
             ) from exc
@@ -611,19 +621,39 @@ def _meta_value_json(value: Any) -> Optional[str]:
         return None
 
 
+def _decode_fields(record: bytes, doc_id: str) -> Tuple[Dict[str, str], int]:
+    """A docstore record's fields and the offset of its metadata tail."""
+    try:
+        n_fields, off = read_uint(record, 0)
+        if not n_fields:
+            raise StorageError("no fields")
+        fields: Dict[str, str] = {}
+        for _ in range(n_fields):
+            name, off = read_str(record, off)
+            text, off = read_str(record, off)
+            fields[name] = text
+    except (StorageError, UnicodeDecodeError) as exc:
+        raise StorageError(
+            f"corrupt docstore record for {doc_id!r}: {exc}"
+        ) from exc
+    return fields, off
+
+
 def _encode_docstore_record(out: bytearray, document: IndexableDocument) -> None:
     try:
-        meta_json = json.dumps(dict(document.metadata), sort_keys=True)
+        meta_json = json.dumps(
+            dict(document.metadata), sort_keys=True, separators=(",", ":")
+        )
     except (TypeError, ValueError) as exc:
         raise StorageError(
             f"document {document.doc_id!r} metadata is not "
             f"JSON-serializable: {exc}"
         ) from exc
-    write_str(out, meta_json)
     write_uint(out, len(document.fields))
     for name, text in document.fields.items():
         write_str(out, name)
         write_str(out, text)
+    out.extend(meta_json.encode("utf-8"))
 
 
 def _finish_segment(

@@ -6,7 +6,7 @@ of immutable :class:`~repro.storage.segment.Segment` files, and reads
 them as one :class:`~repro.search.index_reader.CompositeIndexReader`
 (parts = segments oldest-first, then the memtable); what it adds to the
 composite is caching — merged posting arrays and positions per (field,
-term), an LRU of decoded documents:
+term), an LRU of stored field maps (what a shown hit reads):
 
 * ``add`` writes to the memtable; when it reaches ``memtable_limit``
   documents it *flushes* — the memtable is encoded into one compact
@@ -167,8 +167,9 @@ class SegmentBackedIndex(CompositeIndexReader):
         self._compiled: Dict[Tuple[str, str], TermPostings] = {}
         # Merged positional postings for phrase matching, same policy.
         self._positional: Dict[Tuple[str, str], Dict[str, List[int]]] = {}
-        # Small decoded-document cache in front of the on-disk docstore.
-        self._doc_cache: "OrderedDict[str, IndexableDocument]" = OrderedDict()
+        # Small cache of decoded field maps in front of the on-disk
+        # docstore: what a shown hit reads (metadata is never cached).
+        self._doc_cache: "OrderedDict[str, Dict[str, str]]" = OrderedDict()
         self._checksums: Dict[str, str] = {}
         self._next_segment = 1
 
@@ -489,19 +490,22 @@ class SegmentBackedIndex(CompositeIndexReader):
         """Segments oldest-first, then the memtable (posting order)."""
         return [*self.segments, self.memtable]
 
-    def document(self, doc_id: str) -> IndexableDocument:
-        """Fetch a stored document (memtable, LRU, then the docstores)."""
+    def stored_fields(self, doc_id: str) -> Mapping[str, str]:
+        """A document's fields (memtable, LRU, then the docstores)."""
         if self.memtable.has_document(doc_id):
-            return self.memtable.document(doc_id)
+            return self.memtable.stored_fields(doc_id)
         cached = self._doc_cache.get(doc_id)
         if cached is not None:
-            self._doc_cache.move_to_end(doc_id)
+            try:
+                self._doc_cache.move_to_end(doc_id)
+            except KeyError:
+                pass  # another reader evicted it since the get
             return cached
-        document = super().document(doc_id)
-        self._doc_cache[doc_id] = document
+        fields = super().stored_fields(doc_id)
+        self._doc_cache[doc_id] = fields
         if len(self._doc_cache) > _DOC_CACHE_SIZE:
             self._doc_cache.popitem(last=False)
-        return document
+        return fields
 
     def positions(self, term: str, field: str) -> Dict[str, List[int]]:
         """Merged positional postings, cached per (field, term)."""

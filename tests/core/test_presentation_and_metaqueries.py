@@ -13,7 +13,7 @@ from repro.core import (
     worked_with_query,
 )
 from repro.core.context import ContactView
-from repro.search import IndexableDocument, SearchHit
+from repro.search import SearchHit
 
 
 def make_synopsis():
@@ -100,9 +100,7 @@ class TestRenderResults:
         if with_documents:
             hits = [SearchHit(
                 "doc1", 2.0,
-                IndexableDocument("doc1", {"title": "Delay file",
-                                           "body": "data replication"},
-                                  {"deal_id": "d1"}),
+                {"title": "Delay file", "body": "data replication"},
                 snippet="data replication RTO lower than 48 hours",
             )]
         activity = ActivityResult(

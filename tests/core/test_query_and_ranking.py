@@ -7,7 +7,7 @@ from repro.core import FormQuery, OrganizedInformation, RankCombiner
 from repro.core.query_analyzer import SynopsisMatch, SynopsisSearch
 from repro.corpus import build_default_taxonomy
 from repro.errors import QuerySyntaxError
-from repro.search import IndexableDocument, SearchHit
+from repro.search import SearchHit
 from repro.search.siapi import ActivityHits
 
 
@@ -166,11 +166,8 @@ class TestSynopsisSearch:
         assert any("tower" in r for r in matches["d2"].reasons)
 
 
-def hit(doc_id, deal_id, score=1.0):
-    return SearchHit(
-        doc_id, score,
-        IndexableDocument(doc_id, {"body": "x"}, {"deal_id": deal_id}),
-    )
+def hit(doc_id, score=1.0):
+    return SearchHit(doc_id, score, {"body": "x"})
 
 
 class TestRankCombiner:
@@ -182,8 +179,8 @@ class TestRankCombiner:
         combiner = RankCombiner(synopsis_weight=0.5)
         ranked = combiner.combine(
             {"d1": SynopsisMatch("d1", 1.0), "d2": SynopsisMatch("d2", 0.4)},
-            [ActivityHits("d1", 0.2, [hit("x", "d1")]),
-             ActivityHits("d2", 1.0, [hit("y", "d2")])],
+            [ActivityHits("d1", 0.2, [hit("x")]),
+             ActivityHits("d2", 1.0, [hit("y")])],
         )
         by_id = {r.deal_id: r for r in ranked}
         assert by_id["d1"].score == pytest.approx(0.6)
@@ -200,7 +197,7 @@ class TestRankCombiner:
     def test_siapi_only_activity(self):
         combiner = RankCombiner()
         ranked = combiner.combine(
-            {}, [ActivityHits("d9", 0.9, [hit("x", "d9")])]
+            {}, [ActivityHits("d9", 0.9, [hit("x")])]
         )
         assert ranked[0].deal_id == "d9"
         assert ranked[0].synopsis_score == 0.0
@@ -216,6 +213,6 @@ class TestRankCombiner:
     def test_hits_carried_through(self):
         combiner = RankCombiner()
         ranked = combiner.combine(
-            {}, [ActivityHits("d1", 0.5, [hit("x", "d1"), hit("y", "d1")])]
+            {}, [ActivityHits("d1", 0.5, [hit("x"), hit("y")])]
         )
         assert len(ranked[0].hits) == 2

@@ -296,7 +296,8 @@ class TestKeywordBaseline:
     def test_keyword_search_over_same_index(self, corpus, eil):
         hits = eil.keyword_search('"data replication"')
         assert hits
-        assert all("deal_id" in h.metadata for h in hits)
+        deal_of = eil.engine.index.metadata_column("deal_id").values
+        assert all(h.doc_id in deal_of for h in hits)
 
     def test_keyword_count(self, eil):
         assert eil.keyword_count("services") == len(

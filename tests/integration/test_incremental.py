@@ -70,11 +70,12 @@ class TestRemoveDeal:
     def test_removal_clears_index_and_synopsis(self, world):
         corpus, eil, _, _ = world
         victim = corpus.deals[0].deal_id
+        victim_docs = eil.engine.docs_with_metadata("deal_id", [victim])
         removed = eil.remove_deal(victim)
-        assert removed > 0
+        assert removed == len(victim_docs) > 0
         assert victim not in eil.deal_ids()
         assert all(
-            h.metadata.get("deal_id") != victim
+            h.doc_id not in victim_docs
             for h in eil.keyword_search("services")
         )
 
@@ -181,3 +182,65 @@ class TestIdempotentOnboarding:
                 == new_deal.deal_id)
         ]
         assert len(indexed) == len(workbook)
+
+
+class TestOneHoldOffboarding:
+    """A deal leaves the index in one write-side hold of the engine."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_each_remove_deal_moves_the_epoch_by_one(self, shards):
+        corpus = CorpusGenerator(
+            CorpusConfig(n_deals=4, docs_per_deal=12)
+        ).generate()
+        eil = EILSystem.build(corpus, shards=shards)
+        for deal in corpus.deals:
+            before = eil.engine.epoch
+            assert eil.remove_deal(deal.deal_id) > 0
+            assert eil.engine.epoch == before + 1
+        assert len(eil.engine) == 0
+
+    def test_a_reader_sees_the_whole_deal_or_none_of_it(self, world):
+        import threading
+        import time
+
+        corpus, eil, _, _ = world
+        victim = corpus.deals[0].deal_id
+        engine, index = eil.engine, eil.engine.index
+        whole = len(engine.docs_with_metadata("deal_id", [victim]))
+        assert whole > 1
+        remove_from_index, remove_from_engine = index.remove, engine.remove
+
+        def slow_index_remove(doc_id):
+            # Inside the write hold: the reader waits on the lock.
+            time.sleep(0.002)
+            return remove_from_index(doc_id)
+
+        def slow_engine_remove(*doc_ids):
+            # After the hold: the reader runs before any later removal.
+            remove_from_engine(*doc_ids)
+            time.sleep(0.002)
+
+        index.remove = slow_index_remove
+        engine.remove = slow_engine_remove
+        seen = []
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                seen.append(len(
+                    engine.docs_with_metadata("deal_id", [victim])
+                ))
+                time.sleep(0.0005)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            time.sleep(0.01)
+            eil.remove_deal(victim)
+            time.sleep(0.01)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert set(seen) <= {whole, 0}, sorted(set(seen))
+        assert seen[0] == whole and seen[-1] == 0

@@ -44,8 +44,8 @@ _allow(PROTOCOL, "IndexReader's abstract primitive: every reader "
                "document_frequency", "field_document_count",
                "field_length", "field_token_total", "fields",
                "has_document", "max_tf", "metadata_column", "positions",
-               "term_frequency", "term_postings", "token_total",
-               "total_length", "vocabulary",
+               "stored_fields", "term_frequency", "term_postings",
+               "token_total", "total_length", "vocabulary",
            )
        ])
 _allow(PROTOCOL, "CompositeIndexReader's abstract property: the "

@@ -9,10 +9,12 @@ with any index under ``src/`` and has no state that could go stale.
 ``assert_conforms(reader, model)`` is the one statement of what a
 reader must answer: every protocol member and every derived operation,
 for every field (one unknown, and ``None``), every term (one unknown),
-every document (one unknown), every phrase that occurs plus some that
-do not, and every metadata key with hashable and unhashable probes, and every
-metadata key's column (one key unknown): each live document's value,
-each value's document count, and the count of every probe.
+every document (one unknown; its stored fields in order, as a hit
+reads them, equal to its decoded document's), every phrase that occurs
+plus some that do not, and every metadata key with hashable and
+unhashable probes, and every metadata key's column (one key unknown):
+each live document's value, each value's document count, and the count
+of every probe.
 ``tests/search/test_index_reader.py`` runs it over every kind of
 reader in every layout; the storage and sharding suites hand it their
 own scenarios.
@@ -289,9 +291,15 @@ def assert_conforms(reader, model: DictOfDocs) -> None:
             assert dict(stored.metadata) == dict(
                 model.docs[doc_id].metadata
             )
+            # What a shown hit reads: the same fields, in the same order.
+            assert list(reader.stored_fields(doc_id).items()) == list(
+                stored.fields.items()
+            )
         else:
             with pytest.raises(SearchError):
                 reader.document(doc_id)
+            with pytest.raises(SearchError):
+                reader.stored_fields(doc_id)
 
     for key in metadata_keys:
         expected = model.metadata_column(key)

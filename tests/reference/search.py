@@ -307,13 +307,19 @@ def make_snippet(
 ) -> str:
     """A short window of text around the first query-term occurrence:
     the first verbatim surface, else the first token whose analyzed
-    form is a query term, else the document's head."""
+    form is a query term, else the document's head.  A match is found
+    in the lowered text and the window cut from ``text``, at the
+    character the match's first lowered code point came from (``"İ"``
+    lowers to two)."""
     lowered = text.lower()
+    came_from = [i for i, char in enumerate(text) for _ in char.lower()]
     best = None
     for surface in surfaces:
         position = lowered.find(surface.lower())
         if position != -1 and (best is None or position < best):
             best = position
+    if best is not None:
+        best = came_from[best] if best < len(came_from) else len(text)
     if best is None and highlight_terms:
         for analyzed in analyzer.analyze(text):
             if analyzed.term in highlight_terms:
@@ -348,7 +354,7 @@ def exhaustive_hits(
             SearchHit(
                 doc_id=doc_id,
                 score=score,
-                document=document,
+                fields=document.fields,
                 snippet=make_snippet(
                     document.text, surfaces, highlight_terms,
                     engine.analyzer,

@@ -3,7 +3,7 @@
 This is the body of ``SiapiService.search_grouped`` from before it
 grouped on ``(doc_id, score)`` pairs: every matching document arrives
 as a finished hit (``tests/reference/search.py``'s ``exhaustive_hits``:
-decoded, snippeted), the activity is read off ``hit.metadata``, scores
+decoded, snippeted), the activity is read off the decoded document, scores
 are normalized by the best in the result set and averaged per
 activity, and only then are the per-activity and activity limits
 applied — so most of what was built is dropped again.  That waste is
@@ -37,8 +37,8 @@ def grouped_by_materialising(
     if scope is not None:
         doc_filter = scope_predicate(scope, activity_key)
     hits = exhaustive_hits(engine, query.to_query(), None, doc_filter)
-    return group_hits(hits, per_activity_limit, activity_limit,
-                      activity_key)
+    return group_hits(hits, engine.index, per_activity_limit,
+                      activity_limit, activity_key)
 
 
 def scope_predicate(scope, activity_key: str = "deal_id"):
@@ -58,17 +58,19 @@ def scope_predicate(scope, activity_key: str = "deal_id"):
 
 def group_hits(
     hits: List[SearchHit],
+    reader,
     per_activity_limit: Optional[int] = None,
     activity_limit: Optional[int] = None,
     activity_key: str = "deal_id",
 ) -> List[ActivityHits]:
-    """Built hits, best first, into ranked activities."""
+    """Built hits, best first, into ranked activities; each hit's
+    activity is read off its document in ``reader``."""
     if not hits:
         return []
     best = max(hit.score for hit in hits) or 1.0
     grouped: Dict[str, List[Tuple[float, SearchHit]]] = {}
     for hit in hits:
-        activity = hit.metadata.get(activity_key)
+        activity = reader.document(hit.doc_id).metadata.get(activity_key)
         if activity is None:
             continue
         grouped.setdefault(activity, []).append((hit.score / best, hit))

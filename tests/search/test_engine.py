@@ -228,6 +228,36 @@ class TestSnippets:
         assert hits[0].snippet
         assert "scheduling" not in hits[0].snippet.lower()
 
+    # "İ" lowers to two code points, so every one ahead of a match puts
+    # the match one place further on in the lowered text than in the
+    # text the window is cut from.
+    LENGTHENED = (
+        "\u0130" * 40 + " filler before the plan: "
+        "the migration plan starts today and goes on for a while"
+    )
+
+    def test_window_anchors_in_the_text_when_lowering_lengthens_it(self):
+        snippet = _make_snippet(
+            self.LENGTHENED, ["migration plan"], set(), Analyzer()
+        )
+        assert "the migration plan starts" in snippet
+        assert snippet == make_snippet(
+            self.LENGTHENED, ["migration plan"], set(), Analyzer()
+        )
+
+    def test_a_hit_shows_its_match_when_lowering_lengthens_the_text(self):
+        engine = SearchEngine()
+        engine.add(IndexableDocument("t", {"body": self.LENGTHENED}))
+        (hit,) = engine.search('"migration plan"')
+        assert "migration plan" in hit.snippet
+
+    def test_ascii_windows_are_cut_where_they_always_were(self):
+        text = "x" * 50 + " the migration plan starts today " + "y" * 60
+        best = text.lower().find("migration plan")
+        assert _make_snippet(
+            text, ["migration plan"], set(), Analyzer()
+        ) == " ".join(text[best - 80 // 3:best - 80 // 3 + 80].split())
+
 
 class TestLifecycle:
     def test_remove_then_search(self, engine):
@@ -235,9 +265,37 @@ class TestLifecycle:
         assert engine.count("replication") == 0
         assert len(engine) == 3
 
+    def test_remove_takes_several_documents_under_one_epoch(self, engine):
+        before = engine.epoch
+        engine.remove("a", "b", "a")
+        assert engine.epoch == before + 1
+        assert len(engine) == 2
+        assert engine.count("replication") == 0
+
+    def test_remove_checks_every_id_before_removing_any(self, engine):
+        before = engine.epoch
+        with pytest.raises(SearchError):
+            engine.remove("a", "nope")
+        assert engine.epoch == before
+        assert engine.index.has_document("a") and len(engine) == 4
+
+    def test_remove_of_nothing_keeps_the_epoch(self, engine):
+        before = engine.epoch
+        engine.remove()
+        assert engine.epoch == before
+
+    def test_hit_fields_are_a_read_only_view(self, engine):
+        hit = engine.search("replication")[0]
+        with pytest.raises(TypeError):
+            hit.fields["title"] = "changed"  # type: ignore[index]
+        assert hit.fields == engine.index.document(hit.doc_id).fields
+
     def test_metadata_carried_through(self, engine):
         hit = engine.search("replication")[0]
-        assert hit.metadata["deal_id"] == "d2"
+        assert engine.index.metadata_column("deal_id").values[
+            hit.doc_id
+        ] == "d2"
+        assert hit.fields == engine.index.document(hit.doc_id).fields
 
     def test_document_validation(self):
         with pytest.raises(SearchError):
@@ -346,7 +404,8 @@ _PIECES = st.one_of(
     st.sampled_from(_SPACES),
     st.sampled_from(_SPACES),
     st.sampled_from(_NEAR_SPACES),
-    st.sampled_from(["finance", "Financed", "NETWORK", "storage", "\u00e9", "-"]),
+    st.sampled_from(["finance", "Financed", "NETWORK", "storage", "\u00e9", "-",
+                     "\u0130"]),
 )
 
 

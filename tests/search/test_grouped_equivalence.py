@@ -144,8 +144,7 @@ SHAPES = ["memory", "memtable", "flushed", "tiered", "tombstoned",
 
 
 def flat_hit(hit: SearchHit):
-    return (hit.doc_id, hit.score, hit.snippet,
-            dict(hit.document.fields), dict(hit.document.metadata))
+    return (hit.doc_id, hit.score, hit.snippet, list(hit.fields.items()))
 
 
 def flat_groups(groups):
@@ -288,7 +287,7 @@ def test_distinct_scores_that_normalize_to_one_float():
     pairs = [("doc007", best), ("doc060", high), ("doc012", low),
              ("doc020", low / 2), ("orphan0", low / 4)]
     hits = [
-        SearchHit(doc_id, score, engine.index.document(doc_id), "")
+        SearchHit(doc_id, score, engine.index.stored_fields(doc_id), "")
         for doc_id, score in pairs
     ]
     service = SiapiService(engine)
@@ -307,7 +306,8 @@ def test_distinct_scores_that_normalize_to_one_float():
                 per_activity_limit, activity_limit,
             )
             assert flat(found) == flat(
-                group_hits(hits, per_activity_limit, activity_limit)
+                group_hits(hits, engine.index, per_activity_limit,
+                           activity_limit)
             )
     # doc060, doc012 and doc020 share deal4 (i % 8): the doc id, not
     # the ranking, orders the first two.

@@ -468,6 +468,10 @@ class TestGroupedAnswersAreWhole:
             doc_id: eil.engine.index.document(doc_id).metadata["deal_id"]
             for doc_id in eil.engine.index.doc_ids
         }
+        known_fields = {
+            doc_id: eil.engine.index.document(doc_id).fields
+            for doc_id in eil.engine.index.doc_ids
+        }
         churned_docs = {
             doc_id for doc_id, deal_id in known_docs.items()
             if deal_id == deal.deal_id
@@ -492,8 +496,7 @@ class TestGroupedAnswersAreWhole:
             assert len(hits) <= 5
             for hit in hits:
                 assert known_docs[hit.doc_id] == activity_id
-                assert hit.document.doc_id == hit.doc_id
-                assert hit.document.metadata["deal_id"] == activity_id
+                assert hit.fields == known_fields[hit.doc_id]
 
         def grouped(scope):
             for group in eil.siapi.search_grouped(

@@ -7,19 +7,24 @@ metadata lookups), because the BM25 bit-identity of segment-backed
 search rests on those numbers.
 """
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SearchError, StorageError
 from repro.search import IndexableDocument
 from repro.search.inverted_index import InvertedIndex
 from repro.storage.segment import (
+    FORMAT_VERSION,
     MAGIC,
     Segment,
     encode_from_index,
     merge_segments,
 )
+from tests.reference.segment_v1 import version_one
 
 WORDS = ["network", "storage", "deal", "services", "migration",
          "finance", "audit", "client", "review", "escrow"]
@@ -250,3 +255,127 @@ def test_unserializable_metadata_is_rejected():
     )
     with pytest.raises(StorageError):
         encode_from_index(index)
+
+
+# -- the version-2 docstore record ---------------------------------------------
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2 ** 40), 2 ** 40),
+    st.text(max_size=10),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_FIELD_TEXT = st.one_of(
+    st.sampled_from(["", "\x00", "a\x00b", "naïve façade", "İstanbul",
+                     "日本語のテキスト", "\U0001f600 emoji"]),
+    st.text(max_size=60),
+)
+
+
+@given(
+    fields=st.dictionaries(st.text(min_size=1, max_size=8), _FIELD_TEXT,
+                           min_size=1, max_size=6),
+    metadata=st.dictionaries(st.text(max_size=8), _VALUES, max_size=4),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_record_round_trips_fields_in_order_and_metadata(fields, metadata):
+    index = InvertedIndex()
+    index.add(IndexableDocument("d", fields, metadata))
+    index.add(IndexableDocument("e", {"title": "neighbour"}, {"k": (1, 2)}))
+    segment = Segment.from_bytes(encode_from_index(index))
+    assert list(segment.stored_fields("d").items()) == list(fields.items())
+    document = segment.document("d")
+    assert list(document.fields.items()) == list(fields.items())
+    # JSON has no tuple: one comes back a list, as in version 1.
+    assert document.metadata == json.loads(json.dumps(metadata))
+    assert segment.document("e").metadata == {"k": [1, 2]}
+
+
+_FIELDS_PART = b"\x02\x05title\x03T\xc3\xad\x04body\x0caudit review"
+_METADATA_TAIL = b'{"a":[1,2],"deal_id":"x"}'
+
+
+def _one_record():
+    """A one-document segment and where its record's fields part lies."""
+    index = InvertedIndex()
+    index.add(IndexableDocument(
+        "d", {"title": "Tí", "body": "audit review"},
+        {"deal_id": "x", "a": [1, 2]},
+    ))
+    data = encode_from_index(index)
+    segment = Segment.from_bytes(data)
+    start = segment._docstore_base + segment._doc_offs[0]
+    return data, start, start + len(_FIELDS_PART)
+
+
+def test_record_is_fields_first_then_compact_metadata():
+    data, start, fields_end = _one_record()
+    assert data[:4] == MAGIC and data[4] == FORMAT_VERSION == 2
+    assert data[start:] == _FIELDS_PART + _METADATA_TAIL
+
+
+def test_a_truncated_fields_part_raises_storage_error():
+    data, start, fields_end = _one_record()
+    for cut in range(start, fields_end):
+        segment = Segment.from_bytes(data[:cut])
+        with pytest.raises(StorageError, match="corrupt docstore record"):
+            segment.stored_fields("d")
+        with pytest.raises(StorageError, match="corrupt docstore record"):
+            segment.document("d")
+
+
+@pytest.mark.parametrize("offset, value", [
+    (0, 0x00),             # no fields at all
+    (0, 0x7F),             # more fields than the record holds
+    (1, 0xFF),             # a name length that never ends
+    (2, 0xFF),             # a name that is not UTF-8
+    (7, 0x7F),             # a text longer than the record
+    (10, 0x41),            # a character cut short
+])
+def test_a_mangled_fields_part_raises_storage_error(offset, value):
+    data, start, _ = _one_record()
+    mangled = bytearray(data)
+    mangled[start + offset] = value
+    segment = Segment.from_bytes(bytes(mangled))
+    with pytest.raises(StorageError, match="corrupt docstore record"):
+        segment.stored_fields("d")
+
+
+def test_every_mangled_record_byte_raises_nothing_but_storage_error():
+    data, start, _ = _one_record()
+    for offset in range(len(_FIELDS_PART + _METADATA_TAIL)):
+        for value in range(256):
+            mangled = bytearray(data)
+            mangled[start + offset] = value
+            segment = Segment.from_bytes(bytes(mangled))
+            for read in (segment.stored_fields, segment.document):
+                try:
+                    read("d")
+                except StorageError:
+                    pass
+
+
+def test_a_mangled_metadata_tail_spares_the_fields():
+    data, _, fields_end = _one_record()
+    mangled = bytearray(data)
+    mangled[fields_end] = ord("[")
+    segment = Segment.from_bytes(bytes(mangled))
+    assert segment.stored_fields("d") == {
+        "title": "Tí", "body": "audit review"
+    }
+    with pytest.raises(StorageError, match="corrupt docstore record"):
+        segment.document("d")
+
+
+def test_a_version_one_segment_is_refused():
+    data = version_one(encode_from_index(make_index(docs=5)))
+    assert data[4] == 1
+    with pytest.raises(StorageError, match="format version 1 unsupported"):
+        Segment.from_bytes(data)

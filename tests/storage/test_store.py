@@ -13,18 +13,21 @@ Two contracts:
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.errors import SearchError, StorageError
 from repro.obs import use_registry
-from repro.search import IndexableDocument
+from repro.search import IndexableDocument, SearchEngine
 from repro.search.inverted_index import InvertedIndex
 from repro.storage import MANIFEST_NAME, SegmentBackedIndex
 from repro.storage.atomic import checksum, encode_document, read_manifest
 from repro.storage.segment import FORMAT_VERSION, MAGIC
 from repro.storage.store import MANIFEST_FORMAT, MANIFEST_VERSION
 from tests.reference.index import DictOfDocs, assert_conforms
+from tests.reference.segment_v1 import version_one
 
 WORDS = ["network", "storage", "deal", "services", "migration",
          "finance", "audit", "client", "review", "escrow", "latency"]
@@ -260,6 +263,86 @@ def test_load_names_a_segment_that_does_not_decode(tmp_path):
     with pytest.raises(StorageError, match="format version") as raised:
         SegmentBackedIndex.load(str(tmp_path))
     assert str(victim) in str(raised.value)
+
+
+def test_load_refuses_a_version_one_segment_naming_the_file(tmp_path):
+    # A well-formed segment in the old record layout, the manifest
+    # rewritten to vouch for it: the loader must refuse it, not misread
+    # its records.
+    store, _ = build_pair(make_docs(docs=30), memtable_limit=8)
+    store.save(str(tmp_path))
+    manifest_path = tmp_path / MANIFEST_NAME
+    manifest = read_manifest(
+        str(manifest_path), MANIFEST_FORMAT, MANIFEST_VERSION
+    )
+    entry = manifest["segments"][0]
+    victim = tmp_path / entry["file"]
+    data = version_one(victim.read_bytes())
+    victim.write_bytes(data)
+    entry["checksum"] = checksum(data)
+    entry["bytes"] = len(data)
+    manifest_path.write_text(
+        encode_document(MANIFEST_FORMAT, MANIFEST_VERSION, manifest)
+    )
+    with pytest.raises(StorageError, match="format version 1") as raised:
+        SegmentBackedIndex.load(str(tmp_path))
+    assert str(victim) in str(raised.value)
+
+
+def test_the_docstore_cache_holds_field_maps_a_hit_cannot_write(tmp_path):
+    store, _ = build_pair(make_docs(docs=30), memtable_limit=8)
+    store.save(str(tmp_path))
+    store = SegmentBackedIndex.load(str(tmp_path))
+    engine = SearchEngine(index=store)
+    hits = engine.search("network")
+    assert hits and not len(store.memtable)
+    for hit in hits:
+        cached = store._doc_cache[hit.doc_id]
+        kept = list(cached.items())
+        assert kept == list(store.document(hit.doc_id).fields.items())
+        with pytest.raises(TypeError):
+            hit.fields["title"] = "changed"  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del hit.fields["title"]  # type: ignore[attr-defined]
+        assert store._doc_cache[hit.doc_id] is cached
+        assert list(cached.items()) == kept == list(hit.fields.items())
+
+
+def test_concurrent_readers_share_the_field_cache():
+    # Searches read the store side by side under the engine's read
+    # hold, and each read reorders or evicts cache entries: one
+    # reader's eviction must not fail another reader's lookup.
+    store = SegmentBackedIndex(memtable_limit=64)
+    for document in make_docs(docs=600):
+        store.add(document)
+    store.flush()
+    doc_ids = sorted(store.doc_ids)[:300]  # more than the cache holds
+    errors = []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(10000):
+                store.stored_fields(doc_ids[rng.randrange(len(doc_ids))])
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(seed,))
+            for seed in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    assert len(store._doc_cache) <= 256
 
 
 def test_load_missing_segment_raises(tmp_path):

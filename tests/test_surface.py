@@ -417,6 +417,26 @@ def test_a_scope_becomes_document_ids_only_where_ids_are_needed():
     assert callers == {"repro.core.eil.EILSystem.remove_deal"}, callers
 
 
+def test_a_hit_carries_what_it_shows_and_never_decodes_a_document():
+    # A shown hit is its stored fields and a snippet: the docstore
+    # record's fields part, never its metadata tail.  Whoever needs a
+    # hit's deal reads it through the index.
+    import dataclasses
+
+    from repro.search import SearchHit
+
+    names = [field.name for field in dataclasses.fields(SearchHit)]
+    assert names == ["doc_id", "score", "fields", "snippet"]
+    assert not hasattr(SearchHit, "document")
+    assert not hasattr(SearchHit, "metadata")
+    assert "repro.search.engine.Ranking.hit" not in _calls_by_function(
+        "document"
+    )
+    assert "repro.search.engine.Ranking.hit" in _calls_by_function(
+        "stored_fields"
+    )
+
+
 def test_the_engine_filters_on_a_scope_never_on_document_ids():
     from repro.errors import SearchError
     from repro.search import IndexableDocument, SearchEngine
