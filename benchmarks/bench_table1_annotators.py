@@ -24,7 +24,6 @@ from repro.annotators import (
     OntologyServiceAnnotator,
     PersonHeuristicAnnotator,
     ScopeAggregator,
-    SectionClassifierAnnotator,
     SocialNetworkingAnnotator,
     build_contact_annotator,
     register_eil_types,

@@ -28,9 +28,6 @@ from repro.core import (
     EilResults,
     FormQuery,
     GraphQuery,
-    graph_expertise_query,
-    graph_role_capacity_query,
-    graph_team_overlap_query,
     graph_worked_with_query,
     render_deal_list,
     render_results,
@@ -76,8 +73,5 @@ __all__ = [
     "EntityGraph",
     "GraphQuery",
     "graph_worked_with_query",
-    "graph_role_capacity_query",
-    "graph_expertise_query",
-    "graph_team_overlap_query",
     "__version__",
 ]

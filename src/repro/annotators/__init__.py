@@ -1,11 +1,7 @@
 """EIL annotators: the five Table 1 types plus the Fig. 3 social annotator."""
 
 from repro.annotators.base import EIL_TYPE_NAMES, EilAnnotator, register_eil_types
-from repro.annotators.classifier import (
-    NaiveBayesClassifier,
-    SectionClassifierAnnotator,
-)
-from repro.annotators.candidates import LearnedCandidateSelector
+from repro.annotators.classifier import NaiveBayesClassifier
 from repro.annotators.composite import build_eil_pipeline
 from repro.annotators.cooccurrence import CooccurrenceSocialAnnotator
 from repro.annotators.content import (
@@ -45,7 +41,6 @@ __all__ = [
     "PersonHeuristicAnnotator",
     "OntologyServiceAnnotator",
     "NaiveBayesClassifier",
-    "SectionClassifierAnnotator",
     "WinStrategyAnnotator",
     "TechnologyAnnotator",
     "ClientReferenceAnnotator",
@@ -61,5 +56,4 @@ __all__ = [
     "scope_candidate_document",
     "build_eil_pipeline",
     "CooccurrenceSocialAnnotator",
-    "LearnedCandidateSelector",
 ]

@@ -1,25 +1,23 @@
-"""Classifier-based annotator (Table 1, row 4).
+"""The classifier of Table 1, row 4.
 
-A multinomial Naive Bayes text classifier, built from scratch, that
-annotators use to capture "complex and abstract concepts" simple
-patterns cannot — e.g. whether a section of prose is a win-strategy
-discussion.  As Table 1 notes, quality is "highly dependent on the
-training data set"; the classifier therefore exposes its labels and
-class priors so callers can sanity-check what it learned.
+A multinomial Naive Bayes text classifier, built from scratch, for
+"complex and abstract concepts" simple patterns cannot capture — e.g.
+whether a section of prose is a win-strategy discussion.  As Table 1
+notes, quality is "highly dependent on the training data set"; the
+classifier therefore exposes its class priors so callers can
+sanity-check what it learned.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.annotators.base import EilAnnotator
 from repro.errors import AnnotatorError
 from repro.search.analyzer import Analyzer
-from repro.uima.cas import Cas
 
-__all__ = ["NaiveBayesClassifier", "SectionClassifierAnnotator"]
+__all__ = ["NaiveBayesClassifier"]
 
 
 class NaiveBayesClassifier:
@@ -46,11 +44,6 @@ class NaiveBayesClassifier:
                 self._term_counts[label][term] += 1
                 self._class_totals[label] += 1
                 self._vocabulary.add(term)
-
-    @property
-    def labels(self) -> List[str]:
-        """Known class labels, sorted."""
-        return sorted(self._class_counts)
 
     def prior(self, label: str) -> float:
         """P(label) from training frequencies."""
@@ -81,46 +74,3 @@ class NaiveBayesClassifier:
         """Most probable label (ties broken lexicographically)."""
         scores = self.log_scores(text)
         return max(sorted(scores), key=lambda label: scores[label])
-
-
-class SectionClassifierAnnotator(EilAnnotator):
-    """Annotates text sections the classifier assigns a target label.
-
-    Runs the classifier over each ``doc.Section`` annotation (falling
-    back to the whole document when no sections exist) and emits
-    ``type_name`` annotations over sections predicted as
-    ``positive_label``.
-    """
-
-    def __init__(
-        self,
-        classifier: NaiveBayesClassifier,
-        positive_label: str,
-        type_name: str = "eil.WinStrategy",
-        feature_name: str = "text",
-        name: str = "section-classifier",
-    ) -> None:
-        self.classifier = classifier
-        self.positive_label = positive_label
-        self.type_name = type_name
-        self.feature_name = feature_name
-        self.name = name
-
-    def process(self, cas: Cas) -> None:
-        sections = cas.select("doc.Section") if (
-            "doc.Section" in cas.type_system
-        ) else []
-        spans = (
-            [(s.begin, s.end) for s in sections]
-            if sections
-            else [(0, len(cas.text))]
-        )
-        for begin, end in spans:
-            text = cas.text[begin:end]
-            if not text.strip():
-                continue
-            if self.classifier.predict(text) == self.positive_label:
-                cas.annotate(
-                    self.type_name, begin, end,
-                    **{self.feature_name: text.strip()},
-                )

@@ -9,12 +9,6 @@ documents, per paper Fig. 3 steps 1-2).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.annotators.classifier import (
-    NaiveBayesClassifier,
-    SectionClassifierAnnotator,
-)
 from repro.annotators.content import (
     ClientReferenceAnnotator,
     ContextFieldAnnotator,
@@ -31,27 +25,13 @@ from repro.uima.engine import AggregateAnalysisEngine
 __all__ = ["build_eil_pipeline"]
 
 
-def build_eil_pipeline(
-    taxonomy: ServiceTaxonomy,
-    strategy_classifier: Optional[NaiveBayesClassifier] = None,
-) -> AggregateAnalysisEngine:
+def build_eil_pipeline(taxonomy: ServiceTaxonomy) -> AggregateAnalysisEngine:
     """The full document-level EIL annotation pipeline.
 
     Args:
         taxonomy: Services taxonomy for the ontology and technology
             annotators.
-        strategy_classifier: Optional trained classifier; when given, a
-            classifier-based win-strategy annotator runs *instead of*
-            the pattern-based one (Table 1's classifier row in action).
     """
-    strategy_engine = (
-        SectionClassifierAnnotator(
-            strategy_classifier, positive_label="strategy",
-            name="win-strategies",
-        )
-        if strategy_classifier is not None
-        else WinStrategyAnnotator()
-    )
     return AggregateAnalysisEngine(
         "eil-pipeline",
         [
@@ -60,7 +40,7 @@ def build_eil_pipeline(
             PersonHeuristicAnnotator(),
             (SocialNetworkingAnnotator(), candidate_document),
             TechnologyAnnotator(taxonomy),
-            strategy_engine,
+            WinStrategyAnnotator(),
             ClientReferenceAnnotator(),
             ContextFieldAnnotator(),
         ],

@@ -464,6 +464,9 @@ def _stats_workload(eil: EILSystem, corpus, rounds: int) -> None:
                 "OR network",
                 limit=5,
             )
+            # A bare negation, as typed into the keyword box: every
+            # document but the ones it names.
+            eil.keyword_search("NOT services", limit=5)
         except TransientError:
             # The baseline has no degradation ladder (by design); a
             # persistent injected outage must not kill the stats run.

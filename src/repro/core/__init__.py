@@ -7,9 +7,6 @@ from repro.core.eil import BuildReport, EILSystem
 from repro.core.facets import FacetService
 from repro.core.metaqueries import (
     GraphQuery,
-    graph_expertise_query,
-    graph_role_capacity_query,
-    graph_team_overlap_query,
     graph_worked_with_query,
     role_capacity_query,
     scope_query,
@@ -60,7 +57,4 @@ __all__ = [
     "service_keyword_query",
     "GraphQuery",
     "graph_worked_with_query",
-    "graph_role_capacity_query",
-    "graph_expertise_query",
-    "graph_team_overlap_query",
 ]

@@ -23,7 +23,6 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.annotators.base import register_eil_types
-from repro.annotators.classifier import NaiveBayesClassifier
 from repro.annotators.composite import build_eil_pipeline
 from repro.annotators.scope import ScopeAggregator, ScopeEntry
 from repro.annotators.social import ContactRecord, ContactRollup
@@ -106,7 +105,6 @@ class InformationAnalysis:
         taxonomy: ServiceTaxonomy,
         directory: Optional[PersonnelDirectory] = None,
         scope_min_weight: float = 4.0,
-        strategy_classifier: Optional[NaiveBayesClassifier] = None,
         retry: Optional[RetryPolicy] = None,
         deadline_seconds: Optional[float] = None,
         max_failure_ratio: float = 1.0,
@@ -121,7 +119,7 @@ class InformationAnalysis:
         register_structure_types(self.type_system)
         register_eil_types(self.type_system)
         self.parser = DocumentParser(self.type_system)
-        self.pipeline = build_eil_pipeline(taxonomy, strategy_classifier)
+        self.pipeline = build_eil_pipeline(taxonomy)
         self.pipeline.initialize_types(self.type_system)
 
     def analyze(

@@ -29,7 +29,6 @@ import os
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.annotators.classifier import NaiveBayesClassifier
 from repro.core.acquisition import DataAcquisition
 from repro.core.analysis import AnalysisResults, InformationAnalysis
 from repro.core.context import DealSynopsis, SynopsisBuilder
@@ -159,8 +158,6 @@ class EILSystem:
         access: Document ACLs (default: open).
         scope_min_weight: The weight a service needs to be reported as
             a deal's scope.
-        strategy_classifier: A trained win-strategy classifier for the
-            annotator pipeline.
         workers: Worker count for the offline parse+annotate stage;
             the default (1, or ``REPRO_WORKERS``) runs serially, more
             shard the corpus by deal across that many worker processes.
@@ -198,7 +195,6 @@ class EILSystem:
         directory: Optional[PersonnelDirectory] = None,
         access: Optional[AccessController] = None,
         scope_min_weight: float = 4.0,
-        strategy_classifier: Optional[NaiveBayesClassifier] = None,
         workers: Optional[int] = None,
         executor: Optional[str] = None,
         query_cache_size: int = 128,
@@ -242,7 +238,6 @@ class EILSystem:
             taxonomy,
             directory,
             scope_min_weight=scope_min_weight,
-            strategy_classifier=strategy_classifier,
             retry=self._retry,
             deadline_seconds=deadline_seconds,
             max_failure_ratio=max_failure_ratio,

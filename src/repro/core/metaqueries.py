@@ -29,9 +29,6 @@ __all__ = [
     "GraphQuery",
     "GRAPH_QUERY_KINDS",
     "graph_worked_with_query",
-    "graph_role_capacity_query",
-    "graph_expertise_query",
-    "graph_team_overlap_query",
 ]
 
 
@@ -138,28 +135,3 @@ def graph_worked_with_query(
     three-step keyword episode becomes one traversal.
     """
     return GraphQuery("worked-with", person, limit)
-
-
-def graph_role_capacity_query(
-    role: str, limit: Optional[int] = None
-) -> GraphQuery:
-    """Meta-query 3, graph form: who has worked in the capacity of
-    ``role``, with the supporting deals — only filled roles match,
-    never the empty form fields that trap the keyword baseline."""
-    return GraphQuery("role-capacity", role, limit)
-
-
-def graph_expertise_query(
-    topic: str, limit: Optional[int] = None
-) -> GraphQuery:
-    """Expertise lookup: people on deals that used a technology or had
-    a tower in scope whose name matches ``topic``."""
-    return GraphQuery("expertise", topic, limit)
-
-
-def graph_team_overlap_query(
-    person: str, limit: Optional[int] = None
-) -> GraphQuery:
-    """Team-overlap ranking: ``person``'s colleagues ordered by the
-    Jaccard overlap of their deal histories."""
-    return GraphQuery("team-overlap", person, limit)

@@ -3,7 +3,7 @@
 Supported statements (what EIL's organized-information layer and the
 synopsis queries use):
 
-* ``CREATE TABLE t (col TYPE [NOT NULL] [DEFAULT lit], ...,
+* ``CREATE TABLE t (col TYPE [NOT NULL], ...,
   PRIMARY KEY (...), UNIQUE (...), FOREIGN KEY (...) REFERENCES p(...))``
 * ``CREATE [UNIQUE] INDEX name ON t (cols)``
 * ``SELECT [DISTINCT] items FROM t [alias]
@@ -88,7 +88,7 @@ _KEYWORDS = {
     "asc", "desc", "limit", "offset", "join", "left", "inner", "on", "and",
     "or", "not", "in", "is", "null", "like", "true", "false", "as", "create",
     "table", "index", "unique", "primary", "key", "foreign", "references",
-    "delete", "default",
+    "delete",
     "count", "sum", "avg", "min", "max", "explain", "escape",
 }
 
@@ -432,22 +432,10 @@ class _Parser:
             self._parse_int("VARCHAR length")
             self._expect_op(")")
         nullable = True
-        default: Any = None
-        while True:
-            if self._accept_keyword("not"):
-                self._expect_keyword("null")
-                nullable = False
-            elif self._accept_keyword("default"):
-                default = self._parse_literal_value()
-            else:
-                break
-        return Column(name, dtype, nullable, default)
-
-    def _parse_literal_value(self) -> Any:
-        expression = self._parse_primary()
-        if not isinstance(expression, Literal):
-            self._fail("DEFAULT requires a literal")
-        return expression.value  # type: ignore[union-attr]
+        if self._accept_keyword("not"):
+            self._expect_keyword("null")
+            nullable = False
+        return Column(name, dtype, nullable)
 
     # -- DELETE -------------------------------------------------------------
 

@@ -268,18 +268,3 @@ class FaultInjector:
                 f"injected timeout in {component}"
                 + (f" (key={key!r})" if key is not None else "")
             )
-
-    def wrap(self, component: str, fn: Callable, key_fn: Optional[Callable] = None):
-        """A callable running ``check`` before ``fn`` (for ad-hoc wrapping).
-
-        Args:
-            component: Fault-point name for the check.
-            fn: The callable to protect.
-            key_fn: Optional ``(*args, **kwargs) -> key`` for keyed checks.
-        """
-        def wrapped(*args, **kwargs):
-            key = key_fn(*args, **kwargs) if key_fn is not None else None
-            self.check(component, key=key)
-            return fn(*args, **kwargs)
-
-        return wrapped

@@ -2,8 +2,8 @@
 
 :class:`IndexReader` declares the per-field *primitives* an index must
 answer (its abstract members) and writes everything that follows from
-them — ``matching_docs``, ``phrase_docs``, ``document_frequency``,
-``average_length`` and every ``field=None`` merge — exactly once.  Two
+them — ``matching_docs``, ``phrase_docs``, ``average_length`` and
+every ``field=None`` merge — exactly once.  Two
 leaves store postings (:class:`~repro.search.inverted_index
 .InvertedIndex` in dicts, :class:`~repro.storage.segment.Segment` in
 delta-varint bytes); :class:`CompositeIndexReader` is the one union
@@ -140,10 +140,10 @@ class IndexReader(ABC):
     """What the engine, the scorer and the SIAPI facade read.
 
     The abstract members are the primitives; all of them answer for
-    *live* documents only.  ``df``, ``term_frequency`` and
-    ``vocabulary`` are primitives per field — an implementation answers
-    for a given field and hands ``field=None`` to the body here
-    (``super().df(term)``), which merges over :attr:`fields`.
+    *live* documents only.  ``df`` and ``vocabulary`` are primitives
+    per field — an implementation answers for a given field and hands
+    ``field=None`` to the body here (``super().df(term)``), which
+    merges over :attr:`fields`.
     """
 
     __slots__ = ()
@@ -210,7 +210,7 @@ class IndexReader(ABC):
 
         The sum double-counts documents carrying the term in several
         fields — an upper bound, which is all AND ordering needs
-        (:meth:`document_frequency` is the exact merged count).
+        (the size of :meth:`matching_docs` is the exact merged count).
         """
         return sum(self.df(term, name) for name in self.fields)
 
@@ -221,27 +221,6 @@ class IndexReader(ABC):
     @abstractmethod
     def field_token_total(self, field: str) -> int:
         """Exact token total of ``field`` over all documents."""
-
-    @abstractmethod
-    def token_total(self) -> int:
-        """Exact token total over all fields of all documents."""
-
-    @abstractmethod
-    def field_length(self, field: str, doc_id: str) -> int:
-        """Token count of ``field`` in ``doc_id`` (0 if absent)."""
-
-    @abstractmethod
-    def total_length(self, doc_id: str) -> int:
-        """Token count across all fields of ``doc_id`` (0 if absent)."""
-
-    @abstractmethod
-    def term_frequency(
-        self, term: str, doc_id: str, field: Optional[str] = None
-    ) -> int:
-        """Occurrences of ``term`` in ``doc_id`` (all fields for None)."""
-        return sum(
-            self.term_frequency(term, doc_id, name) for name in self.fields
-        )
 
     @abstractmethod
     def docs_with_metadata(
@@ -291,12 +270,6 @@ class IndexReader(ABC):
             matches.update(self.positions(term, name))
         return matches
 
-    def document_frequency(
-        self, term: str, field: Optional[str] = None
-    ) -> int:
-        """Exact number of documents containing ``term``."""
-        return len(self.matching_docs(term, field))
-
     def phrase_docs(
         self, terms: Sequence[str], field: Optional[str] = None
     ) -> Set[str]:
@@ -327,8 +300,8 @@ class IndexReader(ABC):
                     matches.add(doc_id)
         return matches
 
-    def average_length(self, field: Optional[str] = None) -> float:
-        """Average field length (or average total document length).
+    def average_length(self, field: str) -> float:
+        """Average length of ``field`` (BM25's avgdl).
 
         Integer totals divided once.  A composite sums its parts'
         integers before this divide, so a segmented or sharded corpus
@@ -338,13 +311,8 @@ class IndexReader(ABC):
         *have* the field — a corpus-wide one deflates avgdl for sparse
         fields.
         """
-        if field is not None:
-            docs = self.field_document_count(field)
-            total = self.field_token_total(field)
-        else:
-            docs = len(self)
-            total = self.token_total()
-        return total / docs if docs else 0.0
+        docs = self.field_document_count(field)
+        return self.field_token_total(field) / docs if docs else 0.0
 
 
 class CompositeIndexReader(IndexReader):
@@ -451,25 +419,6 @@ class CompositeIndexReader(IndexReader):
 
     def field_token_total(self, field: str) -> int:
         return sum(part.field_token_total(field) for part in self.parts)
-
-    def token_total(self) -> int:
-        return sum(part.token_total() for part in self.parts)
-
-    def field_length(self, field: str, doc_id: str) -> int:
-        owner = self._owner(doc_id)
-        return owner.field_length(field, doc_id) if owner is not None else 0
-
-    def total_length(self, doc_id: str) -> int:
-        owner = self._owner(doc_id)
-        return owner.total_length(doc_id) if owner is not None else 0
-
-    def term_frequency(
-        self, term: str, doc_id: str, field: Optional[str] = None
-    ) -> int:
-        owner = self._owner(doc_id)
-        if owner is None:
-            return 0
-        return owner.term_frequency(term, doc_id, field)
 
     def docs_with_metadata(
         self, key: str, values: Iterable[Any]

@@ -60,11 +60,9 @@ class InvertedIndex(IndexReader):
         self._postings: Dict[str, Dict[str, Dict[str, List[int]]]] = {}
         # field -> doc_id -> token count
         self._field_lengths: Dict[str, Dict[str, int]] = {}
-        # Running totals so average_length stays O(1); scoring calls it
-        # per (term, document) pair and a full re-sum would make large
-        # queries quadratic in corpus size.
+        # Running totals so average_length stays O(1): scoring reads it
+        # per (term, field) and a re-sum would be linear in the corpus.
         self._field_token_totals: Dict[str, int] = {}
-        self._token_total = 0
         # doc_id -> field -> distinct terms, so removal only touches the
         # document's own postings instead of the whole field vocabulary.
         self._doc_terms: Dict[str, Dict[str, Set[str]]] = {}
@@ -112,7 +110,6 @@ class InvertedIndex(IndexReader):
             self._field_token_totals[field_name] = (
                 self._field_token_totals.get(field_name, 0) + length
             )
-            self._token_total += length
         for key, value in document.metadata.items():
             try:
                 by_value = self._meta_index.setdefault(key, {})
@@ -159,7 +156,6 @@ class InvertedIndex(IndexReader):
                     self._field_token_totals[field_name] = (
                         self._field_token_totals.get(field_name, 0) - length
                     )
-                self._token_total -= length
         for key, value in document.metadata.items():
             by_value = self._meta_index.get(key)
             if by_value is None:
@@ -280,25 +276,12 @@ class InvertedIndex(IndexReader):
             return super().df(term)
         return len(self._postings.get(field, {}).get(term, ()))
 
-    def term_frequency(
-        self, term: str, doc_id: str, field: Optional[str] = None
-    ) -> int:
-        if field is None:
-            return super().term_frequency(term, doc_id)
-        return len(
-            self._postings.get(field, {}).get(term, {}).get(doc_id, ())
-        )
-
-    def field_length(self, field: str, doc_id: str) -> int:
-        return self._field_lengths.get(field, {}).get(doc_id, 0)
-
     def field_lengths(self, field: str) -> Dict[str, int]:
         """doc_id -> token count for every document *having* ``field``.
 
         Presence-aware (a zero-length field instance still appears),
-        which is what the segment encoder needs: ``field_length`` alone
-        cannot distinguish "absent" from "present but empty", and
-        ``field_document_count`` must survive a persistence round-trip.
+        which is what the segment encoder needs: ``field_document_count``
+        must survive a persistence round-trip.
         """
         return dict(self._field_lengths.get(field, {}))
 
@@ -314,19 +297,11 @@ class InvertedIndex(IndexReader):
             for field, terms in self._doc_terms.get(doc_id, {}).items()
         }
 
-    def total_length(self, doc_id: str) -> int:
-        return sum(
-            lengths.get(doc_id, 0) for lengths in self._field_lengths.values()
-        )
-
     def field_document_count(self, field: str) -> int:
         return len(self._field_lengths.get(field, {}))
 
     def field_token_total(self, field: str) -> int:
         return self._field_token_totals.get(field, 0)
-
-    def token_total(self) -> int:
-        return self._token_total
 
     def vocabulary(self, field: Optional[str] = None) -> Set[str]:
         if field is None:

@@ -1,27 +1,22 @@
 """Relevance scoring: Okapi BM25, the keyword baseline's one scorer.
 
-Scores are computed per query term per document over the whole document
-(all fields merged), which matches how the paper's keyword baseline
-treats a workbook document as "a blob of text".  Field weighting is the
-engine's concern (it scores fields separately and sums with boosts).
+The engine scores every field separately and sums the contributions
+with the field boosts, so a scorer always answers for one (term,
+field).  It has two entry points:
 
-A scorer has three entry points:
-
-* :meth:`score` — one (term, document) contribution;
 * :meth:`score_postings` — the bulk API over a compiled posting array
   (parallel ``tfs`` / ``lengths`` lists from
   :class:`~repro.search.index_reader.TermPostings`): idf and the
   length-normalization constants are computed **once per (term,
-  field)**, so each hit costs one multiply-add instead of four index
-  lookups;
+  field)**, so each hit costs one multiply-add
+  (``mult * tf / (tf + base + scale * length)``);
 * :meth:`upper_bound` — the largest score any document could attain
   for the term, which MaxScore pruning compares against the running
   top-k threshold.
 
-``score`` and ``score_postings`` share the exact same arithmetic
-(``mult * tf / (tf + base + scale * length)``), so bulk and per-document
-evaluation produce bit-identical floats — the engine's
-pruned-vs-exhaustive ranking-equivalence guarantee depends on it.
+The reference interpreter in ``tests/reference/search.py`` restates
+the same float expression one document at a time, so the engine's
+pruned rankings can be checked for bit-identical scores.
 
 idf depends only on (corpus size, document frequency); the scorer
 memoizes it per (field, term) validated against those two numbers, so
@@ -45,34 +40,14 @@ _IDF_CACHE_MAX = 65536
 
 
 class Scorer(Protocol):
-    """Scoring interface: per-hit, bulk, and upper-bound entry points.
-
-    The engine calls ``score_postings`` and ``upper_bound``; ``score``
-    is the same arithmetic one document at a time, which the reference
-    interpreter in ``tests/reference/search.py`` ranks with.
-    """
-
-    def score(
-        self,
-        index: IndexReader,
-        term: str,
-        doc_id: str,
-        field: Optional[str] = None,
-        df: Optional[int] = None,
-    ) -> float:
-        """Contribution of ``term`` in ``doc_id`` (0 when absent).
-
-        ``df`` lets callers pass a precomputed document frequency; the
-        engine scores every matching document of a term in one sweep,
-        and recomputing df per document would be quadratic.
-        """
-        ...
+    """Scoring interface: the bulk and upper-bound entry points the
+    engine calls."""
 
     def score_postings(
         self,
         index: IndexReader,
         term: str,
-        field: Optional[str],
+        field: str,
         tfs: Sequence[int],
         lengths: Sequence[int],
         df: int,
@@ -90,7 +65,7 @@ class Scorer(Protocol):
         self,
         index: IndexReader,
         term: str,
-        field: Optional[str],
+        field: str,
         df: int,
         max_tf: Optional[int] = None,
     ) -> float:
@@ -116,11 +91,11 @@ class _IdfCache:
 
     def __init__(self) -> None:
         self._entries: Dict[
-            Tuple[Optional[str], str], Tuple[int, int, float]
+            Tuple[str, str], Tuple[int, int, float]
         ] = {}
 
     def get(
-        self, field: Optional[str], term: str, total: int, df: int
+        self, field: str, term: str, total: int, df: int
     ) -> Optional[float]:
         entry = self._entries.get((field, term))
         if entry is not None and entry[0] == total and entry[1] == df:
@@ -129,7 +104,7 @@ class _IdfCache:
 
     def put(
         self,
-        field: Optional[str],
+        field: str,
         term: str,
         total: int,
         df: int,
@@ -155,7 +130,7 @@ class Bm25Scorer:
         self._idf_cache = _IdfCache()
 
     def _idf(
-        self, index: IndexReader, term: str, field: Optional[str], df: int
+        self, index: IndexReader, term: str, field: str, df: int
     ) -> float:
         total = len(index)
         cached = self._idf_cache.get(field, term, total, df)
@@ -165,48 +140,18 @@ class Bm25Scorer:
         self._idf_cache.put(field, term, total, df, idf)
         return idf
 
-    def score(
-        self,
-        index: IndexReader,
-        term: str,
-        doc_id: str,
-        field: Optional[str] = None,
-        df: Optional[int] = None,
-    ) -> float:
-        tf = index.term_frequency(term, doc_id, field)
-        if tf == 0:
-            return 0.0
-        if df is None:
-            df = index.document_frequency(term, field)
-        if field is not None:
-            length = index.field_length(field, doc_id)
-            average = index.average_length(field)
-        else:
-            length = index.total_length(doc_id)
-            average = index.average_length()
-        if average == 0:
-            return 0.0
-        idf = self._idf(index, term, field, df)
-        mult = idf * (self.k1 + 1.0)
-        base = self.k1 * (1.0 - self.b)
-        scale = self.k1 * self.b / average
-        return mult * tf / (tf + base + scale * length)
-
     def score_postings(
         self,
         index: IndexReader,
         term: str,
-        field: Optional[str],
+        field: str,
         tfs: Sequence[int],
         lengths: Sequence[int],
         df: int,
     ) -> List[float]:
         if df <= 0 or not tfs:
             return []
-        if field is not None:
-            average = index.average_length(field)
-        else:
-            average = index.average_length()
+        average = index.average_length(field)
         if average == 0:
             return [0.0] * len(tfs)
         idf = self._idf(index, term, field, df)
@@ -222,7 +167,7 @@ class Bm25Scorer:
         self,
         index: IndexReader,
         term: str,
-        field: Optional[str],
+        field: str,
         df: int,
         max_tf: Optional[int] = None,
     ) -> float:

@@ -12,9 +12,8 @@ activity.
 
 Fault behaviour: this facade adds no fault point of its own — the
 ``index`` fault point lives one layer down, in
-:meth:`~repro.search.engine.SearchEngine.search` /
-:meth:`~repro.search.engine.SearchEngine.count` — so every SIAPI entry
-(search, count, search_grouped) surfaces the same
+:meth:`~repro.search.engine.SearchEngine.select` — so
+``search_grouped`` surfaces the engine's
 :class:`~repro.errors.TransientError` stream.  Callers that need to
 survive an index outage wrap these calls in the ``siapi`` circuit
 breaker (see :mod:`repro.core.search` and docs/OPERATIONS.md).
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import QuerySyntaxError
 from repro.obs import HistogramHandle
@@ -68,14 +67,6 @@ class SiapiQuery:
     none_words: str = ""
     search_field: Optional[str] = None
     raw: str = ""
-
-    def is_empty(self) -> bool:
-        """True when no text criteria were entered."""
-        return not any(
-            (self.all_words.strip(), self.exact_phrase.strip(),
-             self.any_words.strip(), self.none_words.strip(),
-             self.raw.strip())
-        )
 
     def to_query(self) -> Query:
         """Compile the form fields into a query AST."""
@@ -134,31 +125,6 @@ class SiapiService:
         self.engine = engine
         self.activity_key = activity_key
 
-    def _scope(
-        self, scope: Optional[Set[str]]
-    ) -> Optional[Tuple[str, FrozenSet[str]]]:
-        """An activity scope as the engine takes it: the activity key
-        and the deal ids, which the engine checks on the postings it
-        walks and folds into its result-cache key."""
-        if scope is None:
-            return None
-        return (self.activity_key, frozenset(scope))
-
-    def search(
-        self,
-        query: SiapiQuery,
-        scope: Optional[Set[str]] = None,
-        limit: Optional[int] = None,
-    ) -> List[SearchHit]:
-        """Ranked document hits; ``scope`` restricts to those activities."""
-        return self.engine.search(
-            query.to_query(), limit, self._scope(scope)
-        )
-
-    def count(self, query: SiapiQuery, scope: Optional[Set[str]] = None) -> int:
-        """Number of matching documents (the paper's "N documents")."""
-        return self.engine.count(query.to_query(), self._scope(scope))
-
     def search_grouped(
         self,
         query: SiapiQuery,
@@ -177,7 +143,9 @@ class SiapiService:
         Grouping, normalising, averaging and trimming work on the
         engine's ``(doc_id, score)`` pairs; a document is decoded and
         given a snippet only if a kept activity shows it, all under the
-        engine's one read-side hold (:meth:`SearchEngine.select`).
+        engine's one read-side hold (:meth:`SearchEngine.select`).  The
+        scope goes to the engine as ``(activity key, deal ids)``, which
+        it checks on the postings it walks.
         """
         return self.engine.select(
             query.to_query(),
@@ -185,7 +153,7 @@ class SiapiService:
                 ranking, per_activity_limit, activity_limit
             ),
             None,
-            self._scope(scope),
+            None if scope is None else (self.activity_key, frozenset(scope)),
         )
 
     def _group(

@@ -159,6 +159,14 @@ class Segment(IndexReader):
         segment._docstore_base = off + head_len
         segment.size_bytes = len(data)
         segment._parse_head(head)
+        # A buffered record is sliced, never length-checked, so a cut
+        # docstore is refused here rather than read short later.
+        ends = map(int.__add__, segment._doc_offs, segment._doc_lens)
+        if max(ends, default=0) > segment.docstore_bytes:
+            raise StorageError(
+                f"truncated segment docstore: {segment.docstore_bytes} "
+                f"bytes do not hold every record"
+            )
         return segment
 
     def close(self) -> None:
@@ -280,7 +288,7 @@ class Segment(IndexReader):
     # -- document access ----------------------------------------------------
 
     def _read_docstore(self, offset: int, length: int) -> bytes:
-        if self._data is not None:
+        if self._data is not None:  # from_bytes checked the length
             start = self._docstore_base + offset
             return self._data[start : start + length]
         if self._fd is None:
@@ -374,35 +382,11 @@ class Segment(IndexReader):
             if any(self.df(term, field) > 0 for term in terms)
         )
 
-    def field_length(self, field: str, doc_id: str) -> int:
-        ordinal = self._ord.get(doc_id)
-        if ordinal is None or ordinal in self.tombstones:
-            return 0
-        lengths = self._length_arrays.get(field)
-        if lengths is None:
-            return 0
-        length = lengths[ordinal]
-        return length if length >= 0 else 0
-
-    def total_length(self, doc_id: str) -> int:
-        ordinal = self._ord.get(doc_id)
-        if ordinal is None or ordinal in self.tombstones:
-            return 0
-        total = 0
-        for lengths in self._length_arrays.values():
-            length = lengths[ordinal]
-            if length >= 0:
-                total += length
-        return total
-
     def field_document_count(self, field: str) -> int:
         return self._live_field_docs.get(field, 0)
 
     def field_token_total(self, field: str) -> int:
         return self._live_field_tokens.get(field, 0)
-
-    def token_total(self) -> int:
-        return sum(self._live_field_tokens.values())
 
     def df(self, term: str, field: Optional[str] = None) -> int:
         """Exact *live* document frequency of ``(field, term)``.
@@ -527,34 +511,6 @@ class Segment(IndexReader):
                 result[doc_ids[ordinal]] = positions
             off = rest_end
         return result
-
-    def term_frequency(
-        self, term: str, doc_id: str, field: Optional[str] = None
-    ) -> int:
-        """tf of ``term`` in one live document's ``field`` (0 if absent)."""
-        if field is None:
-            return super().term_frequency(term, doc_id)
-        ordinal = self._ord.get(doc_id)
-        if ordinal is None or ordinal in self.tombstones:
-            return 0
-        entry = self._terms.get(field, {}).get(term)
-        if entry is None:
-            return 0
-        head = self._head
-        off = entry[2]
-        end = off + entry[3]
-        current = -1
-        while off < end:
-            gap, off = read_uint(head, off)
-            current += gap
-            rest_len, off = read_uint(head, off)
-            if current == ordinal:
-                tf, _ = read_uint(head, off)
-                return tf
-            if current > ordinal:
-                return 0
-            off += rest_len
-        return 0
 
     # -- metadata index -----------------------------------------------------
 

@@ -17,7 +17,7 @@ from repro.text.normalize import (
     person_from_email,
 )
 from repro.text.similarity import jaro, jaro_winkler
-from repro.text.stemmer import PorterStemmer, stem
+from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import STOPWORDS
 
 __all__ = [
@@ -32,6 +32,5 @@ __all__ = [
     "jaro",
     "jaro_winkler",
     "PorterStemmer",
-    "stem",
     "STOPWORDS",
 ]

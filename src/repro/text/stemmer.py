@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from typing import Dict
 
-__all__ = ["PorterStemmer", "stem"]
+__all__ = ["PorterStemmer"]
 
 _VOWELS = "aeiou"
 
@@ -229,10 +229,3 @@ class PorterStemmer:
             _MEMO[word] = stemmed
         return stemmed
 
-
-_STEMMER = PorterStemmer()
-
-
-def stem(word: str) -> str:
-    """Stem ``word`` (case-folded) with a module-level shared stemmer."""
-    return _STEMMER.stem(word.lower())

@@ -129,15 +129,6 @@ class Cas:
         """The text span an annotation covers."""
         return self.text[annotation.begin:annotation.end]
 
-    def remove(self, annotation: Annotation) -> None:
-        """Delete one annotation (used by de-duplicating CPEs)."""
-        try:
-            self._annotations.remove(annotation)
-        except ValueError:
-            raise KeyError(
-                f"annotation #{annotation.annotation_id} not in CAS"
-            ) from None
-
     # -- serialization -----------------------------------------------------
 
     def __getstate__(self) -> Dict[str, Any]:

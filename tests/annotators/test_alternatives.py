@@ -1,17 +1,9 @@
-"""Tests for the co-occurrence alternative and the learned candidate
-selector (the paper's Section 3.2.1 alternative + future work)."""
+"""Tests for the co-occurrence alternative (the paper's Section 3.2.1
+alternative to structure-aware social annotation)."""
 
 import pytest
 
-from repro.annotators import (
-    CooccurrenceSocialAnnotator,
-    LearnedCandidateSelector,
-    register_eil_types,
-)
-from repro.annotators.social import candidate_document
-from repro.corpus import CorpusConfig, CorpusGenerator
-from repro.docmodel import DocumentParser, register_structure_types
-from repro.errors import AnnotatorError
+from repro.annotators import CooccurrenceSocialAnnotator, register_eil_types
 from repro.uima import Cas, TypeSystem
 
 
@@ -65,58 +57,3 @@ class TestCooccurrenceAnnotator:
         cas = make_cas("no capitalized bigrams here at all")
         CooccurrenceSocialAnnotator().run(cas)
         assert len(cas) == 0
-
-
-class TestLearnedCandidateSelector:
-    @pytest.fixture(scope="class")
-    def cases(self):
-        corpus = CorpusGenerator(
-            CorpusConfig(n_deals=4, docs_per_deal=20)
-        ).generate()
-        type_system = TypeSystem()
-        register_structure_types(type_system)
-        register_eil_types(type_system)
-        parser = DocumentParser(type_system)
-        return [
-            parser.to_cas(document)
-            for document in corpus.collection.all_documents()
-        ]
-
-    def test_untrained_raises(self, cases):
-        with pytest.raises(AnnotatorError):
-            LearnedCandidateSelector().is_candidate(cases[0])
-
-    def test_empty_training_rejected(self):
-        with pytest.raises(AnnotatorError):
-            LearnedCandidateSelector().train([])
-
-    def test_bootstrap_from_rule_agrees(self, cases):
-        selector = LearnedCandidateSelector()
-        half = len(cases) // 2
-        count = selector.train_from_rule(cases[:half], candidate_document)
-        assert count == half
-        agreement = selector.agreement_with(cases[half:],
-                                            candidate_document)
-        assert agreement >= 0.85
-
-    def test_predicate_usable_in_aggregate(self, cases):
-        from repro.annotators import SocialNetworkingAnnotator
-        from repro.uima import AggregateAnalysisEngine
-
-        selector = LearnedCandidateSelector()
-        selector.train_from_rule(cases, candidate_document)
-        aggregate = AggregateAnalysisEngine(
-            "social",
-            [(SocialNetworkingAnnotator(), selector.predicate())],
-        )
-        cas = cases[0]
-        before = len(cas)
-        result = aggregate.run(cas)
-        assert result.engine_name == "social"
-        if not selector.is_candidate(cas):  # the delegate was skipped
-            assert result.annotations_added == 0 and len(cas) == before
-
-    def test_agreement_on_empty_is_one(self, cases):
-        selector = LearnedCandidateSelector()
-        selector.train_from_rule(cases, candidate_document)
-        assert selector.agreement_with([], candidate_document) == 1.0

@@ -8,7 +8,6 @@ from repro.annotators import (
     PersonHeuristicAnnotator,
     RegexAnnotator,
     RegexRule,
-    SectionClassifierAnnotator,
     build_contact_annotator,
     build_eil_pipeline,
     register_eil_types,
@@ -188,25 +187,6 @@ class TestNaiveBayes:
         classifier = self.make_trained()
         # Smoothing must keep unseen vocabulary from crashing or zeroing.
         assert classifier.predict("zzz qqq xxx") in ("strategy", "other")
-
-
-class TestSectionClassifierAnnotator:
-    def test_annotates_positive_sections(self):
-        classifier = TestNaiveBayes().make_trained()
-        parser = DocumentParser(register_eil_types(TypeSystem()))
-        doc = TextDocument(
-            doc_id="t", title="t", deal_id="d",
-            sections=(
-                ("Win Strategy", "Strategy: price to win with credits."),
-                ("Logistics", "Travel arrangements were confirmed."),
-            ),
-        )
-        cas = parser.to_cas(doc)
-        annotator = SectionClassifierAnnotator(classifier, "strategy")
-        annotator.run(cas)
-        strategies = cas.select("eil.WinStrategy")
-        assert len(strategies) == 1
-        assert "price to win" in strategies[0]["text"]
 
 
 class TestCompositePipeline:

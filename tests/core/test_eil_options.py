@@ -5,7 +5,6 @@ import inspect
 import pytest
 
 from repro import CorpusConfig, CorpusGenerator, EILSystem, User
-from repro.annotators import NaiveBayesClassifier
 from repro.core import scope_query
 from repro.errors import ProgrammingError
 from repro.faults import RetryPolicy
@@ -40,25 +39,6 @@ class TestBuildOptions:
         )
         assert strict_towers < lenient_towers
 
-    def test_classifier_based_strategy_annotator(self, corpus):
-        classifier = NaiveBayesClassifier()
-        classifier.train(
-            [
-                ("Strategy: price to win with credits.", "strategy"),
-                ("Strategy: offshore delivery mix cost case.", "strategy"),
-                ("Weekly status call held with stakeholders.", "other"),
-                ("Travel arrangements were confirmed.", "other"),
-            ]
-        )
-        system = EILSystem.build(corpus,
-                                 strategy_classifier=classifier)
-        # The classifier path still extracts strategies for most deals.
-        with_strategies = sum(
-            1 for d in system.deal_ids()
-            if system.synopsis(d, SALES).win_strategies
-        )
-        assert with_strategies >= len(system.deal_ids()) // 2
-
     def test_unknown_synopsis_rejected(self, corpus):
         system = EILSystem.build(corpus)
         with pytest.raises(ProgrammingError):
@@ -72,7 +52,6 @@ class TestBuildOptions:
         options = {
             "access": AccessController(),
             "scope_min_weight": 4.0,
-            "strategy_classifier": None,
             "workers": 1,
             "executor": "serial",
             "query_cache_size": 3,

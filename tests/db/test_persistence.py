@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import (
+    Column,
     Database,
+    DataType,
+    TableSchema,
     dump_database,
     dumps_database,
     load_database,
@@ -28,11 +31,14 @@ def snapshot_of(tables, version=SNAPSHOT_VERSION):
 
 def make_db():
     db = Database()
-    db.execute(
-        "CREATE TABLE deals (deal_id TEXT, name TEXT NOT NULL, "
-        "value REAL DEFAULT 1.5, started DATE, flag BOOLEAN, "
-        "PRIMARY KEY (deal_id))"
-    )
+    # A default has no SQL spelling; the schema carries it.
+    db.create_table(TableSchema("deals", [
+        Column("deal_id", DataType.TEXT),
+        Column("name", DataType.TEXT, nullable=False),
+        Column("value", DataType.REAL, default=1.5),
+        Column("started", DataType.DATE),
+        Column("flag", DataType.BOOLEAN),
+    ], primary_key=["deal_id"]))
     db.execute(
         "CREATE TABLE contacts (cid INTEGER, deal_id TEXT, nm TEXT, "
         "PRIMARY KEY (cid), "

@@ -28,7 +28,7 @@ class TestCreateTable:
             CREATE TABLE deals (
                 deal_id TEXT,
                 name VARCHAR(64) NOT NULL,
-                value REAL DEFAULT 0.0,
+                value REAL,
                 started DATE,
                 international BOOLEAN,
                 PRIMARY KEY (deal_id),
@@ -42,7 +42,7 @@ class TestCreateTable:
         assert schema.primary_key == ("deal_id",)
         assert schema.unique == (("name",),)
         assert schema.column("name").nullable is False
-        assert schema.column("value").default == 0.0
+        assert schema.column("value").default is None
         assert schema.column("started").dtype is DataType.DATE
 
     def test_foreign_key(self):
@@ -58,9 +58,10 @@ class TestCreateTable:
         with pytest.raises(SqlSyntaxError):
             parse("CREATE TABLE t (a BLOB)")
 
-    def test_default_requires_literal(self):
+    def test_a_default_clause_is_not_the_dialect(self):
+        # Defaults are set on a Column, never in CREATE TABLE.
         with pytest.raises(SqlSyntaxError):
-            parse("CREATE TABLE t (a INTEGER DEFAULT b)")
+            parse("CREATE TABLE t (a INTEGER DEFAULT 0)")
 
 
 class TestCreateIndexAndDrop:

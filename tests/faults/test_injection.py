@@ -183,18 +183,6 @@ class TestFaultInjector:
         assert first == second
         assert 0 < sum(first) < 64
 
-    def test_wrap_checks_then_calls(self, registry):
-        injector = FaultInjector(
-            {"crawler": FaultRule(error_rate=1.0)}
-        )
-        calls = []
-        wrapped = injector.wrap(
-            "crawler", calls.append, key_fn=lambda doc: doc
-        )
-        with pytest.raises(InjectedFaultError):
-            wrapped("doc-1")
-        assert calls == []
-
 
 class TestAmbientInjector:
     def test_default_is_noop(self):

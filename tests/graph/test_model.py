@@ -5,9 +5,6 @@ import pytest
 from repro.core.metaqueries import (
     GRAPH_QUERY_KINDS,
     GraphQuery,
-    graph_expertise_query,
-    graph_role_capacity_query,
-    graph_team_overlap_query,
     graph_worked_with_query,
 )
 from repro.graph.model import (
@@ -111,9 +108,6 @@ class TestGraphQuery:
 
     def test_builders_map_to_kinds(self):
         assert graph_worked_with_query("p").kind == "worked-with"
-        assert graph_role_capacity_query("r").kind == "role-capacity"
-        assert graph_expertise_query("t").kind == "expertise"
-        assert graph_team_overlap_query("p").kind == "team-overlap"
         assert graph_worked_with_query("p", limit=3).limit == 3
 
     def test_describe_names_kind_and_subject(self):

@@ -23,9 +23,14 @@ FAULT = "fault/error path"
 SNAPSHOT = "kept pending ROADMAP item One published snapshot per epoch"
 LAYOUT = "kept pending ROADMAP item One served layout"
 TRACING = "kept pending ROADMAP item Request-scoped tracing"
+ACCESS = ("kept pending ROADMAP item Stateful models, 5: access-control "
+          "invariants as properties")
+COLD_START = ("kept pending ROADMAP item Cold start reads what was saved "
+              "and rebuilds what is derived")
 LATER = "kept pending ROADMAP item Called, not just named"
 
-CATEGORIES = (PROTOCOL, DUNDER, FAULT, SNAPSHOT, LAYOUT, TRACING, LATER)
+CATEGORIES = (PROTOCOL, DUNDER, FAULT, SNAPSHOT, LAYOUT, TRACING, ACCESS,
+              COLD_START, LATER)
 
 ALLOWED: Dict[str, Tuple[str, str]] = {}
 
@@ -41,19 +46,17 @@ _allow(PROTOCOL, "IndexReader's abstract primitive: every reader "
            f"repro.search.index_reader.IndexReader.{name}"
            for name in (
                "__len__", "doc_ids", "docs_with_metadata", "document",
-               "document_frequency", "field_document_count",
-               "field_length", "field_token_total", "fields",
+               "field_document_count", "field_token_total", "fields",
                "has_document", "max_tf", "metadata_column", "positions",
-               "stored_fields", "term_frequency", "term_postings",
-               "token_total", "total_length", "vocabulary",
+               "stored_fields", "term_postings", "vocabulary",
            )
        ])
 _allow(PROTOCOL, "CompositeIndexReader's abstract property: the "
        "sharded index and the segment store override it", [
            "repro.search.index_reader.CompositeIndexReader.parts",
        ])
-_allow(PROTOCOL, "Scorer's abstract method: the BM25 and TF-IDF scorers "
-       "override it", [
+_allow(PROTOCOL, "Scorer's protocol method: the BM25 scorer overrides it",
+       [
            "repro.search.scoring.Scorer.score_postings",
            "repro.search.scoring.Scorer.upper_bound",
        ])
@@ -161,22 +164,18 @@ _allow(LAYOUT, "the segment store's write path, which the one-served-"
            "repro.storage.store.SegmentBackedIndex.remove",
        ])
 
-_allow(LATER, "IndexReader oracle primitive only the conformance suite "
-       "reads; a later deletion PR moves it to tests/reference/", [
-           f"{owner}.{name}"
-           for owner in (
-               "repro.search.index_reader.CompositeIndexReader",
-               "repro.search.inverted_index.InvertedIndex",
-               "repro.storage.segment.Segment",
-           )
-           for name in (
-               "field_length", "term_frequency", "token_total",
-               "total_length",
-           )
+_allow(ACCESS, "policy administration: a revoked user loses access, "
+       "and the query cache keys on the policy_version they move", [
+           "repro.security.access.AccessController.restrict",
+           "repro.security.access.AccessController.revoke_user",
        ])
-_allow(LATER, "SELECT expression closure (OR / NOT / arithmetic / IN / "
-       "LIKE regex fallback) no synopsis query compiles; a later "
-       "deletion PR, with tests/reference/expr.py as its oracle", [
+_allow(COLD_START, "rebuilding the graph from the loaded synopsis, which "
+       "the cold-start item makes the load path", [
+           "repro.graph.materialize.build_graph",
+       ])
+_allow(LATER, "SELECT expression closure (OR / NOT / arithmetic / IN) "
+       "no synopsis query compiles; a later deletion PR, with "
+       "tests/reference/expr.py as its oracle", [
            "repro.db.expr.Arithmetic.__post_init__",
            "repro.db.expr._as_bool",
            "repro.db.expr._build_and",
@@ -189,51 +188,4 @@ _allow(LATER, "SELECT expression closure (OR / NOT / arithmetic / IN / "
            "repro.db.expr._build_not._not",
            "repro.db.expr._build_or",
            "repro.db.expr._build_or._or",
-           "repro.db.expr._like_matcher.by_regex",
-           "repro.db.expr._like_regex",
-       ])
-_allow(LATER, "CREATE TABLE's DEFAULT clause: no schema the system "
-       "creates uses it", [
-           "repro.db.sql._Parser._parse_literal_value",
-       ])
-_allow(LATER, "the learned candidate selector and the section "
-       "classifier (paper §3.2.1 future work): no option turns them on", [
-           "repro.annotators.candidates.LearnedCandidateSelector.__init__",
-           "repro.annotators.candidates.LearnedCandidateSelector."
-           "agreement_with",
-           "repro.annotators.candidates.LearnedCandidateSelector."
-           "is_candidate",
-           "repro.annotators.candidates.LearnedCandidateSelector.predicate",
-           "repro.annotators.candidates.LearnedCandidateSelector.train",
-           "repro.annotators.candidates.LearnedCandidateSelector."
-           "train_from_rule",
-           "repro.annotators.candidates._featurize",
-           "repro.annotators.classifier.NaiveBayesClassifier.labels",
-           "repro.annotators.classifier.SectionClassifierAnnotator.__init__",
-           "repro.annotators.classifier.SectionClassifierAnnotator.process",
-       ])
-_allow(LATER, "scalar scoring and the SIAPI service's own search: "
-       "oracles of the top-k engine living in src", [
-           "repro.search.scoring.Bm25Scorer.score",
-           "repro.search.scoring.Scorer.score",
-           "repro.search.siapi.SiapiService.count",
-           "repro.search.siapi.SiapiService.search",
-       ])
-_allow(LATER, "behaviour no entry point exercises: a later deletion PR "
-       "reaches or deletes it", [
-           "repro.core.metaqueries.graph_expertise_query",
-           "repro.core.metaqueries.graph_role_capacity_query",
-           "repro.core.metaqueries.graph_team_overlap_query",
-           "repro.corpus.taxonomy.ServiceTaxonomy.suggest",
-           "repro.text.similarity.jaro",
-           "repro.text.similarity.jaro_winkler",
-           "repro.text.stemmer.stem",
-           "repro.graph.materialize.build_graph",
-           "repro.search.engine._Execution._universe",
-           "repro.search.siapi.SiapiQuery.is_empty",
-           "repro.faults.injection.FaultInjector.wrap",
-           "repro.faults.injection.FaultInjector.wrap.wrapped",
-           "repro.security.access.AccessController.restrict",
-           "repro.security.access.AccessController.revoke_user",
-           "repro.uima.cas.Cas.remove",
        ])

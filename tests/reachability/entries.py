@@ -28,6 +28,12 @@ ENTRIES: List[Tuple[str, List[str]]] = [
           "--organization", "IBM", "--role", "cross tower TSA",
           "--text", "network", "--phrase", "service delivery",
           "--limit", "5", "--facets")),
+    # LIKE's definition for non-ASCII text: the regex fallback.
+    ("cli search --person non-ASCII",
+     _cli(*_SMALL, "search", "--person", "Zoë")),
+    # A misspelt tower: the did-you-mean suggestions.
+    ("cli search --tower misspelt",
+     _cli(*_SMALL, "search", "--tower", "End User Servces")),
     ("cli study", _cli("study", "--threads", "40")),
     ("cli build", _cli(*_SMALL, "build", "{tmp}/snapshot.json")),
     ("cli build --workers 2",

@@ -4,7 +4,7 @@ This is what ``repro.search.engine`` did before it had a planner, and
 what its ``ExecutionOptions.exhaustive()`` mode kept doing until the
 planner became the only production path: every clause is evaluated in
 the order it was written over its full matching set, every (term,
-field, document) is scored by one ``Scorer.score`` call, filters are
+field, document) is scored by one :func:`bm25` call, filters are
 applied after scoring, and the whole candidate set is sorted before a
 limit cuts it.  Nothing is reordered, narrowed, pruned or heaped, which
 is what makes it the statement of what the engine must return:
@@ -12,13 +12,16 @@ is what makes it the statement of what the engine must return:
 documents, scores and order.
 
 It reads an index only through the surface every index shares —
-``matching_docs``, ``doc_ids``, ``fields``, ``document`` and whatever
-the scorer reads (``term_frequency``, ``field_length``,
-``average_length``, ``len``) — so the same code runs over an
+``matching_docs``, ``doc_ids``, ``fields``, ``document``,
+``average_length`` and ``len`` — so the same code runs over an
 ``InvertedIndex``, a ``SegmentBackedIndex`` in any segment layout, and
-a ``ShardedIndex``.  Phrase adjacency is therefore
-not read off stored positions but recomputed by analyzing the stored
-field text.
+a ``ShardedIndex``.  A document's term frequencies, field lengths and
+phrase adjacency are therefore not read off stored postings but
+recomputed by analyzing the stored field text.
+
+:func:`bm25` is the scalar BM25 the engine's bulk scorer must agree
+with bit for bit: the same float expression, with ``k1`` / ``b`` read
+off the engine's scorer, one (term, field, document) at a time.
 
 It imports nothing from ``repro.search.engine`` and records no metrics;
 the number of postings it scored comes back as a return value.
@@ -31,6 +34,7 @@ folded by ``re.sub``.  ``tests/reference/siapi.py`` groups these hits
 the way ``SiapiService.search_grouped`` used to.
 """
 
+import math
 import re
 from collections.abc import Set as AbstractSet
 from typing import Dict, List, Optional, Set, Tuple
@@ -46,8 +50,8 @@ from repro.search.querylang import (
     parse_query,
 )
 
-__all__ = ["exhaustive_search", "exhaustive_ranking", "exhaustive_hits",
-           "make_snippet"]
+__all__ = ["bm25", "exhaustive_search", "exhaustive_ranking",
+           "exhaustive_hits", "make_snippet"]
 
 # The engine's phrase boost, restated: a wrong constant on either side
 # shows up as a score mismatch.
@@ -56,16 +60,71 @@ PHRASE_BOOST = 1.25
 Ranking = List[Tuple[str, float]]
 
 
+def _analyzed_field(
+    engine, doc_id: str, field: str
+) -> Tuple[Dict[str, Set[int]], int]:
+    """term -> positions and the token count of one stored field
+    instance, by analyzing its text (({}, 0) if the document lacks it).
+    """
+    text = engine.index.document(doc_id).fields.get(field)
+    positions: Dict[str, Set[int]] = {}
+    if text is None:
+        return positions, 0
+    analyzed = engine.analyzer.analyze(text)
+    for token in analyzed:
+        positions.setdefault(token.term, set()).add(token.position)
+    return positions, len(analyzed)
+
+
+def bm25(
+    engine,
+    term: str,
+    doc_id: str,
+    field: str,
+    df: Optional[int] = None,
+    analyzed: Optional[Tuple[Dict[str, Set[int]], int]] = None,
+) -> float:
+    """Okapi BM25 of ``term`` in ``doc_id``'s ``field`` (0 when absent).
+
+    ``engine`` is anything with ``index``, ``scorer`` (for ``k1`` and
+    ``b``) and ``analyzer``; ``df`` defaults to the term's in-field
+    document frequency, ``analyzed`` to :func:`_analyzed_field` of the
+    document.
+    """
+    index = engine.index
+    positions, length = (
+        analyzed if analyzed is not None
+        else _analyzed_field(engine, doc_id, field)
+    )
+    tf = len(positions.get(term, ()))
+    if tf == 0:
+        return 0.0
+    if df is None:
+        df = len(index.matching_docs(term, field))
+    average = index.average_length(field)
+    if average == 0:
+        return 0.0
+    k1, b = engine.scorer.k1, engine.scorer.b
+    total = len(index)
+    idf = math.log(1.0 + (total - df + 0.5) / (df + 0.5))
+    mult = idf * (k1 + 1.0)
+    base = k1 * (1.0 - b)
+    scale = k1 * b / average
+    return mult * tf / (tf + base + scale * length)
+
+
 class _Interpreter:
     """One exhaustive evaluation over ``engine``'s index and scorer."""
 
     def __init__(self, engine) -> None:
+        self.engine = engine
         self.index = engine.index
-        self.scorer = engine.scorer
         self.boosts = engine.field_boosts
         self.analyzer = engine.analyzer
         self.postings_scored = 0
-        self._positions: Dict[Tuple[str, str], Dict[str, Set[int]]] = {}
+        self._analyzed: Dict[
+            Tuple[str, str], Tuple[Dict[str, Set[int]], int]
+        ] = {}
 
     # -- scored evaluation ----------------------------------------------------
 
@@ -109,8 +168,9 @@ class _Interpreter:
             df = len(matching)
             self.postings_scored += df
             for doc_id in matching:
-                contribution = self.scorer.score(
-                    self.index, term, doc_id, field_name, df=df
+                contribution = bm25(
+                    self.engine, term, doc_id, field_name, df,
+                    self._field_analysis(doc_id, field_name),
                 )
                 scores[doc_id] = (
                     scores.get(doc_id, 0.0) + boost * contribution
@@ -216,7 +276,7 @@ class _Interpreter:
             for term in terms[1:]:
                 candidates &= self.index.matching_docs(term, field_name)
             for doc_id in candidates:
-                positions = self._field_positions(doc_id, field_name)
+                positions = self._field_analysis(doc_id, field_name)[0]
                 starts = set(positions[terms[0]])
                 for offset, term in enumerate(terms[1:], start=1):
                     starts &= {p - offset for p in positions[term]}
@@ -224,20 +284,16 @@ class _Interpreter:
                     matches.add(doc_id)
         return matches
 
-    def _field_positions(
+    def _field_analysis(
         self, doc_id: str, field_name: str
-    ) -> Dict[str, Set[int]]:
+    ) -> Tuple[Dict[str, Set[int]], int]:
         key = (doc_id, field_name)
-        positions = self._positions.get(key)
-        if positions is None:
-            positions = {}
-            text = self.index.document(doc_id).fields[field_name]
-            for analyzed in self.analyzer.analyze(text):
-                positions.setdefault(analyzed.term, set()).add(
-                    analyzed.position
-                )
-            self._positions[key] = positions
-        return positions
+        analyzed = self._analyzed.get(key)
+        if analyzed is None:
+            analyzed = self._analyzed[key] = _analyzed_field(
+                self.engine, doc_id, field_name
+            )
+        return analyzed
 
 
 def exhaustive_search(

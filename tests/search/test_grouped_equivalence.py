@@ -174,6 +174,16 @@ def assert_grouped_equivalent(engine, query, scope=None,
 WORDS = COMMON + MID + RARE + ["financing", "management", "unindexed"]
 _words = st.lists(st.sampled_from(WORDS), max_size=3).map(" ".join)
 
+
+def _has_text(query: SiapiQuery) -> bool:
+    """True when some text criterion was entered (else no query)."""
+    return any(
+        part.strip()
+        for part in (query.all_words, query.exact_phrase, query.any_words,
+                     query.none_words, query.raw)
+    )
+
+
 siapi_queries = st.builds(
     SiapiQuery,
     all_words=_words,
@@ -185,7 +195,7 @@ siapi_queries = st.builds(
     none_words=st.sampled_from(["", "", "", "turbine", "audit services"]),
     search_field=st.sampled_from([None, None, "title", "body"]),
     raw=st.sampled_from(["", "", "", "finance OR audit", "-escrow"]),
-).filter(lambda query: not query.is_empty())
+).filter(_has_text)
 
 scopes = st.one_of(
     st.none(),
@@ -340,7 +350,7 @@ def test_generated_scopes_match_oracle(
 ):
     """A deal scope checked on the postings answers as the scope applied
     as a predicate over stored documents after scoring, for
-    ``search_grouped``, ``search`` and ``count``."""
+    ``search_grouped``, the engine's ``search`` and its ``count``."""
     engine = engines[shape]
     assert_grouped_equivalent(
         engine, query, scope, per_activity_limit, activity_limit
@@ -348,9 +358,10 @@ def test_generated_scopes_match_oracle(
     service = SiapiService(engine)
     predicate = scope_predicate(scope)
     expected = exhaustive_hits(engine, query.to_query(), limit, predicate)
-    found = service.search(query, scope, limit)
+    deals = ("deal_id", frozenset(scope))
+    found = engine.search(query.to_query(), limit, deals)
     assert [flat_hit(h) for h in found] == [flat_hit(h) for h in expected]
     everything = exhaustive_hits(engine, query.to_query(), None, predicate)
-    assert service.count(query, scope) == len(everything)
+    assert engine.count(query.to_query(), deals) == len(everything)
     if scope & {GONE}:
         assert not {hit.doc_id for hit in found} & set(GONE_DOCS)

@@ -306,9 +306,8 @@ def test_average_length_divides_the_summed_integers_once():
     ]
     with _store(7, 64)(ops) as store, _inverted(ops) as single:
         assert [len(part) for part in store.parts] == [7, 1]
-        for field in ("body", None):
-            assert store.average_length(field) == 30 / 8
-            assert single.average_length(field) == 30 / 8
+        assert store.average_length("body") == 30 / 8
+        assert single.average_length("body") == 30 / 8
 
 
 # -- generated interleavings ---------------------------------------------------

@@ -88,20 +88,20 @@ class TestPhrase:
 class TestStatistics:
     def test_frequencies(self):
         index = make_index()
-        assert index.document_frequency("services") == 2
-        assert index.term_frequency("services", "a") == 2  # title + body
-        assert index.term_frequency("services", "a", "body") == 1
+        assert len(index.matching_docs("services")) == 2
+        assert len(index.positions("services", "title")["a"]) == 1
+        assert len(index.positions("services", "body")["a"]) == 1
 
     def test_lengths(self):
         index = make_index()
-        assert index.field_length("title", "a") == 3
-        assert index.total_length("a") == 6
+        assert index.field_lengths("title")["a"] == 3
+        assert index.field_lengths("body")["a"] == 3
         assert index.average_length("title") == 2.5
 
     def test_empty_index_statistics(self):
         index = InvertedIndex()
-        assert index.average_length() == 0.0
-        assert index.document_frequency("x") == 0
+        assert index.average_length("body") == 0.0
+        assert index.matching_docs("x") == set()
 
 
 class TestRemoveBookkeeping:

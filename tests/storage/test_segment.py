@@ -82,12 +82,12 @@ def test_statistics_match_index(index, segment):
             assert stored == index.max_tf(term, field) or stored >= max(
                 tf for _, tf, _ in segment.iter_term(term, field)
             )
-    for doc_id in index.doc_ids:
-        for field in ("title", "body"):
-            assert segment.field_length(field, doc_id) == (
-                index.field_length(field, doc_id)
-            )
-        assert segment.total_length(doc_id) == index.total_length(doc_id)
+    for field in ("title", "body"):
+        assert index.field_lengths(field) == {
+            doc_id: length
+            for term in segment.vocabulary(field)
+            for doc_id, _, length in segment.iter_term(term, field)
+        }
 
 
 def test_postings_and_positions_match(index, segment):
@@ -97,8 +97,8 @@ def test_postings_and_positions_match(index, segment):
                 doc_id: tf for doc_id, tf, _ in segment.iter_term(term, field)
             }
             expected = {
-                doc_id: index.term_frequency(term, doc_id, field)
-                for doc_id in index.matching_docs(term, field)
+                doc_id: len(positions)
+                for doc_id, positions in index.positions(term, field).items()
             }
             assert decoded == expected
             assert segment.positions(term, field) == (
@@ -146,7 +146,7 @@ def test_a_tuple_value_stays_in_its_scope_once_saved(tmp_path):
 def test_tombstone_adjusts_live_statistics(index):
     segment = Segment.from_bytes(encode_from_index(index))
     victim = "doc001"
-    body_len = segment.field_length("body", victim)
+    body_len = index.field_lengths("body")[victim]
     live_docs = segment.field_document_count("body")
     live_tokens = segment.field_token_total("body")
     assert victim in segment.metadata_column("deal_id").values
@@ -322,13 +322,23 @@ def test_record_is_fields_first_then_compact_metadata():
 
 
 def test_a_truncated_fields_part_raises_storage_error():
-    data, start, fields_end = _one_record()
-    for cut in range(start, fields_end):
-        segment = Segment.from_bytes(data[:cut])
-        with pytest.raises(StorageError, match="corrupt docstore record"):
-            segment.stored_fields("d")
-        with pytest.raises(StorageError, match="corrupt docstore record"):
-            segment.document("d")
+    """Every cut inside the docstore, in the fields part or the
+    metadata tail, is refused when the buffer is decoded."""
+    data, start, _ = _one_record()
+    for cut in range(start, len(data)):
+        with pytest.raises(StorageError, match="truncated segment docstore"):
+            Segment.from_bytes(data[:cut])
+
+
+def test_a_file_cut_after_attach_fails_the_read(tmp_path):
+    data, start, _ = _one_record()
+    segment = Segment.from_bytes(data)
+    path = tmp_path / "seg.rsg"
+    path.write_bytes(data[:-1])
+    segment.attach_file(str(path))
+    with pytest.raises(StorageError, match="truncated docstore read"):
+        segment.stored_fields("d")
+    segment.close()
 
 
 @pytest.mark.parametrize("offset, value", [

@@ -156,14 +156,6 @@ class TestCas:
         assert len(cas.select("eil.Org")) == 1
         assert len(cas.select()) == 2
 
-    def test_remove(self, ts):
-        cas = Cas("abc", ts)
-        annotation = cas.annotate("eil.Org", 0, 1)
-        cas.remove(annotation)
-        assert len(cas) == 0
-        with pytest.raises(KeyError):
-            cas.remove(annotation)
-
     def test_document_level_annotation(self, ts):
         cas = Cas("abc", ts)
         cas.annotate("eil.Org", name="whole-doc")
