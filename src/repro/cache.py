@@ -9,6 +9,12 @@ technologies — so both online entry points
 index/policy epoch that incremental maintenance bumps, so stale entries
 die by key mismatch rather than by explicit eviction.
 
+Cached values are shared, not copied: a hit returns the very object
+that was stored, to every caller that asks.  So what is cached cannot
+be changed by a caller: a frozen :class:`~repro.core.search.EilResults`
+with tuple fields, or a :class:`~repro.search.engine.Ranking`, whose
+pairs never change and whose hits are frozen and built once.
+
 Each cache is obs-instrumented: ``<name>.hits`` / ``<name>.misses`` /
 ``<name>.evictions`` / ``<name>.bypassed`` counters and a
 ``<name>.size`` gauge, bound once per cache, land in the default
@@ -45,9 +51,9 @@ class LruCache:
             degraded/partial values count under ``<name>.bypassed`` at
             every capacity.
 
-    Cached values must not be ``None`` (``None`` signals a miss); they
-    are returned by reference, so callers that hand out mutable results
-    should copy on the way out.
+    Cached values must not be ``None`` (``None`` signals a miss).  They
+    are returned by reference and shared by every hit, so a value must
+    be immutable: the cache never copies it, and neither may callers.
     """
 
     def __init__(self, name: str, max_entries: int = 256) -> None:

@@ -13,7 +13,7 @@ that safe without giving up read concurrency:
   consistent snapshot.
 * :class:`AtomicCounter` — a lock-protected integer for epoch and
   admission accounting, where the plain ``+= 1`` read-modify-write
-  would lose increments under contention.
+  would lose increments under contention (reads take no lock).
 
 This module sits below both ``search`` and ``serving`` in the layering
 (it imports nothing from either), so the engine can use the lock
@@ -104,9 +104,14 @@ class AtomicCounter:
 
     @property
     def value(self) -> int:
-        """The current value."""
-        with self._lock:
-            return self._value
+        """The current value.
+
+        Read without the lock: it is one load of an attribute that
+        only :meth:`increment` rebinds, under the lock, to a new int, so
+        a reader sees the value before or after an increment, never a
+        torn one — what holding the lock would give it too.
+        """
+        return self._value
 
     def increment(self, amount: int = 1) -> int:
         """Add ``amount`` atomically; returns the new value."""

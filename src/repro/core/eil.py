@@ -471,8 +471,9 @@ class EILSystem:
         The first half of a search: the access and empty-form checks,
         the cache key and the one cache verdict, with no substrate
         read — cheap enough for a caller's own thread.  Hand the probe
-        to :meth:`search` to finish the request: a hit is copied out, a
-        miss computed and stored under the probe's key.
+        to :meth:`search` to finish the request: a hit returns the
+        cached answer itself (immutable, shared by every hit), a miss is
+        computed and stored under the probe's key.
         """
         return self._require_search().probe(form, user, limit)
 

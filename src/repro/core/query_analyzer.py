@@ -106,10 +106,6 @@ class FormQuery:
                           self.any_words, self.none_words)
         )
 
-    def is_empty(self) -> bool:
-        """Nothing entered at all."""
-        return not (self.has_concept_criteria() or self.has_text_criteria())
-
     def describe(self) -> str:
         """Natural-language echo of the query (paper Figure 8's footer).
 

@@ -11,8 +11,8 @@ performs the weighted combination and deterministic ordering.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.query_analyzer import SynopsisMatch
 from repro.search.document import SearchHit
@@ -32,16 +32,18 @@ class RankedActivity:
             the activity came only from the keyword side).
         siapi_score: Normalized keyword relevance (0 when no text query
             or no hits in this activity).
-        reasons: Synopsis match explanations.
-        hits: The activity's document hits (pre-access-control).
+        reasons: Synopsis match explanations (the match's own
+            sequence, not a copy).
+        hits: The activity's document hits (pre-access-control; the
+            SIAPI group's own sequence, not a copy).
     """
 
     deal_id: str
     score: float
     synopsis_score: float = 0.0
     siapi_score: float = 0.0
-    reasons: List[str] = field(default_factory=list)
-    hits: List[SearchHit] = field(default_factory=list)
+    reasons: Sequence[str] = ()
+    hits: Sequence[SearchHit] = ()
 
 
 class RankCombiner:
@@ -97,10 +99,8 @@ class RankCombiner:
                     score=combined,
                     synopsis_score=synopsis_score,
                     siapi_score=siapi_score,
-                    reasons=list(synopsis_match.reasons)
-                    if synopsis_match
-                    else [],
-                    hits=list(siapi_group.hits) if siapi_group else [],
+                    reasons=synopsis_match.reasons if synopsis_match else (),
+                    hits=siapi_group.hits if siapi_group else (),
                 )
             )
         if limit is not None and limit < len(ranked):

@@ -34,9 +34,9 @@ stats``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cache import LruCache
 from repro.concurrency import AtomicCounter
@@ -58,6 +58,7 @@ from repro.obs import (
     get_registry,
     get_tracer,
 )
+from repro.search.document import SearchHit
 from repro.search.siapi import SiapiService
 from repro.security.access import AccessController, User
 
@@ -100,9 +101,12 @@ _SYNOPSIS_OUTAGES = (DatabaseError, TransientError)
 _INDEX_OUTAGES = (SearchError, TransientError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActivityResult:
     """One activity as presented to the user (post access control).
+
+    Immutable, like the :class:`EilResults` holding it: the query cache
+    hands the one stored answer to every request that hits it.
 
     Attributes:
         deal_id: The activity.
@@ -126,15 +130,19 @@ class ActivityResult:
     score: float
     synopsis_score: float
     siapi_score: float
-    reasons: List[str] = field(default_factory=list)
-    documents: List = field(default_factory=list)
+    reasons: Tuple[str, ...] = ()
+    documents: Tuple[SearchHit, ...] = ()
     documents_withheld: bool = False
-    contacts: List[str] = field(default_factory=list)
+    contacts: Tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EilResults:
     """The outcome of one business-activity driven search.
+
+    Frozen, with tuple fields, so that no part of an answer can change
+    after it is built: the query cache stores this object and every
+    hit hands out that same object, uncopied.
 
     Attributes:
         activities: Ranked activity results.
@@ -148,9 +156,9 @@ class EilResults:
             cached.
     """
 
-    activities: List[ActivityResult] = field(default_factory=list)
+    activities: Tuple[ActivityResult, ...] = ()
     scoped: bool = False
-    plan: List[str] = field(default_factory=list)
+    plan: Tuple[str, ...] = ()
     degraded: Optional[str] = None
 
     @property
@@ -165,8 +173,8 @@ class CacheProbe(NamedTuple):
     Attributes:
         key: The key the request was looked up under; a miss is stored
             under it once computed.
-        cached: The cached answer (shared: copy before handing it out),
-            or None on a miss.
+        cached: The cached answer, or None on a miss.  It is immutable
+            and shared: every hit on the key hands out this object.
     """
 
     key: tuple
@@ -175,24 +183,37 @@ class CacheProbe(NamedTuple):
 
 #: The form's field values in declaration order, read without copying
 #: the form (``dataclasses.astuple`` deep-copies it on every call).
-_form_values = attrgetter(*(f.name for f in fields(FormQuery)))
+_FIELD_NAMES = tuple(f.name for f in fields(FormQuery))
+_form_values = attrgetter(*_FIELD_NAMES)
+
+#: How many of a form's values are criteria: all but ``search_in``,
+#: which FormQuery holds to "ewb" or "synopsis" and so is never blank.
+_CRITERIA = len(_FIELD_NAMES) - 1
 
 
-def _copy_results(results: EilResults) -> EilResults:
-    """A caller-mutable copy of a cached result (lists are not shared)."""
-    return EilResults(
-        activities=[
-            ActivityResult(
-                a.deal_id, a.name, a.score, a.synopsis_score,
-                a.siapi_score, list(a.reasons), list(a.documents),
-                a.documents_withheld, list(a.contacts),
-            )
-            for a in results.activities
-        ],
-        scoped=results.scoped,
-        plan=list(results.plan),
-        degraded=results.degraded,
-    )
+def _normalized_form(form: FormQuery) -> Tuple[str, ...]:
+    """The form's values, stripped in one pass: the query-cache key's
+    form part.
+
+    Raises:
+        QuerySyntaxError: A value is not text (naming the first such
+            field), or the form is empty.
+    """
+    values = _form_values(form)
+    try:
+        normalized = tuple(map(str.strip, values))
+    except TypeError:
+        name, value = next(
+            (name, value) for name, value in zip(_FIELD_NAMES, values)
+            if not isinstance(value, str)
+        )
+        raise QuerySyntaxError(
+            f"search form field {name!r} must be text, got "
+            f"{type(value).__name__}"
+        ) from None
+    if normalized.count("") == _CRITERIA:
+        raise QuerySyntaxError("the search form is empty")
+    return normalized
 
 
 class BusinessActivityDrivenSearch:
@@ -289,12 +310,12 @@ class BusinessActivityDrivenSearch:
         if probe is None:
             probe = self.probe(form, user, limit, per_activity_documents)
         if probe.cached is not None:
-            return _copy_results(probe.cached)
+            return probe.cached
         results = self._execute(form, user, limit, per_activity_documents)
         # The cache itself refuses degraded values (LruCache.storable),
         # so a thinned-out answer can never outlive the outage.
         self._cache.put(probe.key, results)
-        return _copy_results(results)
+        return results
 
     def probe(
         self,
@@ -309,11 +330,13 @@ class BusinessActivityDrivenSearch:
         and the form, builds the cache key and takes the request's one
         cache verdict.  Reads no substrate and takes no lock but the
         cache's own.
+
+        Raises:
+            QuerySyntaxError: A form field is not text, or the form is
+                empty.
         """
         _EXECUTED.inc()
         self.access.require_synopsis_access(user)
-        if form.is_empty():
-            raise QuerySyntaxError("the search form is empty")
         key = self._cache_key(form, user, limit, per_activity_documents)
         return CacheProbe(key, self._cache.get(key))
 
@@ -324,10 +347,7 @@ class BusinessActivityDrivenSearch:
         limit: Optional[int],
         per_activity_documents: int,
     ) -> tuple:
-        normalized = tuple(
-            value.strip() if isinstance(value, str) else value
-            for value in _form_values(form)
-        )
+        normalized = _normalized_form(form)
         access_signature = (
             user.user_id,
             frozenset(user.roles),
@@ -432,7 +452,7 @@ class BusinessActivityDrivenSearch:
                         "degraded result"
                     )
                     _EMPTY_RESULTS.inc()
-                    return EilResults(plan=plan, degraded=degraded)
+                    return EilResults(plan=tuple(plan), degraded=degraded)
                 try:
                     with tracer.span("query.siapi", scoped=False):
                         siapi_groups = self._siapi_grouped(
@@ -522,7 +542,7 @@ class BusinessActivityDrivenSearch:
                             f"matches; empty degraded result",
                         )
                         _EMPTY_RESULTS.inc()
-                        return EilResults(plan=plan, degraded=degraded)
+                        return EilResults(plan=tuple(plan), degraded=degraded)
                     _SIAPI_UNSCOPED.inc()
                     plan.append(
                         f"unscoped SIAPI query matched "
@@ -531,7 +551,7 @@ class BusinessActivityDrivenSearch:
                 else:
                     plan.append("no criteria matched; empty result")
                     _EMPTY_RESULTS.inc()
-                    return EilResults(plan=plan)
+                    return EilResults(plan=tuple(plan))
 
             # Step 18: rank.  The limit rides into the combiner so the
             # merge selects top-k with a bounded heap instead of
@@ -544,17 +564,17 @@ class BusinessActivityDrivenSearch:
             # Step 19: present under access control.
             with tracer.span("query.present"):
                 names = self._deal_names([a.deal_id for a in ranked])
-                results = [
+                results = tuple([
                     self._present(
                         activity, user, names.get(activity.deal_id),
                         include_contacts=degraded == DEGRADED_NO_INDEX,
                     )
                     for activity in ranked
-                ]
+                ])
             _ACTIVITIES_RETURNED.observe(len(results))
             root.set_attribute("activities", len(results))
         return EilResults(
-            activities=results, scoped=scoped, plan=plan,
+            activities=results, scoped=scoped, plan=tuple(plan),
             degraded=degraded,
         )
 
@@ -574,14 +594,16 @@ class BusinessActivityDrivenSearch:
             _PRESENT_ROW_UNAVAILABLE.inc()
             return {}
 
-    def _contacts(self, deal_id: str) -> List[str]:
+    def _contacts(self, deal_id: str) -> Tuple[str, ...]:
         """Contact names for the synopsis + contact-list fallback view."""
         try:
             rows = self.retry.call(self.organized.contacts_of, deal_id)
         except _SYNOPSIS_OUTAGES:
             _PRESENT_CONTACTS_UNAVAILABLE.inc()
-            return []
-        return [str(row.get("name", "")) for row in rows if row.get("name")]
+            return ()
+        return tuple(
+            [str(row.get("name", "")) for row in rows if row.get("name")]
+        )
 
     def _present(
         self,
@@ -595,7 +617,7 @@ class BusinessActivityDrivenSearch:
             user, repository, activity.hits
         )
         contacts = (
-            self._contacts(activity.deal_id) if include_contacts else []
+            self._contacts(activity.deal_id) if include_contacts else ()
         )
         return ActivityResult(
             deal_id=activity.deal_id,
@@ -603,7 +625,7 @@ class BusinessActivityDrivenSearch:
             score=activity.score,
             synopsis_score=activity.synopsis_score,
             siapi_score=activity.siapi_score,
-            reasons=activity.reasons,
+            reasons=tuple(activity.reasons),
             documents=documents,
             documents_withheld=withheld,
             contacts=contacts,

@@ -13,7 +13,7 @@ EIL's advantage over document search under access control (Section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Sequence, Set, Tuple
 
 from repro.errors import AccessDeniedError
 from repro.obs import CounterHandle
@@ -121,7 +121,7 @@ class AccessController:
 
     def presentable_documents(
         self, user: User, repository: str, hits: Sequence
-    ) -> Tuple[List, bool]:
+    ) -> Tuple[tuple, bool]:
         """Step 19's redaction decision: ``(visible_hits, withheld)``.
 
         The paper's fallback — and the template the fault layer's
@@ -129,14 +129,16 @@ class AccessController:
         list* whenever documents cannot be shown: here because the user
         lacks repository access, there because the index is down.  The
         caller renders contacts either way; this method only decides
-        document visibility and records the redaction metric.
+        document visibility and records the redaction metric.  The
+        visible hits are a tuple (``hits`` itself when it is one), so an
+        answer built from them cannot be changed afterwards.
         """
         may_read = self.can_read_documents(user, repository)
         if may_read:
-            return list(hits), False
+            return tuple(hits), False
         if hits:
             _DOCUMENTS_REDACTED.inc(len(hits))
-        return [], bool(hits)
+        return (), bool(hits)
 
     def can_read_synopsis(self, user: User) -> bool:
         """May ``user`` read extracted synopses?  Anonymous may not."""

@@ -75,7 +75,7 @@ class TestSynopsisDownRung:
         with _inject(DB_DOWN):
             results = eil.search(scope_query("End User Services"), SALES)
         assert results.degraded == "no-synopsis"
-        assert results.activities == []
+        assert results.activities == ()
 
     def test_presentation_survives_db_down(self, eil, corpus, registry):
         # deal_row lookups fail too; names fall back to the deal id.

@@ -96,21 +96,21 @@ class TestRenderDealList:
 
 class TestRenderResults:
     def make_results(self, with_documents=True, withheld=False):
-        hits = []
+        hits = ()
         if with_documents:
-            hits = [SearchHit(
+            hits = (SearchHit(
                 "doc1", 2.0,
                 {"title": "Delay file", "body": "data replication"},
                 snippet="data replication RTO lower than 48 hours",
-            )]
+            ),)
         activity = ActivityResult(
             deal_id="d1", name="DEAL A", score=0.8,
             synopsis_score=0.9, siapi_score=0.7,
-            reasons=["tower=Storage Management Services"],
-            documents=[] if withheld else hits,
+            reasons=("tower=Storage Management Services",),
+            documents=() if withheld else hits,
             documents_withheld=withheld and bool(hits),
         )
-        return EilResults(activities=[activity], scoped=True)
+        return EilResults(activities=(activity,), scoped=True)
 
     def test_figure9_layout(self):
         text = render_results(self.make_results())

@@ -15,7 +15,8 @@ class TestFormQuery:
     def test_criteria_predicates(self):
         assert FormQuery(tower="WAN").has_concept_criteria()
         assert FormQuery(all_words="x").has_text_criteria()
-        assert FormQuery().is_empty()
+        assert not FormQuery().has_concept_criteria()
+        assert not FormQuery().has_text_criteria()
         assert not FormQuery(tower="WAN").has_text_criteria()
 
     def test_invalid_search_in(self):

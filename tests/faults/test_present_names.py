@@ -82,7 +82,7 @@ def test_one_statement_per_result(eil, names_statement, registry):
 def test_nothing_presented_reads_nothing(eil, names_statement, registry):
     calls, _ = names_statement
     results = eil.search(scope_query("no such service at all"), SALES)
-    assert results.activities == []
+    assert results.activities == ()
     assert calls == []
 
 

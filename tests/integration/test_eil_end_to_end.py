@@ -198,7 +198,7 @@ class TestAccessControl:
             SALES,
         )
         for activity in results.activities:
-            assert activity.documents == []
+            assert activity.documents == ()
             assert activity.documents_withheld
         # But the synopsis — including the contact list — is available.
         if results.activities:
@@ -243,7 +243,7 @@ class TestSearchMechanics:
 
     def test_concept_only_no_match_is_empty(self, eil):
         results = eil.search(FormQuery(industry="NoSuchIndustry"), SALES)
-        assert results.activities == []
+        assert results.activities == ()
 
     def test_keyword_only_query_unscoped(self, eil):
         results = eil.search(FormQuery(all_words="replication"), SALES)

@@ -311,7 +311,7 @@ class TestRealSystem:
         assert registry.histograms["span.online.search"].count == 2
         assert _count(registry, "serving.admitted") == 1
         assert _count(registry, "serving.answered_inline") == 1
-        assert hit is not missed and hit.activities is not missed.activities
+        assert hit is missed  # the stored answer itself, not a copy
         eil._search._cache.clear()
         direct = eil.search(form, user, limit=3)
         assert missed == direct

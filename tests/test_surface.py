@@ -87,6 +87,8 @@ READER_PRIMITIVES = {
 #: Methods deleted because only tests called them; they stay gone.
 DELETED_METHODS = {
     "repro.annotators.classifier.NaiveBayesClassifier.labels",
+    # The query cache's one normalisation pass tells an empty form.
+    "repro.core.query_analyzer.FormQuery.is_empty",
     "repro.db.sql._Parser._parse_literal_value",
     "repro.faults.injection.FaultInjector.wrap",
     "repro.search.scoring.Bm25Scorer.score",
@@ -507,6 +509,33 @@ def test_the_engine_filters_on_a_scope_never_on_document_ids():
             with pytest.raises(SearchError):
                 run()
     assert engine.count("services", ("deal_id", {"d"})) == 1
+
+
+def test_a_cached_answer_is_frozen_and_never_copied():
+    # The query cache hands every hit the one answer it stored.  That is
+    # safe only while no part of an answer can change: both answer
+    # types are frozen and hold tuples, and the per-hit copy stays gone.
+    import dataclasses
+    import typing
+
+    from repro.core import search
+
+    def mentions_list(hint):
+        return (hint is list or typing.get_origin(hint) is list
+                or any(map(mentions_list, typing.get_args(hint))))
+
+    for cls in (search.EilResults, search.ActivityResult):
+        assert cls.__dataclass_params__.frozen, cls
+        hints = typing.get_type_hints(cls)
+        listy = [f.name for f in dataclasses.fields(cls)
+                 if mentions_list(hints[f.name])]
+        assert not listy, (cls, listy)
+    assert not hasattr(search, "_copy_results")
+    copiers = [
+        path for path in (SRC / "repro").rglob("*.py")
+        if "_copy_results" in path.read_text()
+    ]
+    assert not copiers, copiers
 
 
 def test_the_front_door_has_no_worker_pool():
