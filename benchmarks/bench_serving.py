@@ -4,10 +4,7 @@ Measures what the concurrent serving PR promises (docs/OPERATIONS.md):
 
 * **steady state** — N concurrent closed-loop clients drive the
   meta-query mix through :class:`~repro.serving.EILServer`; the bench
-  records sustained QPS and p50/p95/p99 latency for the unsharded
-  engine and for the engine over a deal-sharded index (``shards=4``),
-  plus a parity check that the sharded ranking is identical to the unsharded
-  one.
+  records sustained QPS and p50/p95/p99 latency.
 * **concurrent mutation** — the same load while a churn thread
   repeatedly onboards/offboards an extra engagement
   (``add_workbook`` / ``remove_deal``).  Snapshot isolation means
@@ -200,29 +197,11 @@ def _closed_loop(
     }
 
 
-def _ranking_parity(corpus, unsharded: EILSystem,
-                    sharded: EILSystem) -> bool:
-    """Sharded fan-out must rank exactly like the single index."""
-    for form in _query_forms(corpus):
-        left = unsharded.search(form, _USER)
-        right = sharded.search(form, _USER)
-        if [a.deal_id for a in left.activities] != [
-            a.deal_id for a in right.activities
-        ]:
-            return False
-    left_hits = unsharded.keyword_search("end user services", limit=10)
-    right_hits = sharded.keyword_search("end user services", limit=10)
-    return [(h.doc_id, h.score) for h in left_hits] == [
-        (h.doc_id, h.score) for h in right_hits
-    ]
-
-
 def run_bench(
     deals: int = 8,
     docs: int = 16,
     clients: int = 4,
     requests: int = 24,
-    shards: int = 4,
     seed: int = 2008,
     out_path: pathlib.Path = DEFAULT_OUT,
 ) -> Dict[str, object]:
@@ -231,30 +210,22 @@ def run_bench(
         CorpusConfig(seed=seed, n_deals=deals, docs_per_deal=docs)
     ).generate()
     forms = _query_forms(corpus)
-    unsharded = EILSystem.build(corpus, shards=1)
-    sharded = EILSystem.build(corpus, shards=shards)
+    system = EILSystem.build(corpus)
 
-    steady = {
-        "shards=1": _closed_loop(unsharded, forms, clients, requests),
-        f"shards={shards}": _closed_loop(
-            sharded, forms, clients, requests
-        ),
-    }
+    steady = _closed_loop(system, forms, clients, requests)
 
     new_deal, workbook = _extra_workbook(corpus, docs)
 
     def mutate() -> None:
-        sharded.add_workbook(workbook)
-        sharded.remove_deal(new_deal.deal_id)
+        system.add_workbook(workbook)
+        system.remove_deal(new_deal.deal_id)
 
     mutation = _closed_loop(
-        sharded, forms, clients, requests, mutator=mutate
+        system, forms, clients, requests, mutator=mutate
     )
-    # Leave the system in its original state for the parity check.
-    sharded.remove_deal(new_deal.deal_id)
 
     overload = _closed_loop(
-        _SlowSystem(unsharded, delay=0.02),
+        _SlowSystem(system, delay=0.02),
         forms,
         clients=8,
         requests_per_client=max(4, requests // 4),
@@ -265,13 +236,9 @@ def run_bench(
 
     report: Dict[str, object] = {
         "bench": "serving",
-        "schema_version": 1,
+        "schema_version": 2,
         "created_unix": time.time(),
         "corpus": {"seed": seed, "deals": deals, "docs_per_deal": docs},
-        "shards": shards,
-        "sharded_ranking_identical": _ranking_parity(
-            corpus, unsharded, sharded
-        ),
         "steady": steady,
         "mutation": mutation,
         "overload": overload,
@@ -283,12 +250,11 @@ def run_bench(
 def test_bench_serving(report_writer):
     """Pytest entry: run a small bench and assert the trajectories."""
     report = run_bench(deals=4, docs=14, clients=4, requests=8)
-    assert report["sharded_ranking_identical"] is True
-    for label, run in report["steady"].items():
-        # Steady state is under capacity: every request completes.
-        assert run["outcomes"]["completed"] == run["issued"], label
-        assert run["sustained_qps"] > 0, label
-        assert run["latency_ms"]["p99"] >= run["latency_ms"]["p50"]
+    steady = report["steady"]
+    # Steady state is under capacity: every request completes.
+    assert steady["outcomes"]["completed"] == steady["issued"]
+    assert steady["sustained_qps"] > 0
+    assert steady["latency_ms"]["p99"] >= steady["latency_ms"]["p50"]
     mutation = report["mutation"]
     # Snapshot isolation: queries racing add_workbook/remove_deal
     # never observe a torn index — zero errors of any kind.
@@ -308,16 +274,11 @@ def test_bench_serving(report_writer):
     assert DEFAULT_OUT.exists()
     parsed = json.loads(DEFAULT_OUT.read_text())
     assert parsed["bench"] == "serving"
-    steady = report["steady"]
     lines = [
-        "E17: concurrent serving (sharded index, admission control)",
-        f"steady {4} clients: shards=1 "
-        f"{steady['shards=1']['sustained_qps']:.0f} q/s p99 "
-        f"{steady['shards=1']['latency_ms']['p99']:.1f} ms; shards=4 "
-        f"{steady['shards=4']['sustained_qps']:.0f} q/s p99 "
-        f"{steady['shards=4']['latency_ms']['p99']:.1f} ms "
-        f"(rankings identical: "
-        f"{report['sharded_ranking_identical']})",
+        "E17: concurrent serving (admission control)",
+        f"steady {steady['clients']} clients: "
+        f"{steady['sustained_qps']:.0f} q/s p99 "
+        f"{steady['latency_ms']['p99']:.1f} ms",
         f"under churn: {mutation['outcomes']['completed']}/"
         f"{mutation['issued']} completed, 0 torn reads",
         f"overload (8 clients, 2+2 slots): "
@@ -335,7 +296,6 @@ def main() -> int:
     parser.add_argument("--docs", type=int, default=16)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--requests", type=int, default=24)
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--seed", type=int, default=2008)
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     parser.add_argument("--smoke", action="store_true",
@@ -344,14 +304,12 @@ def main() -> int:
     if args.smoke:
         args.deals, args.docs, args.requests = 4, 14, 8
     report = run_bench(args.deals, args.docs, args.clients,
-                       args.requests, args.shards, args.seed, args.out)
+                       args.requests, args.seed, args.out)
     print(f"wrote {args.out}")
-    print(f"sharded ranking identical: "
-          f"{report['sharded_ranking_identical']}")
-    for label, run in report["steady"].items():
-        print(f"steady {label:<9}: {run['sustained_qps']:.0f} q/s  "
-              f"p50={run['latency_ms']['p50']:.1f}ms  "
-              f"p99={run['latency_ms']['p99']:.1f}ms")
+    steady = report["steady"]
+    print(f"steady         : {steady['sustained_qps']:.0f} q/s  "
+          f"p50={steady['latency_ms']['p50']:.1f}ms  "
+          f"p99={steady['latency_ms']['p99']:.1f}ms")
     mutation = report["mutation"]
     print(f"under churn    : {mutation['sustained_qps']:.0f} q/s  "
           f"{mutation['outcomes']['completed']}/{mutation['issued']} "

@@ -196,9 +196,7 @@ def run_bench(
             == _system_rankings(built, corpus)
         )
 
-        json_bytes = _json_baseline_bytes(loaded.engine.index
-                                          if built.shards == 1
-                                          else built.engine.index)
+        json_bytes = _json_baseline_bytes(loaded.engine.index)
         documents = stats["docs"]
         json_bytes_per_doc = json_bytes / documents if documents else 0.0
     finally:

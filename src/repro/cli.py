@@ -68,7 +68,7 @@ from repro.core.presentation import (
 from repro.core.query_analyzer import FormQuery
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.db.persistence import dump_database
-from repro.errors import EILUnavailableError, TransientError
+from repro.errors import EILUnavailableError, StorageError, TransientError
 from repro.eval.study import MetaQueryClassifier
 from repro.faults import FaultInjector, FaultProfile, use_injector
 from repro.security.access import User
@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "and is serial at 1); 'serial' keeps the "
                              "build on one thread at any width — "
                              "results are identical under both")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="partition the inverted index into this "
-                             "many deal-keyed shards, read as one by "
-                             "the search engine (default: 1 or "
-                             "$REPRO_SHARDS; rankings are bit-identical "
-                             "at any shard count)")
     parser.add_argument("--fault-profile", default="",
                         help="arm the fault injector, e.g. "
                              "'db:error=0.2;index:latency=0.05' "
@@ -241,12 +235,10 @@ def _make_system(args: argparse.Namespace) -> tuple:
         ).generate()
     index_dir = getattr(args, "index_dir", None)
     if index_dir:
-        # Cold start: segments + synopsis DB come off disk; the shard
-        # count is whatever the index was persisted with.
+        # Cold start: segments + synopsis DB come off disk.
         return corpus, EILSystem.load(index_dir, corpus)
     return corpus, EILSystem.build(corpus, workers=args.workers,
-                                   executor=args.executor,
-                                   shards=args.shards)
+                                   executor=args.executor)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -577,10 +569,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
-    if args.fault_profile:
-        injector = FaultInjector(
-            FaultProfile.parse(args.fault_profile), seed=args.fault_seed
-        )
-        with use_injector(injector):
-            return command(args)
-    return command(args)
+    try:
+        if args.fault_profile:
+            injector = FaultInjector(
+                FaultProfile.parse(args.fault_profile), seed=args.fault_seed
+            )
+            with use_injector(injector):
+                return command(args)
+        return command(args)
+    except StorageError as exc:
+        # A snapshot that will not load (missing, damaged, or from a
+        # layout this version does not read) is the operator's to fix:
+        # one line saying which file and why, not a traceback.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2

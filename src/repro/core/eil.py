@@ -53,7 +53,6 @@ from repro.search.document import SearchHit
 from repro.search.engine import SearchEngine
 from repro.search.siapi import SiapiService
 from repro.security.access import AccessController, User
-from repro.serving.sharding import ShardedIndex
 from repro.storage.atomic import (
     atomic_write_text,
     encode_document,
@@ -78,16 +77,6 @@ def _default_workers() -> int:
     site.
     """
     return int(os.environ.get("REPRO_WORKERS", "1"))
-
-
-def _default_shards() -> int:
-    """Engine shard count when unspecified: ``REPRO_SHARDS`` or 1.
-
-    Like ``REPRO_WORKERS``, the override exists so an entire test or CI
-    run can be re-executed over the sharded index (rankings are
-    bit-identical at any shard count) without touching call sites.
-    """
-    return int(os.environ.get("REPRO_SHARDS", "1"))
 
 
 @dataclass
@@ -174,9 +163,6 @@ class EILSystem:
             of documents failed or were quarantined.
         retry: Retry policy for transient failures across both
             pipelines (defaults to three quick attempts).
-        shards: Online index partitions (default 1, or
-            ``REPRO_SHARDS``); > 1 partitions the index by deal, with
-            rankings bit-identical to the unpartitioned one.
     """
 
     #: File names / identity of the on-disk layout written by
@@ -202,29 +188,21 @@ class EILSystem:
         deadline_seconds: Optional[float] = None,
         max_failure_ratio: float = 1.0,
         retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
     ) -> None:
         workers = _default_workers() if workers is None else workers
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        shards = _default_shards() if shards is None else shards
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.taxonomy = taxonomy
         self.collection = collection
         self.directory = directory
         self.access = access or AccessController()
         self.workers = workers
         self.executor = executor  # None: the CPE's default, processes
-        self.shards = shards
         self._query_cache_size = query_cache_size
         self.engine = SearchEngine(
             # Slide titles carry the key point (paper Section 3.3).
             field_boosts={"title": 2.0},
             cache_size=engine_cache_size,
-            # Deal-keyed partitions are an index layout: same engine,
-            # bit-identical rankings (the scorer reads the composite).
-            index=ShardedIndex(shards) if shards > 1 else None,
         )
         self.siapi = SiapiService(self.engine)
         self.organized = OrganizedInformation()
@@ -314,9 +292,8 @@ class EILSystem:
         Layout::
 
             directory/
-              eil-manifest.json   # shards, repositories, build report
-              index/              # segment store (MANIFEST.json or, when
-                                  # sharded, SHARDS.json + shard-NN/)
+              eil-manifest.json   # repositories, build report
+              index/              # segment store (MANIFEST.json + segments)
               synopsis.json       # organized-information database snapshot
               graph.json          # entity graph (canonical, checksummed)
 
@@ -338,7 +315,6 @@ class EILSystem:
             )
             self.graph.save(os.path.join(directory, self._GRAPH_FILE))
             manifest = {
-                "shards": self.shards,
                 "repositories": self._repositories,
                 "build_report": (
                     asdict(self.build_report)
@@ -364,11 +340,12 @@ class EILSystem:
         checked against its checksum and version; a file that fails
         raises a typed error naming it.
 
-        The shard count comes from the saved index (``SHARDS.json``, or
-        none for one partition) — the segments were partitioned at save
-        time, so ``REPRO_SHARDS`` is deliberately ignored here.  An
-        explicit ``shards``, or an ``eil-manifest.json``, that disagrees
-        with it raises :class:`~repro.errors.StorageError`.
+        An ``index/`` saved partitioned into shards (it holds
+        ``SHARDS.json``) is refused with a
+        :class:`~repro.errors.StorageError` naming that file: this
+        version reads one index, so such a snapshot must be rebuilt.  A
+        manifest's ``shards`` field, which unpartitioned snapshots of
+        that time also carry, is ignored.
 
         Args:
             directory: A directory written by :meth:`save_index`.
@@ -383,32 +360,17 @@ class EILSystem:
         )
         repositories, report = _manifest_fields(manifest, manifest_path)
         index_directory = os.path.join(directory, cls._INDEX_SUBDIR)
-        shards_path = os.path.join(
-            index_directory, ShardedIndex.SHARDS_MANIFEST
-        )
-        sharded = os.path.exists(shards_path)
-        saved_shards = (
-            ShardedIndex.saved_shards(index_directory) if sharded else 1
-        )
-        if manifest.get("shards") != saved_shards:
+        shards_path = os.path.join(index_directory, "SHARDS.json")
+        if os.path.exists(shards_path):
             raise StorageError(
-                f"{manifest_path} records {manifest.get('shards')} shard(s) "
-                f"but {shards_path} "
-                f"{'records' if sharded else 'is absent, which means'} "
-                f"{saved_shards}: a snapshot mixed from two saves"
-            )
-        shards = options.pop("shards", None)
-        if shards is not None and shards != saved_shards:
-            raise StorageError(
-                f"index at {directory} was saved with {saved_shards} "
-                f"shard(s) but {shards} requested; load with the saved "
-                f"count (the partitioning is fixed at save time)"
+                f"{shards_path}: the index was saved partitioned into "
+                f"shards, which this version does not read; rebuild the "
+                f"snapshot (python -m repro persist)"
             )
         system = cls(
             taxonomy=corpus.taxonomy,
             collection=corpus.collection,
             directory=corpus.directory,
-            shards=saved_shards,
             **options,
         )
         with get_tracer().span("persist.load"):

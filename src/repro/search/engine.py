@@ -684,8 +684,7 @@ class SearchEngine:
         index: A prebuilt index to serve instead of a fresh in-memory
             one — typically a :class:`~repro.storage.store
             .SegmentBackedIndex` (loaded from disk or configured with a
-            flush threshold) or a :class:`~repro.serving.sharding
-            .ShardedIndex` (partitioned by deal).  Must share the engine's analyzer; when
+            flush threshold).  Must share the engine's analyzer; when
             ``analyzer`` is omitted the index's own analyzer is
             adopted.  Any writable
             :class:`~repro.search.index_reader.IndexReader` works.
@@ -759,7 +758,7 @@ class SearchEngine:
     def save_index(self, directory: str) -> Dict[str, object]:
         """Persist the index as delta-varint segments under ``directory``.
 
-        An index that can save itself (segment-backed, sharded) does; a
+        An index that can save itself (segment-backed) does; a
         plain in-memory index is encoded through a transient store
         without being modified (:func:`repro.storage.store.save_index`).
         Returns the storage stats of the written state.  Runs under the
@@ -774,17 +773,13 @@ class SearchEngine:
     def load_index(self, directory: str):
         """Cold-start the engine from what ``save_index`` wrote.
 
-        The directory is read by the ``load`` of the index type the
-        engine serves (a sharded index reads ``SHARDS.json`` + its
-        ``shard-NN/`` stores), an in-memory engine's by
-        :meth:`SegmentBackedIndex.load <repro.storage.store
-        .SegmentBackedIndex.load>`.  Returns the loaded index, already
-        installed via :meth:`replace_index`.
+        The directory is read by :meth:`SegmentBackedIndex.load
+        <repro.storage.store.SegmentBackedIndex.load>`.  Returns the
+        loaded index, already installed via :meth:`replace_index`.
         """
         from repro.storage.store import SegmentBackedIndex
 
-        load = getattr(type(self.index), "load", SegmentBackedIndex.load)
-        store = load(directory, analyzer=self.analyzer)
+        store = SegmentBackedIndex.load(directory, analyzer=self.analyzer)
         self.replace_index(store)
         return store
 

@@ -6,9 +6,8 @@ them — ``matching_docs``, ``phrase_docs``, ``average_length`` and
 every ``field=None`` merge — exactly once.  Two
 leaves store postings (:class:`~repro.search.inverted_index
 .InvertedIndex` in dicts, :class:`~repro.storage.segment.Segment` in
-delta-varint bytes); :class:`CompositeIndexReader` is the one union
-over disjoint parts, which both the segment store (segments + memtable)
-and the sharded index (one index per shard) are.
+delta-varint bytes); :class:`CompositeIndexReader` is the union over
+disjoint parts that the segment store (segments + memtable) is.
 
 Readers take no lock: whoever owns one (an engine) excludes mutation
 for the duration of a call.
@@ -304,7 +303,7 @@ class IndexReader(ABC):
         """Average length of ``field`` (BM25's avgdl).
 
         Integer totals divided once.  A composite sums its parts'
-        integers before this divide, so a segmented or sharded corpus
+        integers before this divide, so a segmented corpus
         gets the very float a single in-memory index computes
         (bit-identical BM25 avgdl); averaging per-part floats would
         not.  The per-field denominator is the number of documents that

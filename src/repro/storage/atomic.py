@@ -8,9 +8,9 @@ and ``fsync`` the file so the bytes are durable before the name flips,
 ``os.replace`` onto the final path (atomic within a directory), then
 fsync the directory so the rename itself survives a power cut.
 
-Every JSON file of a saved system — ``eil-manifest.json``,
-``SHARDS.json``, a segment store's ``MANIFEST.json``, ``synopsis.json``
-and ``graph.json`` — is one document of the same shape, written by
+Every JSON file of a saved system — ``eil-manifest.json``, a segment
+store's ``MANIFEST.json``, ``synopsis.json`` and ``graph.json`` — is
+one document of the same shape, written by
 :func:`encode_document` and read by :func:`decode_document` (or
 :func:`read_manifest`, which reads the file first)::
 

@@ -118,6 +118,16 @@ class TestCommands:
             answered / report["elapsed_seconds"]
         )
 
+    def test_a_snapshot_that_will_not_load_is_one_line(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "absent"
+        code = main(FAST + ["stats", "--index-dir", str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and str(missing) in err
+        assert err.count("\n") == 1, err
+
 
 class TestGraphCommand:
     def _first_person(self):

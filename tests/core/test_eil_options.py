@@ -59,7 +59,6 @@ class TestBuildOptions:
             "deadline_seconds": None,
             "max_failure_ratio": 1.0,
             "retry": RetryPolicy(),
-            "shards": 1,
         }
         built = EILSystem.build(corpus, **options)
         built.save_index(str(tmp_path))

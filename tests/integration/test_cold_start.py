@@ -3,8 +3,9 @@
 The acceptance contract for persistent storage: a system loaded from
 disk is indistinguishable from the freshly built one — same rankings
 and counts bit-for-bit, same synopses, and the loaded system keeps
-supporting incremental maintenance (``add_workbook`` / ``remove_deal``)
-— including when the index was built sharded.  One test loads in a
+supporting incremental maintenance (``add_workbook`` / ``remove_deal``).
+A snapshot from the partitioned-index layout is refused by name.  One
+test loads in a
 genuinely fresh process to prove nothing leaks through interpreter
 state.
 """
@@ -177,26 +178,50 @@ def test_cold_start_fresh_process(built, corpus, tmp_path):
     assert fresh == local
 
 
-def test_cold_start_sharded(corpus, tmp_path):
-    built = EILSystem.build(corpus, shards=2)
+def _rewrite(path, edit):
+    """Re-encode ``path``'s payload through ``edit``, checksum included:
+    what an older save wrote, not a damaged file."""
+    document = json.loads(path.read_text())
+    path.write_text(encode_document(
+        document["format"], document["version"], edit(document["payload"])
+    ))
+
+
+def test_a_manifest_that_records_one_shard_loads(built, corpus, tmp_path):
+    """Snapshots saved while the index could be partitioned carry
+    ``"shards": 1`` in ``eil-manifest.json``; they load unchanged."""
     built.save_index(str(tmp_path))
-    # REPRO_SHARDS must NOT override the persisted partitioning.
-    os.environ["REPRO_SHARDS"] = "3"
-    try:
-        cold = EILSystem.load(str(tmp_path), corpus)
-    finally:
-        del os.environ["REPRO_SHARDS"]
-    assert cold.shards == 2
+    manifest = tmp_path / EILSystem.EIL_MANIFEST
+    assert "shards" not in json.loads(manifest.read_text())["payload"]
+    _rewrite(manifest, lambda payload: {**payload, "shards": 1})
+    cold = EILSystem.load(str(tmp_path), corpus)
     assert keyword_fingerprint(cold) == keyword_fingerprint(built)
-    workbook = next(iter(corpus.collection))
-    assert cold.remove_deal(workbook.deal_id) > 0
-    cold.add_workbook(workbook)
+    assert form_fingerprint(cold, corpus) == form_fingerprint(built, corpus)
+    assert cold.build_report == built.build_report
 
 
-def test_shard_mismatch_rejected(corpus, tmp_path):
-    EILSystem.build(corpus, shards=2).save_index(str(tmp_path))
-    with pytest.raises(StorageError, match="shard"):
-        EILSystem.load(str(tmp_path), corpus, shards=4)
+def test_a_sharded_snapshot_is_refused_naming_shards_json(
+    built, corpus, tmp_path
+):
+    """The partitioned layout: ``index/SHARDS.json`` plus one
+    ``shard-NN/`` store per shard, and the count in the manifest."""
+    built.save_index(str(tmp_path))
+    index = tmp_path / "index"
+    shard = index / "shard-00"
+    shard.mkdir()
+    for entry in list(index.iterdir()):
+        if entry != shard:
+            entry.rename(shard / entry.name)
+    (index / "SHARDS.json").write_text(
+        encode_document("repro-sharded-index", 2, {"shards": 1})
+    )
+    _rewrite(tmp_path / EILSystem.EIL_MANIFEST,
+             lambda payload: {**payload, "shards": 1})
+    with pytest.raises(StorageError) as raised:
+        EILSystem.load(str(tmp_path), corpus)
+    message = str(raised.value)
+    assert str(index / "SHARDS.json") in message
+    assert "rebuild" in message
 
 
 def test_missing_or_foreign_directory_rejected(corpus, tmp_path):

@@ -187,12 +187,11 @@ class TestIdempotentOnboarding:
 class TestOneHoldOffboarding:
     """A deal leaves the index in one write-side hold of the engine."""
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_each_remove_deal_moves_the_epoch_by_one(self, shards):
+    def test_each_remove_deal_moves_the_epoch_by_one(self):
         corpus = CorpusGenerator(
             CorpusConfig(n_deals=4, docs_per_deal=12)
         ).generate()
-        eil = EILSystem.build(corpus, shards=shards)
+        eil = EILSystem.build(corpus)
         for deal in corpus.deals:
             before = eil.engine.epoch
             assert eil.remove_deal(deal.deal_id) > 0

@@ -51,8 +51,8 @@ _allow(PROTOCOL, "IndexReader's abstract primitive: every reader "
                "stored_fields", "term_postings", "vocabulary",
            )
        ])
-_allow(PROTOCOL, "CompositeIndexReader's abstract property: the "
-       "sharded index and the segment store override it", [
+_allow(PROTOCOL, "CompositeIndexReader's abstract property: only the "
+       "segment store overrides it", [
            "repro.search.index_reader.CompositeIndexReader.parts",
        ])
 _allow(PROTOCOL, "Scorer's protocol method: the BM25 scorer overrides it",
@@ -152,6 +152,11 @@ _allow(TRACING, "EXPLAIN, which the tracing item's `repro explain` is "
        ])
 _allow(LAYOUT, "the segment store's write path, which the one-served-"
        "layout item reaches from the build", [
+           # Reached through the composite's own removals and
+           # offboarding's lookup, which only the segment store's
+           # write path now runs.
+           "repro.search.index_reader.CompositeIndexReader._untrack",
+           "repro.search.index_reader.CompositeIndexReader.docs_with_metadata",
            "repro.storage.segment.merge_segments",
            "repro.storage.segment.Segment.iter_term_raw",
            "repro.storage.segment.Segment.docs_with_metadata",

@@ -45,27 +45,14 @@ ENTRIES: List[Tuple[str, List[str]]] = [
     ("cli stats", _cli(*_SMALL, "stats", "--queries", "1")),
     ("cli stats --json",
      _cli(*_SMALL, "stats", "--queries", "1", "--json")),
-    ("cli stats --shards 2",
-     _cli(*_SMALL, "--shards", "2", "stats", "--queries", "1")),
     ("cli serve", _cli(*_SMALL, "serve", "--clients", "6",
                        "--requests", "8")),
-    ("cli serve --shards 3 --json",
-     _cli(*_SMALL, "--shards", "3", "serve", "--clients", "6",
-          "--requests", "8", "--json")),
     ("cli persist", _cli(*_SMALL, "persist", "{tmp}/index")),
     ("cli stats --index-dir",
      _cli(*_SMALL, "stats", "--queries", "1", "--index-dir", "{tmp}/index")),
     ("cli serve --index-dir",
      _cli(*_SMALL, "serve", "--clients", "2", "--requests", "4",
           "--index-dir", "{tmp}/index")),
-    ("cli persist --shards 2",
-     _cli(*_SMALL, "--shards", "2", "persist", "{tmp}/index-2")),
-    ("cli stats --index-dir sharded",
-     _cli(*_SMALL, "stats", "--queries", "1", "--index-dir",
-          "{tmp}/index-2")),
-    ("cli stats --shards 2 --index-dir sharded",
-     _cli(*_SMALL, "--shards", "2", "stats", "--queries", "1",
-          "--index-dir", "{tmp}/index-2")),
     ("cli graph --role", _cli(*_SMALL, "graph", "--role", "cross tower TSA")),
     ("cli graph --expertise",
      _cli(*_SMALL, "graph", "--expertise", "Network", "--limit", "3")),

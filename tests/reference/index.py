@@ -16,8 +16,8 @@ unhashable probes, and every metadata key's column (one key unknown):
 each live document's value, each value's document count, and the count
 of every probe.
 ``tests/search/test_index_reader.py`` runs it over every kind of
-reader in every layout; the storage and sharding suites hand it their
-own scenarios.
+reader in every layout; the storage suites hand it their own
+scenarios.
 """
 
 from functools import lru_cache

@@ -14,8 +14,8 @@ documents, scores and order.
 It reads an index only through the surface every index shares —
 ``matching_docs``, ``doc_ids``, ``fields``, ``document``,
 ``average_length`` and ``len`` — so the same code runs over an
-``InvertedIndex``, a ``SegmentBackedIndex`` in any segment layout, and
-a ``ShardedIndex``.  A document's term frequencies, field lengths and
+``InvertedIndex`` and a ``SegmentBackedIndex`` in any segment layout.
+A document's term frequencies, field lengths and
 phrase adjacency are therefore not read off stored postings but
 recomputed by analyzing the stored field text.
 

@@ -10,8 +10,7 @@ field restrictions, field boosts, activity scopes (against the
 oracle's id set of the scope's documents and against its predicate
 over stored documents) and post-``remove`` epochs,
 generated query trees, every segment layout the store can be in, and
-1, 2 and 4 shards (in memory and cold-loaded), and asserts exact
-equality.
+a store cold-loaded from disk, and asserts exact equality.
 """
 
 import random
@@ -32,7 +31,6 @@ from repro.search import (
     TermQuery,
     parse_query,
 )
-from repro.serving.sharding import ShardedIndex
 from tests.reference.search import exhaustive_ranking, exhaustive_search
 from tests.storage.test_store import compact
 
@@ -99,23 +97,6 @@ def make_engine(corpus, **kwargs):
     engine = SearchEngine(**kwargs)
     for document in corpus:
         engine.add(document)
-    return engine
-
-
-def make_sharded_engine(corpus, shards, reload_through=None, **kwargs):
-    """The engine over a ``ShardedIndex``.  With ``reload_through`` (a
-    directory) the index is saved there and cold-loaded, so every
-    shard is a segment store instead of an in-memory index."""
-    kwargs.setdefault("cache_size", 0)
-    engine = SearchEngine(index=ShardedIndex(shards), **kwargs)
-    for document in corpus:
-        engine.add(document)
-    if reload_through is not None:
-        engine.save_index(str(reload_through))
-        engine = SearchEngine(
-            index=ShardedIndex.load(str(reload_through)), **kwargs
-        )
-        assert len(engine.index.parts) == shards
     return engine
 
 
@@ -272,21 +253,15 @@ def test_maxscore_touches_strictly_fewer_postings(engine):
     assert pruned < exhaustive
 
 
-# -- shards -------------------------------------------------------------------
+# -- cold-loaded --------------------------------------------------------------
 #
-# The oracle reads a sharded index as the one corpus it is, so "sharded
-# == oracle" is the same assertion as above, not a comparison of two
-# production engines.
+# The oracle reads a store loaded from disk as the corpus it is, so
+# "loaded == oracle" is the same assertion as above, over segments read
+# through their files.
 
 
-@pytest.mark.parametrize(
-    "shards, loaded", [(2, False), (4, False), (2, True), (4, True)],
-    ids=["2", "4", "2-loaded", "4-loaded"],
-)
-def test_sharded_engine_matches_oracle(corpus, tmp_path, shards, loaded):
-    engine = make_sharded_engine(
-        corpus, shards, tmp_path if loaded else None
-    )
+def test_cold_loaded_engine_matches_oracle(corpus, tmp_path):
+    engine = make_loaded_engine(corpus, tmp_path)
     rng = random.Random(99)
     scope = ref_scope(doc.doc_id for doc in corpus if rng.random() < 0.4)
     for query in QUERIES:
@@ -340,18 +315,14 @@ def engines(corpus, tmp_path_factory):
     return {
         "memory": make_engine(corpus),
         "tiered": make_segmented_engine(corpus, "tiered"),
-        "shards2": make_sharded_engine(corpus, 2),
-        "shards4": make_sharded_engine(corpus, 4),
-        "shards4-loaded": make_sharded_engine(
-            corpus, 4, tmp_path_factory.mktemp("shards4-loaded")
+        "loaded": make_loaded_engine(
+            corpus, tmp_path_factory.mktemp("loaded")
         ),
     }
 
 
 @given(
-    shape=st.sampled_from(
-        ["memory", "tiered", "shards2", "shards4", "shards4-loaded"]
-    ),
+    shape=st.sampled_from(["memory", "tiered", "loaded"]),
     query=query_trees,
     limit=st.sampled_from(LIMITS),
     scope=st.one_of(
@@ -395,6 +366,19 @@ def make_segmented_engine(corpus, layout, removed=(), **kwargs):
         engine.remove(doc_id)
     if layout == "compacted":
         compact(index)
+    return engine
+
+
+def make_loaded_engine(corpus, directory, **kwargs):
+    """A fresh engine cold-loaded from a tiered store saved under
+    ``directory``: every segment is read through its file."""
+    kwargs.setdefault("cache_size", 0)
+    make_segmented_engine(corpus, "tiered").save_index(str(directory))
+    engine = SearchEngine(**kwargs)
+    engine.load_index(str(directory))
+    assert engine.index.segments and all(
+        segment.path for segment in engine.index.segments
+    )
     return engine
 
 
@@ -450,10 +434,7 @@ def test_segment_layout_matches_after_readds(corpus):
 
 def test_cold_started_engine_matches_in_memory_rankings(corpus, tmp_path):
     reference = segment_reference_engine(corpus)
-    segmented = make_segmented_engine(corpus, "tiered")
-    segmented.save_index(str(tmp_path))
-    cold = SearchEngine(cache_size=0)
-    cold.load_index(str(tmp_path))
+    cold = make_loaded_engine(corpus, tmp_path)
     for query in QUERIES:
         parsed = parse_query(query)
         for limit in (None, 3):

@@ -11,8 +11,8 @@ off the hit, and trims last.  The suite holds the two equal — activity
 ids and order, bit-identical activity scores, hit ids, hit scores,
 stored documents and snippets — for scoped and unscoped searches,
 every ``activity_limit`` / ``per_activity_limit`` shape, every segment
-layout the store can be in, a cold-loaded index, and 1, 2, 3 and 4
-shards (2 also cold-loaded); and for generated scopes — empty, one
+layout the store can be in, a cold-loaded index, and an in-memory and
+a tiered index behind a result cache; and for generated scopes — empty, one
 deal, all deals, unknown deal ids, a deal whose documents are all
 removed — ``search`` and ``count`` as well, against the scope applied
 as a predicate after scoring.  The corpus plants documents without an activity,
@@ -48,7 +48,6 @@ from tests.search.test_execution_equivalence import (
     make_corpus,
     make_engine,
     make_segmented_engine,
-    make_sharded_engine,
     query_trees,
     ref_scope,
 )
@@ -110,13 +109,6 @@ def engines(tmp_path_factory):
         "tiered": make_segmented_engine(corpus, "tiered"),
         "tombstoned": make_segmented_engine(corpus, "tombstoned", REMOVED),
         "compacted": make_segmented_engine(corpus, "compacted", REMOVED),
-        "shards1": make_sharded_engine(corpus, 1),
-        "shards2": make_sharded_engine(corpus, 2),
-        "shards3": make_sharded_engine(corpus, 3),
-        "shards4": make_sharded_engine(corpus, 4),
-        "shards2-loaded": make_sharded_engine(
-            corpus, 2, tmp_path_factory.mktemp("grouped-shards2-loaded")
-        ),
     }
     directory = tmp_path_factory.mktemp("grouped-cold")
     make_segmented_engine(corpus, "tiered", REMOVED).save_index(
@@ -128,7 +120,9 @@ def engines(tmp_path_factory):
     # The same again behind a result cache: a second ask is served
     # from the cached pairs and the hits built the first time.
     shapes["memory-cached"] = make_engine(corpus, cache_size=64)
-    shapes["shards2-cached"] = make_sharded_engine(corpus, 2, cache_size=64)
+    shapes["tiered-cached"] = make_segmented_engine(
+        corpus, "tiered", cache_size=64
+    )
     for engine in shapes.values():
         for doc_id in GONE_DOCS:
             engine.remove(doc_id)
@@ -139,8 +133,7 @@ def engines(tmp_path_factory):
 
 
 SHAPES = ["memory", "memtable", "flushed", "tiered", "tombstoned",
-          "compacted", "cold", "shards1", "shards2", "shards3", "shards4",
-          "shards2-loaded", "memory-cached", "shards2-cached"]
+          "compacted", "cold", "memory-cached", "tiered-cached"]
 
 
 def flat_hit(hit: SearchHit):

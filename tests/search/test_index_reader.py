@@ -1,8 +1,8 @@
 """One conformance suite for the ``IndexReader`` protocol.
 
 Every reader the tree has — the in-memory ``InvertedIndex``, a lone
-``Segment``, a ``SegmentBackedIndex`` in each layout the LSM store can
-be in, and a ``ShardedIndex`` in memory and cold-loaded — is driven through
+``Segment`` and a ``SegmentBackedIndex`` in each layout the LSM store
+can be in, cold-loaded included — is driven through
 the same add/remove script and must then answer every protocol member
 and every derived operation exactly as the dict-of-docs model does
 (``tests/reference/index.py``): first after a fixed script that plants
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.errors import SearchError
 from repro.obs import use_registry
 from repro.search import IndexableDocument, IndexReader, InvertedIndex
-from repro.serving.sharding import ShardedIndex
 from repro.storage import SegmentBackedIndex
 from repro.storage.segment import Segment, encode_from_index
 from tests.reference.index import DictOfDocs, assert_conforms
@@ -138,26 +137,6 @@ def _store(memtable_limit: int, merge_fanout: int, then: str = ""):
     return build
 
 
-def _sharded(shards: int, then: str = ""):
-    @contextmanager
-    def build(ops: List[Op]) -> Iterator[IndexReader]:
-        index = ShardedIndex(shards)
-        _replay(ops, index.add, index.remove)
-        if then != "save+load":
-            yield index
-            return
-        with tempfile.TemporaryDirectory(prefix="index-reader-") as directory:
-            index.save(directory)
-            loaded = ShardedIndex.load(directory)
-            try:
-                yield loaded
-            finally:
-                for part in loaded.parts:
-                    part.close()
-
-    return build
-
-
 READERS = {
     "inverted": _inverted,
     "segment": _lone_segment,
@@ -170,9 +149,6 @@ READERS = {
     "store-tombstoned": _store(2, 64),
     "store-compacted": _store(3, 3, then="compact"),
     "store-loaded": _store(3, 3, then="save+load"),
-    "sharded-1": _sharded(1),
-    "sharded-3": _sharded(3),
-    "sharded-loaded": _sharded(3, then="save+load"),
 }
 
 
@@ -191,6 +167,9 @@ def test_fixed_script_conforms(name):
             assert registry.counter("storage.merges").value == 0
         elif name == "store-tiered":
             assert registry.counter("storage.merges").value >= 2
+            # A composite of three or more parts: segments of several
+            # merge tiers, then the memtable.
+            assert len(reader.parts) >= 3
         elif name == "store-tombstoned":
             assert any(segment.tombstones for segment in reader.segments)
         elif name == "store-compacted":
@@ -199,10 +178,6 @@ def test_fixed_script_conforms(name):
         elif name == "store-loaded":
             assert reader.segments and all(
                 segment.path for segment in reader.segments
-            )
-        elif name == "sharded-loaded":
-            assert len(reader.parts) == 3 and all(
-                isinstance(part, SegmentBackedIndex) for part in reader.parts
             )
 
 
@@ -226,9 +201,7 @@ def test_metadata_value_of_a_removed_document_raises(name):
         assert "d" not in reader.metadata_column("rank").values
 
 
-@pytest.mark.parametrize(
-    "name", ["inverted", "store-memtable", "sharded-1", "sharded-3"]
-)
+@pytest.mark.parametrize("name", ["inverted", "store-memtable"])
 def test_metadata_value_the_index_never_holds(name):
     """Readers that keep the document object itself also keep values no
     segment could encode: a set (unhashable), a frozenset (hashable,
@@ -277,7 +250,7 @@ def _kept_columns(reader):
 def test_only_the_top_reader_keeps_a_column(name):
     """A composite builds its union from parts that keep no column of
     their own, so each document's value is held once however deep the
-    tree (a sharded store: shards, memtables, segments)."""
+    tree (a store: segments and a memtable)."""
     head, tail = FIXED_SCRIPT[:2], FIXED_SCRIPT[2:]
     with READERS[name](head) as reader:
         for key in ("deal_id", "rank"):

@@ -14,7 +14,6 @@ import pytest
 from repro.obs import use_registry
 from repro.search import IndexableDocument, SearchEngine, TermPostings
 from repro.search.inverted_index import InvertedIndex
-from repro.serving.sharding import ShardedIndex
 from repro.storage import SegmentBackedIndex
 from repro.storage.segment import Segment
 from tests.reference.search import exhaustive_ranking
@@ -57,7 +56,6 @@ LAYOUTS = {
     "memory": lambda: None,
     "segments": lambda: SegmentBackedIndex(memtable_limit=16,
                                            merge_fanout=3),
-    "shards2": lambda: ShardedIndex(2),
 }
 
 
@@ -120,7 +118,7 @@ def test_a_large_scope_is_checked_on_the_postings(layout, monkeypatch):
     scope = ("deal_id", frozenset({"deal1", "deal2", "deal3"}))
     reference = exhaustive_ranking(engine, "services", None, scope)
     assert reference
-    for reader in (InvertedIndex, Segment, SegmentBackedIndex, ShardedIndex):
+    for reader in (InvertedIndex, Segment, SegmentBackedIndex):
         monkeypatch.setattr(reader, "docs_with_metadata", _refuse_to_resolve)
     assert ranking(engine, "services", None, scope) == reference
     assert engine.count("services", scope) == len(reference)

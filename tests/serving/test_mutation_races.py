@@ -39,7 +39,7 @@ from repro.search import (
     SiapiQuery,
     SiapiService,
 )
-from repro.serving import EILServer, ShardedIndex
+from repro.serving import EILServer
 from repro.storage import SegmentBackedIndex
 from tests.graph.test_traversal_equivalence import (
     assert_indexes_match_rescan,
@@ -86,20 +86,12 @@ def _ranking(engine, limit=10):
 class TestEngineSnapshotIsolation:
     """Concurrent readers vs a writer churning five documents."""
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: SearchEngine(),
-            lambda: SearchEngine(index=ShardedIndex(3)),
-        ],
-        ids=["unsharded", "sharded"],
-    )
-    def test_rankings_match_some_quiesced_epoch(self, factory):
+    def test_rankings_match_some_quiesced_epoch(self):
         docs = _make_docs()
         churned = docs[:5]
 
         # Serial replay: record the ranking at every quiesced state.
-        replay = factory()
+        replay = SearchEngine()
         for document in docs:
             replay.add(document)
         allowed = {_ranking(replay)}
@@ -110,7 +102,7 @@ class TestEngineSnapshotIsolation:
             replay.add(doc)
             allowed.add(_ranking(replay))
 
-        engine = factory()
+        engine = SearchEngine()
         for document in docs:
             engine.add(document)
         stop = threading.Event()
@@ -169,7 +161,7 @@ class TestSystemSnapshotIsolation:
         corpus = CorpusGenerator(
             CorpusConfig(n_deals=4, docs_per_deal=14)
         ).generate()
-        eil = EILSystem.build(corpus, shards=3)
+        eil = EILSystem.build(corpus)
         generator = DealGenerator(seed=999, taxonomy=corpus.taxonomy)
         deal = generator.generate(len(corpus.deals) + 1)[-1]
         full = WorkbookFactory(corpus.taxonomy, seed=999).build_workbook(
@@ -323,12 +315,11 @@ class TestInlineHitsUnderChurn:
     else has looked it up at the new epoch before it does.
     """
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_answers_match_a_quiesced_epoch(self, shards):
+    def test_answers_match_a_quiesced_epoch(self):
         corpus = CorpusGenerator(
             CorpusConfig(n_deals=4, docs_per_deal=14)
         ).generate()
-        eil = EILSystem.build(corpus, shards=shards)
+        eil = EILSystem.build(corpus)
         generator = DealGenerator(seed=999, taxonomy=corpus.taxonomy)
         deal = generator.generate(len(corpus.deals) + 1)[-1]
         full = WorkbookFactory(corpus.taxonomy, seed=999).build_workbook(
@@ -447,18 +438,15 @@ class TestGroupedAnswersAreWhole:
     """
 
     @pytest.mark.parametrize(
-        "shards, engine_cache_size",
-        [(1, 256), (1, 0), (3, 256), (3, 0)],
-        ids=["unsharded-cached", "unsharded-uncached",
-             "sharded-cached", "sharded-uncached"],
+        "engine_cache_size", [256, 0], ids=["cached", "uncached"]
     )
-    def test_no_answer_is_torn_by_a_removal(self, shards, engine_cache_size):
+    def test_no_answer_is_torn_by_a_removal(self, engine_cache_size):
         corpus = CorpusGenerator(
             CorpusConfig(n_deals=4, docs_per_deal=14)
         ).generate()
         eil = EILSystem(
             taxonomy=corpus.taxonomy, collection=corpus.collection,
-            directory=corpus.directory, shards=shards,
+            directory=corpus.directory,
             engine_cache_size=engine_cache_size, query_cache_size=0,
         )
         eil.run_offline_pipeline()
@@ -587,7 +575,6 @@ class TestScopeIsLocked:
         "segments": lambda: SearchEngine(
             index=SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
         ),
-        "sharded": lambda: SearchEngine(index=ShardedIndex(3)),
     }
     #: Every document holds some of these words, so this matches all.
     EVERYTHING = SiapiQuery(any_words=" ".join(WORDS))
@@ -635,24 +622,17 @@ class TestScopeIsLocked:
         the file writes inside a flush or merge release the interpreter
         lock, which is when a reader gets to look."""
         scope = {"d0", "d1", "d2"}
-        stores = [
-            SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
-            for _ in range(4)
-        ]
-        sharded = ShardedIndex(3)
-        sharded.parts = stores[1:]
+        store = SegmentBackedIndex(memtable_limit=4, merge_fanout=2)
         layouts = [
             (SearchEngine(cache_size=0), 300),
-            (SearchEngine(index=stores[0], cache_size=0), 830),
-            (SearchEngine(index=sharded, cache_size=0), 830),
+            (SearchEngine(index=store, cache_size=0), 830),
         ]
         for engine, n in layouts:
             docs = _make_docs(n=n, deals=3)
             for document in docs[:30]:
                 engine.add(document)
-            for position, store in enumerate(stores):
-                if store.directory is None and len(store):
-                    store.save(str(tmp_path / f"store-{position}"))
+            if store.directory is None and len(store):
+                store.save(str(tmp_path / "store"))
             service = SiapiService(engine)
             self._race(engine, service, docs, scope)
             assert _scoped_count(engine, self.EVERYTHING, scope) == len(docs)

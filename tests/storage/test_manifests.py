@@ -1,7 +1,7 @@
-"""The five JSON files of a saved system share one checksummed envelope.
+"""The four JSON files of a saved system share one checksummed envelope.
 
-``eil-manifest.json``, ``SHARDS.json``, a segment store's
-``MANIFEST.json``, ``synopsis.json`` and ``graph.json`` are each an
+``eil-manifest.json``, the segment store's ``MANIFEST.json``,
+``synopsis.json`` and ``graph.json`` are each an
 :func:`repro.storage.atomic.encode_document` document: canonical JSON
 ``{"checksum", "format", "payload", "version"}`` with the checksum over
 the payload.  Whatever is wrong with a file, its loader raises a typed
@@ -36,12 +36,10 @@ from repro.errors import DatabaseError, StorageError
 from repro.graph import EntityGraph
 from repro.graph.graph import _GRAPH_FORMAT, _GRAPH_VERSION
 from repro.security.access import User
-from repro.serving.sharding import ShardedIndex
 from repro.storage import MANIFEST_NAME, SegmentBackedIndex
 from repro.storage.atomic import decode_document, encode_document
 from repro.storage.store import MANIFEST_FORMAT, MANIFEST_VERSION
 
-SHARDS = 2
 _USER = User("tester", frozenset({"sales"}))
 
 
@@ -55,7 +53,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def saved(corpus, tmp_path_factory):
     directory = tmp_path_factory.mktemp("saved-system")
-    EILSystem.build(corpus, shards=SHARDS).save_index(str(directory))
+    EILSystem.build(corpus).save_index(str(directory))
     return directory
 
 
@@ -63,12 +61,9 @@ def saved(corpus, tmp_path_factory):
 #: saved directory and the corpus.
 LOADERS = {
     EILSystem.EIL_MANIFEST: lambda root, corpus: EILSystem.load(root, corpus),
-    os.path.join("index", ShardedIndex.SHARDS_MANIFEST): (
-        lambda root, corpus: ShardedIndex.load(os.path.join(root, "index"))
-    ),
-    os.path.join("index", "shard-00", MANIFEST_NAME): (
+    os.path.join("index", MANIFEST_NAME): (
         lambda root, corpus: SegmentBackedIndex.load(
-            os.path.join(root, "index", "shard-00")
+            os.path.join(root, "index")
         )
     ),
     "graph.json": lambda root, corpus: EntityGraph.load(
@@ -76,19 +71,11 @@ LOADERS = {
     ),
 }
 
-#: every JSON file of a saved 2-shard system -> its (format, version)
-#: as the code declares them.
+#: every JSON file of a saved system -> its (format, version) as the
+#: code declares them.
 FORMATS = {
     EILSystem.EIL_MANIFEST: (EILSystem._EIL_FORMAT, EILSystem._EIL_VERSION),
-    os.path.join("index", ShardedIndex.SHARDS_MANIFEST): (
-        ShardedIndex._SHARDS_FORMAT, ShardedIndex._SHARDS_VERSION
-    ),
-    **{
-        os.path.join("index", f"shard-{n:02d}", MANIFEST_NAME): (
-            MANIFEST_FORMAT, MANIFEST_VERSION
-        )
-        for n in range(SHARDS)
-    },
+    os.path.join("index", MANIFEST_NAME): (MANIFEST_FORMAT, MANIFEST_VERSION),
     "synopsis.json": (SNAPSHOT_FORMAT, SNAPSHOT_VERSION),
     "graph.json": (_GRAPH_FORMAT, _GRAPH_VERSION),
 }
@@ -157,7 +144,7 @@ def test_damaged_synopsis_raises_database_error_naming_the_file(
     assert str(path) in str(raised.value)
 
 
-# -- one codec, five kinds ------------------------------------------------------
+# -- one codec, four kinds ------------------------------------------------------
 
 
 def test_every_json_file_decodes_through_the_one_codec(saved):
@@ -168,7 +155,7 @@ def test_every_json_file_decodes_through_the_one_codec(saved):
         if name.endswith(".json")
     }
     assert found == set(FORMATS)
-    assert len(set(FORMATS.values())) == 5
+    assert len(set(FORMATS.values())) == 4
     for relative, (kind, version) in FORMATS.items():
         text = (saved / relative).read_text()
         payload = decode_document(text, kind, version, relative)
@@ -209,75 +196,6 @@ def test_a_snapshot_saved_before_the_envelope_is_rejected(
     assert isinstance(raised.value, expected)
 
 
-# -- the shard count has one source: SHARDS.json -------------------------------
-
-
-def _forge(path, **fields):
-    """Rewrite ``path``'s payload with ``fields``, checksum included: what
-    a loader sees past an envelope that checks out."""
-    document = json.loads(path.read_text())
-    path.write_text(encode_document(
-        document["format"], document["version"],
-        {**document["payload"], **fields},
-    ))
-
-
-def test_loaded_index_takes_its_shard_count_from_shards_json(saved):
-    index = ShardedIndex.load(os.path.join(saved, "index"))
-    assert len(index.parts) == SHARDS
-    assert len(index) == sum(len(part) for part in index.parts) > 0
-
-
-@pytest.mark.parametrize("recorded", [0, "2", None])
-def test_shards_json_with_an_unusable_count_is_rejected(
-    saved, tmp_path, recorded
-):
-    root = tmp_path / "copy"
-    shutil.copytree(saved, root)
-    path = root / "index" / ShardedIndex.SHARDS_MANIFEST
-    _forge(path, shards=recorded)
-    with pytest.raises(StorageError) as raised:
-        ShardedIndex.load(str(root / "index"))
-    assert str(path) in str(raised.value)
-
-
-def test_mixed_generation_snapshot_is_rejected_naming_both_files(
-    saved, corpus, tmp_path
-):
-    """``eil-manifest.json`` from one save beside an ``index/`` from
-    another: whichever of the two counts is off, both files are named."""
-    unsharded = tmp_path / "unsharded"
-    EILSystem.build(corpus, shards=1).save_index(str(unsharded))
-    for name, source, recorded in [
-        ("manifest-says-3", saved, 3),
-        ("manifest-says-1", saved, 1),
-        ("index-is-unsharded", unsharded, SHARDS),
-    ]:
-        root = tmp_path / name
-        shutil.copytree(source, root)
-        _forge(root / EILSystem.EIL_MANIFEST, shards=recorded)
-        with pytest.raises(StorageError) as raised:
-            EILSystem.load(str(root), corpus)
-        message = str(raised.value)
-        assert str(root / EILSystem.EIL_MANIFEST) in message, name
-        assert str(
-            root / "index" / ShardedIndex.SHARDS_MANIFEST
-        ) in message, name
-
-
-@pytest.mark.parametrize("requested", [1, 4])
-def test_explicit_shards_that_disagree_with_the_saved_count(
-    saved, corpus, requested
-):
-    with pytest.raises(StorageError) as raised:
-        EILSystem.load(str(saved), corpus, shards=requested)
-    message = str(raised.value)
-    assert f"saved with {SHARDS} shard(s) but {requested} requested" in message
-    # EILSystem.load ignores the environment on purpose: no advice to set it.
-    assert "REPRO_SHARDS" not in message and "--shards" not in message
-    assert EILSystem.load(str(saved), corpus, shards=SHARDS).shards == SHARDS
-
-
 # -- damage anywhere: a typed error naming the file, or no change at all -------
 
 
@@ -312,20 +230,17 @@ def load_outcome(root, corpus):
 
 
 @pytest.fixture(scope="module")
-def systems(corpus, tmp_path_factory):
-    """shard count -> (saved directory, its undamaged fingerprint, the
-    files of the save)."""
-    found = {}
-    for shards in (1, SHARDS):
-        root = tmp_path_factory.mktemp(f"damage-{shards}")
-        EILSystem.build(corpus, shards=shards).save_index(str(root))
-        files = sorted(
-            os.path.relpath(os.path.join(directory, name), root)
-            for directory, _, names in os.walk(root)
-            for name in names
-        )
-        found[shards] = (root, load_outcome(root, corpus), files)
-    return found
+def system(corpus, tmp_path_factory):
+    """(saved directory, its undamaged fingerprint, the files of the
+    save)."""
+    root = tmp_path_factory.mktemp("damage")
+    EILSystem.build(corpus).save_index(str(root))
+    files = sorted(
+        os.path.relpath(os.path.join(directory, name), root)
+        for directory, _, names in os.walk(root)
+        for name in names
+    )
+    return root, load_outcome(root, corpus), files
 
 
 def _leaves(value, path=()):
@@ -386,10 +301,9 @@ def _forged(original, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_damage_is_a_typed_error_naming_the_file_or_changes_nothing(
-    systems, corpus, data
+    system, corpus, data
 ):
-    shards = data.draw(st.sampled_from(sorted(systems)), label="shards")
-    root, undamaged, files = systems[shards]
+    root, undamaged, files = system
     relative = data.draw(st.sampled_from(files), label="file")
     path = root / relative
     original = path.read_bytes()
@@ -436,11 +350,11 @@ FORGED = [
     ("graph.json", "edges", 7),
     ("graph.json", "edges", ["x"]),
     ("graph.json", "deals", None),
-    (os.path.join("index", "shard-00", MANIFEST_NAME), "segments", 7),
-    (os.path.join("index", "shard-00", MANIFEST_NAME), "segments", ["x"]),
-    (os.path.join("index", "shard-00", MANIFEST_NAME), "segments", None),
-    (os.path.join("index", "shard-01", MANIFEST_NAME), "next_segment", "x"),
-    (os.path.join("index", "shard-01", MANIFEST_NAME), "next_segment", None),
+    (os.path.join("index", MANIFEST_NAME), "segments", 7),
+    (os.path.join("index", MANIFEST_NAME), "segments", ["x"]),
+    (os.path.join("index", MANIFEST_NAME), "segments", None),
+    (os.path.join("index", MANIFEST_NAME), "next_segment", "x"),
+    (os.path.join("index", MANIFEST_NAME), "next_segment", None),
 ]
 
 

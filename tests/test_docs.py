@@ -242,7 +242,6 @@ class TestOperationsDocs:
         from repro.core.eil import EILSystem
         from repro.db import persistence
         from repro.graph import graph
-        from repro.serving.sharding import ShardedIndex
         from repro.storage import store
 
         section = architecture.split("### Saved JSON files", 1)[1]
@@ -256,9 +255,6 @@ class TestOperationsDocs:
         written = {
             EILSystem.EIL_MANIFEST: (
                 EILSystem._EIL_FORMAT, EILSystem._EIL_VERSION
-            ),
-            ShardedIndex.SHARDS_MANIFEST: (
-                ShardedIndex._SHARDS_FORMAT, ShardedIndex._SHARDS_VERSION
             ),
             store.MANIFEST_NAME: (
                 store.MANIFEST_FORMAT, store.MANIFEST_VERSION

@@ -30,6 +30,7 @@ its own definition.  Dunders are exempt; :data:`TEST_ONLY_METHODS` names
 what that pass finds and why each is still there.
 """
 
+import argparse
 import ast
 import collections
 import importlib
@@ -44,6 +45,7 @@ import repro
 import repro.annotators
 import repro.core
 import repro.db
+import repro.serving
 import repro.text
 from repro.db import Table, parse
 from repro.errors import SqlSyntaxError
@@ -124,18 +126,21 @@ DELETED_METHODS = {
 }
 
 #: Modules and top-level names deleted with no entry point reaching
-#: them (the learned selector is paper §3.2.1 future work).
+#: them (the learned selector is paper §3.2.1 future work), or as a
+#: second index layout (the paper serves one index; shards were an
+#: option that changed no answer).
 DELETED_NAMES = {
     "repro.annotators.candidates",
     "repro.annotators.classifier.SectionClassifierAnnotator",
     "repro.core.metaqueries.graph_expertise_query",
     "repro.core.metaqueries.graph_role_capacity_query",
     "repro.core.metaqueries.graph_team_overlap_query",
+    "repro.serving.sharding",
     "repro.text.stemmer.stem",
 }
 
 #: The environment variables the program reads: deployment shape only.
-ENVIRONMENT = {"REPRO_WORKERS", "REPRO_SHARDS"}
+ENVIRONMENT = {"REPRO_WORKERS"}
 
 _DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -383,8 +388,9 @@ def test_deleted_names_stay_gone():
     }
     assert not DELETED_NAMES & defined, sorted(DELETED_NAMES & defined)
     names = {name.rpartition(".")[2] for name in DELETED_NAMES}
-    names.add("LearnedCandidateSelector")
-    for package in (repro, repro.core, repro.text, repro.annotators):
+    names |= {"LearnedCandidateSelector", "ShardedIndex", "shard_for"}
+    for package in (repro, repro.core, repro.text, repro.annotators,
+                    repro.serving):
         back = names & set(package.__all__)
         assert not back, (package.__name__, back)
 
@@ -398,10 +404,44 @@ def test_the_reader_protocol_is_its_primitives():
 def test_no_option_selects_a_learned_strategy_classifier():
     from repro.core.eil import EILSystem
 
-    # After self: the taxonomy, the collection and eleven options.
+    # After self: the taxonomy, the collection and ten options.
     settings = list(inspect.signature(EILSystem.__init__).parameters)[1:]
     assert "strategy_classifier" not in settings
-    assert len(settings) == 13, settings
+    assert len(settings) == 12, settings
+
+
+def test_no_option_selects_a_shard_count(tmp_path):
+    # One index layout: nothing partitions the index, so neither the
+    # system (constructed, built or loaded) nor the CLI takes a count.
+    # ``load`` reads a snapshot before it takes its options.
+    from repro import CorpusConfig, CorpusGenerator
+    from repro.cli import build_parser
+    from repro.core.eil import EILSystem
+
+    assert "shards" not in inspect.signature(EILSystem.__init__).parameters
+    corpus = CorpusGenerator(
+        CorpusConfig(n_deals=2, docs_per_deal=12, n_threads=0)
+    ).generate()
+    with pytest.raises(TypeError, match="shards"):
+        EILSystem.build(corpus, shards=1)
+    EILSystem.build(corpus).save_index(str(tmp_path))
+    with pytest.raises(TypeError, match="shards"):
+        EILSystem.load(str(tmp_path), corpus, shards=1)
+
+    parser = build_parser()
+    parsers = [parser] + [
+        subparser
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for subparser in action.choices.values()
+    ]
+    flags = {
+        flag
+        for each in parsers
+        for action in each._actions
+        for flag in action.option_strings
+    }
+    assert not {flag for flag in flags if "shard" in flag}, sorted(flags)
 
 
 def test_repro_db_has_one_evaluator():
@@ -416,8 +456,7 @@ def test_repro_db_has_one_evaluator():
 
 
 def test_there_is_one_search_engine_and_nobody_else_takes_its_lock():
-    # Sharding is an index layout (repro.serving.sharding.ShardedIndex):
-    # a second class that ranks would be a second engine, and a module
+    # A second class that ranks would be a second engine, and a module
     # reaching for another object's ``_rw`` a lock proxy around the
     # first.  A class's own ``self._rw`` (the database's) is its own.
     rankers = [
@@ -558,9 +597,9 @@ def test_the_front_door_has_no_worker_pool():
 
 
 def test_the_program_reads_only_the_deployment_shape_from_the_environment():
-    # REPRO_WORKERS and REPRO_SHARDS re-run a whole suite in another
-    # deployment shape; a variable that selects a second code path is
-    # an option nobody sets.  A read is ``os.environ.get("NAME", ...)``.
+    # REPRO_WORKERS re-runs a whole suite in another deployment shape;
+    # a variable that selects a second code path is an option nobody
+    # sets.  A read is ``os.environ.get("NAME", ...)``.
     read, elsewhere = set(), []
     for path in sorted((SRC / "repro").rglob("*.py")):
         text = path.read_text()
